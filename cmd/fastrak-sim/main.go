@@ -72,7 +72,7 @@ func main() {
 	tiered := flag.Bool("tiered", false, "run the canned three-tier placement-ladder scenario (experiments.RunTiered) instead of the rack workload")
 	failover := flag.Bool("failover", false, "run the canned control-plane failover scenario (experiments.RunFailover): hot-standby TOR controllers under partitions, crashes and pauses")
 	shards := flag.Int("shards", 0, "run the wall-clock throughput mode instead of the sim: drive the sharded batch data plane with this many shard workers (1 = inline deterministic configuration)")
-	sketchMode := flag.Bool("sketch", false, "measure flow demand with the streaming count-min + space-saving accountant and rank offload candidates incrementally instead of walking exact per-flow counters; with -flows >= 10000 this switches to the standalone accounting scale benchmark (no rack sim)")
+	sketchMode := flag.Bool("sketch", false, "measure flow demand with the streaming count-min + space-saving accountant instead of walking exact per-flow counters (an accounting mode only: the decision engine is unchanged); with -flows >= 10000 this switches to the standalone accounting scale benchmark (no rack sim)")
 	sketchK := flag.Int("sketch-topk", 0, "heavy-hitter set size per server in -sketch mode (0 = default 1024)")
 	replicas := flag.Int("replicas", 0, "TOR controller replicas per rack (>1 enables hot-standby HA with leader election and epoch fencing)")
 	leaseTTL := flag.Duration("lease-ttl", 0, "hardware rule lease TTL (>0 enables lease-based fail-safe expiry back to the software path)")

@@ -6,9 +6,7 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/decision"
 	"repro/internal/packet"
-	"repro/internal/rules"
 	"repro/internal/sketch"
 )
 
@@ -16,17 +14,13 @@ import (
 // instead of simulating a rack, it measures the accounting subsystem
 // itself at a flow count no exact per-flow table should be asked to
 // carry. A heavy-tailed synthetic stream of N distinct flows is fed
-// through per-shard count-min + space-saving sketches on the wall clock,
-// the shards merge into one top-k demand report, and the decision engine
-// re-ranks it over churning cycles — full sort and incremental re-rank
-// side by side, which is the comparison that motivates the incremental
-// engine.
+// through per-shard count-min + space-saving sketches on the wall clock
+// and the shards merge into one top-k demand report.
 func runSketchScale(flows int, seed int64) {
 	const (
 		shards   = 4
 		topK     = 10_000
 		services = 10_000
-		cycles   = 8
 	)
 	obsPerShard := flows // 4 shards -> 4 observations per flow on average
 
@@ -82,54 +76,6 @@ func runSketchScale(flows int, seed int64) {
 	report := acct.Report()
 	fmt.Printf("merge+report: %d heavy-hitter patterns (floor=%d) in %v\n",
 		len(report), acct.Floor(), time.Since(start).Round(time.Microsecond))
-
-	// Phase 3: decision latency, full sort vs incremental re-rank, over
-	// churning cycles. Candidates come straight from the report; each
-	// cycle perturbs 1% of scores, the steady-state churn a running rack
-	// shows between control intervals.
-	cands := make([]decision.Candidate, 0, len(report))
-	for _, pc := range report {
-		cands = append(cands, decision.Candidate{
-			Pattern:      pc.Pattern,
-			MedianPPS:    float64(pc.Pkts),
-			MedianBPS:    float64(pc.Bytes) * 8,
-			ActiveEpochs: 1,
-		})
-	}
-	dcfg := decision.Config{Budget: 1000, MinScore: 1, HysteresisRatio: 1.2}
-	offloaded := make(map[rules.Pattern]bool)
-	inc := decision.NewIncremental(0)
-	inc.Decide(dcfg, cands, offloaded) // warm the carried order
-	rng := rand.New(rand.NewSource(seed ^ 0x5ce7c4))
-
-	var fullTotal, incTotal time.Duration
-	for c := 0; c < cycles; c++ {
-		for i := 0; i < len(cands)/100+1; i++ {
-			j := rng.Intn(len(cands))
-			cands[j].MedianPPS *= 0.8 + 0.4*rng.Float64()
-		}
-		start = time.Now()
-		df := decision.Decide(dcfg, cands, offloaded)
-		fullTotal += time.Since(start)
-		start = time.Now()
-		di := inc.Decide(dcfg, cands, offloaded)
-		incTotal += time.Since(start)
-		if len(df.Offload) != len(di.Offload) {
-			fmt.Printf("cycle %d: DIVERGENCE full=%d incremental=%d offloads\n",
-				c, len(df.Offload), len(di.Offload))
-		}
-		// Feed the decision back so hysteresis has incumbents to guard.
-		for k := range offloaded {
-			delete(offloaded, k)
-		}
-		for _, p := range di.Offload {
-			offloaded[p] = true
-		}
-	}
-	fmt.Printf("decision over %d candidates, %d cycles at 1%% churn:\n", len(cands), cycles)
-	fmt.Printf("  full sort:   %v/cycle\n", (fullTotal / cycles).Round(time.Microsecond))
-	fmt.Printf("  incremental: %v/cycle (%.1fx faster)\n",
-		(incTotal / cycles).Round(time.Microsecond), float64(fullTotal)/float64(incTotal))
 
 	// The ranking the TOR would act on.
 	top := report

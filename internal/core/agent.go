@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"errors"
-	"sort"
+	"slices"
 
 	"repro/internal/openflow"
 	"repro/internal/rules"
@@ -123,13 +124,11 @@ func (a *switchAgent) HandleMessage(msg openflow.Message, xid uint32, reply open
 // controller's bookkeeping field) so the wire format is unchanged.
 func (a *switchAgent) upsert(m *openflow.FlowMod) error {
 	prio, queue := int(m.Priority), int(m.Cookie)
-	for _, ri := range a.tor.Rules() {
-		if ri.Pattern == m.Pattern && ri.Priority == prio && ri.Queue == queue {
-			// An idempotent re-assert is exactly what a lease refresh
-			// looks like: extend the entry's lease without churning it.
-			a.tor.RefreshLease(m.Pattern)
-			return nil
-		}
+	if a.tor.HasRule(tor.RuleInfo{Pattern: m.Pattern, Priority: prio, Queue: queue}) {
+		// An idempotent re-assert is exactly what a lease refresh
+		// looks like: extend the entry's lease without churning it.
+		a.tor.RefreshLease(m.Pattern)
+		return nil
 	}
 	// Replace any stale variant (different priority/queue) of the
 	// pattern before inserting, so the table never holds duplicates.
@@ -148,11 +147,11 @@ func (a *switchAgent) upsert(m *openflow.FlowMod) error {
 // so the whole simulation — reproducible).
 func (a *switchAgent) tableReply() *openflow.TableReply {
 	ris := a.tor.Rules()
-	sort.Slice(ris, func(i, j int) bool {
-		if ris[i].Priority != ris[j].Priority {
-			return ris[i].Priority > ris[j].Priority
+	slices.SortFunc(ris, func(x, y tor.RuleInfo) int {
+		if c := cmp.Compare(y.Priority, x.Priority); c != 0 {
+			return c
 		}
-		return ris[i].Pattern.String() < ris[j].Pattern.String()
+		return x.Pattern.Compare(y.Pattern)
 	})
 	out := make([]openflow.TableRule, len(ris))
 	for i, ri := range ris {

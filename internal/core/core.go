@@ -15,7 +15,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -96,8 +96,8 @@ type Config struct {
 	// accountant of internal/sketch (count-min + space-saving top-k): the
 	// vswitch fast path accrues into the sketch as packets classify, and
 	// the ME samples the top-k pattern report instead of walking every
-	// exact-cache entry. Demand reports carry an openflow.SketchMeta tail
-	// and the TOR decision engine re-ranks incrementally. Off (the
+	// exact-cache entry. Demand reports carry an openflow.SketchMeta
+	// tail; the TOR decision engine is the same in both modes. Off (the
 	// default) preserves the exact path byte for byte — it remains the
 	// differential-testing oracle.
 	SketchAccounting bool
@@ -509,7 +509,7 @@ func (m *Manager) OffloadedPatterns() []rules.Pattern {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	slices.SortFunc(out, rules.Pattern.Compare)
 	return out
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -180,11 +181,7 @@ func (lc *LocalController) checkLease() {
 		lc.mgr.Cluster.Eng.Now()-lc.lastLeaderContact <= sim.Time(ttl)/2 {
 		return
 	}
-	ps := make([]rules.Pattern, 0, len(lc.installed))
-	for p := range lc.installed {
-		ps = append(ps, p)
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].String() < ps[j].String() })
+	ps := rules.SortedPatterns(lc.installed)
 	for _, p := range ps {
 		lc.removePlacement(p)
 	}
@@ -343,7 +340,7 @@ func (lc *LocalController) applySync(m *openflow.RuleSync) {
 				extra = append(extra, p)
 			}
 		}
-		sort.Slice(extra, func(i, j int) bool { return extra[i].String() < extra[j].String() })
+		slices.SortFunc(extra, rules.Pattern.Compare)
 		for _, p := range extra {
 			lc.removePlacement(p)
 		}
@@ -521,12 +518,7 @@ func (lc *LocalController) installInitialSplit(key vswitch.VMKey, egressBps, ing
 // Placements returns the placer redirect rules this controller currently
 // has installed, sorted — exposed for the service admin API.
 func (lc *LocalController) Placements() []rules.Pattern {
-	out := make([]rules.Pattern, 0, len(lc.installed))
-	for p := range lc.installed {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
+	return rules.SortedPatterns(lc.installed)
 }
 
 // sortedVMs returns the server's VMs in deterministic (tenant, IP) order.

@@ -10,6 +10,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/decision"
@@ -184,12 +185,7 @@ func (tc *TORController) sendNICActions(server uint32, acts []openflow.OffloadAc
 func (tc *TORController) nicReconcile() {
 	perServer := make(map[uint32][]openflow.OffloadAction)
 
-	ps := make([]rules.Pattern, 0, len(tc.nicDesired))
-	for p := range tc.nicDesired {
-		ps = append(ps, p)
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].String() < ps[j].String() })
-	for _, p := range ps {
+	for _, p := range rules.SortedPatterns(tc.nicDesired) {
 		s := tc.nicDesired[p]
 		rep, ok := tc.nicReported[s]
 		if !ok || rep[p] {
@@ -214,7 +210,7 @@ func (tc *TORController) nicReconcile() {
 				orphans = append(orphans, p)
 			}
 		}
-		sort.Slice(orphans, func(i, j int) bool { return orphans[i].String() < orphans[j].String() })
+		slices.SortFunc(orphans, rules.Pattern.Compare)
 		for _, p := range orphans {
 			tc.NICOrphans++
 			if tc.rec != nil {
@@ -237,12 +233,7 @@ func (tc *TORController) nicReconcile() {
 // nicDesiredList returns the NIC tier's desired placements, sorted —
 // exposed for experiments and tests.
 func (tc *TORController) nicDesiredList() []rules.Pattern {
-	out := make([]rules.Pattern, 0, len(tc.nicDesired))
-	for p := range tc.nicDesired {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
+	return rules.SortedPatterns(tc.nicDesired)
 }
 
 // NICPlacedPatterns returns the union of NIC-tier desired patterns across
@@ -258,6 +249,6 @@ func (m *Manager) NICPlacedPatterns() []rules.Pattern {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	slices.SortFunc(out, rules.Pattern.Compare)
 	return out
 }

@@ -20,7 +20,10 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/openflow"
@@ -166,11 +169,11 @@ func (s *TORService) Placements() []PlacementView {
 	for p := range tc.removing {
 		out = append(out, PlacementView{Pattern: p, State: "removing"})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].State != out[j].State {
-			return out[i].State < out[j].State
+	slices.SortFunc(out, func(a, b PlacementView) int {
+		if c := strings.Compare(a.State, b.State); c != 0 {
+			return c
 		}
-		return out[i].Pattern.String() < out[j].Pattern.String()
+		return a.Pattern.Compare(b.Pattern)
 	})
 	return out
 }
@@ -200,11 +203,11 @@ func (s *TORService) HardwareRules() []HardwareRuleView {
 			Packets: st.Packets, Bytes: st.Bytes,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Priority != out[j].Priority {
-			return out[i].Priority > out[j].Priority
+	slices.SortFunc(out, func(a, b HardwareRuleView) int {
+		if c := cmp.Compare(b.Priority, a.Priority); c != 0 {
+			return c
 		}
-		return out[i].Pattern.String() < out[j].Pattern.String()
+		return a.Pattern.Compare(b.Pattern)
 	})
 	return out
 }
@@ -332,9 +335,7 @@ func (s *AgentService) augmentReport(rep *openflow.DemandReport) {
 			epochs = 1
 		}
 		stats := t.Stats()
-		sort.Slice(stats, func(i, j int) bool {
-			return stats[i].Pattern.String() < stats[j].Pattern.String()
-		})
+		slices.SortFunc(stats, func(a, b tor.ACLStats) int { return a.Pattern.Compare(b.Pattern) })
 		for _, st := range stats {
 			if !s.LC.installed[st.Pattern] {
 				continue // not our mirror rule

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -124,14 +125,6 @@ type TORController struct {
 	// penalty decay. Both are volatile (reset on Crash).
 	smoother *decision.Smoother
 	damper   *decision.FlapDamper
-
-	// inc is the incremental re-rank engine, non-nil only in sketch
-	// accounting mode: it carries the ranked candidate order across
-	// control intervals so each cycle re-sorts only candidates whose
-	// effective score changed. With band 0 its decisions are identical
-	// to DecideTiered by construction. Volatile (reset on Crash) — the
-	// cache is a pure ordering optimization, so losing it is always safe.
-	inc *decision.IncrementalTiered
 
 	// urgent maps tenants flagged by OverloadHints to the sim time their
 	// priority boost expires.
@@ -292,12 +285,7 @@ type TORController struct {
 }
 
 func newTORController(m *Manager, t *tor.TOR) *TORController {
-	var inc *decision.IncrementalTiered
-	if m.Cfg.SketchAccounting {
-		inc = decision.NewIncrementalTiered(0)
-	}
 	return &TORController{
-		inc:            inc,
 		mgr:            m,
 		tor:            t,
 		reports:        make(map[uint32]openflow.DemandReport),
@@ -451,9 +439,6 @@ func (tc *TORController) Crash() {
 	tc.lastReportAt = make(map[uint32]sim.Time)
 	tc.smoother = decision.NewSmoother(tc.mgr.Cfg.Smoother)
 	tc.damper = decision.NewFlapDamper(tc.mgr.Cfg.Damper)
-	if tc.inc != nil {
-		tc.inc.Reset()
-	}
 	tc.urgent = make(map[packet.TenantID]sim.Time)
 	tc.offloaded = make(map[rules.Pattern]bool)
 	tc.installing = make(map[rules.Pattern]*installState)
@@ -746,12 +731,7 @@ func (tc *TORController) refreshLeases() {
 // until the hardware answers again.
 func (tc *TORController) enterDegraded() {
 	tc.degraded = true
-	var aborts []rules.Pattern
-	for p := range tc.installing {
-		aborts = append(aborts, p)
-	}
-	sort.Slice(aborts, func(i, j int) bool { return aborts[i].String() < aborts[j].String() })
-	for _, p := range aborts {
+	for _, p := range rules.SortedPatterns(tc.installing) {
 		tc.abortInstall(p)
 	}
 	ps := tc.offloadedList()
@@ -979,15 +959,7 @@ func (tc *TORController) tick() {
 		NICHysteresisRatio: tc.mgr.Cfg.NICHysteresisRatio,
 		NICTenantQuota:     tc.mgr.Cfg.NICTenantQuota,
 	}
-	var td decision.TieredDecision
-	if tc.inc != nil {
-		// Sketch mode: incremental re-rank over the carried order —
-		// identical output to DecideTiered (band 0), without the full
-		// sort when most scores are unchanged.
-		td = tc.inc.Decide(tcfg, cands, current, nicStates, hostOf)
-	} else {
-		td = decision.DecideTiered(tcfg, cands, current, nicStates, hostOf)
-	}
+	td := decision.DecideTiered(tcfg, cands, current, nicStates, hostOf)
 	// Flap damping on top of score hysteresis: a pattern whose offload
 	// state flipped repeatedly in quick succession is pinned to its
 	// current state until the penalty decays (internal/decision/damper.go).
@@ -1273,9 +1245,7 @@ func (tc *TORController) announce(a openflow.OffloadAction) {
 		if tc.crashed || tc.paused || !tc.isLeader || len(acts) == 0 {
 			return
 		}
-		sort.Slice(acts, func(i, j int) bool {
-			return acts[i].Pattern.String() < acts[j].Pattern.String()
-		})
+		slices.SortFunc(acts, compareActions)
 		dec := &openflow.OffloadDecision{Actions: acts,
 			Term: tc.term, Origin: uint32(tc.replicaID)}
 		for _, tr := range tc.toLocals {
@@ -1406,14 +1376,9 @@ func (tc *TORController) tryRemovals() {
 	if tc.crashed || len(tc.removing) == 0 {
 		return
 	}
-	ps := make([]rules.Pattern, 0, len(tc.removing))
-	for p := range tc.removing {
-		ps = append(ps, p)
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].String() < ps[j].String() })
 	min := tc.minAckedSeq()
 	now := tc.mgr.Cluster.Eng.Now()
-	for _, p := range ps {
+	for _, p := range rules.SortedPatterns(tc.removing) {
 		st := tc.removing[p]
 		if st.deleteSent || now < st.readyAt || min < st.needSeq {
 			continue
@@ -1478,7 +1443,7 @@ func (tc *TORController) reconcile(rep *openflow.TableReply) {
 			lost = append(lost, p)
 		}
 	}
-	sort.Slice(lost, func(i, j int) bool { return lost[i].String() < lost[j].String() })
+	slices.SortFunc(lost, rules.Pattern.Compare)
 	for _, p := range lost {
 		delete(tc.offloaded, p)
 		delete(tc.prevHW, p)
@@ -1501,7 +1466,7 @@ func (tc *TORController) reconcile(rep *openflow.TableReply) {
 			}
 		}
 	}
-	sort.Slice(orphans, func(i, j int) bool { return orphans[i].String() < orphans[j].String() })
+	slices.SortFunc(orphans, rules.Pattern.Compare)
 	for _, p := range orphans {
 		tc.beginOrphanRemove(p)
 	}
@@ -1635,10 +1600,8 @@ func (tc *TORController) demoteVM(tenant packet.TenantID, vmIP packet.IP) {
 	if len(actions) == 0 && len(aborts) == 0 && len(nicPulls) == 0 {
 		return
 	}
-	sort.Slice(actions, func(i, j int) bool {
-		return actions[i].Pattern.String() < actions[j].Pattern.String()
-	})
-	sort.Slice(aborts, func(i, j int) bool { return aborts[i].String() < aborts[j].String() })
+	slices.SortFunc(actions, compareActions)
+	slices.SortFunc(aborts, rules.Pattern.Compare)
 	now := tc.mgr.Cluster.Eng.Now()
 	for _, a := range actions {
 		tc.beginRemove(a.Pattern)
@@ -1652,7 +1615,7 @@ func (tc *TORController) demoteVM(tenant packet.TenantID, vmIP packet.IP) {
 		tc.abortInstall(p)
 		tc.damper.ForceState(p, false, now)
 	}
-	sort.Slice(nicPulls, func(i, j int) bool { return nicPulls[i].String() < nicPulls[j].String() })
+	slices.SortFunc(nicPulls, rules.Pattern.Compare)
 	for _, p := range nicPulls {
 		s := tc.nicDesired[p]
 		tc.nicRemove(p, s, "nic->software", 0)
@@ -1694,12 +1657,10 @@ func (tc *TORController) IsLeader() bool { return tc.isLeader && !tc.crashed && 
 // ReplicaID returns this replica's index within its rack's group.
 func (tc *TORController) ReplicaID() int { return tc.replicaID }
 
+// compareActions orders offload actions by canonical pattern order.
+func compareActions(a, b openflow.OffloadAction) int { return a.Pattern.Compare(b.Pattern) }
+
 // offloadedList returns current confirmed hardware patterns, sorted.
 func (tc *TORController) offloadedList() []rules.Pattern {
-	out := make([]rules.Pattern, 0, len(tc.offloaded))
-	for p := range tc.offloaded {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
+	return rules.SortedPatterns(tc.offloaded)
 }

@@ -24,7 +24,6 @@ package decision
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/rules"
@@ -325,11 +324,7 @@ func (s *Smoother) Advance(cands []Candidate, offloaded map[rules.Pattern]bool) 
 		delete(s.state, p)
 	}
 	// Emit deterministically.
-	pats := make([]rules.Pattern, 0, len(s.state))
-	for p := range s.state {
-		pats = append(pats, p)
-	}
-	sort.Slice(pats, func(i, j int) bool { return pats[i].String() < pats[j].String() })
+	pats := rules.SortedPatterns(s.state)
 	out := make([]Candidate, 0, len(pats))
 	for _, p := range pats {
 		out = append(out, s.state[p].cand)

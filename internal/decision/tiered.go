@@ -10,6 +10,7 @@
 package decision
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/packet"
@@ -151,6 +152,6 @@ func applyQuota(d Decision, quota int, placed map[rules.Pattern]bool) Decision {
 			d.Demote = append(d.Demote, p)
 		}
 	}
-	sort.Slice(d.Demote, func(i, j int) bool { return d.Demote[i].String() < d.Demote[j].String() })
+	slices.SortFunc(d.Demote, rules.Pattern.Compare)
 	return d
 }

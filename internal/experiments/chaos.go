@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -281,7 +282,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 				hw = append(hw, ri.Pattern)
 			}
 		}
-		sort.Slice(hw, func(i, j int) bool { return hw[i].String() < hw[j].String() })
+		slices.SortFunc(hw, rules.Pattern.Compare)
 		res.Desired = patternStrings(desired)
 		res.Hardware = patternStrings(hw)
 		res.HardwareMatchesDesired = equalStrings(res.Desired, res.Hardware)

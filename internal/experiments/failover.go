@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -343,7 +343,7 @@ func runFailover(cfg FailoverConfig, withFaults bool) (FailoverResult, error) {
 				hw = append(hw, ri.Pattern)
 			}
 		}
-		sort.Slice(hw, func(i, j int) bool { return hw[i].String() < hw[j].String() })
+		slices.SortFunc(hw, rules.Pattern.Compare)
 		res.Desired = patternStrings(desired)
 		res.Hardware = patternStrings(hw)
 		res.HardwareMatchesDesired = equalStrings(res.Desired, res.Hardware)

@@ -9,6 +9,7 @@ package measure
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -278,13 +279,8 @@ func (m *Engine) emitReport() {
 		return
 	}
 	rep := openflow.DemandReport{ServerID: m.ServerID, Interval: m.interval}
-	pats := make([]rules.Pattern, 0, len(m.flows))
-	for pat := range m.flows {
-		pats = append(pats, pat)
-	}
 	// Deterministic report order.
-	sort.Slice(pats, func(i, j int) bool { return pats[i].String() < pats[j].String() })
-	for _, pat := range pats {
+	for _, pat := range rules.SortedPatterns(m.flows) {
 		st := m.flows[pat]
 		e := m.entryFor(st)
 		if e.ActiveEpochs == 0 {
@@ -384,9 +380,7 @@ func (m *Engine) ProfileFor(tenant packet.TenantID, vmIP packet.IP) Profile {
 			}
 		}
 	}
-	sort.Slice(p.Entries, func(i, j int) bool {
-		return p.Entries[i].Pattern.String() < p.Entries[j].Pattern.String()
-	})
+	slices.SortFunc(p.Entries, func(a, b openflow.DemandEntry) int { return a.Pattern.Compare(b.Pattern) })
 	return p
 }
 

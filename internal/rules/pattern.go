@@ -7,8 +7,9 @@
 package rules
 
 import (
-	"fmt"
-	"strings"
+	"bytes"
+	"slices"
+	"strconv"
 
 	"repro/internal/packet"
 )
@@ -110,37 +111,74 @@ func (p Pattern) IsExact() bool {
 
 // String renders the pattern compactly, e.g.
 // "t3 10.0.0.1/32:* > */0:11211 tcp".
-func (p Pattern) String() string {
-	var b strings.Builder
+func (p Pattern) String() string { return string(p.appendKey(nil)) }
+
+// keyBufLen exceeds the longest rendering (two 20-digit prefixes included),
+// so Compare's stack buffers never spill to the heap.
+const keyBufLen = 128
+
+// Compare is the canonical pattern order every deterministic listing,
+// ranking tie-break and wire ordering uses: p and q order as their String()
+// renderings do (so "t10" sorts before "t2"), returning -1, 0 or +1. It
+// renders into stack buffers and allocates nothing.
+func (p Pattern) Compare(q Pattern) int {
+	var pb, qb [keyBufLen]byte
+	return bytes.Compare(p.appendKey(pb[:0]), q.appendKey(qb[:0]))
+}
+
+// SortedPatterns returns m's keys in canonical order.
+func SortedPatterns[V any](m map[Pattern]V) []Pattern {
+	out := make([]Pattern, 0, len(m))
+	for p := range m {
+		out = append(out, p)
+	}
+	slices.SortFunc(out, Pattern.Compare)
+	return out
+}
+
+// appendKey appends the pattern's rendering to b. String and Compare are
+// both built on it, so text and order cannot drift apart.
+func (p Pattern) appendKey(b []byte) []byte {
 	if p.AnyTenant {
-		b.WriteString("t* ")
+		b = append(b, "t* "...)
 	} else {
-		fmt.Fprintf(&b, "t%d ", p.Tenant)
+		b = append(b, 't')
+		b = strconv.AppendUint(b, uint64(p.Tenant), 10)
+		b = append(b, ' ')
 	}
-	part := func(ip packet.IP, prefix int, port uint16) {
-		if prefix == 0 {
-			b.WriteString("*")
-		} else {
-			fmt.Fprintf(&b, "%s/%d", ip, prefix)
-		}
-		if port == 0 {
-			b.WriteString(":*")
-		} else {
-			fmt.Fprintf(&b, ":%d", port)
-		}
-	}
-	part(p.Src, p.SrcPrefix, p.SrcPort)
-	b.WriteString(" > ")
-	part(p.Dst, p.DstPrefix, p.DstPort)
+	b = appendEndpoint(b, p.Src, p.SrcPrefix, p.SrcPort)
+	b = append(b, " > "...)
+	b = appendEndpoint(b, p.Dst, p.DstPrefix, p.DstPort)
 	switch p.Proto {
 	case 0:
-		b.WriteString(" *")
+		return append(b, " *"...)
 	case packet.ProtoTCP:
-		b.WriteString(" tcp")
+		return append(b, " tcp"...)
 	case packet.ProtoUDP:
-		b.WriteString(" udp")
-	default:
-		fmt.Fprintf(&b, " %d", p.Proto)
+		return append(b, " udp"...)
 	}
-	return b.String()
+	b = append(b, ' ')
+	return strconv.AppendUint(b, uint64(p.Proto), 10)
+}
+
+// appendEndpoint renders one side of a pattern: "ip/prefix:port" with "*"
+// for an any-address and ":*" for an any-port.
+func appendEndpoint(b []byte, ip packet.IP, prefix int, port uint16) []byte {
+	if prefix == 0 {
+		b = append(b, '*')
+	} else {
+		for shift := 24; shift >= 0; shift -= 8 {
+			b = strconv.AppendUint(b, uint64(byte(ip>>shift)), 10)
+			if shift > 0 {
+				b = append(b, '.')
+			}
+		}
+		b = append(b, '/')
+		b = strconv.AppendInt(b, int64(prefix), 10)
+	}
+	if port == 0 {
+		return append(b, ":*"...)
+	}
+	b = append(b, ':')
+	return strconv.AppendUint(b, uint64(port), 10)
 }

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -371,12 +372,7 @@ func (n *NIC) Patterns() []rules.Pattern {
 	if n == nil {
 		return nil
 	}
-	out := make([]rules.Pattern, 0, len(n.byPattern))
-	for p := range n.byPattern {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
+	return rules.SortedPatterns(n.byPattern)
 }
 
 // Has reports whether the pattern is installed.
@@ -473,7 +469,7 @@ func (n *NIC) sweepLeases() {
 	if len(dead) == 0 {
 		return
 	}
-	sort.Slice(dead, func(i, j int) bool { return dead[i].String() < dead[j].String() })
+	slices.SortFunc(dead, rules.Pattern.Compare)
 	for _, p := range dead {
 		n.dropRule(p)
 		n.leaseExpiries++

@@ -10,7 +10,7 @@ package tor
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/fabric"
@@ -262,7 +262,7 @@ func (t *TOR) sweepLeases() {
 	if len(dead) == 0 {
 		return
 	}
-	sort.Slice(dead, func(i, j int) bool { return dead[i].String() < dead[j].String() })
+	slices.SortFunc(dead, rules.Pattern.Compare)
 	for _, p := range dead {
 		delete(t.leases, p)
 		n := t.tcam.Remove(p)
@@ -340,16 +340,27 @@ type RuleInfo struct {
 
 // Rules lists the installed TCAM rules.
 func (t *TOR) Rules() []RuleInfo {
-	var out []RuleInfo
+	out := make([]RuleInfo, 0, t.tcam.Len())
 	t.tcam.Entries(func(e *rules.TCAMEntry) {
 		out = append(out, RuleInfo{Pattern: e.Pattern, Priority: e.Priority, Queue: e.Queue})
 	})
 	return out
 }
 
+// HasRule reports whether exactly this rule is installed. The switch
+// agent asks on every FlowMod, so it scans in place instead of copying the
+// table the way Rules does.
+func (t *TOR) HasRule(ri RuleInfo) bool {
+	found := false
+	t.tcam.Entries(func(e *rules.TCAMEntry) {
+		found = found || (e.Pattern == ri.Pattern && e.Priority == ri.Priority && e.Queue == ri.Queue)
+	})
+	return found
+}
+
 // Stats returns current TCAM entry counters.
 func (t *TOR) Stats() []ACLStats {
-	var out []ACLStats
+	out := make([]ACLStats, 0, t.tcam.Len())
 	t.tcam.Entries(func(e *rules.TCAMEntry) {
 		out = append(out, ACLStats{Pattern: e.Pattern, Packets: e.Stats.Packets, Bytes: e.Stats.Bytes})
 	})

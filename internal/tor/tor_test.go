@@ -153,6 +153,36 @@ func TestTCAMCapacityLimitsOffload(t *testing.T) {
 	}
 }
 
+// HasRule is the switch agent's idempotent-re-assert check: a rule is
+// there only if pattern, priority and queue all match, and asking copies
+// nothing.
+func TestHasRuleMatchesRulesWithoutCopying(t *testing.T) {
+	eng := sim.NewEngine(1)
+	tr, _, _ := rig(t, eng, 4)
+	e := allowEntry(keyOf(1))
+	e.Queue = 2
+	if err := tr.InstallACL(e); err != nil {
+		t.Fatal(err)
+	}
+	have := RuleInfo{Pattern: e.Pattern, Priority: 5, Queue: 2}
+	for _, tc := range []struct {
+		ri   RuleInfo
+		want bool
+	}{
+		{have, true},
+		{RuleInfo{Pattern: e.Pattern, Priority: 6, Queue: 2}, false},
+		{RuleInfo{Pattern: e.Pattern, Priority: 5, Queue: 0}, false},
+		{RuleInfo{Pattern: rules.ExactPattern(keyOf(2)), Priority: 5, Queue: 2}, false},
+	} {
+		if got := tr.HasRule(tc.ri); got != tc.want {
+			t.Errorf("HasRule(%+v) = %v, want %v", tc.ri, got, tc.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { tr.HasRule(have) }); n != 0 {
+		t.Errorf("HasRule allocates %v times per call", n)
+	}
+}
+
 func TestHardwareRateLimitPolices(t *testing.T) {
 	eng := sim.NewEngine(1)
 	tr, _, acc2 := rig(t, eng, 100)

@@ -12,8 +12,8 @@
 #   internal/packet   pooled AppendMarshal vs allocate-per-packet
 #   internal/tunnel   pooled encap vs seed-style encap
 #   internal/smartnic SmartNIC match-action lookup (hit/miss/update)
-#   internal/decision 2-level Decide vs N-level DecideTiered, and full
-#                     re-sort vs incremental re-rank at 10k candidates
+#   internal/decision 2-level Decide vs N-level DecideTiered, and Decide
+#                     at 10k candidates
 #   internal/sketch   count-min/space-saving update, shard observe, merge
 #
 # BENCH_BASELINE.txt is the raw `go test -bench` text (benchstat input);

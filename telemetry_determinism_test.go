@@ -219,9 +219,8 @@ func TestTelemetryTieredExportsAreDeterministic(t *testing.T) {
 }
 
 // runTracedSketchScenario is the streaming-accounting variant: demand
-// measured through the count-min + space-saving accountant and decided
-// through the incremental re-rank engine, so the run produces
-// sketch-report events alongside the standard machinery's.
+// measured through the count-min + space-saving accountant, so the run
+// produces sketch-report events alongside the standard machinery's.
 func runTracedSketchScenario(t *testing.T, seed int64) (trace, prom, csv []byte) {
 	t.Helper()
 	d, err := NewDeployment(Options{Servers: 3, TCAMCapacity: 8, Seed: seed,
@@ -281,9 +280,9 @@ func runTracedSketchScenario(t *testing.T, seed int64) (trace, prom, csv []byte)
 }
 
 // TestTelemetrySketchExportsAreDeterministic extends the determinism
-// guard to sketch accounting mode: with the accountant feeding the ME and
-// the incremental engine ranking, two same-seed runs must still hash
-// identically, and the trace must actually contain sketch-report events
+// guard to sketch accounting mode: with the accountant feeding the ME,
+// two same-seed runs must still hash identically, and the trace must
+// actually contain sketch-report events
 // (otherwise the guard is vacuous).
 func TestTelemetrySketchExportsAreDeterministic(t *testing.T) {
 	t1, p1, c1 := runTracedSketchScenario(t, 42)
