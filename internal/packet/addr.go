@@ -13,6 +13,7 @@ package packet
 import (
 	"fmt"
 	"net/netip"
+	"strconv"
 )
 
 // MAC is a 48-bit Ethernet address.
@@ -61,8 +62,17 @@ func MustParseIP(s string) IP {
 }
 
 // String formats the address in dotted-quad notation.
-func (ip IP) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
+func (ip IP) String() string { return string(ip.appendTo(make([]byte, 0, 15))) }
+
+// appendTo appends the dotted-quad rendering to b.
+func (ip IP) appendTo(b []byte) []byte {
+	for shift := 24; shift >= 0; shift -= 8 {
+		b = strconv.AppendUint(b, uint64(byte(ip>>shift)), 10)
+		if shift > 0 {
+			b = append(b, '.')
+		}
+	}
+	return b
 }
 
 // Mask applies a prefix mask of the given length (0–32).

@@ -1,6 +1,10 @@
 package packet
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+	"strconv"
+)
 
 // FlowKey is the paper's 6-tuple flow identifier (§4.3.1): "A flow is
 // specified by a 6 tuple: Source and destination IPs, L4 ports, L4 protocol
@@ -53,9 +57,41 @@ func (k FlowKey) FastHash() uint64 {
 	return h
 }
 
-// String renders the key for logs and experiment output.
+// String renders the key for logs and experiment output, e.g.
+// "t3 10.0.0.1:40000>10.0.9.9:80/6".
 func (k FlowKey) String() string {
-	return fmt.Sprintf("t%d %s:%d>%s:%d/%d", k.Tenant, k.Src, k.SrcPort, k.Dst, k.DstPort, k.Proto)
+	var b [flowKeyBufLen]byte
+	return string(k.appendKey(b[:0]))
+}
+
+// flowKeyBufLen exceeds the longest rendering (59 bytes), so a rendering
+// into a stack buffer of this size never spills to the heap.
+const flowKeyBufLen = 64
+
+// Compare orders keys as their String() renderings do — the order every
+// sorted flow listing has always had, so "t10" sorts before "t2" — and
+// returns -1, 0 or +1. It renders into stack buffers and allocates
+// nothing.
+func (k FlowKey) Compare(o FlowKey) int {
+	var kb, ob [flowKeyBufLen]byte
+	return bytes.Compare(k.appendKey(kb[:0]), o.appendKey(ob[:0]))
+}
+
+// appendKey appends the key's rendering to b. String and Compare are both
+// built on it, so text and order cannot drift apart.
+func (k FlowKey) appendKey(b []byte) []byte {
+	b = append(b, 't')
+	b = strconv.AppendUint(b, uint64(k.Tenant), 10)
+	b = append(b, ' ')
+	b = k.Src.appendTo(b)
+	b = append(b, ':')
+	b = strconv.AppendUint(b, uint64(k.SrcPort), 10)
+	b = append(b, '>')
+	b = k.Dst.appendTo(b)
+	b = append(b, ':')
+	b = strconv.AppendUint(b, uint64(k.DstPort), 10)
+	b = append(b, '/')
+	return strconv.AppendUint(b, uint64(k.Proto), 10)
 }
 
 // AggregateKey is the measurement engine's per-VM-per-application flow

@@ -106,27 +106,71 @@ type VXLAN struct {
 	VNI uint32
 }
 
-// checksum computes the Internet checksum (RFC 1071) over b with an initial
-// partial sum.
-func checksum(b []byte, initial uint32) uint16 {
-	sum := initial
-	for len(b) >= 2 {
-		sum += uint32(binary.BigEndian.Uint16(b))
+// The Internet checksum (RFC 1071) is the one's-complement sum of a
+// region's big-endian 16-bit words. Every routine here works on partial
+// sums: unsigned integers congruent to that sum mod 0xffff, and zero only
+// when every word summed was zero. 2^16 ≡ 1 (mod 0xffff), so a wider
+// big-endian word is congruent to the sum of its 16-bit words, partial
+// sums add, and folding the high half onto the low half preserves both
+// properties. Any two partial sums of the same data therefore fold to the
+// same 16 bits — which is what lets the kernel below take eight bytes a
+// step, and the header writers sum their fields instead of re-reading the
+// bytes they wrote, without changing one emitted checksum.
+
+// fold reduces a partial sum to 16 bits, in a fixed number of steps: how
+// many a loop would take depends on the data, and that branch mispredicts.
+func fold(sum uint64) uint16 {
+	sum = sum>>32 + sum&0xffffffff // < 2^33
+	sum = sum>>16 + sum&0xffff     // < 3 * 2^16
+	sum = sum>>16 + sum&0xffff     // <= 2^16 + 1
+	sum = sum>>16 + sum&0xffff     // <= 0xffff
+	return uint16(sum)
+}
+
+// partialSum returns the partial sum of b folded to 16 bits, treating b as
+// starting on an even (16-bit) boundary — true for L4 payloads, which
+// follow an even-length header stack — and a trailing odd byte as the high
+// byte of a zero-padded word. Packet memoizes this over its payload so
+// unmodified frames re-marshaled on encap hops skip the dominant checksum
+// cost.
+func partialSum(b []byte) uint32 {
+	// Words are added as two 32-bit halves, which cannot carry out of 64
+	// bits in under 2^29 steps of either loop: no carry handling.
+	const lo = 0xffffffff
+	var sum uint64
+	for len(b) >= 32 {
+		w0, w1 := binary.BigEndian.Uint64(b), binary.BigEndian.Uint64(b[8:])
+		w2, w3 := binary.BigEndian.Uint64(b[16:]), binary.BigEndian.Uint64(b[24:])
+		sum += (w0>>32 + w0&lo) + (w1>>32 + w1&lo) + (w2>>32 + w2&lo) + (w3>>32 + w3&lo)
+		b = b[32:]
+	}
+	for len(b) >= 8 {
+		w := binary.BigEndian.Uint64(b)
+		sum += w>>32 + w&lo
+		b = b[8:]
+	}
+	if len(b) >= 4 {
+		sum += uint64(binary.BigEndian.Uint32(b))
+		b = b[4:]
+	}
+	if len(b) >= 2 {
+		sum += uint64(binary.BigEndian.Uint16(b))
 		b = b[2:]
 	}
 	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
+		sum += uint64(b[0]) << 8
 	}
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
-	}
-	return ^uint16(sum)
+	return uint32(fold(sum))
 }
 
-func (e Ethernet) marshal(b []byte) {
+// marshal writes the header with the given EtherType: the frame's own,
+// which is the VLAN tag's when one follows, not e.EtherType. Through the
+// pointer the addresses are copied from where they live; a patched copy of
+// the struct would be written and read back at different widths.
+func (e *Ethernet) marshal(b []byte, etherType uint16) {
 	copy(b[0:6], e.Dst[:])
 	copy(b[6:12], e.Src[:])
-	binary.BigEndian.PutUint16(b[12:14], e.EtherType)
+	binary.BigEndian.PutUint16(b[12:14], etherType)
 }
 
 func unmarshalEthernet(b []byte) (Ethernet, error) {
@@ -155,11 +199,20 @@ func unmarshalVLAN(b []byte) (VLAN, uint16, error) {
 }
 
 // marshal writes the IPv4 header with the given total length (header +
-// payload), computing the header checksum.
+// payload). The header checksum is summed from the fields.
+//
+// TOS, TTL and Proto are summed and stored a byte at a time on purpose. A
+// six-field struct is passed split across registers and spilled field by
+// field, and the compiler turns ttl<<8|proto into one 16-bit load — which
+// would straddle two byte stores still in flight and stall on them.
 func (ip IPv4) marshal(b []byte, totalLen int) error {
 	if totalLen > 0xffff {
 		return fmt.Errorf("packet: ipv4 total length %d exceeds 65535", totalLen)
 	}
+	_ = b[IPv4HeaderLen-1]
+	sum := 0x4500 + uint64(ip.TOS) + uint64(totalLen) + uint64(ip.Ident) +
+		uint64(ip.TTL)<<8 + uint64(ip.Proto) +
+		uint64(ip.Src>>16) + uint64(ip.Src&0xffff) + uint64(ip.Dst>>16) + uint64(ip.Dst&0xffff)
 	b[0] = 0x45 // version 4, IHL 5
 	b[1] = ip.TOS
 	binary.BigEndian.PutUint16(b[2:4], uint16(totalLen))
@@ -167,10 +220,9 @@ func (ip IPv4) marshal(b []byte, totalLen int) error {
 	binary.BigEndian.PutUint16(b[6:8], 0) // flags+fragment offset: DF not modeled
 	b[8] = ip.TTL
 	b[9] = ip.Proto
-	binary.BigEndian.PutUint16(b[10:12], 0) // checksum placeholder
+	binary.BigEndian.PutUint16(b[10:12], ^fold(sum))
 	binary.BigEndian.PutUint32(b[12:16], uint32(ip.Src))
 	binary.BigEndian.PutUint32(b[16:20], uint32(ip.Dst))
-	binary.BigEndian.PutUint16(b[10:12], checksum(b[:IPv4HeaderLen], 0))
 	return nil
 }
 
@@ -185,7 +237,7 @@ func unmarshalIPv4(b []byte) (IPv4, int, error) {
 	if ihl != IPv4HeaderLen {
 		return IPv4{}, 0, fmt.Errorf("packet: ipv4 options unsupported: ihl %d", ihl)
 	}
-	if checksum(b[:IPv4HeaderLen], 0) != 0 {
+	if partialSum(b[:IPv4HeaderLen]) != 0xffff { // a region holding its own checksum sums to all ones
 		return IPv4{}, 0, fmt.Errorf("packet: ipv4 header checksum mismatch")
 	}
 	ip := IPv4{
@@ -203,38 +255,31 @@ func unmarshalIPv4(b []byte) (IPv4, int, error) {
 	return ip, totalLen, nil
 }
 
-// pseudoHeaderSum computes the partial checksum of the TCP/UDP pseudo
-// header.
-func pseudoHeaderSum(src, dst IP, proto byte, l4len int) uint32 {
-	var sum uint32
-	sum += uint32(src >> 16)
-	sum += uint32(src & 0xffff)
-	sum += uint32(dst >> 16)
-	sum += uint32(dst & 0xffff)
-	sum += uint32(proto)
-	sum += uint32(l4len)
-	return sum
+// pseudoHeaderSum returns the partial sum of the TCP/UDP pseudo header.
+func pseudoHeaderSum(src, dst IP, proto byte, l4len int) uint64 {
+	return uint64(src>>16) + uint64(src&0xffff) + uint64(dst>>16) + uint64(dst&0xffff) +
+		uint64(proto) + uint64(l4len)
 }
 
-// marshal writes the TCP header and checksum. paySum is the
-// one's-complement partial sum of the real payload bytes (memoized by the
-// Packet); virtualLen is the count of additional implicit zero bytes
-// (zeros do not perturb the one's-complement sum, so the checksum remains
-// exact).
-func (t TCPHeader) marshal(b []byte, ip IPv4, paySum uint32, payLen, virtualLen int) {
+// marshal writes the TCP header and checksum. paySum is the partial sum of
+// the real payload bytes (memoized by the Packet); virtualLen is the count
+// of additional implicit zero bytes (zeros do not perturb the sum, so the
+// checksum remains exact). The header's own words are summed from the
+// fields.
+func (t TCPHeader) marshal(b []byte, src, dst IP, paySum uint32, payLen, virtualLen int) {
+	_ = b[TCPHeaderLen-1]
+	offFlags := 5<<12 | uint16(t.Flags) // data offset: 5 words
+	sum := pseudoHeaderSum(src, dst, ProtoTCP, TCPHeaderLen+payLen+virtualLen) + uint64(paySum) +
+		uint64(t.SrcPort) + uint64(t.DstPort) + uint64(t.Seq>>16) + uint64(t.Seq&0xffff) +
+		uint64(t.Ack>>16) + uint64(t.Ack&0xffff) + uint64(offFlags) + uint64(t.Window)
 	binary.BigEndian.PutUint16(b[0:2], t.SrcPort)
 	binary.BigEndian.PutUint16(b[2:4], t.DstPort)
 	binary.BigEndian.PutUint32(b[4:8], t.Seq)
 	binary.BigEndian.PutUint32(b[8:12], t.Ack)
-	b[12] = 5 << 4 // data offset: 5 words
-	b[13] = byte(t.Flags)
+	binary.BigEndian.PutUint16(b[12:14], offFlags)
 	binary.BigEndian.PutUint16(b[14:16], t.Window)
-	binary.BigEndian.PutUint16(b[16:18], 0) // checksum placeholder
+	binary.BigEndian.PutUint16(b[16:18], ^fold(sum))
 	binary.BigEndian.PutUint16(b[18:20], 0) // urgent pointer
-	l4len := TCPHeaderLen + payLen + virtualLen
-	sum := pseudoHeaderSum(ip.Src, ip.Dst, ProtoTCP, l4len)
-	csum := checksumHeaderPlusSum(b[:TCPHeaderLen], paySum, sum)
-	binary.BigEndian.PutUint16(b[16:18], csum)
 }
 
 func unmarshalTCP(b []byte) (TCPHeader, error) {
@@ -254,17 +299,18 @@ func unmarshalTCP(b []byte) (TCPHeader, error) {
 	}, nil
 }
 
-func (u UDPHeader) marshal(b []byte, ip IPv4, paySum uint32, payLen, virtualLen int) {
-	binary.BigEndian.PutUint16(b[0:2], u.SrcPort)
-	binary.BigEndian.PutUint16(b[2:4], u.DstPort)
+func (u UDPHeader) marshal(b []byte, src, dst IP, paySum uint32, payLen, virtualLen int) {
+	_ = b[UDPHeaderLen-1]
 	l4len := UDPHeaderLen + payLen + virtualLen
-	binary.BigEndian.PutUint16(b[4:6], uint16(l4len))
-	binary.BigEndian.PutUint16(b[6:8], 0)
-	sum := pseudoHeaderSum(ip.Src, ip.Dst, ProtoUDP, l4len)
-	csum := checksumHeaderPlusSum(b[:UDPHeaderLen], paySum, sum)
+	sum := pseudoHeaderSum(src, dst, ProtoUDP, l4len) + uint64(paySum) +
+		uint64(u.SrcPort) + uint64(u.DstPort) + uint64(uint16(l4len))
+	csum := ^fold(sum)
 	if csum == 0 {
 		csum = 0xffff // RFC 768: transmitted zero means "no checksum"
 	}
+	binary.BigEndian.PutUint16(b[0:2], u.SrcPort)
+	binary.BigEndian.PutUint16(b[2:4], u.DstPort)
+	binary.BigEndian.PutUint16(b[4:6], uint16(l4len))
 	binary.BigEndian.PutUint16(b[6:8], csum)
 }
 
@@ -276,36 +322,6 @@ func unmarshalUDP(b []byte) (UDPHeader, error) {
 		SrcPort: binary.BigEndian.Uint16(b[0:2]),
 		DstPort: binary.BigEndian.Uint16(b[2:4]),
 	}, nil
-}
-
-// partialSum computes the one's-complement partial (unfolded, uninverted)
-// sum of b, treating b as starting on an even (16-bit) boundary — true
-// for L4 payloads, which follow an even-length header stack. Packet
-// memoizes this over its payload so unmodified frames re-marshaled on
-// encap hops skip the dominant checksum cost.
-func partialSum(b []byte) uint32 {
-	var sum uint32
-	for len(b) >= 2 {
-		sum += uint32(binary.BigEndian.Uint16(b))
-		b = b[2:]
-	}
-	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
-	}
-	return sum
-}
-
-// checksumHeaderPlusSum folds the checksum of an even-length header plus a
-// precomputed payload partial sum and an initial (pseudo-header) sum.
-func checksumHeaderPlusSum(hdr []byte, paySum, initial uint32) uint16 {
-	sum := initial + paySum
-	for i := 0; i+1 < len(hdr); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(hdr[i:]))
-	}
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
-	}
-	return ^uint16(sum)
 }
 
 // Marshal writes the GRE header.

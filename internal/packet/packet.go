@@ -196,18 +196,13 @@ func (p *Packet) appendFrame(dst []byte, truncated bool) ([]byte, error) {
 	if !truncated && p.VirtualPayload > 0 {
 		clear(b[n-p.VirtualPayload:]) // reused buffers are dirty
 	}
-	off := 0
-	eth := p.Eth
+	off := EthernetHeaderLen
 	if p.VLAN != nil {
-		eth.EtherType = EtherTypeVLAN
-	} else {
-		eth.EtherType = EtherTypeIPv4
-	}
-	eth.marshal(b[off:])
-	off += EthernetHeaderLen
-	if p.VLAN != nil {
+		p.Eth.marshal(b, EtherTypeVLAN)
 		p.VLAN.marshal(b[off:], EtherTypeIPv4)
 		off += VLANTagLen
+	} else {
+		p.Eth.marshal(b, EtherTypeIPv4)
 	}
 	if err := p.marshalIPv4(b[off:]); err != nil {
 		return nil, err
@@ -251,18 +246,42 @@ func (p *Packet) marshalIPv4(b []byte) error {
 		if p.IP.Proto != ProtoTCP {
 			return fmt.Errorf("packet: TCP header with IP proto %d", p.IP.Proto)
 		}
-		p.TCP.marshal(b[off:], p.IP, p.payloadSum(), len(p.Payload), p.VirtualPayload)
+		p.TCP.marshal(b[off:], p.IP.Src, p.IP.Dst, p.payloadSum(), len(p.Payload), p.VirtualPayload)
 		off += TCPHeaderLen
 	case p.UDP != nil:
 		if p.IP.Proto != ProtoUDP {
 			return fmt.Errorf("packet: UDP header with IP proto %d", p.IP.Proto)
 		}
-		p.UDP.marshal(b[off:], p.IP, p.payloadSum(), len(p.Payload), p.VirtualPayload)
+		p.UDP.marshal(b[off:], p.IP.Src, p.IP.Dst, p.payloadSum(), len(p.Payload), p.VirtualPayload)
 		off += UDPHeaderLen
 	}
 	copy(b[off:], p.Payload)
 	// Bytes beyond the real payload (virtual payload, non-truncated form
 	// only) were zeroed by the caller.
+	return nil
+}
+
+// UDPFrameHeaderLen is the length of the Ethernet, IPv4 and UDP headers
+// PutUDPFrameHeaders writes.
+const UDPFrameHeaderLen = EthernetHeaderLen + IPv4HeaderLen + UDPHeaderLen
+
+// PutUDPFrameHeaders writes into b[:UDPFrameHeaderLen] the Ethernet (zero
+// addresses, as a zero Packet.Eth marshals), IPv4 and UDP headers of a
+// datagram whose payload is the given bytes followed by virtual implicit
+// zeros, with the same header writers and the same errors as marshaling a
+// Packet built from those parts. It is what lets tunnel encapsulation
+// write an outer frame around an inner one already in place, in one pass:
+// payload normally aliases the bytes right after b.
+func PutUDPFrameHeaders(b []byte, ip IPv4, udp UDPHeader, payload []byte, virtual int) error {
+	new(Ethernet).marshal(b, EtherTypeIPv4)
+	b = b[EthernetHeaderLen:UDPFrameHeaderLen]
+	if err := ip.marshal(b, IPv4HeaderLen+UDPHeaderLen+len(payload)+virtual); err != nil {
+		return err
+	}
+	if ip.Proto != ProtoUDP {
+		return fmt.Errorf("packet: UDP header with IP proto %d", ip.Proto)
+	}
+	udp.marshal(b[IPv4HeaderLen:], ip.Src, ip.Dst, partialSum(payload), len(payload), virtual)
 	return nil
 }
 

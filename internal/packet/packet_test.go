@@ -2,6 +2,10 @@ package packet
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -315,4 +319,72 @@ func TestTCPFlagsString(t *testing.T) {
 	if got := TCPFlags(0).String(); got != "." {
 		t.Errorf("zero flags = %q, want .", got)
 	}
+}
+
+// checkKeyOrder is the contract of FlowKey.Compare: the rendering is the
+// one fmt always produced, and keys order as their renderings do.
+func checkKeyOrder(t *testing.T, a, b FlowKey) {
+	t.Helper()
+	for _, k := range []FlowKey{a, b} {
+		want := fmt.Sprintf("t%d %d.%d.%d.%d:%d>%d.%d.%d.%d:%d/%d", k.Tenant,
+			byte(k.Src>>24), byte(k.Src>>16), byte(k.Src>>8), byte(k.Src), k.SrcPort,
+			byte(k.Dst>>24), byte(k.Dst>>16), byte(k.Dst>>8), byte(k.Dst), k.DstPort, k.Proto)
+		if got := k.String(); got != want || len(got) > flowKeyBufLen {
+			t.Fatalf("String() = %q (%d bytes), want %q within %d", got, len(got), want, flowKeyBufLen)
+		}
+		if c := k.Compare(k); c != 0 {
+			t.Fatalf("Compare(k, k) = %d for %v", c, k)
+		}
+	}
+	ab, ba := a.Compare(b), b.Compare(a)
+	if want := strings.Compare(a.String(), b.String()); ab != want {
+		t.Fatalf("Compare(%v, %v) = %d, strings.Compare of the renderings = %d", a, b, ab, want)
+	}
+	if ab != -ba {
+		t.Fatalf("Compare not antisymmetric on %v, %v: %d vs %d", a, b, ab, ba)
+	}
+}
+
+func TestFlowKeyCompareIsStringOrder(t *testing.T) {
+	// The case the order is named for: decimal text, not numeric value.
+	if t10, t2 := (FlowKey{Tenant: 10}), (FlowKey{Tenant: 2}); t10.Compare(t2) >= 0 {
+		t.Fatalf("t10 must sort before t2 (string order), got %d", t10.Compare(t2))
+	}
+	// Fields drawn from small pools, with an occasional free value, so pairs
+	// often agree on a long prefix and are decided deep in the rendering.
+	rng := rand.New(rand.NewSource(1))
+	pick := func(pool ...uint32) uint32 {
+		if rng.Intn(8) == 0 {
+			return rng.Uint32()
+		}
+		return pool[rng.Intn(len(pool))]
+	}
+	key := func() FlowKey {
+		return FlowKey{
+			Tenant:  TenantID(pick(0, 1, 2, 9, 10, 19, 20, 100, math.MaxUint32)),
+			Src:     IP(pick(0, 0x0a000001, 0x0a000002, 0x0a00000a, 0x0a000100, 0xffffffff)),
+			Dst:     IP(pick(0, 0x0a000001, 0x0a000002, 0x0a00000a, 0x0a000100, 0xffffffff)),
+			SrcPort: uint16(pick(0, 1, 2, 10, 80, 443, 11211, 65535)),
+			DstPort: uint16(pick(0, 1, 2, 10, 80, 443, 11211, 65535)),
+			Proto:   byte(pick(0, uint32(ProtoTCP), uint32(ProtoUDP), 1, 47, 255)),
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		checkKeyOrder(t, key(), key())
+	}
+	err := quick.Check(func(a, b FlowKey) bool { checkKeyOrder(t, a, b); return true }, nil)
+	if err != nil {
+		t.Error(err)
+	}
+}
+
+func TestFlowKeyCompareAllocatesNothing(t *testing.T) {
+	a := FlowKey{Tenant: 12, Src: 0x0a000001, Dst: 0x0a000909, SrcPort: 40000, DstPort: 80, Proto: ProtoTCP}
+	b := a
+	b.DstPort = 81
+	var sink int
+	if n := testing.AllocsPerRun(1000, func() { sink += a.Compare(b) }); n != 0 {
+		t.Fatalf("FlowKey.Compare allocates %v times per call, want 0", n)
+	}
+	_ = sink
 }

@@ -67,7 +67,7 @@ func BenchmarkMerge4Shards(b *testing.B) {
 			Dst: packet.IP(uint32(i % 64)), SrcPort: uint16(i), DstPort: 80,
 			Proto: packet.ProtoTCP,
 		}
-		a.Shard(i % 4).Observe(k, 1, 1500)
+		a.Shard(i%4).Observe(k, 1, 1500)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/metrics"
@@ -363,7 +362,7 @@ func (n *NIC) Snapshot() []FlowSnapshot {
 	n.flows.Entries(func(e *rules.ExactEntry[struct{}]) {
 		out = append(out, FlowSnapshot{Key: e.Key, Packets: e.Stats.Packets, Bytes: e.Stats.Bytes})
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.String() < out[j].Key.String() })
+	slices.SortFunc(out, func(a, b FlowSnapshot) int { return a.Key.Compare(b.Key) })
 	return out
 }
 

@@ -45,4 +45,14 @@ func TestEncapAllocsStayZero(t *testing.T) {
 			t.Fatalf("warm VXLAN encap allocates %v/op, want 0", n)
 		}
 	})
+	t.Run("vxlan-frame", func(t *testing.T) {
+		wire := make([]byte, 0, 2048)
+		if n := testing.AllocsPerRun(1000, func() {
+			if _, err := AppendVXLANFrame(wire, benchSrc, benchDst, 7, inner, hash); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("VXLAN frame write into a reused buffer allocates %v/op, want 0", n)
+		}
+	})
 }

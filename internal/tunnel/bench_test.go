@@ -58,6 +58,34 @@ func BenchmarkVXLANEncap(b *testing.B) {
 			Release(outer)
 		}
 	})
+	// The two ways to the wire bytes: the pooled outer marshaled, and the
+	// single-pass writer the sharded plane calls. 64 real payload bytes,
+	// so the outer UDP checksum has a body to sum.
+	inner = packet.NewTCP(7, packet.MustParseIP("10.0.0.1"), packet.MustParseIP("10.0.0.2"), 40000, 11211, 0)
+	inner.Payload = make([]byte, 64)
+	wire := make([]byte, 0, 2048)
+	hash := inner.Key().FastHash()
+	b.Run("pooled+marshal", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			outer, err := VXLANEncapHashed(benchSrc, benchDst, 7, inner, hash)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := outer.AppendMarshalTruncated(wire); err != nil {
+				b.Fatal(err)
+			}
+			Release(outer)
+		}
+	})
+	b.Run("frame", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := AppendVXLANFrame(wire, benchSrc, benchDst, 7, inner, hash); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkGREEncapDecap(b *testing.B) {

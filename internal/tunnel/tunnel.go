@@ -18,7 +18,8 @@
 // marshaled directly into the pooled payload — the seed's
 // marshal-then-copy double allocation is gone. Decap sites hand the spent
 // outer back with Release; see DESIGN.md §"Fast-path architecture" for
-// the ownership contract.
+// the ownership contract. A sender that needs only the wire bytes skips
+// the outer packet altogether (AppendVXLANFrame).
 package tunnel
 
 import (
@@ -136,37 +137,75 @@ func VXLANEncap(src, dst packet.IP, tenant packet.TenantID, inner *packet.Packet
 // VXLANEncapHashed is VXLANEncap with the inner flow hash supplied by the
 // caller — the vswitch computes the flow key once per packet for
 // classification and reuses its hash here instead of re-deriving both.
+// The outer packet is for callers that hand it on as a Packet (the sim's
+// fabric model); one that only wants the wire bytes uses AppendVXLANFrame.
 func VXLANEncapHashed(src, dst packet.IP, tenant packet.TenantID, inner *packet.Packet, flowHash uint64) (*packet.Packet, error) {
 	outer := vxlanOuterPool.Get().(*packet.Packet)
-	var v packet.VXLAN
-	v.VNI = uint32(tenant) & 0xffffff
 	payload := outer.Payload[:0]
 	if cap(payload) < packet.VXLANHeaderLen {
 		payload = make([]byte, 0, 2048)
 	}
 	payload = payload[:packet.VXLANHeaderLen]
-	v.Marshal(payload)
+	vxlanHeader(tenant).Marshal(payload)
 	payload, err := inner.AppendMarshalTruncated(payload)
 	if err != nil {
 		outer.Payload = payload[:0]
 		vxlanOuterPool.Put(outer)
 		return nil, fmt.Errorf("tunnel: vxlan encap: %w", err)
 	}
-	srcPort := uint16(flowHash&0x3fff) + 49152
 	udp := outer.UDP
 	if udp == nil {
 		udp = &packet.UDPHeader{}
 	}
-	*udp = packet.UDPHeader{SrcPort: srcPort, DstPort: packet.VXLANPort}
-	*outer = packet.Packet{
-		IP:             packet.IPv4{TTL: 64, Proto: packet.ProtoUDP, Src: src, Dst: dst},
-		UDP:            udp,
-		Payload:        payload,
-		VirtualPayload: inner.VirtualPayload,
-		Tenant:         tenant,
-		Meta:           inner.Meta,
-	}
+	*udp = vxlanOuterUDP(flowHash)
+	// Every other field is already zero: Release and the pool's New leave
+	// nothing else set, so the struct need not be rewritten whole.
+	outer.IP = vxlanOuterIP(src, dst)
+	outer.UDP = udp
+	outer.Payload = payload
+	outer.VirtualPayload = inner.VirtualPayload
+	outer.Tenant = tenant
+	outer.Meta = inner.Meta
 	return outer, nil
+}
+
+// The three outer headers of a VXLAN frame, shared by the Packet-building
+// and the byte-writing encap.
+
+func vxlanHeader(tenant packet.TenantID) packet.VXLAN {
+	return packet.VXLAN{VNI: uint32(tenant) & 0xffffff}
+}
+
+func vxlanOuterUDP(flowHash uint64) packet.UDPHeader {
+	return packet.UDPHeader{SrcPort: uint16(flowHash&0x3fff) + 49152, DstPort: packet.VXLANPort}
+}
+
+func vxlanOuterIP(src, dst packet.IP) packet.IPv4 {
+	return packet.IPv4{TTL: 64, Proto: packet.ProtoUDP, Src: src, Dst: dst}
+}
+
+// AppendVXLANFrame appends to buf the wire bytes of inner encapsulated
+// with the given flow hash — outer Ethernet, IPv4, UDP and VXLAN headers,
+// then the truncated inner frame — and returns the extended slice. Bytes
+// and errors are those of the Packet-building encap above followed by
+// AppendMarshalTruncated on its outer, but nothing is built in between:
+// the inner frame is marshaled once, straight into place, the outer UDP
+// checksum takes one pass over it, and no outer Packet exists to pool.
+// With a reused buf the call allocates nothing.
+func AppendVXLANFrame(buf []byte, src, dst packet.IP, tenant packet.TenantID, inner *packet.Packet, flowHash uint64) ([]byte, error) {
+	const bodyAt = packet.UDPFrameHeaderLen
+	start := len(buf)
+	buf = append(buf, make([]byte, bodyAt+packet.VXLANHeaderLen)...)
+	vxlanHeader(tenant).Marshal(buf[start+bodyAt:])
+	buf, err := inner.AppendMarshalTruncated(buf)
+	if err != nil {
+		return nil, fmt.Errorf("tunnel: vxlan encap: %w", err)
+	}
+	frame := buf[start:]
+	if err := packet.PutUDPFrameHeaders(frame, vxlanOuterIP(src, dst), vxlanOuterUDP(flowHash), frame[bodyAt:], inner.VirtualPayload); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // VXLANDecap unwraps a VXLAN packet, returning the inner frame and the

@@ -72,9 +72,9 @@ func TestFastPathAllocsWithTelemetryDisabled(t *testing.T) {
 // extraction, exact/megaflow classification, VXLAN encap, wire
 // serialization — must stay exactly 0 allocs per vector, with and
 // without a flight recorder attached. The steady state reuses the
-// injector's pooled vector, the shard's scratch arrays and wire buffer,
-// and the encap outer-packet pool; anything that breaks that shows up
-// here as a hard failure, not a benchmark regression.
+// injector's pooled vector and the shard's scratch arrays, flow table and
+// wire buffer; anything that breaks that shows up here as a hard failure,
+// not a benchmark regression.
 func TestVectorPipelineAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race; the pooled pipeline cannot be 0-alloc there")
@@ -128,6 +128,30 @@ func TestVectorPipelineAllocs(t *testing.T) {
 			c := pl.Counters()
 			if got := c.Packets - before.Packets; got == 0 || c.Tx != c.Packets {
 				t.Fatalf("gate did no work: before %+v after %+v", before, c)
+			}
+
+			// A vector of 32 new 5-tuples the megaflow covers installs 32
+			// exact entries and must allocate nothing either: an entry is a
+			// slot of the flow table, not a heap object. Warm past the
+			// table's last doubling first, so growth is not what is counted.
+			port := 0
+			newFlows := func() {
+				for _, p := range pkts {
+					p.TCP.SrcPort = uint16(port) // stays below the warm vector's 40000+
+					port++
+				}
+				vector(inj, keys, pkts)
+			}
+			for port < ExactTableSlots/2+len(pkts) {
+				newFlows()
+			}
+			before = pl.Counters()
+			if n := testing.AllocsPerRun(100, newFlows); n != 0 {
+				t.Fatalf("32-packet vector of new flows allocates %v/op (%s), want 0", n, tc.name)
+			}
+			c = pl.Counters()
+			if hits := c.Megaflow.Hits - before.Megaflow.Hits; hits != c.Packets-before.Packets || hits < 3200 || c.Tx != c.Packets {
+				t.Fatalf("new-flow gate: %d megaflow hits over %d packets", hits, c.Packets-before.Packets)
 			}
 		})
 	}

@@ -14,6 +14,14 @@ import (
 // flush (a revalidation storm, exactly as in OVS under churn).
 const DefaultMegaflowLimit = 8192
 
+// ExactTableSlots caps each plane shard's exact-match flow table, in
+// 64-byte slots: 2 MiB a shard, four exact flows for every megaflow the
+// limit above admits, so a shard's memory does not grow with the flows it
+// has seen between publishes. Past the cap a new flow overwrites an old
+// one (flowTable). A constant, not a PlaneConfig field: one value is in
+// use.
+const ExactTableSlots = 1 << 15
+
 // megaflowCache is the wildcard decision cache between the exact-match
 // fast path and the user-space rule scan — the OVS megaflow design the
 // paper's vswitch substrate is modeled on (§2.2). A slow-path

@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/packet"
-	"repro/internal/ratelimit"
 	"repro/internal/rules"
 	"repro/internal/sketch"
 	"repro/internal/telemetry"
@@ -392,16 +391,18 @@ type PlaneFlowStat struct {
 
 // FlowSnapshot merges every shard's exact-cache entries. Only valid when
 // no vectors are in flight (after Barrier or Close, or in inline mode) —
-// it walks shard-private maps.
+// it walks shard-private tables. A shard's table is a bounded cache
+// (ExactTableSlots): flows past its capacity displace older ones, whose
+// counts leave the snapshot with them.
 func (pl *ShardedPlane) FlowSnapshot() []PlaneFlowStat {
 	var out []PlaneFlowStat
 	for _, sh := range pl.shards {
-		for k, f := range sh.exact {
+		sh.exact.each(func(e *flowEntry) {
 			out = append(out, PlaneFlowStat{
-				Key: k, Allow: f.v.allow, Queue: f.v.queue,
-				Packets: f.pkts, Bytes: f.bytes,
+				Key: e.key, Allow: e.act.kind != egressDeny, Queue: int(e.act.queue),
+				Packets: e.pkts, Bytes: e.bytes,
 			})
-		}
+		})
 	}
 	return out
 }
@@ -411,7 +412,7 @@ func (pl *ShardedPlane) FlowSnapshot() []PlaneFlowStat {
 func (pl *ShardedPlane) ActiveFlows() int {
 	n := 0
 	for _, sh := range pl.shards {
-		n += len(sh.exact)
+		n += sh.exact.live
 	}
 	return n
 }
@@ -551,15 +552,3 @@ func (s *Switch) EnableShardedPlane(cfg PlaneConfig) *ShardedPlane {
 // Plane returns the switch's sharded data plane, or nil when only the
 // deterministic path is enabled.
 func (s *Switch) Plane() *ShardedPlane { return s.plane }
-
-// bucketFor returns the shard-local token bucket enforcing key's VIF
-// limit, creating it on first use at rate bps/Shards.
-func (sh *planeShard) bucketFor(key VMKey, bps float64, now time.Duration) *ratelimit.TokenBucket {
-	if b, ok := sh.buckets[key]; ok {
-		return b
-	}
-	share := bps / float64(len(sh.plane.shards))
-	b := makeBucket(nil, now, share)
-	sh.buckets[key] = b
-	return b
-}

@@ -137,9 +137,9 @@ func benchPipeline(b *testing.B, shards int) {
 
 // BenchmarkPipeline measures whole-pipeline forwarding rate. pps-per-core
 // is the headline single-core number (inline mode, one goroutine);
-// shards={1,2,4,8} is the scaling curve recorded in BENCH_BASELINE —
-// near-flat on a single-core runner, and expected ≳3x at shards=4 on a
-// 4+-core machine since shards share no locks or cache lines. (key=value
+// shards={1,2,4,8} is the curve recorded in BENCH_BASELINE — on a
+// single-core runner, where it cannot rise; multi-core scaling is
+// unmeasured: no ≥4-core recording exists. (key=value
 // sub-names, matching BenchmarkTupleSpaceScaling: a trailing -N is the
 // GOMAXPROCS suffix in the benchmark text format and would be stripped.)
 func BenchmarkPipeline(b *testing.B) {

@@ -314,12 +314,12 @@ func TestPlaneWorkerModeBasics(t *testing.T) {
 	}
 	perFlowShard := map[packet.FlowKey]int{}
 	for sh, s := range pl.shards {
-		for k := range s.exact {
-			if prev, dup := perFlowShard[k]; dup && prev != sh {
-				t.Fatalf("flow %v present on shards %d and %d", k, prev, sh)
+		s.exact.each(func(e *flowEntry) {
+			if prev, dup := perFlowShard[e.key]; dup && prev != sh {
+				t.Fatalf("flow %v present on shards %d and %d", e.key, prev, sh)
 			}
-			perFlowShard[k] = sh
-		}
+			perFlowShard[e.key] = sh
+		})
 	}
 	if len(perFlowShard) != 16 {
 		t.Fatalf("expected 16 distinct flows across shards, got %d", len(perFlowShard))

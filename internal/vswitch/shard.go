@@ -22,14 +22,6 @@ type shardMsg struct {
 	done chan struct{}
 }
 
-// planeFlow is one exact-cache entry: the cached verdict plus per-flow
-// traffic accounting (merged across shards by FlowSnapshot).
-type planeFlow struct {
-	v     fpVerdict
-	pkts  uint64
-	bytes uint64
-}
-
 // planeCountersAtomic mirrors a shard's plain counters for race-free
 // external sampling. The shard owns the plain copy and stores the mirror
 // once per vector; readers only load.
@@ -80,11 +72,11 @@ func (a *planeCountersAtomic) snapshot() PlaneCounters {
 	}
 }
 
-// packet dispositions assigned during classification, consumed by egress.
-const (
-	dispForward = iota // verdict in sh.verdicts[i]
-	dispNoVport        // no source vport in this epoch
-)
+// vifBucket is a shard's token bucket for one shaped source VIF.
+type vifBucket struct {
+	key VMKey
+	tb  *ratelimit.TokenBucket
+}
 
 // planeShard owns one slice of the flow space. Everything below `in` is
 // private to the shard's processing goroutine (the caller's goroutine in
@@ -102,18 +94,21 @@ type planeShard struct {
 	tables *planeTables
 
 	// Private caches, flushed wholesale on epoch change.
-	exact   map[packet.FlowKey]*planeFlow
-	mega    *megaflowCache
-	buckets map[VMKey]*ratelimit.TokenBucket
+	exact *flowTable
+	mega  *megaflowCache
+
+	// Shaping buckets, kept across epochs (keepBuckets). Flow entries name
+	// a bucket by its index, which is stable for the length of an epoch.
+	buckets  []vifBucket
+	bucketAt map[VMKey]int32
 
 	// Plain counters (owned by the shard; mirrored into snap per vector).
 	c PlaneCounters
 
 	// Fixed per-vector scratch — no per-packet allocation.
-	keys     [packet.MaxVectorSize]packet.FlowKey
-	verdicts [packet.MaxVectorSize]fpVerdict
-	disp     [packet.MaxVectorSize]uint8
-	wire     []byte
+	keys [packet.MaxVectorSize]packet.FlowKey
+	acts [packet.MaxVectorSize]flowAction
+	wire []byte
 
 	// rec is set only in inline mode (SetRecorder); worker shards leave
 	// it nil because Recorder event sequencing is single-goroutine.
@@ -128,12 +123,12 @@ type planeShard struct {
 
 func newPlaneShard(pl *ShardedPlane, id int) *planeShard {
 	sh := &planeShard{
-		plane:   pl,
-		id:      id,
-		exact:   make(map[packet.FlowKey]*planeFlow),
-		mega:    newMegaflowCache(DefaultMegaflowLimit),
-		buckets: make(map[VMKey]*ratelimit.TokenBucket),
-		wire:    make([]byte, 0, 2048),
+		plane:    pl,
+		id:       id,
+		exact:    newFlowTable(),
+		mega:     newMegaflowCache(DefaultMegaflowLimit),
+		bucketAt: make(map[VMKey]int32),
+		wire:     make([]byte, 0, 2048),
 	}
 	if !pl.inline {
 		sh.in = make(chan shardMsg, pl.cfg.RingDepth)
@@ -155,26 +150,94 @@ func (sh *planeShard) run() {
 	}
 }
 
-// adoptEpoch switches the shard to a new epoch, flushing every private
-// cache — the whole invalidation protocol. Shaping buckets are rebuilt
-// too: limits may have changed, and a fresh bucket's burst allowance is
-// the htb enqueue-time grace an invalidation storm would get anyway.
+// adoptEpoch switches the shard to a new epoch, flushing both caches —
+// the whole invalidation protocol. A cached action is a function of the
+// key and the epoch's tables and nothing else, so the epoch is also all
+// that invalidates it.
 func (sh *planeShard) adoptEpoch(ep *rules.Epoch[*planeTables]) {
 	if sh.tables != nil {
 		sh.c.EpochFlushes++
-		clear(sh.exact)
+		sh.exact.flush()
 		if sh.mega.Len() > 0 {
 			sh.mega.flush()
 		}
-		clear(sh.buckets)
+		sh.keepBuckets(ep.Tables)
 	}
 	sh.seq = ep.Seq
 	sh.tables = ep.Tables
 }
 
+// keepBuckets carries the shaping buckets into epoch t: a bucket whose VIF
+// is still limited keeps its token level (at the new rate, if the limit
+// changed), as Switch keeps a vport's across rule changes; one whose limit
+// or VM is gone is dropped. Rebuilding them instead would hand every
+// shaped VIF a full burst on each publish, however unrelated.
+func (sh *planeShard) keepBuckets(t *planeTables) {
+	kept := sh.buckets[:0]
+	for _, b := range sh.buckets {
+		bps, limited := t.limits[b.key]
+		if _, attached := t.vms[b.key]; !limited || !attached {
+			delete(sh.bucketAt, b.key)
+			continue
+		}
+		if share := bps / float64(len(sh.plane.shards)); share != b.tb.Rate() {
+			b.tb.SetRate(sh.plane.cfg.Now(), share)
+		}
+		sh.bucketAt[b.key] = int32(len(kept))
+		kept = append(kept, b)
+	}
+	clear(sh.buckets[len(kept):])
+	sh.buckets = kept
+}
+
+// bucketFor returns the index of the bucket enforcing key's VIF limit,
+// creating it on first use at rate bps/Shards — the multi-queue htb split.
+func (sh *planeShard) bucketFor(key VMKey, bps float64) int32 {
+	if i, ok := sh.bucketAt[key]; ok {
+		return i
+	}
+	i := int32(len(sh.buckets))
+	sh.buckets = append(sh.buckets, vifBucket{key, makeBucket(nil, 0, bps/float64(len(sh.plane.shards)))})
+	sh.bucketAt[key] = i
+	return i
+}
+
+// resolve computes an installed flow's action from the epoch's tables, in
+// the order egress tests the outcomes.
+func (sh *planeShard) resolve(t *planeTables, k packet.FlowKey, v fpVerdict) flowAction {
+	a := flowAction{kind: egressDeny, bucket: noBucket, queue: int32(v.queue)}
+	if !v.allow {
+		return a
+	}
+	// NIC-first egress: flows the SmartNIC has placed leave through
+	// hardware; software shaping and encap are skipped.
+	if t.nicN > 0 {
+		if _, ok := t.nic.Lookup(k); ok {
+			a.kind = egressNIC
+			return a
+		}
+	}
+	src := VMKey{Tenant: k.Tenant, IP: k.Src}
+	if bps, ok := t.limits[src]; ok {
+		a.bucket = sh.bucketFor(src, bps)
+	}
+	if _, ok := t.vms[VMKey{Tenant: k.Tenant, IP: k.Dst}]; ok {
+		a.kind = egressLocal // same-host delivery, no encap
+	} else if !sh.plane.cfg.Tunneling {
+		a.kind = egressPlain
+	} else if m, ok := t.tunnels.Lookup(k.Tenant, k.Dst); ok {
+		a.kind, a.remote, a.hash = egressTunnel, m.Remote, k.FastHash()
+	} else {
+		a.kind = egressNoTunnel
+	}
+	return a
+}
+
 // process runs one vector through the pipeline: epoch pickup → flow-key
 // extraction → classification (exact → megaflow → full table walk) →
-// egress (NIC-first → shape → local/encap). Per-packet work touches only
+// egress (NIC-first → shape → local/encap). A warm packet costs one table
+// probe, one bucket reservation and one frame write: everything else was
+// resolved when its flow was installed. Per-packet work touches only
 // shard-private state; shared state is the epoch snapshot (immutable) and
 // the counter mirror (stored once at the end).
 func (sh *planeShard) process(v *packet.Vector) {
@@ -191,39 +254,41 @@ func (sh *planeShard) process(v *packet.Vector) {
 		sh.keys[i] = pkts[i].Key()
 	}
 
-	// Stage 2: classification.
+	// Stage 2: classification. The action is copied out of the table, not
+	// pointed to: a later miss in this vector may grow the table or
+	// overwrite the slot.
 	for i := 0; i < n; i++ {
 		k := sh.keys[i]
-		if _, ok := t.vms[VMKey{Tenant: k.Tenant, IP: k.Src}]; !ok {
-			// No source vport this epoch — mirror of the vswitch's
-			// unknown-VM egress check, resolved before classification.
-			sh.disp[i] = dispNoVport
-			continue
-		}
-		sh.disp[i] = dispForward
-		if f, ok := sh.exact[k]; ok {
-			f.pkts++
-			f.bytes += uint64(pkts[i].WireLen())
-			if sh.sk != nil {
-				sh.sk.Observe(k, 1, uint64(pkts[i].WireLen()))
-			}
-			sh.verdicts[i] = f.v
+		h := flowSlotHash(k)
+		e := sh.exact.lookup(k, h)
+		if e != nil {
 			sh.rec.Hit(telemetry.KindExactHit, k.Tenant, k)
-			continue
-		}
-		fv, ok := sh.mega.lookup(k, 0)
-		if !ok {
-			var mask rules.FieldMask
-			fv, mask = t.evaluate(k)
-			sh.mega.install(k, mask, fv, 0)
 		} else {
-			sh.rec.Hit(telemetry.KindMegaflowHit, k.Tenant, k)
+			// A live entry proves the source vport exists in this epoch, so
+			// only a miss has to look — mirror of the vswitch's unknown-VM
+			// egress check, resolved before classification.
+			if _, ok := t.vms[VMKey{Tenant: k.Tenant, IP: k.Src}]; !ok {
+				sh.acts[i].kind = egressNoVport
+				continue
+			}
+			fv, ok := sh.mega.lookup(k, 0)
+			if !ok {
+				var mask rules.FieldMask
+				fv, mask = t.evaluate(k)
+				sh.mega.install(k, mask, fv, 0)
+			} else {
+				sh.rec.Hit(telemetry.KindMegaflowHit, k.Tenant, k)
+			}
+			e = sh.exact.insert(k, h)
+			e.act = sh.resolve(t, k, fv)
 		}
-		sh.exact[k] = &planeFlow{v: fv, pkts: 1, bytes: uint64(pkts[i].WireLen())}
+		wireLen := uint64(pkts[i].WireLen())
+		e.pkts++
+		e.bytes += wireLen
 		if sh.sk != nil {
-			sh.sk.Observe(k, 1, uint64(pkts[i].WireLen()))
+			sh.sk.Observe(k, 1, wireLen)
 		}
-		sh.verdicts[i] = fv
+		sh.acts[i] = e.act
 	}
 
 	// Stage 3: egress. The shaping clock is read at most once per vector.
@@ -234,71 +299,54 @@ func (sh *planeShard) process(v *packet.Vector) {
 	onVerdict := sh.plane.cfg.OnVerdict
 	for i := 0; i < n; i++ {
 		k := sh.keys[i]
-		if sh.disp[i] == dispNoVport {
+		a := &sh.acts[i]
+		if a.kind == egressNoVport {
 			sh.c.Unrouted++
 			sh.rec.Drop(k.Tenant, k, "no-vport")
 			continue
 		}
-		fv := sh.verdicts[i]
 		if onVerdict != nil {
-			onVerdict(sh.id, k, fv.allow, fv.queue)
+			onVerdict(sh.id, k, a.kind != egressDeny, int(a.queue))
 		}
-		if !fv.allow {
+		if a.kind == egressDeny {
 			sh.c.Denied++
 			sh.rec.Drop(k.Tenant, k, "denied")
 			continue
 		}
-		// NIC-first egress: flows the SmartNIC has placed leave through
-		// hardware; software shaping and encap are skipped.
-		if t.nicN > 0 {
-			if _, ok := t.nic.Lookup(k); ok {
-				sh.c.NICTx++
-				sh.c.Tx++
-				continue
-			}
+		if a.kind == egressNIC {
+			sh.c.NICTx++
+			sh.c.Tx++
+			continue
 		}
-		srcKey := VMKey{Tenant: k.Tenant, IP: k.Src}
-		if bps, ok := t.limits[srcKey]; ok {
-			b := sh.bucketFor(srcKey, bps, now)
-			if _, ok := b.ReserveLimit(now, pkts[i].WireLen(), maxShapeDelay); !ok {
+		if a.bucket != noBucket {
+			if _, ok := sh.buckets[a.bucket].tb.ReserveLimit(now, pkts[i].WireLen(), maxShapeDelay); !ok {
 				sh.c.Drops.Shape++
 				sh.rec.Drop(k.Tenant, k, "shape")
 				continue
 			}
 		}
-		if _, ok := t.vms[VMKey{Tenant: k.Tenant, IP: k.Dst}]; ok {
-			// Destination vport is local: same-host delivery, no encap.
+		switch a.kind {
+		case egressLocal:
 			sh.c.LocalTx++
 			sh.c.Tx++
-			continue
-		}
-		if !sh.plane.cfg.Tunneling {
+		case egressPlain:
 			sh.c.Tx++
-			continue
-		}
-		m, ok := t.tunnels.Lookup(k.Tenant, pkts[i].IP.Dst)
-		if !ok {
+		case egressNoTunnel:
 			sh.c.Unrouted++
 			sh.rec.Drop(k.Tenant, k, "no-tunnel")
-			continue
-		}
-		outer, err := tunnel.VXLANEncapHashed(sh.plane.cfg.ServerIP, m.Remote, k.Tenant, pkts[i], k.FastHash())
-		if err != nil {
-			sh.c.Unrouted++
-			sh.rec.Drop(k.Tenant, k, "encap")
-			continue
-		}
-		// Serialize into the shard's persistent wire buffer — the full
-		// marshal cost the real switch pays per transmitted frame.
-		buf, err := outer.AppendMarshalTruncated(sh.wire[:0])
-		if err == nil {
+		case egressTunnel:
+			// Write the frame into the shard's persistent wire buffer — the
+			// full encap and marshal cost the real switch pays per
+			// transmitted frame.
+			buf, err := tunnel.AppendVXLANFrame(sh.wire[:0], sh.plane.cfg.ServerIP, a.remote, k.Tenant, pkts[i], a.hash)
+			if err != nil {
+				sh.c.Unrouted++
+				sh.rec.Drop(k.Tenant, k, "encap")
+				continue
+			}
 			sh.wire = buf[:0]
 			sh.c.Tx++
-		} else {
-			sh.c.Unrouted++
-			sh.rec.Drop(k.Tenant, k, "encap")
 		}
-		tunnel.Release(outer)
 	}
 
 	sh.c.Vectors++

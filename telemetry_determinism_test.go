@@ -118,7 +118,7 @@ func runTracedTieredScenario(t *testing.T, seed int64) (trace, prom, csv []byte)
 	t.Helper()
 	d, err := NewDeployment(Options{Servers: 3, TCAMCapacity: 8, Seed: seed,
 		SmartNICCapacity: 8,
-		Controller: ControllerOptions{Epoch: 100 * time.Millisecond, MaxOffloads: 2}})
+		Controller:       ControllerOptions{Epoch: 100 * time.Millisecond, MaxOffloads: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
