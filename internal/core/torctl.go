@@ -916,7 +916,7 @@ func (tc *TORController) tick() {
 	for id := range tc.reports {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	staleAfter := sim.Time(staleIntervals) * tc.controlInterval()
 	for _, id := range ids {
 		// A server silent past the staleness bound has a dead or
@@ -1017,9 +1017,7 @@ func (tc *TORController) tick() {
 		Term:     tc.term,
 		Origin:   uint32(tc.replicaID),
 	}
-	for _, tr := range tc.toLocals {
-		tr.Send(dec)
-	}
+	tc.broadcast(dec)
 	if tc.justElected {
 		// Full sync under the new term right away: locals adopt the term
 		// (resetting their ack space) and reconcile placements against
@@ -1105,9 +1103,7 @@ func (tc *TORController) publishSet(desired []rules.Pattern) {
 	tc.sincePublish = 0
 	sync := &openflow.RuleSync{Seq: tc.syncSeq, Patterns: desired,
 		Term: tc.term, Origin: uint32(tc.replicaID)}
-	for _, tr := range tc.toLocals {
-		tr.Send(sync)
-	}
+	tc.broadcast(sync)
 }
 
 func patternsEqual(a, b []rules.Pattern) bool {
@@ -1248,9 +1244,7 @@ func (tc *TORController) announce(a openflow.OffloadAction) {
 		slices.SortFunc(acts, compareActions)
 		dec := &openflow.OffloadDecision{Actions: acts,
 			Term: tc.term, Origin: uint32(tc.replicaID)}
-		for _, tr := range tc.toLocals {
-			tr.Send(dec)
-		}
+		tc.broadcast(dec)
 	})
 }
 
@@ -1625,9 +1619,7 @@ func (tc *TORController) demoteVM(tenant packet.TenantID, vmIP packet.IP) {
 	if len(actions) > 0 {
 		dec := &openflow.OffloadDecision{Actions: actions,
 			Term: tc.term, Origin: uint32(tc.replicaID)}
-		for _, tr := range tc.toLocals {
-			tr.Send(dec)
-		}
+		tc.broadcast(dec)
 	}
 	tc.publish()
 }
@@ -1639,7 +1631,7 @@ func (tc *TORController) LatestReports() []openflow.DemandReport {
 	for id := range tc.reports {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	out := make([]openflow.DemandReport, 0, len(ids))
 	for _, id := range ids {
 		out = append(out, tc.reports[id])
@@ -1656,6 +1648,9 @@ func (tc *TORController) IsLeader() bool { return tc.isLeader && !tc.crashed && 
 
 // ReplicaID returns this replica's index within its rack's group.
 func (tc *TORController) ReplicaID() int { return tc.replicaID }
+
+// broadcast sends msg to every attached local controller.
+func (tc *TORController) broadcast(msg openflow.Message) { openflow.Broadcast(tc.toLocals, msg) }
 
 // compareActions orders offload actions by canonical pattern order.
 func compareActions(a, b openflow.OffloadAction) int { return a.Pattern.Compare(b.Pattern) }

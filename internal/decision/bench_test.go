@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/openflow"
 	"repro/internal/packet"
 	"repro/internal/rules"
 )
@@ -27,6 +28,43 @@ func benchCandidates(n int) ([]Candidate, map[rules.Pattern]bool) {
 		}
 	}
 	return cands, offloaded
+}
+
+// decisionPass builds one control interval's decision pass as the ToR
+// controller runs it — CandidatesFromReports → Smoother.Advance → Decide →
+// FlapDamper.Apply — over n distinct patterns reported by 16 servers, and
+// the offloaded set the pass decides against.
+func decisionPass(n, budget int) (pass func() Decision, current map[rules.Pattern]bool) {
+	pool, _ := benchCandidates(n)
+	reports := make([]openflow.DemandReport, 16)
+	for i, c := range pool {
+		r := &reports[i%len(reports)]
+		r.Entries = append(r.Entries, openflow.DemandEntry{
+			Pattern: c.Pattern, ActiveEpochs: c.ActiveEpochs, MedianPPS: c.MedianPPS,
+		})
+	}
+	cfg := Config{Budget: budget, HysteresisRatio: 1.2}
+	smoother := NewSmoother(DefaultSmootherConfig())
+	damper := NewFlapDamper(DefaultDamperConfig())
+	current = map[rules.Pattern]bool{}
+	return func() Decision {
+		cands := CandidatesFromReports(reports, nil, nil)
+		cands = smoother.Advance(cands, current)
+		return damper.Apply(Decide(cfg, cands, current), current, 0)
+	}, current
+}
+
+// BenchmarkDecisionPass1536 is the steady-state decision pass of
+// TestDecisionPassAllocs: 1,536 reported patterns against a full
+// 640-entry TCAM.
+func BenchmarkDecisionPass1536(b *testing.B) {
+	pass, current := decisionPass(1536, 640)
+	applyDecision(current, pass())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = pass()
+	}
 }
 
 // BenchmarkDecide is the 2-level engine on a controller-scale interval:

@@ -24,6 +24,7 @@ package decision
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/rules"
@@ -253,6 +254,8 @@ func (c SmootherConfig) normalized() SmootherConfig {
 type smoothState struct {
 	cand  Candidate
 	stale int
+	// round is the Advance call that last found the pattern in its input.
+	round uint64
 }
 
 // Smoother maintains per-pattern EWMA estimates across control intervals
@@ -260,6 +263,7 @@ type smoothState struct {
 type Smoother struct {
 	cfg   SmootherConfig
 	state map[rules.Pattern]*smoothState
+	round uint64
 	// Synthesized counts candidates carried through a missing interval.
 	Synthesized uint64
 }
@@ -272,7 +276,10 @@ func NewSmoother(cfg SmootherConfig) *Smoother {
 // Advance ingests one interval's raw candidates and returns the smoothed
 // set: present candidates are EWMA-blended with their history; absent
 // ones are synthesized from the decayed estimate until MaxStaleIntervals
-// pass. Output is sorted by pattern for determinism.
+// pass. Output is in canonical pattern order, one candidate per pattern.
+// Input in that order (what CandidatesFromReports returns) is carried
+// through, so only the absent patterns are sorted; any other input is
+// sorted first.
 //
 // offloaded marks patterns currently placed in hardware. Their demand is
 // observed through the TOR's own TCAM counters — a local read that cannot
@@ -283,51 +290,73 @@ func NewSmoother(cfg SmootherConfig) *Smoother {
 // re-offloaded. Staleness protection is for software-path candidates,
 // whose reports cross the lossy control network.
 func (s *Smoother) Advance(cands []Candidate, offloaded map[rules.Pattern]bool) []Candidate {
-	seen := make(map[rules.Pattern]bool, len(cands))
-	for _, c := range cands {
-		seen[c.Pattern] = true
+	s.round++
+	present := make([]*smoothState, 0, len(cands))
+	ascending := true
+	for i, c := range cands {
+		if i > 0 && ascending && cands[i-1].Pattern.Compare(c.Pattern) >= 0 {
+			ascending = false
+		}
 		st, ok := s.state[c.Pattern]
 		if !ok {
-			s.state[c.Pattern] = &smoothState{cand: c}
-			continue
+			st = &smoothState{cand: c}
+			s.state[c.Pattern] = st
+		} else {
+			a := s.cfg.Alpha
+			st.cand.MedianPPS = a*c.MedianPPS + (1-a)*st.cand.MedianPPS
+			st.cand.MedianBPS = a*c.MedianBPS + (1-a)*st.cand.MedianBPS
+			// Frequency and priority are structural, not noisy: take them
+			// as reported.
+			st.cand.ActiveEpochs = c.ActiveEpochs
+			st.cand.Priority = c.Priority
+			st.stale = 0
 		}
-		a := s.cfg.Alpha
-		st.cand.MedianPPS = a*c.MedianPPS + (1-a)*st.cand.MedianPPS
-		st.cand.MedianBPS = a*c.MedianBPS + (1-a)*st.cand.MedianBPS
-		// Frequency and priority are structural, not noisy: take them
-		// as reported.
-		st.cand.ActiveEpochs = c.ActiveEpochs
-		st.cand.Priority = c.Priority
-		st.stale = 0
+		if st.round != s.round { // a repeated pattern is blended again, emitted once
+			st.round = s.round
+			present = append(present, st)
+		}
+	}
+	if !ascending {
+		slices.SortFunc(present, compareStates)
 	}
 	// Age the missing.
-	var drop []rules.Pattern
+	var absent []*smoothState
 	for p, st := range s.state {
-		if seen[p] {
+		if st.round == s.round {
 			continue
 		}
 		if offloaded[p] {
 			// Hardware counters are read locally; silence is real.
-			drop = append(drop, p)
+			delete(s.state, p)
 			continue
 		}
 		st.stale++
 		if st.stale > s.cfg.MaxStaleIntervals {
-			drop = append(drop, p)
+			delete(s.state, p)
 			continue
 		}
 		st.cand.MedianPPS *= s.cfg.StaleDecay
 		st.cand.MedianBPS *= s.cfg.StaleDecay
 		s.Synthesized++
+		absent = append(absent, st)
 	}
-	for _, p := range drop {
-		delete(s.state, p)
+	slices.SortFunc(absent, compareStates)
+	// Merge the two disjoint ordered runs.
+	out := make([]Candidate, 0, len(present)+len(absent))
+	for len(present) > 0 && len(absent) > 0 {
+		if compareStates(present[0], absent[0]) < 0 {
+			out, present = append(out, present[0].cand), present[1:]
+		} else {
+			out, absent = append(out, absent[0].cand), absent[1:]
+		}
 	}
-	// Emit deterministically.
-	pats := rules.SortedPatterns(s.state)
-	out := make([]Candidate, 0, len(pats))
-	for _, p := range pats {
-		out = append(out, s.state[p].cand)
+	for _, st := range present {
+		out = append(out, st.cand)
+	}
+	for _, st := range absent {
+		out = append(out, st.cand)
 	}
 	return out
 }
+
+func compareStates(a, b *smoothState) int { return a.cand.Pattern.Compare(b.cand.Pattern) }

@@ -3,10 +3,10 @@ package decision
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
-	"repro/internal/openflow"
 	"repro/internal/rules"
 )
 
@@ -273,29 +273,140 @@ func TestDecideTieredMatchesOracle(t *testing.T) {
 	}
 }
 
+// oracleSmoother is Smoother as it was before Advance carried its input's
+// order through: a per-call seen set, then the whole state map collected
+// and sorted (here by rendered text) on every call.
+type oracleSmoother struct {
+	cfg         SmootherConfig
+	state       map[rules.Pattern]*smoothState
+	synthesized uint64
+	// What the differential has exercised.
+	staleDrops, offloadedDrops int
+}
+
+func (s *oracleSmoother) Advance(cands []Candidate, offloaded map[rules.Pattern]bool) []Candidate {
+	seen := make(map[rules.Pattern]bool, len(cands))
+	for _, c := range cands {
+		seen[c.Pattern] = true
+		st, ok := s.state[c.Pattern]
+		if !ok {
+			s.state[c.Pattern] = &smoothState{cand: c}
+			continue
+		}
+		a := s.cfg.Alpha
+		st.cand.MedianPPS = a*c.MedianPPS + (1-a)*st.cand.MedianPPS
+		st.cand.MedianBPS = a*c.MedianBPS + (1-a)*st.cand.MedianBPS
+		st.cand.ActiveEpochs = c.ActiveEpochs
+		st.cand.Priority = c.Priority
+		st.stale = 0
+	}
+	var pats []rules.Pattern
+	for p, st := range s.state {
+		if !seen[p] {
+			if offloaded[p] {
+				s.offloadedDrops++
+				delete(s.state, p)
+				continue
+			}
+			st.stale++
+			if st.stale > s.cfg.MaxStaleIntervals {
+				s.staleDrops++
+				delete(s.state, p)
+				continue
+			}
+			st.cand.MedianPPS *= s.cfg.StaleDecay
+			st.cand.MedianBPS *= s.cfg.StaleDecay
+			s.synthesized++
+		}
+		pats = append(pats, p)
+	}
+	sortByString(pats)
+	out := make([]Candidate, 0, len(pats))
+	for _, p := range pats {
+		out = append(out, s.state[p].cand)
+	}
+	return out
+}
+
+// TestSmootherMatchesOracleUnderChurn holds Advance's ordered merge to the
+// collect-and-sort oracle, output and state, while flows drift, vanish for
+// a while, vanish for good, return, and move in and out of hardware. Each
+// seed runs twice: on input in canonical order (what the controller
+// passes, carried through unsorted) and on the same input shuffled with
+// repeats (sorted and de-duplicated first).
+func TestSmootherMatchesOracleUnderChurn(t *testing.T) {
+	seeds := 40
+	if testing.Short() {
+		seeds = 8
+	}
+	var synthesized uint64
+	var staleDrops, offloadedDrops int
+	for seed := 0; seed < seeds; seed++ {
+		for _, scrambled := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(int64(300 + seed)))
+			pool, _ := benchCandidates(96)
+			cands := append([]Candidate(nil), pool[:48]...)
+			cfg := SmootherConfig{Alpha: 0.25 + rng.Float64()/2, MaxStaleIntervals: 1 + rng.Intn(4)}
+			got := NewSmoother(cfg)
+			want := &oracleSmoother{cfg: cfg.normalized(), state: map[rules.Pattern]*smoothState{}}
+			for cycle := 0; cycle < 60; cycle++ {
+				offloaded := map[rules.Pattern]bool{}
+				for _, c := range pool {
+					if rng.Intn(5) == 0 {
+						offloaded[c.Pattern] = true
+					}
+				}
+				in := append([]Candidate(nil), cands...)
+				slices.SortFunc(in, func(a, b Candidate) int { return a.Pattern.Compare(b.Pattern) })
+				if scrambled {
+					for i := rng.Intn(4); i > 0 && len(in) > 0; i-- {
+						again := in[rng.Intn(len(in))]
+						again.MedianPPS *= 2 // the repeat blends in a second reading
+						in = append(in, again)
+					}
+					rng.Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
+				}
+				wantOut, gotOut := want.Advance(in, offloaded), got.Advance(in, offloaded)
+				if !reflect.DeepEqual(wantOut, gotOut) {
+					t.Fatalf("seed %d scrambled %v cycle %d: Advance diverged\noracle: %+v\ngot:    %+v",
+						seed, scrambled, cycle, wantOut, gotOut)
+				}
+				for i := 1; i < len(gotOut); i++ {
+					if gotOut[i-1].Pattern.String() >= gotOut[i].Pattern.String() {
+						t.Fatalf("seed %d scrambled %v cycle %d: output not sorted and unique at %d: %v then %v",
+							seed, scrambled, cycle, i, gotOut[i-1].Pattern, gotOut[i].Pattern)
+					}
+				}
+				if len(got.state) != len(want.state) || got.Synthesized != want.synthesized {
+					t.Fatalf("seed %d scrambled %v cycle %d: %d states, %d synthesized; oracle %d, %d",
+						seed, scrambled, cycle, len(got.state), got.Synthesized, len(want.state), want.synthesized)
+				}
+				for p, w := range want.state {
+					if g := got.state[p]; g == nil || g.cand != w.cand || g.stale != w.stale {
+						t.Fatalf("seed %d scrambled %v cycle %d: state of %v is %+v, oracle %+v",
+							seed, scrambled, cycle, p, g, w)
+					}
+				}
+				cands = churnStep(rng, cands, pool)
+			}
+			synthesized += want.synthesized
+			staleDrops += want.staleDrops
+			offloadedDrops += want.offloadedDrops
+		}
+	}
+	if synthesized == 0 || staleDrops == 0 || offloadedDrops == 0 {
+		t.Fatalf("churn exercised %d synthesized, %d stale-dropped, %d offloaded-absent-dropped patterns; want all three",
+			synthesized, staleDrops, offloadedDrops)
+	}
+}
+
 // TestDecisionPassAllocs gates one control interval's decision pass over
 // 1,536 distinct reported patterns (CandidatesFromReports →
 // Smoother.Advance → Decide → FlapDamper.Apply) in steady state. The
 // string comparators this order replaced cost 521 k allocations here.
 func TestDecisionPassAllocs(t *testing.T) {
 	const n, budget = 1536, 640
-	pool, _ := benchCandidates(n)
-	reports := make([]openflow.DemandReport, 16)
-	for i, c := range pool {
-		r := &reports[i%len(reports)]
-		r.Entries = append(r.Entries, openflow.DemandEntry{
-			Pattern: c.Pattern, ActiveEpochs: c.ActiveEpochs, MedianPPS: c.MedianPPS,
-		})
-	}
-	cfg := Config{Budget: budget, HysteresisRatio: 1.2}
-	smoother := NewSmoother(DefaultSmootherConfig())
-	damper := NewFlapDamper(DefaultDamperConfig())
-	current := map[rules.Pattern]bool{}
-	pass := func() Decision {
-		cands := CandidatesFromReports(reports, nil, nil)
-		cands = smoother.Advance(cands, current)
-		return damper.Apply(Decide(cfg, cands, current), current, 0)
-	}
+	pass, current := decisionPass(n, budget)
 	applyDecision(current, pass()) // fill smoother and damper state, load the table
 	if len(current) != budget {
 		t.Fatalf("warm-up offloaded %d patterns, want a full table of %d", len(current), budget)

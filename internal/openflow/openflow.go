@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/packet"
 	"repro/internal/rules"
@@ -367,6 +368,9 @@ type SketchMeta struct {
 func (*DemandReport) Type() MsgType { return TypeDemandReport }
 
 func (m *DemandReport) marshalBody(b *buffer) {
+	// Header words, 60-byte entries, 40-byte splits, the NIC section and
+	// the sketch section at its longest.
+	b.reserve(12 + 60*len(m.Entries) + 4 + 40*len(m.Splits) + 8 + patternLen*len(m.NICPatterns) + 29)
 	b.u32(m.ServerID)
 	b.u32(m.Interval)
 	b.u32(uint32(len(m.Entries)))
@@ -653,6 +657,7 @@ type RuleSync struct {
 func (*RuleSync) Type() MsgType { return TypeRuleSync }
 
 func (m *RuleSync) marshalBody(b *buffer) {
+	b.reserve(8 + patternLen*len(m.Patterns) + 8)
 	b.u32(m.Seq)
 	b.u32(uint32(len(m.Patterns)))
 	for _, p := range m.Patterns {
@@ -752,6 +757,7 @@ func (m *TableReply) marshalBody(b *buffer) {
 	if len(rs) > MaxTableRules {
 		rs = rs[:MaxTableRules]
 	}
+	b.reserve(4 + (patternLen+3)*len(rs))
 	b.u32(uint32(len(rs)))
 	for _, e := range rs {
 		marshalPattern(b, e.Pattern)
@@ -841,6 +847,17 @@ func (m *LeaderHeartbeat) unmarshalBody(r *reader) error {
 
 type buffer struct{ b []byte }
 
+// reserve makes room for n more bytes, so a body whose size follows from
+// its counts is allocated once instead of doubling its way up.
+func (b *buffer) reserve(n int) { b.b = slices.Grow(b.b, n) }
+
+// extend appends n bytes and returns them for writing in place.
+func (b *buffer) extend(n int) []byte {
+	b.reserve(n)
+	b.b = b.b[:len(b.b)+n]
+	return b.b[len(b.b)-n:]
+}
+
 func (b *buffer) u8(v uint8)   { b.b = append(b.b, v) }
 func (b *buffer) u16(v uint16) { b.b = binary.BigEndian.AppendUint16(b.b, v) }
 func (b *buffer) u32(v uint32) { b.b = binary.BigEndian.AppendUint32(b.b, v) }
@@ -905,20 +922,23 @@ func (r *reader) u64() uint64 {
 
 func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
 
+// patternLen is a pattern's size on the wire.
+const patternLen = 20
+
 func marshalPattern(b *buffer, p rules.Pattern) {
-	b.u32(uint32(p.Tenant))
+	w := b.extend(patternLen)
+	binary.BigEndian.PutUint32(w[0:], uint32(p.Tenant))
+	w[4] = 0
 	if p.AnyTenant {
-		b.u8(1)
-	} else {
-		b.u8(0)
+		w[4] = 1
 	}
-	b.u32(uint32(p.Src))
-	b.u8(uint8(p.SrcPrefix))
-	b.u32(uint32(p.Dst))
-	b.u8(uint8(p.DstPrefix))
-	b.u16(p.SrcPort)
-	b.u16(p.DstPort)
-	b.u8(p.Proto)
+	binary.BigEndian.PutUint32(w[5:], uint32(p.Src))
+	w[9] = uint8(p.SrcPrefix)
+	binary.BigEndian.PutUint32(w[10:], uint32(p.Dst))
+	w[14] = uint8(p.DstPrefix)
+	binary.BigEndian.PutUint16(w[15:], p.SrcPort)
+	binary.BigEndian.PutUint16(w[17:], p.DstPort)
+	w[19] = p.Proto
 }
 
 func unmarshalPattern(r *reader) rules.Pattern {
@@ -964,18 +984,21 @@ const MaxFrame = 0xffff
 // message exceeds MaxFrame: that is a sender bug (missing chunking), and
 // truncating silently would corrupt the control plane.
 func Encode(msg Message, xid uint32) []byte {
-	var body buffer
-	msg.marshalBody(&body)
-	if headerLen+len(body.b) > MaxFrame {
+	// The body is marshalled in place behind the header. 64 bytes hold
+	// every fixed-size message; the bodies that run to kilobytes (RuleSync,
+	// DemandReport, TableReply) reserve their own room before writing.
+	frame := buffer{b: make([]byte, headerLen, 64)}
+	msg.marshalBody(&frame)
+	out := frame.b
+	if len(out) > MaxFrame {
 		panic(fmt.Sprintf("openflow: %s message of %d bytes exceeds the %d-byte frame limit; chunk it",
-			msg.Type(), headerLen+len(body.b), MaxFrame))
+			msg.Type(), len(out), MaxFrame))
 	}
-	out := make([]byte, headerLen, headerLen+len(body.b))
 	out[0] = Version
 	out[1] = uint8(msg.Type())
-	binary.BigEndian.PutUint16(out[2:4], uint16(headerLen+len(body.b)))
+	binary.BigEndian.PutUint16(out[2:4], uint16(len(out)))
 	binary.BigEndian.PutUint32(out[4:8], xid)
-	return append(out, body.b...)
+	return slices.Clip(out)
 }
 
 // demandChunkEntries bounds entries per DemandReport chunk: each entry is

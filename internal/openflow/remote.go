@@ -10,7 +10,9 @@ package openflow
 // Implementations are typically Conn.WriteFrame over a net.Conn; they
 // must be safe for calls from the engine loop that owns the transport.
 // A returned error means the frame was lost (counted in Dropped) — the
-// control protocol is loss-tolerant by design.
+// control protocol is loss-tolerant by design. The frame is the sender's
+// to keep: no other transport is handed the same memory, Broadcast
+// included.
 type RemoteSender func(frame []byte) error
 
 // NewRemoteTransport builds a transport whose messages are written to

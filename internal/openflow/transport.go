@@ -1,6 +1,8 @@
 package openflow
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"time"
 
@@ -89,8 +91,33 @@ func (t *Transport) Send(msg Message) uint32 {
 // Reply sends msg echoing an existing xid.
 func (t *Transport) Reply(msg Message, xid uint32) { t.send(msg, xid) }
 
-func (t *Transport) send(msg Message, xid uint32) {
-	wire := Encode(msg, xid)
+func (t *Transport) send(msg Message, xid uint32) { t.sendFrame(Encode(msg, xid)) }
+
+// Broadcast sends msg on every transport exactly as a Send on each in
+// turn would — each draws its own xid, counts the frame, rolls its own
+// faults and schedules its own delivery, in slice order — but marshals the
+// body once: every transport after the first gets a copy of the first
+// frame with its own xid stamped in. No two transports share a frame
+// (in-simulation delivery holds its frame until the control delay has
+// passed).
+func Broadcast(transports []*Transport, msg Message) {
+	var frame []byte
+	for _, t := range transports {
+		xid := t.nextXID
+		t.nextXID++
+		if frame == nil {
+			frame = Encode(msg, xid)
+		} else {
+			frame = bytes.Clone(frame)
+			binary.BigEndian.PutUint32(frame[4:8], xid)
+		}
+		t.sendFrame(frame)
+	}
+}
+
+// sendFrame counts one encoded frame, applies the injected faults and
+// delivers it. The frame is the transport's to keep.
+func (t *Transport) sendFrame(wire []byte) {
 	t.Sent++
 	t.SentBytes += uint64(len(wire))
 	if t.down || (t.lossRng != nil && t.lossRng.Float64() < t.lossProb) {

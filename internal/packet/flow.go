@@ -1,7 +1,6 @@
 package packet
 
 import (
-	"bytes"
 	"fmt"
 	"strconv"
 )
@@ -70,15 +69,31 @@ const flowKeyBufLen = 64
 
 // Compare orders keys as their String() renderings do — the order every
 // sorted flow listing has always had, so "t10" sorts before "t2" — and
-// returns -1, 0 or +1. It renders into stack buffers and allocates
-// nothing.
+// returns -1, 0 or +1. It compares field by field on CompareDecimal and
+// renders nothing; each field's terminator is the byte appendKey writes
+// after it (' ', '.' and '/' sort below the digits, ':' and '>' above).
 func (k FlowKey) Compare(o FlowKey) int {
-	var kb, ob [flowKeyBufLen]byte
-	return bytes.Compare(k.appendKey(kb[:0]), o.appendKey(ob[:0]))
+	if c := CompareDecimal(uint64(k.Tenant), uint64(o.Tenant), false); c != 0 {
+		return c
+	}
+	if c := k.Src.CompareDotted(o.Src, true); c != 0 {
+		return c
+	}
+	if c := CompareDecimal(uint64(k.SrcPort), uint64(o.SrcPort), true); c != 0 {
+		return c
+	}
+	if c := k.Dst.CompareDotted(o.Dst, true); c != 0 {
+		return c
+	}
+	if c := CompareDecimal(uint64(k.DstPort), uint64(o.DstPort), false); c != 0 {
+		return c
+	}
+	return CompareDecimal(uint64(k.Proto), uint64(o.Proto), false)
 }
 
-// appendKey appends the key's rendering to b. String and Compare are both
-// built on it, so text and order cannot drift apart.
+// appendKey appends the key's rendering to b. Compare must order keys as
+// this text orders; the property tests and FuzzFlowKeyCompare hold it to
+// that.
 func (k FlowKey) appendKey(b []byte) []byte {
 	b = append(b, 't')
 	b = strconv.AppendUint(b, uint64(k.Tenant), 10)

@@ -351,7 +351,9 @@ func TestFlowKeyCompareIsStringOrder(t *testing.T) {
 		t.Fatalf("t10 must sort before t2 (string order), got %d", t10.Compare(t2))
 	}
 	// Fields drawn from small pools, with an occasional free value, so pairs
-	// often agree on a long prefix and are decided deep in the rendering.
+	// often agree on a long prefix and are decided deep in the rendering;
+	// each pool holds values whose text is a prefix of another's (1/10/100,
+	// 8/80/8080), where the byte after the field decides.
 	rng := rand.New(rand.NewSource(1))
 	pick := func(pool ...uint32) uint32 {
 		if rng.Intn(8) == 0 {
@@ -362,11 +364,11 @@ func TestFlowKeyCompareIsStringOrder(t *testing.T) {
 	key := func() FlowKey {
 		return FlowKey{
 			Tenant:  TenantID(pick(0, 1, 2, 9, 10, 19, 20, 100, math.MaxUint32)),
-			Src:     IP(pick(0, 0x0a000001, 0x0a000002, 0x0a00000a, 0x0a000100, 0xffffffff)),
-			Dst:     IP(pick(0, 0x0a000001, 0x0a000002, 0x0a00000a, 0x0a000100, 0xffffffff)),
-			SrcPort: uint16(pick(0, 1, 2, 10, 80, 443, 11211, 65535)),
-			DstPort: uint16(pick(0, 1, 2, 10, 80, 443, 11211, 65535)),
-			Proto:   byte(pick(0, uint32(ProtoTCP), uint32(ProtoUDP), 1, 47, 255)),
+			Src:     IP(pick(0, 0x0a000001, 0x0a000002, 0x0a00000a, 0x0a000064, 0x0a000100, 0x64000001, 0xffffffff)),
+			Dst:     IP(pick(0, 0x0a000001, 0x0a000002, 0x0a00000a, 0x0a000064, 0x0a000100, 0x64000001, 0xffffffff)),
+			SrcPort: uint16(pick(0, 1, 2, 8, 10, 80, 443, 8080, 11211, 65535)),
+			DstPort: uint16(pick(0, 1, 2, 8, 10, 80, 443, 8080, 11211, 65535)),
+			Proto:   byte(pick(0, uint32(ProtoTCP), uint32(ProtoUDP), 1, 2, 25, 4, 47, 255)),
 		}
 	}
 	for i := 0; i < 20000; i++ {
@@ -387,4 +389,26 @@ func TestFlowKeyCompareAllocatesNothing(t *testing.T) {
 		t.Fatalf("FlowKey.Compare allocates %v times per call, want 0", n)
 	}
 	_ = sink
+}
+
+// FuzzFlowKeyCompare runs the checkKeyOrder contract on fuzzed pairs.
+func FuzzFlowKeyCompare(f *testing.F) {
+	f.Add(uint32(1), uint32(0x0a000001), uint32(0x0a000002), uint16(80), uint16(8), byte(4),
+		uint32(10), uint32(0x0a00000a), uint32(0x0a000014), uint16(8080), uint16(80), byte(47))
+	f.Fuzz(func(t *testing.T, at, as, ad uint32, asp, adp uint16, ap byte, bt, bs, bd uint32, bsp, bdp uint16, bp byte) {
+		a := FlowKey{Tenant: TenantID(at), Src: IP(as), Dst: IP(ad), SrcPort: asp, DstPort: adp, Proto: ap}
+		b := FlowKey{Tenant: TenantID(bt), Src: IP(bs), Dst: IP(bd), SrcPort: bsp, DstPort: bdp, Proto: bp}
+		checkKeyOrder(t, a, b)
+		// A fuzzed pair almost always differs in the tenant already; move
+		// one field at a time so each of the later ones gets to decide.
+		for _, c := range []FlowKey{
+			{b.Src, a.Dst, a.SrcPort, a.DstPort, a.Proto, a.Tenant},
+			{a.Src, b.Dst, a.SrcPort, a.DstPort, a.Proto, a.Tenant},
+			{a.Src, a.Dst, b.SrcPort, a.DstPort, a.Proto, a.Tenant},
+			{a.Src, a.Dst, a.SrcPort, b.DstPort, a.Proto, a.Tenant},
+			{a.Src, a.Dst, a.SrcPort, a.DstPort, b.Proto, a.Tenant},
+		} {
+			checkKeyOrder(t, a, c)
+		}
+	})
 }

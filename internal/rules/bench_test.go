@@ -2,6 +2,7 @@ package rules
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/packet"
@@ -136,5 +137,28 @@ func BenchmarkTupleSpaceScaling(b *testing.B) {
 				ts.Lookup(keys[i%len(keys)])
 			}
 		})
+	}
+}
+
+// BenchmarkSortPatterns1536 sorts one control interval's worth of reported
+// aggregate patterns (8 tenants, 16 VMs, ports sharing long decimal
+// prefixes) into canonical order — the unit of work Pattern.Compare is
+// paid for in, several times per ToR decision tick.
+func BenchmarkSortPatterns1536(b *testing.B) {
+	pats := make([]Pattern, 1536)
+	for i := range pats {
+		pats[i] = AggregatePattern(packet.AggregateKey{
+			Tenant: packet.TenantID(1 + i%8),
+			VMIP:   packet.IP(0x0a000000 | uint32(i*7%16+1)),
+			Port:   uint16(1000 + i*37%4096),
+			Dir:    packet.Direction(i % 2),
+		})
+	}
+	work := make([]Pattern, len(pats))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(work, pats)
+		slices.SortFunc(work, Pattern.Compare)
 	}
 }

@@ -7,7 +7,7 @@
 package rules
 
 import (
-	"bytes"
+	"cmp"
 	"slices"
 	"strconv"
 
@@ -113,17 +113,92 @@ func (p Pattern) IsExact() bool {
 // "t3 10.0.0.1/32:* > */0:11211 tcp".
 func (p Pattern) String() string { return string(p.appendKey(nil)) }
 
-// keyBufLen exceeds the longest rendering (two 20-digit prefixes included),
-// so Compare's stack buffers never spill to the heap.
-const keyBufLen = 128
-
 // Compare is the canonical pattern order every deterministic listing,
 // ranking tie-break and wire ordering uses: p and q order as their String()
 // renderings do (so "t10" sorts before "t2"), returning -1, 0 or +1. It
-// renders into stack buffers and allocates nothing.
+// compares field by field on packet.CompareDecimal and renders nothing;
+// each field's terminator is the byte appendKey writes after it, '*' sorts
+// below every digit, and a field appendKey does not render (Tenant under
+// AnyTenant, an address under prefix 0) takes no part.
 func (p Pattern) Compare(q Pattern) int {
-	var pb, qb [keyBufLen]byte
-	return bytes.Compare(p.appendKey(pb[:0]), q.appendKey(qb[:0]))
+	if p.AnyTenant != q.AnyTenant {
+		return lowFirst(p.AnyTenant)
+	}
+	if !p.AnyTenant {
+		if c := packet.CompareDecimal(uint64(p.Tenant), uint64(q.Tenant), false); c != 0 {
+			return c
+		}
+	}
+	if c := compareEndpoint(p.Src, p.SrcPrefix, p.SrcPort, q.Src, q.SrcPrefix, q.SrcPort); c != 0 {
+		return c
+	}
+	if c := compareEndpoint(p.Dst, p.DstPrefix, p.DstPort, q.Dst, q.DstPrefix, q.DstPort); c != 0 {
+		return c
+	}
+	// "*" < decimal < "tcp" < "udp"; the decimal ends the string.
+	pc, qc := protoClass(p.Proto), protoClass(q.Proto)
+	if pc == protoDecimal && qc == protoDecimal {
+		return packet.CompareDecimal(uint64(p.Proto), uint64(q.Proto), false)
+	}
+	return cmp.Compare(pc, qc)
+}
+
+// lowFirst orders a field that exactly one side renders with a leading
+// byte below the digits — "*", or the '-' of a negative length — against
+// the other side's number: that side sorts first.
+func lowFirst(pIsLow bool) int {
+	if pIsLow {
+		return -1
+	}
+	return 1
+}
+
+// compareEndpoint orders two "ip/prefix:port" renderings (appendEndpoint).
+func compareEndpoint(ip packet.IP, prefix int, port uint16, qip packet.IP, qprefix int, qport uint16) int {
+	if (prefix == 0) != (qprefix == 0) {
+		return lowFirst(prefix == 0)
+	}
+	if prefix != 0 {
+		if c := ip.CompareDotted(qip, false); c != 0 { // '/' follows
+			return c
+		}
+		// A negative length renders with a leading '-', below the digits.
+		// The ':' that follows sorts above them: "/32:" before "/3:".
+		if (prefix < 0) != (qprefix < 0) {
+			return lowFirst(prefix < 0)
+		}
+		a, b := uint64(prefix), uint64(qprefix)
+		if prefix < 0 {
+			a, b = -a, -b
+		}
+		if c := packet.CompareDecimal(a, b, true); c != 0 {
+			return c
+		}
+	}
+	if (port == 0) != (qport == 0) {
+		return lowFirst(port == 0)
+	}
+	return packet.CompareDecimal(uint64(port), uint64(qport), false) // ' ' follows
+}
+
+// Proto renderings in ascending text order.
+const (
+	protoStar = iota
+	protoDecimal
+	protoTCP
+	protoUDP
+)
+
+func protoClass(proto byte) int {
+	switch proto {
+	case 0:
+		return protoStar
+	case packet.ProtoTCP:
+		return protoTCP
+	case packet.ProtoUDP:
+		return protoUDP
+	}
+	return protoDecimal
 }
 
 // SortedPatterns returns m's keys in canonical order.
@@ -136,8 +211,9 @@ func SortedPatterns[V any](m map[Pattern]V) []Pattern {
 	return out
 }
 
-// appendKey appends the pattern's rendering to b. String and Compare are
-// both built on it, so text and order cannot drift apart.
+// appendKey appends the pattern's rendering to b. Compare must order
+// patterns as this text orders; the property tests and FuzzPatternCompare
+// hold it to that.
 func (p Pattern) appendKey(b []byte) []byte {
 	if p.AnyTenant {
 		b = append(b, "t* "...)

@@ -57,9 +57,6 @@ func checkOrder(t *testing.T, a, b Pattern) {
 		if got, want := p.String(), oracleString(p); got != want {
 			t.Fatalf("String() = %q, oracle %q (%#v)", got, want, p)
 		}
-		if len(p.String()) > keyBufLen {
-			t.Fatalf("rendering of %#v is %d bytes, over Compare's %d-byte buffer", p, len(p.String()), keyBufLen)
-		}
 		if c := p.Compare(p); c != 0 {
 			t.Fatalf("Compare(p, p) = %d for %v", c, p)
 		}
@@ -75,7 +72,9 @@ func checkOrder(t *testing.T, a, b Pattern) {
 
 // randomPattern draws every field from a small pool plus an occasional
 // free value, so pairs often agree on a long prefix of fields and the
-// comparison is decided deep in the rendering.
+// comparison is decided deep in the rendering. Every pool holds values
+// whose decimal text is a prefix of another's (1/10/100, 8/80/8080, 3/32,
+// 2/25/255, 4/47): the case where the byte after the field decides.
 func randomPattern(rng *rand.Rand) Pattern {
 	pick := func(pool []uint32) uint32 {
 		if rng.Intn(8) == 0 {
@@ -83,10 +82,10 @@ func randomPattern(rng *rand.Rand) Pattern {
 		}
 		return pool[rng.Intn(len(pool))]
 	}
-	ips := []uint32{0, 0x0a000001, 0x0a000002, 0x0a00000a, 0x0a000100, 0xffffffff}
-	prefixes := []int{0, 0, 8, 16, 24, 32, 9, -1, math.MinInt64, math.MaxInt64}
-	ports := []uint32{0, 0, 1, 2, 10, 80, 443, 11211, 65535}
-	protos := []uint32{0, uint32(packet.ProtoTCP), uint32(packet.ProtoUDP), 1, 47, 255}
+	ips := []uint32{0, 0x0a000001, 0x0a000002, 0x0a00000a, 0x0a000064, 0x0a000100, 0x01000001, 0x64000001, 0xffffffff}
+	prefixes := []int{0, 0, 1, 2, 3, 8, 9, 16, 24, 32, 320, -1, -3, -32, math.MinInt64, math.MaxInt64}
+	ports := []uint32{0, 0, 1, 2, 8, 10, 80, 443, 808, 8080, 11211, 65535}
+	protos := []uint32{0, uint32(packet.ProtoTCP), uint32(packet.ProtoUDP), 1, 2, 4, 25, 47, 255}
 	return Pattern{
 		Tenant:    packet.TenantID(pick([]uint32{0, 1, 2, 9, 10, 19, 20, 100, math.MaxUint32})),
 		AnyTenant: rng.Intn(6) == 0,
@@ -100,14 +99,63 @@ func randomPattern(rng *rand.Rand) Pattern {
 	}
 }
 
+// prefixPairs are pairs decided by the byte after a field: one field's
+// text is a prefix of the other's, or a field that differs is not rendered
+// at all.
+func prefixPairs() [][2]Pattern {
+	base := Pattern{Tenant: 1, Src: 0x0a000001, SrcPrefix: 32, SrcPort: 80, Dst: 0x0a000002, DstPrefix: 24, DstPort: 8, Proto: 4}
+	with := func(f func(*Pattern)) Pattern { p := base; f(&p); return p }
+	return [][2]Pattern{
+		{base, with(func(p *Pattern) { p.Tenant = 10 })},
+		{with(func(p *Pattern) { p.Tenant = 10 }), with(func(p *Pattern) { p.Tenant = 100 })},
+		{base, with(func(p *Pattern) { p.Src = 0x0a00000a })}, // "1/" against "10/"
+		{base, with(func(p *Pattern) { p.Src = 0x64000001 })}, // "10." against "100."
+		{base, with(func(p *Pattern) { p.SrcPrefix = 3 })},    // "/32:" before "/3:"
+		{with(func(p *Pattern) { p.DstPrefix = 2 }), base},    // "/2:" after "/24:"
+		{with(func(p *Pattern) { p.DstPrefix = -3 }), with(func(p *Pattern) { p.DstPrefix = -32 })},
+		{base, with(func(p *Pattern) { p.SrcPort = 8080 })}, // "80 " against "8080 "
+		{base, with(func(p *Pattern) { p.DstPort = 80 })},   // "8 " against "80 "
+		{base, with(func(p *Pattern) { p.Proto = 47 })},     // "4" against "47"
+		{with(func(p *Pattern) { p.Proto = 2 }), with(func(p *Pattern) { p.Proto = 25 })},
+		{with(func(p *Pattern) { p.Proto = 25 }), with(func(p *Pattern) { p.Proto = 255 })},
+		{with(func(p *Pattern) { p.Proto = 255 }), with(func(p *Pattern) { p.Proto = packet.ProtoTCP })},
+		// Not rendered, so not compared.
+		{with(func(p *Pattern) { p.AnyTenant = true }), with(func(p *Pattern) { p.AnyTenant, p.Tenant = true, 10 })},
+		{with(func(p *Pattern) { p.SrcPrefix = 0 }), with(func(p *Pattern) { p.SrcPrefix, p.Src = 0, 0x0a00000a })},
+	}
+}
+
 func TestPatternCompareIsStringOrder(t *testing.T) {
 	// The case the order is named for: decimal text, not numeric value.
 	if t10, t2 := TenantPattern(10), TenantPattern(2); t10.Compare(t2) >= 0 {
 		t.Fatalf("t10 must sort before t2 (string order), got %d", t10.Compare(t2))
 	}
+	for _, pair := range prefixPairs() {
+		checkOrder(t, pair[0], pair[1])
+	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 20000; i++ {
 		checkOrder(t, randomPattern(rng), randomPattern(rng))
+	}
+}
+
+// A field that is not rendered takes no part in the order: Compare is 0
+// exactly when the renderings are equal, so sorted listings and the
+// de-duplication built on them agree with the text.
+func TestPatternCompareIgnoresUnrenderedFields(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		a := randomPattern(rng)
+		a.AnyTenant = true
+		b := a
+		b.Tenant = packet.TenantID(rng.Uint32())
+		if rng.Intn(2) == 0 {
+			a.SrcPrefix, b.SrcPrefix = 0, 0
+			b.Src = packet.IP(rng.Uint32())
+		}
+		if c := a.Compare(b); c != 0 || a.String() != b.String() {
+			t.Fatalf("Compare(%#v, %#v) = %d, renderings %q and %q", a, b, c, a, b)
+		}
 	}
 }
 
@@ -155,8 +203,32 @@ func patternFromBytes(b []byte) Pattern {
 	}
 }
 
+// patternToBytes inverts patternFromBytes for prefixes that fit an int8.
+func patternToBytes(p Pattern) []byte {
+	b := make([]byte, 20)
+	if p.AnyTenant {
+		b[0] = 1
+	}
+	binary.BigEndian.PutUint32(b[1:], uint32(p.Tenant))
+	binary.BigEndian.PutUint32(b[5:], uint32(p.Src))
+	b[9] = byte(int8(p.SrcPrefix))
+	binary.BigEndian.PutUint32(b[10:], uint32(p.Dst))
+	b[14] = byte(int8(p.DstPrefix))
+	binary.BigEndian.PutUint16(b[15:], p.SrcPort)
+	binary.BigEndian.PutUint16(b[17:], p.DstPort)
+	b[19] = p.Proto
+	return b
+}
+
 // FuzzPatternCompare runs the checkOrder contract on fuzzed pairs.
 func FuzzPatternCompare(f *testing.F) {
+	for _, pair := range prefixPairs() {
+		seed := append(patternToBytes(pair[0]), patternToBytes(pair[1])...)
+		if patternFromBytes(seed[:20]) != pair[0] || patternFromBytes(seed[20:]) != pair[1] {
+			f.Fatalf("seed pair %v, %v does not survive the byte encoding", pair[0], pair[1])
+		}
+		f.Add(seed)
+	}
 	f.Add(make([]byte, 40))
 	f.Add([]byte("\x00\x00\x00\x00\x0a\x0a\x00\x00\x01\x20\x00\x00\x00\x00\x00\x9c\x40\x00\x00\x06" +
 		"\x00\x00\x00\x00\x02\x0a\x00\x00\x01\x20\x00\x00\x00\x00\x00\x9c\x40\x00\x00\x06"))
@@ -164,6 +236,23 @@ func FuzzPatternCompare(f *testing.F) {
 		if len(data) < 40 {
 			return
 		}
-		checkOrder(t, patternFromBytes(data[:20]), patternFromBytes(data[20:40]))
+		a, b := patternFromBytes(data[:20]), patternFromBytes(data[20:40])
+		checkOrder(t, a, b)
+		// A fuzzed pair is almost always decided by the tenant; move one
+		// field at a time so each of the later ones gets to decide.
+		for _, move := range []func(*Pattern){
+			func(c *Pattern) { c.Tenant = b.Tenant },
+			func(c *Pattern) { c.Src = b.Src },
+			func(c *Pattern) { c.SrcPrefix = b.SrcPrefix },
+			func(c *Pattern) { c.SrcPort = b.SrcPort },
+			func(c *Pattern) { c.Dst = b.Dst },
+			func(c *Pattern) { c.DstPrefix = b.DstPrefix },
+			func(c *Pattern) { c.DstPort = b.DstPort },
+			func(c *Pattern) { c.Proto = b.Proto },
+		} {
+			c := a
+			move(&c)
+			checkOrder(t, a, c)
+		}
 	})
 }

@@ -12,8 +12,9 @@
 #   internal/packet   pooled AppendMarshal vs allocate-per-packet
 #   internal/tunnel   pooled encap vs seed-style encap
 #   internal/smartnic SmartNIC match-action lookup (hit/miss/update)
-#   internal/decision 2-level Decide vs N-level DecideTiered, and Decide
-#                     at 10k candidates
+#   internal/decision 2-level Decide vs N-level DecideTiered, Decide at
+#                     10k candidates, and one whole 1,536-pattern pass
+#   internal/openflow RuleSync framing and the 16-agent fan-out
 #   internal/sketch   count-min/space-saving update, shard observe, merge
 #
 # BENCH_BASELINE.txt is the raw `go test -bench` text (benchstat input);
@@ -24,7 +25,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-PKGS="./internal/rules ./internal/vswitch ./internal/packet ./internal/tunnel ./internal/smartnic ./internal/decision ./internal/sketch"
+PKGS="./internal/rules ./internal/vswitch ./internal/packet ./internal/tunnel ./internal/smartnic ./internal/decision ./internal/openflow ./internal/sketch"
 COUNT="${BENCH_COUNT:-1}"
 OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT
