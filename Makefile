@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-update trace experiments clean
+.PHONY: all build test race vet loc bench bench-update trace experiments clean
 
 all: build test
 
@@ -19,6 +19,10 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Print the ROADMAP's size number (non-test Go lines outside bench/).
+loc:
+	@scripts/loc.sh
 
 # Run the fast-path microbenchmarks (rules, vswitch, packet, tunnel).
 bench:

@@ -31,7 +31,6 @@ import (
 	"repro/internal/rules"
 	"repro/internal/smartnic"
 	"repro/internal/telemetry"
-	"repro/internal/vswitch"
 )
 
 // Options configures a deployment.
@@ -60,13 +59,6 @@ type Options struct {
 	// multi-tenant configuration). Disable only for single-tenant
 	// microbenchmarks.
 	DisableTunneling bool
-	// DataPlaneShards enables the sharded batch data plane on every
-	// server's vswitch when > 0. 1 is the deterministic inline mode
-	// (identical results to the default path); N > 1 spawns N worker
-	// goroutines sharded by flow hash — a wall-clock throughput engine
-	// fed through vswitch.PlaneInjector, beside the deterministic sim,
-	// never inside it. See Deployment.DataPlane.
-	DataPlaneShards int
 	// Controller tunes the rule manager; zero-value fields take the
 	// paper-prototype defaults.
 	Controller ControllerOptions
@@ -228,24 +220,22 @@ func NewDeployment(opts Options) (*Deployment, error) {
 	var c *cluster.Cluster
 	if opts.Racks > 1 {
 		c = cluster.NewMulti(cluster.MultiConfig{
-			Racks:           opts.Racks,
-			ServersPerRack:  opts.ServersPerRack,
-			TCAMCapacity:    opts.TCAMCapacity,
-			Seed:            opts.Seed,
-			CostModel:       opts.CostModel,
-			VSwitchCfg:      model.VSwitchConfig{Tunneling: !opts.DisableTunneling},
-			SmartNIC:        nicCfg,
-			DataPlaneShards: opts.DataPlaneShards,
+			Racks:          opts.Racks,
+			ServersPerRack: opts.ServersPerRack,
+			TCAMCapacity:   opts.TCAMCapacity,
+			Seed:           opts.Seed,
+			CostModel:      opts.CostModel,
+			VSwitchCfg:     model.VSwitchConfig{Tunneling: !opts.DisableTunneling},
+			SmartNIC:       nicCfg,
 		})
 	} else {
 		c = cluster.New(cluster.Config{
-			Servers:         opts.Servers,
-			TCAMCapacity:    opts.TCAMCapacity,
-			Seed:            opts.Seed,
-			CostModel:       opts.CostModel,
-			VSwitchCfg:      model.VSwitchConfig{Tunneling: !opts.DisableTunneling},
-			SmartNIC:        nicCfg,
-			DataPlaneShards: opts.DataPlaneShards,
+			Servers:      opts.Servers,
+			TCAMCapacity: opts.TCAMCapacity,
+			Seed:         opts.Seed,
+			CostModel:    opts.CostModel,
+			VSwitchCfg:   model.VSwitchConfig{Tunneling: !opts.DisableTunneling},
+			SmartNIC:     nicCfg,
 		})
 	}
 	cfg := core.DefaultConfig()
@@ -398,16 +388,6 @@ func (d *Deployment) NICPlaced() []string {
 		out[i] = p.String()
 	}
 	return out
-}
-
-// DataPlane returns server's sharded data plane (nil unless the
-// deployment was built with Options.DataPlaneShards > 0 or the server's
-// vswitch had EnableShardedPlane called directly).
-func (d *Deployment) DataPlane(server int) *vswitch.ShardedPlane {
-	if server < 0 || server >= len(d.Cluster.Servers) {
-		return nil
-	}
-	return d.Cluster.Servers[server].VSwitch.Plane()
 }
 
 // HardwareRules returns (used, capacity) of the ToRs' rule memory,

@@ -40,12 +40,6 @@ type Config struct {
 	// SmartNIC, when non-nil with Capacity > 0, equips every server with
 	// a SmartNIC offload tier between the vswitch and the ToR TCAM.
 	SmartNIC *smartnic.Config
-	// DataPlaneShards, when > 0, enables the sharded batch data plane on
-	// every server's vswitch (vswitch.EnableShardedPlane). 1 is the
-	// deterministic inline mode; > 1 spawns worker goroutines — a
-	// wall-clock throughput engine beside the deterministic sim, never
-	// inside it.
-	DataPlaneShards int
 }
 
 // Cluster is an assembled testbed.
@@ -156,9 +150,6 @@ func New(cfg Config) *Cluster {
 		down := fabric.NewLink(eng, cm.LinkBps, cm.PropDelay, q, srv.NIC)
 		if cfg.SmartNIC != nil && cfg.SmartNIC.Capacity > 0 {
 			srv.AttachSmartNIC(smartnic.New(eng, *cfg.SmartNIC))
-		}
-		if cfg.DataPlaneShards > 0 {
-			srv.EnableDataPlane(vswitch.PlaneConfig{Shards: cfg.DataPlaneShards})
 		}
 		c.TOR.AddRoute(ip, fabric.LinkPort{L: down})
 		c.Servers = append(c.Servers, srv)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/smartnic"
 	"repro/internal/tor"
-	"repro/internal/vswitch"
 )
 
 // This file extends the testbed to multiple racks — the deployment shape
@@ -33,9 +32,6 @@ type MultiConfig struct {
 	// SmartNIC, when non-nil with Capacity > 0, equips every server with
 	// a SmartNIC offload tier (see Config.SmartNIC).
 	SmartNIC *smartnic.Config
-	// DataPlaneShards enables the sharded batch data plane on every
-	// server's vswitch when > 0 (see Config.DataPlaneShards).
-	DataPlaneShards int
 }
 
 // NewMulti builds a testbed of cfg.Racks racks. The returned Cluster's
@@ -84,9 +80,6 @@ func NewMulti(cfg MultiConfig) *Cluster {
 			down := fabric.NewLink(c.Eng, cm.LinkBps, cm.PropDelay, q, srv.NIC)
 			if cfg.SmartNIC != nil && cfg.SmartNIC.Capacity > 0 {
 				srv.AttachSmartNIC(smartnic.New(c.Eng, *cfg.SmartNIC))
-			}
-			if cfg.DataPlaneShards > 0 {
-				srv.EnableDataPlane(vswitch.PlaneConfig{Shards: cfg.DataPlaneShards})
 			}
 			c.TORs[rk].AddRoute(ip, fabric.LinkPort{L: down})
 			c.Servers = append(c.Servers, srv)

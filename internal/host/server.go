@@ -72,22 +72,6 @@ func (s *Server) AttachSmartNIC(n *smartnic.NIC) {
 	})
 }
 
-// EnableDataPlane switches the server's vswitch into throughput mode: a
-// sharded batch data plane (see vswitch/plane.go) mirroring the switch's
-// rule state, with SmartNIC placements mirrored into its NIC-first egress
-// table — a flow the hardware tier has placed bypasses software shaping
-// and encap exactly as Server.egress gives the SmartNIC first claim.
-// shards <= 1 keeps the deterministic inline mode.
-func (s *Server) EnableDataPlane(cfg vswitch.PlaneConfig) *vswitch.ShardedPlane {
-	pl := s.VSwitch.EnableShardedPlane(cfg)
-	if s.SmartNIC != nil {
-		n := s.SmartNIC
-		n.SetOnChange(func() { pl.SetNICPlacements(n.Patterns()) })
-		pl.SetNICPlacements(n.Patterns())
-	}
-	return pl
-}
-
 // egress is the VM's default (non-VF) transmit path: the SmartNIC tier
 // gets first claim on the packet; any miss, deny or pipeline throttle
 // falls back to the vswitch software path, so the NIC tier can shed or

@@ -70,36 +70,56 @@ func (p *EpochPublisher[T]) Update(build func(cur T) T) *Epoch[T] {
 	return e
 }
 
-// CompiledVM is an immutable compiled form of a VM's rule state, built at
-// epoch-publication time so concurrent shard readers never touch the
-// lazily built (mutate-on-read) indexes inside VMRules. Lookups are pure
-// reads over private TupleSpaces.
+// CompiledVM is the immutable compiled form of a VM's rule state: the one
+// index Evaluate/QueueFor, the vswitch slow path and the sharded plane's
+// epochs all classify through. Lookups are pure reads over private
+// TupleSpaces, so concurrent shard readers may hold one indefinitely.
 type CompiledVM struct {
-	Tenant packet.TenantID
-	VMIP   packet.IP
-
-	sec     *TupleSpace[Action]
-	hasSec  bool
-	qos     *TupleSpace[int]
+	sec *TupleSpace[Action]
+	qos *TupleSpace[int]
+	// qosMask is the union of all QoS patterns' masks: the linear seed scan
+	// consulted every pattern, so a cached queue decision must pin at least
+	// the union when any rule exists (narrower would be unsound for the 0,
+	// no-match, default).
 	qosMask FieldMask
+
+	// Identity of the slices this was compiled from (VMRules' contract).
+	nSec, nQoS int
+	secHead    *SecurityRule
+	qosHead    *QoSRule
 }
 
-// Compile snapshots the VM's current rules into an immutable classifier.
-// The caller must hold whatever serialization protects mutations of v
-// (the control plane's publish path); the returned value shares nothing
-// mutable with v.
+// Compile returns the VM's compiled classifier: the cached one while the
+// rule slices are the ones it was built from, else a fresh value — never an
+// edit of the old one, which readers may still hold. The caller must hold
+// whatever serialization protects mutations of v (the control plane's
+// publish path).
 func (v *VMRules) Compile() *CompiledVM {
-	c := &CompiledVM{Tenant: v.Tenant, VMIP: v.VMIP, hasSec: len(v.Security) > 0}
-	c.sec = NewTupleSpace[Action]()
+	var secHead *SecurityRule
+	if len(v.Security) > 0 {
+		secHead = &v.Security[0]
+	}
+	var qosHead *QoSRule
+	if len(v.QoS) > 0 {
+		qosHead = &v.QoS[0]
+	}
+	if c := v.compiled; c != nil && c.nSec == len(v.Security) && c.secHead == secHead &&
+		c.nQoS == len(v.QoS) && c.qosHead == qosHead {
+		return c
+	}
+	c := &CompiledVM{
+		sec: NewTupleSpace[Action](), qos: NewTupleSpacePriorityOnly[int](),
+		nSec: len(v.Security), secHead: secHead, nQoS: len(v.QoS), qosHead: qosHead,
+	}
 	for i := range v.Security {
 		r := &v.Security[i]
-		// Same reachability rule as the lazy index: priorities below the
-		// linear scan's (-1, -1) sentinel can never win.
+		// The linear scan's sentinel is (priority -1, specificity -1):
+		// priority -1 rules still win on the specificity tie, only lower
+		// priorities are unreachable.
 		if r.Priority >= -1 {
 			c.sec.Insert(r.Pattern, r.Priority, r.Action)
 		}
 	}
-	c.qos = NewTupleSpacePriorityOnly[int]()
 	for i := range v.QoS {
 		r := &v.QoS[i]
 		c.qosMask = c.qosMask.Union(r.Pattern.Mask())
@@ -107,14 +127,23 @@ func (v *VMRules) Compile() *CompiledVM {
 			c.qos.Insert(r.Pattern, r.Priority, r.Queue)
 		}
 	}
+	v.compiled = c
 	return c
 }
 
 // HasRules reports whether the VM carries any security rules — the
 // vswitch's "rule-bearing endpoint" test.
-func (c *CompiledVM) HasRules() bool { return c.hasSec }
+func (c *CompiledVM) HasRules() bool { return c.nSec > 0 }
 
-// EvaluateMask mirrors VMRules.EvaluateMask on the compiled snapshot.
+// Evaluate is VMRules.Evaluate on the compiled index.
+func (c *CompiledVM) Evaluate(k packet.FlowKey) Action {
+	if a, ok := c.sec.Lookup(k); ok {
+		return a
+	}
+	return Deny
+}
+
+// EvaluateMask is VMRules.EvaluateMask on the compiled index.
 func (c *CompiledVM) EvaluateMask(k packet.FlowKey) (Action, FieldMask) {
 	a, ok, m := c.sec.LookupMask(k)
 	if !ok {
@@ -123,12 +152,15 @@ func (c *CompiledVM) EvaluateMask(k packet.FlowKey) (Action, FieldMask) {
 	return a, m
 }
 
-// QueueForMask mirrors VMRules.QueueForMask on the compiled snapshot.
+// QueueFor is VMRules.QueueFor on the compiled index.
+func (c *CompiledVM) QueueFor(k packet.FlowKey) int {
+	q, _ := c.qos.Lookup(k)
+	return q
+}
+
+// QueueForMask is VMRules.QueueForMask on the compiled index.
 func (c *CompiledVM) QueueForMask(k packet.FlowKey) (int, FieldMask) {
-	if q, ok := c.qos.Lookup(k); ok {
-		return q, c.qosMask
-	}
-	return 0, c.qosMask
+	return c.QueueFor(k), c.qosMask
 }
 
 // TunnelView is an immutable snapshot of a TunnelTable, shared read-only
@@ -144,14 +176,6 @@ func (t *TunnelTable) Snapshot() *TunnelView {
 		v.m[k] = m
 	}
 	return v
-}
-
-// Each calls fn for every mapping (control-plane seeding; order
-// unspecified).
-func (t *TunnelTable) Each(fn func(TunnelMapping)) {
-	for _, m := range t.m {
-		fn(m)
-	}
 }
 
 // Lookup returns the mapping for a tenant's destination VM.

@@ -89,11 +89,13 @@ type RateLimit struct {
 // VMRules is the complete rule state for one VM — everything that must
 // migrate with it (requirement S4).
 //
-// Evaluate/QueueFor are served by lazily built tuple-space indexes. The
-// exported rule slices stay the source of truth: the indexes detect
-// append/replace mutations by slice identity (length plus backing-array
-// head) and rebuild transparently, so existing callers that mutate
-// Security/QoS directly keep exact seed semantics.
+// The exported rule slices are the source of truth. Evaluate and QueueFor
+// (and their *Mask forms) are served by the CompiledVM that Compile caches
+// (epoch.go).
+//
+// Contract: rules change by append or by slice replacement. Compile detects
+// exactly those, by slice identity (length plus backing-array head), and no
+// code edits a rule in place, which it would not see.
 type VMRules struct {
 	Tenant   packet.TenantID
 	VMIP     packet.IP
@@ -103,95 +105,19 @@ type VMRules struct {
 	// splits it across the VIF and VF paths with FPS (§4.1.4).
 	Limit RateLimit
 
-	sec *secIndex
-	qos *qosIndex
+	compiled *CompiledVM
 }
-
-// secIndex is the lazily built security-rule classifier, tagged with the
-// identity of the slice it was built from.
-type secIndex struct {
-	ts   *TupleSpace[Action]
-	n    int
-	head *SecurityRule
-}
-
-// qosIndex is the lazily built QoS classifier (priority-only tie-break,
-// matching the seed scan).
-type qosIndex struct {
-	ts   *TupleSpace[int]
-	n    int
-	head *QoSRule
-	// mask is the union of all QoS patterns' masks: the linear seed scan
-	// consulted every pattern, so a cached queue decision must pin at
-	// least the union when any rule exists.
-	mask FieldMask
-}
-
-func (v *VMRules) secTS() *TupleSpace[Action] {
-	var head *SecurityRule
-	if len(v.Security) > 0 {
-		head = &v.Security[0]
-	}
-	if v.sec == nil || v.sec.n != len(v.Security) || v.sec.head != head {
-		ts := NewTupleSpace[Action]()
-		for i := range v.Security {
-			r := &v.Security[i]
-			// The linear scan's sentinel is (priority -1, specificity -1):
-			// priority -1 rules still win on the specificity tie, only
-			// lower priorities are unreachable.
-			if r.Priority >= -1 {
-				ts.Insert(r.Pattern, r.Priority, r.Action)
-			}
-		}
-		v.sec = &secIndex{ts: ts, n: len(v.Security), head: head}
-	}
-	return v.sec.ts
-}
-
-func (v *VMRules) qosTS() *qosIndex {
-	var head *QoSRule
-	if len(v.QoS) > 0 {
-		head = &v.QoS[0]
-	}
-	if v.qos == nil || v.qos.n != len(v.QoS) || v.qos.head != head {
-		ts := NewTupleSpacePriorityOnly[int]()
-		var mask FieldMask
-		for i := range v.QoS {
-			r := &v.QoS[i]
-			mask = mask.Union(r.Pattern.Mask())
-			if r.Priority >= 0 {
-				ts.Insert(r.Pattern, r.Priority, r.Queue)
-			}
-		}
-		v.qos = &qosIndex{ts: ts, n: len(v.QoS), head: head, mask: mask}
-	}
-	return v.qos
-}
-
-// InvalidateIndex drops the lazily built rule indexes; callers that
-// mutate a rule in place (same slice, same length) must call it. Append
-// and wholesale replacement are detected automatically.
-func (v *VMRules) InvalidateIndex() { v.sec, v.qos = nil, nil }
 
 // Evaluate returns the action of the highest-priority matching security
 // rule, breaking priority ties by specificity then order. If nothing
 // matches, the default is Deny: multi-tenant ACLs are explicit-allow
 // (§4.1.3: "By default, all other traffic is denied").
-func (v *VMRules) Evaluate(k packet.FlowKey) Action {
-	if a, ok := v.secTS().Lookup(k); ok {
-		return a
-	}
-	return Deny
-}
+func (v *VMRules) Evaluate(k packet.FlowKey) Action { return v.Compile().Evaluate(k) }
 
 // EvaluateMask is Evaluate plus the union of field masks consulted — the
 // megaflow wildcard for caching this verdict.
 func (v *VMRules) EvaluateMask(k packet.FlowKey) (Action, FieldMask) {
-	a, ok, m := v.secTS().LookupMask(k)
-	if !ok {
-		return Deny, m
-	}
-	return a, m
+	return v.Compile().EvaluateMask(k)
 }
 
 // EvaluateLinear is the seed linear-scan implementation, kept as the
@@ -215,22 +141,11 @@ func (v *VMRules) EvaluateLinear(k packet.FlowKey) Action {
 
 // QueueFor returns the QoS queue for the flow, or 0 (best effort) if no
 // QoS rule matches.
-func (v *VMRules) QueueFor(k packet.FlowKey) int {
-	if q, ok := v.qosTS().ts.Lookup(k); ok {
-		return q
-	}
-	return 0
-}
+func (v *VMRules) QueueFor(k packet.FlowKey) int { return v.Compile().QueueFor(k) }
 
-// QueueForMask is QueueFor plus the fields the decision depends on. The
-// mask is the conservative union over all QoS patterns: narrower would be
-// unsound for the 0 (no-match) default.
+// QueueForMask is QueueFor plus the fields the decision depends on.
 func (v *VMRules) QueueForMask(k packet.FlowKey) (int, FieldMask) {
-	idx := v.qosTS()
-	if q, ok := idx.ts.Lookup(k); ok {
-		return q, idx.mask
-	}
-	return 0, idx.mask
+	return v.Compile().QueueForMask(k)
 }
 
 // QueueForLinear is the seed linear-scan implementation, kept as the

@@ -199,20 +199,6 @@ func TestExactTable(t *testing.T) {
 	}
 }
 
-func TestExactTableExpire(t *testing.T) {
-	tbl := NewExactTable[int]()
-	old := tbl.Install(testKey, 1)
-	old.Stats.Hit(1, time.Second)
-	fresh := tbl.Install(testKey.Reverse(), 2)
-	fresh.Stats.Hit(1, 10*time.Second)
-	if n := tbl.Expire(5 * time.Second); n != 1 {
-		t.Errorf("Expire evicted %d, want 1", n)
-	}
-	if tbl.Lookup(testKey) != nil || tbl.Lookup(testKey.Reverse()) == nil {
-		t.Error("wrong entry evicted")
-	}
-}
-
 func TestTCAMCapacity(t *testing.T) {
 	tc := NewTCAM(2)
 	if err := tc.Insert(&TCAMEntry{Pattern: ExactPattern(testKey), Action: Allow}); err != nil {

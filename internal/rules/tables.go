@@ -87,19 +87,6 @@ func (t *ExactTable[V]) Entries(fn func(*ExactEntry[V])) {
 	}
 }
 
-// Expire removes entries idle since before deadline, returning how many
-// were evicted. OVS expires idle kernel flows the same way.
-func (t *ExactTable[V]) Expire(deadline time.Duration) int {
-	n := 0
-	for k, e := range t.entries {
-		if e.Stats.LastSeen < deadline {
-			delete(t.entries, k)
-			n++
-		}
-	}
-	return n
-}
-
 // ErrTCAMFull is returned when a hardware table has no free entries — the
 // fundamental constraint motivating FasTrak's flow selection (§1: "Due to
 // hardware space limitations, only a limited number of rules can be

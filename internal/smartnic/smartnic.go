@@ -147,12 +147,6 @@ type NIC struct {
 	counters     metrics.NICCounters
 	rec          *telemetry.Scoped
 
-	// onChange, when set, fires after every rule-table mutation (install,
-	// remove, lease expiry, reset, corruption). The host uses it to mirror
-	// the placed-pattern set into the sharded data plane's NIC-first
-	// egress table, so hardware placement changes publish a new epoch.
-	onChange func()
-
 	// leaseTTL, when non-zero, makes every installed rule a lease the
 	// local controller must refresh (any current-term leader contact
 	// refreshes them all) or the sweeper expires the rule back to the
@@ -184,15 +178,6 @@ func (n *NIC) SetForward(f Forward) { n.forward = f }
 
 // SetRecorder attaches a telemetry scope (nil-safe, like all scopes).
 func (n *NIC) SetRecorder(rec *telemetry.Scoped) { n.rec = rec }
-
-// SetOnChange registers a hook fired after every rule-table mutation.
-func (n *NIC) SetOnChange(fn func()) { n.onChange = fn }
-
-func (n *NIC) changed() {
-	if n.onChange != nil {
-		n.onChange()
-	}
-}
 
 // RegisterMetrics registers the NIC's counters with the central registry.
 func (n *NIC) RegisterMetrics(reg *telemetry.Registry, labels ...string) {
@@ -254,7 +239,6 @@ func (n *NIC) Install(p rules.Pattern, queue int) error {
 	if n.rec != nil {
 		n.rec.EmitPattern(telemetry.KindNICInstall, p.Tenant, p, "", float64(n.table.Len()), 0)
 	}
-	n.changed()
 	return nil
 }
 
@@ -269,7 +253,6 @@ func (n *NIC) Remove(p rules.Pattern) int {
 	if n.rec != nil {
 		n.rec.EmitPattern(telemetry.KindNICRemove, p.Tenant, p, "", float64(n.table.Len()), 0)
 	}
-	n.changed()
 	return removed
 }
 
@@ -476,7 +459,6 @@ func (n *NIC) sweepLeases() {
 			n.rec.EmitPattern(telemetry.KindLeaseExpire, p.Tenant, p, "nic", 1, float64(n.table.Len()))
 		}
 	}
-	n.changed()
 }
 
 // ResetTable models a firmware reset: the whole rule table is lost. The
@@ -494,7 +476,6 @@ func (n *NIC) ResetTable() int {
 	if n.rec != nil {
 		n.rec.Record(telemetry.Event{Kind: telemetry.KindNICReset, Cause: "reset", V1: float64(lost)})
 	}
-	n.changed()
 	return lost
 }
 
@@ -510,9 +491,6 @@ func (n *NIC) CorruptRules(prob float64, rng *rand.Rand) int {
 	}
 	if n.rec != nil {
 		n.rec.Record(telemetry.Event{Kind: telemetry.KindNICReset, Cause: "corrupt", V1: float64(lost)})
-	}
-	if lost > 0 {
-		n.changed()
 	}
 	return lost
 }

@@ -3,7 +3,6 @@ package vswitch
 import (
 	"testing"
 
-	"repro/internal/model"
 	"repro/internal/packet"
 	"repro/internal/rules"
 	"repro/internal/sim"
@@ -32,15 +31,14 @@ func TestFastPathAllocsWithTelemetryDisabled(t *testing.T) {
 
 	// Warm the wildcard cache: one slow-path evaluation's mask covers the
 	// whole port space, and an exact entry covers key(0) precisely.
-	v, mask := sw.evaluate(key(0))
-	sw.mega.install(key(0), mask, v, 0)
-	sw.fastpath.Install(key(0), v)
+	src := sw.endpoint(3, vmA.IP)
+	sw.core.miss(key(0), flowSlotHash(key(0)), src, nil)
 
 	t.Run("megaflow-hit", func(t *testing.T) {
 		i := 0
 		if n := testing.AllocsPerRun(1000, func() {
 			i++
-			if _, ok := sw.mega.lookup(key(i), 0); !ok {
+			if _, ok := sw.core.mega.lookup(key(i)); !ok {
 				t.Fatal("megaflow miss on warmed region")
 			}
 		}); n != 0 {
@@ -49,7 +47,7 @@ func TestFastPathAllocsWithTelemetryDisabled(t *testing.T) {
 	})
 	t.Run("exact-hit", func(t *testing.T) {
 		if n := testing.AllocsPerRun(1000, func() {
-			if e := sw.fastpath.Lookup(key(0)); e == nil {
+			if e := sw.core.exact.lookup(key(0), flowSlotHash(key(0))); e == nil {
 				t.Fatal("exact miss on installed key")
 			}
 		}); n != 0 {
@@ -60,7 +58,7 @@ func TestFastPathAllocsWithTelemetryDisabled(t *testing.T) {
 		i := 0
 		if n := testing.AllocsPerRun(1000, func() {
 			i++
-			sw.evaluate(key(i))
+			evaluate(key(i), src, nil)
 		}); n != 0 {
 			t.Fatalf("tuple-space evaluate allocates %v/op with telemetry disabled, want 0", n)
 		}
@@ -81,14 +79,12 @@ func TestVectorPipelineAllocs(t *testing.T) {
 	}
 	build := func(withTelemetry bool) (*ShardedPlane, *PlaneInjector, []VMKey, []*packet.Packet) {
 		eng := sim.NewEngine(1)
-		sw, _ := newSwitch(eng, model.VSwitchConfig{Tunneling: true}, &capture{})
-		r := &rules.VMRules{Tenant: 3, VMIP: vmA.IP, Security: []rules.SecurityRule{
+		pl := NewShardedPlane(PlaneConfig{Shards: 1, Tunneling: true, ServerIP: srvA, Now: eng.Now})
+		pl.AttachVM(vmA, &rules.VMRules{Tenant: 3, VMIP: vmA.IP, Security: []rules.SecurityRule{
 			{Pattern: rules.Pattern{Tenant: 3, Proto: packet.ProtoTCP}, Action: rules.Allow, Priority: 1},
-		}}
-		attach(sw, vmA, r)
+		}})
 		dst := packet.MustParseIP("10.0.9.9")
-		sw.SetTunnel(rules.TunnelMapping{Tenant: 3, VMIP: dst, Remote: srvB})
-		pl := sw.EnableShardedPlane(PlaneConfig{Shards: 1})
+		pl.SetTunnel(rules.TunnelMapping{Tenant: 3, VMIP: dst, Remote: srvB})
 		if withTelemetry {
 			rec := telemetry.NewRecorder(eng.Now, telemetry.Config{})
 			pl.SetRecorder(rec.Scope("plane"))
@@ -117,8 +113,8 @@ func TestVectorPipelineAllocs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pl, inj, keys, pkts := build(tc.withTelemetry)
-			// Warm: installs exact entries, the megaflow, and primes the
-			// encap and wire-buffer pools.
+			// Warm: installs exact entries and the megaflow, and sizes the
+			// shard's wire buffer.
 			vector(inj, keys, pkts)
 			vector(inj, keys, pkts)
 			before := pl.Counters()

@@ -65,12 +65,11 @@ func BenchmarkSlowPathClassify1k(b *testing.B) {
 	b.Run("megaflow", func(b *testing.B) {
 		// Warm: one upcall-equivalent classification installs the
 		// wildcard entry covering the whole port space.
-		v, mask := sw.evaluate(key(0))
-		sw.mega.install(key(0), mask, v, 0)
+		sw.core.miss(key(0), flowSlotHash(key(0)), sw.endpoint(3, vmA.IP), nil)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, ok := sw.mega.lookup(key(i), 0); !ok {
+			if _, ok := sw.core.mega.lookup(key(i)); !ok {
 				b.Fatal("megaflow miss on warmed region")
 			}
 		}
@@ -83,12 +82,13 @@ func BenchmarkSlowPathClassify1k(b *testing.B) {
 func BenchmarkUpcallEvaluate1k(b *testing.B) {
 	sw, _ := benchSwitch(1000)
 	dst := packet.MustParseIP("10.0.9.9")
+	src := sw.endpoint(3, vmA.IP)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		k := packet.FlowKey{
 			Tenant: 3, Src: vmA.IP, Dst: dst,
 			SrcPort: 40000, DstPort: uint16(1024 + i%40000), Proto: packet.ProtoTCP,
 		}
-		sw.evaluate(k)
+		evaluate(k, src, nil)
 	}
 }

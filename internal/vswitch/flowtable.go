@@ -6,15 +6,18 @@ import (
 	"repro/internal/packet"
 )
 
-// egressKind is what the plane does with an allowed flow's packets once
-// classification is over, in the order process tests them.
+// egressKind is what becomes of a flow's packets once classification is
+// over, in the order the plane's process tests them. The flow core installs
+// an entry as egressDeny or egressPlain, the verdict alone; the plane's
+// resolve then refines an allowed flow for its epoch, while Switch routes
+// live in transmit and leaves every allowed flow at egressPlain.
 type egressKind uint8
 
 const (
 	egressDeny     egressKind = iota // security rules reject the flow
 	egressNIC                        // a SmartNIC placement claims it: no software shaping or encap
 	egressLocal                      // destination vport on this host
-	egressPlain                      // tunneling off: leaves unencapsulated
+	egressPlain                      // allowed, nothing more resolved: leaves unencapsulated (plane, tunneling off)
 	egressTunnel                     // VXLAN toward flowAction.remote
 	egressNoTunnel                   // tunneling on and no mapping for the destination
 	egressNoVport                    // no source vport; per-packet only, never cached
@@ -31,7 +34,7 @@ type flowAction struct {
 	hash   uint64    // FlowKey.FastHash, the VXLAN source-port entropy (egressTunnel)
 	remote packet.IP // tunnel endpoint (egressTunnel)
 	bucket int32     // index into planeShard.buckets, or noBucket
-	queue  int32     // QoS queue, reported through OnVerdict and FlowSnapshot
+	queue  int32     // QoS queue
 	kind   egressKind
 }
 
@@ -39,31 +42,37 @@ type flowAction struct {
 // line and the garbage collector never scans the table.
 type flowEntry struct {
 	key         packet.FlowKey
-	gen         uint32 // live iff equal to flowTable.gen
+	gen         uint32 // live iff equal to flowTable.gen; a tombstone iff that with flowTomb set
 	pkts, bytes uint64
 	act         flowAction
 }
 
-// flowTable is a shard's exact-match cache: open addressing with linear
-// probing over a power-of-two slot array, bounded in space and in probe
-// length.
+// verdict is the rules' decision the entry caches.
+func (e *flowEntry) verdict() fpVerdict {
+	return fpVerdict{allow: e.act.kind != egressDeny, queue: int(e.act.queue)}
+}
+
+// flowTable is the exact-match cache: open addressing with linear probing
+// over a power-of-two slot array, bounded in space and in probe length.
 //
 // A key lives within flowProbeWindow slots of its home slot, in the run of
-// live slots that starts there; lookup walks that run and stops at the
-// first free slot. Nothing is ever deleted singly, so a run never gains a
-// gap that would hide the entries behind it — which is why there are no
-// tombstones. Space is reclaimed two other ways. flush retires every entry
-// at once by advancing gen (slots stamped with another gen are free), so
-// an epoch change costs O(1) and every run starts over empty. And an
-// insert that finds its window full overwrites one of the window's slots:
-// the victim's slot stays live, so every other key's run is as gapless as
-// before, and the new key sits inside its own run where lookup finds it.
+// occupied slots that starts there; lookup walks that run and stops at the
+// first free slot. A run must therefore never gain a gap that would hide
+// the entries behind it. remove keeps it gapless by leaving a tombstone:
+// the slot's stamp becomes gen|flowTomb, which lookup walks past and which,
+// being another stamp than gen, insert takes for free and each and grow
+// skip. flush retires every entry and tombstone at once by advancing gen
+// (slots stamped for another gen are free), so an epoch change costs O(1)
+// and every run starts over empty. And an insert that finds its window full
+// overwrites one of the window's slots: the victim's slot stays live, so
+// every other key's run is as gapless as before, and the new key sits
+// inside its own run where lookup finds it.
 //
-// The array doubles, rehashing the live entries with their counters, when
-// it is half full, up to ExactTableSlots. Below the cap that keeps runs
-// short and a full window rare; at the cap the window overwrite is the
-// eviction policy, with the victim offset rotating so two flows that
-// collide do not keep displacing each other.
+// The array doubles, rehashing the live entries with their counters (and
+// shedding the tombstones), when it is half full, up to ExactTableSlots.
+// Below the cap that keeps runs short and a full window rare; at the cap
+// the window overwrite is the eviction policy, with the victim offset
+// rotating so two flows that collide do not keep displacing each other.
 type flowTable struct {
 	slots []flowEntry
 	gen   uint32
@@ -74,6 +83,8 @@ type flowTable struct {
 const (
 	flowTableMinSlots = 1 << 10
 	flowProbeWindow   = 16
+	// flowTomb is the stamp bit that marks a removed slot; gen stays below it.
+	flowTomb = 1 << 31
 )
 
 func newFlowTable() *flowTable {
@@ -101,6 +112,9 @@ func (t *flowTable) lookup(k packet.FlowKey, h uint64) *flowEntry {
 	for i := uint64(0); i < flowProbeWindow; i++ {
 		e := &t.slots[(h+i)&mask]
 		if e.gen != t.gen {
+			if e.gen == t.gen|flowTomb {
+				continue
+			}
 			return nil
 		}
 		if e.key == k {
@@ -108,6 +122,12 @@ func (t *flowTable) lookup(k packet.FlowKey, h uint64) *flowEntry {
 		}
 	}
 	return nil
+}
+
+// remove retires the live entry e, leaving a tombstone in its slot.
+func (t *flowTable) remove(e *flowEntry) {
+	e.gen |= flowTomb
+	t.live--
 }
 
 // insert claims a slot for k, which lookup has just missed, and returns it
@@ -121,8 +141,8 @@ func (t *flowTable) insert(k packet.FlowKey, h uint64) *flowEntry {
 	return e
 }
 
-// place returns the slot an entry hashing to h goes in: the first free
-// slot of its window, else a victim.
+// place returns the slot an entry hashing to h goes in: the first free or
+// tombstoned slot of its window, else a victim.
 func (t *flowTable) place(h uint64) *flowEntry {
 	mask := uint64(len(t.slots) - 1)
 	for i := uint64(0); i < flowProbeWindow; i++ {
@@ -147,12 +167,12 @@ func (t *flowTable) grow() {
 }
 
 // flush retires every entry. A slot's stamp can only equal a later gen
-// again after 2^32 flushes, so on wrap-around the slots are cleared for
+// again after 2^31 flushes, so on wrap-around the slots are cleared for
 // real; gen 0 is never current, which makes a zeroed slot free.
 func (t *flowTable) flush() {
 	t.live = 0
 	t.gen++
-	if t.gen == 0 {
+	if t.gen == flowTomb {
 		clear(t.slots)
 		t.gen = 1
 	}

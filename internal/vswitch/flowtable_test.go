@@ -1,7 +1,7 @@
 package vswitch
 
 import (
-	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -164,17 +164,19 @@ func TestFlowTableEvictsInsideTheProbeRun(t *testing.T) {
 }
 
 // TestFlowTableGenWrap: flush is a generation bump, so a slot stamped long
-// ago must not come back to life when the 32-bit generation comes round
+// ago must not come back to life when the 31-bit generation comes round
 // to its stamp again.
 func TestFlowTableGenWrap(t *testing.T) {
 	ft := newFlowTable()
 	put(ft, 1) // stamped with generation 1
-	// 2^32-2 flushes later, none of which touched that slot:
-	ft.gen, ft.live = math.MaxUint32, 0
+	// 2^31-2 flushes later, none of which touched that slot:
+	ft.gen, ft.live = flowTomb-1, 0
 	put(ft, 2)
+	ft.remove(ft.lookup(tableKey(2), flowSlotHash(tableKey(2))))
+	put(ft, 2) // a tombstone and a live entry under the last generation
 	ft.flush() // wraps
-	if ft.gen == 0 {
-		t.Fatal("generation 0 is current: every zeroed slot is live")
+	if ft.gen == 0 || ft.gen >= flowTomb {
+		t.Fatalf("generation %#x is current: zeroed slots are live, or live ones tombstones", ft.gen)
 	}
 	for _, i := range []int{1, 2} {
 		k := tableKey(i)
@@ -187,6 +189,117 @@ func TestFlowTableGenWrap(t *testing.T) {
 	}
 	checkReachable(t, ft)
 	put(ft, 3)
+	checkReachable(t, ft)
+}
+
+// TestFlowTableRemovalAgainstMap drives random insert / remove / lookup /
+// flush, with growth and eviction arising on the way, and holds the table
+// to a map: whatever the table holds it holds with the map's counters, a
+// key absent from the map is absent from the table, and every live entry
+// is reachable through the tombstones removal leaves. The table may hold
+// less than the map (it evicts), never more and never something else.
+func TestFlowTableRemovalAgainstMap(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		keys, ops      int
+		removePerMille int
+	}{
+		{"below-cap", 3000, 60_000, 300},             // grows three times; tombstones shed by growth
+		{"heavy-removal", 400, 60_000, 480},          // never grows: tombstones pile up and are reused
+		{"at-cap", 3 * ExactTableSlots, 400_000, 50}, // window eviction and removal together
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			ft := newFlowTable()
+			oracle := map[packet.FlowKey]uint64{}
+			check := func() {
+				t.Helper()
+				checkReachable(t, ft)
+				ft.each(func(e *flowEntry) {
+					if want, ok := oracle[e.key]; !ok || want != e.pkts {
+						t.Fatalf("table holds %v with %d packets; the map has (%d, %v)", e.key, e.pkts, want, ok)
+					}
+				})
+			}
+			for op := 0; op < tc.ops; op++ {
+				i := rng.Intn(tc.keys)
+				k := tableKey(i)
+				h := flowSlotHash(k)
+				e := ft.lookup(k, h)
+				if _, ok := oracle[k]; !ok && e != nil {
+					t.Fatalf("op %d: key %d was removed or never inserted and the table still answers for it", op, i)
+				}
+				switch r := rng.Intn(1000); {
+				case r < tc.removePerMille:
+					if e != nil {
+						ft.remove(e)
+						if ft.lookup(k, h) != nil {
+							t.Fatalf("op %d: key %d found right after its removal", op, i)
+						}
+					}
+					delete(oracle, k)
+				case r == 999:
+					ft.flush()
+					clear(oracle)
+				default:
+					if e == nil { // also a key the table evicted: the map starts it over
+						e = ft.insert(k, h) // over a tombstone, a free slot, or a victim
+						oracle[k] = 0
+						if got := ft.lookup(k, h); got != e {
+							t.Fatalf("op %d: key %d not found right after its insert", op, i)
+						}
+					}
+					e.pkts++
+					oracle[k]++
+				}
+				if op%5000 == 0 {
+					check()
+				}
+			}
+			check()
+			if len(ft.slots) > ExactTableSlots {
+				t.Fatalf("table grew to %d slots", len(ft.slots))
+			}
+		})
+	}
+}
+
+// TestFlowTableRemoveInsideFullWindow: removal in the middle of a full
+// probe window must leave the keys behind it reachable, and the slot must
+// be the one the next insert for that window takes.
+func TestFlowTableRemoveInsideFullWindow(t *testing.T) {
+	ft := newFlowTable()
+	mask := uint64(len(ft.slots) - 1)
+	// Collect flowProbeWindow keys that share one home slot.
+	var keys []packet.FlowKey
+	home := flowSlotHash(tableKey(0)) & mask
+	for i := 0; len(keys) < flowProbeWindow+1; i++ {
+		if k := tableKey(i); flowSlotHash(k)&mask == home {
+			keys = append(keys, k)
+		}
+	}
+	extra := keys[flowProbeWindow]
+	keys = keys[:flowProbeWindow]
+	for _, k := range keys {
+		ft.insert(k, flowSlotHash(k))
+	}
+	mid := keys[flowProbeWindow/2]
+	midSlot := ft.lookup(mid, flowSlotHash(mid))
+	ft.remove(midSlot)
+	if ft.live != flowProbeWindow-1 {
+		t.Fatalf("live = %d after one removal from %d", ft.live, flowProbeWindow)
+	}
+	for _, k := range keys {
+		if got := ft.lookup(k, flowSlotHash(k)); (got != nil) != (k != mid) {
+			t.Fatalf("key %v after removing the window's middle: found=%v", k, got != nil)
+		}
+	}
+	if e := ft.insert(extra, flowSlotHash(extra)); e != midSlot {
+		t.Fatal("insert into the window did not reuse the tombstone")
+	}
+	if ft.live != flowProbeWindow {
+		t.Fatalf("live = %d after re-insert over the tombstone", ft.live)
+	}
 	checkReachable(t, ft)
 }
 
@@ -308,8 +421,8 @@ func TestPlaneMissMidVectorKeepsEarlierActions(t *testing.T) {
 	}
 	inj.Flush()
 	sh := pl.shards[0]
-	if len(sh.exact.slots) != flowTableMinSlots || sh.exact.live != flowTableMinSlots/2-2 {
-		t.Fatalf("set-up: %d slots holding %d", len(sh.exact.slots), sh.exact.live)
+	if len(sh.core.exact.slots) != flowTableMinSlots || sh.core.exact.live != flowTableMinSlots/2-2 {
+		t.Fatalf("set-up: %d slots holding %d", len(sh.core.exact.slots), sh.core.exact.live)
 	}
 
 	got = got[:0]
@@ -322,8 +435,8 @@ func TestPlaneMissMidVectorKeepsEarlierActions(t *testing.T) {
 	inj.Egress(vmA, denied) // hits again, in the table's new array
 	inj.Flush()
 
-	if len(sh.exact.slots) != 2*flowTableMinSlots {
-		t.Fatalf("the vector did not grow the table: %d slots", len(sh.exact.slots))
+	if len(sh.core.exact.slots) != 2*flowTableMinSlots {
+		t.Fatalf("the vector did not grow the table: %d slots", len(sh.core.exact.slots))
 	}
 	wantSeq := []verdict{{8001, false, 0}, {8002, true, 2}}
 	for i := 0; i < 8; i++ {

@@ -1,8 +1,6 @@
 package vswitch
 
 import (
-	"time"
-
 	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/rules"
@@ -14,12 +12,11 @@ import (
 // flush (a revalidation storm, exactly as in OVS under churn).
 const DefaultMegaflowLimit = 8192
 
-// ExactTableSlots caps each plane shard's exact-match flow table, in
-// 64-byte slots: 2 MiB a shard, four exact flows for every megaflow the
-// limit above admits, so a shard's memory does not grow with the flows it
-// has seen between publishes. Past the cap a new flow overwrites an old
-// one (flowTable). A constant, not a PlaneConfig field: one value is in
-// use.
+// ExactTableSlots caps an exact-match flow table (one per Switch, one per
+// plane shard), in 64-byte slots: 2 MiB, four exact flows for every
+// megaflow the limit above admits, so memory does not grow with the flows
+// seen. Past the cap a new flow overwrites an old one (flowTable). A
+// constant, not a config field: one value is in use.
 const ExactTableSlots = 1 << 15
 
 // megaflowCache is the wildcard decision cache between the exact-match
@@ -39,20 +36,12 @@ const ExactTableSlots = 1 << 15
 // keeping the cache semantically transparent (the differential tests
 // assert verdict identity against the linear reference under random
 // add/remove interleavings).
-// megaEntry is one installed megaflow: the cached verdict plus the last
-// virtual time it served a packet, for idle expiry (OVS datapath flows
-// idle out the same way — revalidation then reclassifies the next packet).
-type megaEntry struct {
-	v    fpVerdict
-	last time.Duration
-}
-
 type megaflowCache struct {
 	// masks lists distinct megaflow masks in first-install order; lookup
 	// probes each. The count stays small: it is bounded by the distinct
 	// consulted-mask unions the rule set can produce.
 	masks  []rules.FieldMask
-	tables map[rules.FieldMask]map[packet.FlowKey]*megaEntry
+	tables map[rules.FieldMask]map[packet.FlowKey]fpVerdict
 	size   int
 	limit  int
 	stats  metrics.CacheCounters
@@ -63,19 +52,17 @@ func newMegaflowCache(limit int) *megaflowCache {
 		limit = DefaultMegaflowLimit
 	}
 	return &megaflowCache{
-		tables: make(map[rules.FieldMask]map[packet.FlowKey]*megaEntry),
+		tables: make(map[rules.FieldMask]map[packet.FlowKey]fpVerdict),
 		limit:  limit,
 	}
 }
 
-// lookup returns the cached verdict covering k, if any, refreshing the
-// entry's idle clock.
-func (c *megaflowCache) lookup(k packet.FlowKey, now time.Duration) (fpVerdict, bool) {
+// lookup returns the cached verdict covering k, if any.
+func (c *megaflowCache) lookup(k packet.FlowKey) (fpVerdict, bool) {
 	for _, m := range c.masks {
-		if e, ok := c.tables[m][m.Apply(k)]; ok {
-			e.last = now
+		if v, ok := c.tables[m][m.Apply(k)]; ok {
 			c.stats.Hits++
-			return e.v, true
+			return v, true
 		}
 	}
 	c.stats.Misses++
@@ -83,42 +70,22 @@ func (c *megaflowCache) lookup(k packet.FlowKey, now time.Duration) (fpVerdict, 
 }
 
 // install caches a slow-path verdict under the consulted-field mask.
-func (c *megaflowCache) install(k packet.FlowKey, mask rules.FieldMask, v fpVerdict, now time.Duration) {
+func (c *megaflowCache) install(k packet.FlowKey, mask rules.FieldMask, v fpVerdict) {
 	if c.size >= c.limit {
 		c.flush()
 	}
 	tbl, ok := c.tables[mask]
 	if !ok {
-		tbl = make(map[packet.FlowKey]*megaEntry)
+		tbl = make(map[packet.FlowKey]fpVerdict)
 		c.tables[mask] = tbl
 		c.masks = append(c.masks, mask)
 	}
 	mk := mask.Apply(k)
-	if e, exists := tbl[mk]; exists {
-		e.v, e.last = v, now
-	} else {
-		tbl[mk] = &megaEntry{v: v, last: now}
+	if _, exists := tbl[mk]; !exists {
 		c.size++
 	}
+	tbl[mk] = v
 	c.stats.Installs++
-}
-
-// expire removes entries idle since before deadline, counting them as
-// evictions. Returns how many were removed.
-func (c *megaflowCache) expire(deadline time.Duration) int {
-	n := 0
-	for _, m := range c.masks {
-		tbl := c.tables[m]
-		for mk, e := range tbl {
-			if e.last < deadline {
-				delete(tbl, mk)
-				n++
-			}
-		}
-	}
-	c.size -= n
-	c.stats.Evictions += uint64(n)
-	return n
 }
 
 // invalidate removes every entry whose match region overlaps the pattern,

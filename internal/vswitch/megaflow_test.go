@@ -183,7 +183,7 @@ func TestMegaflowOverflowFlushes(t *testing.T) {
 	eng := sim.NewEngine(1)
 	up := &capture{}
 	sw, _ := newSwitch(eng, model.VSwitchConfig{}, up)
-	sw.mega = newMegaflowCache(4)
+	sw.core.mega = newMegaflowCache(4)
 	r := &rules.VMRules{Tenant: 3, VMIP: vmA.IP}
 	// Port-pinned rules give every destination port its own megaflow.
 	for port := uint16(1000); port < 1010; port++ {

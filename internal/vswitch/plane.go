@@ -1,10 +1,10 @@
 // Sharded data plane: the vswitch's throughput mode. The deterministic
 // discrete-event path (vswitch.go) processes one packet at a time on the
 // sim's single logical core; the ShardedPlane runs the same
-// classification semantics across N worker goroutines, RSS-style — flows
-// are sharded by FastHash(FlowKey) % N, each shard owns a private exact
-// cache and megaflow cache (no locks on the hot path), and packets move
-// in pooled vectors (~32) so per-packet overheads amortize per batch.
+// classification core (flowcore.go) across N worker goroutines, RSS-style
+// — flows are sharded by FastHash(FlowKey) % N, each shard owns a private
+// flow core (no locks on the hot path), and packets move in pooled
+// vectors (~32) so per-packet overheads amortize per batch.
 //
 // Control-plane mutations (rule installs, invalidations, VM
 // attach/detach, tunnel updates, VIF limits, NIC placements) never touch
@@ -88,31 +88,6 @@ type planeTables struct {
 	nicN int
 	// limits holds per-VIF egress rates in bps (htb split across shards).
 	limits map[VMKey]float64
-}
-
-// evaluate mirrors Switch.evaluate on the compiled snapshot: verdict from
-// the rules of the local endpoint VMs, source endpoint first, denying if
-// any rule-bearing endpoint denies, plus the consulted-field mask union.
-func (t *planeTables) evaluate(k packet.FlowKey) (fpVerdict, rules.FieldMask) {
-	verdict := fpVerdict{allow: true}
-	mask := rules.FieldMask{Tenant: true, SrcPrefix: 32, DstPrefix: 32}
-	for _, ip := range [2]packet.IP{k.Src, k.Dst} {
-		c, ok := t.vms[VMKey{Tenant: k.Tenant, IP: ip}]
-		if !ok || !c.HasRules() {
-			continue
-		}
-		a, m := c.EvaluateMask(k)
-		mask = mask.Union(m)
-		if a != rules.Allow {
-			return fpVerdict{}, mask
-		}
-		q, qm := c.QueueForMask(k)
-		mask = mask.Union(qm)
-		if q > verdict.queue {
-			verdict.queue = q
-		}
-	}
-	return verdict, mask
 }
 
 // PlaneCounters is the merged per-shard counter snapshot. Every packet
@@ -222,12 +197,14 @@ func (pl *ShardedPlane) EnableSketch(acct *sketch.Accountant) {
 		panic("vswitch: accountant shard count must match plane shards")
 	}
 	for i, sh := range pl.shards {
-		sh.sk = acct.Shard(i)
+		sh.core.sk = acct.Shard(i)
 	}
 }
 
 // buildTables compiles the control-plane state into an immutable
-// snapshot. Caller holds mu (or has exclusive access at construction).
+// snapshot; a VM whose rules have not changed since the last one keeps its
+// compiled index (VMRules.Compile). Caller holds mu (or has exclusive
+// access at construction).
 func (pl *ShardedPlane) buildTables() *planeTables {
 	t := &planeTables{
 		vms:     make(map[VMKey]*rules.CompiledVM, len(pl.vms)),
@@ -256,8 +233,8 @@ func (pl *ShardedPlane) publishLocked() {
 }
 
 // AttachVM publishes a VM attachment. The rules pointer is compiled at
-// publish time; later in-place mutations of it require a fresh AttachVM
-// or Invalidate call to take effect (the Switch mutators do this).
+// publish time; later changes to its rule slices require a fresh AttachVM
+// or Invalidate call to take effect.
 func (pl *ShardedPlane) AttachVM(key VMKey, r *rules.VMRules) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
@@ -397,11 +374,9 @@ type PlaneFlowStat struct {
 func (pl *ShardedPlane) FlowSnapshot() []PlaneFlowStat {
 	var out []PlaneFlowStat
 	for _, sh := range pl.shards {
-		sh.exact.each(func(e *flowEntry) {
-			out = append(out, PlaneFlowStat{
-				Key: e.key, Allow: e.act.kind != egressDeny, Queue: int(e.act.queue),
-				Packets: e.pkts, Bytes: e.bytes,
-			})
+		sh.core.exact.each(func(e *flowEntry) {
+			v := e.verdict()
+			out = append(out, PlaneFlowStat{Key: e.key, Allow: v.allow, Queue: v.queue, Packets: e.pkts, Bytes: e.bytes})
 		})
 	}
 	return out
@@ -412,7 +387,7 @@ func (pl *ShardedPlane) FlowSnapshot() []PlaneFlowStat {
 func (pl *ShardedPlane) ActiveFlows() int {
 	n := 0
 	for _, sh := range pl.shards {
-		n += sh.exact.live
+		n += sh.core.exact.live
 	}
 	return n
 }
@@ -504,51 +479,3 @@ func (in *PlaneInjector) flushShard(i int) {
 	in.pl.shards[i].in <- shardMsg{vec: v}
 	in.cur[i] = nil
 }
-
-// EnableShardedPlane builds a sharded data plane mirroring this switch's
-// current rule state (vports, tunnels, VIF limits) and keeps it in sync:
-// from now on every control-plane mutation on the Switch (AttachVM,
-// DetachVM, SetTunnel, RemoveTunnel, SetVIFLimits, Invalidate) also
-// republishes the plane's epoch. The deterministic sim path is untouched
-// — the plane is a parallel wall-clock engine fed through injectors.
-//
-// Config defaults taken from the switch: ServerIP, Tunneling, and (when
-// cfg.Now is nil) the sim's virtual clock, so the inline single-shard
-// mode stays deterministic even with shaping enabled.
-func (s *Switch) EnableShardedPlane(cfg PlaneConfig) *ShardedPlane {
-	if s.plane != nil {
-		return s.plane
-	}
-	if cfg.ServerIP == 0 {
-		cfg.ServerIP = s.serverIP
-	}
-	if !cfg.Tunneling {
-		cfg.Tunneling = s.cfg.Tunneling
-	}
-	if cfg.Now == nil {
-		cfg.Now = s.eng.Now
-	}
-	pl := NewShardedPlane(cfg)
-	// Seed from the current control-plane state in one batch, then a
-	// single publish.
-	pl.mu.Lock()
-	for key, vp := range s.vports {
-		r := vp.rules
-		if r == nil {
-			r = &rules.VMRules{Tenant: key.Tenant, VMIP: key.IP}
-		}
-		pl.vms[key] = r
-		if s.cfg.RateLimitBps > 0 {
-			pl.limits[key] = s.cfg.RateLimitBps
-		}
-	}
-	s.tunnels.Each(func(m rules.TunnelMapping) { pl.tunnels.Set(m) })
-	pl.publishLocked()
-	pl.mu.Unlock()
-	s.plane = pl
-	return pl
-}
-
-// Plane returns the switch's sharded data plane, or nil when only the
-// deterministic path is enabled.
-func (s *Switch) Plane() *ShardedPlane { return s.plane }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/fabric"
 	"repro/internal/model"
 	"repro/internal/packet"
 	"repro/internal/rules"
@@ -39,34 +40,57 @@ func planeRuleSet(rng *rand.Rand, tenant packet.TenantID, ip packet.IP) *rules.V
 	return r
 }
 
-// TestPlaneVerdictParity checks the sharded plane's whole classification
-// stack (compiled epochs + per-shard exact and megaflow caches) against
-// the deterministic switch's evaluate over randomized rules and keys.
+// TestPlaneVerdictParity drives both harnesses of the flow core, the
+// sharded plane and the deterministic Switch, with the same 2,000 packets
+// over randomized rules and checks each one's verdicts (through compiled
+// rules, exact and megaflow caches) against the seed linear scan of the
+// endpoints' rules: Switch ≡ plane ≡ linear.
 func TestPlaneVerdictParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	eng := sim.NewEngine(1)
-	sw, _ := newSwitch(eng, model.VSwitchConfig{}, &capture{})
-	var keys []VMKey
-	for i := 0; i < 6; i++ {
-		key := VMKey{Tenant: 3, IP: packet.MakeIP(10, 0, 0, byte(1+i))}
-		attach(sw, key, planeRuleSet(rng, 3, key.IP))
-		keys = append(keys, key)
-	}
-
+	up := &capture{}
+	sw, _ := newSwitch(eng, model.VSwitchConfig{}, up)
 	type rec struct {
 		allow bool
 		queue int
 	}
 	got := map[packet.FlowKey]rec{}
-	pl := sw.EnableShardedPlane(PlaneConfig{
-		Shards: 1,
+	pl := NewShardedPlane(PlaneConfig{
+		Shards: 1, ServerIP: srvA,
 		OnVerdict: func(_ int, k packet.FlowKey, allow bool, queue int) {
 			got[k] = rec{allow, queue}
 		},
 	})
+	var keys []VMKey
+	vmRules := map[VMKey]*rules.VMRules{}
+	local := map[packet.FlowKey]int{} // packets the switch delivers to a local VM, by flow
+	for i := 0; i < 6; i++ {
+		key := VMKey{Tenant: 3, IP: packet.MakeIP(10, 0, 0, byte(1+i))}
+		r := planeRuleSet(rng, 3, key.IP)
+		sw.AttachVM(key, r, fabric.PortFunc(func(p *packet.Packet) { local[p.Key()]++ }), Inline)
+		pl.AttachVM(key, r)
+		keys, vmRules[key] = append(keys, key), r
+	}
+	// The reference: the seed linear scan of each attached endpoint's rules,
+	// source first, deny wins, highest queue.
+	linear := func(k packet.FlowKey) rec {
+		v := rec{allow: true}
+		for _, ip := range [2]packet.IP{k.Src, k.Dst} {
+			r, ok := vmRules[VMKey{Tenant: k.Tenant, IP: ip}]
+			if !ok || len(r.Security) == 0 {
+				continue
+			}
+			if r.EvaluateLinear(k) != rules.Allow {
+				return rec{}
+			}
+			v.queue = max(v.queue, r.QueueForLinear(k))
+		}
+		return v
+	}
 	inj := pl.NewInjector()
 
 	want := map[packet.FlowKey]rec{}
+	sent := map[packet.FlowKey]int{}
 	for i := 0; i < 2000; i++ {
 		src := keys[rng.Intn(len(keys))]
 		var dst packet.IP
@@ -77,13 +101,13 @@ func TestPlaneVerdictParity(t *testing.T) {
 		}
 		p := packet.NewTCP(3, src.IP, dst, uint16(40000+rng.Intn(64)), uint16(8000+rng.Intn(10)), 128)
 		k := p.Key()
-		if _, seen := want[k]; !seen {
-			v, _ := sw.evaluate(k)
-			want[k] = rec{v.allow, v.queue}
-		}
+		want[k] = linear(k)
+		sent[k]++
 		inj.Egress(src, p)
+		sw.OutputFromVM(src, p)
 	}
 	inj.Flush()
+	eng.Run()
 
 	if len(got) != len(want) {
 		t.Fatalf("plane classified %d distinct flows, reference saw %d", len(got), len(want))
@@ -104,24 +128,44 @@ func TestPlaneVerdictParity(t *testing.T) {
 	if acc := c.Tx + c.Denied + c.Unrouted + c.Drops.Total(); acc != c.Packets {
 		t.Fatalf("conservation violated: packets=%d accounted=%d (%+v)", c.Packets, acc, c)
 	}
+
+	// The switch shows its verdicts by what it does with each flow's packets:
+	// an allowed flow's all reach the uplink or a local VM, a denied flow's
+	// none; and the entry it cached holds the queue.
+	delivered := local
+	for _, p := range up.pkts {
+		delivered[p.Key()]++
+	}
+	for k, w := range want {
+		if n := delivered[k]; w.allow && n != sent[k] || !w.allow && n != 0 {
+			t.Fatalf("flow %v: switch delivered %d of %d packets, reference verdict %+v", k, n, sent[k], w)
+		}
+		e := sw.core.exact.lookup(k, flowSlotHash(k))
+		if e == nil {
+			t.Fatalf("flow %v has no exact entry in the switch", k)
+		}
+		if v := e.verdict(); (rec{v.allow, v.queue}) != w {
+			t.Fatalf("flow %v: switch cached %+v, reference %+v", k, v, w)
+		}
+	}
+	if tel := sw.Counters(); tel.Tx+tel.Denied != 2000 || tel.Denied != c.Denied {
+		t.Fatalf("switch counters %+v, plane denied %d", tel, c.Denied)
+	}
 }
 
-// TestPlaneEpochFlush checks that control-plane mutations routed through
-// the switch republish epochs and the shard flushes its caches: a flow's
-// verdict flips after its VM's rules change, and the flush is counted.
+// TestPlaneEpochFlush checks that control-plane mutations republish epochs
+// and the shard flushes its caches: a flow's verdict flips after its VM's
+// rules change, and the flush is counted.
 func TestPlaneEpochFlush(t *testing.T) {
-	eng := sim.NewEngine(1)
-	sw, _ := newSwitch(eng, model.VSwitchConfig{}, &capture{})
 	allow := &rules.VMRules{Tenant: 3, VMIP: vmA.IP, Security: []rules.SecurityRule{
 		{Pattern: rules.Pattern{Tenant: 3}, Action: rules.Allow, Priority: 1},
 	}}
-	attach(sw, vmA, allow)
-
 	var verdicts []bool
-	pl := sw.EnableShardedPlane(PlaneConfig{
+	pl := NewShardedPlane(PlaneConfig{
 		Shards:    1,
 		OnVerdict: func(_ int, _ packet.FlowKey, a bool, _ int) { verdicts = append(verdicts, a) },
 	})
+	pl.AttachVM(vmA, allow)
 	inj := pl.NewInjector()
 	send := func() {
 		inj.Egress(vmA, sendPkt(3, vmA.IP, packet.MustParseIP("10.0.9.9"), 80, 100))
@@ -134,7 +178,7 @@ func TestPlaneEpochFlush(t *testing.T) {
 	deny := &rules.VMRules{Tenant: 3, VMIP: vmA.IP, Security: []rules.SecurityRule{
 		{Pattern: rules.Pattern{Tenant: 3}, Action: rules.Deny, Priority: 1},
 	}}
-	attach(sw, vmA, deny) // Switch.AttachVM republishes the plane epoch
+	pl.AttachVM(vmA, deny)
 	if pl.EpochSeq() == seq {
 		t.Fatal("AttachVM did not publish a new epoch")
 	}
@@ -155,13 +199,10 @@ func TestPlaneEpochFlush(t *testing.T) {
 // TestPlaneTunnelAndLocalOutcomes checks the egress arm: local vport
 // delivery, VXLAN-tunneled transmit, and no-tunnel unrouted accounting.
 func TestPlaneTunnelAndLocalOutcomes(t *testing.T) {
-	eng := sim.NewEngine(1)
-	sw, _ := newSwitch(eng, model.VSwitchConfig{Tunneling: true}, &capture{})
-	attach(sw, vmA, nil)
-	attach(sw, vmB, nil)
-	sw.SetTunnel(rules.TunnelMapping{Tenant: 3, VMIP: packet.MustParseIP("10.0.9.9"), Remote: srvB})
-
-	pl := sw.EnableShardedPlane(PlaneConfig{Shards: 1})
+	pl := NewShardedPlane(PlaneConfig{Shards: 1, Tunneling: true, ServerIP: srvA})
+	pl.AttachVM(vmA, nil)
+	pl.AttachVM(vmB, nil)
+	pl.SetTunnel(rules.TunnelMapping{Tenant: 3, VMIP: packet.MustParseIP("10.0.9.9"), Remote: srvB})
 	inj := pl.NewInjector()
 	inj.Egress(vmA, sendPkt(3, vmA.IP, vmB.IP, 80, 100))                                                                            // local
 	inj.Egress(vmA, sendPkt(3, vmA.IP, packet.MustParseIP("10.0.9.9"), 80, 100))                                                    // tunneled
@@ -182,13 +223,10 @@ func TestPlaneTunnelAndLocalOutcomes(t *testing.T) {
 // SmartNIC placement leave through the NIC-first arm, and that removing
 // the placement returns them to the software path.
 func TestPlaneNICFirstEgress(t *testing.T) {
-	eng := sim.NewEngine(1)
-	sw, _ := newSwitch(eng, model.VSwitchConfig{Tunneling: true}, &capture{})
-	attach(sw, vmA, nil)
+	pl := NewShardedPlane(PlaneConfig{Shards: 1, Tunneling: true, ServerIP: srvA})
+	pl.AttachVM(vmA, nil)
 	dst := packet.MustParseIP("10.0.9.9")
-	sw.SetTunnel(rules.TunnelMapping{Tenant: 3, VMIP: dst, Remote: srvB})
-
-	pl := sw.EnableShardedPlane(PlaneConfig{Shards: 1})
+	pl.SetTunnel(rules.TunnelMapping{Tenant: 3, VMIP: dst, Remote: srvB})
 	pl.SetNICPlacements([]rules.Pattern{{Tenant: 3, Src: vmA.IP, SrcPrefix: 32, Dst: dst, DstPrefix: 32}})
 	inj := pl.NewInjector()
 	send := func() {
@@ -211,12 +249,9 @@ func TestPlaneNICFirstEgress(t *testing.T) {
 // still closes.
 func TestPlaneShapingDrops(t *testing.T) {
 	eng := sim.NewEngine(1)
-	sw, _ := newSwitch(eng, model.VSwitchConfig{}, &capture{})
-	attach(sw, vmA, nil)
-	pl := sw.EnableShardedPlane(PlaneConfig{Shards: 1})     // Now defaults to eng.Now
-	if err := sw.SetVIFLimits(vmA, 80_000, 0); err != nil { // 10 KB/s
-		t.Fatal(err)
-	}
+	pl := NewShardedPlane(PlaneConfig{Shards: 1, Now: eng.Now})
+	pl.AttachVM(vmA, nil)
+	pl.SetVIFLimit(vmA, 80_000) // 10 KB/s
 	inj := pl.NewInjector()
 	for i := 0; i < 100; i++ {
 		inj.Egress(vmA, sendPkt(3, vmA.IP, packet.MustParseIP("10.0.9.9"), 80, 1400))
@@ -241,16 +276,14 @@ func TestPlaneShapingDrops(t *testing.T) {
 func TestPlaneInlineDeterminism(t *testing.T) {
 	run := func() (PlaneCounters, map[packet.FlowKey]PlaneFlowStat) {
 		rng := rand.New(rand.NewSource(99))
-		eng := sim.NewEngine(1)
-		sw, _ := newSwitch(eng, model.VSwitchConfig{Tunneling: true}, &capture{})
+		pl := NewShardedPlane(PlaneConfig{Shards: 1, Tunneling: true, ServerIP: srvA})
 		var keys []VMKey
 		for i := 0; i < 4; i++ {
 			key := VMKey{Tenant: 3, IP: packet.MakeIP(10, 0, 0, byte(1+i))}
-			attach(sw, key, planeRuleSet(rng, 3, key.IP))
+			pl.AttachVM(key, planeRuleSet(rng, 3, key.IP))
 			keys = append(keys, key)
 		}
-		sw.SetTunnel(rules.TunnelMapping{Tenant: 3, VMIP: packet.MustParseIP("10.0.9.9"), Remote: srvB})
-		pl := sw.EnableShardedPlane(PlaneConfig{Shards: 1})
+		pl.SetTunnel(rules.TunnelMapping{Tenant: 3, VMIP: packet.MustParseIP("10.0.9.9"), Remote: srvB})
 		inj := pl.NewInjector()
 		for i := 0; i < 3000; i++ {
 			src := keys[rng.Intn(len(keys))]
@@ -260,7 +293,7 @@ func TestPlaneInlineDeterminism(t *testing.T) {
 			}
 			inj.Egress(src, packet.NewTCP(3, src.IP, dst, uint16(40000+rng.Intn(32)), uint16(8000+rng.Intn(8)), 200))
 			if rng.Intn(500) == 0 {
-				sw.Invalidate(rules.Pattern{Tenant: 3})
+				pl.Invalidate(rules.Pattern{Tenant: 3})
 			}
 		}
 		inj.Flush()
@@ -314,7 +347,7 @@ func TestPlaneWorkerModeBasics(t *testing.T) {
 	}
 	perFlowShard := map[packet.FlowKey]int{}
 	for sh, s := range pl.shards {
-		s.exact.each(func(e *flowEntry) {
+		s.core.exact.each(func(e *flowEntry) {
 			if prev, dup := perFlowShard[e.key]; dup && prev != sh {
 				t.Fatalf("flow %v present on shards %d and %d", e.key, prev, sh)
 			}

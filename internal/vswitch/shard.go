@@ -8,7 +8,6 @@ import (
 	"repro/internal/packet"
 	"repro/internal/ratelimit"
 	"repro/internal/rules"
-	"repro/internal/sketch"
 	"repro/internal/telemetry"
 	"repro/internal/tunnel"
 )
@@ -93,9 +92,12 @@ type planeShard struct {
 	seq    uint64
 	tables *planeTables
 
-	// Private caches, flushed wholesale on epoch change.
-	exact *flowTable
-	mega  *megaflowCache
+	// core holds the private caches, flushed wholesale on epoch change. Its
+	// sketch hook, when set (ShardedPlane.EnableSketch), gets each classified
+	// packet's (1 pkt, wire bytes) accrual; it is owned exclusively by this
+	// shard's goroutine, and merged reads follow the FlowSnapshot quiescence
+	// contract.
+	core flowCore
 
 	// Shaping buckets, kept across epochs (keepBuckets). Flow entries name
 	// a bucket by its index, which is stable for the length of an epoch.
@@ -113,20 +115,13 @@ type planeShard struct {
 	// rec is set only in inline mode (SetRecorder); worker shards leave
 	// it nil because Recorder event sequencing is single-goroutine.
 	rec *telemetry.Scoped
-
-	// sk, when non-nil (ShardedPlane.EnableSketch), receives every
-	// classified packet's (1 pkt, wire bytes) accrual. Owned exclusively
-	// by this shard's goroutine; merged reads follow the FlowSnapshot
-	// quiescence contract.
-	sk *sketch.ShardSketch
 }
 
 func newPlaneShard(pl *ShardedPlane, id int) *planeShard {
 	sh := &planeShard{
 		plane:    pl,
 		id:       id,
-		exact:    newFlowTable(),
-		mega:     newMegaflowCache(DefaultMegaflowLimit),
+		core:     newFlowCore(),
 		bucketAt: make(map[VMKey]int32),
 		wire:     make([]byte, 0, 2048),
 	}
@@ -157,10 +152,7 @@ func (sh *planeShard) run() {
 func (sh *planeShard) adoptEpoch(ep *rules.Epoch[*planeTables]) {
 	if sh.tables != nil {
 		sh.c.EpochFlushes++
-		sh.exact.flush()
-		if sh.mega.Len() > 0 {
-			sh.mega.flush()
-		}
+		sh.core.flush()
 		sh.keepBuckets(ep.Tables)
 	}
 	sh.seq = ep.Seq
@@ -202,11 +194,10 @@ func (sh *planeShard) bucketFor(key VMKey, bps float64) int32 {
 	return i
 }
 
-// resolve computes an installed flow's action from the epoch's tables, in
-// the order egress tests the outcomes.
-func (sh *planeShard) resolve(t *planeTables, k packet.FlowKey, v fpVerdict) flowAction {
-	a := flowAction{kind: egressDeny, bucket: noBucket, queue: int32(v.queue)}
-	if !v.allow {
+// resolve refines the action the core installed for a flow (its verdict)
+// from the epoch's tables, in the order egress tests the outcomes.
+func (sh *planeShard) resolve(t *planeTables, k packet.FlowKey, a flowAction) flowAction {
+	if a.kind == egressDeny {
 		return a
 	}
 	// NIC-first egress: flows the SmartNIC has placed leave through
@@ -260,34 +251,26 @@ func (sh *planeShard) process(v *packet.Vector) {
 	for i := 0; i < n; i++ {
 		k := sh.keys[i]
 		h := flowSlotHash(k)
-		e := sh.exact.lookup(k, h)
+		e := sh.core.exact.lookup(k, h)
 		if e != nil {
 			sh.rec.Hit(telemetry.KindExactHit, k.Tenant, k)
 		} else {
 			// A live entry proves the source vport exists in this epoch, so
-			// only a miss has to look — mirror of the vswitch's unknown-VM
-			// egress check, resolved before classification.
-			if _, ok := t.vms[VMKey{Tenant: k.Tenant, IP: k.Src}]; !ok {
+			// only a miss has to look — Switch's unknown-VM egress check,
+			// resolved before classification.
+			src, ok := t.vms[VMKey{Tenant: k.Tenant, IP: k.Src}]
+			if !ok {
 				sh.acts[i].kind = egressNoVport
 				continue
 			}
-			fv, ok := sh.mega.lookup(k, 0)
-			if !ok {
-				var mask rules.FieldMask
-				fv, mask = t.evaluate(k)
-				sh.mega.install(k, mask, fv, 0)
-			} else {
+			if e = sh.core.promote(k, h); e != nil {
 				sh.rec.Hit(telemetry.KindMegaflowHit, k.Tenant, k)
+			} else {
+				e, _ = sh.core.miss(k, h, src, t.vms[VMKey{Tenant: k.Tenant, IP: k.Dst}])
 			}
-			e = sh.exact.insert(k, h)
-			e.act = sh.resolve(t, k, fv)
+			e.act = sh.resolve(t, k, e.act)
 		}
-		wireLen := uint64(pkts[i].WireLen())
-		e.pkts++
-		e.bytes += wireLen
-		if sh.sk != nil {
-			sh.sk.Observe(k, 1, wireLen)
-		}
+		sh.core.accrue(e, 1, uint64(pkts[i].WireLen()))
 		sh.acts[i] = e.act
 	}
 
@@ -351,5 +334,5 @@ func (sh *planeShard) process(v *packet.Vector) {
 
 	sh.c.Vectors++
 	sh.c.Packets += uint64(n)
-	sh.snap.publish(&sh.c, &sh.mega.stats)
+	sh.snap.publish(&sh.c, &sh.core.mega.stats)
 }

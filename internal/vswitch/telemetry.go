@@ -32,13 +32,13 @@ func (s *Switch) RegisterMetrics(reg *telemetry.Registry, labels ...string) {
 	reg.Counter("fastrak_vswitch_drops_total", "intentional drops by cause", &s.drops.Shape, lbl("cause=shape")...)
 	reg.Counter("fastrak_vswitch_drops_total", "intentional drops by cause", &s.drops.UpcallQueue, lbl("cause=upcall-queue")...)
 	reg.Counter("fastrak_vswitch_drops_total", "intentional drops by cause", &s.drops.Clamp, lbl("cause=clamp")...)
-	reg.Counter("fastrak_vswitch_megaflow_hits_total", "megaflow cache hits", &s.mega.stats.Hits, lbl()...)
-	reg.Counter("fastrak_vswitch_megaflow_misses_total", "megaflow cache misses", &s.mega.stats.Misses, lbl()...)
-	reg.Counter("fastrak_vswitch_megaflow_installs_total", "megaflow cache installs", &s.mega.stats.Installs, lbl()...)
-	reg.Counter("fastrak_vswitch_megaflow_evictions_total", "megaflow capacity evictions", &s.mega.stats.Evictions, lbl()...)
-	reg.Counter("fastrak_vswitch_megaflow_invalidations_total", "megaflow rule-change invalidations", &s.mega.stats.Invalidations, lbl()...)
-	reg.Gauge("fastrak_vswitch_active_flows", "exact-match fast-path entries", func() float64 { return float64(s.fastpath.Len()) }, lbl()...)
-	reg.Gauge("fastrak_vswitch_active_megaflows", "megaflow wildcard cache entries", func() float64 { return float64(s.mega.Len()) }, lbl()...)
+	reg.Counter("fastrak_vswitch_megaflow_hits_total", "megaflow cache hits", &s.core.mega.stats.Hits, lbl()...)
+	reg.Counter("fastrak_vswitch_megaflow_misses_total", "megaflow cache misses", &s.core.mega.stats.Misses, lbl()...)
+	reg.Counter("fastrak_vswitch_megaflow_installs_total", "megaflow cache installs", &s.core.mega.stats.Installs, lbl()...)
+	reg.Counter("fastrak_vswitch_megaflow_evictions_total", "megaflow capacity evictions", &s.core.mega.stats.Evictions, lbl()...)
+	reg.Counter("fastrak_vswitch_megaflow_invalidations_total", "megaflow rule-change invalidations", &s.core.mega.stats.Invalidations, lbl()...)
+	reg.Gauge("fastrak_vswitch_active_flows", "exact-match fast-path entries", func() float64 { return float64(s.core.exact.live) }, lbl()...)
+	reg.Gauge("fastrak_vswitch_active_megaflows", "megaflow wildcard cache entries", func() float64 { return float64(s.core.mega.Len()) }, lbl()...)
 	reg.Gauge("fastrak_vswitch_overloaded", "1 while the slow-path overload detector is tripped", func() float64 {
 		if s.sched.overloaded {
 			return 1

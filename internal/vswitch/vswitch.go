@@ -40,27 +40,26 @@ type VMKey struct {
 	IP     packet.IP
 }
 
-// fpVerdict is the fast-path cached decision for a flow.
-type fpVerdict struct {
-	allow bool
-	queue int
-}
-
 // vport is one VM's virtual interface attachment.
 type vport struct {
 	key     VMKey
 	rules   *rules.VMRules
 	deliver fabric.Port
 	// htbExec serializes qdisc work for this VIF (the qdisc lock).
-	htbExec Exec
-	// egress/ingress shaping buckets; nil = no limit.
-	egress, ingress *ratelimit.TokenBucket
-	// egressClock/ingressClock enforce FIFO delivery per direction:
-	// jittered path latencies never reorder packets within a vport,
-	// matching the in-order softirq queues of a real vswitch.
-	egressClock, ingressClock time.Duration
-	// meters observe achieved rates for FPS max-out detection.
-	egressMeter, ingressMeter ratelimit.UsageMeter
+	htbExec         Exec
+	egress, ingress vifDir
+}
+
+// vifDir is one direction of a VIF.
+type vifDir struct {
+	// bucket is the shaping bucket; nil = no limit.
+	bucket *ratelimit.TokenBucket
+	// clock enforces FIFO delivery: jittered path latencies never reorder
+	// packets within a direction, matching the in-order softirq queues of a
+	// real vswitch.
+	clock time.Duration
+	// meter observes the achieved rate for FPS max-out detection.
+	meter ratelimit.UsageMeter
 }
 
 // Switch is one server's vswitch.
@@ -73,15 +72,11 @@ type Switch struct {
 	hostExec Exec
 	uplink   fabric.Port
 
-	vports   map[VMKey]*vport
-	tunnels  *rules.TunnelTable
-	fastpath *rules.ExactTable[fpVerdict]
-	// mega is the wildcard decision cache between the exact-match fast
-	// path and the user-space rule scan (see megaflow.go): slow-path
-	// verdicts are installed under the union of field masks the
-	// classification consulted, so new flows equal under that mask skip
-	// the upcall entirely.
-	mega *megaflowCache
+	vports  map[VMKey]*vport
+	tunnels *rules.TunnelTable
+	// core is the fast path: the exact-match table and, between it and the
+	// user-space rule scan, the megaflow wildcard cache (see flowcore.go).
+	core flowCore
 	// sched is the slow path's bounded-queue DRR scheduler and overload
 	// governor (see overload.go). It also coalesces concurrent misses for
 	// the same flow onto one user-space rule scan.
@@ -98,17 +93,6 @@ type Switch struct {
 	// rec is the flight-recorder scope; nil when telemetry is disabled.
 	// Hot paths guard with a single pointer test before building events.
 	rec *telemetry.Scoped
-
-	// plane, when non-nil, is the sharded throughput data plane mirroring
-	// this switch's rule state (see plane.go). Control-plane mutators
-	// republish epochs through it so rule updates never race the shards.
-	plane *ShardedPlane
-
-	// sk, when non-nil, receives every fast-path accrual (sketch
-	// accounting mode): the same per-packet (segments, wire bytes)
-	// increments the exact-cache statistics get, so sketch totals track
-	// the exact counters packet for packet.
-	sk *sketch.ShardSketch
 
 	upcalls       uint64
 	upcallsServed uint64
@@ -129,8 +113,7 @@ func New(eng *sim.Engine, cm *model.CostModel, cfg model.VSwitchConfig, serverIP
 		uplink:   uplink,
 		vports:   make(map[VMKey]*vport),
 		tunnels:  rules.NewTunnelTable(),
-		fastpath: rules.NewExactTable[fpVerdict](),
-		mega:     newMegaflowCache(DefaultMegaflowLimit),
+		core:     newFlowCore(),
 		sched:    newUpcallSched(DefaultOverloadConfig()),
 		HostCPU:  &metrics.CPUAccount{},
 	}
@@ -170,59 +153,48 @@ func (s *Switch) AttachVM(key VMKey, vmRules *rules.VMRules, deliver fabric.Port
 	s.vports[key] = &vport{key: key, rules: vmRules, deliver: deliver, htbExec: htbExec}
 	// Wildcard verdicts covering this VM's address were computed without
 	// its rules; new flows must re-classify against the attached vport.
-	s.invalidateVMFlows(key)
-	if s.plane != nil {
-		s.plane.AttachVM(key, vmRules)
+	for _, p := range key.flowPatterns() {
+		s.core.mega.invalidate(p)
 	}
 }
 
-// invalidateVMFlows flushes megaflow entries whose region touches the
-// VM's address in either direction.
-func (s *Switch) invalidateVMFlows(key VMKey) {
-	s.mega.invalidate(rules.Pattern{Tenant: key.Tenant, Src: key.IP, SrcPrefix: 32})
-	s.mega.invalidate(rules.Pattern{Tenant: key.Tenant, Dst: key.IP, DstPrefix: 32})
+// flowPatterns covers the VM's flows: its address as source, and as
+// destination.
+func (key VMKey) flowPatterns() [2]rules.Pattern {
+	return [2]rules.Pattern{
+		{Tenant: key.Tenant, Src: key.IP, SrcPrefix: 32},
+		{Tenant: key.Tenant, Dst: key.IP, DstPrefix: 32},
+	}
 }
 
 // DetachVM removes a VM (it is migrating away); its fast-path entries are
 // purged.
 func (s *Switch) DetachVM(key VMKey) {
 	delete(s.vports, key)
-	var stale []packet.FlowKey
-	s.fastpath.Entries(func(e *rules.ExactEntry[fpVerdict]) {
-		if e.Key.Tenant == key.Tenant && (e.Key.Src == key.IP || e.Key.Dst == key.IP) {
-			stale = append(stale, e.Key)
-		}
-	})
-	for _, k := range stale {
-		s.fastpath.Remove(k)
+	for _, p := range key.flowPatterns() {
+		s.core.invalidate(p)
+		s.cancelInstalls(p)
 	}
-	s.invalidateVMFlows(key)
-	// In-service upcalls for the VM's flows must not re-install verdicts
-	// after the detach.
+}
+
+// cancelInstalls keeps pending upcalls for flows p covers from installing
+// their verdict when the scan completes: the scan still runs — its waiters
+// need a verdict — but what was flushed (the VM detached, or the DE just
+// offloaded the flow to hardware) must not be resurrected.
+func (s *Switch) cancelInstalls(p rules.Pattern) {
 	for k, job := range s.sched.pending {
-		if k.Tenant == key.Tenant && (k.Src == key.IP || k.Dst == key.IP) {
+		if p.Match(k) {
 			job.install = false
 		}
-	}
-	if s.plane != nil {
-		s.plane.DetachVM(key)
 	}
 }
 
 // SetTunnel installs a (tenant, remote VM IP) → remote server mapping.
-func (s *Switch) SetTunnel(m rules.TunnelMapping) {
-	s.tunnels.Set(m)
-	if s.plane != nil {
-		s.plane.SetTunnel(m)
-	}
-}
+func (s *Switch) SetTunnel(m rules.TunnelMapping) { s.tunnels.Set(m) }
 
 // RemoveTunnel drops a mapping (VM migration updates, requirement S4).
 func (s *Switch) RemoveTunnel(tenant packet.TenantID, vmIP packet.IP) {
 	s.tunnels.Remove(tenant, vmIP)
-	if s.plane != nil {
-		s.plane.RemoveTunnel(tenant, vmIP)
-	}
 }
 
 // SetVIFLimits installs htb shaping rates on a VM's VIF; zero disables a
@@ -234,11 +206,8 @@ func (s *Switch) SetVIFLimits(key VMKey, egressBps, ingressBps float64) error {
 		return fmt.Errorf("vswitch: no such VM %v", key)
 	}
 	now := s.eng.Now()
-	vp.egress = makeBucket(vp.egress, now, egressBps)
-	vp.ingress = makeBucket(vp.ingress, now, ingressBps)
-	if s.plane != nil {
-		s.plane.SetVIFLimit(key, egressBps)
-	}
+	vp.egress.bucket = makeBucket(vp.egress.bucket, now, egressBps)
+	vp.ingress.bucket = makeBucket(vp.ingress.bucket, now, ingressBps)
 	return nil
 }
 
@@ -263,7 +232,7 @@ func (s *Switch) VIFRates(key VMKey) (egressBps, ingressBps float64, ok bool) {
 		return 0, 0, false
 	}
 	now := s.eng.Now()
-	return vp.egressMeter.Sample(now), vp.ingressMeter.Sample(now), true
+	return vp.egress.meter.Sample(now), vp.ingress.meter.Sample(now), true
 }
 
 // invalidate flushes fast-path entries matching a pattern — exact-match
@@ -272,34 +241,14 @@ func (s *Switch) VIFRates(key VMKey) (egressBps, ingressBps float64, ok bool) {
 // semantically transparent); the FasTrak local controller calls this when
 // rules for offloaded flows change.
 func (s *Switch) Invalidate(p rules.Pattern) int {
-	var stale []packet.FlowKey
-	s.fastpath.Entries(func(e *rules.ExactEntry[fpVerdict]) {
-		if p.Match(e.Key) {
-			stale = append(stale, e.Key)
-		}
-	})
-	for _, k := range stale {
-		s.fastpath.Remove(k)
-	}
 	// Megaflow removals are accounted in CacheCounters.Invalidations; the
 	// return value counts exact-match flushes only (the seed contract).
-	megaFlushed := s.mega.invalidate(p)
+	flushed, megaFlushed := s.core.invalidate(p)
 	if s.rec != nil {
-		s.rec.EmitPattern(telemetry.KindInvalidate, p.Tenant, p, "", float64(len(stale)), float64(megaFlushed))
+		s.rec.EmitPattern(telemetry.KindInvalidate, p.Tenant, p, "", float64(flushed), float64(megaFlushed))
 	}
-	// A pending upcall for a covered flow must not resurrect the stale
-	// verdict when its scan completes (e.g. the DE just offloaded the flow
-	// to hardware and flushed it here): the scan still runs — its waiters
-	// need a verdict — but the result is not installed.
-	for k, job := range s.sched.pending {
-		if p.Match(k) {
-			job.install = false
-		}
-	}
-	if s.plane != nil {
-		s.plane.Invalidate(p)
-	}
-	return len(stale)
+	s.cancelInstalls(p)
+	return flushed
 }
 
 // exec charges the host station and accounts the time.
@@ -332,8 +281,8 @@ func (s *Switch) OutputFromVM(key VMKey, p *packet.Packet) {
 				}
 				return
 			}
-			s.shapeEgress(vp, p, func() {
-				s.addPathLatency(&vp.egressClock, func() { s.transmit(vp, k, p) })
+			s.shape(&vp.egress, vp.htbExec, p, func() {
+				s.addPathLatency(&vp.egress.clock, func() { s.transmit(vp, k, p) })
 			})
 		})
 	})
@@ -349,29 +298,29 @@ func (s *Switch) OutputFromVM(key VMKey, p *packet.Packet) {
 // Packets refused at admission are dropped with exact per-cause
 // accounting.
 func (s *Switch) classify(vp *vport, k packet.FlowKey, p *packet.Packet, then func(fpVerdict)) {
-	if e := s.fastpath.Lookup(k); e != nil {
-		s.accrue(e, k, p)
+	h := flowSlotHash(k)
+	if e := s.core.exact.lookup(k, h); e != nil {
+		s.accrue(e, p)
 		if s.rec != nil {
 			s.rec.Hit(telemetry.KindExactHit, k.Tenant, k)
 		}
-		then(e.Value)
+		then(e.verdict())
 		return
 	}
-	if v, ok := s.mega.lookup(k, s.eng.Now()); ok {
-		e := s.fastpath.Install(k, v)
-		s.accrue(e, k, p)
+	if e := s.core.promote(k, h); e != nil {
+		s.accrue(e, p)
 		if s.rec != nil {
 			s.rec.Hit(telemetry.KindMegaflowHit, k.Tenant, k)
 			s.rec.Emit(telemetry.KindExactInstall, k.Tenant, k, "megaflow", 0, 0)
 		}
-		then(v)
+		then(e.verdict())
 		return
 	}
 	now := s.eng.Now()
 	// Concurrent misses for the same flow coalesce onto the pending scan.
 	waiter := func(v fpVerdict) {
-		if e := s.fastpath.Lookup(k); e != nil {
-			s.accrue(e, k, p)
+		if e := s.core.exact.lookup(k, h); e != nil {
+			s.accrue(e, p)
 		}
 		then(v)
 	}
@@ -427,14 +376,18 @@ func (s *Switch) pumpUpcalls() {
 // an invalidation covering the flow landed mid-scan), wake the waiters,
 // and keep the pipeline full.
 func (s *Switch) completeUpcall(job *upcallJob) {
-	v, mask := s.evaluate(job.key)
+	k := job.key
+	src, dst := s.endpoint(k.Tenant, k.Src), s.endpoint(k.Tenant, k.Dst)
+	var v fpVerdict
 	if job.install {
-		s.fastpath.Install(job.key, v)
-		s.mega.install(job.key, mask, v, s.eng.Now())
+		e, mask := s.core.miss(k, flowSlotHash(k), src, dst)
+		v = e.verdict()
 		if s.rec != nil {
-			s.rec.Emit(telemetry.KindExactInstall, job.key.Tenant, job.key, "upcall", 0, 0)
-			s.rec.Emit(telemetry.KindMegaflowInstall, job.key.Tenant, job.key, "", float64(mask.SrcPrefix), float64(mask.DstPrefix))
+			s.rec.Emit(telemetry.KindExactInstall, k.Tenant, k, "upcall", 0, 0)
+			s.rec.Emit(telemetry.KindMegaflowInstall, k.Tenant, k, "", float64(mask.SrcPrefix), float64(mask.DstPrefix))
 		}
+	} else {
+		v, _ = evaluate(k, src, dst)
 	}
 	s.upcallsServed++
 	s.sched.complete(s.eng.Now(), job)
@@ -467,33 +420,23 @@ func (s *Switch) overloadEval() {
 // EnableSketch routes every fast-path accrual into sk in addition to the
 // exact-cache statistics. Call before traffic starts; the slow path runs
 // single-threaded on the simulator loop, so no locking is needed.
-func (s *Switch) EnableSketch(sk *sketch.ShardSketch) { s.sk = sk }
+func (s *Switch) EnableSketch(sk *sketch.ShardSketch) { s.core.sk = sk }
 
-// accrue charges one packet to the exact-cache entry (wire bytes plus TSO
-// segment count) and mirrors the identical increment into the sketch when
-// sketch accounting is enabled, so sketch totals equal Stats totals.
-func (s *Switch) accrue(e *rules.ExactEntry[fpVerdict], k packet.FlowKey, p *packet.Packet) {
-	e.Stats.Hit(wireSegBytes(p), s.eng.Now())
-	bumpSegments(e, p)
-	if s.sk != nil {
-		segs := uint64(model.Segments(p.PayloadLen()))
-		if segs == 0 {
-			segs = 1
-		}
-		s.sk.Observe(k, segs, uint64(wireSegBytes(p)))
-	}
+// accrue charges one packet to its flow's entry: its wire bytes, and as
+// many packets as TSO cuts it into, so pps statistics reflect on-the-wire
+// packet counts.
+func (s *Switch) accrue(e *flowEntry, p *packet.Packet) {
+	s.core.accrue(e, uint64(max(1, model.Segments(p.PayloadLen()))), uint64(p.WireLen()))
 }
 
-// bumpSegments accounts additional wire segments beyond the first so pps
-// statistics reflect on-the-wire packet counts after TSO segmentation.
-func bumpSegments(e *rules.ExactEntry[fpVerdict], p *packet.Packet) {
-	extra := model.Segments(p.PayloadLen()) - 1
-	if extra > 0 {
-		e.Stats.Packets += uint64(extra)
+// endpoint returns the compiled rules of the VM attached at the address,
+// or nil.
+func (s *Switch) endpoint(tenant packet.TenantID, ip packet.IP) *rules.CompiledVM {
+	if vp, ok := s.vports[VMKey{Tenant: tenant, IP: ip}]; ok {
+		return vp.rules.Compile()
 	}
+	return nil
 }
-
-func wireSegBytes(p *packet.Packet) int { return p.WireLen() }
 
 func (s *Switch) ruleCount(k packet.FlowKey) int {
 	n := s.cfg.SecurityRules
@@ -508,53 +451,22 @@ func (s *Switch) ruleCount(k packet.FlowKey) int {
 	return n
 }
 
-// evaluate computes the verdict for a flow from the rules of the local
-// endpoint VMs, source endpoint first (deterministically), denying if any
-// rule-bearing endpoint denies. In the microbenchmark configurations with
-// no explicit rules, traffic is allowed (baseline OVS is a plain L2
-// switch).
-//
-// The returned FieldMask is the union of fields the decision consulted —
-// the wildcard under which the verdict may be cached. The vport probes
-// key on tenant and exact endpoint addresses, so those are always pinned;
-// each rule lookup contributes the masks of the tuple groups it visited.
-func (s *Switch) evaluate(k packet.FlowKey) (fpVerdict, rules.FieldMask) {
-	verdict := fpVerdict{allow: true}
-	mask := rules.FieldMask{Tenant: true, SrcPrefix: 32, DstPrefix: 32}
-	for _, ip := range [2]packet.IP{k.Src, k.Dst} {
-		vp, ok := s.vports[VMKey{Tenant: k.Tenant, IP: ip}]
-		if !ok || len(vp.rules.Security) == 0 {
-			continue
-		}
-		a, m := vp.rules.EvaluateMask(k)
-		mask = mask.Union(m)
-		if a != rules.Allow {
-			return fpVerdict{}, mask
-		}
-		q, qm := vp.rules.QueueForMask(k)
-		mask = mask.Union(qm)
-		if q > verdict.queue {
-			verdict.queue = q
-		}
-	}
-	return verdict, mask
-}
-
-// shapeEgress applies the VIF's htb: serialized qdisc cost plus token-
-// bucket shaping delay.
-func (s *Switch) shapeEgress(vp *vport, p *packet.Packet, then func()) {
-	bucket := vp.egress
-	if s.cfg.RateLimitBps > 0 && bucket == nil {
+// shape applies one direction of a VIF's htb: the serialized qdisc cost,
+// charged to qdisc (the vport's htbExec; Inline on the offloaded path, where
+// the NIC enforces the limit and the host pays nothing), then the
+// token-bucket shaping delay.
+func (s *Switch) shape(d *vifDir, qdisc Exec, p *packet.Packet, then func()) {
+	if s.cfg.RateLimitBps > 0 && d.bucket == nil {
 		// Microbenchmark config: fixed per-VIF limit.
-		vp.egress = makeBucket(nil, s.eng.Now(), s.cfg.RateLimitBps)
-		bucket = vp.egress
+		d.bucket = makeBucket(nil, s.eng.Now(), s.cfg.RateLimitBps)
 	}
+	bucket := d.bucket
 	if bucket == nil {
-		vp.egressMeter.Record(p.WireLen())
+		d.meter.Record(p.WireLen())
 		then()
 		return
 	}
-	vp.htbExec(s.cm.HTBPerPacket, func() {
+	qdisc(s.cm.HTBPerPacket, func() {
 		delay, ok := bucket.ReserveLimit(s.eng.Now(), p.WireLen(), maxShapeDelay)
 		if !ok {
 			s.drops.Shape++
@@ -563,7 +475,7 @@ func (s *Switch) shapeEgress(vp *vport, p *packet.Packet, then func()) {
 			}
 			return
 		}
-		vp.egressMeter.Record(p.WireLen())
+		d.meter.Record(p.WireLen())
 		s.eng.After(delay, then)
 	})
 }
@@ -637,30 +549,11 @@ func (s *Switch) TransmitOffloaded(key VMKey, p *packet.Packet) {
 	}
 	p.Tenant = key.Tenant
 	k := p.Key()
-	bucket := vp.egress
-	if s.cfg.RateLimitBps > 0 && bucket == nil {
-		vp.egress = makeBucket(nil, s.eng.Now(), s.cfg.RateLimitBps)
-		bucket = vp.egress
-	}
-	if bucket == nil {
-		vp.egressMeter.Record(p.WireLen())
-		s.transmit(vp, k, p)
-		return
-	}
-	delay, ok := bucket.ReserveLimit(s.eng.Now(), p.WireLen(), maxShapeDelay)
-	if !ok {
-		s.drops.Shape++
-		if s.rec != nil {
-			s.rec.Drop(p.Tenant, k, "shape")
-		}
-		return
-	}
-	vp.egressMeter.Record(p.WireLen())
-	s.eng.After(delay, func() { s.transmit(vp, k, p) })
+	s.shape(&vp.egress, Inline, p, func() { s.transmit(vp, k, p) })
 }
 
 func (s *Switch) deliverLocal(dst *vport, p *packet.Packet) {
-	dst.ingressMeter.Record(p.WireLen())
+	dst.ingress.meter.Record(p.WireLen())
 	dst.deliver.Input(p)
 }
 
@@ -703,38 +596,13 @@ func (s *Switch) InputFromNIC(p *packet.Packet) {
 				}
 				return
 			}
-			s.shapeIngress(vp, inner, func() {
-				s.addPathLatency(&vp.ingressClock, func() {
+			s.shape(&vp.ingress, vp.htbExec, inner, func() {
+				s.addPathLatency(&vp.ingress.clock, func() {
 					s.rxPackets++
 					vp.deliver.Input(inner)
 				})
 			})
 		})
-	})
-}
-
-func (s *Switch) shapeIngress(vp *vport, p *packet.Packet, then func()) {
-	bucket := vp.ingress
-	if s.cfg.RateLimitBps > 0 && bucket == nil {
-		vp.ingress = makeBucket(nil, s.eng.Now(), s.cfg.RateLimitBps)
-		bucket = vp.ingress
-	}
-	if bucket == nil {
-		vp.ingressMeter.Record(p.WireLen())
-		then()
-		return
-	}
-	vp.htbExec(s.cm.HTBPerPacket, func() {
-		delay, ok := bucket.ReserveLimit(s.eng.Now(), p.WireLen(), maxShapeDelay)
-		if !ok {
-			s.drops.Shape++
-			if s.rec != nil {
-				s.rec.Drop(p.Tenant, p.Key(), "shape")
-			}
-			return
-		}
-		vp.ingressMeter.Record(p.WireLen())
-		s.eng.After(delay, then)
 	})
 }
 
@@ -747,22 +615,13 @@ type FlowStats struct {
 	Bytes   uint64
 }
 
-// Snapshot returns current per-flow counters.
+// Snapshot returns current per-flow counters, in no particular order.
 func (s *Switch) Snapshot() []FlowStats {
-	out := make([]FlowStats, 0, s.fastpath.Len())
-	s.fastpath.Entries(func(e *rules.ExactEntry[fpVerdict]) {
-		out = append(out, FlowStats{Key: e.Key, Packets: e.Stats.Packets, Bytes: e.Stats.Bytes})
+	out := make([]FlowStats, 0, s.core.exact.live)
+	s.core.exact.each(func(e *flowEntry) {
+		out = append(out, FlowStats{Key: e.key, Packets: e.pkts, Bytes: e.bytes})
 	})
 	return out
-}
-
-// ExpireIdle evicts fast-path entries idle since before deadline. Idle
-// megaflow entries expire alongside (counted as cache evictions, not in
-// the return value), so a flow that idles out of the datapath is fully
-// reclassified on its next packet — matching OVS revalidator behavior.
-func (s *Switch) ExpireIdle(deadline time.Duration) int {
-	s.mega.expire(deadline)
-	return s.fastpath.Expire(deadline)
 }
 
 // Telemetry is the switch's aggregate counter snapshot. Every packet the
@@ -794,12 +653,12 @@ func (s *Switch) Counters() Telemetry {
 		Denied:        s.denied,
 		Unrouted:      s.unrouted,
 		Drops:         s.drops,
-		Megaflow:      s.mega.stats,
+		Megaflow:      s.core.mega.stats,
 	}
 }
 
 // ActiveFlows returns the number of fast-path entries.
-func (s *Switch) ActiveFlows() int { return s.fastpath.Len() }
+func (s *Switch) ActiveFlows() int { return s.core.exact.live }
 
 // ActiveMegaflows returns the number of wildcard cache entries.
-func (s *Switch) ActiveMegaflows() int { return s.mega.Len() }
+func (s *Switch) ActiveMegaflows() int { return s.core.mega.Len() }
