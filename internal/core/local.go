@@ -49,8 +49,14 @@ type LocalController struct {
 	// pattern, so demotions delete exactly what was added.
 	installed map[rules.Pattern]bool
 	// lastSyncSeq is the highest RuleSync sequence applied; stale
-	// (reordered) syncs are not re-applied but are re-acked.
+	// (reordered) syncs are not re-applied but are re-acked. desired is
+	// the TOR's offload set as of it; partial collects a full set sent in
+	// parts (of sequence partialSeq, next part partialNext).
 	lastSyncSeq uint32
+	desired     map[rules.Pattern]bool
+	partial     map[rules.Pattern]bool
+	partialSeq  uint32
+	partialNext uint16
 	// termSeen is the newest leadership term witnessed; decisions and
 	// syncs from older terms are dropped (a deposed leader must not
 	// reprogram placers) and a newer term resets the RuleSync sequence
@@ -207,7 +213,7 @@ func (lc *LocalController) admitTerm(term uint32, cause string) bool {
 	}
 	if term > lc.termSeen {
 		lc.termSeen = term
-		lc.lastSyncSeq = 0
+		lc.lastSyncSeq, lc.desired, lc.partial = 0, nil, nil
 	}
 	lc.lastLeaderContact = lc.mgr.Cluster.Eng.Now()
 	if n := lc.server.SmartNIC; n != nil {
@@ -317,36 +323,93 @@ func (lc *LocalController) HandleMessage(msg openflow.Message, xid uint32, reply
 	}
 }
 
-// applySync reconciles the placer programming against the TOR's full
-// desired offload set and acknowledges it. The ack is what un-gates ACL
-// removal at the TOR: by acking, this server asserts none of its placers
-// still steer flows excluded from the set through the express lane.
+// applySync brings the local copy of the TOR's desired offload set to the
+// sync's sequence, reconciles the placer programming against it and
+// acknowledges it. The ack is what un-gates ACL removal at the TOR: by
+// acking, this server asserts none of its placers still steer flows
+// excluded from the set through the express lane. A delta built on a set
+// this server has not reached, or a run of parts with a gap, is answered
+// with an ack of what has been applied: the TOR falls back to a full sync.
 func (lc *LocalController) applySync(m *openflow.RuleSync) {
 	if !lc.admitTerm(m.Term, "sync") {
 		return // deposed leader's sync; no ack, let it fence on the switch
 	}
 	if m.Seq >= lc.lastSyncSeq {
-		desired := make(map[rules.Pattern]bool, len(m.Patterns))
-		for _, p := range m.Patterns {
-			desired[p] = true
-			if !lc.installed[p] {
-				lc.installPlacement(p)
+		set, ok := lc.desired, m.Base <= lc.lastSyncSeq
+		switch {
+		case m.Parts > 0:
+			if set, ok = lc.collectPart(m); !ok && m.Part+1 < m.Parts {
+				return // applied, and acked, at the final part only
 			}
+		case !m.Delta:
+			set, ok = make(map[rules.Pattern]bool, len(m.Patterns)), true
 		}
-		// Deterministic sweep of placements no longer desired.
-		extra := make([]rules.Pattern, 0)
-		for p := range lc.installed {
-			if !desired[p] {
-				extra = append(extra, p)
+		if ok {
+			if set == nil {
+				set = make(map[rules.Pattern]bool)
 			}
+			for _, p := range m.Patterns {
+				set[p] = true
+			}
+			for _, p := range m.Removes {
+				delete(set, p)
+			}
+			lc.desired, lc.lastSyncSeq = set, m.Seq
+			lc.reconcilePlacements()
 		}
-		slices.SortFunc(extra, rules.Pattern.Compare)
-		for _, p := range extra {
-			lc.removePlacement(p)
-		}
-		lc.lastSyncSeq = m.Seq
 	}
 	lc.scheduleAck()
+}
+
+// maxSyncSet bounds a desired set collected from parts.
+const maxSyncSet = 1 << 20
+
+// collectPart adds one part of a full set to the run being collected and
+// returns the set, less the part's own patterns, once the final part
+// completes a run with no gap.
+func (lc *LocalController) collectPart(m *openflow.RuleSync) (map[rules.Pattern]bool, bool) {
+	if m.Part == 0 {
+		lc.partial, lc.partialSeq, lc.partialNext = make(map[rules.Pattern]bool), m.Seq, 0
+	}
+	set := lc.partial
+	if set == nil || m.Seq != lc.partialSeq || m.Part != lc.partialNext || len(set) > maxSyncSet {
+		lc.partial = nil
+		return nil, false
+	}
+	if lc.partialNext++; lc.partialNext < m.Parts {
+		for _, p := range m.Patterns {
+			set[p] = true
+		}
+		return nil, false
+	}
+	lc.partial = nil
+	return set, true
+}
+
+// reconcilePlacements programs the placers to the desired set: missing
+// placements in canonical order, then those no longer desired. It runs on
+// every applied sync, delta or not, so a placement lost to anything else
+// (lease expiry, a reordered decision, a VM arrived since) is repaired.
+func (lc *LocalController) reconcilePlacements() {
+	var missing, extra []rules.Pattern
+	for p := range lc.desired {
+		if !lc.installed[p] {
+			missing = append(missing, p)
+		}
+	}
+	for p := range lc.installed {
+		if !lc.desired[p] {
+			extra = append(extra, p)
+		}
+	}
+	slices.SortFunc(missing, rules.Pattern.Compare)
+	slices.SortFunc(extra, rules.Pattern.Compare)
+	for _, p := range missing {
+		lc.installPlacement(p)
+	}
+	for _, p := range extra {
+		lc.removePlacement(p)
+	}
 }
 
 // ackRecheck paces the deferred-ack poll while the access link holds

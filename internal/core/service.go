@@ -79,50 +79,39 @@ func NewTORService(c *cluster.Cluster, cfg Config) *TORService {
 
 // AttachLocal registers a connected local controller: decisions and
 // RuleSyncs start flowing to tr, and the server's acks gate removals.
-// Reattaching an already-known server (an agent reconnect) just swaps the
-// transport. A full RuleSync goes out immediately so the newcomer
-// converges without waiting for the anti-entropy cadence.
+// Reattaching an already-known server (an agent reconnect) swaps the
+// transport and drops the server's delta base: the process behind the new
+// connection may have restarted empty. A RuleSync goes out immediately —
+// the full set to the newcomer — so it converges without waiting for the
+// anti-entropy cadence.
 func (s *TORService) AttachLocal(serverID uint32, tr *openflow.Transport) {
 	tc := s.TC
-	if _, ok := tc.toLocalByID[serverID]; ok {
-		for i, id := range tc.localIDs {
-			if id == serverID {
-				tc.toLocals[i] = tr
-			}
-		}
-		tc.toLocalByID[serverID] = tr
-		tc.publish()
-		return
+	if i := slices.Index(tc.localIDs, serverID); i >= 0 {
+		tc.toLocals[i] = tr
+		tc.sync.dropBase(serverID)
+	} else {
+		tc.localIDs = append(tc.localIDs, serverID)
+		tc.toLocals = append(tc.toLocals, tr)
 	}
-	tc.localIDs = append(tc.localIDs, serverID)
-	tc.toLocals = append(tc.toLocals, tr)
 	tc.toLocalByID[serverID] = tr
 	tc.publish()
 }
 
 // DetachLocal removes a departed local controller. Its cached demand
 // report and ack state go too: a dead server must neither feed stale
-// demand into decisions nor gate ACL removals forever (minAckedSeq runs
-// over exactly the attached set). Removals waiting on its ack are
-// re-evaluated right away.
+// demand into decisions, nor gate ACL removals forever, nor hold the sync
+// log back (both run over exactly the attached set). Removals waiting on
+// its ack are re-evaluated right away.
 func (s *TORService) DetachLocal(serverID uint32) {
 	tc := s.TC
-	if _, ok := tc.toLocalByID[serverID]; !ok {
+	i := slices.Index(tc.localIDs, serverID)
+	if i < 0 {
 		return
 	}
-	ids := tc.localIDs[:0]
-	trs := tc.toLocals[:0]
-	for i, id := range tc.localIDs {
-		if id == serverID {
-			continue
-		}
-		ids = append(ids, id)
-		trs = append(trs, tc.toLocals[i])
-	}
-	tc.localIDs = ids
-	tc.toLocals = trs
+	tc.localIDs = slices.Delete(tc.localIDs, i, i+1)
+	tc.toLocals = slices.Delete(tc.toLocals, i, i+1)
 	delete(tc.toLocalByID, serverID)
-	delete(tc.ackedSeq, serverID)
+	delete(tc.sync.peers, serverID)
 	delete(tc.reports, serverID)
 	delete(tc.lastInterval, serverID)
 	delete(tc.lastReportAt, serverID)

@@ -22,7 +22,7 @@ import (
 const hwPriority = 100
 
 // syncRefreshTicks and reconcileTicks pace the anti-entropy machinery:
-// a full RuleSync goes to every local, and a TableRequest to the switch
+// a RuleSync goes to every local, and a TableRequest to the switch
 // agent, at least once per this many decision intervals (more often when
 // state changes). Keeping them off the per-tick hot path preserves the
 // paper's "negligible" controller overhead (§6.2.2).
@@ -131,7 +131,8 @@ type TORController struct {
 	urgent map[packet.TenantID]sim.Time
 
 	// offloaded holds barrier-confirmed hardware patterns — the set
-	// announced to placers.
+	// announced to placers. Every change of membership goes through
+	// setOffloaded, which records it in sync for publishing.
 	offloaded map[rules.Pattern]bool
 	// installing holds patterns sent to hardware but not yet confirmed.
 	installing map[rules.Pattern]*installState
@@ -162,17 +163,9 @@ type TORController struct {
 	// (echoing that xid) marks the attempt failed.
 	pendingInstall map[uint32]rules.Pattern
 
-	// syncSeq numbers RuleSyncs; ackedSeq records each server's latest
-	// ack. syncSeq survives Crash (a restarted controller must not
-	// reuse sequence numbers locals already acked).
-	syncSeq  uint32
-	ackedSeq map[uint32]uint32
-	// lastPublished is the desired set of the latest RuleSync;
-	// sincePublish counts ticks since. Syncs go out on change or every
-	// syncRefreshTicks as anti-entropy (§6.2.2 keeps steady-state
-	// control traffic to a few messages per interval).
-	lastPublished []rules.Pattern
-	sincePublish  int
+	// sync numbers and publishes RuleSyncs and keeps each server's acks
+	// (rulesync.go).
+	sync ruleSyncer
 
 	// prevHW holds last interval's TCAM counters for pps computation.
 	prevHW   map[rules.Pattern]uint64
@@ -285,34 +278,63 @@ type TORController struct {
 }
 
 func newTORController(m *Manager, t *tor.TOR) *TORController {
-	return &TORController{
-		mgr:            m,
-		tor:            t,
-		reports:        make(map[uint32]openflow.DemandReport),
-		lastInterval:   make(map[uint32]uint32),
-		lastReportAt:   make(map[uint32]sim.Time),
-		smoother:       decision.NewSmoother(m.Cfg.Smoother),
-		damper:         decision.NewFlapDamper(m.Cfg.Damper),
-		nicDesired:     make(map[rules.Pattern]uint32),
-		nicReported:    make(map[uint32]map[rules.Pattern]bool),
-		nicFree:        make(map[uint32]uint32),
-		nicSeen:        make(map[uint32]bool),
-		nicDamper:      decision.NewFlapDamper(m.Cfg.Damper),
-		toLocalByID:    make(map[uint32]*openflow.Transport),
-		urgent:         make(map[packet.TenantID]sim.Time),
-		offloaded:      make(map[rules.Pattern]bool),
-		installing:     make(map[rules.Pattern]*installState),
-		removing:       make(map[rules.Pattern]*removeState),
-		pendingBarrier: make(map[uint32]func()),
-		pendingInstall: make(map[uint32]rules.Pattern),
-		ackedSeq:       make(map[uint32]uint32),
-		prevHW:         make(map[rules.Pattern]uint64),
-		installedHW:    make(map[vswitch.VMKey]openflow.RateSplit),
-
+	tc := &TORController{
+		mgr:                  m,
+		tor:                  t,
+		toLocalByID:          make(map[uint32]*openflow.Transport),
 		toPeers:              make(map[int]*openflow.Transport),
 		isLeader:             true,
 		followingHigherSince: -1,
 	}
+	tc.forgetVolatile()
+	return tc
+}
+
+// forgetVolatile (re)initialises everything a controller process holds in
+// memory only — what Crash loses and a new controller starts without.
+func (tc *TORController) forgetVolatile() {
+	tc.dropHardwareView()
+	tc.reports = make(map[uint32]openflow.DemandReport)
+	tc.lastInterval = make(map[uint32]uint32)
+	tc.lastReportAt = make(map[uint32]sim.Time)
+	tc.smoother = decision.NewSmoother(tc.mgr.Cfg.Smoother)
+	tc.damper = decision.NewFlapDamper(tc.mgr.Cfg.Damper)
+	tc.urgent = make(map[packet.TenantID]sim.Time)
+	tc.nicReported = make(map[uint32]map[rules.Pattern]bool)
+	tc.nicFree = make(map[uint32]uint32)
+	tc.nicSeen = make(map[uint32]bool)
+	tc.nicDamper = decision.NewFlapDamper(tc.mgr.Cfg.Damper)
+	tc.sync.peers = make(map[uint32]syncPeer)
+	tc.installedHW = make(map[vswitch.VMKey]openflow.RateSplit)
+}
+
+// dropHardwareView cancels the in-flight install/remove machinery and
+// forgets the desired sets of both tiers (crash, step-down). The sync
+// history goes with the TCAM set: no local holds a set a delta could build
+// on. NIC-tier desired state is not adopted back the way TCAM rules are:
+// the locals' reports re-surface the installed NIC rules, which with no
+// owner are swept as orphans and re-placed by the DE — a transient software
+// spell, never a blackhole (NIC misses fall back to the vswitch).
+func (tc *TORController) dropHardwareView() {
+	for _, st := range tc.installing {
+		if st.timer != nil {
+			st.timer.Cancel()
+		}
+	}
+	for _, st := range tc.removing {
+		if st.timer != nil {
+			st.timer.Cancel()
+		}
+	}
+	tc.installing = make(map[rules.Pattern]*installState)
+	tc.removing = make(map[rules.Pattern]*removeState)
+	tc.offloaded = make(map[rules.Pattern]bool)
+	tc.sync.reset()
+	tc.prevHW = make(map[rules.Pattern]uint64)
+	tc.pendingBarrier = make(map[uint32]func())
+	tc.pendingInstall = make(map[uint32]rules.Pattern)
+	tc.pendingAnnounce = nil
+	tc.nicDesired = make(map[rules.Pattern]uint32)
 }
 
 // controlInterval is C = T × N (§4.3.1).
@@ -424,43 +446,7 @@ func (tc *TORController) Crash() {
 	}
 	tc.degraded = false
 	tc.justElected = false
-	for _, st := range tc.installing {
-		if st.timer != nil {
-			st.timer.Cancel()
-		}
-	}
-	for _, st := range tc.removing {
-		if st.timer != nil {
-			st.timer.Cancel()
-		}
-	}
-	tc.reports = make(map[uint32]openflow.DemandReport)
-	tc.lastInterval = make(map[uint32]uint32)
-	tc.lastReportAt = make(map[uint32]sim.Time)
-	tc.smoother = decision.NewSmoother(tc.mgr.Cfg.Smoother)
-	tc.damper = decision.NewFlapDamper(tc.mgr.Cfg.Damper)
-	tc.urgent = make(map[packet.TenantID]sim.Time)
-	tc.offloaded = make(map[rules.Pattern]bool)
-	tc.installing = make(map[rules.Pattern]*installState)
-	tc.removing = make(map[rules.Pattern]*removeState)
-	// NIC-tier desired state dies with the process. After Restart the
-	// locals' reports re-surface the installed rules; with no owner they
-	// are swept as orphans and re-placed by the DE — a transient software
-	// spell for the affected flows, never a blackhole (NIC misses fall
-	// back to the vswitch by construction).
-	tc.nicDesired = make(map[rules.Pattern]uint32)
-	tc.nicReported = make(map[uint32]map[rules.Pattern]bool)
-	tc.nicFree = make(map[uint32]uint32)
-	tc.nicSeen = make(map[uint32]bool)
-	tc.nicDamper = decision.NewFlapDamper(tc.mgr.Cfg.Damper)
-	tc.pendingBarrier = make(map[uint32]func())
-	tc.pendingInstall = make(map[uint32]rules.Pattern)
-	tc.ackedSeq = make(map[uint32]uint32)
-	tc.prevHW = make(map[rules.Pattern]uint64)
-	tc.installedHW = make(map[vswitch.VMKey]openflow.RateSplit)
-	tc.pendingAnnounce = nil
-	tc.lastPublished = nil
-	tc.sincePublish = 0
+	tc.forgetVolatile()
 }
 
 // Restart brings a crashed controller back. It adopts the hardware's
@@ -503,6 +489,10 @@ func (tc *TORController) adoptHardware() {
 			tc.offloaded[ri.Pattern] = true
 		}
 	}
+	// No local holds the adopted set: the next sync is a full one, due at
+	// once if there is anything to announce.
+	tc.sync.reset()
+	tc.sync.dirty = len(tc.offloaded) > 0
 	for _, st := range tc.tor.Stats() {
 		tc.prevHW[st.Pattern] = st.Packets
 	}
@@ -601,11 +591,10 @@ func (tc *TORController) becomeLeader(cause string) {
 	tc.adoptHardware()
 	// Fresh term, fresh ack space: each leadership numbers RuleSyncs
 	// independently and trusts only same-term acks.
-	tc.ackedSeq = make(map[uint32]uint32)
+	clear(tc.sync.peers)
 	tc.lastTableReplyAt = tc.mgr.Cluster.Eng.Now()
 	tc.degraded = false
 	tc.justElected = true
-	tc.lastPublished = nil
 	if tc.rec != nil {
 		tc.rec.Record(telemetry.Event{Kind: telemetry.KindElection, Cause: cause,
 			V1: float64(tc.term), V2: float64(tc.replicaID)})
@@ -627,26 +616,7 @@ func (tc *TORController) stepDown(cause string) {
 	tc.StepDowns++
 	tc.followingHigherSince = -1
 	tc.lastHeartbeatAt = tc.mgr.Cluster.Eng.Now()
-	for _, st := range tc.installing {
-		if st.timer != nil {
-			st.timer.Cancel()
-		}
-	}
-	for _, st := range tc.removing {
-		if st.timer != nil {
-			st.timer.Cancel()
-		}
-	}
-	tc.installing = make(map[rules.Pattern]*installState)
-	tc.removing = make(map[rules.Pattern]*removeState)
-	tc.offloaded = make(map[rules.Pattern]bool)
-	tc.prevHW = make(map[rules.Pattern]uint64)
-	tc.pendingBarrier = make(map[uint32]func())
-	tc.pendingInstall = make(map[uint32]rules.Pattern)
-	tc.pendingAnnounce = nil
-	tc.lastPublished = nil
-	tc.sincePublish = 0
-	tc.nicDesired = make(map[rules.Pattern]uint32)
+	tc.dropHardwareView()
 	tc.degraded = false
 	tc.justElected = false
 	if tc.rec != nil {
@@ -821,9 +791,7 @@ func (tc *TORController) HandleMessage(msg openflow.Message, xid uint32, reply o
 			// an ack scoped to another epoch must not un-gate removals.
 			return
 		}
-		if m.Seq > tc.ackedSeq[m.ServerID] {
-			tc.ackedSeq[m.ServerID] = m.Seq
-		}
+		tc.sync.ack(m.ServerID, m.Seq)
 		tc.tryRemovals()
 	case *openflow.LeaderHeartbeat:
 		tc.handleHeartbeat(m)
@@ -1065,57 +1033,37 @@ func (tc *TORController) FlapStats() (transitions, suppressions uint64) {
 }
 
 // maybePublish sends a RuleSync when the desired set changed since the
-// last one, or as a periodic refresh (covering lost syncs and acks).
+// last one, when a gated removal waits on a sequence not yet published (a
+// pattern installed and demoted between two publishes: its placers steered
+// per announcements no sync covered, and the removal must not wait for the
+// refresh to learn they stopped), or as a periodic refresh covering lost
+// syncs and acks.
 func (tc *TORController) maybePublish() {
-	tc.sincePublish++
-	desired := tc.offloadedList()
-	if tc.sincePublish < syncRefreshTicks && patternsEqual(desired, tc.lastPublished) &&
-		!tc.removalsNeedSync() {
-		return
-	}
-	tc.publishSet(desired)
-}
-
-// removalsNeedSync reports whether a gated removal is waiting on a
-// RuleSync sequence that has not been published yet. Content-deduping
-// alone would miss this case: a pattern installed and demoted entirely
-// between two publishes leaves the desired set equal to the last
-// published one, yet its placers were steering per announcements the
-// published sync never covered — the removal must not wait for the
-// periodic refresh to learn they have stopped.
-func (tc *TORController) removalsNeedSync() bool {
+	tc.sync.sincePublish++
+	needSeq := false
 	for _, st := range tc.removing {
-		if st.needSeq > tc.syncSeq {
-			return true
-		}
+		needSeq = needSeq || st.needSeq > tc.sync.seq
 	}
-	return false
+	if tc.sync.dirty || needSeq || tc.sync.sincePublish >= syncRefreshTicks {
+		tc.publish()
+	}
 }
 
-// publish sends the full desired offload set (confirmed patterns only) to
-// every local controller. Locals ack with the sequence number; removals
-// gate on those acks.
-func (tc *TORController) publish() { tc.publishSet(tc.offloadedList()) }
-
-func (tc *TORController) publishSet(desired []rules.Pattern) {
-	tc.syncSeq++
-	tc.lastPublished = desired
-	tc.sincePublish = 0
-	sync := &openflow.RuleSync{Seq: tc.syncSeq, Patterns: desired,
-		Term: tc.term, Origin: uint32(tc.replicaID)}
-	tc.broadcast(sync)
+// publish sends the desired offload set (confirmed patterns only) to every
+// local controller, as the changes since what each has acked. Locals ack
+// with the sequence number; removals gate on those acks.
+func (tc *TORController) publish() {
+	tc.sync.publish(tc.offloaded, tc.term, uint32(tc.replicaID), tc.localIDs, tc.toLocals)
 }
 
-func patternsEqual(a, b []rules.Pattern) bool {
-	if len(a) != len(b) {
-		return false
+// setOffloaded moves p into or out of the confirmed set.
+func (tc *TORController) setOffloaded(p rules.Pattern, on bool) {
+	if on {
+		tc.offloaded[p] = true
+	} else {
+		delete(tc.offloaded, p)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	tc.sync.record(p)
 }
 
 // ---- install path ----
@@ -1205,7 +1153,7 @@ func (tc *TORController) installConfirmed(p rules.Pattern, st *installState) {
 	}
 	delete(tc.pendingInstall, st.flowXID)
 	delete(tc.installing, p)
-	tc.offloaded[p] = true
+	tc.setOffloaded(p, true)
 	tc.Installs++
 	if tc.rec != nil {
 		tc.rec.EmitPattern(telemetry.KindBarrierConfirm, p.Tenant, p, "",
@@ -1311,7 +1259,7 @@ func (tc *TORController) abortInstall(p rules.Pattern) {
 // the in-flight grace passes — §4.1.2 orders pull-backs the same way:
 // software first, then hardware.
 func (tc *TORController) beginRemove(p rules.Pattern) {
-	delete(tc.offloaded, p)
+	tc.setOffloaded(p, false)
 	delete(tc.prevHW, p)
 	if _, ok := tc.removing[p]; ok {
 		return
@@ -1320,8 +1268,8 @@ func (tc *TORController) beginRemove(p rules.Pattern) {
 	eng := tc.mgr.Cluster.Eng
 	st := &removeState{
 		// The caller publishes a RuleSync (excluding p) in this same
-		// event; it will carry syncSeq+1.
-		needSeq: tc.syncSeq + 1,
+		// event; it will carry the next sequence.
+		needSeq: tc.sync.seq + 1,
 		readyAt: eng.Now() + tc.demoteGrace(),
 	}
 	tc.removing[p] = st
@@ -1338,7 +1286,7 @@ func (tc *TORController) beginOrphanRemove(p rules.Pattern) {
 	}
 	eng := tc.mgr.Cluster.Eng
 	st := &removeState{
-		needSeq: tc.syncSeq,
+		needSeq: tc.sync.seq,
 		readyAt: eng.Now() + tc.demoteGrace(),
 		orphan:  true,
 	}
@@ -1350,27 +1298,13 @@ func (tc *TORController) beginOrphanRemove(p rules.Pattern) {
 	eng.After(tc.demoteGrace(), tc.tryRemovals)
 }
 
-// minAckedSeq is the lowest RuleSync sequence any local has confirmed.
-func (tc *TORController) minAckedSeq() uint32 {
-	min := ^uint32(0)
-	for _, id := range tc.localIDs {
-		if a := tc.ackedSeq[id]; a < min {
-			min = a
-		}
-	}
-	if len(tc.localIDs) == 0 {
-		return ^uint32(0)
-	}
-	return min
-}
-
 // tryRemovals issues FlowDeletes for every gated removal whose conditions
 // are now met. Called on ack receipt and on grace expiry.
 func (tc *TORController) tryRemovals() {
 	if tc.crashed || len(tc.removing) == 0 {
 		return
 	}
-	min := tc.minAckedSeq()
+	min := tc.sync.minAcked(tc.localIDs)
 	now := tc.mgr.Cluster.Eng.Now()
 	for _, p := range rules.SortedPatterns(tc.removing) {
 		st := tc.removing[p]
@@ -1439,7 +1373,7 @@ func (tc *TORController) reconcile(rep *openflow.TableReply) {
 	}
 	slices.SortFunc(lost, rules.Pattern.Compare)
 	for _, p := range lost {
-		delete(tc.offloaded, p)
+		tc.setOffloaded(p, false)
 		delete(tc.prevHW, p)
 		tc.Repairs++
 		if tc.rec != nil {

@@ -81,16 +81,19 @@ func (c Candidate) eligible(minScore float64) bool {
 	return c.Score() > minScore && c.ActiveEpochs > 0 && c.MedianPPS > 0
 }
 
-// scored is a candidate with its effective score, computed once per
-// Decide so the ranking sort does not probe offloaded per comparison.
-type scored struct {
-	Candidate
+// rankKey ranks candidate idx of Decide's input: 16 bytes for the sort to
+// move instead of the candidate itself. eff is the effective score,
+// computed once so the sort does not probe offloaded per comparison.
+type rankKey struct {
 	eff float64
+	idx int
 }
 
 // Decide selects the hardware set. offloaded is the currently-offloaded
 // pattern set. Candidates rank by effective score descending, canonical
-// pattern order (rules.Pattern.Compare) within ties.
+// pattern order (rules.Pattern.Compare) within ties — which is input order
+// when the input is strictly ascending in it (what CandidatesFromReports
+// and Smoother.Advance return), so ties then break on the index.
 func Decide(cfg Config, cands []Candidate, offloaded map[rules.Pattern]bool) Decision {
 	if cfg.Budget < 0 {
 		cfg.Budget = 0
@@ -98,15 +101,22 @@ func Decide(cfg Config, cands []Candidate, offloaded map[rules.Pattern]bool) Dec
 	if cfg.HysteresisRatio < 1 {
 		cfg.HysteresisRatio = 1
 	}
-	ranked := make([]scored, len(cands))
-	for i, c := range cands {
-		ranked[i] = scored{c, effectiveScore(cfg, c, offloaded)}
+	ranked := make([]rankKey, len(cands))
+	ascending := true
+	for i := range cands {
+		if i > 0 && ascending && cands[i-1].Pattern.Compare(cands[i].Pattern) >= 0 {
+			ascending = false
+		}
+		ranked[i] = rankKey{effectiveScore(cfg, cands[i], offloaded), i}
 	}
-	slices.SortFunc(ranked, func(a, b scored) int {
+	slices.SortFunc(ranked, func(a, b rankKey) int {
 		if c := cmp.Compare(b.eff, a.eff); c != 0 {
 			return c
 		}
-		return a.Pattern.Compare(b.Pattern)
+		if ascending {
+			return cmp.Compare(a.idx, b.idx)
+		}
+		return cands[a.idx].Pattern.Compare(cands[b.idx].Pattern)
 	})
 
 	// No groups: every unit is a single candidate, the stable unit sort is
@@ -117,10 +127,11 @@ func Decide(cfg Config, cands []Candidate, offloaded map[rules.Pattern]bool) Dec
 	if len(cfg.Groups) == 0 {
 		var d Decision
 		selected := make(map[rules.Pattern]bool, cfg.Budget)
-		for _, c := range ranked {
+		for _, k := range ranked {
 			if len(d.Offload) >= cfg.Budget {
 				break
 			}
+			c := &cands[k.idx]
 			if !c.eligible(cfg.MinScore) || selected[c.Pattern] {
 				continue
 			}
@@ -141,7 +152,8 @@ func Decide(cfg Config, cands []Candidate, offloaded map[rules.Pattern]bool) Dec
 	}
 	groupUnits := make(map[int]*unit)
 	var units []*unit
-	for _, c := range ranked {
+	for _, k := range ranked {
+		c := &cands[k.idx]
 		ok := c.eligible(cfg.MinScore)
 		if gi, grouped := groupOf[c.Pattern]; grouped {
 			u, exists := groupUnits[gi]
@@ -151,7 +163,7 @@ func Decide(cfg Config, cands []Candidate, offloaded map[rules.Pattern]bool) Dec
 				units = append(units, u)
 			}
 			u.patterns = append(u.patterns, c.Pattern)
-			u.score += c.eff
+			u.score += k.eff
 			// One ineligible member poisons the whole group: all
 			// or nothing.
 			u.eligible = u.eligible && ok
@@ -159,7 +171,7 @@ func Decide(cfg Config, cands []Candidate, offloaded map[rules.Pattern]bool) Dec
 		}
 		units = append(units, &unit{
 			patterns: []rules.Pattern{c.Pattern},
-			score:    c.eff,
+			score:    k.eff,
 			eligible: ok,
 		})
 	}
@@ -228,11 +240,22 @@ func CandidatesFromReports(reports []openflow.DemandReport, hwPPS map[rules.Patt
 	for _, rep := range reports {
 		n += len(rep.Entries)
 	}
-	merged := make(map[rules.Pattern]Candidate, n)
+	// The map holds an index, not the candidate: each is merged in place in
+	// vals, whose order is found by sorting 4-byte indices.
+	index := make(map[rules.Pattern]int32, n)
+	vals := make([]Candidate, 0, n)
+	at := func(p rules.Pattern) *Candidate {
+		i, ok := index[p]
+		if !ok {
+			i = int32(len(vals))
+			index[p] = i
+			vals = append(vals, Candidate{Pattern: p})
+		}
+		return &vals[i]
+	}
 	for _, rep := range reports {
 		for _, e := range rep.Entries {
-			c := merged[e.Pattern]
-			c.Pattern = e.Pattern
+			c := at(e.Pattern)
 			if e.ActiveEpochs > c.ActiveEpochs {
 				c.ActiveEpochs = e.ActiveEpochs
 			}
@@ -240,31 +263,45 @@ func CandidatesFromReports(reports []openflow.DemandReport, hwPPS map[rules.Patt
 				c.MedianPPS = e.MedianPPS
 				c.MedianBPS = e.MedianBPS
 			}
-			merged[e.Pattern] = c
 		}
 	}
 	for pat, pps := range hwPPS {
-		c, ok := merged[pat]
-		if !ok {
-			c.Pattern = pat
-		}
+		c := at(pat)
 		if pps > c.MedianPPS {
 			c.MedianPPS = pps
 		}
 		if c.ActiveEpochs == 0 {
 			c.ActiveEpochs = 1
 		}
-		merged[pat] = c
 	}
-	out := make([]Candidate, 0, len(merged))
-	for _, c := range merged {
-		if priorityOf != nil {
-			c.Priority = priorityOf(c.Pattern.Tenant)
+	perm := make([]int32, len(vals))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int { return vals[a].Pattern.Compare(vals[b].Pattern) })
+	// Gather vals[perm[i]] into vals[i] in place, one cycle of the
+	// permutation at a time; a placed slot is marked -1.
+	for i := range perm {
+		if perm[i] < 0 {
+			continue
 		}
-		out = append(out, c)
+		first := vals[i]
+		for j := i; ; {
+			k := int(perm[j])
+			perm[j] = -1
+			if k == i {
+				vals[j] = first
+				break
+			}
+			vals[j], j = vals[k], k
+		}
 	}
-	slices.SortFunc(out, func(a, b Candidate) int { return a.Pattern.Compare(b.Pattern) })
-	return out
+	if priorityOf != nil {
+		for i := range vals {
+			vals[i].Priority = priorityOf(vals[i].Pattern.Tenant)
+		}
+	}
+	return vals
 }
 
 // SplitLimits runs FPS for one VM direction pair, producing the installed

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/openflow"
+	"repro/internal/packet"
 	"repro/internal/rules"
 )
 
@@ -413,5 +415,107 @@ func TestDecisionPassAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(10, func() { pass() }); got > 200 {
 		t.Fatalf("decision pass over %d patterns allocates %v times, gate is 200", n, got)
+	}
+}
+
+// TestDecideBreaksTiesAlikeSortedAndShuffled: Decide breaks score ties on
+// the input index when the input is strictly ascending and on
+// Pattern.Compare otherwise; with every score tied in clusters, both must
+// give what the oracle gives — sorted input, shuffled input, and input with
+// a repeated pattern (which is not strictly ascending).
+func TestDecideBreaksTiesAlikeSortedAndShuffled(t *testing.T) {
+	for seed := 0; seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(int64(300 + seed)))
+		sorted, offloaded := benchCandidates(96)
+		for i := range sorted {
+			sorted[i].ActiveEpochs, sorted[i].MedianPPS = 1, float64(1+rng.Intn(4))*100
+		}
+		slices.SortFunc(sorted, func(a, b Candidate) int { return a.Pattern.Compare(b.Pattern) })
+		shuffled := append([]Candidate(nil), sorted...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		repeated := append(append([]Candidate(nil), sorted...), sorted[rng.Intn(len(sorted))])
+		slices.SortFunc(repeated, func(a, b Candidate) int { return a.Pattern.Compare(b.Pattern) })
+		cfg := Config{Budget: 10 + rng.Intn(40), HysteresisRatio: 1 + float64(rng.Intn(2))}
+		want := oracleDecide(cfg, sorted, offloaded)
+		for name, in := range map[string][]Candidate{"sorted": sorted, "shuffled": shuffled, "repeated": repeated} {
+			if got := Decide(cfg, in, offloaded); !reflect.DeepEqual(want, got) {
+				t.Fatalf("seed %d, %s input: Decide diverged\noracle: %+v\ngot:    %+v", seed, name, want, got)
+			}
+		}
+	}
+}
+
+// oracleCandidates is CandidatesFromReports as it was before it sorted a
+// permutation: merge into a map of candidates, collect, sort the values.
+func oracleCandidates(reports []openflow.DemandReport, hwPPS map[rules.Pattern]float64, priorityOf func(packet.TenantID) float64) []Candidate {
+	merged := make(map[rules.Pattern]Candidate)
+	for _, rep := range reports {
+		for _, e := range rep.Entries {
+			c := merged[e.Pattern]
+			c.Pattern = e.Pattern
+			if e.ActiveEpochs > c.ActiveEpochs {
+				c.ActiveEpochs = e.ActiveEpochs
+			}
+			if e.MedianPPS > c.MedianPPS {
+				c.MedianPPS = e.MedianPPS
+				c.MedianBPS = e.MedianBPS
+			}
+			merged[e.Pattern] = c
+		}
+	}
+	for pat, pps := range hwPPS {
+		c, ok := merged[pat]
+		if !ok {
+			c.Pattern = pat
+		}
+		if pps > c.MedianPPS {
+			c.MedianPPS = pps
+		}
+		if c.ActiveEpochs == 0 {
+			c.ActiveEpochs = 1
+		}
+		merged[pat] = c
+	}
+	out := make([]Candidate, 0, len(merged))
+	for _, c := range merged {
+		if priorityOf != nil {
+			c.Priority = priorityOf(c.Pattern.Tenant)
+		}
+		out = append(out, c)
+	}
+	slices.SortFunc(out, func(a, b Candidate) int { return a.Pattern.Compare(b.Pattern) })
+	return out
+}
+
+// TestCandidatesFromReportsMatchesOracle: patterns reported by several
+// servers, in hardware only, in both, and by nobody's order.
+func TestCandidatesFromReportsMatchesOracle(t *testing.T) {
+	prio := func(t packet.TenantID) float64 { return float64(1 + t%3) }
+	for seed := 0; seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(int64(500 + seed)))
+		pool, _ := benchCandidates(200)
+		reports := make([]openflow.DemandReport, 1+rng.Intn(6))
+		for i := range reports {
+			for n := rng.Intn(120); n > 0; n-- {
+				c := pool[rng.Intn(len(pool))]
+				reports[i].Entries = append(reports[i].Entries, openflow.DemandEntry{
+					Pattern: c.Pattern, ActiveEpochs: uint32(rng.Intn(9)),
+					MedianPPS: float64(rng.Intn(5000)), MedianBPS: float64(rng.Intn(1 << 20)),
+				})
+			}
+		}
+		hw := map[rules.Pattern]float64{}
+		for n := rng.Intn(60); n > 0; n-- {
+			hw[pool[rng.Intn(len(pool))].Pattern] = float64(rng.Intn(5000))
+		}
+		for _, f := range []func(packet.TenantID) float64{nil, prio} {
+			want, got := oracleCandidates(reports, hw, f), CandidatesFromReports(reports, hw, f)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("seed %d: CandidatesFromReports diverged from the map-and-sort oracle", seed)
+			}
+		}
+	}
+	if got := CandidatesFromReports(nil, nil, nil); got == nil || len(got) != 0 {
+		t.Fatalf("no input: got %#v, want an empty non-nil slice", got)
 	}
 }

@@ -1,7 +1,10 @@
 package openflow
 
 import (
+	"bytes"
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/packet"
@@ -96,4 +99,106 @@ func normalizeRep(r DemandReport) DemandReport {
 		r.NICPatterns = nil
 	}
 	return r
+}
+
+// ruleSyncSeeds are the shapes a RuleSync takes on the wire: full (with and
+// without the term tail), an empty delta, add-only, remove-only, both, and
+// the first and final parts of a split full set.
+func ruleSyncSeeds() []*RuleSync {
+	ps := syncOf(0, 5).Patterns
+	return []*RuleSync{
+		{Seq: 1, Patterns: ps},
+		{Seq: 2, Patterns: ps, Term: 3, Origin: 1},
+		{Seq: 3, Delta: true, Base: 2},
+		{Seq: 4, Delta: true, Base: 3, Patterns: ps[:2], Term: 3},
+		{Seq: 5, Delta: true, Base: 4, Removes: ps[2:], Term: 3, Origin: 2},
+		{Seq: 6, Delta: true, Base: 4, Patterns: ps[:1], Removes: ps[1:]},
+		{Seq: 7, Patterns: ps[:3], Part: 0, Parts: 2, Term: 3},
+		{Seq: 7, Patterns: ps[3:], Part: 1, Parts: 2, Term: 3},
+	}
+}
+
+// FuzzRuleSync decodes arbitrary RuleSync bodies. What decodes must
+// re-encode to a canonical frame — one that decodes to the same message and
+// encodes to itself — and what does not must be rejected without allocating
+// for the counts it claims.
+func FuzzRuleSync(f *testing.F) {
+	for _, m := range ruleSyncSeeds() {
+		f.Add(Encode(m, 1)[headerLen:])
+	}
+	huge := Encode(&RuleSync{Seq: 9, Delta: true, Base: 8, Removes: syncOf(0, 1).Patterns}, 1)[headerLen:]
+	binary.BigEndian.PutUint32(huge[len(huge)-patternLen-4:], 1<<30) // a remove count far beyond the body
+	f.Add(huge)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) > MaxFrame-headerLen {
+			return
+		}
+		frame := make([]byte, headerLen, headerLen+len(body))
+		frame[0], frame[1] = Version, uint8(TypeRuleSync)
+		frame = append(frame, body...)
+		binary.BigEndian.PutUint16(frame[2:4], uint16(len(frame)))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		msg, _, _, err := Decode(frame)
+		runtime.ReadMemStats(&after)
+		// A decoded pattern is about twice its 20 wire bytes; nothing the
+		// body does not hold may be allocated for.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(64<<10+4*len(body)) {
+			t.Fatalf("decoding a %d-byte body allocated %d bytes (err: %v)", len(body), grew, err)
+		}
+		if err != nil {
+			return
+		}
+		canon := Encode(msg, 7)
+		if len(canon) > len(frame) {
+			t.Fatalf("a %d-byte frame re-encodes to %d bytes", len(frame), len(canon))
+		}
+		again, _, _, err := Decode(canon)
+		if err != nil || !reflect.DeepEqual(again, msg) || !bytes.Equal(Encode(again, 7), canon) {
+			t.Fatalf("re-encoding is not canonical: %v\nfirst:  %+v\nsecond: %+v", err, msg, again)
+		}
+	})
+}
+
+// TestRuleSyncShapes: every shape round-trips, a full sync without parts
+// encodes as it did before the tail existed, and malformed tails are
+// errors.
+func TestRuleSyncShapes(t *testing.T) {
+	for _, m := range ruleSyncSeeds() {
+		back, xid, n, err := Decode(Encode(m, 11))
+		if err != nil || xid != 11 || n != len(Encode(m, 11)) || !reflect.DeepEqual(back, m) {
+			t.Errorf("%+v does not round-trip: %v, got %+v", m, err, back)
+		}
+	}
+	full := syncOf(3, 4)
+	legacy := buffer{b: make([]byte, headerLen)}
+	legacy.u32(full.Seq)
+	legacy.u32(uint32(len(full.Patterns)))
+	for _, p := range full.Patterns {
+		marshalPattern(&legacy, p)
+	}
+	legacy.u32(full.Term)
+	legacy.u32(full.Origin)
+	if got := Encode(full, 0); !bytes.Equal(got[headerLen:], legacy.b[headerLen:]) {
+		t.Error("a full sync no longer encodes as seq, count, patterns, term, origin")
+	}
+	delta := Encode(&RuleSync{Seq: 9, Delta: true, Base: 8, Removes: full.Patterns}, 1)
+	for name, cut := range map[string]int{"inside a remove": 7, "inside the remove count": 4*patternLen + 2, "after the kind": 4*patternLen + 8} {
+		bad := bytes.Clone(delta[:len(delta)-cut])
+		binary.BigEndian.PutUint16(bad[2:4], uint16(len(bad)))
+		if _, _, _, err := Decode(bad); err == nil {
+			t.Errorf("a delta truncated %s decodes", name)
+		}
+	}
+	for name, tail := range map[string][]byte{"unknown kind": {9}, "part 2 of 2": {syncTailPart, 0, 2, 0, 2}, "part 0 of 0": {syncTailPart, 0, 0, 0, 0}} {
+		bad := append(Encode(&RuleSync{Seq: 1, Term: 1}, 1), tail...)
+		binary.BigEndian.PutUint16(bad[2:4], uint16(len(bad)))
+		if _, _, _, err := Decode(bad); err == nil {
+			t.Errorf("a tail with %s decodes", name)
+		}
+	}
+	over := &RuleSync{Seq: 1, Patterns: make([]rules.Pattern, MaxSyncPatterns), Delta: true, Base: 1, Term: 1, Origin: 1}
+	if n := len(Encode(over, 1)); n > MaxFrame {
+		t.Errorf("MaxSyncPatterns patterns make a %d-byte frame", n)
+	}
 }

@@ -51,10 +51,11 @@ const (
 	// data-plane element — e.g. a FLOW_MOD rejected by a full or faulty
 	// TCAM. Mirrors OpenFlow's OFPT_ERROR.
 	TypeError
-	// TypeRuleSync carries the TOR DE's full desired offload set to a
-	// local controller — the anti-entropy complement to incremental
-	// OffloadDecision diffs: a receiver reconciles its placer state
-	// against it, so any number of lost decisions self-heal.
+	// TypeRuleSync carries the TOR DE's desired offload set to a local
+	// controller, whole or as the changes since what it acked — the
+	// anti-entropy complement to incremental OffloadDecision diffs: a
+	// receiver reconciles its placer state against the set, so any number
+	// of lost decisions self-heal.
 	TypeRuleSync
 	// TypeSyncAck acknowledges a RuleSync after the local controller has
 	// programmed its placers; the TOR controller gates hardware rule
@@ -385,10 +386,7 @@ func (m *DemandReport) marshalBody(b *buffer) {
 	}
 	marshalSplits(b, m.Splits)
 	b.u32(m.NICFree)
-	b.u32(uint32(len(m.NICPatterns)))
-	for _, p := range m.NICPatterns {
-		marshalPattern(b, p)
-	}
+	marshalPatterns(b, m.NICPatterns)
 	if m.Sketch != nil {
 		b.u8(1)
 		b.u32(m.Sketch.TopK)
@@ -430,16 +428,8 @@ func (m *DemandReport) unmarshalBody(r *reader) error {
 		return r.err // legacy body without the NIC section
 	}
 	m.NICFree = r.u32()
-	np := r.u32()
-	// Each NIC pattern is 20 bytes on the wire.
-	if uint64(np)*20 > uint64(r.remaining()) {
-		return fmt.Errorf("openflow: demand report claims %d nic patterns beyond body", np)
-	}
-	if np > 0 {
-		m.NICPatterns = make([]rules.Pattern, np)
-		for i := range m.NICPatterns {
-			m.NICPatterns[i] = unmarshalPattern(r)
-		}
+	if m.NICPatterns, err = unmarshalPatterns(r, new([]rules.Pattern)); err != nil {
+		return err
 	}
 	if r.remaining() == 0 {
 		return r.err // body without the sketch section
@@ -640,46 +630,130 @@ func (m *ErrorMsg) unmarshalBody(r *reader) error {
 	return r.err
 }
 
-// RuleSync is the TOR controller's full desired offload set, sequenced so
-// receivers and the sender agree on which state an ack covers. Stale or
-// duplicate syncs (Seq ≤ last applied) are applied idempotently.
+// RuleSync carries the TOR controller's desired offload set, sequenced so
+// receivers and the sender agree on which state an ack covers. Without a
+// tail it is full: Patterns is the whole set at Seq. With Delta, the set at
+// Seq is the set at Base plus Patterns less Removes, which list every
+// pattern touched since Base under its membership at Seq — so applying it
+// to any state from Base to Seq gives the set at Seq, and a receiver that
+// has applied less than Base must not apply it. With Parts > 0 it is part
+// Part of a full set too large for one frame, all parts under one Seq.
+// Stale or duplicate syncs (Seq ≤ last applied) are applied idempotently.
 type RuleSync struct {
 	Seq      uint32
 	Patterns []rules.Pattern
 	// Term/Origin epoch-fence the sync; sequence numbers are scoped to
 	// a term (a new leader starts a fresh sequence space). Optional
-	// tail, omitted when zero.
+	// tail, omitted when zero and nothing follows.
 	Term   uint32
 	Origin uint32
+	// The shape tail follows Term/Origin; a one-frame full sync has none
+	// and encodes as it did before deltas existed.
+	Delta       bool
+	Base        uint32
+	Removes     []rules.Pattern
+	Part, Parts uint16
 }
+
+// MaxSyncPatterns bounds Patterns plus Removes of one RuleSync frame (20
+// wire bytes each, under MaxFrame with header and tails): senders split a
+// larger full set into parts and keep a delta below it.
+const MaxSyncPatterns = 3200
+
+// RuleSync tail kinds.
+const syncTailDelta, syncTailPart = 1, 2
 
 // Type implements Message.
 func (*RuleSync) Type() MsgType { return TypeRuleSync }
 
 func (m *RuleSync) marshalBody(b *buffer) {
-	b.reserve(8 + patternLen*len(m.Patterns) + 8)
+	b.reserve(8 + patternLen*(len(m.Patterns)+len(m.Removes)) + 8 + 9)
 	b.u32(m.Seq)
-	b.u32(uint32(len(m.Patterns)))
-	for _, p := range m.Patterns {
-		marshalPattern(b, p)
+	marshalPatterns(b, m.Patterns)
+	if !m.Delta && m.Parts == 0 {
+		marshalTermTail(b, m.Term, m.Origin)
+		return
 	}
-	marshalTermTail(b, m.Term, m.Origin)
+	b.u32(m.Term)
+	b.u32(m.Origin)
+	if m.Delta {
+		b.u8(syncTailDelta)
+		b.u32(m.Base)
+		marshalPatterns(b, m.Removes)
+	} else {
+		b.u8(syncTailPart)
+		b.u16(m.Part)
+		b.u16(m.Parts)
+	}
 }
 
 func (m *RuleSync) unmarshalBody(r *reader) error {
 	m.Seq = r.u32()
-	n := r.u32()
-	if uint64(n)*20 > uint64(r.remaining()) {
-		return fmt.Errorf("openflow: rule sync claims %d patterns beyond body", n)
+	// A delta's two lists are decoded into one array: peek the removes'
+	// count, which lies behind the adds, term/origin, the kind and the base.
+	var buf []rules.Pattern
+	if r.remaining() >= 4 {
+		n := uint64(binary.BigEndian.Uint32(r.b[r.off:]))
+		tail := uint64(r.off) + 4 + n*patternLen + 8
+		if tail+9 <= uint64(len(r.b)) && r.b[tail] == syncTailDelta {
+			if n += uint64(binary.BigEndian.Uint32(r.b[tail+5:])); n*patternLen <= uint64(r.remaining()) {
+				buf = make([]rules.Pattern, 0, n)
+			}
+		}
 	}
-	if n > 0 {
-		m.Patterns = make([]rules.Pattern, n)
-	}
-	for i := range m.Patterns {
-		m.Patterns[i] = unmarshalPattern(r)
+	var err error
+	if m.Patterns, err = unmarshalPatterns(r, &buf); err != nil {
+		return err
 	}
 	m.Term, m.Origin = unmarshalTermTail(r)
+	if r.err != nil || r.remaining() == 0 {
+		return r.err
+	}
+	switch kind := r.u8(); kind {
+	case syncTailDelta:
+		m.Delta, m.Base = true, r.u32()
+		if m.Removes, err = unmarshalPatterns(r, &buf); err != nil {
+			return err
+		}
+	case syncTailPart:
+		if m.Part, m.Parts = r.u16(), r.u16(); r.err == nil && m.Part >= m.Parts {
+			return fmt.Errorf("openflow: rule sync part %d of %d", m.Part, m.Parts)
+		}
+	default:
+		return fmt.Errorf("openflow: rule sync tail kind %d", kind)
+	}
 	return r.err
+}
+
+// marshalPatterns writes a count and the patterns.
+func marshalPatterns(b *buffer, ps []rules.Pattern) {
+	b.u32(uint32(len(ps)))
+	for _, p := range ps {
+		marshalPattern(b, p)
+	}
+}
+
+// unmarshalPatterns reads a count and that many patterns, into buf's spare
+// capacity when they fit there; a count the body cannot hold is rejected
+// before anything is allocated for it.
+func unmarshalPatterns(r *reader, buf *[]rules.Pattern) ([]rules.Pattern, error) {
+	n := int(r.u32())
+	if uint64(n)*patternLen > uint64(r.remaining()) {
+		return nil, fmt.Errorf("openflow: %d patterns claimed beyond body", n)
+	}
+	if n == 0 {
+		return nil, r.err
+	}
+	if n > cap(*buf)-len(*buf) {
+		*buf = make([]rules.Pattern, 0, n)
+	}
+	at := len(*buf)
+	*buf = (*buf)[:at+n]
+	ps := (*buf)[at : at+n : at+n]
+	for i := range ps {
+		ps[i] = unmarshalPattern(r)
+	}
+	return ps, r.err
 }
 
 // SyncAck confirms a RuleSync was applied by the given server. Term

@@ -60,3 +60,24 @@ func TestNextAtAgreesWithRunUntil(t *testing.T) {
 		t.Fatalf("event order %v", order)
 	}
 }
+
+// TestRunUntilStopsAtDeadlineBehindCanceledHead: a canceled event at the
+// head of the queue (every confirmed install leaves its timeout there) must
+// not let RunUntil run the next live event past the deadline.
+func TestRunUntilStopsAtDeadlineBehindCanceledHead(t *testing.T) {
+	e := NewEngine(1)
+	ran := false
+	e.After(800*time.Microsecond, func() {}).Cancel()
+	e.After(85*time.Millisecond, func() { ran = true })
+	e.RunUntil(time.Millisecond)
+	if ran || e.Now() != time.Millisecond {
+		t.Fatalf("RunUntil(1ms) ran the 85ms event: %v, clock at %v", ran, e.Now())
+	}
+	if at, ok := e.NextAt(); !ok || at != 85*time.Millisecond {
+		t.Fatalf("NextAt = %v, %v; the 85ms event must still be queued", at, ok)
+	}
+	e.RunUntil(85 * time.Millisecond)
+	if !ran {
+		t.Fatal("the live event did not run at its own time")
+	}
+}

@@ -192,15 +192,15 @@ func (e *Engine) Run() {
 }
 
 // RunUntil executes events with time ≤ deadline, then advances the clock to
-// exactly deadline. Events scheduled later remain queued.
+// exactly deadline. Events scheduled later remain queued. The deadline is
+// compared against the earliest live event: a canceled head is discarded
+// first (NextAt), or step would skip it and run the next live event
+// whatever its time.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
 	for !e.stopped {
-		if len(e.queue) == 0 {
-			break
-		}
-		// Peek: heap root is the earliest event.
-		if e.queue[0].at > deadline {
+		at, ok := e.NextAt()
+		if !ok || at > deadline {
 			break
 		}
 		e.step()
