@@ -2,6 +2,7 @@ package rules
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/packet"
@@ -218,6 +219,36 @@ func TestOverlapsConservative(t *testing.T) {
 		for _, m := range masks {
 			if !p.Overlaps(m, m.Apply(k)) {
 				t.Fatalf("pattern %v matches %v but reports no overlap with its region under %+v", p, k, m)
+			}
+		}
+	}
+}
+
+// TestTupleSpaceRemoveKeepsMaxPrioTight: Remove recomputes a group's
+// maxPrio only when an entry that carried it went, and must leave exactly
+// what a recomputation over every bucket would: too high prunes less, too
+// low prunes a winner away. The groups stay in descending order of it.
+func TestTupleSpaceRemoveKeepsMaxPrioTight(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	ts := NewTupleSpace[int]()
+	var installed []Pattern
+	for step := 0; step < 4000; step++ {
+		if rng.Intn(5) < 3 || len(installed) == 0 {
+			p := randPattern(rng)
+			ts.Insert(p, rng.Intn(6), step)
+			installed = append(installed, p)
+		} else {
+			i := rng.Intn(len(installed))
+			ts.Remove(installed[i], nil) // every rule under the pattern
+			p := installed[i]
+			installed = slices.DeleteFunc(installed, func(q Pattern) bool { return q == p })
+		}
+		for i, g := range ts.groups {
+			if want := g.recomputeMaxPrio(); g.maxPrio != want {
+				t.Fatalf("step %d: group %+v holds maxPrio %d, its entries say %d", step, g.mask, g.maxPrio, want)
+			}
+			if i > 0 && ts.groups[i-1].maxPrio < g.maxPrio {
+				t.Fatalf("step %d: groups out of order at %d", step, i)
 			}
 		}
 	}

@@ -236,11 +236,12 @@ func (t *TupleSpace[V]) Remove(p Pattern, match func(V) bool) int {
 	if !ok {
 		return 0
 	}
-	n := 0
+	n, top := 0, false
 	out := bucket[:0]
 	for _, e := range bucket {
 		if match == nil || match(e.val) {
 			n++
+			top = top || e.prio == g.maxPrio
 			continue
 		}
 		out = append(out, e)
@@ -263,8 +264,9 @@ func (t *TupleSpace[V]) Remove(p Pattern, match func(V) bool) int {
 				break
 			}
 		}
-	} else {
-		// Keep maxPrio tight so pruning stays effective.
+	} else if top {
+		// Keep maxPrio tight so pruning stays effective: it can only have
+		// dropped if an entry that carried it went.
 		g.maxPrio = g.recomputeMaxPrio()
 		t.resort()
 	}

@@ -1,6 +1,7 @@
 package vswitch
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/packet"
@@ -38,7 +39,7 @@ func TestFastPathAllocsWithTelemetryDisabled(t *testing.T) {
 		i := 0
 		if n := testing.AllocsPerRun(1000, func() {
 			i++
-			if _, ok := sw.core.mega.lookup(key(i)); !ok {
+			if sw.core.mega.lookup(key(i)) == nil {
 				t.Fatal("megaflow miss on warmed region")
 			}
 		}); n != 0 {
@@ -150,5 +151,58 @@ func TestVectorPipelineAllocs(t *testing.T) {
 				t.Fatalf("new-flow gate: %d megaflow hits over %d packets", hits, c.Packets-before.Packets)
 			}
 		})
+	}
+}
+
+// TestMissVectorAllocs is the gate beside it for the path a new connection
+// takes: once two epochs have sized the tables and made the shaping buckets,
+// a later epoch — table walks, megaflow installs, megaflow hits that install
+// exact entries, exact hits — allocates nothing. A flush keeps every
+// table's arrays; a cache that rebuilt itself per epoch shows here. The
+// count is over the whole epoch, not testing.AllocsPerRun's per-vector
+// average, which rounds a map's few growth steps down to zero.
+func TestMissVectorAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race; the pooled pipeline cannot be 0-alloc there")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	pl, keys, pkts := newflowsPlane(4096)
+	defer pl.Close()
+	inj := pl.NewInjector()
+	epoch := func() {
+		for i, p := range pkts {
+			inj.Egress(keys[i], p)
+		}
+		inj.Flush()
+	}
+	for range 2 { // the second sees the first's buckets kept across a publish
+		epoch()
+		pl.Invalidate(rules.Pattern{Tenant: 3})
+	}
+	before := pl.Counters()
+	// Mallocs counts the whole process, so a stray allocation by a goroutine
+	// an earlier test left behind shows too; the plane's own would show in
+	// every epoch, so the least of five is taken.
+	const epochs = 5
+	least := ^uint64(0)
+	var m0, m1 runtime.MemStats
+	for range epochs {
+		runtime.ReadMemStats(&m0)
+		epoch()
+		runtime.ReadMemStats(&m1)
+		least = min(least, m1.Mallocs-m0.Mallocs)
+		pl.Invalidate(rules.Pattern{Tenant: 3})
+	}
+	if least != 0 {
+		t.Fatalf("a later epoch's %d packets allocate %d times, want 0", len(pkts), least)
+	}
+	c := pl.Counters()
+	// Three megaflow hits per walk, and one more for each flow the exact
+	// table evicted between its two sightings.
+	walks, hits := c.Megaflow.Misses-before.Megaflow.Misses, c.Megaflow.Hits-before.Megaflow.Hits
+	evicted := c.ExactEvictions - before.ExactEvictions
+	if c.EpochFlushes != before.EpochFlushes+epochs || walks != epochs*4096/4 || hits < 3*walks || hits > 3*walks+evicted {
+		t.Fatalf("gate did not run the miss path: %d flushes, %d walks, %d megaflow hits, %d evictions",
+			c.EpochFlushes-before.EpochFlushes, walks, hits, evicted)
 	}
 }

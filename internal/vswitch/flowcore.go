@@ -6,8 +6,8 @@ import (
 	"repro/internal/sketch"
 )
 
-// fpVerdict is what the rules decide for a flow: the value the megaflow
-// cache stores and a slow-path scan hands its waiters.
+// fpVerdict is what the rules decide for a flow: what evaluate returns and
+// a slow-path scan hands its waiters.
 type fpVerdict struct {
 	allow bool
 	queue int
@@ -68,18 +68,22 @@ func evaluate(k packet.FlowKey, src, dst *rules.CompiledVM) (fpVerdict, rules.Fi
 }
 
 // promote serves an exact miss from the megaflow cache: a hit installs the
-// flow's exact entry, so per-flow statistics keep accruing, and returns it.
+// flow's exact entry with the megaflow's action, so per-flow statistics
+// keep accruing, and returns it.
 func (c *flowCore) promote(k packet.FlowKey, h uint64) *flowEntry {
-	v, ok := c.mega.lookup(k)
-	if !ok {
+	m := c.mega.lookup(k)
+	if m == nil {
 		return nil
 	}
-	return c.install(c.exact.insert(k, h), v)
+	e := c.exact.insert(k, h)
+	e.act = m.act
+	return e
 }
 
 // miss serves a flow neither cache holds: it evaluates the endpoints' rules
-// and installs the verdict in both caches, returning the exact entry and
-// the megaflow's mask.
+// and installs the verdict, as an egressDeny or egressPlain action, in both
+// caches. It returns the exact entry, the megaflow (where a forwarder writes
+// back an action it refined, before the next miss) and the megaflow's mask.
 //
 // The key may already have a live entry: Switch evaluates when an upcall
 // completes, and a megaflow hit may have installed the flow meanwhile. The
@@ -87,25 +91,18 @@ func (c *flowCore) promote(k packet.FlowKey, h uint64) *flowEntry {
 // what it accrued during the scan. That undercount is the seed's behaviour
 // (a map install that replaced the entry) and the recorded results/ depend
 // on it; TestUpcallInstallResetsCounters pins it.
-func (c *flowCore) miss(k packet.FlowKey, h uint64, src, dst *rules.CompiledVM) (*flowEntry, rules.FieldMask) {
+func (c *flowCore) miss(k packet.FlowKey, h uint64, src, dst *rules.CompiledVM) (e, m *flowEntry, mask rules.FieldMask) {
 	v, mask := evaluate(k, src, dst)
-	c.mega.install(k, mask, v)
-	e := c.exact.lookup(k, h)
-	if e == nil {
+	act := flowAction{kind: egressDeny, bucket: noBucket, queue: int32(v.queue)}
+	if v.allow {
+		act.kind = egressPlain
+	}
+	m = c.mega.install(k, mask, act)
+	if e = c.exact.lookup(k, h); e == nil {
 		e = c.exact.insert(k, h)
 	}
-	return c.install(e, v), mask
-}
-
-// install makes e a fresh entry for its key holding verdict v.
-func (c *flowCore) install(e *flowEntry, v fpVerdict) *flowEntry {
-	kind := egressDeny
-	if v.allow {
-		kind = egressPlain
-	}
-	e.pkts, e.bytes = 0, 0
-	e.act = flowAction{kind: kind, bucket: noBucket, queue: int32(v.queue)}
-	return e
+	e.pkts, e.bytes, e.act = 0, 0, act
+	return e, m, mask
 }
 
 // accrue charges pkts wire packets of bytes in total to the flow's entry,
@@ -134,7 +131,5 @@ func (c *flowCore) invalidate(p rules.Pattern) (exact, mega int) {
 // flush empties both caches.
 func (c *flowCore) flush() {
 	c.exact.flush()
-	if c.mega.Len() > 0 {
-		c.mega.flush()
-	}
+	c.mega.flush()
 }

@@ -1,6 +1,8 @@
 package vswitch
 
 import (
+	"slices"
+
 	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/rules"
@@ -26,7 +28,8 @@ const ExactTableSlots = 1 << 15
 // verdict is installed under that mask, so subsequent flows that differ
 // only in unexamined fields (a port scan, a new connection to the same
 // service) hit one hash probe per distinct mask instead of the full
-// priority scan.
+// priority scan. It is flowTables: one per distinct mask, keyed by the
+// masked key.
 //
 // Soundness: a probe key equal to the original under the recorded mask
 // takes the identical path through every tuple the classifier examined —
@@ -40,9 +43,11 @@ type megaflowCache struct {
 	// masks lists distinct megaflow masks in first-install order; lookup
 	// probes each. The count stays small: it is bounded by the distinct
 	// consulted-mask unions the rule set can produce.
-	masks  []rules.FieldMask
-	tables map[rules.FieldMask]map[packet.FlowKey]fpVerdict
-	size   int
+	masks []rules.FieldMask
+	// tables[i] holds the megaflows under masks[i], keyed by the masked
+	// key; an entry's act is what an exact entry for a flow it covers starts
+	// with. Made at the mask's first install; both outlive a flush.
+	tables []*flowTable
 	limit  int
 	stats  metrics.CacheCounters
 }
@@ -51,41 +56,46 @@ func newMegaflowCache(limit int) *megaflowCache {
 	if limit <= 0 {
 		limit = DefaultMegaflowLimit
 	}
-	return &megaflowCache{
-		tables: make(map[rules.FieldMask]map[packet.FlowKey]fpVerdict),
-		limit:  limit,
-	}
+	return &megaflowCache{limit: limit}
 }
 
-// lookup returns the cached verdict covering k, if any.
-func (c *megaflowCache) lookup(k packet.FlowKey) (fpVerdict, bool) {
-	for _, m := range c.masks {
-		if v, ok := c.tables[m][m.Apply(k)]; ok {
+// lookup returns the megaflow covering k (good until the next install).
+func (c *megaflowCache) lookup(k packet.FlowKey) *flowEntry {
+	for i, t := range c.tables {
+		if t.live == 0 {
+			continue
+		}
+		mk := c.masks[i].Apply(k)
+		if e := t.lookup(mk, flowSlotHash(mk)); e != nil {
 			c.stats.Hits++
-			return v, true
+			return e
 		}
 	}
 	c.stats.Misses++
-	return fpVerdict{}, false
+	return nil
 }
 
-// install caches a slow-path verdict under the consulted-field mask.
-func (c *megaflowCache) install(k packet.FlowKey, mask rules.FieldMask, v fpVerdict) {
-	if c.size >= c.limit {
+// install caches a slow-path result under the consulted-field mask and
+// returns the megaflow, replacing the action of one already there.
+func (c *megaflowCache) install(k packet.FlowKey, mask rules.FieldMask, act flowAction) *flowEntry {
+	if c.Len() >= c.limit {
 		c.flush()
 	}
-	tbl, ok := c.tables[mask]
-	if !ok {
-		tbl = make(map[packet.FlowKey]fpVerdict)
-		c.tables[mask] = tbl
+	i := slices.Index(c.masks, mask)
+	if i < 0 {
+		i = len(c.masks)
 		c.masks = append(c.masks, mask)
+		c.tables = append(c.tables, newFlowTable())
 	}
 	mk := mask.Apply(k)
-	if _, exists := tbl[mk]; !exists {
-		c.size++
+	h := flowSlotHash(mk)
+	e := c.tables[i].lookup(mk, h)
+	if e == nil {
+		e = c.tables[i].insert(mk, h)
 	}
-	tbl[mk] = v
+	e.act = act
 	c.stats.Installs++
+	return e
 }
 
 // invalidate removes every entry whose match region overlaps the pattern,
@@ -93,28 +103,32 @@ func (c *megaflowCache) install(k packet.FlowKey, mask rules.FieldMask, v fpVerd
 // this switch's traffic.
 func (c *megaflowCache) invalidate(p rules.Pattern) int {
 	n := 0
-	for _, m := range c.masks {
-		tbl := c.tables[m]
-		for mk := range tbl {
-			if p.Overlaps(m, mk) {
-				delete(tbl, mk)
+	for i, t := range c.tables {
+		t.each(func(e *flowEntry) {
+			if p.Overlaps(c.masks[i], e.key) {
+				t.remove(e)
 				n++
 			}
-		}
+		})
 	}
-	c.size -= n
 	c.stats.Invalidations += uint64(n)
 	return n
 }
 
-// flush discards the whole cache (capacity overflow), counting the
-// entries as evictions.
+// flush discards every entry (capacity overflow), counting them as
+// evictions.
 func (c *megaflowCache) flush() {
-	c.stats.Evictions += uint64(c.size)
-	c.masks = c.masks[:0]
-	clear(c.tables)
-	c.size = 0
+	c.stats.Evictions += uint64(c.Len())
+	for _, t := range c.tables {
+		t.flush()
+	}
 }
 
 // Len returns the number of installed megaflow entries.
-func (c *megaflowCache) Len() int { return c.size }
+func (c *megaflowCache) Len() int {
+	n := 0
+	for _, t := range c.tables {
+		n += t.live
+	}
+	return n
+}

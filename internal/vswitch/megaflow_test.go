@@ -3,7 +3,9 @@ package vswitch
 import (
 	"math/rand"
 	"testing"
+	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/packet"
 	"repro/internal/rules"
@@ -206,5 +208,236 @@ func TestMegaflowOverflowFlushes(t *testing.T) {
 	}
 	if sw.ActiveMegaflows() > 4 {
 		t.Errorf("megaflow cache exceeded its limit: %d", sw.ActiveMegaflows())
+	}
+}
+
+// mapMegaflows is the megaflow cache as it was before it moved onto
+// flowTable — a Go map per mask, a size counter — kept as the oracle
+// TestMegaflowAgainstMapOracle holds the flat one to.
+type mapMegaflows struct {
+	masks  []rules.FieldMask
+	tables map[rules.FieldMask]map[packet.FlowKey]flowAction
+	size   int
+	limit  int
+	stats  metrics.CacheCounters
+}
+
+func (c *mapMegaflows) lookup(k packet.FlowKey) (flowAction, bool) {
+	for _, m := range c.masks {
+		if a, ok := c.tables[m][m.Apply(k)]; ok {
+			c.stats.Hits++
+			return a, true
+		}
+	}
+	c.stats.Misses++
+	return flowAction{}, false
+}
+
+func (c *mapMegaflows) install(k packet.FlowKey, mask rules.FieldMask, a flowAction) {
+	if c.size >= c.limit {
+		c.flush()
+	}
+	tbl, ok := c.tables[mask]
+	if !ok {
+		tbl = make(map[packet.FlowKey]flowAction)
+		c.tables[mask] = tbl
+		c.masks = append(c.masks, mask)
+	}
+	mk := mask.Apply(k)
+	if _, exists := tbl[mk]; !exists {
+		c.size++
+	}
+	tbl[mk] = a
+	c.stats.Installs++
+}
+
+func (c *mapMegaflows) invalidate(p rules.Pattern) int {
+	n := 0
+	for _, m := range c.masks {
+		tbl := c.tables[m]
+		for mk := range tbl {
+			if p.Overlaps(m, mk) {
+				delete(tbl, mk)
+				n++
+			}
+		}
+	}
+	c.size -= n
+	c.stats.Invalidations += uint64(n)
+	return n
+}
+
+func (c *mapMegaflows) flush() {
+	c.stats.Evictions += uint64(c.size)
+	c.masks = c.masks[:0]
+	clear(c.tables)
+	c.size = 0
+}
+
+// TestMegaflowAgainstMapOracle drives random install / lookup / invalidate
+// / flush through the flat megaflow cache and the map-of-maps it replaced,
+// with a limit small enough to overflow: every lookup answers alike, and
+// the population and the five counters agree after every step. Megaflows
+// that cover one key agree on its action, as sound ones do (the two caches
+// may probe their masks in different orders): here it is a function of the
+// fields every mask pins and of a salt that changes only while both caches
+// are empty.
+func TestMegaflowAgainstMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	masks := []rules.FieldMask{
+		{Tenant: true, SrcPrefix: 32, DstPrefix: 32},
+		{Tenant: true, SrcPrefix: 32, DstPrefix: 32, DstPort: true},
+		{Tenant: true, SrcPrefix: 32, DstPrefix: 32, DstPort: true, Proto: true},
+		rules.ExactMask,
+	}
+	randKey := func() packet.FlowKey {
+		return packet.FlowKey{Tenant: packet.TenantID(3 + rng.Intn(2)),
+			Src: packet.MakeIP(10, 0, 0, byte(rng.Intn(6))), Dst: packet.MakeIP(10, 0, 9, byte(rng.Intn(6))),
+			SrcPort: uint16(40000 + rng.Intn(3)), DstPort: uint16(80 + rng.Intn(8)), Proto: packet.ProtoTCP}
+	}
+	salt := int32(0)
+	action := func(k packet.FlowKey) flowAction {
+		return flowAction{kind: egressKind(1 + (uint32(k.Src)+uint32(k.Dst))%4), remote: k.Dst, bucket: int32(k.Src & 7), queue: salt}
+	}
+	const limit = 96
+	flat := newMegaflowCache(limit)
+	oracle := &mapMegaflows{tables: map[rules.FieldMask]map[packet.FlowKey]flowAction{}, limit: limit}
+	for op := 0; op < 200_000; op++ {
+		k := randKey()
+		switch r := rng.Intn(100); {
+		case r < 40:
+			m := masks[rng.Intn(len(masks))]
+			if got := flat.install(k, m, action(k)); got.key != m.Apply(k) || got.act != action(k) {
+				t.Fatalf("op %d: install of %v under %+v returned %+v", op, k, m, got)
+			}
+			oracle.install(k, m, action(k))
+		case r < 90:
+			want, hit := oracle.lookup(k)
+			if got := flat.lookup(k); (got != nil) != hit || hit && got.act != want {
+				t.Fatalf("op %d: lookup of %v: flat %+v, oracle %+v %v", op, k, got, want, hit)
+			}
+		case r < 99:
+			p := rules.Pattern{Tenant: k.Tenant}
+			if rng.Intn(2) == 0 {
+				p.Dst, p.DstPrefix = k.Dst, 24+8*rng.Intn(2)
+			}
+			if rng.Intn(2) == 0 {
+				p.DstPort = k.DstPort
+			}
+			if got, want := flat.invalidate(p), oracle.invalidate(p); got != want {
+				t.Fatalf("op %d: invalidate %v removed %d, oracle %d", op, p, got, want)
+			}
+		default:
+			flat.flush()
+			oracle.flush()
+			salt++
+		}
+		if flat.Len() != oracle.size || flat.stats != oracle.stats {
+			t.Fatalf("op %d: flat holds %d with %+v, oracle %d with %+v", op, flat.Len(), flat.stats, oracle.size, oracle.stats)
+		}
+	}
+	if s := flat.stats; s.Hits == 0 || s.Misses == 0 || s.Evictions == 0 || s.Invalidations == 0 || len(flat.masks) != len(masks) {
+		t.Fatalf("the run did not exercise everything: %+v over %d masks", s, len(flat.masks))
+	}
+	for i, ft := range flat.tables {
+		checkReachable(t, ft)
+		if ft.evictions != 0 {
+			t.Fatalf("mask %d's table overwrote %d megaflows inside a window", i, ft.evictions)
+		}
+	}
+}
+
+// TestPromotedActionEqualsResolve: an exact entry installed by a megaflow
+// hit (plane a: a sibling flow walks the tables first) carries exactly the
+// flowAction, hash and bucket included, of one installed by its own table
+// walk plus resolve (plane b) — for every egress outcome, from a shaped and
+// an unshaped source, and again after an epoch whose keepBuckets re-packs
+// the bucket indices. While NIC placements exist the claim depends on the
+// whole key, and the promoted flow must get its own.
+func TestPromotedActionEqualsResolve(t *testing.T) {
+	remote, unmapped := packet.MakeIP(10, 0, 9, 1), packet.MakeIP(10, 0, 9, 2)
+	vmC := VMKey{Tenant: 3, IP: packet.MakeIP(10, 0, 0, 3)} // attached, never shaped
+	build := func(tunneling bool, nic []rules.Pattern) (*ShardedPlane, *PlaneInjector) {
+		pl := NewShardedPlane(PlaneConfig{Shards: 1, Tunneling: tunneling, ServerIP: srvA, Now: func() time.Duration { return 0 }})
+		t.Cleanup(pl.Close)
+		for _, vm := range []VMKey{vmA, vmB, vmC} {
+			pl.AttachVM(vm, &rules.VMRules{Tenant: 3, VMIP: vm.IP, Security: []rules.SecurityRule{
+				{Pattern: rules.Pattern{Tenant: 3, DstPort: 22}, Action: rules.Deny, Priority: 2},
+				{Pattern: rules.Pattern{Tenant: 3}, Action: rules.Allow, Priority: 1},
+			}, QoS: []rules.QoSRule{{Pattern: rules.Pattern{Tenant: 3, DstPort: 80}, Queue: 2, Priority: 1}}})
+		}
+		pl.SetVIFLimit(vmA, 40e9)
+		pl.SetVIFLimit(vmB, 10e9)
+		pl.SetTunnel(rules.TunnelMapping{Tenant: 3, VMIP: remote, Remote: srvB})
+		pl.SetNICPlacements(nic)
+		// vmA's bucket is made first and vmB's second, at indices 0 and 1.
+		inj := pl.NewInjector()
+		inj.Egress(vmA, packet.NewTCP(3, vmA.IP, remote, 1, 8443, 100))
+		inj.Egress(vmB, packet.NewTCP(3, vmB.IP, remote, 1, 8443, 100))
+		inj.Flush()
+		return pl, inj
+	}
+	for _, tc := range []struct {
+		name      string
+		src       VMKey
+		dst       packet.IP
+		dport     uint16
+		plain     bool // tunnelling off
+		nicClaims bool // a placement claims the promoted flow and not its sibling
+		want      egressKind
+		shaped    bool // the action names vmB's bucket
+	}{
+		{name: "deny", src: vmB, dst: remote, dport: 22, want: egressDeny},
+		{name: "nic-claimed", src: vmB, dst: remote, dport: 80, nicClaims: true, want: egressNIC},
+		{name: "local-shaped", src: vmB, dst: vmC.IP, dport: 80, want: egressLocal, shaped: true},
+		{name: "plain-shaped", src: vmB, dst: remote, dport: 443, plain: true, want: egressPlain, shaped: true},
+		{name: "plain-unshaped", src: vmC, dst: remote, dport: 443, plain: true, want: egressPlain},
+		{name: "tunnel-shaped", src: vmB, dst: remote, dport: 80, want: egressTunnel, shaped: true},
+		{name: "tunnel-unshaped", src: vmC, dst: remote, dport: 443, want: egressTunnel},
+		{name: "no-tunnel", src: vmB, dst: unmapped, dport: 443, want: egressNoTunnel, shaped: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sibling := packet.NewTCP(3, tc.src.IP, tc.dst, 40001, tc.dport, 100)
+			flow := packet.NewTCP(3, tc.src.IP, tc.dst, 40002, tc.dport, 100)
+			var nic []rules.Pattern
+			if tc.nicClaims {
+				nic = []rules.Pattern{{Tenant: 3, SrcPort: 40002}}
+			}
+			a, injA := build(!tc.plain, nic)
+			b, injB := build(!tc.plain, nic)
+			k, h := flow.Key(), flowSlotHash(flow.Key())
+			check := func(stage string, bucket int32) {
+				t.Helper()
+				hitsA, hitsB := a.Counters().Megaflow.Hits, b.Counters().Megaflow.Hits
+				injA.Egress(tc.src, sibling)
+				injA.Egress(tc.src, flow)
+				injA.Flush()
+				injB.Egress(tc.src, flow)
+				injB.Flush()
+				if hitsA, hitsB = a.Counters().Megaflow.Hits-hitsA, b.Counters().Megaflow.Hits-hitsB; hitsA != 1 || hitsB != 0 {
+					t.Fatalf("%s: %d megaflow hits on a, %d on b: want the flow promoted on a and walked on b", stage, hitsA, hitsB)
+				}
+				promoted, walked := a.shards[0].core.exact.lookup(k, h), b.shards[0].core.exact.lookup(k, h)
+				if promoted == nil || walked == nil || promoted.act != walked.act {
+					t.Fatalf("%s: promoted %+v, walked %+v", stage, promoted, walked)
+				}
+				act := promoted.act
+				if act.kind != tc.want || (act.kind == egressTunnel) != (act.hash == k.FastHash() && act.hash != 0) {
+					t.Fatalf("%s: action %+v, want kind %d with the hash on a tunnelled flow only", stage, act, tc.want)
+				}
+				if !tc.shaped {
+					bucket = noBucket
+				}
+				if act.bucket != bucket || tc.shaped && a.shards[0].buckets[bucket].key != vmB {
+					t.Fatalf("%s: bucket %d, want %d", stage, act.bucket, bucket)
+				}
+			}
+			check("first epoch", 1)
+			// vmA's limit goes: its bucket is dropped and vmB's moves down to
+			// index 0. An action that outlived the flush would name index 1.
+			a.SetVIFLimit(vmA, 0)
+			b.SetVIFLimit(vmA, 0)
+			check("after the re-pack", 0)
+		})
 	}
 }

@@ -111,6 +111,8 @@ type PlaneCounters struct {
 	Drops metrics.DropCounters
 	// Megaflow is the merged per-shard wildcard-cache accounting.
 	Megaflow metrics.CacheCounters
+	// ExactEvictions counts exact entries a new flow overwrote (flowTable).
+	ExactEvictions uint64
 }
 
 // Add returns the element-wise sum.
@@ -125,6 +127,7 @@ func (c PlaneCounters) Add(o PlaneCounters) PlaneCounters {
 	c.EpochFlushes += o.EpochFlushes
 	c.Drops = c.Drops.Add(o.Drops)
 	c.Megaflow = c.Megaflow.Add(o.Megaflow)
+	c.ExactEvictions += o.ExactEvictions
 	return c
 }
 

@@ -135,15 +135,103 @@ func benchPipeline(b *testing.B, shards int) {
 	}
 }
 
+// newflowsPlane is the shape of the benchmark's dp_newflows workload
+// (bench/gen.go) at a chosen size: an inline plane with 8 shaped VMs of
+// ~1k port-granular rules and 4 VXLAN peers, and one epoch's replay order
+// over `tuples` fresh 5-tuples. Groups of four tuples differ in source port
+// only, so one table walk installs the megaflow the other three hit; every
+// tuple is sent twice, and every vector carries 16 new tuples and the 16
+// the vector before it introduced: a quarter of the new ones walk the
+// tables, the rest hit a megaflow, and the other half of the vector hits
+// the exact cache.
+func newflowsPlane(tuples int) (*ShardedPlane, []VMKey, []*packet.Packet) {
+	pl := NewShardedPlane(PlaneConfig{Shards: 1, Tunneling: true, ServerIP: srvA})
+	rng := rand.New(rand.NewSource(7))
+	vms := make([]VMKey, 8)
+	for i := range vms {
+		vms[i] = VMKey{Tenant: 3, IP: packet.MakeIP(10, 0, 0, byte(1+i))}
+		r := &rules.VMRules{Tenant: 3, VMIP: vms[i].IP}
+		for j := 0; j < 1000; j++ {
+			pat := rules.Pattern{Tenant: 3, DstPort: uint16(1024 + rng.Intn(8192))}
+			if rng.Intn(3) == 0 {
+				pat.Proto = packet.ProtoTCP
+			}
+			action := rules.Allow
+			if rng.Intn(7) == 0 {
+				action = rules.Deny
+			}
+			r.Security = append(r.Security, rules.SecurityRule{Pattern: pat, Action: action, Priority: 1 + rng.Intn(8)})
+			if rng.Intn(10) == 0 {
+				r.QoS = append(r.QoS, rules.QoSRule{Pattern: pat, Queue: rng.Intn(4), Priority: rng.Intn(4)})
+			}
+		}
+		r.Security = append(r.Security, rules.SecurityRule{Pattern: rules.Pattern{Tenant: 3}, Action: rules.Allow})
+		pl.AttachVM(vms[i], r)
+		pl.SetVIFLimit(vms[i], 100e9)
+	}
+	for i := 0; i < 4; i++ {
+		pl.SetTunnel(rules.TunnelMapping{Tenant: 3, VMIP: packet.MakeIP(10, 0, 9, byte(i)), Remote: srvB})
+	}
+	fresh := make([]*packet.Packet, tuples)
+	for i := range fresh {
+		g := i / 4 // the megaflow: (src, dst, dst port)
+		dst := packet.MakeIP(10, 0, 9, byte(g/4%4))
+		if g%4 == 3 {
+			dst = vms[g/4%8].IP // one group in four is delivered locally
+		}
+		fresh[i] = packet.NewTCP(3, vms[g%8].IP, dst, uint16(30000+i%4), uint16(1024+g/16), 64)
+	}
+	const half = packet.DefaultVectorSize / 2
+	var keys []VMKey
+	var pkts []*packet.Packet
+	for j, groups := 0, tuples/half; j < groups; j++ {
+		prev := (j + groups - 1) % groups
+		for _, p := range append(fresh[j*half:(j+1)*half:(j+1)*half], fresh[prev*half:(prev+1)*half]...) {
+			keys, pkts = append(keys, VMKey{Tenant: 3, IP: p.IP.Src}), append(pkts, p)
+		}
+	}
+	return pl, keys, pkts
+}
+
+// benchNewflows is dp_newflows as a `go test -bench` row: b.N packets in
+// epochs of 32,768 fresh 5-tuples, each epoch behind one control-plane
+// publish that flushes both caches.
+func benchNewflows(b *testing.B) {
+	pl, keys, pkts := newflowsPlane(ExactTableSlots)
+	defer pl.Close()
+	inj := pl.NewInjector()
+	epoch := func(n int) {
+		pl.Invalidate(rules.Pattern{Tenant: 3})
+		for i := 0; i < n; i++ {
+			inj.Egress(keys[i], pkts[i])
+		}
+		inj.Flush()
+	}
+	epoch(len(pkts)) // size the tables, make the buckets
+	b.ReportAllocs()
+	b.ResetTimer()
+	for sent := 0; sent < b.N; sent += len(pkts) {
+		epoch(min(len(pkts), b.N-sent))
+	}
+	b.StopTimer()
+	c := pl.Counters()
+	if c.Tx+c.Denied+c.Unrouted+c.Drops.Total() != c.Packets || c.Tx == 0 {
+		b.Fatalf("conservation violated in benchmark: %+v", c)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pps")
+}
+
 // BenchmarkPipeline measures whole-pipeline forwarding rate. pps-per-core
 // is the headline single-core number (inline mode, one goroutine);
 // shards={1,2,4,8} is the curve recorded in BENCH_BASELINE — on a
 // single-core runner, where it cannot rise; multi-core scaling is
-// unmeasured: no ≥4-core recording exists. (key=value
+// unmeasured: no ≥4-core recording exists. newflows is the miss path's
+// row: every flow new, the caches flushed every 65,536 packets. (key=value
 // sub-names, matching BenchmarkTupleSpaceScaling: a trailing -N is the
 // GOMAXPROCS suffix in the benchmark text format and would be stripped.)
 func BenchmarkPipeline(b *testing.B) {
 	b.Run("pps-per-core", func(b *testing.B) { benchPipeline(b, 1) })
+	b.Run("newflows", benchNewflows)
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) { benchPipeline(b, n) })
 	}

@@ -31,23 +31,34 @@ type planeCountersAtomic struct {
 	dropShape                          atomic.Uint64
 	megaHits, megaMisses, megaInstalls atomic.Uint64
 	megaEvictions, megaInvalidations   atomic.Uint64
+	exactEvictions                     atomic.Uint64
 }
 
-func (a *planeCountersAtomic) publish(c *PlaneCounters, mega *metrics.CacheCounters) {
-	a.vectors.Store(c.Vectors)
-	a.packets.Store(c.Packets)
-	a.tx.Store(c.Tx)
-	a.localTx.Store(c.LocalTx)
-	a.nicTx.Store(c.NICTx)
-	a.denied.Store(c.Denied)
-	a.unrouted.Store(c.Unrouted)
-	a.epochFlushes.Store(c.EpochFlushes)
-	a.dropShape.Store(c.Drops.Shape)
-	a.megaHits.Store(mega.Hits)
-	a.megaMisses.Store(mega.Misses)
-	a.megaInstalls.Store(mega.Installs)
-	a.megaEvictions.Store(mega.Evictions)
-	a.megaInvalidations.Store(mega.Invalidations)
+// storeChanged stores v if it changed: the shard is the only writer, most counters
+// stand still between vectors, and an atomic store costs ~20 plain loads.
+func storeChanged(a *atomic.Uint64, v uint64) {
+	if a.Load() != v {
+		a.Store(v)
+	}
+}
+
+func (a *planeCountersAtomic) publish(c *PlaneCounters, core *flowCore) {
+	mega := &core.mega.stats
+	storeChanged(&a.vectors, c.Vectors)
+	storeChanged(&a.packets, c.Packets)
+	storeChanged(&a.tx, c.Tx)
+	storeChanged(&a.localTx, c.LocalTx)
+	storeChanged(&a.nicTx, c.NICTx)
+	storeChanged(&a.denied, c.Denied)
+	storeChanged(&a.unrouted, c.Unrouted)
+	storeChanged(&a.epochFlushes, c.EpochFlushes)
+	storeChanged(&a.dropShape, c.Drops.Shape)
+	storeChanged(&a.megaHits, mega.Hits)
+	storeChanged(&a.megaMisses, mega.Misses)
+	storeChanged(&a.megaInstalls, mega.Installs)
+	storeChanged(&a.megaEvictions, mega.Evictions)
+	storeChanged(&a.megaInvalidations, mega.Invalidations)
+	storeChanged(&a.exactEvictions, core.exact.evictions)
 }
 
 func (a *planeCountersAtomic) snapshot() PlaneCounters {
@@ -68,6 +79,7 @@ func (a *planeCountersAtomic) snapshot() PlaneCounters {
 			Evictions:     a.megaEvictions.Load(),
 			Invalidations: a.megaInvalidations.Load(),
 		},
+		ExactEvictions: a.exactEvictions.Load(),
 	}
 }
 
@@ -146,9 +158,9 @@ func (sh *planeShard) run() {
 }
 
 // adoptEpoch switches the shard to a new epoch, flushing both caches —
-// the whole invalidation protocol. A cached action is a function of the
-// key and the epoch's tables and nothing else, so the epoch is also all
-// that invalidates it.
+// the whole invalidation protocol. A cached action, exact or megaflow, is a
+// function of its key and the epoch's tables and nothing else, so the epoch
+// is all that invalidates it; keepBuckets re-packs indices only after.
 func (sh *planeShard) adoptEpoch(ep *rules.Epoch[*planeTables]) {
 	if sh.tables != nil {
 		sh.c.EpochFlushes++
@@ -195,7 +207,10 @@ func (sh *planeShard) bucketFor(key VMKey, bps float64) int32 {
 }
 
 // resolve refines the action the core installed for a flow (its verdict)
-// from the epoch's tables, in the order egress tests the outcomes.
+// from the epoch's tables, in the order egress tests the outcomes; the hash
+// is left to process. But for the NIC claim, what it adds depends on the
+// key's tenant, source and destination alone, which every megaflow's mask
+// pins (evaluate): with no NIC placements, process resolves per megaflow.
 func (sh *planeShard) resolve(t *planeTables, k packet.FlowKey, a flowAction) flowAction {
 	if a.kind == egressDeny {
 		return a
@@ -217,7 +232,7 @@ func (sh *planeShard) resolve(t *planeTables, k packet.FlowKey, a flowAction) fl
 	} else if !sh.plane.cfg.Tunneling {
 		a.kind = egressPlain
 	} else if m, ok := t.tunnels.Lookup(k.Tenant, k.Dst); ok {
-		a.kind, a.remote, a.hash = egressTunnel, m.Remote, k.FastHash()
+		a.kind, a.remote = egressTunnel, m.Remote
 	} else {
 		a.kind = egressNoTunnel
 	}
@@ -263,12 +278,22 @@ func (sh *planeShard) process(v *packet.Vector) {
 				sh.acts[i].kind = egressNoVport
 				continue
 			}
+			var m *flowEntry
 			if e = sh.core.promote(k, h); e != nil {
 				sh.rec.Hit(telemetry.KindMegaflowHit, k.Tenant, k)
 			} else {
-				e, _ = sh.core.miss(k, h, src, t.vms[VMKey{Tenant: k.Tenant, IP: k.Dst}])
+				e, m, _ = sh.core.miss(k, h, src, t.vms[VMKey{Tenant: k.Tenant, IP: k.Dst}])
 			}
-			e.act = sh.resolve(t, k, e.act)
+			switch {
+			case t.nicN > 0: // the NIC claim depends on the whole key
+				e.act = sh.resolve(t, k, e.act)
+			case m != nil: // promote copies it from the megaflow
+				m.act = sh.resolve(t, k, m.act)
+				e.act = m.act
+			}
+			if e.act.kind == egressTunnel {
+				e.act.hash = k.FastHash()
+			}
 		}
 		sh.core.accrue(e, 1, uint64(pkts[i].WireLen()))
 		sh.acts[i] = e.act
@@ -334,5 +359,5 @@ func (sh *planeShard) process(v *packet.Vector) {
 
 	sh.c.Vectors++
 	sh.c.Packets += uint64(n)
-	sh.snap.publish(&sh.c, &sh.core.mega.stats)
+	sh.snap.publish(&sh.c, &sh.core)
 }

@@ -37,8 +37,10 @@ func (s *Switch) RegisterMetrics(reg *telemetry.Registry, labels ...string) {
 	reg.Counter("fastrak_vswitch_megaflow_installs_total", "megaflow cache installs", &s.core.mega.stats.Installs, lbl()...)
 	reg.Counter("fastrak_vswitch_megaflow_evictions_total", "megaflow capacity evictions", &s.core.mega.stats.Evictions, lbl()...)
 	reg.Counter("fastrak_vswitch_megaflow_invalidations_total", "megaflow rule-change invalidations", &s.core.mega.stats.Invalidations, lbl()...)
+	reg.Counter("fastrak_vswitch_exact_evictions_total", "exact-match entries overwritten by a new flow whose probe window was full", &s.core.exact.evictions, lbl()...)
 	reg.Gauge("fastrak_vswitch_active_flows", "exact-match fast-path entries", func() float64 { return float64(s.core.exact.live) }, lbl()...)
 	reg.Gauge("fastrak_vswitch_active_megaflows", "megaflow wildcard cache entries", func() float64 { return float64(s.core.mega.Len()) }, lbl()...)
+	reg.Gauge("fastrak_vswitch_megaflow_masks", "distinct megaflow masks, one table and one probe per lookup each", func() float64 { return float64(len(s.core.mega.masks)) }, lbl()...)
 	reg.Gauge("fastrak_vswitch_overloaded", "1 while the slow-path overload detector is tripped", func() float64 {
 		if s.sched.overloaded {
 			return 1

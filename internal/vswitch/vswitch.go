@@ -380,7 +380,7 @@ func (s *Switch) completeUpcall(job *upcallJob) {
 	src, dst := s.endpoint(k.Tenant, k.Src), s.endpoint(k.Tenant, k.Dst)
 	var v fpVerdict
 	if job.install {
-		e, mask := s.core.miss(k, flowSlotHash(k), src, dst)
+		e, _, mask := s.core.miss(k, flowSlotHash(k), src, dst)
 		v = e.verdict()
 		if s.rec != nil {
 			s.rec.Emit(telemetry.KindExactInstall, k.Tenant, k, "upcall", 0, 0)

@@ -1,6 +1,9 @@
 package vswitch
 
 import (
+	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,6 +12,7 @@ import (
 	"repro/internal/packet"
 	"repro/internal/rules"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 var (
@@ -389,6 +393,25 @@ func TestSwitchExactCacheBounded(t *testing.T) {
 	c := sw.Counters()
 	if acc := c.Tx + c.Denied + c.Unrouted + c.Drops.Total(); acc != tuples || c.Denied == 0 || c.Tx == 0 {
 		t.Fatalf("sent %d packets, accounted %d: %+v", tuples, acc, c)
+	}
+	// Every flow was installed once and is either still there or was
+	// overwritten, and the exposition says how many were.
+	reg := telemetry.NewRegistry()
+	sw.RegisterMetrics(reg)
+	var prom bytes.Buffer
+	if err := telemetry.WritePrometheus(&prom, reg); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("\nfastrak_vswitch_exact_evictions_total %d\n", tuples-sw.ActiveFlows()),
+		fmt.Sprintf("\nfastrak_vswitch_megaflow_masks %d\n", len(sw.core.mega.masks)),
+	} {
+		if !strings.Contains(prom.String(), want) {
+			t.Errorf("exposition lacks %q", want)
+		}
+	}
+	if err := telemetry.LintPrometheus(&prom); err != nil {
+		t.Error(err)
 	}
 }
 
