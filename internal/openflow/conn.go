@@ -1,7 +1,6 @@
 package openflow
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -13,13 +12,25 @@ import (
 // net.Pipe in tests). Send and Recv are independently safe for one writer
 // and one reader goroutine; Send is additionally mutex-guarded so multiple
 // senders interleave whole frames.
+//
+// A Conn owns its two buffers: senders encode into enc under mu, and the
+// reader goroutine reads whatever the stream has into rbuf and decodes
+// each frame where it lies (no message aliases its frame, see Decode), so
+// neither direction allocates for a frame.
 type Conn struct {
 	mu      sync.Mutex
 	w       io.Writer
-	r       *bufio.Reader
+	enc     buffer
 	nextXID uint32
 	dial    Dialer
+
+	r          io.Reader
+	rbuf       []byte // readBufLen at first, grown by a longer frame, never past MaxFrame
+	rpos, wpos int    // the bytes read and not yet decoded
+	dec        reader
 }
+
+const readBufLen = 4096
 
 // Dialer re-establishes the underlying byte stream after a connection
 // failure. Implementations typically wrap net.Dial with the controller's
@@ -28,7 +39,7 @@ type Dialer func() (io.ReadWriter, error)
 
 // NewConn wraps rw.
 func NewConn(rw io.ReadWriter) *Conn {
-	return &Conn{w: rw, r: bufio.NewReader(rw), nextXID: 1}
+	return &Conn{w: rw, r: rw, rbuf: make([]byte, readBufLen), nextXID: 1}
 }
 
 // SetDialer registers how to re-establish the stream; it enables
@@ -59,8 +70,8 @@ func (c *Conn) Reconnect() error {
 		c.mu.Unlock()
 		return fmt.Errorf("openflow: redial: %w", err)
 	}
-	c.w = rw
-	c.r = bufio.NewReader(rw)
+	c.w, c.r = rw, rw
+	c.rpos, c.wpos = 0, 0 // bytes of the dead stream
 	c.mu.Unlock()
 	return c.Handshake()
 }
@@ -71,11 +82,18 @@ func (c *Conn) Send(msg Message) (uint32, error) {
 	defer c.mu.Unlock()
 	xid := c.nextXID
 	c.nextXID++
-	b := Encode(msg, xid)
-	if _, err := c.w.Write(b); err != nil {
-		return 0, fmt.Errorf("openflow: send %s: %w", msg.Type(), err)
+	return xid, c.write(msg, xid)
+}
+
+// write encodes msg into the connection's buffer and writes the frame;
+// the caller holds mu.
+func (c *Conn) write(msg Message, xid uint32) error {
+	c.enc.b = c.enc.b[:0]
+	appendFrame(&c.enc, msg, xid)
+	if _, err := c.w.Write(c.enc.b); err != nil {
+		return fmt.Errorf("openflow: send %s: %w", msg.Type(), err)
 	}
-	return xid, nil
+	return nil
 }
 
 // SendXID writes one message with an explicit transaction id (used for
@@ -83,10 +101,7 @@ func (c *Conn) Send(msg Message) (uint32, error) {
 func (c *Conn) SendXID(msg Message, xid uint32) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, err := c.w.Write(Encode(msg, xid)); err != nil {
-		return fmt.Errorf("openflow: send %s: %w", msg.Type(), err)
-	}
-	return nil
+	return c.write(msg, xid)
 }
 
 // WriteFrame writes one pre-encoded frame, mutex-guarded like Send so
@@ -102,23 +117,53 @@ func (c *Conn) WriteFrame(frame []byte) error {
 	return nil
 }
 
-// Recv blocks for the next message.
+// Recv blocks for the next message. It must be called from one goroutine
+// at a time. A stream that ends between frames returns io.EOF, one that
+// ends inside a frame io.ErrUnexpectedEOF.
 func (c *Conn) Recv() (Message, uint32, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
-		return nil, 0, err
+	for {
+		need := headerLen
+		if have := c.rbuf[c.rpos:c.wpos]; len(have) >= headerLen {
+			if need = int(binary.BigEndian.Uint16(have[2:4])); need < headerLen {
+				return nil, 0, fmt.Errorf("openflow: bad frame length %d", need)
+			}
+			if len(have) >= need {
+				c.rpos += need
+				msg, xid, _, err := decode(have[:need], &c.dec)
+				return msg, xid, err
+			}
+		}
+		if err := c.fill(need); err != nil {
+			return nil, 0, err
+		}
 	}
-	length := int(binary.BigEndian.Uint16(hdr[2:4]))
-	if length < headerLen || length > maxBody {
-		return nil, 0, fmt.Errorf("openflow: bad frame length %d", length)
+}
+
+// fill reads from the stream until it yields bytes or an error, first
+// making room for a frame of need bytes at rpos.
+func (c *Conn) fill(need int) error {
+	if len(c.rbuf)-c.rpos < need || c.rpos == c.wpos {
+		buf := c.rbuf
+		if need > len(buf) {
+			buf = make([]byte, min(max(2*len(buf), need), MaxFrame))
+		}
+		c.wpos = copy(buf, c.rbuf[c.rpos:c.wpos])
+		c.rbuf, c.rpos = buf, 0
 	}
-	frame := make([]byte, length)
-	copy(frame, hdr[:])
-	if _, err := io.ReadFull(c.r, frame[headerLen:]); err != nil {
-		return nil, 0, err
+	for {
+		n, err := c.r.Read(c.rbuf[c.wpos:])
+		if c.wpos += n; n > 0 {
+			// An error that came with bytes comes again on the next read,
+			// after the frames those bytes complete.
+			return nil
+		}
+		if err == io.EOF && c.wpos > c.rpos {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return err
+		}
 	}
-	msg, xid, _, err := Decode(frame)
-	return msg, xid, err
 }
 
 // Handshake exchanges Hello messages (call on both ends). The outgoing

@@ -21,6 +21,13 @@ func FuzzDecode(f *testing.F) {
 	}, 9))
 	f.Add(Encode(&FlowMod{Pattern: samplePattern()}, 3))
 	f.Add([]byte{Version, 200, 0, 9, 0, 0, 0, 1, 0})
+	// The benchmark's 84-entry report, whole and cut in the middle of an
+	// entry with the header's length cut to match.
+	rep := Encode(report84(), 5)
+	f.Add(rep)
+	cut := bytes.Clone(rep[:headerLen+12+40*entryLen+33])
+	binary.BigEndian.PutUint16(cut[2:4], uint16(len(cut)))
+	f.Add(cut)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, _, n, err := Decode(data)
 		if err == nil {

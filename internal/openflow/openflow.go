@@ -125,9 +125,6 @@ func (t MsgType) String() string {
 // headerLen is the fixed message header size.
 const headerLen = 8
 
-// maxBody bounds message bodies against corrupt length fields.
-const maxBody = 1 << 20
-
 // Message is one protocol message.
 type Message interface {
 	Type() MsgType
@@ -369,20 +366,15 @@ type SketchMeta struct {
 func (*DemandReport) Type() MsgType { return TypeDemandReport }
 
 func (m *DemandReport) marshalBody(b *buffer) {
-	// Header words, 60-byte entries, 40-byte splits, the NIC section and
+	// Header words, entries, 40-byte splits, the NIC section and
 	// the sketch section at its longest.
-	b.reserve(12 + 60*len(m.Entries) + 4 + 40*len(m.Splits) + 8 + patternLen*len(m.NICPatterns) + 29)
+	b.reserve(12 + entryLen*len(m.Entries) + 4 + 40*len(m.Splits) + 8 + patternLen*len(m.NICPatterns) + 29)
 	b.u32(m.ServerID)
 	b.u32(m.Interval)
 	b.u32(uint32(len(m.Entries)))
-	for _, e := range m.Entries {
-		marshalPattern(b, e.Pattern)
-		b.f64(e.PPS)
-		b.f64(e.BPS)
-		b.u32(e.Epoch)
-		b.f64(e.MedianPPS)
-		b.f64(e.MedianBPS)
-		b.u32(e.ActiveEpochs)
+	w := b.extend(entryLen * len(m.Entries))
+	for i := range m.Entries {
+		putEntry(w[i*entryLen:], &m.Entries[i])
 	}
 	marshalSplits(b, m.Splits)
 	b.u32(m.NICFree)
@@ -403,21 +395,15 @@ func (m *DemandReport) unmarshalBody(r *reader) error {
 	m.ServerID = r.u32()
 	m.Interval = r.u32()
 	n := r.u32()
-	if uint64(n)*58 > uint64(r.remaining()) {
+	if uint64(n)*entryLen > uint64(r.remaining()) {
 		return fmt.Errorf("openflow: demand report claims %d entries beyond body", n)
 	}
 	if n > 0 {
 		m.Entries = make([]DemandEntry, n)
 	}
+	w := r.next(entryLen * int(n))
 	for i := range m.Entries {
-		e := &m.Entries[i]
-		e.Pattern = unmarshalPattern(r)
-		e.PPS = r.f64()
-		e.BPS = r.f64()
-		e.Epoch = r.u32()
-		e.MedianPPS = r.f64()
-		e.MedianBPS = r.f64()
-		e.ActiveEpochs = r.u32()
+		getEntry(w[i*entryLen:], &m.Entries[i])
 	}
 	var err error
 	m.Splits, err = unmarshalSplits(r)
@@ -728,8 +714,9 @@ func (m *RuleSync) unmarshalBody(r *reader) error {
 // marshalPatterns writes a count and the patterns.
 func marshalPatterns(b *buffer, ps []rules.Pattern) {
 	b.u32(uint32(len(ps)))
-	for _, p := range ps {
-		marshalPattern(b, p)
+	w := b.extend(patternLen * len(ps))
+	for i := range ps {
+		putPattern(w[i*patternLen:], &ps[i])
 	}
 }
 
@@ -750,8 +737,9 @@ func unmarshalPatterns(r *reader, buf *[]rules.Pattern) ([]rules.Pattern, error)
 	at := len(*buf)
 	*buf = (*buf)[:at+n]
 	ps := (*buf)[at : at+n : at+n]
+	w := r.next(n * patternLen)
 	for i := range ps {
-		ps[i] = unmarshalPattern(r)
+		getPattern(w[i*patternLen:], &ps[i])
 	}
 	return ps, r.err
 }
@@ -996,11 +984,35 @@ func (r *reader) u64() uint64 {
 
 func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
 
-// patternLen is a pattern's size on the wire.
-const patternLen = 20
+// next consumes n bytes and returns them, or fails and returns nil.
+func (r *reader) next(n int) []byte {
+	if r.remaining() < n {
+		r.fail()
+		return nil
+	}
+	r.off += n
+	return r.b[r.off-n : r.off]
+}
 
-func marshalPattern(b *buffer, p rules.Pattern) {
-	w := b.extend(patternLen)
+// A pattern and a demand entry have a fixed size on the wire, and each is
+// written and read in one piece: put and get take the bytes of one element
+// and check their length once, not once per field.
+const (
+	patternLen = 20
+	entryLen   = patternLen + 40
+)
+
+func marshalPattern(b *buffer, p rules.Pattern) { putPattern(b.extend(patternLen), &p) }
+
+func unmarshalPattern(r *reader) (p rules.Pattern) {
+	if w := r.next(patternLen); w != nil {
+		getPattern(w, &p)
+	}
+	return p
+}
+
+func putPattern(w []byte, p *rules.Pattern) {
+	w = w[:patternLen]
 	binary.BigEndian.PutUint32(w[0:], uint32(p.Tenant))
 	w[4] = 0
 	if p.AnyTenant {
@@ -1015,18 +1027,39 @@ func marshalPattern(b *buffer, p rules.Pattern) {
 	w[19] = p.Proto
 }
 
-func unmarshalPattern(r *reader) rules.Pattern {
-	var p rules.Pattern
-	p.Tenant = packet.TenantID(r.u32())
-	p.AnyTenant = r.u8() == 1
-	p.Src = packet.IP(r.u32())
-	p.SrcPrefix = int(r.u8())
-	p.Dst = packet.IP(r.u32())
-	p.DstPrefix = int(r.u8())
-	p.SrcPort = r.u16()
-	p.DstPort = r.u16()
-	p.Proto = r.u8()
-	return p
+func getPattern(w []byte, p *rules.Pattern) {
+	w = w[:patternLen]
+	p.Tenant = packet.TenantID(binary.BigEndian.Uint32(w[0:]))
+	p.AnyTenant = w[4] == 1
+	p.Src = packet.IP(binary.BigEndian.Uint32(w[5:]))
+	p.SrcPrefix = int(w[9])
+	p.Dst = packet.IP(binary.BigEndian.Uint32(w[10:]))
+	p.DstPrefix = int(w[14])
+	p.SrcPort = binary.BigEndian.Uint16(w[15:])
+	p.DstPort = binary.BigEndian.Uint16(w[17:])
+	p.Proto = w[19]
+}
+
+func putEntry(w []byte, e *DemandEntry) {
+	w = w[:entryLen]
+	putPattern(w, &e.Pattern)
+	binary.BigEndian.PutUint64(w[20:], math.Float64bits(e.PPS))
+	binary.BigEndian.PutUint64(w[28:], math.Float64bits(e.BPS))
+	binary.BigEndian.PutUint32(w[36:], e.Epoch)
+	binary.BigEndian.PutUint64(w[40:], math.Float64bits(e.MedianPPS))
+	binary.BigEndian.PutUint64(w[48:], math.Float64bits(e.MedianBPS))
+	binary.BigEndian.PutUint32(w[56:], e.ActiveEpochs)
+}
+
+func getEntry(w []byte, e *DemandEntry) {
+	w = w[:entryLen]
+	getPattern(w, &e.Pattern)
+	e.PPS = math.Float64frombits(binary.BigEndian.Uint64(w[20:]))
+	e.BPS = math.Float64frombits(binary.BigEndian.Uint64(w[28:]))
+	e.Epoch = binary.BigEndian.Uint32(w[36:])
+	e.MedianPPS = math.Float64frombits(binary.BigEndian.Uint64(w[40:]))
+	e.MedianBPS = math.Float64frombits(binary.BigEndian.Uint64(w[48:]))
+	e.ActiveEpochs = binary.BigEndian.Uint32(w[56:])
 }
 
 func marshalKey(b *buffer, k packet.FlowKey) {
@@ -1054,25 +1087,39 @@ func unmarshalKey(r *reader) packet.FlowKey {
 // reports, stats replies) must chunk below this — see ChunkDemandReport.
 const MaxFrame = 0xffff
 
-// Encode frames msg with the given transaction id. It panics when the
-// message exceeds MaxFrame: that is a sender bug (missing chunking), and
-// truncating silently would corrupt the control plane.
+// Encode frames msg with the given transaction id in a slice of its own,
+// for frames that outlive the call (a Transport's fan-out shares one). It
+// panics when the message exceeds MaxFrame: that is a sender bug (missing
+// chunking), and truncating silently would corrupt the control plane.
 func Encode(msg Message, xid uint32) []byte {
-	// The body is marshalled in place behind the header. 64 bytes hold
-	// every fixed-size message; the bodies that run to kilobytes (RuleSync,
-	// DemandReport, TableReply) reserve their own room before writing.
-	frame := buffer{b: make([]byte, headerLen, 64)}
-	msg.marshalBody(&frame)
-	out := frame.b
-	if len(out) > MaxFrame {
+	// 64 bytes hold every fixed-size message; the bodies that run to
+	// kilobytes (RuleSync, DemandReport, TableReply) reserve their own room
+	// before writing.
+	return slices.Clip(AppendEncode(make([]byte, 0, 64), msg, xid))
+}
+
+// AppendEncode appends msg's frame to dst and returns the extended slice;
+// it panics as Encode does.
+func AppendEncode(dst []byte, msg Message, xid uint32) []byte {
+	b := buffer{b: dst}
+	appendFrame(&b, msg, xid)
+	return b.b
+}
+
+// appendFrame is AppendEncode on a buffer the caller keeps (a Conn's),
+// which is what lets a send allocate nothing: the body is marshalled in
+// place behind the header.
+func appendFrame(b *buffer, msg Message, xid uint32) {
+	start := len(b.b)
+	b.b = append(b.b, Version, uint8(msg.Type()), 0, 0, 0, 0, 0, 0)
+	msg.marshalBody(b)
+	frame := b.b[start:]
+	if len(frame) > MaxFrame {
 		panic(fmt.Sprintf("openflow: %s message of %d bytes exceeds the %d-byte frame limit; chunk it",
-			msg.Type(), len(out), MaxFrame))
+			msg.Type(), len(frame), MaxFrame))
 	}
-	out[0] = Version
-	out[1] = uint8(msg.Type())
-	binary.BigEndian.PutUint16(out[2:4], uint16(len(out)))
-	binary.BigEndian.PutUint32(out[4:8], xid)
-	return slices.Clip(out)
+	binary.BigEndian.PutUint16(frame[2:4], uint16(len(frame)))
+	binary.BigEndian.PutUint32(frame[4:8], xid)
 }
 
 // demandChunkEntries bounds entries per DemandReport chunk: each entry is
@@ -1106,8 +1153,13 @@ func ChunkDemandReport(rep DemandReport) []DemandReport {
 }
 
 // Decode parses one framed message, returning the message, its xid, and
-// the number of bytes consumed.
-func Decode(b []byte) (Message, uint32, int, error) {
+// the number of bytes consumed. The message does not alias b: every
+// unmarshalBody copies values out of the frame, so the caller may reuse b
+// at once (Conn.Recv decodes in its read buffer).
+func Decode(b []byte) (Message, uint32, int, error) { return decode(b, new(reader)) }
+
+// decode is Decode with the body reader supplied by the caller.
+func decode(b []byte, r *reader) (Message, uint32, int, error) {
 	if len(b) < headerLen {
 		return nil, 0, 0, io.ErrShortBuffer
 	}
@@ -1115,7 +1167,7 @@ func Decode(b []byte) (Message, uint32, int, error) {
 		return nil, 0, 0, fmt.Errorf("openflow: unsupported version %d", b[0])
 	}
 	length := int(binary.BigEndian.Uint16(b[2:4]))
-	if length < headerLen || length > maxBody {
+	if length < headerLen {
 		return nil, 0, 0, fmt.Errorf("openflow: bad length %d", length)
 	}
 	if len(b) < length {
@@ -1126,7 +1178,7 @@ func Decode(b []byte) (Message, uint32, int, error) {
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	r := &reader{b: b[headerLen:length]}
+	*r = reader{b: b[headerLen:length]}
 	if err := msg.unmarshalBody(r); err != nil {
 		return nil, 0, 0, err
 	}

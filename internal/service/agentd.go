@@ -115,7 +115,10 @@ func StartAgentd(cfg AgentConfig, clock Clock) (*Agentd, error) {
 	}
 
 	a.rt = NewRuntime(c.Eng, clock)
-	a.rt.Do(a.svc.Start)
+	a.rt.Do(func() {
+		a.rt.registerMetrics(a.reg)
+		a.svc.Start()
+	})
 
 	a.wg.Add(1)
 	go a.serveLoop()
@@ -187,8 +190,7 @@ func (a *Agentd) attachTelemetry() {
 	}
 }
 
-// serveLoop reads control messages and dispatches them onto the engine
-// thread; on connection failure it redials through Conn.Reconnect with
+// serveLoop reads control messages and runs the engine on each (Post); on connection failure it redials through Conn.Reconnect with
 // the clamped exponential backoff, checking for shutdown between
 // attempts. It exits when the redial budget is exhausted or the daemon
 // stops.
@@ -223,7 +225,7 @@ func (a *Agentd) serveLoop() {
 	}
 }
 
-// agentHandler bridges the reader goroutine onto the engine thread.
+// agentHandler runs the engine on the reader goroutine, for its message.
 type agentHandler struct{ a *Agentd }
 
 func (h agentHandler) HandleMessage(msg openflow.Message, xid uint32, _ openflow.ReplyFunc) {

@@ -10,10 +10,10 @@
 //     tests use ManualClock to step virtual time precisely. Simulation
 //     binaries never touch this package at all, which is what keeps sim
 //     runs byte-identical: the engine cannot tell who advances it.
-//   - Runtime: the single-threaded driver loop that advances the engine
-//     to the clock's now, sleeps until the next scheduled event, and
-//     serializes all external access (network reads, admin requests)
-//     onto the engine thread via Post/Do.
+//   - Runtime: the lock under which the engine runs, one goroutine at a
+//     time. Post/Do advance the engine to the clock's now and run an
+//     external input (a frame read off the network, an admin request)
+//     on their caller; a timer loop runs what falls due in between.
 //   - Tord / Agentd: the two daemon assemblies on top.
 package service
 
@@ -23,8 +23,8 @@ import (
 )
 
 // Clock supplies the virtual deadline the engine may advance to. Now must
-// be monotonically non-decreasing across calls; the Runtime polls it once
-// per loop iteration and after every wake-up.
+// be monotonically non-decreasing across calls; the Runtime reads it on
+// every Post and Do and once per pass of its timer loop.
 type Clock interface {
 	Now() time.Duration
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -52,9 +53,14 @@ func TestPostRunsOnEngineTimeline(t *testing.T) {
 	eng := sim.NewEngine(1)
 	rt := NewRuntime(eng, NewWallClock())
 	defer rt.Close()
-	var ran atomic.Bool
-	rt.Post(func() { ran.Store(true) })
-	waitFor(t, 2*time.Second, ran.Load)
+	ran, chained := false, false
+	rt.Post(func() {
+		ran = true
+		eng.CallSoon(func() { chained = true })
+	})
+	if !ran || !chained {
+		t.Fatalf("Post returned before its closure (%v) and the same-time work it scheduled (%v) ran", ran, chained)
+	}
 }
 
 func TestDoIsSynchronous(t *testing.T) {
@@ -100,14 +106,163 @@ func TestCloseIsIdempotentAndDoStillWorks(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 }
 
+// TestRuntimeManyPosts: posts from one goroutine run in the order they
+// were made.
 func TestRuntimeManyPosts(t *testing.T) {
 	eng := sim.NewEngine(1)
 	rt := NewRuntime(eng, NewWallClock())
 	defer rt.Close()
-	var n atomic.Int64
 	const posts = 1000
+	var order []int
 	for i := 0; i < posts; i++ {
-		rt.Post(func() { n.Add(1) })
+		rt.Post(func() { order = append(order, i) })
 	}
-	waitFor(t, 5*time.Second, func() bool { return n.Load() == posts })
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("post %d ran in place %d", got, i)
+		}
+	}
+	if n, _ := counts(rt); len(order) != posts || n != posts {
+		t.Fatalf("%d of %d posts ran, %d counted", len(order), posts, n)
+	}
+}
+
+// TestRuntimeConcurrentPosts: the lock is the engine thread. Posts from
+// four goroutines, with the timer loop busy beside them, each run exactly
+// once and never two at a time — the counter is not atomic, so the race
+// detector flags any overlap.
+func TestRuntimeConcurrentPosts(t *testing.T) {
+	eng := sim.NewEngine(1)
+	rt := NewRuntime(eng, NewWallClock())
+	defer rt.Close()
+	const posters, each = 4, 2000
+	counter, seen := 0, 0
+	rt.Do(func() { eng.Every(50*time.Microsecond, func() { seen = counter }) })
+	ran := make([][]bool, posters)
+	var wg sync.WaitGroup
+	for p := range ran {
+		ran[p] = make([]bool, each)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				rt.Post(func() {
+					if ran[p][i] {
+						t.Errorf("post %d of goroutine %d ran twice", i, p)
+					}
+					ran[p][i] = true
+					counter++
+				})
+			}
+		}()
+	}
+	wg.Wait()
+	rt.Do(func() {
+		if counter != posters*each || seen > counter {
+			t.Errorf("%d posts ran (the ticker saw %d), want %d", counter, seen, posters*each)
+		}
+	})
+}
+
+func counts(rt *Runtime) (posts, nudges uint64) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.posts, rt.nudges
+}
+
+// armedAt waits for the timer loop to be asleep and returns the virtual
+// time it sleeps towards.
+func armedAt(t *testing.T, rt *Runtime) time.Duration {
+	t.Helper()
+	var at time.Duration
+	waitFor(t, 2*time.Second, func() bool {
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+		at = rt.armed
+		return at > 0
+	})
+	return at
+}
+
+// TestPostSeesClockNow: a posted closure runs at the clock's time, not at
+// the time of the engine's last event.
+func TestPostSeesClockNow(t *testing.T) {
+	eng := sim.NewEngine(1)
+	clock := &ManualClock{}
+	rt := NewRuntime(eng, clock)
+	defer rt.Close()
+	armedAt(t, rt)
+	clock.Advance(100 * time.Millisecond)
+	var got time.Duration
+	rt.Post(func() { got = eng.Now() })
+	if got != 100*time.Millisecond {
+		t.Fatalf("a closure posted at clock time 100ms ran at engine time %v", got)
+	}
+}
+
+// TestDoSeesClockNow is the same for Do, which also runs what fell due in
+// between first; once closed, the clock no longer moves the engine.
+func TestDoSeesClockNow(t *testing.T) {
+	eng := sim.NewEngine(1)
+	clock := &ManualClock{}
+	rt := NewRuntime(eng, clock)
+	armedAt(t, rt)
+	var due time.Duration
+	rt.Do(func() { eng.After(30*time.Millisecond, func() { due = eng.Now() }) })
+	clock.Advance(100 * time.Millisecond)
+	var got time.Duration
+	rt.Do(func() { got = eng.Now() })
+	if got != 100*time.Millisecond || due != 30*time.Millisecond {
+		t.Fatalf("Do at clock time 100ms ran at %v, after the 30ms event ran at %v", got, due)
+	}
+	if now := rt.Now(); now != got {
+		t.Fatalf("Now() = %v after Do at %v", now, got)
+	}
+	rt.Close()
+	clock.Advance(time.Second)
+	rt.Do(func() { got = eng.Now() })
+	if got != 100*time.Millisecond {
+		t.Fatalf("Do on a closed runtime moved the engine to %v", got)
+	}
+}
+
+// TestPostNudgesLoopOnlyForEarlierDeadline: the timer loop sleeps towards
+// the earliest event it knew of; a run that leaves an earlier one wakes it
+// (or the event would wait for the idle re-poll), any other run leaves it
+// asleep.
+func TestPostNudgesLoopOnlyForEarlierDeadline(t *testing.T) {
+	// The wake is seen by the clock: the loop would otherwise sleep on for
+	// maxIdleSleep. A stalled box can spoil an attempt, not three.
+	const attempts = 3
+	for i := 1; ; i++ {
+		eng := sim.NewEngine(1)
+		clock := &ManualClock{}
+		rt := NewRuntime(eng, clock)
+		if at := armedAt(t, rt); at != maxIdleSleep {
+			t.Fatalf("an idle loop sleeps towards %v, want %v", at, maxIdleSleep)
+		}
+		rt.Post(func() {})
+		rt.Post(func() { eng.After(time.Hour, func() {}) })
+		rt.Do(func() { eng.After(maxIdleSleep, func() {}) })
+		if _, n := counts(rt); n != 0 {
+			t.Fatalf("%d nudges for runs that left nothing before the loop's deadline", n)
+		}
+		var fired atomic.Bool
+		start := time.Now()
+		rt.Post(func() { eng.After(10*time.Millisecond, func() { fired.Store(true) }) })
+		rt.Post(func() {}) // the same deadline again: already nudged for
+		if _, n := counts(rt); n != 1 {
+			t.Fatalf("%d nudges for one earlier deadline", n)
+		}
+		clock.Advance(10 * time.Millisecond)
+		waitFor(t, 2*time.Second, fired.Load)
+		took := time.Since(start)
+		rt.Close()
+		if took < maxIdleSleep/2 {
+			return
+		}
+		if i == attempts {
+			t.Fatalf("an event 10ms after a Post ran %v after it: the loop slept on", took)
+		}
+	}
 }

@@ -4,13 +4,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/adminapi"
+	"repro/internal/openflow"
+	"repro/internal/telemetry"
 )
 
 // testControllerCfg compresses the control cadence so an offload wave
@@ -156,6 +162,15 @@ func TestSplitDeploymentOffloadWave(t *testing.T) {
 		if !strings.Contains(string(body), "# TYPE") {
 			t.Fatalf("metrics exposition missing TYPE lines:\n%.400s", body)
 		}
+		if err := telemetry.LintPrometheus(bytes.NewReader(body)); err != nil {
+			t.Fatalf("metrics exposition of %s: %v", addr, err)
+		}
+		// Run-to-completion ingest, seen from outside: every frame read is
+		// a post, and few of them leave the timer loop anything to wake for.
+		posts, nudges := promValue(t, body, "fastrak_service_posts_total"), promValue(t, body, "fastrak_service_loop_nudges_total")
+		if posts == 0 || nudges >= posts {
+			t.Errorf("%s: %v posts and %v loop nudges", addr, posts, nudges)
+		}
 	}
 	var metrics string
 	{
@@ -194,6 +209,85 @@ func TestSplitDeploymentOffloadWave(t *testing.T) {
 	if err := tord.Close(); err != nil {
 		t.Fatalf("tord close: %v", err)
 	}
+}
+
+// promValue reads one unlabelled sample from a Prometheus exposition.
+func promValue(t *testing.T, body []byte, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(string(body), "\n") {
+		if rest, ok := strings.CutPrefix(line, name+" "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("no %s in the exposition", name)
+	return 0
+}
+
+// TestTordCloseMidRound: the detach of a dropped agent runs on its read
+// loop, which Close waits for; with two agents in the middle of a round —
+// reports going in, replies coming out — Close still returns.
+func TestTordCloseMidRound(t *testing.T) {
+	tord, err := StartTord(TordConfig{
+		ListenControl: "127.0.0.1:0",
+		ListenAdmin:   "none",
+		Controller:    testControllerCfg(),
+	}, nil)
+	if err != nil {
+		t.Fatalf("StartTord: %v", err)
+	}
+	var agents sync.WaitGroup
+	var rounds atomic.Int64
+	for id := uint32(1); id <= 2; id++ {
+		nc, err := net.Dial("tcp", tord.ControlAddr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		conn := openflow.NewConn(nc)
+		if err := conn.Handshake(); err != nil {
+			t.Fatal(err)
+		}
+		agents.Add(1)
+		go func() {
+			defer agents.Done()
+			rep := &openflow.DemandReport{ServerID: id, Entries: make([]openflow.DemandEntry, 84)}
+			for {
+				rep.Interval++
+				if _, err := conn.Send(rep); err != nil {
+					return
+				}
+				if _, err := conn.Send(openflow.EchoRequest{}); err != nil {
+					return
+				}
+				for {
+					msg, _, err := conn.Recv()
+					if err != nil {
+						return
+					}
+					if msg.Type() == openflow.TypeEchoReply {
+						break
+					}
+				}
+				rounds.Add(1)
+			}
+		}()
+	}
+	waitFor(t, 5*time.Second, func() bool { return rounds.Load() > 200 })
+	closed := make(chan error, 1)
+	go func() { closed <- tord.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Tord.Close hangs with two agents mid-round")
+	}
+	agents.Wait()
 }
 
 // TestAgentReconnect drops the control connection out from under the

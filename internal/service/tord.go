@@ -97,7 +97,10 @@ func StartTord(cfg TordConfig, clock Clock) (*Tord, error) {
 	// Everything scheduled so far (sampler ticks) sits at virtual time
 	// 0; the runtime takes over and replays it against the wall.
 	t.rt = NewRuntime(c.Eng, clock)
-	t.rt.Do(svc.Start)
+	t.rt.Do(func() {
+		t.rt.registerMetrics(t.reg)
+		svc.Start()
+	})
 
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -187,7 +190,7 @@ func (t *Tord) serveAgent(ac *agentConn) {
 	})
 }
 
-// handleFromAgent runs on the engine thread.
+// handleFromAgent runs on the engine: on ac's read loop, inside Post.
 func (t *Tord) handleFromAgent(ac *agentConn, msg openflow.Message, xid uint32) {
 	if !ac.registered {
 		if id, ok := serverIDOf(msg); ok {
