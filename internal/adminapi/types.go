@@ -25,13 +25,16 @@ type PatternSpec struct {
 // Pattern converts the spec to the internal pattern. A set IP with a zero
 // prefix gets /32: "this address" is the intuitive JSON meaning, and a
 // prefix of 0 internally means "any", which would silently widen the
-// rule.
+// rule. A prefix outside 0–32 is an error for the same reason.
 func (ps PatternSpec) Pattern() (rules.Pattern, error) {
+	if uint(ps.SrcPrefix) > 32 || uint(ps.DstPrefix) > 32 {
+		return rules.Pattern{}, fmt.Errorf("adminapi: prefix lengths %d, %d: want 0-32", ps.SrcPrefix, ps.DstPrefix)
+	}
 	p := rules.Pattern{
 		Tenant:    packet.TenantID(ps.Tenant),
 		AnyTenant: ps.AnyTenant,
-		SrcPrefix: ps.SrcPrefix,
-		DstPrefix: ps.DstPrefix,
+		SrcPrefix: uint8(ps.SrcPrefix),
+		DstPrefix: uint8(ps.DstPrefix),
 		SrcPort:   ps.SrcPort,
 		DstPort:   ps.DstPort,
 		Proto:     ps.Proto,
@@ -64,8 +67,8 @@ func SpecOf(p rules.Pattern) PatternSpec {
 	ps := PatternSpec{
 		Tenant:    uint32(p.Tenant),
 		AnyTenant: p.AnyTenant,
-		SrcPrefix: p.SrcPrefix,
-		DstPrefix: p.DstPrefix,
+		SrcPrefix: int(p.SrcPrefix),
+		DstPrefix: int(p.DstPrefix),
 		SrcPort:   p.SrcPort,
 		DstPort:   p.DstPort,
 		Proto:     p.Proto,

@@ -241,7 +241,7 @@ func CandidatesFromReports(reports []openflow.DemandReport, hwPPS map[rules.Patt
 		n += len(rep.Entries)
 	}
 	// The map holds an index, not the candidate: each is merged in place in
-	// vals, whose order is found by sorting 4-byte indices.
+	// vals, which is then sorted once.
 	index := make(map[rules.Pattern]int32, n)
 	vals := make([]Candidate, 0, n)
 	at := func(p rules.Pattern) *Candidate {
@@ -274,28 +274,7 @@ func CandidatesFromReports(reports []openflow.DemandReport, hwPPS map[rules.Patt
 			c.ActiveEpochs = 1
 		}
 	}
-	perm := make([]int32, len(vals))
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	slices.SortFunc(perm, func(a, b int32) int { return vals[a].Pattern.Compare(vals[b].Pattern) })
-	// Gather vals[perm[i]] into vals[i] in place, one cycle of the
-	// permutation at a time; a placed slot is marked -1.
-	for i := range perm {
-		if perm[i] < 0 {
-			continue
-		}
-		first := vals[i]
-		for j := i; ; {
-			k := int(perm[j])
-			perm[j] = -1
-			if k == i {
-				vals[j] = first
-				break
-			}
-			vals[j], j = vals[k], k
-		}
-	}
+	rules.SortPatterns(vals, func(c *Candidate) rules.Pattern { return c.Pattern })
 	if priorityOf != nil {
 		for i := range vals {
 			vals[i].Priority = priorityOf(vals[i].Pattern.Tenant)

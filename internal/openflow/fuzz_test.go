@@ -28,6 +28,7 @@ func FuzzDecode(f *testing.F) {
 	cut := bytes.Clone(rep[:headerLen+12+40*entryLen+33])
 	binary.BigEndian.PutUint16(cut[2:4], uint16(len(cut)))
 	f.Add(cut)
+	f.Add(longPrefixFrames()["flow mod src"])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, _, n, err := Decode(data)
 		if err == nil {
@@ -36,6 +37,39 @@ func FuzzDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// longPrefixFrames returns valid frames of every body that carries a
+// pattern, each with one prefix length on the wire raised to 33.
+func longPrefixFrames() map[string][]byte {
+	p := samplePattern()
+	bad := func(m Message, patternAt, field int) []byte {
+		frame := Encode(m, 1)
+		if frame[headerLen+patternAt+field] != 32 {
+			panic("the pattern is not where the test expects it")
+		}
+		frame[headerLen+patternAt+field] = 33
+		return frame
+	}
+	return map[string][]byte{
+		"flow mod src":        bad(&FlowMod{Pattern: p}, 12, 9),
+		"flow mod dst":        bad(&FlowMod{Pattern: p}, 12, 14),
+		"demand entry":        bad(&DemandReport{Entries: []DemandEntry{{Pattern: p}}}, 12, 9),
+		"rule sync":           bad(&RuleSync{Seq: 1, Patterns: []rules.Pattern{p}}, 8, 14),
+		"offload action":      bad(&OffloadDecision{Actions: []OffloadAction{{Pattern: p}}}, 8, 9),
+		"table reply":         bad(&TableReply{Rules: []TableRule{{Pattern: p}}}, 4, 9),
+		"demand nic patterns": bad(&DemandReport{NICPatterns: []rules.Pattern{p}}, 24, 9),
+	}
+}
+
+// TestDecodeRejectsLongPrefix: a prefix length beyond 32 is no pattern any
+// sender holds, so a frame that carries one is malformed.
+func TestDecodeRejectsLongPrefix(t *testing.T) {
+	for name, frame := range longPrefixFrames() {
+		if msg, _, _, err := Decode(frame); err == nil {
+			t.Errorf("%s: a prefix of 33 decodes to %+v", name, msg)
+		}
+	}
 }
 
 // FuzzChunkDemandReport builds a sketch-mode demand report from fuzzed

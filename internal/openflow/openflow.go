@@ -403,7 +403,7 @@ func (m *DemandReport) unmarshalBody(r *reader) error {
 	}
 	w := r.next(entryLen * int(n))
 	for i := range m.Entries {
-		getEntry(w[i*entryLen:], &m.Entries[i])
+		r.checkPrefixes(getEntry(w[i*entryLen:], &m.Entries[i]))
 	}
 	var err error
 	m.Splits, err = unmarshalSplits(r)
@@ -739,7 +739,7 @@ func unmarshalPatterns(r *reader, buf *[]rules.Pattern) ([]rules.Pattern, error)
 	ps := (*buf)[at : at+n : at+n]
 	w := r.next(n * patternLen)
 	for i := range ps {
-		getPattern(w[i*patternLen:], &ps[i])
+		r.checkPrefixes(getPattern(w[i*patternLen:], &ps[i]))
 	}
 	return ps, r.err
 }
@@ -942,6 +942,14 @@ func (r *reader) fail() {
 	}
 }
 
+// checkPrefixes marks the body malformed unless a pattern's prefix
+// lengths were in range: no pattern a sender holds has one beyond 32.
+func (r *reader) checkPrefixes(ok bool) {
+	if !ok && r.err == nil {
+		r.err = fmt.Errorf("openflow: pattern prefix length beyond 32 before offset %d", r.off)
+	}
+}
+
 func (r *reader) u8() uint8 {
 	if r.remaining() < 1 {
 		r.fail()
@@ -1006,7 +1014,7 @@ func marshalPattern(b *buffer, p rules.Pattern) { putPattern(b.extend(patternLen
 
 func unmarshalPattern(r *reader) (p rules.Pattern) {
 	if w := r.next(patternLen); w != nil {
-		getPattern(w, &p)
+		r.checkPrefixes(getPattern(w, &p))
 	}
 	return p
 }
@@ -1027,17 +1035,19 @@ func putPattern(w []byte, p *rules.Pattern) {
 	w[19] = p.Proto
 }
 
-func getPattern(w []byte, p *rules.Pattern) {
+// getPattern reports whether both prefix lengths it read are at most 32.
+func getPattern(w []byte, p *rules.Pattern) bool {
 	w = w[:patternLen]
 	p.Tenant = packet.TenantID(binary.BigEndian.Uint32(w[0:]))
 	p.AnyTenant = w[4] == 1
 	p.Src = packet.IP(binary.BigEndian.Uint32(w[5:]))
-	p.SrcPrefix = int(w[9])
+	p.SrcPrefix = w[9]
 	p.Dst = packet.IP(binary.BigEndian.Uint32(w[10:]))
-	p.DstPrefix = int(w[14])
+	p.DstPrefix = w[14]
 	p.SrcPort = binary.BigEndian.Uint16(w[15:])
 	p.DstPort = binary.BigEndian.Uint16(w[17:])
 	p.Proto = w[19]
+	return w[9] <= 32 && w[14] <= 32
 }
 
 func putEntry(w []byte, e *DemandEntry) {
@@ -1051,15 +1061,15 @@ func putEntry(w []byte, e *DemandEntry) {
 	binary.BigEndian.PutUint32(w[56:], e.ActiveEpochs)
 }
 
-func getEntry(w []byte, e *DemandEntry) {
+func getEntry(w []byte, e *DemandEntry) bool {
 	w = w[:entryLen]
-	getPattern(w, &e.Pattern)
 	e.PPS = math.Float64frombits(binary.BigEndian.Uint64(w[20:]))
 	e.BPS = math.Float64frombits(binary.BigEndian.Uint64(w[28:]))
 	e.Epoch = binary.BigEndian.Uint32(w[36:])
 	e.MedianPPS = math.Float64frombits(binary.BigEndian.Uint64(w[40:]))
 	e.MedianBPS = math.Float64frombits(binary.BigEndian.Uint64(w[48:]))
 	e.ActiveEpochs = binary.BigEndian.Uint32(w[56:])
+	return getPattern(w, &e.Pattern)
 }
 
 func marshalKey(b *buffer, k packet.FlowKey) {

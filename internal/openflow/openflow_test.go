@@ -223,8 +223,8 @@ func TestFlowModRoundTripProperty(t *testing.T) {
 			Command: FlowDelete,
 			Pattern: rules.Pattern{
 				Tenant: packet.TenantID(tenant),
-				Src:    packet.IP(src), SrcPrefix: int(srcPfx % 33),
-				Dst: packet.IP(dst), DstPrefix: int(dstPfx % 33),
+				Src:    packet.IP(src), SrcPrefix: srcPfx % 33,
+				Dst: packet.IP(dst), DstPrefix: dstPfx % 33,
 				SrcPort: sp, DstPort: dp, Proto: proto,
 			},
 			Priority: prio,

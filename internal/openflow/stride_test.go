@@ -36,9 +36,9 @@ func fieldwiseUnmarshalPattern(r *reader) rules.Pattern {
 	p.Tenant = packet.TenantID(r.u32())
 	p.AnyTenant = r.u8() == 1
 	p.Src = packet.IP(r.u32())
-	p.SrcPrefix = int(r.u8())
+	p.SrcPrefix = r.u8()
 	p.Dst = packet.IP(r.u32())
-	p.DstPrefix = int(r.u8())
+	p.DstPrefix = r.u8()
 	p.SrcPort = r.u16()
 	p.DstPort = r.u16()
 	p.Proto = r.u8()
@@ -198,8 +198,8 @@ func fieldwiseDecode(t MsgType, body []byte) (Message, bool) {
 func randomPattern(rng *rand.Rand) rules.Pattern {
 	return rules.Pattern{
 		Tenant: packet.TenantID(rng.Uint32()), AnyTenant: rng.Intn(2) == 0,
-		Src: packet.IP(rng.Uint32()), SrcPrefix: rng.Intn(33),
-		Dst: packet.IP(rng.Uint32()), DstPrefix: rng.Intn(33),
+		Src: packet.IP(rng.Uint32()), SrcPrefix: uint8(rng.Intn(33)),
+		Dst: packet.IP(rng.Uint32()), DstPrefix: uint8(rng.Intn(33)),
 		SrcPort: uint16(rng.Uint32()), DstPort: uint16(rng.Uint32()), Proto: uint8(rng.Uint32()),
 	}
 }

@@ -2,7 +2,6 @@ package rules
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"repro/internal/packet"
@@ -140,12 +139,11 @@ func BenchmarkTupleSpaceScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkSortPatterns1536 sorts one control interval's worth of reported
-// aggregate patterns (8 tenants, 16 VMs, ports sharing long decimal
-// prefixes) into canonical order — the unit of work Pattern.Compare is
-// paid for in, several times per ToR decision tick.
-func BenchmarkSortPatterns1536(b *testing.B) {
-	pats := make([]Pattern, 1536)
+// aggregatePatterns returns n per-VM aggregate patterns of the shape a
+// control interval reports (8 tenants, 16 VMs, ports sharing long decimal
+// prefixes), all under one field mask.
+func aggregatePatterns(n int) []Pattern {
+	pats := make([]Pattern, n)
 	for i := range pats {
 		pats[i] = AggregatePattern(packet.AggregateKey{
 			Tenant: packet.TenantID(1 + i%8),
@@ -154,11 +152,43 @@ func BenchmarkSortPatterns1536(b *testing.B) {
 			Dir:    packet.Direction(i % 2),
 		})
 	}
+	return pats
+}
+
+// BenchmarkSortPatterns1536 sorts one control interval's worth of reported
+// aggregate patterns into canonical order — the sort CandidatesFromReports
+// runs on every ToR decision tick.
+func BenchmarkSortPatterns1536(b *testing.B) {
+	pats := aggregatePatterns(1536)
 	work := make([]Pattern, len(pats))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work, pats)
-		slices.SortFunc(work, Pattern.Compare)
+		SortPatterns(work, func(p *Pattern) Pattern { return *p })
+	}
+}
+
+// BenchmarkTCAMRemoveFull640 removes one entry from a full 640-entry TCAM
+// whose entries share one priority and one field mask — a demotion at the
+// control tick's steady state — and installs it again to stay full.
+func BenchmarkTCAMRemoveFull640(b *testing.B) {
+	pats := aggregatePatterns(640)
+	tc := NewTCAM(len(pats))
+	for _, p := range pats {
+		if err := tc.Insert(&TCAMEntry{Pattern: p, Priority: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pats[i%len(pats)]
+		if tc.Remove(p) != 1 {
+			b.Fatal("entry missing")
+		}
+		if err := tc.Insert(&TCAMEntry{Pattern: p, Priority: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -24,7 +24,7 @@ func randPattern(rng *rand.Rand) Pattern {
 	} else {
 		p.Tenant = packet.TenantID(rng.Intn(3) + 1)
 	}
-	prefix := func() (packet.IP, int) {
+	prefix := func() (packet.IP, uint8) {
 		switch rng.Intn(4) {
 		case 0:
 			return 0, 0 // any
@@ -151,6 +151,42 @@ func TestTCAMDifferential(t *testing.T) {
 	}
 }
 
+// TestTCAMRemoveFromFullEqualPriority empties a full TCAM whose entries
+// all share one priority, one removal at a time: every removal but a
+// group's last leaves its top priority in place, and lookups must still
+// agree with the linear reference after each.
+func TestTCAMRemoveFromFullEqualPriority(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	tc := NewTCAM(640)
+	var installed []Pattern
+	for seen := make(map[Pattern]bool); len(installed) < 640; {
+		p := randPattern(rng)
+		if seen[p] {
+			continue
+		}
+		seen[p] = true
+		if err := tc.Insert(&TCAMEntry{Pattern: p, Priority: 5, Queue: len(installed)}); err != nil {
+			t.Fatal(err)
+		}
+		installed = append(installed, p)
+	}
+	rng.Shuffle(len(installed), func(i, j int) { installed[i], installed[j] = installed[j], installed[i] })
+	for i, p := range installed {
+		if n := tc.Remove(p); n != 1 {
+			t.Fatalf("removal %d of %v took %d entries", i, p, n)
+		}
+		for probe := 0; probe < 20; probe++ {
+			k := randKey(rng)
+			if got, want := tc.Lookup(k), tc.LookupLinear(k); got != want {
+				t.Fatalf("after %d removals: Lookup(%v) = %+v, linear reference %+v", i+1, k, got, want)
+			}
+		}
+	}
+	if tc.Len() != 0 || tc.idx.Len() != 0 || tc.idx.Tuples() != 0 {
+		t.Fatalf("emptied TCAM holds %d entries, index %d in %d tuples", tc.Len(), tc.idx.Len(), tc.idx.Tuples())
+	}
+}
+
 // TestLookupMaskSoundness is the megaflow safety property: any key whose
 // projection under the returned mask equals the probed key's projection
 // must receive the identical verdict. The test perturbs every field the
@@ -225,9 +261,11 @@ func TestOverlapsConservative(t *testing.T) {
 }
 
 // TestTupleSpaceRemoveKeepsMaxPrioTight: Remove recomputes a group's
-// maxPrio only when an entry that carried it went, and must leave exactly
-// what a recomputation over every bucket would: too high prunes less, too
-// low prunes a winner away. The groups stay in descending order of it.
+// maxPrio only when the last entry that carried it went, and must leave
+// exactly what a recomputation over every bucket would: too high prunes
+// less, too low prunes a winner away. The count of entries at maxPrio must
+// match it too, or a removal rescans too early or too late. The groups
+// stay in descending order of maxPrio.
 func TestTupleSpaceRemoveKeepsMaxPrioTight(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ts := NewTupleSpace[int]()
@@ -244,8 +282,9 @@ func TestTupleSpaceRemoveKeepsMaxPrioTight(t *testing.T) {
 			installed = slices.DeleteFunc(installed, func(q Pattern) bool { return q == p })
 		}
 		for i, g := range ts.groups {
-			if want := g.recomputeMaxPrio(); g.maxPrio != want {
-				t.Fatalf("step %d: group %+v holds maxPrio %d, its entries say %d", step, g.mask, g.maxPrio, want)
+			if want, wantAt := g.recomputeMaxPrio(); g.maxPrio != want || g.atMax != wantAt {
+				t.Fatalf("step %d: group %+v holds maxPrio %d with %d at it, its entries say %d with %d",
+					step, g.mask, g.maxPrio, g.atMax, want, wantAt)
 			}
 			if i > 0 && ts.groups[i-1].maxPrio < g.maxPrio {
 				t.Fatalf("step %d: groups out of order at %d", step, i)

@@ -8,6 +8,7 @@ package rules
 
 import (
 	"cmp"
+	"encoding/binary"
 	"slices"
 	"strconv"
 
@@ -16,19 +17,20 @@ import (
 
 // Pattern is a wildcardable match over the 6-tuple flow key. IPs match by
 // prefix; ports and protocol match exactly or any; tenant may be wildcarded
-// only for provider-level rules.
+// only for provider-level rules. The fields run widest first, so a Pattern
+// is 20 bytes without padding, which a map keyed by it hashes and compares
+// as one block of memory. A prefix length is one byte, as on the wire;
+// input from outside the program is held to 0–32 where it enters.
 type Pattern struct {
 	Tenant    packet.TenantID
-	AnyTenant bool
-
 	Src       packet.IP
-	SrcPrefix int // 0 = any
 	Dst       packet.IP
-	DstPrefix int // 0 = any
-
-	SrcPort uint16 // 0 = any
-	DstPort uint16 // 0 = any
-	Proto   byte   // 0 = any
+	SrcPort   uint16 // 0 = any
+	DstPort   uint16 // 0 = any
+	SrcPrefix uint8  // 0 = any
+	DstPrefix uint8  // 0 = any
+	Proto     byte   // 0 = any
+	AnyTenant bool
 }
 
 // ExactPattern returns the fully specified pattern matching exactly one
@@ -65,10 +67,10 @@ func (p Pattern) Match(k packet.FlowKey) bool {
 	if !p.AnyTenant && p.Tenant != k.Tenant {
 		return false
 	}
-	if p.SrcPrefix > 0 && k.Src.Mask(p.SrcPrefix) != p.Src.Mask(p.SrcPrefix) {
+	if p.SrcPrefix > 0 && k.Src.Mask(int(p.SrcPrefix)) != p.Src.Mask(int(p.SrcPrefix)) {
 		return false
 	}
-	if p.DstPrefix > 0 && k.Dst.Mask(p.DstPrefix) != p.Dst.Mask(p.DstPrefix) {
+	if p.DstPrefix > 0 && k.Dst.Mask(int(p.DstPrefix)) != p.Dst.Mask(int(p.DstPrefix)) {
 		return false
 	}
 	if p.SrcPort != 0 && p.SrcPort != k.SrcPort {
@@ -87,7 +89,7 @@ func (p Pattern) Match(k packet.FlowKey) bool {
 // specific. Used to order equal-priority rules and to pick the most
 // specific covering rule when constructing hardware rules for offload.
 func (p Pattern) Specificity() int {
-	s := p.SrcPrefix + p.DstPrefix
+	s := int(p.SrcPrefix) + int(p.DstPrefix)
 	if p.SrcPort != 0 {
 		s += 16
 	}
@@ -143,9 +145,8 @@ func (p Pattern) Compare(q Pattern) int {
 	return cmp.Compare(pc, qc)
 }
 
-// lowFirst orders a field that exactly one side renders with a leading
-// byte below the digits — "*", or the '-' of a negative length — against
-// the other side's number: that side sorts first.
+// lowFirst orders a field that exactly one side renders as "*", which sorts
+// below the digits, against the other side's number: that side sorts first.
 func lowFirst(pIsLow bool) int {
 	if pIsLow {
 		return -1
@@ -154,7 +155,7 @@ func lowFirst(pIsLow bool) int {
 }
 
 // compareEndpoint orders two "ip/prefix:port" renderings (appendEndpoint).
-func compareEndpoint(ip packet.IP, prefix int, port uint16, qip packet.IP, qprefix int, qport uint16) int {
+func compareEndpoint(ip packet.IP, prefix uint8, port uint16, qip packet.IP, qprefix uint8, qport uint16) int {
 	if (prefix == 0) != (qprefix == 0) {
 		return lowFirst(prefix == 0)
 	}
@@ -162,16 +163,8 @@ func compareEndpoint(ip packet.IP, prefix int, port uint16, qip packet.IP, qpref
 		if c := ip.CompareDotted(qip, false); c != 0 { // '/' follows
 			return c
 		}
-		// A negative length renders with a leading '-', below the digits.
-		// The ':' that follows sorts above them: "/32:" before "/3:".
-		if (prefix < 0) != (qprefix < 0) {
-			return lowFirst(prefix < 0)
-		}
-		a, b := uint64(prefix), uint64(qprefix)
-		if prefix < 0 {
-			a, b = -a, -b
-		}
-		if c := packet.CompareDecimal(a, b, true); c != 0 {
+		// The ':' that follows sorts above the digits: "/32:" before "/3:".
+		if c := packet.CompareDecimal(uint64(prefix), uint64(qprefix), true); c != 0 {
 			return c
 		}
 	}
@@ -201,13 +194,67 @@ func protoClass(proto byte) int {
 	return protoDecimal
 }
 
+// OrderKey abbreviates the canonical order: the first 24 bytes of the
+// pattern's rendering, as three big-endian words, zero-padded past a
+// shorter one. No rendering holds a zero byte, so keys that differ order
+// as the renderings, and so as Compare, do; equal keys decide nothing, and
+// Compare, which stays the definition of the order, breaks the tie.
+type OrderKey [3]uint64
+
+// OrderKey returns the pattern's order key.
+func (p Pattern) OrderKey() OrderKey {
+	var buf [72]byte // the longest rendering is 69 bytes
+	var head [24]byte
+	copy(head[:], p.appendKey(buf[:0]))
+	return OrderKey{
+		binary.BigEndian.Uint64(head[0:]),
+		binary.BigEndian.Uint64(head[8:]),
+		binary.BigEndian.Uint64(head[16:]),
+	}
+}
+
+// keyedIndex is where an element of SortPatterns' input is, and its key.
+type keyedIndex struct {
+	key OrderKey
+	idx int
+}
+
+// SortPatterns sorts s into the canonical order of its elements' patterns,
+// as pattern reads them. Each element's OrderKey is built once, Compare
+// runs only between equal keys, and the elements move once, at the end.
+func SortPatterns[E any](s []E, pattern func(*E) Pattern) {
+	ks := make([]keyedIndex, len(s))
+	for i := range s {
+		ks[i] = keyedIndex{pattern(&s[i]).OrderKey(), i}
+	}
+	slices.SortFunc(ks, func(a, b keyedIndex) int {
+		if x, y := &a.key, &b.key; *x != *y {
+			if x[0] < y[0] || x[0] == y[0] && (x[1] < y[1] || x[1] == y[1] && x[2] < y[2]) {
+				return -1
+			}
+			return 1
+		}
+		return pattern(&s[a.idx]).Compare(pattern(&s[b.idx]))
+	})
+	// Swap s[ks[i].idx] into s[i] along each cycle of the permutation.
+	for i := range ks {
+		j := i
+		for ks[j].idx != i {
+			k := ks[j].idx
+			s[j], s[k] = s[k], s[j]
+			ks[j].idx, j = j, k
+		}
+		ks[j].idx = j
+	}
+}
+
 // SortedPatterns returns m's keys in canonical order.
 func SortedPatterns[V any](m map[Pattern]V) []Pattern {
 	out := make([]Pattern, 0, len(m))
 	for p := range m {
 		out = append(out, p)
 	}
-	slices.SortFunc(out, Pattern.Compare)
+	SortPatterns(out, func(p *Pattern) Pattern { return *p })
 	return out
 }
 
@@ -239,7 +286,7 @@ func (p Pattern) appendKey(b []byte) []byte {
 
 // appendEndpoint renders one side of a pattern: "ip/prefix:port" with "*"
 // for an any-address and ":*" for an any-port.
-func appendEndpoint(b []byte, ip packet.IP, prefix int, port uint16) []byte {
+func appendEndpoint(b []byte, ip packet.IP, prefix uint8, port uint16) []byte {
 	if prefix == 0 {
 		b = append(b, '*')
 	} else {
@@ -250,7 +297,7 @@ func appendEndpoint(b []byte, ip packet.IP, prefix int, port uint16) []byte {
 			}
 		}
 		b = append(b, '/')
-		b = strconv.AppendInt(b, int64(prefix), 10)
+		b = strconv.AppendUint(b, uint64(prefix), 10)
 	}
 	if port == 0 {
 		return append(b, ":*"...)

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/packet"
 )
@@ -20,7 +23,7 @@ func oracleString(p Pattern) string {
 	} else {
 		fmt.Fprintf(&b, "t%d ", p.Tenant)
 	}
-	part := func(ip packet.IP, prefix int, port uint16) {
+	part := func(ip packet.IP, prefix uint8, port uint16) {
 		if prefix == 0 {
 			b.WriteString("*")
 		} else {
@@ -49,8 +52,10 @@ func oracleString(p Pattern) string {
 }
 
 // checkOrder is the canonical-order contract for one pair: text equals the
-// oracle rendering, Compare equals the order of the texts, and Compare is
-// reflexive and antisymmetric.
+// oracle rendering, Compare equals the order of the texts, Compare is
+// reflexive and antisymmetric, and the OrderKeys abbreviate it: keys that
+// differ order as Compare does, and patterns Compare calls equal have
+// equal keys.
 func checkOrder(t *testing.T, a, b Pattern) {
 	t.Helper()
 	for _, p := range []Pattern{a, b} {
@@ -68,13 +73,18 @@ func checkOrder(t *testing.T, a, b Pattern) {
 	if ab != -ba {
 		t.Fatalf("Compare not antisymmetric on %v, %v: %d vs %d", a, b, ab, ba)
 	}
+	ka, kb := a.OrderKey(), b.OrderKey()
+	if kc := slices.Compare(ka[:], kb[:]); kc != 0 && kc != ab {
+		t.Fatalf("OrderKey compares %v, %v as %d, Compare says %d", a, b, kc, ab)
+	}
 }
 
 // randomPattern draws every field from a small pool plus an occasional
 // free value, so pairs often agree on a long prefix of fields and the
 // comparison is decided deep in the rendering. Every pool holds values
 // whose decimal text is a prefix of another's (1/10/100, 8/80/8080, 3/32,
-// 2/25/255, 4/47): the case where the byte after the field decides.
+// 2/25/255, 4/47): the case where the byte after the field decides. A
+// prefix length beyond 32 means nothing to Match but still renders.
 func randomPattern(rng *rand.Rand) Pattern {
 	pick := func(pool []uint32) uint32 {
 		if rng.Intn(8) == 0 {
@@ -83,7 +93,7 @@ func randomPattern(rng *rand.Rand) Pattern {
 		return pool[rng.Intn(len(pool))]
 	}
 	ips := []uint32{0, 0x0a000001, 0x0a000002, 0x0a00000a, 0x0a000064, 0x0a000100, 0x01000001, 0x64000001, 0xffffffff}
-	prefixes := []int{0, 0, 1, 2, 3, 8, 9, 16, 24, 32, 320, -1, -3, -32, math.MinInt64, math.MaxInt64}
+	prefixes := []uint8{0, 0, 1, 2, 3, 8, 9, 16, 24, 25, 32, 200, 255}
 	ports := []uint32{0, 0, 1, 2, 8, 10, 80, 443, 808, 8080, 11211, 65535}
 	protos := []uint32{0, uint32(packet.ProtoTCP), uint32(packet.ProtoUDP), 1, 2, 4, 25, 47, 255}
 	return Pattern{
@@ -112,13 +122,15 @@ func prefixPairs() [][2]Pattern {
 		{base, with(func(p *Pattern) { p.Src = 0x64000001 })}, // "10." against "100."
 		{base, with(func(p *Pattern) { p.SrcPrefix = 3 })},    // "/32:" before "/3:"
 		{with(func(p *Pattern) { p.DstPrefix = 2 }), base},    // "/2:" after "/24:"
-		{with(func(p *Pattern) { p.DstPrefix = -3 }), with(func(p *Pattern) { p.DstPrefix = -32 })},
+		{with(func(p *Pattern) { p.DstPrefix = 25 }), with(func(p *Pattern) { p.DstPrefix = 255 })},
 		{base, with(func(p *Pattern) { p.SrcPort = 8080 })}, // "80 " against "8080 "
 		{base, with(func(p *Pattern) { p.DstPort = 80 })},   // "8 " against "80 "
 		{base, with(func(p *Pattern) { p.Proto = 47 })},     // "4" against "47"
 		{with(func(p *Pattern) { p.Proto = 2 }), with(func(p *Pattern) { p.Proto = 25 })},
 		{with(func(p *Pattern) { p.Proto = 25 }), with(func(p *Pattern) { p.Proto = 255 })},
 		{with(func(p *Pattern) { p.Proto = 255 }), with(func(p *Pattern) { p.Proto = packet.ProtoTCP })},
+		// Shorter than an order key: the zero padding meets a digit.
+		{Pattern{Tenant: 1, Proto: 2}, Pattern{Tenant: 1, Proto: 25}},
 		// Not rendered, so not compared.
 		{with(func(p *Pattern) { p.AnyTenant = true }), with(func(p *Pattern) { p.AnyTenant, p.Tenant = true, 10 })},
 		{with(func(p *Pattern) { p.SrcPrefix = 0 }), with(func(p *Pattern) { p.SrcPrefix, p.Src = 0, 0x0a00000a })},
@@ -167,7 +179,24 @@ func TestPatternCompareAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { sink += a.Compare(b) }); n != 0 {
 		t.Fatalf("Pattern.Compare allocates %v times per call, want 0", n)
 	}
+	if n := testing.AllocsPerRun(1000, func() { sink += int(a.OrderKey()[2] & 1) }); n != 0 {
+		t.Fatalf("Pattern.OrderKey allocates %v times per call, want 0", n)
+	}
 	_ = sink
+}
+
+// TestPatternIsPlainMemory: a Pattern is 20 bytes with no padding between
+// or after its fields, so a map keyed by it hashes the whole key with one
+// memhash and compares it with one memequal instead of field by field.
+func TestPatternIsPlainMemory(t *testing.T) {
+	var sum uintptr
+	typ := reflect.TypeOf(Pattern{})
+	for i := 0; i < typ.NumField(); i++ {
+		sum += typ.Field(i).Type.Size()
+	}
+	if size := unsafe.Sizeof(Pattern{}); size != 20 || size != sum {
+		t.Fatalf("Pattern is %d bytes, its fields %d: want 20 and 20", size, sum)
+	}
 }
 
 func TestSortedPatterns(t *testing.T) {
@@ -187,23 +216,56 @@ func TestSortedPatterns(t *testing.T) {
 	}
 }
 
-// patternFromBytes decodes 20 bytes into a pattern (prefixes as int8, so
-// zero, in-range, oversized and negative lengths are all reachable).
+// TestSortPatternsMovesElements sorts elements that carry a pattern, with
+// repeats: the result is a permutation of the input in canonical order.
+func TestSortPatternsMovesElements(t *testing.T) {
+	type elem struct {
+		p Pattern
+		i int
+	}
+	rng := rand.New(rand.NewSource(4))
+	pool := make([]Pattern, 60)
+	for i := range pool {
+		pool[i] = randomPattern(rng)
+	}
+	s := make([]elem, 500)
+	for i := range s {
+		s[i] = elem{pool[rng.Intn(len(pool))], i}
+	}
+	SortPatterns(s, func(e *elem) Pattern { return e.p })
+	seen := make([]bool, len(s))
+	for j, e := range s {
+		if seen[e.i] {
+			t.Fatalf("element %d appears twice", e.i)
+		}
+		seen[e.i] = true
+		if j == 0 {
+			continue
+		}
+		prev := s[j-1]
+		if prev.p.Compare(e.p) > 0 {
+			t.Fatalf("at %d: %v (input %d) before %v (input %d)", j, prev.p, prev.i, e.p, e.i)
+		}
+	}
+}
+
+// patternFromBytes decodes 20 bytes into a pattern (every prefix byte, so
+// zero, in-range and oversized lengths are all reachable).
 func patternFromBytes(b []byte) Pattern {
 	return Pattern{
 		AnyTenant: b[0]&1 != 0,
 		Tenant:    packet.TenantID(binary.BigEndian.Uint32(b[1:])),
 		Src:       packet.IP(binary.BigEndian.Uint32(b[5:])),
-		SrcPrefix: int(int8(b[9])),
+		SrcPrefix: b[9],
 		Dst:       packet.IP(binary.BigEndian.Uint32(b[10:])),
-		DstPrefix: int(int8(b[14])),
+		DstPrefix: b[14],
 		SrcPort:   binary.BigEndian.Uint16(b[15:]),
 		DstPort:   binary.BigEndian.Uint16(b[17:]),
 		Proto:     b[19],
 	}
 }
 
-// patternToBytes inverts patternFromBytes for prefixes that fit an int8.
+// patternToBytes inverts patternFromBytes.
 func patternToBytes(p Pattern) []byte {
 	b := make([]byte, 20)
 	if p.AnyTenant {
@@ -211,9 +273,9 @@ func patternToBytes(p Pattern) []byte {
 	}
 	binary.BigEndian.PutUint32(b[1:], uint32(p.Tenant))
 	binary.BigEndian.PutUint32(b[5:], uint32(p.Src))
-	b[9] = byte(int8(p.SrcPrefix))
+	b[9] = p.SrcPrefix
 	binary.BigEndian.PutUint32(b[10:], uint32(p.Dst))
-	b[14] = byte(int8(p.DstPrefix))
+	b[14] = p.DstPrefix
 	binary.BigEndian.PutUint16(b[15:], p.SrcPort)
 	binary.BigEndian.PutUint16(b[17:], p.DstPort)
 	b[19] = p.Proto

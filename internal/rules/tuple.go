@@ -79,15 +79,7 @@ func (p Pattern) Mask() FieldMask {
 	}
 }
 
-func clampPrefix(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	if n >= 32 {
-		return 32
-	}
-	return n
-}
+func clampPrefix(n uint8) int { return int(min(n, 32)) }
 
 // canonicalKey returns the pattern's representative key under its own
 // mask: for any k, p.Match(k) ⇔ p.Mask().Apply(k) == p.canonicalKey().
@@ -154,6 +146,7 @@ type tupleGroup[V any] struct {
 	mask    FieldMask
 	spec    int
 	maxPrio int
+	atMax   int // entries at maxPrio: Remove rescans when none is left
 	buckets map[packet.FlowKey][]tsEntry[V]
 	count   int
 }
@@ -217,8 +210,11 @@ func (t *TupleSpace[V]) Insert(p Pattern, prio int, v V) {
 	t.seq++
 	g.count++
 	t.size++
-	if prio > g.maxPrio {
-		g.maxPrio = prio
+	switch {
+	case prio > g.maxPrio:
+		g.maxPrio, g.atMax = prio, 1
+	case prio == g.maxPrio:
+		g.atMax++
 	}
 	t.resort()
 }
@@ -236,12 +232,14 @@ func (t *TupleSpace[V]) Remove(p Pattern, match func(V) bool) int {
 	if !ok {
 		return 0
 	}
-	n, top := 0, false
+	n := 0
 	out := bucket[:0]
 	for _, e := range bucket {
 		if match == nil || match(e.val) {
 			n++
-			top = top || e.prio == g.maxPrio
+			if e.prio == g.maxPrio {
+				g.atMax--
+			}
 			continue
 		}
 		out = append(out, e)
@@ -264,26 +262,29 @@ func (t *TupleSpace[V]) Remove(p Pattern, match func(V) bool) int {
 				break
 			}
 		}
-	} else if top {
-		// Keep maxPrio tight so pruning stays effective: it can only have
-		// dropped if an entry that carried it went.
-		g.maxPrio = g.recomputeMaxPrio()
+	} else if g.atMax == 0 {
+		// Keep maxPrio tight so pruning stays effective: it drops only
+		// when the last entry that carried it went.
+		g.maxPrio, g.atMax = g.recomputeMaxPrio()
 		t.resort()
 	}
 	return n
 }
 
-func (g *tupleGroup[V]) recomputeMaxPrio() int {
+// recomputeMaxPrio returns the group's top priority and its entry count.
+func (g *tupleGroup[V]) recomputeMaxPrio() (max, atMax int) {
 	first := true
-	max := 0
 	for _, bucket := range g.buckets {
 		for _, e := range bucket {
-			if first || e.prio > max {
-				max, first = e.prio, false
+			switch {
+			case first || e.prio > max:
+				max, atMax, first = e.prio, 1, false
+			case e.prio == max:
+				atMax++
 			}
 		}
 	}
-	return max
+	return max, atMax
 }
 
 // resort restores descending-maxPrio order of the groups (stable; the

@@ -319,7 +319,7 @@ func TestMegaflowAgainstMapOracle(t *testing.T) {
 		case r < 99:
 			p := rules.Pattern{Tenant: k.Tenant}
 			if rng.Intn(2) == 0 {
-				p.Dst, p.DstPrefix = k.Dst, 24+8*rng.Intn(2)
+				p.Dst, p.DstPrefix = k.Dst, uint8(24+8*rng.Intn(2))
 			}
 			if rng.Intn(2) == 0 {
 				p.DstPort = k.DstPort
