@@ -141,18 +141,16 @@ func (a *switchAgent) upsert(m *openflow.FlowMod) error {
 	})
 }
 
-// tableReply snapshots the installed rules in deterministic order (the
+// tableReply snapshots the installed rules in deterministic order,
+// priority descending, canonical pattern order within a priority (the
 // TCAM iterates in match order, which is priority-lazy and therefore
 // unstable across identical runs; sorting here keeps the wire bytes — and
-// so the whole simulation — reproducible).
+// so the whole simulation — reproducible): a sort on order keys, then a
+// stable one on priority.
 func (a *switchAgent) tableReply() *openflow.TableReply {
 	ris := a.tor.Rules()
-	slices.SortFunc(ris, func(x, y tor.RuleInfo) int {
-		if c := cmp.Compare(y.Priority, x.Priority); c != 0 {
-			return c
-		}
-		return x.Pattern.Compare(y.Pattern)
-	})
+	rules.SortPatterns(ris, func(ri *tor.RuleInfo) rules.Pattern { return ri.Pattern })
+	slices.SortStableFunc(ris, func(x, y tor.RuleInfo) int { return cmp.Compare(y.Priority, x.Priority) })
 	out := make([]openflow.TableRule, len(ris))
 	for i, ri := range ris {
 		out[i] = openflow.TableRule{

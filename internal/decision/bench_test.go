@@ -35,14 +35,7 @@ func benchCandidates(n int) ([]Candidate, map[rules.Pattern]bool) {
 // FlapDamper.Apply — over n distinct patterns reported by 16 servers, and
 // the offloaded set the pass decides against.
 func decisionPass(n, budget int) (pass func() Decision, current map[rules.Pattern]bool) {
-	pool, _ := benchCandidates(n)
-	reports := make([]openflow.DemandReport, 16)
-	for i, c := range pool {
-		r := &reports[i%len(reports)]
-		r.Entries = append(r.Entries, openflow.DemandEntry{
-			Pattern: c.Pattern, ActiveEpochs: c.ActiveEpochs, MedianPPS: c.MedianPPS,
-		})
-	}
+	reports := decisionReports(n)
 	cfg := Config{Budget: budget, HysteresisRatio: 1.2}
 	smoother := NewSmoother(DefaultSmootherConfig())
 	damper := NewFlapDamper(DefaultDamperConfig())
@@ -52,6 +45,19 @@ func decisionPass(n, budget int) (pass func() Decision, current map[rules.Patter
 		cands = smoother.Advance(cands, current)
 		return damper.Apply(Decide(cfg, cands, current), current, 0)
 	}, current
+}
+
+// decisionReports spreads n distinct patterns over 16 servers' reports.
+func decisionReports(n int) []openflow.DemandReport {
+	pool, _ := benchCandidates(n)
+	reports := make([]openflow.DemandReport, 16)
+	for i, c := range pool {
+		r := &reports[i%len(reports)]
+		r.Entries = append(r.Entries, openflow.DemandEntry{
+			Pattern: c.Pattern, ActiveEpochs: c.ActiveEpochs, MedianPPS: c.MedianPPS,
+		})
+	}
+	return reports
 }
 
 // BenchmarkDecisionPass1536 is the steady-state decision pass of
@@ -64,6 +70,20 @@ func BenchmarkDecisionPass1536(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = pass()
+	}
+}
+
+// BenchmarkSmootherAdvance1536 is the smoother's part of that pass in
+// steady state: the same 1,536 patterns every interval, in the merge
+// order CandidatesFromReports leaves them in, none new and none dropped.
+func BenchmarkSmootherAdvance1536(b *testing.B) {
+	cands := CandidatesFromReports(decisionReports(1536), nil, nil)
+	s := NewSmoother(DefaultSmootherConfig())
+	s.Advance(cands, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = s.Advance(cands, nil)
 	}
 }
 

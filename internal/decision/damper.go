@@ -263,6 +263,10 @@ type smoothState struct {
 type Smoother struct {
 	cfg   SmootherConfig
 	state map[rules.Pattern]*smoothState
+	// order holds the states of state in canonical pattern order, kept
+	// across calls: Advance merges in the patterns it has not seen before
+	// and drops the ones it forgets, so a steady set is never re-sorted.
+	order []*smoothState
 	round uint64
 	// Synthesized counts candidates carried through a missing interval.
 	Synthesized uint64
@@ -276,10 +280,10 @@ func NewSmoother(cfg SmootherConfig) *Smoother {
 // Advance ingests one interval's raw candidates and returns the smoothed
 // set: present candidates are EWMA-blended with their history; absent
 // ones are synthesized from the decayed estimate until MaxStaleIntervals
-// pass. Output is in canonical pattern order, one candidate per pattern.
-// Input in that order (what CandidatesFromReports returns) is carried
-// through, so only the absent patterns are sorted; any other input is
-// sorted first.
+// pass. The input may come in any order and repeat a pattern (each
+// repeat is blended in turn); the output is in canonical pattern order,
+// one candidate per pattern. The order is the Smoother's own, kept
+// across calls, so only patterns new to it are sorted.
 //
 // offloaded marks patterns currently placed in hardware. Their demand is
 // observed through the TOR's own TCAM counters — a local read that cannot
@@ -291,16 +295,13 @@ func NewSmoother(cfg SmootherConfig) *Smoother {
 // whose reports cross the lossy control network.
 func (s *Smoother) Advance(cands []Candidate, offloaded map[rules.Pattern]bool) []Candidate {
 	s.round++
-	present := make([]*smoothState, 0, len(cands))
-	ascending := true
-	for i, c := range cands {
-		if i > 0 && ascending && cands[i-1].Pattern.Compare(c.Pattern) >= 0 {
-			ascending = false
-		}
+	var fresh []*smoothState // the states this call creates
+	for _, c := range cands {
 		st, ok := s.state[c.Pattern]
 		if !ok {
 			st = &smoothState{cand: c}
 			s.state[c.Pattern] = st
+			fresh = append(fresh, st)
 		} else {
 			a := s.cfg.Alpha
 			st.cand.MedianPPS = a*c.MedianPPS + (1-a)*st.cand.MedianPPS
@@ -311,52 +312,42 @@ func (s *Smoother) Advance(cands []Candidate, offloaded map[rules.Pattern]bool) 
 			st.cand.Priority = c.Priority
 			st.stale = 0
 		}
-		if st.round != s.round { // a repeated pattern is blended again, emitted once
-			st.round = s.round
-			present = append(present, st)
-		}
+		st.round = s.round
 	}
-	if !ascending {
-		slices.SortFunc(present, compareStates)
-	}
-	// Age the missing.
-	var absent []*smoothState
-	for p, st := range s.state {
-		if st.round == s.round {
-			continue
-		}
-		if offloaded[p] {
-			// Hardware counters are read locally; silence is real.
-			delete(s.state, p)
-			continue
-		}
-		st.stale++
-		if st.stale > s.cfg.MaxStaleIntervals {
-			delete(s.state, p)
-			continue
-		}
-		st.cand.MedianPPS *= s.cfg.StaleDecay
-		st.cand.MedianBPS *= s.cfg.StaleDecay
-		s.Synthesized++
-		absent = append(absent, st)
-	}
-	slices.SortFunc(absent, compareStates)
-	// Merge the two disjoint ordered runs.
-	out := make([]Candidate, 0, len(present)+len(absent))
-	for len(present) > 0 && len(absent) > 0 {
-		if compareStates(present[0], absent[0]) < 0 {
-			out, present = append(out, present[0].cand), present[1:]
+	// Merge the sorted newcomers into the order from the back, in place.
+	rules.SortPatterns(fresh, func(st **smoothState) rules.Pattern { return (*st).cand.Pattern })
+	i, j := len(s.order)-1, len(fresh)-1
+	s.order = slices.Grow(s.order, len(fresh))[:len(s.order)+len(fresh)]
+	for k := len(s.order) - 1; j >= 0; k-- {
+		if i >= 0 && s.order[i].cand.Pattern.Compare(fresh[j].cand.Pattern) > 0 {
+			s.order[k], i = s.order[i], i-1
 		} else {
-			out, absent = append(out, absent[0].cand), absent[1:]
+			s.order[k], j = fresh[j], j-1
 		}
 	}
-	for _, st := range present {
+	// Emit the present, age the absent, compact the order over the dropped.
+	out := make([]Candidate, 0, len(s.order))
+	kept := s.order[:0]
+	for _, st := range s.order {
+		if st.round != s.round {
+			if offloaded[st.cand.Pattern] {
+				// Hardware counters are read locally; silence is real.
+				delete(s.state, st.cand.Pattern)
+				continue
+			}
+			st.stale++
+			if st.stale > s.cfg.MaxStaleIntervals {
+				delete(s.state, st.cand.Pattern)
+				continue
+			}
+			st.cand.MedianPPS *= s.cfg.StaleDecay
+			st.cand.MedianBPS *= s.cfg.StaleDecay
+			s.Synthesized++
+		}
+		kept = append(kept, st)
 		out = append(out, st.cand)
 	}
-	for _, st := range absent {
-		out = append(out, st.cand)
-	}
+	clear(s.order[len(kept):])
+	s.order = kept
 	return out
 }
-
-func compareStates(a, b *smoothState) int { return a.cand.Pattern.Compare(b.cand.Pattern) }

@@ -8,6 +8,7 @@ package decision
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sort"
 
@@ -82,18 +83,33 @@ func (c Candidate) eligible(minScore float64) bool {
 }
 
 // rankKey ranks candidate idx of Decide's input: 16 bytes for the sort to
-// move instead of the candidate itself. eff is the effective score,
-// computed once so the sort does not probe offloaded per comparison.
+// move instead of the candidate itself. key is scoreKey of the effective
+// score, computed once so the sort does not probe offloaded per comparison.
 type rankKey struct {
-	eff float64
+	key uint64
 	idx int
 }
 
+// scoreKey maps a score to an integer that ascends as the score descends
+// and orders exactly as cmp.Compare(b, a) orders the scores: −0 and +0
+// are one key, and NaN, below every number for cmp.Compare, is the last.
+func scoreKey(f float64) uint64 {
+	b := math.Float64bits(f)
+	switch {
+	case math.IsNaN(f):
+		return math.MaxUint64
+	case f < 0:
+		return b // a negative number's bits grow with its magnitude
+	}
+	return ^b &^ (1 << 63) // and −0's come out as +0's
+}
+
 // Decide selects the hardware set. offloaded is the currently-offloaded
-// pattern set. Candidates rank by effective score descending, canonical
-// pattern order (rules.Pattern.Compare) within ties — which is input order
-// when the input is strictly ascending in it (what CandidatesFromReports
-// and Smoother.Advance return), so ties then break on the index.
+// pattern set. Candidates rank by effective score descending, then
+// canonical pattern order (rules.Pattern.Compare), then input index: a
+// total order for any input order. Without groups only eligible
+// candidates are ranked, and only the Budget best are sorted, unless a
+// repeated pattern makes the fill run past them (DESIGN.md).
 func Decide(cfg Config, cands []Candidate, offloaded map[rules.Pattern]bool) Decision {
 	if cfg.Budget < 0 {
 		cfg.Budget = 0
@@ -101,46 +117,48 @@ func Decide(cfg Config, cands []Candidate, offloaded map[rules.Pattern]bool) Dec
 	if cfg.HysteresisRatio < 1 {
 		cfg.HysteresisRatio = 1
 	}
-	ranked := make([]rankKey, len(cands))
-	ascending := true
+	grouped := len(cfg.Groups) > 0
+	ranked := make([]rankKey, 0, len(cands))
 	for i := range cands {
-		if i > 0 && ascending && cands[i-1].Pattern.Compare(cands[i].Pattern) >= 0 {
-			ascending = false
+		if grouped || cands[i].eligible(cfg.MinScore) {
+			ranked = append(ranked, rankKey{scoreKey(effectiveScore(cfg, cands[i], offloaded)), i})
 		}
-		ranked[i] = rankKey{effectiveScore(cfg, cands[i], offloaded), i}
 	}
-	slices.SortFunc(ranked, func(a, b rankKey) int {
-		if c := cmp.Compare(b.eff, a.eff); c != 0 {
+	order := func(a, b rankKey) int {
+		if a.key != b.key {
+			return cmp.Compare(a.key, b.key)
+		}
+		if c := cands[a.idx].Pattern.Compare(cands[b.idx].Pattern); c != 0 {
 			return c
 		}
-		if ascending {
-			return cmp.Compare(a.idx, b.idx)
-		}
-		return cands[a.idx].Pattern.Compare(cands[b.idx].Pattern)
-	})
+		return cmp.Compare(a.idx, b.idx)
+	}
 
 	// No groups: every unit is a single candidate, the stable unit sort is
 	// the identity on an already-ranked input, and a full unit never fits
 	// once the budget is reached — so the fold below degenerates to a
 	// greedy prefix fill. Do that directly; it is the common case and
 	// allocates nothing per candidate.
-	if len(cfg.Groups) == 0 {
+	if !grouped {
+		k := min(cfg.Budget, len(ranked))
+		selectBest(ranked, k, order)
+		slices.SortFunc(ranked[:k], order)
 		var d Decision
 		selected := make(map[rules.Pattern]bool, cfg.Budget)
-		for _, k := range ranked {
-			if len(d.Offload) >= cfg.Budget {
-				break
+		for i := 0; i < len(ranked) && len(d.Offload) < cfg.Budget; i++ {
+			if i == k { // a repeat in the best k: rank the rest
+				slices.SortFunc(ranked[k:], order)
 			}
-			c := &cands[k.idx]
-			if !c.eligible(cfg.MinScore) || selected[c.Pattern] {
-				continue
+			c := &cands[ranked[i].idx]
+			if !selected[c.Pattern] {
+				selected[c.Pattern] = true
+				d.Offload = append(d.Offload, c.Pattern)
 			}
-			selected[c.Pattern] = true
-			d.Offload = append(d.Offload, c.Pattern)
 		}
 		d.Demote = demoteList(offloaded, selected)
 		return d
 	}
+	slices.SortFunc(ranked, order)
 
 	// Fold candidates into units: group members merge into one
 	// all-or-nothing unit whose score is the sum of its members'.
@@ -154,26 +172,19 @@ func Decide(cfg Config, cands []Candidate, offloaded map[rules.Pattern]bool) Dec
 	var units []*unit
 	for _, k := range ranked {
 		c := &cands[k.idx]
-		ok := c.eligible(cfg.MinScore)
-		if gi, grouped := groupOf[c.Pattern]; grouped {
-			u, exists := groupUnits[gi]
-			if !exists {
-				u = &unit{eligible: true}
-				groupUnits[gi] = u
-				units = append(units, u)
-			}
-			u.patterns = append(u.patterns, c.Pattern)
-			u.score += k.eff
-			// One ineligible member poisons the whole group: all
-			// or nothing.
-			u.eligible = u.eligible && ok
-			continue
+		u := &unit{eligible: true}
+		if gi, inGroup := groupOf[c.Pattern]; !inGroup {
+			units = append(units, u)
+		} else if groupUnits[gi] == nil {
+			groupUnits[gi] = u
+			units = append(units, u)
+		} else {
+			u = groupUnits[gi]
 		}
-		units = append(units, &unit{
-			patterns: []rules.Pattern{c.Pattern},
-			score:    k.eff,
-			eligible: ok,
-		})
+		u.patterns = append(u.patterns, c.Pattern)
+		u.score += effectiveScore(cfg, *c, offloaded)
+		// One ineligible member poisons the whole group: all or nothing.
+		u.eligible = u.eligible && c.eligible(cfg.MinScore)
 	}
 	sort.SliceStable(units, func(i, j int) bool { return units[i].score > units[j].score })
 
@@ -186,13 +197,7 @@ func Decide(cfg Config, cands []Candidate, offloaded map[rules.Pattern]bool) Dec
 		if len(d.Offload)+len(u.patterns) > cfg.Budget {
 			continue // a whole group must fit together
 		}
-		dup := false
-		for _, p := range u.patterns {
-			if selected[p] {
-				dup = true
-			}
-		}
-		if dup {
+		if slices.ContainsFunc(u.patterns, func(p rules.Pattern) bool { return selected[p] }) {
 			continue
 		}
 		for _, p := range u.patterns {
@@ -202,6 +207,28 @@ func Decide(cfg Config, cands []Candidate, offloaded map[rules.Pattern]bool) Dec
 	}
 	d.Demote = demoteList(offloaded, selected)
 	return d
+}
+
+// selectBest reorders r so that its k first elements are its k least in
+// order, in no particular order among themselves: a quickselect on the
+// middle element, deterministic for a given input.
+func selectBest(r []rankKey, k int, order func(a, b rankKey) int) {
+	for lo, hi := 0, len(r); lo < k && k < hi; {
+		m, p := hi-1, lo
+		r[lo+(hi-lo)/2], r[m] = r[m], r[lo+(hi-lo)/2]
+		for i := lo; i < m; i++ {
+			if order(r[i], r[m]) < 0 {
+				r[i], r[p] = r[p], r[i]
+				p++
+			}
+		}
+		r[p], r[m] = r[m], r[p]
+		if p < k {
+			lo = p + 1
+		} else {
+			hi = p
+		}
+	}
 }
 
 // demoteList is the demotion half shared by both selection paths:
@@ -229,10 +256,12 @@ func effectiveScore(cfg Config, c Candidate, offloaded map[rules.Pattern]bool) f
 }
 
 // CandidatesFromReports merges demand reports (from local MEs) and
-// hardware statistics (from the TOR ME) into the DE's candidate list.
-// Flows active in hardware keep their measured rates even though the
-// vswitch no longer sees them ("Flows active both in vswitch and hardware
-// are scored in this fashion").
+// hardware statistics (from the TOR ME) into the DE's candidate list, one
+// candidate per pattern, in no promised order: Smoother.Advance, which
+// takes them next, keeps the canonical order. Flows active in hardware
+// keep their measured rates even though the vswitch no longer sees them
+// ("Flows active both in vswitch and hardware are scored in this
+// fashion").
 func CandidatesFromReports(reports []openflow.DemandReport, hwPPS map[rules.Pattern]float64, priorityOf func(packet.TenantID) float64) []Candidate {
 	// Sized once for every entry: grown step by step, the map left twice
 	// its final size in garbage on every tick.
@@ -240,8 +269,7 @@ func CandidatesFromReports(reports []openflow.DemandReport, hwPPS map[rules.Patt
 	for _, rep := range reports {
 		n += len(rep.Entries)
 	}
-	// The map holds an index, not the candidate: each is merged in place in
-	// vals, which is then sorted once.
+	// The map holds an index, not the candidate: each is merged in place.
 	index := make(map[rules.Pattern]int32, n)
 	vals := make([]Candidate, 0, n)
 	at := func(p rules.Pattern) *Candidate {
@@ -274,7 +302,6 @@ func CandidatesFromReports(reports []openflow.DemandReport, hwPPS map[rules.Patt
 			c.ActiveEpochs = 1
 		}
 	}
-	rules.SortPatterns(vals, func(c *Candidate) rules.Pattern { return c.Pattern })
 	if priorityOf != nil {
 		for i := range vals {
 			vals[i].Priority = priorityOf(vals[i].Pattern.Tenant)

@@ -1,6 +1,9 @@
 package decision
 
 import (
+	"cmp"
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -338,4 +341,50 @@ func TestDecideHysteresisRatioBelowOneBehavesAsOne(t *testing.T) {
 	if len(d.Demote) != 0 {
 		t.Errorf("hotter incumbent demoted: %v", d.Demote)
 	}
+}
+
+// rankKeyEdges are the float64s where an order on bit patterns can go
+// wrong: both zeros, both infinities, NaNs of either sign and another
+// payload, subnormals at both ends, and the normal range's ends.
+var rankKeyEdges = []float64{
+	math.NaN(), -math.NaN(), math.Float64frombits(0x7ff0_0000_0000_0001), math.Float64frombits(0xfff8_0000_0000_0001),
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	math.Float64frombits(0x000f_ffff_ffff_ffff), -math.Float64frombits(0x000f_ffff_ffff_ffff),
+	0x1p-1022, -0x1p-1022, math.MaxFloat64, -math.MaxFloat64, 1, -1, 1.5, 640,
+}
+
+// checkRankKey fails unless scoreKey orders a and b as cmp.Compare(b, a).
+func checkRankKey(t *testing.T, a, b float64) {
+	t.Helper()
+	if want, got := cmp.Compare(b, a), cmp.Compare(scoreKey(a), scoreKey(b)); want != got {
+		t.Fatalf("scores %v (%#x), %v (%#x): keys compare %d, cmp.Compare(b, a) = %d",
+			a, math.Float64bits(a), b, math.Float64bits(b), got, want)
+	}
+}
+
+// TestRankKeyOrdersAsCompare: on every pair of edge values and on random
+// bit patterns, the integer rank key orders scores descending exactly as
+// cmp.Compare does, −0 equal to +0 and NaN last.
+func TestRankKeyOrdersAsCompare(t *testing.T) {
+	for _, a := range rankKeyEdges {
+		for _, b := range rankKeyEdges {
+			checkRankKey(t, a, b)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		a, b := math.Float64frombits(rng.Uint64()), math.Float64frombits(rng.Uint64())
+		checkRankKey(t, a, b)
+		checkRankKey(t, a, rankKeyEdges[i%len(rankKeyEdges)])
+	}
+}
+
+func FuzzRankKey(f *testing.F) {
+	for i, a := range rankKeyEdges {
+		f.Add(math.Float64bits(a), math.Float64bits(rankKeyEdges[(i+1)%len(rankKeyEdges)]))
+	}
+	f.Fuzz(func(t *testing.T, a, b uint64) {
+		checkRankKey(t, math.Float64frombits(a), math.Float64frombits(b))
+	})
 }

@@ -3,6 +3,8 @@ package openflow
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -29,6 +31,7 @@ func FuzzDecode(f *testing.F) {
 	binary.BigEndian.PutUint16(cut[2:4], uint16(len(cut)))
 	f.Add(cut)
 	f.Add(longPrefixFrames()["flow mod src"])
+	f.Add(badRateFrames()["median pps +Inf"])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, _, n, err := Decode(data)
 		if err == nil {
@@ -241,5 +244,37 @@ func TestRuleSyncShapes(t *testing.T) {
 	over := &RuleSync{Seq: 1, Patterns: make([]rules.Pattern, MaxSyncPatterns), Delta: true, Base: 1, Term: 1, Origin: 1}
 	if n := len(Encode(over, 1)); n > MaxFrame {
 		t.Errorf("MaxSyncPatterns patterns make a %d-byte frame", n)
+	}
+}
+
+// badRateFrames returns a valid one-entry demand report with one rate of
+// the entry replaced on the wire by NaN, an infinity or a negative number,
+// for every rate the entry carries.
+func badRateFrames() map[string][]byte {
+	rate := map[string]int{"pps": 20, "bps": 28, "median pps": 40, "median bps": 48}
+	frames := map[string][]byte{}
+	for field, at := range rate {
+		for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+			frame := Encode(&DemandReport{Entries: []DemandEntry{{Pattern: samplePattern(), PPS: 1, BPS: 2, MedianPPS: 3, MedianBPS: 4}}}, 1)
+			binary.BigEndian.PutUint64(frame[headerLen+12+at:], math.Float64bits(x))
+			frames[fmt.Sprintf("%s %v", field, x)] = frame
+		}
+	}
+	return frames
+}
+
+// TestDecodeRejectsBadRate: no sender measures a rate that is not finite
+// or is negative, so a demand entry that carries one is malformed.
+func TestDecodeRejectsBadRate(t *testing.T) {
+	for name, frame := range badRateFrames() {
+		if msg, _, _, err := Decode(frame); err == nil {
+			t.Errorf("%s: decodes to %+v", name, msg)
+		}
+	}
+	// The same frame with a finite rate in the slot decodes.
+	frame := badRateFrames()["median pps NaN"]
+	binary.BigEndian.PutUint64(frame[headerLen+12+40:], math.Float64bits(3))
+	if _, _, _, err := Decode(frame); err != nil {
+		t.Fatalf("a finite rate in the same frame: %v", err)
 	}
 }

@@ -403,7 +403,9 @@ func (m *DemandReport) unmarshalBody(r *reader) error {
 	}
 	w := r.next(entryLen * int(n))
 	for i := range m.Entries {
-		r.checkPrefixes(getEntry(w[i*entryLen:], &m.Entries[i]))
+		e := &m.Entries[i]
+		r.checkPrefixes(getEntry(w[i*entryLen:], e))
+		r.checkRates(validRate(e.PPS) && validRate(e.BPS) && validRate(e.MedianPPS) && validRate(e.MedianBPS))
 	}
 	var err error
 	m.Splits, err = unmarshalSplits(r)
@@ -949,6 +951,18 @@ func (r *reader) checkPrefixes(ok bool) {
 		r.err = fmt.Errorf("openflow: pattern prefix length beyond 32 before offset %d", r.off)
 	}
 }
+
+// checkRates marks the body malformed unless a demand entry's rates were
+// valid: a NaN or infinity would stay in the pattern's smoothed estimate
+// for as long as it is reported.
+func (r *reader) checkRates(ok bool) {
+	if !ok && r.err == nil {
+		r.err = fmt.Errorf("openflow: demand entry rate not finite or negative before offset %d", r.off)
+	}
+}
+
+// validRate reports whether x is finite and not negative, as rates are.
+func validRate(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
 
 func (r *reader) u8() uint8 {
 	if r.remaining() < 1 {

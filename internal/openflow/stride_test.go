@@ -3,6 +3,7 @@ package openflow
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -219,9 +220,9 @@ func randomStrideMessage(rng *rand.Rand, size int) Message {
 	case 0:
 		m := &DemandReport{ServerID: rng.Uint32(), Interval: rng.Uint32(), NICFree: rng.Uint32(),
 			NICPatterns: randomPatterns(rng, rng.Intn(4))}
-		for i := rng.Intn(size); i > 0; i-- {
+		for i := rng.Intn(size); i > 0; i-- { // rates finite and not negative, or the decoder refuses them
 			m.Entries = append(m.Entries, DemandEntry{Pattern: randomPattern(rng),
-				PPS: rng.NormFloat64(), BPS: rng.ExpFloat64(), Epoch: rng.Uint32(),
+				PPS: math.Abs(rng.NormFloat64()), BPS: rng.ExpFloat64(), Epoch: rng.Uint32(),
 				MedianPPS: rng.Float64(), MedianBPS: rng.Float64() * 1e9, ActiveEpochs: rng.Uint32()})
 		}
 		for i := rng.Intn(3); i > 0; i-- {

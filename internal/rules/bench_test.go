@@ -156,8 +156,9 @@ func aggregatePatterns(n int) []Pattern {
 }
 
 // BenchmarkSortPatterns1536 sorts one control interval's worth of reported
-// aggregate patterns into canonical order — the sort CandidatesFromReports
-// runs on every ToR decision tick.
+// aggregate patterns into canonical order — what a ToR decision tick would
+// pay if it re-sorted every pattern it ranks instead of keeping the order
+// across ticks.
 func BenchmarkSortPatterns1536(b *testing.B) {
 	pats := aggregatePatterns(1536)
 	work := make([]Pattern, len(pats))
