@@ -74,7 +74,7 @@ func main() {
 	shards := flag.Int("shards", 0, "run the wall-clock throughput mode instead of the sim: drive the sharded batch data plane with this many shard workers (1 = inline deterministic configuration)")
 	sketchMode := flag.Bool("sketch", false, "measure flow demand with the streaming count-min + space-saving accountant instead of walking exact per-flow counters (an accounting mode only: the decision engine is unchanged); with -flows >= 10000 this switches to the standalone accounting scale benchmark (no rack sim)")
 	sketchK := flag.Int("sketch-topk", 0, "heavy-hitter set size per server in -sketch mode (0 = default 1024)")
-	replicas := flag.Int("replicas", 0, "TOR controller replicas per rack (>1 enables hot-standby HA with leader election and epoch fencing)")
+	replicas := flag.Int("replicas", 0, "TOR controller replicas per rack (>1 adds hot standbys and leader election; every rack is epoch-fenced)")
 	leaseTTL := flag.Duration("lease-ttl", 0, "hardware rule lease TTL (>0 enables lease-based fail-safe expiry back to the software path)")
 	trace := flag.Bool("trace", false, "enable the flight recorder and metric sampler")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON (Perfetto-loadable) to this file (implies -trace; default results/fastrak-trace.json when -trace is set)")

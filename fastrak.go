@@ -100,7 +100,7 @@ type ControllerOptions struct {
 	// device default quota).
 	NICTenantQuota int
 	// Replicas runs that many hot-standby TOR controller instances per
-	// rack (≤1 keeps the single-controller legacy mode). Exactly one
+	// rack (≤1 is a group of one, fenced at term 1). Exactly one
 	// replica — the lowest-numbered live one — acts per elected term;
 	// its FlowMods carry the term and stale-term messages are fenced.
 	Replicas int

@@ -20,16 +20,15 @@ import (
 // and table read-back, exactly the failure surface internal/faults
 // injects.
 //
-// With controller replication the agent is shared by the whole replica
-// group and is where epoch fencing lives: it remembers the newest
-// leadership term it has witnessed and rejects rule operations from older
-// terms with ErrCodeStaleTerm, so a deposed leader — however convinced it
-// still owns the rack — cannot mutate hardware.
+// The agent is shared by the rack's whole replica group and is where
+// epoch fencing lives: it remembers the newest leadership term it has
+// witnessed and rejects rule operations from older terms with
+// ErrCodeStaleTerm, so a deposed leader — however convinced it still
+// owns the rack — cannot mutate hardware.
 type switchAgent struct {
 	tor *tor.TOR
 
-	// highestTerm is the newest leadership term witnessed; term 0 is the
-	// HA-disabled legacy protocol and is never fenced.
+	// highestTerm is the newest leadership term witnessed.
 	highestTerm uint32
 	// actedInTerm records which replica issued FlowMods under each term.
 	// Terms are partitioned across replicas ((term-1) mod N == replica
@@ -42,7 +41,7 @@ type switchAgent struct {
 	TermConflicts uint64
 
 	// rec is the flight-recorder scope; nil when telemetry is disabled
-	// (and in legacy deployments, which never fence).
+	// and for a group of one, which never fences.
 	rec *telemetry.Scoped
 }
 
@@ -66,7 +65,7 @@ func (a *switchAgent) admitTerm(term, origin uint32, acts bool, cause string, re
 	if term > a.highestTerm {
 		a.highestTerm = term
 	}
-	if acts && term > 0 {
+	if acts {
 		if prev, ok := a.actedInTerm[term]; !ok {
 			a.actedInTerm[term] = origin
 		} else if prev != origin {

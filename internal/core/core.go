@@ -27,6 +27,7 @@ import (
 	"repro/internal/rules"
 	"repro/internal/sketch"
 	"repro/internal/telemetry"
+	"repro/internal/tor"
 	"repro/internal/vswitch"
 )
 
@@ -109,21 +110,21 @@ type Config struct {
 
 	// HA configures control-plane high availability: hot-standby TOR
 	// controller replicas with epoch-fenced leader election, and lease-
-	// based fail-safe expiry of hardware placements. The zero value (one
-	// replica, no leases) reproduces the original single-controller
-	// manager byte for byte.
+	// based fail-safe expiry of hardware placements. The zero value is a
+	// group of one replica without leases.
 	HA HAConfig
 }
 
 // HAConfig parameterizes the control-plane high-availability machinery.
 type HAConfig struct {
 	// Replicas is the number of TOR controller instances per rack (≤1
-	// means a single instance with no election machinery). Replica 0
-	// bootstraps as leader; on its failure the lowest-id alive replica
-	// takes over. Leadership terms are partitioned across replicas —
-	// replica i only claims terms with (term-1) mod Replicas == i — so
-	// two replicas can never lead under the same term; the switch agent
-	// fences stale terms, making election purely a liveness concern.
+	// means a group of one: it leads term 1 for good, and its messages
+	// are fenced like any leader's). Replica 0 bootstraps as leader; on
+	// its failure the lowest-id alive replica takes over. Leadership
+	// terms are partitioned across replicas — replica i only claims
+	// terms with (term-1) mod Replicas == i — so two replicas can never
+	// lead under the same term; the switch agent fences stale terms,
+	// making election purely a liveness concern.
 	Replicas int
 	// LeaseTTL enables lease-based fail-safe rules when > 0: every TCAM
 	// and SmartNIC placement expires back to the software path unless the
@@ -131,8 +132,9 @@ type HAConfig struct {
 	// steering into the express lane after LeaseTTL/2 without leader
 	// contact — strictly before the hardware rules expire, so an orphaned
 	// lane degrades to software instead of blackholing. Must exceed two
-	// reconcile periods (8 control intervals) so a healthy leader always
-	// refreshes in time.
+	// reconcile periods (8 control intervals, MinLeaseTTL) so a healthy
+	// leader always refreshes in time; the daemons' config loader refuses
+	// a shorter one.
 	LeaseTTL time.Duration
 	// HeartbeatEvery is the leader heartbeat period (default: half a
 	// control interval).
@@ -166,8 +168,8 @@ type Manager struct {
 
 	// TORCtl is rack 0's primary controller (the only one on single-rack
 	// clusters); TORCtls lists every rack's primary (replica 0), and
-	// RackCtls every rack's full replica group — with HA disabled each
-	// group has exactly one member and RackCtls[r][0] == TORCtls[r].
+	// RackCtls every rack's full replica group — RackCtls[r][0] ==
+	// TORCtls[r], the only member of a group of one.
 	TORCtl   *TORController
 	TORCtls  []*TORController
 	RackCtls [][]*TORController
@@ -191,10 +193,11 @@ type aggregateLimit struct {
 	egressBps, ingressBps float64
 }
 
-// normalizeConfig fills the config's derived defaults. Attach and the
+// newManager is the controller-less manager every constructor starts
+// from, with the config's derived defaults filled. Attach and the
 // split-service constructors (NewTORService, NewAgentService) share it so
 // a parameter set means the same thing in-sim and as daemons.
-func normalizeConfig(cfg Config) Config {
+func newManager(c *cluster.Cluster, cfg Config) *Manager {
 	if cfg.ControlDelay <= 0 {
 		cfg.ControlDelay = 100 * time.Microsecond
 	}
@@ -219,57 +222,19 @@ func normalizeConfig(cfg Config) Config {
 	if cfg.HA.Replicas < 1 {
 		cfg.HA.Replicas = 1
 	}
-	return cfg
+	return &Manager{
+		Cluster: c,
+		Cfg:     cfg,
+		limits:  make(map[vswitch.VMKey]aggregateLimit),
+	}
 }
 
 // Attach builds a rule manager over the cluster. Call Start to begin
 // measurement and offloading.
 func Attach(c *cluster.Cluster, cfg Config) *Manager {
-	cfg = normalizeConfig(cfg)
-	m := &Manager{
-		Cluster: c,
-		Cfg:     cfg,
-		limits:  make(map[vswitch.VMKey]aggregateLimit),
-	}
-	haOn := cfg.HA.Replicas > 1 || cfg.HA.LeaseTTL > 0
+	m := newManager(c, cfg)
 	for _, t := range c.TORs {
-		if cfg.HA.LeaseTTL > 0 {
-			t.SetLeaseTTL(cfg.HA.LeaseTTL)
-		}
-		// One switch agent per rack, shared by the whole replica group:
-		// epoch fencing is a property of the switch, not of any one
-		// control connection.
-		agent := newSwitchAgent(t)
-		var rack []*TORController
-		for i := 0; i < cfg.HA.Replicas; i++ {
-			tc := newTORController(m, t)
-			tc.replicaID = i
-			if haOn {
-				// Replica 0 bootstraps as leader of term 1 (its residue
-				// class); standbys start as its followers.
-				tc.term = 1
-			}
-			tc.isLeader = i == 0
-			tc.agent = agent
-			// Control connection TOR controller ↔ the switch's management
-			// agent: rule installs round-trip real wire encoding and are
-			// only trusted once barrier-confirmed.
-			tc.toSwitch, tc.fromSwitch = openflow.Pair(c.Eng, cfg.ControlDelay, tc, agent)
-			rack = append(rack, tc)
-		}
-		// Pairwise election channels between replicas (heartbeats and
-		// term gossip) — independently faultable, so a severed pair can
-		// manufacture the dueling-leaders case fencing exists for.
-		for i := 0; i < len(rack); i++ {
-			for j := i + 1; j < len(rack); j++ {
-				toJ, toI := openflow.Pair(c.Eng, cfg.ControlDelay, rack[i], rack[j])
-				rack[i].toPeers[j] = toJ
-				rack[j].toPeers[i] = toI
-			}
-		}
-		m.RackCtls = append(m.RackCtls, rack)
-		m.TORCtls = append(m.TORCtls, rack[0])
-		m.agents = append(m.agents, agent)
+		m.addRack(t)
 	}
 	m.TORCtl = m.TORCtls[0]
 	for idx, srv := range c.Servers {
@@ -293,11 +258,46 @@ func Attach(c *cluster.Cluster, cfg Config) *Manager {
 	return m
 }
 
-// haEnabled reports whether any HA machinery (replication or leases) is
-// active; when false the manager behaves exactly like the original
-// single-controller implementation.
-func (m *Manager) haEnabled() bool {
-	return m.Cfg.HA.Replicas > 1 || m.Cfg.HA.LeaseTTL > 0
+// addRack builds rack t's control plane: the lease setting, the switch
+// agent, Cfg.HA.Replicas controllers at term 1 with replica 0 leading,
+// and the election mesh between them (empty for a group of one).
+func (m *Manager) addRack(t *tor.TOR) {
+	cfg := m.Cfg
+	if cfg.HA.LeaseTTL > 0 {
+		t.SetLeaseTTL(cfg.HA.LeaseTTL)
+	}
+	// One switch agent per rack, shared by the whole replica group:
+	// epoch fencing is a property of the switch, not of any one
+	// control connection.
+	agent := newSwitchAgent(t)
+	var rack []*TORController
+	for i := 0; i < cfg.HA.Replicas; i++ {
+		tc := newTORController(m, t)
+		tc.replicaID = i
+		// Every replica starts in term 1, replica 0's residue class:
+		// replica 0 leads it and the standbys follow.
+		tc.term = 1
+		tc.isLeader = i == 0
+		tc.agent = agent
+		// Control connection TOR controller ↔ the switch's management
+		// agent: rule installs round-trip real wire encoding and are
+		// only trusted once barrier-confirmed.
+		tc.toSwitch, tc.fromSwitch = openflow.Pair(m.Cluster.Eng, cfg.ControlDelay, tc, agent)
+		rack = append(rack, tc)
+	}
+	// Pairwise election channels between replicas (heartbeats and
+	// term gossip) — independently faultable, so a severed pair can
+	// manufacture the dueling-leaders case fencing exists for.
+	for i := 0; i < len(rack); i++ {
+		for j := i + 1; j < len(rack); j++ {
+			toJ, toI := openflow.Pair(m.Cluster.Eng, cfg.ControlDelay, rack[i], rack[j])
+			rack[i].toPeers[j] = toJ
+			rack[j].toPeers[i] = toI
+		}
+	}
+	m.RackCtls = append(m.RackCtls, rack)
+	m.TORCtls = append(m.TORCtls, rack[0])
+	m.agents = append(m.agents, agent)
 }
 
 // Replicas returns rack r's controller replica group (index 0 is the
@@ -554,7 +554,7 @@ func (m *Manager) ControlStats() (messages, bytes, samples uint64) {
 				bytes += tr.SentBytes
 			}
 			// Election heartbeats and term gossip are control-plane
-			// coordination too (zero with HA disabled).
+			// coordination too (none in a group of one).
 			for _, tr := range tc.toPeers {
 				messages += tr.Sent
 				bytes += tr.SentBytes

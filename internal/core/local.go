@@ -29,8 +29,8 @@ type LocalController struct {
 	// toTOR/fromTOR is the control connection to the rack's primary TOR
 	// controller (replica 0); toTORs/fromTORs cover the whole replica
 	// group — reports and acks are broadcast so hot standbys stay warm,
-	// and the fenced term decides whose decisions are obeyed. With HA
-	// disabled the slices hold exactly the primary pair.
+	// and the fenced term decides whose decisions are obeyed. For a
+	// group of one the slices hold exactly the primary pair.
 	toTOR    *openflow.Transport
 	fromTOR  *openflow.Transport
 	toTORs   []*openflow.Transport

@@ -416,7 +416,7 @@ func TestPublishGate(t *testing.T) {
 		r.publish(desired, 0, 0, ids, trs)
 	}
 	cycle() // the full set
-	if want := locals * (16 + 20*held); sent != want {
+	if want := locals * (24 + 20*held); sent != want {
 		t.Fatalf("the first publish wrote %d bytes, a full sync to each is %d", sent, want)
 	}
 	cycle()

@@ -40,41 +40,21 @@ import (
 type TORService struct {
 	M  *Manager
 	TC *TORController
-
-	agent *switchAgent
 }
 
 // NewTORService builds the ToR decision engine over c's first ToR. The
 // cluster is typically host-light (its TCAM model stands in for the
 // physical switch); local controllers are not built here — they attach
-// remotely via AttachLocal.
+// remotely via AttachLocal. The controller is a replica group of one.
 func NewTORService(c *cluster.Cluster, cfg Config) *TORService {
-	cfg = normalizeConfig(cfg)
-	m := &Manager{
-		Cluster: c,
-		Cfg:     cfg,
-		limits:  make(map[vswitch.VMKey]aggregateLimit),
-	}
-	t := c.TORs[0]
-	if cfg.HA.LeaseTTL > 0 {
-		t.SetLeaseTTL(cfg.HA.LeaseTTL)
-	}
-	agent := newSwitchAgent(t)
-	tc := newTORController(m, t)
-	tc.agent = agent
-	if m.haEnabled() {
-		tc.term = 1
-	}
-	tc.isLeader = true
+	cfg.HA.Replicas = 1
+	m := newManager(c, cfg)
 	// The controller ↔ switch-agent connection stays in-process (in a
 	// real rack they share the switch's management plane): installs keep
 	// round-tripping real wire encoding and stay barrier-confirmed.
-	tc.toSwitch, tc.fromSwitch = openflow.Pair(c.Eng, cfg.ControlDelay, tc, agent)
-	m.RackCtls = [][]*TORController{{tc}}
-	m.TORCtls = []*TORController{tc}
-	m.TORCtl = tc
-	m.agents = []*switchAgent{agent}
-	return &TORService{M: m, TC: tc, agent: agent}
+	m.addRack(c.TORs[0])
+	m.TORCtl = m.TORCtls[0]
+	return &TORService{M: m, TC: m.TORCtl}
 }
 
 // AttachLocal registers a connected local controller: decisions and
@@ -267,12 +247,7 @@ type AgentService struct {
 //     per-pattern counters are appended to each demand report instead,
 //     playing the role of the TOR ME's hardware counter poll.
 func NewAgentService(c *cluster.Cluster, cfg Config, toTOR *openflow.Transport) *AgentService {
-	cfg = normalizeConfig(cfg)
-	m := &Manager{
-		Cluster: c,
-		Cfg:     cfg,
-		limits:  make(map[vswitch.VMKey]aggregateLimit),
-	}
+	m := newManager(c, cfg)
 	srv := c.Servers[0]
 	lc := newLocalController(m, srv)
 	lc.rack = 0

@@ -18,8 +18,8 @@ func (m *Manager) AttachTelemetry(rec *telemetry.Recorder, reg *telemetry.Regist
 	m.rec = rec.Scope("manager")
 	for r, rack := range m.RackCtls {
 		for i, tc := range rack {
-			// Replica 0 keeps the legacy scope and label so single-
-			// instance deployments trace and export identically.
+			// Replica 0's scope, and a group of one's label, carry no
+			// replica suffix.
 			scope := fmt.Sprintf("torctl/%d", r)
 			lbl := fmt.Sprintf("rack=%d", r)
 			if i > 0 {
@@ -31,7 +31,10 @@ func (m *Manager) AttachTelemetry(rec *telemetry.Recorder, reg *telemetry.Regist
 			tc.rec = rec.Scope(scope)
 			tc.registerMetrics(reg, lbl)
 		}
-		if m.haEnabled() {
+		// The agent records only fence rejections, and a group of one
+		// never changes term, so it never fences: a scope (and its ring)
+		// pays only where there are replicas to fence.
+		if len(rack) > 1 {
 			m.agents[r].rec = rec.Scope(fmt.Sprintf("switch/%d", r))
 		}
 	}
@@ -78,23 +81,19 @@ func (tc *TORController) registerMetrics(reg *telemetry.Registry, labels ...stri
 	reg.Register(telemetry.Metric{Name: "fastrak_torctl_flap_suppressions_total",
 		Help: "offload-state transitions vetoed by the damper", Type: telemetry.TypeCounter, Labels: lbl(),
 		Read: func() float64 { return float64(tc.damper.Suppressions) }})
-	// HA metrics are registered only when the machinery is active, so
-	// legacy deployments' exports stay byte-identical.
-	if tc.mgr.haEnabled() {
-		reg.Counter("fastrak_torctl_elections_total", "leadership takeovers by this replica", &tc.Elections, lbl()...)
-		reg.Counter("fastrak_torctl_stepdowns_total", "leaderships abandoned", &tc.StepDowns, lbl()...)
-		reg.Counter("fastrak_torctl_fenced_out_total", "stale-term rejections received from the switch", &tc.FencedOut, lbl()...)
-		reg.Counter("fastrak_torctl_pauses_total", "process freezes injected", &tc.Pauses, lbl()...)
-		reg.Counter("fastrak_torctl_lease_refreshes_total", "lease-extending rule re-asserts sent", &tc.LeaseRefreshes, lbl()...)
-		reg.Counter("fastrak_torctl_degraded_demotes_total", "offloads pulled back by the hw-staleness guard", &tc.DegradedDemotes, lbl()...)
-		reg.Gauge("fastrak_torctl_term", "current leadership term", func() float64 { return float64(tc.term) }, lbl()...)
-		reg.Gauge("fastrak_torctl_is_leader", "1 while acting as leader", func() float64 {
-			if tc.isLeader && !tc.crashed && !tc.paused {
-				return 1
-			}
-			return 0
-		}, lbl()...)
-	}
+	reg.Counter("fastrak_torctl_elections_total", "leadership takeovers by this replica", &tc.Elections, lbl()...)
+	reg.Counter("fastrak_torctl_stepdowns_total", "leaderships abandoned", &tc.StepDowns, lbl()...)
+	reg.Counter("fastrak_torctl_fenced_out_total", "stale-term rejections received from the switch", &tc.FencedOut, lbl()...)
+	reg.Counter("fastrak_torctl_pauses_total", "process freezes injected", &tc.Pauses, lbl()...)
+	reg.Counter("fastrak_torctl_lease_refreshes_total", "lease-extending rule re-asserts sent", &tc.LeaseRefreshes, lbl()...)
+	reg.Counter("fastrak_torctl_degraded_demotes_total", "offloads pulled back by the hw-staleness guard", &tc.DegradedDemotes, lbl()...)
+	reg.Gauge("fastrak_torctl_term", "current leadership term", func() float64 { return float64(tc.term) }, lbl()...)
+	reg.Gauge("fastrak_torctl_is_leader", "1 while acting as leader", func() float64 {
+		if tc.isLeader && !tc.crashed && !tc.paused {
+			return 1
+		}
+		return 0
+	}, lbl()...)
 }
 
 func (lc *LocalController) registerMetrics(reg *telemetry.Registry, labels ...string) {
@@ -111,8 +110,6 @@ func (lc *LocalController) registerMetrics(reg *telemetry.Registry, labels ...st
 	reg.Counter("fastrak_local_me_reports_lost_total", "demand reports dropped by the stats fault surface", &lc.me.ReportsLost, lbl()...)
 	reg.Counter("fastrak_local_me_reports_delayed_total", "demand reports delayed by the stats fault surface", &lc.me.ReportsDelayed, lbl()...)
 	reg.Gauge("fastrak_local_placements", "placer redirection rules installed", func() float64 { return float64(len(lc.installed)) }, lbl()...)
-	if lc.mgr.haEnabled() {
-		reg.Counter("fastrak_local_fenced_msgs_total", "stale-term control messages dropped", &lc.FencedMsgs, lbl()...)
-		reg.Counter("fastrak_local_placer_expiries_total", "placements expired by the lease fail-safe", &lc.PlacerExpiries, lbl()...)
-	}
+	reg.Counter("fastrak_local_fenced_msgs_total", "stale-term control messages dropped", &lc.FencedMsgs, lbl()...)
+	reg.Counter("fastrak_local_placer_expiries_total", "placements expired by the lease fail-safe", &lc.PlacerExpiries, lbl()...)
 }

@@ -31,6 +31,13 @@ const (
 	reconcileTicks   = 4
 )
 
+// MinLeaseTTL is the bound HAConfig.LeaseTTL must exceed under cfg: the
+// leader refreshes leases and reads the table back every reconcileTicks
+// control intervals, and degrades once no reply came within LeaseTTL/2.
+func MinLeaseTTL(cfg Config) time.Duration {
+	return 2 * reconcileTicks * cfg.Measure.Epoch * time.Duration(cfg.Measure.EpochsPerInterval)
+}
+
 // urgentBoost multiplies the tenant preference c of a tenant flagged by an
 // OverloadHint: its aggregates jump the score ordering so the miss storm
 // moves to hardware ahead of merely-busy flows. The boost expires after
@@ -196,12 +203,11 @@ type TORController struct {
 	replicaID int
 	toPeers   map[int]*openflow.Transport
 	agent     *switchAgent
-	// term is the current leadership epoch. 0 means HA is disabled and
-	// the controller behaves exactly like the original single-instance
-	// manager. Terms are partitioned across replicas — replica i only
-	// claims terms with (term-1) mod Replicas == i — so two replicas can
-	// never lead under the same term; the switch agent fences stale
-	// terms, leaving election a pure liveness mechanism.
+	// term is the current leadership epoch, 1 at start. Terms are
+	// partitioned across replicas — replica i only claims terms with
+	// (term-1) mod Replicas == i — so two replicas can never lead under
+	// the same term; the switch agent fences stale terms, leaving
+	// election a pure liveness mechanism.
 	term     uint32
 	isLeader bool
 	// leaderID is the replica this follower believes leads; with
@@ -344,15 +350,9 @@ func (tc *TORController) controlInterval() time.Duration {
 
 // ---- HA parameters ----
 
-func (tc *TORController) replicas() int {
-	if n := tc.mgr.Cfg.HA.Replicas; n > 1 {
-		return n
-	}
-	return 1
-}
-
-// haReplicated reports whether this controller has standby peers.
-func (tc *TORController) haReplicated() bool { return tc.replicas() > 1 }
+// haReplicated reports whether this controller has standby peers: a
+// group of one has nobody to elect, so it leads for good.
+func (tc *TORController) haReplicated() bool { return tc.mgr.Cfg.HA.Replicas > 1 }
 
 func (tc *TORController) heartbeatEvery() time.Duration {
 	if d := tc.mgr.Cfg.HA.HeartbeatEvery; d > 0 {
@@ -376,7 +376,7 @@ func (tc *TORController) electionTimeout() time.Duration {
 // residue class — the structural guarantee that no two replicas ever
 // share a term.
 func (tc *TORController) nextTerm() uint32 {
-	n := uint32(tc.replicas())
+	n := uint32(tc.mgr.Cfg.HA.Replicas)
 	t := tc.term + 1
 	for (t-1)%n != uint32(tc.replicaID) {
 		t++
@@ -439,8 +439,8 @@ func (tc *TORController) Crash() {
 		tc.electTicker = nil
 	}
 	// A crashed replica is no leader; its term dies with it and the
-	// standbys elect a successor. (Single-instance deployments keep the
-	// legacy behavior: the restarted process resumes directly.)
+	// standbys elect a successor. A group of one has no successor to
+	// elect: the restarted process resumes leading its term directly.
 	if tc.haReplicated() {
 		tc.isLeader = false
 	}
@@ -641,9 +641,9 @@ func (tc *TORController) Pause() {
 	tc.stepDown("pause")
 }
 
-// Resume unfreezes the process. A single-instance deployment resumes
-// leadership directly, re-adopting hardware state like a restart; a
-// replicated one resumes as a follower — if no successor emerged while it
+// Resume unfreezes the process. A group of one resumes leadership
+// directly, re-adopting hardware state like a restart; a replica with
+// peers resumes as a follower — if no successor emerged while it
 // was frozen, its election timeout re-elects it. Implements
 // faults.Pausable.
 func (tc *TORController) Resume() {
@@ -1573,7 +1573,7 @@ func (tc *TORController) LatestReports() []openflow.DemandReport {
 	return out
 }
 
-// Term returns the replica's current leadership epoch (0 with HA off).
+// Term returns the replica's current leadership epoch.
 func (tc *TORController) Term() uint32 { return tc.term }
 
 // IsLeader reports whether this replica is currently acting as leader

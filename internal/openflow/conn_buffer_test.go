@@ -39,9 +39,9 @@ func (r *splitReader) Write(p []byte) (int, error) { return len(p), nil }
 // do to a frame: arrive a byte at a time, straddle the end of the buffer,
 // share a read with its neighbours, be as long as a frame gets, and stop.
 func TestRecvFragmented(t *testing.T) {
-	// 20 bytes of header and counts, 21 an action, 25 a rate: a frame of
-	// exactly MaxFrame bytes.
-	big := &OffloadDecision{Actions: make([]OffloadAction, 15), HWRates: make([]VMRate, 2608)}
+	// 28 bytes of header, counts and fence tail, 21 an action, 25 a rate:
+	// a frame of exactly MaxFrame bytes.
+	big := &OffloadDecision{Actions: make([]OffloadAction, 17), HWRates: make([]VMRate, 2606)}
 	msgs := []Message{EchoRequest{}, report84(), EchoReply{}, syncOf(3, 700), &SyncAck{ServerID: 1, Seq: 2}, big, report84(), Hello{}}
 	var stream []byte
 	for i, m := range msgs {

@@ -145,8 +145,8 @@ func normalizeRep(r DemandReport) DemandReport {
 	return r
 }
 
-// ruleSyncSeeds are the shapes a RuleSync takes on the wire: full (with and
-// without the term tail), an empty delta, add-only, remove-only, both, and
+// ruleSyncSeeds are the shapes a RuleSync takes on the wire: full (at term
+// 0 and at a later term), an empty delta, add-only, remove-only, both, and
 // the first and final parts of a split full set.
 func ruleSyncSeeds() []*RuleSync {
 	ps := syncOf(0, 5).Patterns
@@ -205,8 +205,8 @@ func FuzzRuleSync(f *testing.F) {
 }
 
 // TestRuleSyncShapes: every shape round-trips, a full sync without parts
-// encodes as it did before the tail existed, and malformed tails are
-// errors.
+// encodes as seq, count, patterns, term, origin and nothing more, and
+// malformed tails are errors.
 func TestRuleSyncShapes(t *testing.T) {
 	for _, m := range ruleSyncSeeds() {
 		back, xid, n, err := Decode(Encode(m, 11))

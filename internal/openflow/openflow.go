@@ -24,8 +24,10 @@ import (
 	"repro/internal/rules"
 )
 
-// Version identifies this protocol revision.
-const Version = 1
+// Version identifies this protocol revision. Revision 2 made the
+// epoch-fence tail mandatory, so a revision-1 peer is refused at the
+// header rather than misread.
+const Version = 2
 
 // MsgType discriminates message bodies.
 type MsgType uint8
@@ -193,8 +195,7 @@ type FlowMod struct {
 	// Term is the issuing leader's election term and Origin its replica
 	// id — the epoch fence: a receiver that has seen a newer term
 	// rejects the mod, so a partitioned ex-leader cannot fight its
-	// successor. Both travel in an optional tail section (omitted when
-	// zero) so pre-HA byte streams are unchanged.
+	// successor. Both travel in a tail section every FlowMod carries.
 	Term   uint32
 	Origin uint32
 }
@@ -221,22 +222,14 @@ func (m *FlowMod) unmarshalBody(r *reader) error {
 	return r.err
 }
 
-// marshalTermTail appends the optional epoch-fence tail (term + origin
-// replica). Written only when non-zero so legacy single-controller runs
-// stay byte-identical on the wire.
+// marshalTermTail appends the epoch-fence tail (term + origin replica).
 func marshalTermTail(b *buffer, term, origin uint32) {
-	if term == 0 && origin == 0 {
-		return
-	}
 	b.u32(term)
 	b.u32(origin)
 }
 
-// unmarshalTermTail consumes the optional epoch-fence tail if present.
+// unmarshalTermTail consumes the epoch-fence tail.
 func unmarshalTermTail(r *reader) (term, origin uint32) {
-	if r.err != nil || r.remaining() == 0 {
-		return 0, 0
-	}
 	return r.u32(), r.u32()
 }
 
@@ -337,14 +330,14 @@ type DemandReport struct {
 	// host has no SmartNIC); NICPatterns lists the rules currently in its
 	// table, so the TOR DE can reconcile desired against reported NIC
 	// state without a second barrier machine. Both ride on the first
-	// chunk only (like Splits) and are absent from legacy bodies.
+	// chunk only (like Splits).
 	NICFree     uint32
 	NICPatterns []rules.Pattern
 	// Sketch carries the streaming-accounting metadata when the sender
-	// runs sketch mode (nil in exact mode and in legacy bodies): the
-	// sketch dimensions plus the space-saving floor, which bounds the
-	// demand any pattern absent from the report can be hiding. Rides on
-	// the first chunk only, like Splits.
+	// runs sketch mode (nil in exact mode): the sketch dimensions plus
+	// the space-saving floor, which bounds the demand any pattern absent
+	// from the report can be hiding. Rides on the first chunk only, like
+	// Splits.
 	Sketch *SketchMeta
 }
 
@@ -412,15 +405,9 @@ func (m *DemandReport) unmarshalBody(r *reader) error {
 	if err != nil {
 		return err
 	}
-	if r.remaining() == 0 {
-		return r.err // legacy body without the NIC section
-	}
 	m.NICFree = r.u32()
 	if m.NICPatterns, err = unmarshalPatterns(r, new([]rules.Pattern)); err != nil {
 		return err
-	}
-	if r.remaining() == 0 {
-		return r.err // body without the sketch section
 	}
 	if r.u8() != 0 {
 		m.Sketch = &SketchMeta{
@@ -517,8 +504,7 @@ type OffloadDecision struct {
 	Actions  []OffloadAction
 	HWRates  []VMRate
 	// Term/Origin epoch-fence the decision (see FlowMod): local
-	// controllers ignore decisions from a stale leader. Optional tail,
-	// omitted when zero.
+	// controllers ignore decisions from a stale leader.
 	Term   uint32
 	Origin uint32
 }
@@ -620,23 +606,21 @@ func (m *ErrorMsg) unmarshalBody(r *reader) error {
 
 // RuleSync carries the TOR controller's desired offload set, sequenced so
 // receivers and the sender agree on which state an ack covers. Without a
-// tail it is full: Patterns is the whole set at Seq. With Delta, the set at
-// Seq is the set at Base plus Patterns less Removes, which list every
-// pattern touched since Base under its membership at Seq — so applying it
-// to any state from Base to Seq gives the set at Seq, and a receiver that
-// has applied less than Base must not apply it. With Parts > 0 it is part
+// shape tail it is full: Patterns is the whole set at Seq. With Delta, the
+// set at Seq is the set at Base plus Patterns less Removes, which list
+// every pattern touched since Base under its membership at Seq — so
+// applying it to any state from Base to Seq gives the set at Seq, and a
+// receiver that has applied less than Base must not apply it. With Parts > 0 it is part
 // Part of a full set too large for one frame, all parts under one Seq.
 // Stale or duplicate syncs (Seq ≤ last applied) are applied idempotently.
 type RuleSync struct {
 	Seq      uint32
 	Patterns []rules.Pattern
 	// Term/Origin epoch-fence the sync; sequence numbers are scoped to
-	// a term (a new leader starts a fresh sequence space). Optional
-	// tail, omitted when zero and nothing follows.
+	// a term (a new leader starts a fresh sequence space).
 	Term   uint32
 	Origin uint32
-	// The shape tail follows Term/Origin; a one-frame full sync has none
-	// and encodes as it did before deltas existed.
+	// The shape tail follows Term/Origin; a one-frame full sync has none.
 	Delta       bool
 	Base        uint32
 	Removes     []rules.Pattern
@@ -658,17 +642,12 @@ func (m *RuleSync) marshalBody(b *buffer) {
 	b.reserve(8 + patternLen*(len(m.Patterns)+len(m.Removes)) + 8 + 9)
 	b.u32(m.Seq)
 	marshalPatterns(b, m.Patterns)
-	if !m.Delta && m.Parts == 0 {
-		marshalTermTail(b, m.Term, m.Origin)
-		return
-	}
-	b.u32(m.Term)
-	b.u32(m.Origin)
+	marshalTermTail(b, m.Term, m.Origin)
 	if m.Delta {
 		b.u8(syncTailDelta)
 		b.u32(m.Base)
 		marshalPatterns(b, m.Removes)
-	} else {
+	} else if m.Parts > 0 {
 		b.u8(syncTailPart)
 		b.u16(m.Part)
 		b.u16(m.Parts)
@@ -761,25 +740,20 @@ func (*SyncAck) Type() MsgType { return TypeSyncAck }
 func (m *SyncAck) marshalBody(b *buffer) {
 	b.u32(m.ServerID)
 	b.u32(m.Seq)
-	if m.Term != 0 {
-		b.u32(m.Term)
-	}
+	b.u32(m.Term)
 }
 
 func (m *SyncAck) unmarshalBody(r *reader) error {
 	m.ServerID = r.u32()
 	m.Seq = r.u32()
-	if r.err == nil && r.remaining() > 0 {
-		m.Term = r.u32()
-	}
+	m.Term = r.u32()
 	return r.err
 }
 
-// TableRequest asks a switch agent for its installed rules. When the
-// requester is an HA leader it carries the leader's term in the optional
-// tail — the agent treats a current-term table walk as proof of
-// control-plane liveness and refreshes every rule lease (§lease
-// lifecycle: refresh rides the reconcile cadence).
+// TableRequest asks a switch agent for its installed rules. It carries
+// the requesting leader's term — the agent treats a current-term table
+// walk as proof of control-plane liveness and refreshes every rule lease
+// (§lease lifecycle: refresh rides the reconcile cadence).
 type TableRequest struct {
 	Term   uint32
 	Origin uint32

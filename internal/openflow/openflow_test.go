@@ -1,6 +1,8 @@
 package openflow
 
 import (
+	"bytes"
+	"encoding/binary"
 	"io"
 	"net"
 	"reflect"
@@ -317,32 +319,50 @@ func TestChunkDemandReportSketchMeta(t *testing.T) {
 	}
 }
 
-// TestDemandReportLegacyBodyTails pins the optional-tail compatibility:
-// bodies truncated before the NIC and sketch sections still decode, with
-// the absent sections zero.
-func TestDemandReportLegacyBodyTails(t *testing.T) {
-	full := &DemandReport{ServerID: 1, Interval: 2,
-		Entries: []DemandEntry{{Pattern: samplePattern(), PPS: 10}},
-		Sketch:  &SketchMeta{TopK: 8, Floor: 3},
+// TestFenceTailRequired pins the one layout each message has: a fenced
+// message's term tail and a demand report's NIC and sketch sections are
+// always written, so a body cut anywhere inside one, at its start too, is
+// refused rather than read as a shorter layout.
+func TestFenceTailRequired(t *testing.T) {
+	ps := syncOf(0, 3).Patterns
+	entry := DemandEntry{Pattern: samplePattern(), PPS: 10}
+	report := func(sk *SketchMeta) *DemandReport {
+		return &DemandReport{ServerID: 1, Interval: 2, Entries: []DemandEntry{entry}, NICPatterns: ps[:1], Sketch: sk}
 	}
-	wire := Encode(full, 7)
-	// The sketch tail is 1 flag byte + 3×u32 + 2×u64 = 29 bytes; the NIC
-	// tail before it is 2×u32 = 8 bytes (no patterns). Truncate each off,
-	// fixing up the frame length.
-	for _, cut := range []int{29, 29 + 8} {
-		trunc := append([]byte(nil), wire[:len(wire)-cut]...)
-		trunc[2] = byte(len(trunc) >> 8)
-		trunc[3] = byte(len(trunc))
-		msg, _, _, err := Decode(trunc)
-		if err != nil {
-			t.Fatalf("legacy body (cut %d) rejected: %v", cut, err)
+	// Each section is [from, to) in body bytes. A sync's fence tail
+	// follows its seq, count and two patterns; a report's NIC section
+	// (free count, pattern count, one pattern) follows its header words,
+	// one entry and the split count, and its sketch section comes last.
+	const syncTail, nicAt, sketchAt = 8 + 2*patternLen, 12 + entryLen + 4, 12 + entryLen + 4 + 8 + patternLen
+	for _, c := range []struct {
+		name     string
+		msg      Message
+		from, to int
+	}{
+		{"flow mod", &FlowMod{Command: FlowAdd, Pattern: ps[0], Term: 1}, 12 + patternLen, 20 + patternLen},
+		{"offload decision", &OffloadDecision{Interval: 1, Actions: []OffloadAction{{Pattern: ps[0]}}, Term: 1}, 12 + 21, 20 + 21},
+		{"full rule sync", &RuleSync{Seq: 1, Patterns: ps[:2], Term: 1}, syncTail, syncTail + 8},
+		{"delta rule sync", &RuleSync{Seq: 2, Patterns: ps[:2], Term: 1, Delta: true, Base: 1, Removes: ps[2:]}, syncTail, syncTail + 8},
+		{"part rule sync", &RuleSync{Seq: 3, Patterns: ps[:2], Term: 1, Parts: 2}, syncTail, syncTail + 8},
+		{"table request", &TableRequest{Term: 1}, 0, 8},
+		{"sync ack", &SyncAck{ServerID: 1, Seq: 2, Term: 1}, 8, 12},
+		{"report nic section", report(nil), nicAt, sketchAt},
+		{"report sketch flag", report(nil), sketchAt, sketchAt + 1},
+		{"report sketch section", report(&SketchMeta{TopK: 8, Floor: 3}), sketchAt, sketchAt + 29},
+	} {
+		frame := Encode(c.msg, 7)
+		if got, _, _, err := Decode(frame); err != nil || !reflect.DeepEqual(got, c.msg) {
+			t.Fatalf("%s does not round-trip: %v", c.name, err)
 		}
-		got := msg.(*DemandReport)
-		if got.Sketch != nil {
-			t.Errorf("cut %d: sketch meta materialized from a legacy body", cut)
+		if len(frame)-headerLen < c.to {
+			t.Fatalf("%s: a %d-byte body has no section [%d, %d)", c.name, len(frame)-headerLen, c.from, c.to)
 		}
-		if len(got.Entries) != 1 || got.Entries[0].PPS != 10 {
-			t.Errorf("cut %d: entries corrupted: %+v", cut, got.Entries)
+		for cut := c.from; cut < c.to; cut++ {
+			trunc := bytes.Clone(frame[:headerLen+cut])
+			binary.BigEndian.PutUint16(trunc[2:4], uint16(len(trunc)))
+			if got, _, _, err := Decode(trunc); err == nil {
+				t.Errorf("%s cut at %d of its body decodes to %+v", c.name, cut, got)
+			}
 		}
 	}
 }

@@ -101,21 +101,17 @@ func fieldwiseBody(msg Message) []byte {
 	case *RuleSync:
 		b.u32(m.Seq)
 		fieldwiseMarshalPatterns(b, m.Patterns)
+		b.u32(m.Term)
+		b.u32(m.Origin)
 		switch {
 		case m.Delta:
-			b.u32(m.Term)
-			b.u32(m.Origin)
 			b.u8(syncTailDelta)
 			b.u32(m.Base)
 			fieldwiseMarshalPatterns(b, m.Removes)
 		case m.Parts > 0:
-			b.u32(m.Term)
-			b.u32(m.Origin)
 			b.u8(syncTailPart)
 			b.u16(m.Part)
 			b.u16(m.Parts)
-		default:
-			marshalTermTail(b, m.Term, m.Origin)
 		}
 	case *TableReply:
 		b.u32(uint32(len(m.Rules)))
@@ -152,14 +148,8 @@ func fieldwiseDecode(t MsgType, body []byte) (Message, bool) {
 		if m.Splits, err = unmarshalSplits(r); err != nil {
 			return nil, false
 		}
-		if r.remaining() == 0 {
-			break
-		}
 		m.NICFree = r.u32()
 		m.NICPatterns = fieldwiseUnmarshalPatterns(r)
-		if r.remaining() == 0 {
-			break
-		}
 		if r.u8() != 0 {
 			m.Sketch = &SketchMeta{TopK: r.u32(), Width: r.u32(), Depth: r.u32(), Floor: r.u64(), Evictions: r.u64()}
 		}
@@ -167,7 +157,7 @@ func fieldwiseDecode(t MsgType, body []byte) (Message, bool) {
 		m := &RuleSync{Seq: r.u32()}
 		msg = m
 		m.Patterns = fieldwiseUnmarshalPatterns(r)
-		m.Term, m.Origin = unmarshalTermTail(r)
+		m.Term, m.Origin = r.u32(), r.u32()
 		if r.err != nil || r.remaining() == 0 {
 			break
 		}
@@ -257,8 +247,8 @@ func randomStrideMessage(rng *rand.Rand, size int) Message {
 // TestFixedStrideAgainstFieldwise: random reports, RuleSyncs and
 // TableReplies encode to the bytes the field-by-field codec writes and
 // decode to the values it reads; cut at any offset, both take the body (a
-// legacy one, short of its optional sections) or both refuse it, and
-// neither panics.
+// delta or part cut back to a full sync) or both refuse it, and neither
+// panics.
 func TestFixedStrideAgainstFieldwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	frameOf := func(typ MsgType, body []byte) []byte {

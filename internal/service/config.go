@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -60,7 +61,8 @@ type ControllerConfig struct {
 	MaxOffloads int `json:"max_offloads,omitempty"`
 	// MinScore filters flows not worth a hardware entry.
 	MinScore float64 `json:"min_score,omitempty"`
-	// LeaseTTL > 0 enables lease-expiring fail-safe hardware rules.
+	// LeaseTTL > 0 enables lease-expiring fail-safe hardware rules. It
+	// must exceed eight control intervals (core.MinLeaseTTL).
 	LeaseTTL Duration `json:"lease_ttl,omitempty"`
 }
 
@@ -85,6 +87,14 @@ func (cc ControllerConfig) coreConfig() core.Config {
 	cfg.MinScore = cc.MinScore
 	cfg.HA.LeaseTTL = cc.LeaseTTL.D()
 	return cfg
+}
+
+// validate rejects a lease the healthy leader cannot keep refreshed.
+func (cc ControllerConfig) validate() error {
+	if bound := core.MinLeaseTTL(cc.coreConfig()); cc.LeaseTTL > 0 && cc.LeaseTTL.D() <= bound {
+		return fmt.Errorf("lease_ttl %v must exceed %v, two reconcile periods", cc.LeaseTTL.D(), bound)
+	}
+	return nil
 }
 
 // TordConfig configures the fastrak-tord daemon.
@@ -190,8 +200,9 @@ func (c *AgentConfig) normalize() {
 }
 
 // LoadConfig reads a JSON config file into cfg (a *TordConfig or
-// *AgentConfig). Unknown fields are rejected so typos fail loudly at
-// startup instead of silently running defaults.
+// *AgentConfig). Unknown fields and anything after the object are
+// rejected so typos fail loudly at startup instead of silently running
+// defaults, and so is a controller setting the daemon could not run.
 func LoadConfig(path string, cfg any) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -202,6 +213,19 @@ func LoadConfig(path string, cfg any) error {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(cfg); err != nil {
 		return fmt.Errorf("service: parse config %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("service: parse config %s: data after the object", path)
+	}
+	var cc ControllerConfig
+	switch c := cfg.(type) {
+	case *TordConfig:
+		cc = c.Controller
+	case *AgentConfig:
+		cc = c.Controller
+	}
+	if err := cc.validate(); err != nil {
+		return fmt.Errorf("service: config %s: %w", path, err)
 	}
 	return nil
 }

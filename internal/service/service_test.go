@@ -342,17 +342,24 @@ func TestTordRuleCRUD(t *testing.T) {
 	})
 }
 
+// roundTripConfig and unknownFieldConfig are TestConfigRoundTrip's files,
+// and seeds of FuzzLoadConfig.
+const (
+	roundTripConfig = `{
+		"listen_control": "127.0.0.1:7001",
+		"tcam_capacity": 128,
+		"sample_interval": "250ms",
+		"controller": {"epoch": "50ms", "lease_ttl": "2s"}
+	}`
+	unknownFieldConfig = `{"listen_ctrl": "oops"}`
+)
+
 // TestConfigRoundTrip covers the JSON duration forms and unknown-field
 // rejection.
 func TestConfigRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/tord.json"
-	if err := writeFile(path, `{
-		"listen_control": "127.0.0.1:7001",
-		"tcam_capacity": 128,
-		"sample_interval": "250ms",
-		"controller": {"epoch": "50ms", "lease_ttl": "2s"}
-	}`); err != nil {
+	if err := writeFile(path, roundTripConfig); err != nil {
 		t.Fatal(err)
 	}
 	var cfg TordConfig
@@ -369,7 +376,7 @@ func TestConfigRoundTrip(t *testing.T) {
 	}
 
 	bad := dir + "/bad.json"
-	if err := writeFile(bad, `{"listen_ctrl": "oops"}`); err != nil {
+	if err := writeFile(bad, unknownFieldConfig); err != nil {
 		t.Fatal(err)
 	}
 	if err := LoadConfig(bad, &cfg); err == nil {

@@ -2,6 +2,7 @@ package vswitch
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -44,14 +45,19 @@ func TestPlaneRuleChurnRace(t *testing.T) {
 		flowsPerProd = 256
 	)
 	var wg, ctlWg sync.WaitGroup
-	var prodDone atomic.Bool
+	var prodDone, ctlDone atomic.Bool
+	// published counts the control goroutine's finished publishes.
+	var published atomic.Uint64
 
 	// Control plane: hammer every mutation path through the publisher for
-	// as long as the producers are forwarding (bounded for safety), so
-	// epoch churn genuinely overlaps shard processing even on one core.
+	// as long as the producers are forwarding (bounded for safety). Each
+	// producer pass waits for publishes begun after the previous pass
+	// drained, so epoch churn overlaps shard processing on any schedule,
+	// one core included.
 	ctlWg.Add(1)
 	go func() {
 		defer ctlWg.Done()
+		defer ctlDone.Store(true)
 		rng := rand.New(rand.NewSource(99))
 		for i := 0; !prodDone.Load() && i < 1_000_000; i++ {
 			vi := rng.Intn(numVMs)
@@ -69,6 +75,7 @@ func TestPlaneRuleChurnRace(t *testing.T) {
 			default:
 				pl.Invalidate(rules.Pattern{Tenant: 3})
 			}
+			published.Add(1)
 		}
 	}()
 
@@ -96,12 +103,20 @@ func TestPlaneRuleChurnRace(t *testing.T) {
 					uint16(40000+rng.Intn(512)), uint16(8000+rng.Intn(10)), 200))
 			}
 			inj := pl.NewInjector()
+			var drained uint64
 			for pass := 0; pass < passes; pass++ {
+				// Of two publishes counted after the last drain, the
+				// second began after it: its epoch is newer than any a
+				// shard holds, so this pass flushes.
+				for published.Load() < drained+2 && !ctlDone.Load() {
+					runtime.Gosched()
+				}
 				for i, p := range pkts {
 					inj.Egress(keys[i], p)
 				}
 				inj.Flush()
 				pl.Barrier()
+				drained = published.Load()
 				sent[pr] += uint64(len(pkts))
 			}
 		}()
