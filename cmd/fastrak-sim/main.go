@@ -26,18 +26,23 @@
 // pull-back / re-offload episode end to end; inspect it with
 // cmd/fastrak-trace.
 //
-// The -overload flag instead runs the canned slow-path overload scenario
-// (experiments.RunOverload): a storming tenant floods the upcall path
-// beside a well-behaved victim while the stats channel degrades, and the
-// run reports isolation, drop accounting and convergence.
-//
 // -smartnic N equips every server with an N-entry SmartNIC rule table,
 // turning placement into the three-rung ladder software → SmartNIC →
 // TCAM; status lines then also show the NIC-tier rule count, and the
-// random fault plan draws NIC reset/corruption faults too. -tiered runs
-// the canned ladder scenario (experiments.RunTiered) instead: a
-// latecomer flow graduates through the tiers while displaced incumbents
-// demote, with full drop accounting.
+// random fault plan draws NIC reset/corruption faults too.
+//
+// -scenario NAME runs a canned scenario instead of the rack workload
+// (-seed and -duration apply; -fault-seed to overload and failover):
+//
+//   - overload (experiments.RunOverload): a storming tenant floods the
+//     upcall path beside a well-behaved victim while the stats channel
+//     degrades; reports isolation, drop accounting and convergence.
+//   - tiered (experiments.RunTiered): a latecomer flow graduates through
+//     the software → SmartNIC → TCAM ladder while displaced incumbents
+//     demote, with full drop accounting.
+//   - failover (experiments.RunFailover): hot-standby TOR controllers
+//     under partitions, crashes and pauses; reports leadership, fencing,
+//     leases and reconvergence.
 package main
 
 import (
@@ -68,9 +73,7 @@ func main() {
 	faultSpec := flag.String("faults", "", "fault plan DSL, or \"random\" for a seeded random plan")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the fault injector's randomness")
 	smartnic := flag.Int("smartnic", 0, "per-server SmartNIC rule-table capacity; >0 enables the NIC offload tier between the vswitch and the TCAM")
-	overload := flag.Bool("overload", false, "run the canned slow-path overload scenario instead of the rack workload")
-	tiered := flag.Bool("tiered", false, "run the canned three-tier placement-ladder scenario (experiments.RunTiered) instead of the rack workload")
-	failover := flag.Bool("failover", false, "run the canned control-plane failover scenario (experiments.RunFailover): hot-standby TOR controllers under partitions, crashes and pauses")
+	scenario := flag.String("scenario", "", "run a canned scenario instead of the rack workload: overload (slow-path storm), tiered (SmartNIC placement ladder) or failover (hot-standby TOR controllers)")
 	shards := flag.Int("shards", 0, "run the wall-clock throughput mode instead of the sim: drive the sharded batch data plane with this many shard workers (1 = inline deterministic configuration)")
 	sketchMode := flag.Bool("sketch", false, "measure flow demand with the streaming count-min + space-saving accountant instead of walking exact per-flow counters (an accounting mode only: the decision engine is unchanged); with -flows >= 10000 this switches to the standalone accounting scale benchmark (no rack sim)")
 	sketchK := flag.Int("sketch-topk", 0, "heavy-hitter set size per server in -sketch mode (0 = default 1024)")
@@ -84,6 +87,10 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
+	if err := checkFlags(*servers, *tenants, *flows, *scenario, *shards, *sketchMode); err != nil {
+		fmt.Fprintf(os.Stderr, "fastrak-sim: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -113,12 +120,6 @@ func main() {
 		}()
 	}
 
-	// sketchScaleFloor separates the two -sketch shapes: below it, -flows
-	// keeps its services-per-tenant meaning and the rack sim just runs
-	// with sketch accounting; at or above it, the flow count is a scale
-	// target no per-flow table should carry, and the standalone
-	// accounting benchmark runs instead.
-	const sketchScaleFloor = 10_000
 	if *sketchMode && *flows >= sketchScaleFloor {
 		runSketchScale(*flows, *seed)
 		return
@@ -127,16 +128,8 @@ func main() {
 		runThroughput(*shards, *duration, *seed)
 		return
 	}
-	if *overload {
-		runOverload(*seed, *faultSeed, *duration)
-		return
-	}
-	if *tiered {
-		runTiered(*seed, *duration)
-		return
-	}
-	if *failover {
-		runFailover(*seed, *faultSeed, *duration)
+	if *scenario != "" {
+		scenarios[*scenario](*seed, *faultSeed, *duration)
 		return
 	}
 
@@ -360,6 +353,49 @@ func main() {
 	}
 }
 
+// sketchScaleFloor separates the two -sketch shapes: below it, -flows
+// keeps its services-per-tenant meaning and the rack sim just runs with
+// sketch accounting; at or above it, the flow count is a scale target no
+// per-flow table should carry, and the standalone accounting benchmark
+// runs instead.
+const sketchScaleFloor = 10_000
+
+// scenarios maps each -scenario name to its runner.
+var scenarios = map[string]func(seed, faultSeed int64, duration time.Duration){
+	"overload": runOverload,
+	"tiered":   runTiered,
+	"failover": runFailover,
+}
+
+// checkFlags refuses what the run cannot mean: a rack without servers,
+// tenants or services (the workload divides by the server count and
+// indexes the services), a scenario this binary does not have, and a
+// scenario beside -shards or the -sketch scale benchmark, which select
+// other modes instead.
+func checkFlags(servers, tenants, flows int, scenario string, shards int, sketch bool) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"servers", servers}, {"tenants", tenants}, {"flows", flows}} {
+		if f.v < 1 {
+			return fmt.Errorf("-%s must be at least 1, got %d", f.name, f.v)
+		}
+	}
+	if scenario == "" {
+		return nil
+	}
+	if scenarios[scenario] == nil {
+		return fmt.Errorf("-scenario %q: want overload, tiered or failover", scenario)
+	}
+	if shards > 0 {
+		return fmt.Errorf("-scenario %s and -shards %d select different modes; give one", scenario, shards)
+	}
+	if sketch && flows >= sketchScaleFloor {
+		return fmt.Errorf("-scenario %s and -sketch -flows %d select different modes; give one", scenario, flows)
+	}
+	return nil
+}
+
 // runOverload drives the canned slow-path overload scenario and prints
 // its invariants and event log.
 func runOverload(seed, faultSeed int64, duration time.Duration) {
@@ -393,7 +429,7 @@ func runOverload(seed, faultSeed int64, duration time.Duration) {
 
 // runTiered drives the canned three-tier placement-ladder scenario and
 // prints the observed graduations, demotions and conservation figures.
-func runTiered(seed int64, duration time.Duration) {
+func runTiered(seed, _ int64, duration time.Duration) {
 	res, err := experiments.RunTiered(experiments.TieredConfig{Seed: seed, Horizon: duration})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fastrak-sim: tiered scenario: %v\n", err)
@@ -433,7 +469,7 @@ func runTiered(seed int64, duration time.Duration) {
 // TOR controllers walked through partitions, crashes and pauses — and
 // prints the leadership, fencing, lease and reconvergence figures.
 func runFailover(seed, faultSeed int64, duration time.Duration) {
-	res, err := experiments.RunFailover(experiments.FailoverConfig{
+	res, err := experiments.RunFailover(experiments.FaultConfig{
 		Seed: seed, FaultSeed: faultSeed, Horizon: duration,
 	})
 	if err != nil {

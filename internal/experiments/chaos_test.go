@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 // last fault clears the hardware rule table exactly equals the decision
 // engine's desired offload set.
 func TestChaosInvariants(t *testing.T) {
-	res, err := RunChaos(ChaosConfig{Seed: 7, FaultSeed: 11})
+	res, err := RunChaos(FaultConfig{Seed: 7, FaultSeed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,13 +63,24 @@ func TestChaosInvariants(t *testing.T) {
 	if len(res.Desired) == 0 {
 		t.Error("no flows offloaded by end of run; reconcile check is vacuous")
 	}
+
+	// A single controller is a replica group of one: after its crash and
+	// restart it still leads alone, in replica 0's term, and no term
+	// ever sees two acting replicas.
+	if res.Leaders != 1 || res.LeaderReplica != 0 {
+		t.Errorf("want replica 0 leading alone at the check, got %d leaders (replica %d)",
+			res.Leaders, res.LeaderReplica)
+	}
+	if res.TermConflicts != 0 {
+		t.Errorf("split brain: %d terms saw two acting replicas", res.TermConflicts)
+	}
 }
 
 // TestChaosDeterminism is the determinism harness (satellite 3): equal
 // seeds reproduce a byte-identical event log; changing either seed
 // produces a different one.
 func TestChaosDeterminism(t *testing.T) {
-	cfg := ChaosConfig{Seed: 21, FaultSeed: 5, Horizon: 3 * time.Second, Drain: time.Second}
+	cfg := FaultConfig{Seed: 21, FaultSeed: 5, Horizon: 3 * time.Second, Drain: time.Second}
 	a, err := RunChaos(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +92,7 @@ func TestChaosDeterminism(t *testing.T) {
 	if len(a.Log) == 0 {
 		t.Fatal("empty event log")
 	}
-	if !equalStrings(a.Log, b.Log) {
+	if !slices.Equal(a.Log, b.Log) {
 		for i := range a.Log {
 			if i >= len(b.Log) || a.Log[i] != b.Log[i] {
 				t.Fatalf("logs diverge at line %d:\n a: %q\n b: %q", i, a.Log[i], line(b.Log, i))
@@ -95,7 +107,7 @@ func TestChaosDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if equalStrings(a.Log, c.Log) {
+	if slices.Equal(a.Log, c.Log) {
 		t.Error("different fault seeds produced identical event logs")
 	}
 
@@ -105,7 +117,7 @@ func TestChaosDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if equalStrings(a.Log, d.Log) {
+	if slices.Equal(a.Log, d.Log) {
 		t.Error("different engine seeds produced identical event logs")
 	}
 }
@@ -133,7 +145,7 @@ func TestChaosRandomPlansSurvive(t *testing.T) {
 			Tables:      []string{"tor0"},
 			Controllers: []string{"torctl0"},
 		})
-		res, err := RunChaos(ChaosConfig{Seed: seed, FaultSeed: seed, Horizon: horizon, Drain: time.Second, Plan: &plan})
+		res, err := RunChaos(FaultConfig{Seed: seed, FaultSeed: seed, Horizon: horizon, Drain: time.Second, Plan: &plan})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 // term, no blackholes, caps hold, and the run reconverges to a single
 // leader whose desired set matches hardware and the never-faulted twin.
 func TestFailoverInvariants(t *testing.T) {
-	res, err := RunFailover(FailoverConfig{Seed: 7, FaultSeed: 11})
+	res, err := RunFailover(FaultConfig{Seed: 7, FaultSeed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestFailoverDuelingLeadersFenced(t *testing.T) {
 		{At: 2200 * time.Millisecond, Kind: faults.ChannelDown, Target: "elect0.0-1", Duration: 3 * time.Second},
 		{At: 2200 * time.Millisecond, Kind: faults.ChannelDown, Target: "elect0.0-2", Duration: 3 * time.Second},
 	}}
-	res, err := RunFailover(FailoverConfig{Seed: 3, FaultSeed: 1, Horizon: h, Plan: &plan})
+	res, err := RunFailover(FaultConfig{Seed: 3, FaultSeed: 1, Horizon: h, Plan: &plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestFailoverLeaseExpiry(t *testing.T) {
 		{At: 3 * time.Second, Kind: faults.ControllerCrash, Target: "torctl0.1", Duration: blackout},
 		{At: 3 * time.Second, Kind: faults.ControllerCrash, Target: "torctl0.2", Duration: blackout},
 	}}
-	res, err := RunFailover(FailoverConfig{Seed: 5, FaultSeed: 1, Horizon: h, Plan: &plan})
+	res, err := RunFailover(FaultConfig{Seed: 5, FaultSeed: 1, Horizon: h, Plan: &plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestFailoverLeaseExpiry(t *testing.T) {
 // log (faults, election moves, lease counters and all); changing the
 // fault seed changes it.
 func TestFailoverDeterminism(t *testing.T) {
-	cfg := FailoverConfig{Seed: 21, FaultSeed: 5, Horizon: 4 * time.Second, Drain: time.Second}
+	cfg := FaultConfig{Seed: 21, FaultSeed: 5, Horizon: 4 * time.Second, Drain: time.Second}
 	a, err := RunFailover(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +177,7 @@ func TestFailoverDeterminism(t *testing.T) {
 	if len(a.Log) == 0 {
 		t.Fatal("empty event log")
 	}
-	if !equalStrings(a.Log, b.Log) {
+	if !slices.Equal(a.Log, b.Log) {
 		for i := range a.Log {
 			if i >= len(b.Log) || a.Log[i] != b.Log[i] {
 				t.Fatalf("logs diverge at line %d:\n a: %q\n b: %q", i, a.Log[i], line(b.Log, i))
@@ -193,7 +194,7 @@ func TestFailoverDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if equalStrings(a.Log, c.Log) {
+	if slices.Equal(a.Log, c.Log) {
 		t.Error("different engine seeds produced identical event logs")
 	}
 }
@@ -225,10 +226,10 @@ func TestFailoverChaosProperty(t *testing.T) {
 	}
 	for seed := int64(1); seed <= seeds; seed++ {
 		plan := faults.RandomPlan(seed, horizon/2, ts)
-		res, err := runFailover(FailoverConfig{
+		res, err := runFaults(FaultConfig{
 			Seed: seed, FaultSeed: seed,
 			Horizon: horizon, Drain: time.Second, Plan: &plan,
-		}, true)
+		}, failoverGroup)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/measure"
 	"repro/internal/model"
 	"repro/internal/openflow"
 	"repro/internal/packet"
@@ -170,14 +169,8 @@ type ControllerCostResult struct {
 // the control plane's work.
 func ControllerCost(d time.Duration) ControllerCostResult {
 	r := newEvalRig(4, 605)
-	cfg := core.DefaultConfig()
-	cfg.Measure = measure.Config{
-		SampleGap:         50 * time.Millisecond,
-		Epoch:             250 * time.Millisecond,
-		EpochsPerInterval: 2,
-		HistoryIntervals:  4,
-		Aggregate:         true,
-	}
+	cfg := scenarioControl()
+	cfg.MinScore = core.DefaultConfig().MinScore // the stock offload bar
 	mgr := core.Attach(r.c, cfg)
 	mgr.Start()
 	var slaps []*workload.Memslap

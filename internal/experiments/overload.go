@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/host"
-	"repro/internal/measure"
 	"repro/internal/model"
 	"repro/internal/packet"
 	"repro/internal/rules"
@@ -255,23 +253,12 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 		MinWindowUpcalls:  32,
 	})
 
-	mcfg := core.DefaultConfig()
-	mcfg.Measure = measure.Config{
-		SampleGap:         50 * time.Millisecond,
-		Epoch:             250 * time.Millisecond,
-		EpochsPerInterval: 2,
-		HistoryIntervals:  4,
-		Aggregate:         true,
-	}
-	mcfg.MinScore = 100
-	mgr := core.Attach(c, mcfg)
+	mgr := core.Attach(c, scenarioControl())
 
 	// Fault surfaces: the storm driver registers alongside the built-in
 	// channel/table/controller/stats surfaces.
 	storm := &stormDriver{eng: eng, vm: stormSrc, dst: stormDstIP}
-	inj := faults.NewInjector(eng, cfg.FaultSeed)
-	c.RegisterFaults(inj)
-	mgr.RegisterFaults(inj)
+	inj := newInjector(c, mgr, cfg.FaultSeed)
 	inj.RegisterStormer("storm0", storm)
 	if err := inj.Apply(DefaultOverloadPlan(cfg.Horizon, cfg.StormPPS)); err != nil {
 		return OverloadResult{}, err
@@ -297,17 +284,14 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 	mgr.Start()
 
 	var res OverloadResult
-	var log []string
-	logf := func(format string, args ...interface{}) {
-		log = append(log, fmt.Sprintf("%12s "+format, append([]interface{}{eng.Now()}, args...)...))
-	}
+	log := eventLog{eng: eng}
 
 	// Periodic deterministic snapshots.
 	eng.Every(cfg.SnapshotEvery, func() {
 		tel := srv0.VSwitch.Counters()
 		entered, recovered := srv0.VSwitch.OverloadEvents()
 		tr, su := mgr.TORCtl.FlapStats()
-		logf("snap up=%d served=%d qdrop=%d clamp=%d overloaded=%v enter=%d recover=%d off=%d inst=%d dem=%d flaps=%d supp=%d gaps=%d",
+		log.logf("snap up=%d served=%d qdrop=%d clamp=%d overloaded=%v enter=%d recover=%d off=%d inst=%d dem=%d flaps=%d supp=%d gaps=%d",
 			tel.Upcalls, tel.UpcallsServed, tel.Drops.UpcallQueue, tel.Drops.Clamp,
 			srv0.VSwitch.Overloaded(), entered, recovered,
 			len(mgr.OffloadedPatterns()), mgr.TORCtl.Installs, mgr.TORCtl.Demotes, tr, su,
@@ -322,7 +306,7 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 				res.StormOffloaded = true
 			}
 		}
-		logf("midstorm stormOffloaded=%v", res.StormOffloaded)
+		log.logf("midstorm stormOffloaded=%v", res.StormOffloaded)
 	})
 
 	// Settle point: all faults cleared by 2·Horizon/3; allow the decision
@@ -334,7 +318,7 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 		res.InstallsAtSettle = mgr.TORCtl.Installs
 		res.DemotesAtSettle = mgr.TORCtl.Demotes
 		res.FlapsAtSettle = tr
-		logf("settle inst=%d dem=%d flaps=%d", res.InstallsAtSettle, res.DemotesAtSettle, res.FlapsAtSettle)
+		log.logf("settle inst=%d dem=%d flaps=%d", res.InstallsAtSettle, res.DemotesAtSettle, res.FlapsAtSettle)
 	})
 
 	// End of the active phase: record the convergence-window totals before
@@ -345,7 +329,7 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 		res.InstallsEnd = mgr.TORCtl.Installs
 		res.DemotesEnd = mgr.TORCtl.Demotes
 		res.FlapsEnd = tr
-		logf("horizon inst=%d dem=%d flaps=%d", res.InstallsEnd, res.DemotesEnd, res.FlapsEnd)
+		log.logf("horizon inst=%d dem=%d flaps=%d", res.InstallsEnd, res.DemotesEnd, res.FlapsEnd)
 	})
 
 	eng.RunUntil(cfg.Horizon + cfg.Drain)
@@ -383,6 +367,6 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 	}
 	_, su := mgr.TORCtl.FlapStats()
 	res.Suppressions = su
-	res.Log = append(append([]string{}, inj.Log()...), log...)
+	res.Log = log.after(inj)
 	return res, nil
 }

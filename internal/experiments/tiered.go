@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/host"
-	"repro/internal/measure"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/packet"
@@ -79,21 +78,9 @@ type TieredResult struct {
 	Installs uint64
 	Demotes  uint64
 
-	// Conservation accounting (after drain): every sent packet is
-	// delivered or attributed to a physical/rate cause. BlackholeDrops
-	// sums the rule-divergence counters and must be zero; Unaccounted is
-	// the conservation residue and must be zero.
-	Sent             uint64
-	Delivered        uint64
-	LinkQueueDrops   uint64
-	LinkDownDrops    uint64
-	LinkLossDrops    uint64
-	ShapeDrops       uint64
-	UpcallQueueDrops uint64
-	ClampDrops       uint64
-	RateDrops        uint64
-	BlackholeDrops   uint64
-	Unaccounted      int64
+	// Conservation accounting (after drain). BlackholeDrops and
+	// Unaccounted must be zero.
+	Conservation
 
 	// FaultLog is the injector's chronological record (Chaos only); Log
 	// is the full deterministic event log (faults + tier transitions +
@@ -180,15 +167,7 @@ func RunTiered(cfg TieredConfig) (TieredResult, error) {
 		return TieredResult{}, err
 	}
 
-	mcfg := core.DefaultConfig()
-	mcfg.Measure = measure.Config{
-		SampleGap:         50 * time.Millisecond,
-		Epoch:             250 * time.Millisecond,
-		EpochsPerInterval: 2,
-		HistoryIntervals:  4,
-		Aggregate:         true,
-	}
-	mcfg.MinScore = 100
+	mcfg := scenarioControl()
 	mcfg.NICMinScore = 20
 	// Three TCAM seats for four equal-score latecomer aggregates
 	// guarantees at least one NIC-placeable (source-pinned) pattern
@@ -198,9 +177,7 @@ func RunTiered(cfg TieredConfig) (TieredResult, error) {
 
 	var inj *faults.Injector
 	if cfg.Chaos {
-		inj = faults.NewInjector(eng, cfg.FaultSeed)
-		c.RegisterFaults(inj)
-		mgr.RegisterFaults(inj)
+		inj = newInjector(c, mgr, cfg.FaultSeed)
 		links, channels, tables, controllers := inj.Targets()
 		plan := faults.RandomPlan(cfg.FaultSeed, 3*cfg.Horizon/4, faults.TargetSet{
 			Links: links, Channels: channels, Tables: tables,
@@ -211,34 +188,20 @@ func RunTiered(cfg TieredConfig) (TieredResult, error) {
 		}
 	}
 
-	// Traffic. Senders start at a random phase within their period (so
-	// runs are seed-sensitive, as the determinism harness requires) and
-	// stop at the horizon.
-	drive := func(s svc, srcPort uint16, rate float64, from, until time.Duration) {
-		period := time.Duration(float64(time.Second) / rate)
-		offset := time.Duration(eng.Rand().Int63n(int64(period)))
-		eng.After(from+offset, func() {
-			tk := eng.Every(period, func() {
-				s.client.Send(s.dst, srcPort, s.port, 200, host.SendOptions{}, nil)
-			})
-			eng.At(until, func() { tk.Stop() })
-		})
-	}
+	// Traffic: the base band for the whole horizon, the latecomer from
+	// Horizon/2.
 	for _, s := range svcs {
-		drive(s, 40000, s.rate, 0, cfg.Horizon)
+		drive(eng, s.client, s.dst, 40000, s.port, s.rate, 200, 0, cfg.Horizon)
 	}
-	drive(late, 41000, late.rate, cfg.Horizon/2, cfg.Horizon)
+	drive(eng, late.client, late.dst, 41000, late.port, late.rate, 200, cfg.Horizon/2, cfg.Horizon)
 	// The ramp: a second flow of the same service adds 6400 pps, pushing
 	// the latecomer's aggregate score past every TCAM incumbent.
-	drive(late, 41001, 6400, 5*cfg.Horizon/8, cfg.Horizon)
+	drive(eng, late.client, late.dst, 41001, late.port, 6400, 200, 5*cfg.Horizon/8, cfg.Horizon)
 
 	mgr.Start()
 
 	res := TieredResult{}
-	var log []string
-	logf := func(format string, args ...interface{}) {
-		log = append(log, fmt.Sprintf("%12s "+format, append([]interface{}{eng.Now()}, args...)...))
-	}
+	log := eventLog{eng: eng}
 
 	// Tier-membership sampler: tracks, per pattern, whether it has been
 	// seen NIC-placed while outside the TCAM — the precondition for
@@ -282,11 +245,11 @@ func RunTiered(cfg TieredConfig) (TieredResult, error) {
 		for s := range tcam {
 			if wasNICOnly[s] && !graduated[s] {
 				graduated[s] = true
-				logf("graduated nic->tcam %s", s)
+				log.logf("graduated nic->tcam %s", s)
 			}
 		}
 		if nNIC != prevNIC || len(tcam) != prevTCAM {
-			logf("tiers nic=%d tcam=%d", nNIC, len(tcam))
+			log.logf("tiers nic=%d tcam=%d", nNIC, len(tcam))
 			prevNIC, prevTCAM = nNIC, len(tcam)
 		}
 	})
@@ -294,18 +257,14 @@ func RunTiered(cfg TieredConfig) (TieredResult, error) {
 	// sensitive to the seed-dependent sender phases (the determinism
 	// harness checks both directions).
 	eng.Every(5*cfg.SnapshotEvery, func() {
-		var tx, rx, hits uint64
+		tx, rx := traffic(c)
+		var hits uint64
 		for _, srv := range c.Servers {
-			for _, key := range sortedVMKeys(srv) {
-				t, r, _, _ := srv.VMs[key].Counters()
-				tx += t
-				rx += r
-			}
 			if srv.SmartNIC != nil {
 				hits += srv.SmartNIC.Counters().Hits
 			}
 		}
-		logf("snap tx=%d rx=%d nichits=%d tcam=%d", tx, rx, hits, c.TOR.TCAMUsed())
+		log.logf("snap tx=%d rx=%d nichits=%d tcam=%d", tx, rx, hits, c.TOR.TCAMUsed())
 	})
 
 	// Settle snapshot: the ladder as the latecomer appears.
@@ -314,7 +273,7 @@ func RunTiered(cfg TieredConfig) (TieredResult, error) {
 		var lines []string
 		rankAtSettle, lines = tierLines()
 		res.TiersAtSettle = lines
-		logf("settle tiers=%d", len(lines))
+		log.logf("settle tiers=%d", len(lines))
 	})
 	// End snapshot: who was displaced.
 	eng.At(cfg.Horizon-10*time.Millisecond, func() {
@@ -324,11 +283,11 @@ func RunTiered(cfg TieredConfig) (TieredResult, error) {
 		for s := range rankAtSettle {
 			settled = append(settled, s)
 		}
-		sortStrings(settled)
+		sort.Strings(settled)
 		for _, s := range settled {
 			if rankEnd[s] < rankAtSettle[s] {
 				res.DemotedUnderPressure = append(res.DemotedUnderPressure, s)
-				logf("demoted %s %d->%d", s, rankAtSettle[s], rankEnd[s])
+				log.logf("demoted %s %d->%d", s, rankAtSettle[s], rankEnd[s])
 			}
 		}
 	})
@@ -339,51 +298,17 @@ func RunTiered(cfg TieredConfig) (TieredResult, error) {
 	for s := range graduated {
 		res.Graduated = append(res.Graduated, s)
 	}
-	sortStrings(res.Graduated)
+	sort.Strings(res.Graduated)
 
-	// Conservation accounting (the chaos experiment's equation, plus the
-	// SmartNIC datapath counters — NIC misses and throttles fall back to
-	// the vswitch and must never show up as drops).
+	// Conservation accounting, plus the SmartNIC datapath counters: NIC
+	// misses and throttles fall back to the vswitch and must never show
+	// up as drops.
+	res.Conservation = conserve(c)
 	for _, srv := range c.Servers {
-		for _, key := range sortedVMKeys(srv) {
-			t, r, _, _ := srv.VMs[key].Counters()
-			res.Sent += t
-			res.Delivered += r
-		}
-	}
-	for i := range c.Servers {
-		for _, l := range []interface {
-			Stats() (uint64, uint64, uint64)
-			FaultDrops() (uint64, uint64)
-		}{c.Uplink(i), c.Downlink(i)} {
-			_, _, q := l.Stats()
-			d, lo := l.FaultDrops()
-			res.LinkQueueDrops += q
-			res.LinkDownDrops += d
-			res.LinkLossDrops += lo
-		}
-	}
-	aclDrops, rateDrops, noVRF, torUnrouted, _, _ := c.TOR.Counters()
-	res.RateDrops = rateDrops
-	var denied, swUnrouted, steerMiss uint64
-	for _, srv := range c.Servers {
-		tel := srv.VSwitch.Counters()
-		denied += tel.Denied
-		swUnrouted += tel.Unrouted
-		res.ShapeDrops += tel.Drops.Shape
-		res.UpcallQueueDrops += tel.Drops.UpcallQueue
-		res.ClampDrops += tel.Drops.Clamp
-		_, _, _, _, sm := srv.NIC.Counters()
-		steerMiss += sm
 		if srv.SmartNIC != nil {
 			res.NIC = res.NIC.Add(srv.SmartNIC.Counters())
 		}
 	}
-	res.BlackholeDrops = aclDrops + noVRF + torUnrouted + denied + swUnrouted + steerMiss
-	res.Unaccounted = int64(res.Sent) - int64(res.Delivered) -
-		int64(res.LinkQueueDrops+res.LinkDownDrops+res.LinkLossDrops) -
-		int64(res.ShapeDrops+res.UpcallQueueDrops+res.ClampDrops+res.RateDrops) -
-		int64(res.BlackholeDrops)
 
 	tc := mgr.TORCtl
 	res.NICPlacements = tc.NICPlacements
@@ -394,10 +319,7 @@ func RunTiered(cfg TieredConfig) (TieredResult, error) {
 	res.Demotes = tc.Demotes
 	if inj != nil {
 		res.FaultLog = inj.Log()
-		log = append(append([]string{}, inj.Log()...), log...)
 	}
-	res.Log = log
+	res.Log = log.after(inj)
 	return res, nil
 }
-
-func sortStrings(s []string) { sort.Strings(s) }

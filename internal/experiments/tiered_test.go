@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -60,7 +61,7 @@ func TestTieredDeterminism(t *testing.T) {
 	if len(a.Log) == 0 {
 		t.Fatal("empty event log")
 	}
-	if !equalStrings(a.Log, b.Log) {
+	if !slices.Equal(a.Log, b.Log) {
 		t.Fatalf("same seed, different logs:\n a: %v\n b: %v", tail(a.Log, 10), tail(b.Log, 10))
 	}
 	cfg.Seed = 10
@@ -68,7 +69,7 @@ func TestTieredDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if equalStrings(a.Log, c.Log) {
+	if slices.Equal(a.Log, c.Log) {
 		t.Error("different seeds produced identical logs; runs are not seed-sensitive")
 	}
 }

@@ -38,10 +38,10 @@ go run ./cmd/migrate-trace -trace-out results/fig12-trace.json \
 	>results/migrate-trace.txt
 
 echo "== tiered placement ladder (SmartNIC tier)"
-go run ./cmd/fastrak-sim -tiered -seed 5 -duration 8s >results/tiered-ladder.txt
+go run ./cmd/fastrak-sim -scenario tiered -seed 5 -duration 8s >results/tiered-ladder.txt
 
 echo "== control-plane failover (HA replicas, fencing, leases)"
-go run ./cmd/fastrak-sim -failover -duration 8s >results/failover.txt
+go run ./cmd/fastrak-sim -scenario failover -duration 8s >results/failover.txt
 
 echo "== fastrak-sim traced migration scenario"
 go run ./cmd/fastrak-sim -trace -migrate \
