@@ -36,13 +36,7 @@ bench-update:
 # the offline analyzer over them. Open the .json files in
 # https://ui.perfetto.dev; see README §"Tracing a run".
 trace:
-	mkdir -p results
-	$(GO) run ./cmd/fastrak-sim -trace -migrate \
-		-trace-out results/fastrak-trace.json \
-		-metrics-out results/fastrak-metrics.prom \
-		-csv-out results/fastrak-series.csv
-	$(GO) run ./cmd/migrate-trace -trace-out results/fig12-trace.json \
-		> results/migrate-trace.txt
+	$(GO) run ./cmd/fastrak-sim -out results traced fig12
 	$(GO) run ./cmd/fastrak-trace -churn results/fastrak-trace.json
 
 # Regenerate every checked-in evaluation output (results/) plus the trace

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"sort"
 	"time"
@@ -10,24 +11,25 @@ import (
 	"repro/internal/sketch"
 )
 
-// runSketchScale is the `-sketch -flows N` (N >= sketchScaleFloor) mode:
-// instead of simulating a rack, it measures the accounting subsystem
-// itself at a flow count no exact per-flow table should be asked to
-// carry. A heavy-tailed synthetic stream of N distinct flows is fed
-// through per-shard count-min + space-saving sketches on the wall clock
-// and the shards merge into one top-k demand report.
-func runSketchScale(flows int, seed int64) {
+// playSketchScale is the sketch-scale row: instead of simulating a rack,
+// it measures the accounting subsystem itself at a flow count no exact
+// per-flow table should be asked to carry. A heavy-tailed synthetic
+// stream of 10^6 distinct flows is fed through per-shard count-min +
+// space-saving sketches on the wall clock and the shards merge into one
+// top-k demand report.
+func playSketchScale(w io.Writer, p params) error {
 	const (
+		flows    = 1_000_000
 		shards   = 4
 		topK     = 10_000
 		services = 10_000
 	)
 	obsPerShard := flows // 4 shards -> 4 observations per flow on average
 
-	cfg := sketch.Config{TopK: topK, Width: 1 << 15, Depth: 4, Seed: uint64(seed), Aggregate: true}
+	cfg := sketch.Config{TopK: topK, Width: 1 << 15, Depth: 4, Seed: uint64(p.seed), Aggregate: true}
 	acct := sketch.New(cfg, shards)
 
-	fmt.Printf("sketch scale mode: %d flows, %d services, %d shards, top-k=%d, cm=%dx%d\n",
+	fmt.Fprintf(w, "sketch scale mode: %d flows, %d services, %d shards, top-k=%d, cm=%dx%d\n",
 		flows, services, shards, topK, 1<<15, 4)
 
 	// Phase 1: streaming accrual. Each shard owns a private rng and a
@@ -38,7 +40,7 @@ func runSketchScale(flows int, seed int64) {
 	done := make(chan struct{}, shards)
 	for s := 0; s < shards; s++ {
 		sh := acct.Shard(s)
-		rng := rand.New(rand.NewSource(seed + int64(s)))
+		rng := rand.New(rand.NewSource(p.seed + int64(s)))
 		zipf := rand.NewZipf(rng, 1.2, 1, uint64(flows-1))
 		go func() {
 			for i := 0; i < obsPerShard; i++ {
@@ -61,20 +63,20 @@ func runSketchScale(flows int, seed int64) {
 	}
 	feed := time.Since(start)
 	totalObs := obsPerShard * shards
-	fmt.Printf("accrual: %d observations in %v (%.1f M updates/s across %d shards)\n",
+	fmt.Fprintf(w, "accrual: %d observations in %v (%.1f M updates/s across %d shards)\n",
 		totalObs, feed.Round(time.Millisecond), float64(totalObs)/feed.Seconds()/1e6, shards)
 
 	// Memory: the whole accountant vs what an exact per-flow table would
 	// cost (map entry + key + two counters, ~150 B per live flow). The
 	// sketch is O(k + width*depth), independent of the flow count.
 	exactBytes := flows * 150
-	fmt.Printf("memory: sketch=%d KiB vs exact-table est. %d KiB (%.1fx smaller, flow-count independent)\n",
+	fmt.Fprintf(w, "memory: sketch=%d KiB vs exact-table est. %d KiB (%.1fx smaller, flow-count independent)\n",
 		acct.MemoryBytes()/1024, exactBytes/1024, float64(exactBytes)/float64(acct.MemoryBytes()))
 
 	// Phase 2: merge and report (the quiesced control-plane read).
 	start = time.Now()
 	report := acct.Report()
-	fmt.Printf("merge+report: %d heavy-hitter patterns (floor=%d) in %v\n",
+	fmt.Fprintf(w, "merge+report: %d heavy-hitter patterns (floor=%d) in %v\n",
 		len(report), acct.Floor(), time.Since(start).Round(time.Microsecond))
 
 	// The ranking the TOR would act on.
@@ -83,8 +85,9 @@ func runSketchScale(flows int, seed int64) {
 		top = top[:5]
 	}
 	sort.SliceStable(top, func(i, j int) bool { return top[i].Pkts > top[j].Pkts })
-	fmt.Println("\nhottest aggregates (merged top-k):")
+	fmt.Fprintln(w, "\nhottest aggregates (merged top-k):")
 	for _, pc := range top {
-		fmt.Printf("  %-40s pkts=%-10d bytes=%d (err<=%d)\n", pc.Pattern, pc.Pkts, pc.Bytes, pc.Err)
+		fmt.Fprintf(w, "  %-40s pkts=%-10d bytes=%d (err<=%d)\n", pc.Pattern, pc.Pkts, pc.Bytes, pc.Err)
 	}
+	return nil
 }

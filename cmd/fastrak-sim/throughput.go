@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"runtime"
 	"time"
@@ -11,15 +12,15 @@ import (
 	"repro/internal/vswitch"
 )
 
-// runThroughput drives the sharded batch data plane flat out on the wall
-// clock — the `-shards N` mode. Unlike the rest of fastrak-sim, which
-// advances virtual time deterministically, this mode measures the real
-// machine: N shard workers (1 = the inline deterministic configuration),
-// one producer goroutine per shard, each replaying a private set of
-// pre-built flows through classify → megaflow → shape → encap until the
-// deadline. Producers barrier between passes so packet buffers are never
-// resubmitted while a prior vector still holds them.
-func runThroughput(shards int, duration time.Duration, seed int64) {
+// playThroughput drives the sharded batch data plane flat out for
+// p.horizon of wall clock: the plane rows. Unlike the virtual-time rows,
+// it measures the real machine: shards workers (1 = the inline
+// deterministic configuration), one producer goroutine per shard, each
+// replaying a private set of pre-built flows through classify → megaflow
+// → shape → encap until the deadline. Producers barrier between passes so
+// packet buffers are never resubmitted while a prior vector still holds
+// them.
+func playThroughput(w io.Writer, p params, shards int) error {
 	const (
 		tenants       = 4
 		vmsPerTenant  = 8
@@ -78,23 +79,23 @@ func runThroughput(shards int, duration time.Duration, seed int64) {
 	}
 	sets := make([]prodSet, producers)
 	for pr := 0; pr < producers; pr++ {
-		rng := rand.New(rand.NewSource(seed + int64(pr)))
+		rng := rand.New(rand.NewSource(p.seed + int64(pr)))
 		set := prodSet{}
 		for i := 0; i < flowsPerProd; i++ {
 			src := locals[rng.Intn(len(locals))]
 			t := int(src.Tenant) - 10
 			dst := packet.MakeIP(10, byte(t), 1, byte(10+rng.Intn(vmsPerTenant*remoteServers)))
-			p := packet.NewTCP(src.Tenant, src.IP, dst, uint16(40000+i), uint16(9000+rng.Intn(rulesPerVM)), 256)
+			pkt := packet.NewTCP(src.Tenant, src.IP, dst, uint16(40000+i), uint16(9000+rng.Intn(rulesPerVM)), 256)
 			set.keys = append(set.keys, src)
-			set.pkts = append(set.pkts, p)
+			set.pkts = append(set.pkts, pkt)
 		}
 		sets[pr] = set
 	}
 
-	fmt.Printf("throughput mode: %d shard(s), %d producer(s), %d flows each, GOMAXPROCS=%d, %v wall clock\n",
-		shards, producers, flowsPerProd, runtime.GOMAXPROCS(0), duration)
+	fmt.Fprintf(w, "throughput mode: %d shard(s), %d producer(s), %d flows each, GOMAXPROCS=%d, %v wall clock\n",
+		shards, producers, flowsPerProd, runtime.GOMAXPROCS(0), p.horizon)
 
-	deadline := time.Now().Add(duration)
+	deadline := time.Now().Add(p.horizon)
 	done := make(chan int, producers)
 	start := time.Now()
 	for pr := 0; pr < producers; pr++ {
@@ -103,8 +104,8 @@ func runThroughput(shards int, duration time.Duration, seed int64) {
 			inj := pl.NewInjector()
 			passes := 0
 			for time.Now().Before(deadline) {
-				for i, p := range set.pkts {
-					inj.Egress(set.keys[i], p)
+				for i, pkt := range set.pkts {
+					inj.Egress(set.keys[i], pkt)
 				}
 				inj.Flush()
 				// Barrier before replaying the same packet buffers: a
@@ -124,14 +125,15 @@ func runThroughput(shards int, duration time.Duration, seed int64) {
 
 	c := pl.Counters()
 	pps := float64(c.Packets) / elapsed.Seconds()
-	fmt.Printf("\nprocessed %d packets in %d vectors over %v (%d passes)\n", c.Packets, c.Vectors, elapsed.Round(time.Millisecond), passes)
-	fmt.Printf("throughput: %.2f Mpps total, %.2f Mpps per shard, %.2f Mpps per core (GOMAXPROCS)\n",
+	fmt.Fprintf(w, "\nprocessed %d packets in %d vectors over %v (%d passes)\n", c.Packets, c.Vectors, elapsed.Round(time.Millisecond), passes)
+	fmt.Fprintf(w, "throughput: %.2f Mpps total, %.2f Mpps per shard, %.2f Mpps per core (GOMAXPROCS)\n",
 		pps/1e6, pps/1e6/float64(shards), pps/1e6/float64(runtime.GOMAXPROCS(0)))
-	fmt.Printf("outcomes: tx=%d (local=%d nic=%d) denied=%d unrouted=%d drops=%d epoch-flushes=%d\n",
+	fmt.Fprintf(w, "outcomes: tx=%d (local=%d nic=%d) denied=%d unrouted=%d drops=%d epoch-flushes=%d\n",
 		c.Tx, c.LocalTx, c.NICTx, c.Denied, c.Unrouted, c.Drops.Total(), c.EpochFlushes)
-	fmt.Printf("megaflow: hits=%d misses=%d installs=%d (hit rate %.4f)\n",
+	fmt.Fprintf(w, "megaflow: hits=%d misses=%d installs=%d (hit rate %.4f)\n",
 		c.Megaflow.Hits, c.Megaflow.Misses, c.Megaflow.Installs,
 		float64(c.Megaflow.Hits)/float64(c.Megaflow.Hits+c.Megaflow.Misses))
 	accounted := c.Tx + c.Denied + c.Unrouted + c.Drops.Total()
-	fmt.Printf("conservation: packets=%d accounted=%d (%v)\n", c.Packets, accounted, c.Packets == accounted)
+	fmt.Fprintf(w, "conservation: packets=%d accounted=%d (%v)\n", c.Packets, accounted, c.Packets == accounted)
+	return nil
 }

@@ -1,6 +1,6 @@
 // Command fastrak-trace inspects a Chrome trace-event JSON file written
-// by the telemetry subsystem (fastrak-sim -trace-out, migrate-trace
-// -trace-out, or Telemetry.WriteTrace). The same file loads in Perfetto;
+// by the telemetry subsystem (the fastrak-sim traced and fig12 rows, or
+// Telemetry.WriteTrace). The same file loads in Perfetto;
 // this tool answers the questions a timeline view makes you scroll for:
 //
 //	fastrak-trace -flows  trace.json   # per-flow lifecycle timelines

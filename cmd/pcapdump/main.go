@@ -1,6 +1,6 @@
-// Command pcapdump prints testbed pcap captures (from migrate-trace -pcap
-// or an internal/pcap.Tap) one line per frame, tcpdump-style, decoding the
-// testbed's wire formats including GRE tenant keys and VXLAN VNIs.
+// Command pcapdump prints testbed pcap captures (fastrak-sim fig12-pcap's
+// or an internal/pcap.Tap's) one line per frame, tcpdump-style, decoding
+// the testbed's wire formats including GRE tenant keys and VXLAN VNIs.
 //
 // Usage:
 //

@@ -48,8 +48,9 @@ type FaultConfig struct {
 	// Seed drives the cluster/engine RNG; FaultSeed the injector's.
 	Seed      int64
 	FaultSeed int64
-	// Horizon is the active traffic phase (default 8s); all faults
-	// clear comfortably before it ends so reconvergence is observable.
+	// Horizon is the active traffic phase (default 8s, at least 20ms);
+	// all faults clear comfortably before it ends so reconvergence is
+	// observable.
 	Horizon time.Duration
 	// Drain runs fault-free with senders stopped so in-flight packets
 	// settle before conservation accounting (default 2s).
@@ -254,6 +255,9 @@ func RunFailover(cfg FaultConfig) (FaultResult, error) {
 // invariants.
 func runFaults(cfg FaultConfig, ha core.HAConfig) (FaultResult, error) {
 	cfg.fill()
+	if err := checkHorizon(cfg.Horizon); err != nil {
+		return FaultResult{}, err
+	}
 	c := cluster.New(cluster.Config{
 		Servers:      3,
 		VSwitchCfg:   model.VSwitchConfig{Tunneling: true},

@@ -37,13 +37,8 @@ type Fig12Result struct {
 // offloaded to the express lane at shiftAt, with a brief old-path loss
 // window modeling the bonding-driver losses the paper observed ("some
 // packets that return via the VIF were lost").
-func Fig12(shiftAt time.Duration) Fig12Result { return Fig12Captured(shiftAt, nil) }
-
-// Fig12Captured is Fig12 with an optional pcap writer capturing the
-// receiver's access link ("we ... capture a packet trace at the
-// receiver", §6.2.2).
-func Fig12Captured(shiftAt time.Duration, capture *pcap.Writer) Fig12Result {
-	res, _ := fig12(shiftAt, capture, false)
+func Fig12(shiftAt time.Duration) Fig12Result {
+	res, _ := fig12(shiftAt, nil, false)
 	return res
 }
 
@@ -54,7 +49,9 @@ type Fig12Telemetry struct {
 	Sampler  *telemetry.Sampler
 }
 
-// Fig12Traced is Fig12Captured with the flight recorder attached to every
+// Fig12Traced is Fig12 with an optional pcap writer capturing the
+// receiver's access link ("we ... capture a packet trace at the
+// receiver", §6.2.2) and the flight recorder attached to every
 // testbed component and the TCP connection's trace points bridged in as
 // events (Cause = data/ack/retx/fast-retx/timeout, V1 = sequence number;
 // data and acks are 1-in-64 sampled, recovery events always recorded).

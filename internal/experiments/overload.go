@@ -37,8 +37,8 @@ type OverloadConfig struct {
 	// Seed drives the cluster/engine RNG; FaultSeed the injector's.
 	Seed      int64
 	FaultSeed int64
-	// Horizon is the active phase (default 6s). The storm runs in
-	// [Horizon/6, Horizon/2]; stats faults clear by 2·Horizon/3.
+	// Horizon is the active phase (default 6s, at least 20ms). The storm
+	// runs in [Horizon/6, Horizon/2]; stats faults clear by 2·Horizon/3.
 	Horizon time.Duration
 	// Drain runs storm-free with senders stopped so queues empty before
 	// the accounting is read (default 1s).
@@ -202,6 +202,9 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 	}
 	if cfg.SnapshotEvery <= 0 {
 		cfg.SnapshotEvery = 250 * time.Millisecond
+	}
+	if err := checkHorizon(cfg.Horizon); err != nil {
+		return OverloadResult{}, err
 	}
 
 	c := cluster.New(cluster.Config{

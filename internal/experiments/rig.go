@@ -35,6 +35,19 @@ func scenarioControl() core.Config {
 	return cfg
 }
 
+// minHorizon is the shortest active phase a canned scenario accepts. Each
+// schedules snapshots and plan steps at fractions of its horizon and
+// 10ms before it; a shorter run would place them before time zero.
+const minHorizon = 20 * time.Millisecond
+
+// checkHorizon refuses a horizon below minHorizon.
+func checkHorizon(h time.Duration) error {
+	if h < minHorizon {
+		return fmt.Errorf("horizon %v is below the %v floor", h, minHorizon)
+	}
+	return nil
+}
+
 // Conservation is a scenario's packet ledger, read after the drain:
 // every sent packet is delivered or attributed to a physical cause (link
 // queue, link down, link loss) or to rate enforcement.

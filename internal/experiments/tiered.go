@@ -30,8 +30,8 @@ import (
 type TieredConfig struct {
 	// Seed drives the cluster/engine RNG.
 	Seed int64
-	// Horizon is the active traffic phase (default 8s). The latecomer
-	// starts at Horizon/2 and ramps at 5·Horizon/8.
+	// Horizon is the active traffic phase (default 8s, at least 20ms).
+	// The latecomer starts at Horizon/2 and ramps at 5·Horizon/8.
 	Horizon time.Duration
 	// Drain runs with senders stopped so in-flight packets settle
 	// before conservation accounting (default 2s).
@@ -108,6 +108,9 @@ func RunTiered(cfg TieredConfig) (TieredResult, error) {
 	}
 	if cfg.SnapshotEvery <= 0 {
 		cfg.SnapshotEvery = 50 * time.Millisecond
+	}
+	if err := checkHorizon(cfg.Horizon); err != nil {
+		return TieredResult{}, err
 	}
 
 	nicCfg := smartnic.DefaultConfig()

@@ -5,16 +5,16 @@
 # Usage:
 #   scripts/experiments.sh            # write everything under results/
 #
-# Produces:
-#   results/microbench.txt        Figures 3, 4(a), 4(b), 5
-#   results/evalbench.txt         Tables 1-4 + controller cost
-#   results/migrate-trace.txt     Figure 12 gnuplot series + summary
+# Produces (`go run ./cmd/fastrak-sim list` names each row's files):
+#   results/microbench.txt        Figures 3, 4(a), 4(b), 5      (microbench)
+#   results/evalbench.txt         Tables 1-4 + controller cost  (evalbench)
+#   results/migrate-trace.txt     Figure 12 gnuplot series + summary (fig12)
+#   results/fig12-trace.json      Figure 12 flight-recorder trace (Perfetto)
 #   results/tiered-ladder.txt     three-tier placement ladder (software ->
 #                                 SmartNIC -> TCAM graduation/demotion)
 #   results/failover.txt          control-plane HA failover (elections,
 #                                 fencing, leases, reconvergence)
-#   results/fig12-trace.json      Figure 12 flight-recorder trace (Perfetto)
-#   results/fastrak-trace.json    fastrak-sim -migrate run trace (Perfetto)
+#   results/fastrak-trace.json    traced rack run with a live migration
 #   results/fastrak-metrics.prom  same run, Prometheus text exposition
 #   results/fastrak-series.csv    same run, sampled time series
 #   results/fastrak-trace.txt     offline analysis of the trace (flows/
@@ -25,29 +25,9 @@
 set -eu
 
 cd "$(dirname "$0")/.."
-mkdir -p results
 
-echo "== microbench (Figures 3-5)"
-go run ./cmd/microbench >results/microbench.txt
-
-echo "== evalbench (Tables 1-4, controller cost)"
-go run ./cmd/evalbench >results/evalbench.txt
-
-echo "== migrate-trace (Figure 12 + flight recorder)"
-go run ./cmd/migrate-trace -trace-out results/fig12-trace.json \
-	>results/migrate-trace.txt
-
-echo "== tiered placement ladder (SmartNIC tier)"
-go run ./cmd/fastrak-sim -scenario tiered -seed 5 -duration 8s >results/tiered-ladder.txt
-
-echo "== control-plane failover (HA replicas, fencing, leases)"
-go run ./cmd/fastrak-sim -scenario failover -duration 8s >results/failover.txt
-
-echo "== fastrak-sim traced migration scenario"
-go run ./cmd/fastrak-sim -trace -migrate \
-	-trace-out results/fastrak-trace.json \
-	-metrics-out results/fastrak-metrics.prom \
-	-csv-out results/fastrak-series.csv >/dev/null
+echo "== fastrak-sim: every results/ row in one process"
+go run ./cmd/fastrak-sim -out results microbench evalbench fig12 tiered failover traced >/dev/null
 
 echo "== fastrak-trace offline analysis"
 {
