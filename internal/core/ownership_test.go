@@ -1,0 +1,100 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/openflow"
+	"repro/internal/packet"
+	"repro/internal/rules"
+)
+
+// scribble overwrites every value reachable from v — struct fields, slice
+// elements, pointees — with a different one, the way a Conn's next frame
+// overwrites the report it decoded before.
+func scribble(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			scribble(v.Elem())
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			scribble(v.Field(i))
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			scribble(v.Index(i))
+		}
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(^v.Int())
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(^v.Uint())
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(-v.Float() - 1)
+	}
+}
+
+// TestHandlersKeepNoMessage pins the openflow.Handler rule on every
+// controller: after HandleMessage returns, the caller may overwrite the
+// message and every slice in it (Conn.Recv decodes the next report into
+// the same one) without the controller's state moving.
+func TestHandlersKeepNoMessage(t *testing.T) {
+	tb := newTestbed(t, fastCfg())
+	tc, lc, agent := tb.mgr.TORCtl, tb.mgr.Locals[0], tb.mgr.agents[0]
+	term := tc.Term()
+	pat := func(port uint16) rules.Pattern {
+		return rules.AggregatePattern(packet.AggregateKey{Tenant: 3, VMIP: clientIP, Port: port})
+	}
+	entries := func(ports ...uint16) []openflow.DemandEntry {
+		var out []openflow.DemandEntry
+		for _, p := range ports {
+			out = append(out, openflow.DemandEntry{Pattern: pat(p), PPS: 1e4, BPS: 8e7,
+				Epoch: 1, MedianPPS: 1e4, MedianBPS: 8e7, ActiveEpochs: 2})
+		}
+		return out
+	}
+	split := openflow.RateSplit{Tenant: 3, VMIP: clientIP, EgressSoftBps: 1e9, EgressHardBps: 2e9,
+		IngressSoftBps: 1e9, IngressHardBps: 2e9}
+	state := func() string {
+		return fmt.Sprintf("%+v\n%+v\n%+v\n%+v", tc, lc, agent, agent.tor.Rules())
+	}
+
+	for _, step := range []struct {
+		h   openflow.Handler
+		msg openflow.Message
+	}{
+		{tc, &openflow.DemandReport{ServerID: 0, Interval: 1, Entries: entries(1, 2, 3),
+			Splits: []openflow.RateSplit{split}, NICFree: 4, NICPatterns: []rules.Pattern{pat(4), pat(5)},
+			Sketch: &openflow.SketchMeta{TopK: 8, Width: 64, Depth: 4, Floor: 2, Evictions: 1}}},
+		{tc, &openflow.DemandReport{ServerID: 0, Interval: 1, Entries: entries(6, 7)}},
+		{tc, &openflow.DemandReport{ServerID: 0, Interval: 2, Entries: entries(8),
+			NICPatterns: []rules.Pattern{pat(9)}}},
+		{tc, &openflow.SyncAck{ServerID: 0, Seq: 1, Term: term}},
+		{lc, &openflow.RuleSync{Seq: 1, Patterns: []rules.Pattern{pat(1), pat(2)}, Term: term}},
+		{lc, &openflow.RuleSync{Seq: 2, Patterns: []rules.Pattern{pat(3)}, Term: term,
+			Delta: true, Base: 1, Removes: []rules.Pattern{pat(1)}}},
+		{lc, &openflow.RuleSync{Seq: 3, Patterns: []rules.Pattern{pat(4)}, Term: term, Part: 0, Parts: 2}},
+		{lc, &openflow.RuleSync{Seq: 3, Patterns: []rules.Pattern{pat(5)}, Term: term, Part: 1, Parts: 2}},
+		{lc, &openflow.OffloadDecision{Interval: 1, Term: term,
+			Actions: []openflow.OffloadAction{{Pattern: pat(6), Offload: true}, {Pattern: pat(4)}},
+			HWRates: []openflow.VMRate{{Tenant: 3, VMIP: clientIP, EgressBps: 1e8, IngressMaxed: true}}}},
+		{agent, &openflow.FlowMod{Command: openflow.FlowAdd, Pattern: pat(7), Priority: 10,
+			Out: openflow.PathVF, Cookie: 1, Term: term}},
+	} {
+		before := state()
+		step.h.HandleMessage(step.msg, 1, func(openflow.Message, uint32) {})
+		want := state()
+		if want == before {
+			t.Fatalf("%s %+v left the state as it was: the step tests nothing", step.msg.Type(), step.msg)
+		}
+		scribble(reflect.ValueOf(step.msg))
+		if state() != want {
+			t.Errorf("overwriting a %s after HandleMessage returned changed %T's state: it kept part of the message",
+				step.msg.Type(), step.h)
+		}
+	}
+}

@@ -118,6 +118,9 @@ type TORController struct {
 	toSwitch   *openflow.Transport
 	fromSwitch *openflow.Transport
 
+	// reports holds each server's latest report as the tick reads it —
+	// ServerID, Interval and the entries, copied into a slice the
+	// controller owns and reuses from one interval to the next.
 	reports map[uint32]openflow.DemandReport
 	// lastInterval and lastReportAt track each server's report stream
 	// for gap and staleness detection: skipped interval sequence numbers
@@ -732,10 +735,12 @@ func (tc *TORController) HandleMessage(msg openflow.Message, xid uint32, reply o
 	}
 	switch m := msg.(type) {
 	case *openflow.DemandReport:
-		if cur, ok := tc.reports[m.ServerID]; ok && cur.Interval == m.Interval {
+		// Nothing of m is kept (openflow.Handler): its entries are copied
+		// into the server's own slice, the rest is applied here.
+		cur, ok := tc.reports[m.ServerID]
+		if ok && cur.Interval == m.Interval {
 			// A continuation chunk of this interval's report.
 			cur.Entries = append(cur.Entries, m.Entries...)
-			tc.reports[m.ServerID] = cur
 		} else {
 			// Gap detection: interval sequence numbers that never arrived
 			// mean lost (or badly delayed) reports on this server's stats
@@ -744,20 +749,26 @@ func (tc *TORController) HandleMessage(msg openflow.Message, xid uint32, reply o
 			if last, ok := tc.lastInterval[m.ServerID]; ok && m.Interval > last+1 {
 				tc.StatsGaps += uint64(m.Interval - last - 1)
 			}
-			tc.reports[m.ServerID] = *m
+			cur = openflow.DemandReport{ServerID: m.ServerID, Interval: m.Interval,
+				Entries: append(cur.Entries[:0], m.Entries...)}
 			// The NIC table section rides the first chunk only; a server
 			// without a SmartNIC reports zero free entries and no patterns
 			// and never trips nicSeen.
-			nicSet := make(map[rules.Pattern]bool, len(m.NICPatterns))
+			nicSet := tc.nicReported[m.ServerID]
+			if nicSet == nil {
+				nicSet = make(map[rules.Pattern]bool, len(m.NICPatterns))
+				tc.nicReported[m.ServerID] = nicSet
+			}
+			clear(nicSet)
 			for _, p := range m.NICPatterns {
 				nicSet[p] = true
 			}
-			tc.nicReported[m.ServerID] = nicSet
 			tc.nicFree[m.ServerID] = m.NICFree
 			if m.NICFree > 0 || len(m.NICPatterns) > 0 {
 				tc.nicSeen[m.ServerID] = true
 			}
 		}
+		tc.reports[m.ServerID] = cur
 		if m.Interval > tc.lastInterval[m.ServerID] {
 			tc.lastInterval[m.ServerID] = m.Interval
 		}
@@ -1559,7 +1570,9 @@ func (tc *TORController) demoteVM(tenant packet.TenantID, vmIP packet.IP) {
 }
 
 // LatestReports returns the most recent demand report from each server —
-// exposed for experiment instrumentation.
+// its ServerID, Interval and entries — exposed for experiment
+// instrumentation. A report is valid until the next report from its
+// server, whose entries overwrite it.
 func (tc *TORController) LatestReports() []openflow.DemandReport {
 	ids := make([]uint32, 0, len(tc.reports))
 	for id := range tc.reports {

@@ -19,13 +19,44 @@ func TestMain(m *testing.M) {
 	m.Run()
 }
 
+// microPoint is one (configuration, data size) point of §3.2's
+// microbenchmarks. RunMicroNetwork and RunMicroCPU are pure in it (fixed
+// seeds, a fresh cluster each), so this test binary plays each point once
+// and the tests that assert on it share the result.
+type microPoint struct {
+	pc   PathConfig
+	size int
+}
+
+var (
+	microNetRuns = map[microPoint]MicroResult{}
+	microCPURuns = map[microPoint]CPUResult{}
+)
+
+func memoRun[R any](runs map[microPoint]R, run func(PathConfig, int) R, pc PathConfig, size int) R {
+	r, ok := runs[microPoint{pc, size}]
+	if !ok {
+		r = run(pc, size)
+		runs[microPoint{pc, size}] = r
+	}
+	return r
+}
+
+func microNetwork(pc PathConfig, size int) MicroResult {
+	return memoRun(microNetRuns, RunMicroNetwork, pc, size)
+}
+
+func microCPU(pc PathConfig, size int) CPUResult {
+	return memoRun(microCPURuns, RunMicroCPU, pc, size)
+}
+
 func TestFig3SRIOVWinsEverywhere(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite")
 	}
 	for _, size := range []int{64, 1448} {
-		ovs := RunMicroNetwork(ConfigOVS, size)
-		vf := RunMicroNetwork(ConfigSRIOV, size)
+		ovs := microNetwork(ConfigOVS, size)
+		vf := microNetwork(ConfigSRIOV, size)
 		if vf.AvgLatency >= ovs.AvgLatency {
 			t.Errorf("size %d: SR-IOV latency %v not below OVS %v", size, vf.AvgLatency, ovs.AvgLatency)
 		}
@@ -47,14 +78,14 @@ func TestFig3dBurstTPSFactor(t *testing.T) {
 	}
 	// §3.2.4 / Fig. 3(d): SR-IOV delivers "up to twice the transactions
 	// per second as compared to baseline OVS" (60K vs 34K ≈ 1.76×).
-	ovs := RunMicroNetwork(ConfigOVS, 64)
-	vf := RunMicroNetwork(ConfigSRIOV, 64)
+	ovs := microNetwork(ConfigOVS, 64)
+	vf := microNetwork(ConfigSRIOV, 64)
 	ratio := vf.BurstTPS / ovs.BurstTPS
 	if ratio < 1.5 || ratio > 3.0 {
 		t.Errorf("SR-IOV/OVS burst TPS ratio %.2f outside ~2x band", ratio)
 	}
 	// Rate limiting cuts TPS to 85-88%% of baseline (§3.2.2).
-	rl := RunMicroNetwork(ConfigOVSRL, 64)
+	rl := microNetwork(ConfigOVSRL, 64)
 	rlRatio := rl.BurstTPS / ovs.BurstTPS
 	if rlRatio < 0.75 || rlRatio > 0.96 {
 		t.Errorf("RL/OVS burst TPS ratio %.2f outside 0.85ish band", rlRatio)
@@ -67,14 +98,14 @@ func TestFig3TunnelingCapsThroughput(t *testing.T) {
 	}
 	// §3.2.1: the software VXLAN implementation cannot support rates
 	// beyond ~2 Gbps for the target application data sizes.
-	tun := RunMicroNetwork(ConfigOVSTunnel, 1448)
+	tun := microNetwork(ConfigOVSTunnel, 1448)
 	if tun.ThroughputGbps > 2.5 {
 		t.Errorf("tunneling throughput %.2f Gbps above the ~2 Gbps cap", tun.ThroughputGbps)
 	}
 	if tun.ThroughputGbps < 0.4 {
 		t.Errorf("tunneling throughput %.2f Gbps implausibly low", tun.ThroughputGbps)
 	}
-	base := RunMicroNetwork(ConfigOVS, 1448)
+	base := microNetwork(ConfigOVS, 1448)
 	if tun.AvgLatency <= base.AvgLatency {
 		t.Error("software tunneling did not add latency")
 	}
@@ -88,8 +119,8 @@ func TestFig3LatencyImprovementGradient(t *testing.T) {
 	// improvement increases with hardware offload" (49% at 64 B vs 30%
 	// at 32000 B for burst latency).
 	imp := func(size int) float64 {
-		ovs := RunMicroNetwork(ConfigOVS, size)
-		vf := RunMicroNetwork(ConfigSRIOV, size)
+		ovs := microNetwork(ConfigOVS, size)
+		vf := microNetwork(ConfigSRIOV, size)
 		return 1 - float64(vf.BurstLatency)/float64(ovs.BurstLatency)
 	}
 	small, large := imp(64), imp(32000)
@@ -109,8 +140,8 @@ func TestFig4CPUOverheads(t *testing.T) {
 	// Fig. 4(a): per unit of throughput, SR-IOV needs well under the
 	// baseline's CPU (0.4-0.7× lower).
 	for _, size := range []int{64, 1448} {
-		ovs := RunMicroCPU(ConfigOVS, size)
-		vf := RunMicroCPU(ConfigSRIOV, size)
+		ovs := microCPU(ConfigOVS, size)
+		vf := microCPU(ConfigSRIOV, size)
 		perGbpsOVS := ovs.CPUs / ovs.ThroughputGbps
 		perGbpsVF := vf.CPUs / vf.ThroughputGbps
 		ratio := perGbpsVF / perGbpsOVS
@@ -119,7 +150,7 @@ func TestFig4CPUOverheads(t *testing.T) {
 		}
 	}
 	// §3.2.1: tunneling burns ~2.9 CPUs to push <2 Gbps at 1448 B.
-	tun := RunMicroCPU(ConfigOVSTunnel, 1448)
+	tun := microCPU(ConfigOVSTunnel, 1448)
 	if tun.ThroughputGbps > 2.5 {
 		t.Errorf("tunneling CPU test pushed %.2f Gbps, above cap", tun.ThroughputGbps)
 	}
@@ -137,8 +168,8 @@ func TestFig5CombinedFunctions(t *testing.T) {
 	// paper's regime — software CPU-bound below the rate cap — holds at
 	// 64 B here; at larger sizes both paths are rate-bound at 1 Gbps
 	// and the gap compresses (see EXPERIMENTS.md).
-	sw := RunMicroNetwork(ConfigCombined, 64)
-	hw := RunMicroNetwork(ConfigSRIOVRL, 64)
+	sw := microNetwork(ConfigCombined, 64)
+	hw := microNetwork(ConfigSRIOVRL, 64)
 	ratio := float64(sw.BurstLatency) / float64(hw.BurstLatency)
 	if ratio < 1.8 {
 		t.Errorf("combined/SR-IOV burst latency ratio %.2f, want ≥1.8", ratio)
@@ -148,7 +179,7 @@ func TestFig5CombinedFunctions(t *testing.T) {
 	}
 	// The 1 Gbps hardware limit holds at every size.
 	for _, size := range []int{600, 1448, 32000} {
-		r := RunMicroNetwork(ConfigSRIOVRL, size)
+		r := microNetwork(ConfigSRIOVRL, size)
 		if r.ThroughputGbps > 1.1 {
 			t.Errorf("size %d: hardware rate limit leaked: %.2f Gbps", size, r.ThroughputGbps)
 		}
@@ -314,8 +345,8 @@ func TestTenKSecurityRulesNoSteadyStateOverhead(t *testing.T) {
 	// §3.2: "an OVS instance populated with 10,000 security rules showed
 	// no measurable difference in overhead compared with baseline OVS"
 	// — the O(1) fast path hides the table size after first packets.
-	base := RunMicroNetwork(ConfigOVS, 600)
-	sec := RunMicroNetwork(ConfigOVSSec, 600)
+	base := microNetwork(ConfigOVS, 600)
+	sec := microNetwork(ConfigOVSSec, 600)
 	if sec.ThroughputGbps < base.ThroughputGbps*0.95 {
 		t.Errorf("10k rules cut throughput: %.2f vs %.2f Gbps", sec.ThroughputGbps, base.ThroughputGbps)
 	}

@@ -16,7 +16,9 @@ import (
 // A Conn owns its two buffers: senders encode into enc under mu, and the
 // reader goroutine reads whatever the stream has into rbuf and decodes
 // each frame where it lies (no message aliases its frame, see Decode), so
-// neither direction allocates for a frame.
+// neither direction allocates for a frame. Demand reports, the one
+// message a controller receives in bulk, are decoded into one report the
+// Conn reuses, so a warm receive of one allocates nothing either.
 type Conn struct {
 	mu      sync.Mutex
 	w       io.Writer
@@ -28,6 +30,7 @@ type Conn struct {
 	rbuf       []byte // readBufLen at first, grown by a longer frame, never past MaxFrame
 	rpos, wpos int    // the bytes read and not yet decoded
 	dec        reader
+	report     DemandReport // every report Recv returns
 }
 
 const readBufLen = 4096
@@ -43,7 +46,7 @@ func NewConn(rw io.ReadWriter) *Conn {
 }
 
 // SetDialer registers how to re-establish the stream; it enables
-// Reconnect and ServeReconnect.
+// Reconnect.
 func (c *Conn) SetDialer(d Dialer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -118,8 +121,10 @@ func (c *Conn) WriteFrame(frame []byte) error {
 }
 
 // Recv blocks for the next message. It must be called from one goroutine
-// at a time. A stream that ends between frames returns io.EOF, one that
-// ends inside a frame io.ErrUnexpectedEOF.
+// at a time. The message is valid until the next Recv on this Conn: a
+// demand report is the Conn's own, overwritten by the next one. A stream
+// that ends between frames returns io.EOF, one that ends inside a frame
+// io.ErrUnexpectedEOF.
 func (c *Conn) Recv() (Message, uint32, error) {
 	for {
 		need := headerLen
@@ -129,7 +134,7 @@ func (c *Conn) Recv() (Message, uint32, error) {
 			}
 			if len(have) >= need {
 				c.rpos += need
-				msg, xid, _, err := decode(have[:need], &c.dec)
+				msg, xid, _, err := decode(have[:need], &c.dec, &c.report)
 				return msg, xid, err
 			}
 		}
@@ -189,7 +194,8 @@ func (c *Conn) Handshake() error {
 // the emulated switch) and controllers implement it.
 type Handler interface {
 	// HandleMessage processes msg and may reply via the provided
-	// ReplyFunc (echoing xid).
+	// ReplyFunc (echoing xid). It must not keep msg, or any slice in it,
+	// after it returns: the caller may reuse both (Conn.Recv does).
 	HandleMessage(msg Message, xid uint32, reply ReplyFunc)
 }
 
@@ -220,53 +226,16 @@ func Serve(conn *Conn, h Handler) error {
 	}
 }
 
-// ServeReconnect runs Serve and, on connection failure, redials through
-// the Conn's Dialer with exponential backoff, resuming service on the
-// fresh stream. It gives up after attempts consecutive failed redials
-// (each successful reconnect resets the budget) and returns the last
-// error; an orderly close (io.EOF) returns io.EOF immediately without
-// redialing.
-func ServeReconnect(conn *Conn, h Handler, attempts int, backoff time.Duration) error {
-	if attempts <= 0 {
-		attempts = 3
-	}
-	if backoff <= 0 {
-		backoff = 10 * time.Millisecond
-	}
-	for {
-		err := Serve(conn, h)
-		if err == io.EOF {
-			return io.EOF
-		}
-		reErr := err
-		recovered := false
-		for i := 0; i < attempts; i++ {
-			time.Sleep(reconnectDelay(backoff, i))
-			if reErr = conn.Reconnect(); reErr == nil {
-				recovered = true
-				break
-			}
-		}
-		if !recovered {
-			return fmt.Errorf("openflow: serve failed (%v) and reconnect exhausted: %w", err, reErr)
-		}
-	}
-}
-
 // maxReconnectDelay caps the exponential redial backoff. Long-lived
 // daemons configure large attempt budgets, and an unclamped backoff<<i
 // overflows time.Duration past ~63 doublings — a negative Sleep spins
 // the redial loop hot against a dead controller.
 const maxReconnectDelay = 30 * time.Second
 
-// ReconnectDelay is the clamped exponential backoff schedule used by
-// ServeReconnect, exported so daemon supervision loops that interleave
-// redials with shutdown checks (internal/service) back off identically.
+// ReconnectDelay is the clamped exponential backoff before redial number
+// attempt (from 0), for supervision loops that interleave redials with
+// shutdown checks (internal/service).
 func ReconnectDelay(backoff time.Duration, attempt int) time.Duration {
-	return reconnectDelay(backoff, attempt)
-}
-
-func reconnectDelay(backoff time.Duration, attempt int) time.Duration {
 	if attempt >= 20 {
 		return maxReconnectDelay
 	}

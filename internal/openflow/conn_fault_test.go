@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"sync"
 	"testing"
 	"time"
 )
@@ -115,83 +114,5 @@ func TestReconnect(t *testing.T) {
 	}
 	if err := <-peerDone; err != nil {
 		t.Fatal(err)
-	}
-}
-
-type chanHandler struct{ ch chan Message }
-
-func (h *chanHandler) HandleMessage(msg Message, _ uint32, _ ReplyFunc) { h.ch <- msg }
-
-// TestServeReconnect severs a served connection mid-stream and checks the
-// loop redials, re-handshakes and keeps dispatching; when the dialer runs
-// dry the loop gives up with an error.
-func TestServeReconnect(t *testing.T) {
-	p1a, p1b := net.Pipe()
-	srv := NewConn(p1b)
-	var mu sync.Mutex
-	var next io.ReadWriter
-	srv.SetDialer(func() (io.ReadWriter, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if next == nil {
-			return nil, errors.New("no stream available")
-		}
-		rw := next
-		next = nil
-		return rw, nil
-	})
-
-	h := &chanHandler{ch: make(chan Message, 4)}
-	done := make(chan error, 1)
-	go func() { done <- ServeReconnect(srv, h, 2, time.Millisecond) }()
-
-	a1 := NewConn(p1a)
-	if _, err := a1.Send(EchoRequest{}); err != nil {
-		t.Fatal(err)
-	}
-	if msg := <-h.ch; msg.Type() != TypeEchoRequest {
-		t.Fatalf("first dispatch %s", msg.Type())
-	}
-
-	// Stage a replacement stream, then sever the current one.
-	p2a, p2b := net.Pipe()
-	mu.Lock()
-	next = p2b
-	mu.Unlock()
-	clientUp := make(chan *Conn, 1)
-	go func() {
-		a2 := NewConn(p2a)
-		if err := a2.Handshake(); err != nil {
-			return
-		}
-		if _, err := a2.Send(&BarrierRequest{}); err != nil {
-			return
-		}
-		clientUp <- a2
-	}()
-	// Sever the server's own end: an abrupt local failure (reads fail
-	// with ErrClosedPipe), not the orderly remote close (io.EOF) that
-	// would legitimately end the loop.
-	p1b.Close()
-
-	select {
-	case msg := <-h.ch:
-		if msg.Type() != TypeBarrierRequest {
-			t.Fatalf("post-reconnect dispatch %s, want BARRIER_REQUEST", msg.Type())
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no dispatch after reconnect")
-	}
-	<-clientUp
-
-	// Sever again with no replacement: the redial budget exhausts.
-	p2b.Close()
-	select {
-	case err := <-done:
-		if err == nil || err == io.EOF {
-			t.Fatalf("ServeReconnect returned %v, want a give-up error", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("ServeReconnect did not give up")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"runtime"
@@ -277,4 +278,64 @@ func TestDecodeRejectsBadRate(t *testing.T) {
 	if _, _, _, err := Decode(frame); err != nil {
 		t.Fatalf("a finite rate in the same frame: %v", err)
 	}
+}
+
+// reportSections is a report with every optional section chosen by mask:
+// entries, splits, NIC patterns, sketch.
+func reportSections(mask int) *DemandReport {
+	rep := &DemandReport{ServerID: uint32(mask), Interval: uint32(100 + mask)}
+	if mask&1 != 0 {
+		rep.Entries = report84().Entries[:1+mask]
+	}
+	if mask&2 != 0 {
+		rep.Splits = []RateSplit{{Tenant: 3, VMIP: 0x0a000001, EgressSoftBps: 1e9, EgressHardBps: 2e9}}
+	}
+	if mask&4 != 0 {
+		rep.NICFree = 9
+		rep.NICPatterns = []rules.Pattern{samplePattern()}
+	}
+	if mask&8 != 0 {
+		rep.Sketch = &SketchMeta{TopK: 16, Width: 32, Depth: 2, Floor: 5, Evictions: uint64(mask)}
+	}
+	return rep
+}
+
+// FuzzConnRecv is the differential for a Conn's reused report: a run of
+// valid frames through one Conn decodes, frame by frame, to exactly what a
+// fresh Decode of each frame gives. A field the reset forgot, or an entry
+// array kept too long or too short, shows as the earlier report's value.
+func FuzzConnRecv(f *testing.F) {
+	var all, reversed []byte
+	for mask := 0; mask < 16; mask++ {
+		all = AppendEncode(all, reportSections(mask), uint32(mask))
+		reversed = AppendEncode(reversed, reportSections(15-mask), uint32(mask))
+		f.Add(AppendEncode(Encode(reportSections(15), 1), reportSections(mask), 2))
+	}
+	f.Add(all)
+	f.Add(reversed)
+	f.Add(AppendEncode(AppendEncode(Encode(report84(), 1), EchoRequest{}, 2), syncOf(3, 5), 3))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The valid frames at the head of data, each with its fresh
+		// decode. A message with a NaN in it is not DeepEqual to itself,
+		// so it ends the run like an invalid frame.
+		var stream []byte
+		var want []Message
+		for len(data) > 0 {
+			msg, _, n, err := Decode(data)
+			if again, _, _, _ := Decode(data); err != nil || !reflect.DeepEqual(msg, again) {
+				break
+			}
+			stream, want, data = append(stream, data[:n]...), append(want, msg), data[n:]
+		}
+		c := NewConn(&splitReader{data: stream, end: io.EOF})
+		for i, w := range want {
+			got, _, err := c.Recv()
+			if err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+			if !reflect.DeepEqual(got, w) {
+				t.Fatalf("frame %d through the Conn decodes to\n%+v\nfresh:\n%+v", i, got, w)
+			}
+		}
+	})
 }

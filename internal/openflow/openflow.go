@@ -391,8 +391,9 @@ func (m *DemandReport) unmarshalBody(r *reader) error {
 	if uint64(n)*entryLen > uint64(r.remaining()) {
 		return fmt.Errorf("openflow: demand report claims %d entries beyond body", n)
 	}
-	if n > 0 {
-		m.Entries = make([]DemandEntry, n)
+	// A Conn's report arrives with its entries' array, emptied.
+	if m.Entries = slices.Grow(m.Entries, int(n))[:n]; n == 0 {
+		m.Entries = nil
 	}
 	w := r.next(entryLen * int(n))
 	for i := range m.Entries {
@@ -1151,13 +1152,16 @@ func ChunkDemandReport(rep DemandReport) []DemandReport {
 }
 
 // Decode parses one framed message, returning the message, its xid, and
-// the number of bytes consumed. The message does not alias b: every
-// unmarshalBody copies values out of the frame, so the caller may reuse b
-// at once (Conn.Recv decodes in its read buffer).
-func Decode(b []byte) (Message, uint32, int, error) { return decode(b, new(reader)) }
+// the number of bytes consumed. The message is fresh and does not alias b:
+// every unmarshalBody copies values out of the frame, so the caller may
+// reuse b at once (Conn.Recv decodes in its read buffer).
+func Decode(b []byte) (Message, uint32, int, error) { return decode(b, new(reader), nil) }
 
-// decode is Decode with the body reader supplied by the caller.
-func decode(b []byte, r *reader) (Message, uint32, int, error) {
+// decode is Decode with the body reader supplied by the caller. A demand
+// report is decoded into scratch when it is not nil (a Conn's): every
+// field is reset but the array behind Entries, which the next report
+// reuses.
+func decode(b []byte, r *reader, scratch *DemandReport) (Message, uint32, int, error) {
 	if len(b) < headerLen {
 		return nil, 0, 0, io.ErrShortBuffer
 	}
@@ -1172,7 +1176,7 @@ func decode(b []byte, r *reader) (Message, uint32, int, error) {
 		return nil, 0, 0, io.ErrShortBuffer
 	}
 	xid := binary.BigEndian.Uint32(b[4:8])
-	msg, err := newMessage(MsgType(b[1]))
+	msg, err := newMessage(MsgType(b[1]), scratch)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -1183,7 +1187,7 @@ func decode(b []byte, r *reader) (Message, uint32, int, error) {
 	return msg, xid, length, nil
 }
 
-func newMessage(t MsgType) (Message, error) {
+func newMessage(t MsgType, scratch *DemandReport) (Message, error) {
 	switch t {
 	case TypeHello:
 		return Hello{}, nil
@@ -1202,7 +1206,11 @@ func newMessage(t MsgType) (Message, error) {
 	case TypeBarrierReply:
 		return &BarrierReply{}, nil
 	case TypeDemandReport:
-		return &DemandReport{}, nil
+		if scratch == nil {
+			return &DemandReport{}, nil
+		}
+		*scratch = DemandReport{Entries: scratch.Entries[:0]}
+		return scratch, nil
 	case TypeOffloadDecision:
 		return &OffloadDecision{}, nil
 	case TypeError:

@@ -197,10 +197,10 @@ func (a *Agentd) attachTelemetry() {
 func (a *Agentd) serveLoop() {
 	defer a.wg.Done()
 	for {
-		// Serve's error is discarded deliberately: unlike ServeReconnect,
-		// io.EOF is NOT an orderly end here — a ToR daemon restart closes
-		// the stream cleanly and the agent must still redial. The only
-		// orderly exit is our own shutdown.
+		// Serve's error is discarded deliberately: io.EOF is NOT an
+		// orderly end here — a ToR daemon restart closes the stream
+		// cleanly and the agent must still redial. The only orderly exit
+		// is our own shutdown.
 		_ = openflow.Serve(a.conn, agentHandler{a})
 		a.connected.Store(false)
 		if a.stopping.Load() {

@@ -101,6 +101,11 @@ func (rt *Runtime) loop() {
 // deadline it sleeps towards. After Close the clock no longer drives the
 // engine: a post is dropped, anything else runs at the drained engine's
 // time.
+//
+// fn is called, not scheduled: whoever releases the lock leaves no live
+// event at or before the engine's now, so as an event fn would have been
+// the next one anyway, and the work it schedules at that time still runs
+// after it in (time, sequence) order.
 func (rt *Runtime) run(fn func(), post bool) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -113,7 +118,7 @@ func (rt *Runtime) run(fn func(), post bool) {
 	if !rt.closed {
 		rt.eng.RunUntil(rt.clock.Now())
 	}
-	rt.eng.CallSoon(fn)
+	fn()
 	rt.eng.RunUntil(rt.eng.Now())
 	if next, ok := rt.eng.NextAt(); ok && next < rt.armed && !rt.closed {
 		rt.armed = next // one nudge per deadline

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"sync"
+	"time"
 
 	"repro/internal/adminapi"
 	"repro/internal/cluster"
@@ -38,6 +39,15 @@ type Tord struct {
 	closing bool
 	wg      sync.WaitGroup // accept loop + per-connection read loops
 	httpWg  sync.WaitGroup
+
+	// helloWithin bounds the wait for a new connection's Hello.
+	helloWithin time.Duration
+
+	// agents maps each ServerID to the connection registered for it, the
+	// newest to claim it; superseded counts the older ones that claim
+	// closed. Both are engine state.
+	agents     map[uint32]*agentConn
+	superseded uint64
 }
 
 // agentConn is one connected fastrak-agentd. serverID/registered belong
@@ -69,13 +79,16 @@ func StartTord(cfg TordConfig, clock Clock) (*Tord, error) {
 		TCAMCapacity: cfg.TCAMCapacity,
 		Seed:         cfg.Seed,
 	})
-	svc := core.NewTORService(c, cfg.Controller.coreConfig())
+	ccfg := cfg.Controller.coreConfig()
+	svc := core.NewTORService(c, ccfg)
 
 	t := &Tord{
-		Cfg:     cfg,
-		cluster: c,
-		svc:     svc,
-		conns:   make(map[*agentConn]struct{}),
+		Cfg:         cfg,
+		cluster:     c,
+		svc:         svc,
+		conns:       make(map[*agentConn]struct{}),
+		helloWithin: 2 * ccfg.Measure.Epoch * time.Duration(ccfg.Measure.EpochsPerInterval),
+		agents:      make(map[uint32]*agentConn),
 	}
 	t.attachTelemetry()
 
@@ -99,6 +112,7 @@ func StartTord(cfg TordConfig, clock Clock) (*Tord, error) {
 	t.rt = NewRuntime(c.Eng, clock)
 	t.rt.Do(func() {
 		t.rt.registerMetrics(t.reg)
+		t.reg.Counter("fastrak_tord_agents_superseded_total", "agent connections closed because a newer one claimed their ServerID", &t.superseded)
 		svc.Start()
 	})
 
@@ -160,10 +174,12 @@ func (t *Tord) acceptLoop() {
 	}
 }
 
-// serveAgent runs one agent connection's read loop. The agent identifies
+// serveAgent runs one agent connection's read loop. A peer that says no
+// Hello within two control intervals is closed. The agent identifies
 // itself lazily: the first message carrying a ServerID (a demand report,
 // sync ack or overload hint) attaches it to the decision engine; a read
-// error detaches it and releases its ack-gating state.
+// error detaches it and releases its ack-gating state, unless a newer
+// connection has claimed the ID since.
 func (t *Tord) serveAgent(ac *agentConn) {
 	defer t.wg.Done()
 	defer func() {
@@ -172,9 +188,12 @@ func (t *Tord) serveAgent(ac *agentConn) {
 		t.mu.Unlock()
 		ac.nc.Close()
 	}()
+	// A deadline fails only on a closed socket, which Handshake reports.
+	_ = ac.nc.SetReadDeadline(time.Now().Add(t.helloWithin))
 	if err := ac.conn.Handshake(); err != nil {
 		return
 	}
+	_ = ac.nc.SetReadDeadline(time.Time{})
 	for {
 		msg, xid, err := ac.conn.Recv()
 		if err != nil {
@@ -183,8 +202,8 @@ func (t *Tord) serveAgent(ac *agentConn) {
 		t.rt.Post(func() { t.handleFromAgent(ac, msg, xid) })
 	}
 	t.rt.Post(func() {
-		if ac.registered {
-			ac.registered = false
+		if ac.registered && t.agents[ac.serverID] == ac {
+			delete(t.agents, ac.serverID)
 			t.svc.DetachLocal(ac.serverID)
 		}
 	})
@@ -194,17 +213,31 @@ func (t *Tord) serveAgent(ac *agentConn) {
 func (t *Tord) handleFromAgent(ac *agentConn, msg openflow.Message, xid uint32) {
 	if !ac.registered {
 		if id, ok := serverIDOf(msg); ok {
-			ac.serverID = id
-			ac.registered = true
-			// Outbound transport: encode + count exactly as in-sim, then
-			// write whole frames onto this agent's stream.
-			ac.tr = openflow.NewRemoteTransport(ac.conn.WriteFrame)
-			t.svc.AttachLocal(id, ac.tr)
+			t.register(ac, id)
 		}
+	} else if t.agents[ac.serverID] != ac {
+		return // superseded and closed: what it had buffered is stale
 	}
 	t.svc.TC.HandleMessage(msg, xid, func(m openflow.Message, x uint32) {
 		_ = ac.conn.SendXID(m, x) // best-effort: a lost reply is a lost frame
 	})
+}
+
+// register binds id to ac. The newest connection wins: an agent that
+// reconnects while its old socket lingers (half-open after a crash) takes
+// the ID over, and the old connection is closed rather than left to
+// detach the new one when its read loop ends.
+func (t *Tord) register(ac *agentConn, id uint32) {
+	if old := t.agents[id]; old != nil {
+		old.nc.Close()
+		t.superseded++
+	}
+	t.agents[id] = ac
+	ac.serverID, ac.registered = id, true
+	// Outbound transport: encode + count exactly as in-sim, then write
+	// whole frames onto this agent's stream.
+	ac.tr = openflow.NewRemoteTransport(ac.conn.WriteFrame)
+	t.svc.AttachLocal(id, ac.tr)
 }
 
 // serverIDOf extracts the sender identity from the message kinds local

@@ -1,0 +1,154 @@
+package service
+
+import (
+	"errors"
+	"io"
+	"net"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/openflow"
+	"repro/internal/packet"
+	"repro/internal/rules"
+)
+
+// rawAgent dials tord, says Hello and sends the empty report by which an
+// agent claims its ServerID.
+func rawAgent(t *testing.T, tord *Tord, id uint32) (net.Conn, *openflow.Conn) {
+	t.Helper()
+	nc, err := net.Dial("tcp", tord.ControlAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	c := openflow.NewConn(nc)
+	if err := c.Handshake(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Send(&openflow.DemandReport{ServerID: id, Interval: 1}); err != nil {
+		t.Fatal(err)
+	}
+	return nc, c
+}
+
+// awaitSync reads c until a RuleSync for which want holds.
+func awaitSync(t *testing.T, nc net.Conn, c *openflow.Conn, want func(*openflow.RuleSync) bool) {
+	t.Helper()
+	if err := nc.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		msg, _, err := c.Recv()
+		if err != nil {
+			t.Fatalf("waiting for a RuleSync: %v", err)
+		}
+		if m, ok := msg.(*openflow.RuleSync); ok && want(m) {
+			return
+		}
+	}
+}
+
+// TestNewestConnectionKeepsItsServerID: an agent that reconnects while its
+// old socket lingers takes its ServerID over. The old connection is closed
+// and counted, and its end does not detach the new one, which stays
+// attached and keeps receiving RuleSyncs.
+func TestNewestConnectionKeepsItsServerID(t *testing.T) {
+	tord := quietTord(t, 100)
+	agentIDs := func() (ids []uint32) {
+		tord.rt.Do(func() { ids = tord.svc.AgentIDs() })
+		return ids
+	}
+	conns := func() int {
+		tord.mu.Lock()
+		defer tord.mu.Unlock()
+		return len(tord.conns)
+	}
+	anySync := func(*openflow.RuleSync) bool { return true }
+
+	firstNC, first := rawAgent(t, tord, 7)
+	awaitSync(t, firstNC, first, anySync) // the attach's full sync
+	secondNC, second := rawAgent(t, tord, 7)
+	awaitSync(t, secondNC, second, anySync)
+	firstNC.Close()
+	waitFor(t, 10*time.Second, func() bool { return conns() == 1 })
+
+	if ids := agentIDs(); !slices.Equal(ids, []uint32{7}) {
+		t.Fatalf("after the old connection ended, attached agents are %v, want [7]", ids)
+	}
+	var superseded uint64
+	tord.rt.Do(func() { superseded = tord.superseded })
+	if superseded != 1 {
+		t.Errorf("superseded connections counted %d, want 1", superseded)
+	}
+	// An unpin publishes: the set left, p, goes to every attached agent.
+	p, q := lanePattern(0), lanePattern(1)
+	tord.rt.Do(func() { tord.svc.Pin(p); tord.svc.Pin(q) })
+	waitFor(t, 10*time.Second, func() bool { return len(offloadedAt(tord)) == 2 })
+	tord.rt.Do(func() { tord.svc.Unpin(q) })
+	awaitSync(t, secondNC, second, func(m *openflow.RuleSync) bool { return slices.Contains(m.Patterns, p) })
+}
+
+// TestSilentPeerIsClosed: a peer that connects and never says Hello is
+// closed once two control intervals have passed.
+func TestSilentPeerIsClosed(t *testing.T) {
+	tord, err := StartTord(TordConfig{
+		ListenControl: "127.0.0.1:0",
+		ListenAdmin:   "none",
+		Controller:    ControllerConfig{Epoch: Duration(10 * time.Millisecond), EpochsPerInterval: 2},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tord.Close()
+	nc, err := net.Dial("tcp", tord.ControlAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if err := nc.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// The daemon's own Hello arrives first; then the stream ends.
+	if _, err := io.Copy(io.Discard, nc); err != nil {
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			t.Fatal("a silent peer was still connected after 10s")
+		}
+	}
+}
+
+// discardConn stands in for an agent's socket: it takes every reply.
+type discardConn struct{}
+
+func (discardConn) Read([]byte) (int, error)    { return 0, io.EOF }
+func (discardConn) Write(b []byte) (int, error) { return len(b), nil }
+
+// TestTordIngestAllocs: on a warm tord, the engine's side of a round — the
+// agent's report and the echo behind it, posted as the read loop posts
+// them — allocates nothing.
+func TestTordIngestAllocs(t *testing.T) {
+	tord, err := StartTord(TordConfig{ListenControl: "127.0.0.1:0", ListenAdmin: "none"}, &ManualClock{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tord.Close()
+	ac := &agentConn{conn: openflow.NewConn(discardConn{})}
+	rep := &openflow.DemandReport{ServerID: 1}
+	for i := 0; i < 84; i++ {
+		rep.Entries = append(rep.Entries, openflow.DemandEntry{
+			Pattern: rules.AggregatePattern(packet.AggregateKey{Tenant: 3, VMIP: packet.IP(0x0a030000 + i), Port: 80}),
+			PPS:     1000, BPS: 8e6, Epoch: 1, MedianPPS: 1000, MedianBPS: 8e6, ActiveEpochs: 2,
+		})
+	}
+	round := func() {
+		rep.Interval++ // a repeated interval would append as a continuation
+		tord.rt.Post(func() { tord.handleFromAgent(ac, rep, 1) })
+		tord.rt.Post(func() { tord.handleFromAgent(ac, openflow.EchoRequest{}, 2) })
+	}
+	round() // attaches the agent
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("a warm tord allocates %v times to ingest a report and an echo, want 0", n)
+	}
+}
