@@ -1,6 +1,6 @@
 // Command fastrak-agentd runs the FasTrak per-host local controller and
 // data-plane model as a long-lived daemon. It dials the fastrak-tord
-// control listener (redialing with backoff when the connection drops),
+// control listener (redialing with backoff until it is stopped),
 // measures tenant demand, programs flow placers when offload decisions
 // arrive, and mirrors express-lane rules into the host-side data path.
 // The admin HTTP listener serves tenant onboarding, placement inspection,
@@ -14,7 +14,10 @@
 //
 //	fastrak-agentd ready server=<id> admin=<addr>
 //
-// and drains gracefully on SIGINT/SIGTERM.
+// and drains gracefully on SIGINT/SIGTERM. Ready means the admin API is
+// up and the daemon is dialing the ToR; it does not wait for the ToR.
+// The admin API's /healthz "connected" field tells whether the control
+// connection is up.
 package main
 
 import (

@@ -24,7 +24,6 @@ type Conn struct {
 	w       io.Writer
 	enc     buffer
 	nextXID uint32
-	dial    Dialer
 
 	r          io.Reader
 	rbuf       []byte // readBufLen at first, grown by a longer frame, never past MaxFrame
@@ -35,48 +34,9 @@ type Conn struct {
 
 const readBufLen = 4096
 
-// Dialer re-establishes the underlying byte stream after a connection
-// failure. Implementations typically wrap net.Dial with the controller's
-// address.
-type Dialer func() (io.ReadWriter, error)
-
 // NewConn wraps rw.
 func NewConn(rw io.ReadWriter) *Conn {
 	return &Conn{w: rw, r: rw, rbuf: make([]byte, readBufLen), nextXID: 1}
-}
-
-// SetDialer registers how to re-establish the stream; it enables
-// Reconnect.
-func (c *Conn) SetDialer(d Dialer) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.dial = d
-}
-
-// Reconnect closes the current stream (when it is an io.Closer), redials
-// through the registered Dialer and re-runs the Hello handshake. It must
-// be called from the reader goroutine (typically a Serve loop that just
-// returned an error): swapping the reader under an active Recv is not
-// supported. Concurrent Sends are excluded by the connection mutex while
-// the stream is swapped.
-func (c *Conn) Reconnect() error {
-	c.mu.Lock()
-	if c.dial == nil {
-		c.mu.Unlock()
-		return fmt.Errorf("openflow: reconnect without a dialer")
-	}
-	if cl, ok := c.w.(io.Closer); ok {
-		_ = cl.Close()
-	}
-	rw, err := c.dial()
-	if err != nil {
-		c.mu.Unlock()
-		return fmt.Errorf("openflow: redial: %w", err)
-	}
-	c.w, c.r = rw, rw
-	c.rpos, c.wpos = 0, 0 // bytes of the dead stream
-	c.mu.Unlock()
-	return c.Handshake()
 }
 
 // Send writes one message, returning the transaction id assigned to it.
@@ -207,34 +167,34 @@ type ReplyFunc func(msg Message, xid uint32)
 // (readable, unwritable) the reply path is the only place the failure
 // surfaces, so reply-send errors terminate the loop instead of being
 // discarded and looping forever. The returned error is io.EOF on orderly
-// close.
+// close. The reply func is made once per Serve, not per message, so a
+// frame costs no allocation here.
 func Serve(conn *Conn, h Handler) error {
-	for {
+	var sendErr error
+	reply := func(m Message, x uint32) {
+		if err := conn.SendXID(m, x); err != nil && sendErr == nil {
+			sendErr = err
+		}
+	}
+	for sendErr == nil {
 		msg, xid, err := conn.Recv()
 		if err != nil {
 			return err
 		}
-		var sendErr error
-		h.HandleMessage(msg, xid, func(m Message, x uint32) {
-			if err := conn.SendXID(m, x); err != nil && sendErr == nil {
-				sendErr = err
-			}
-		})
-		if sendErr != nil {
-			return sendErr
-		}
+		h.HandleMessage(msg, xid, reply)
 	}
+	return sendErr
 }
 
-// maxReconnectDelay caps the exponential redial backoff. Long-lived
-// daemons configure large attempt budgets, and an unclamped backoff<<i
+// maxReconnectDelay caps the exponential redial backoff. A redial loop
+// counts its attempts without bound, and an unclamped backoff<<i
 // overflows time.Duration past ~63 doublings — a negative Sleep spins
 // the redial loop hot against a dead controller.
 const maxReconnectDelay = 30 * time.Second
 
 // ReconnectDelay is the clamped exponential backoff before redial number
-// attempt (from 0), for supervision loops that interleave redials with
-// shutdown checks (internal/service).
+// attempt (from 0), for a loop that redials until it is stopped
+// (internal/service's agentd).
 func ReconnectDelay(backoff time.Duration, attempt int) time.Duration {
 	if attempt >= 20 {
 		return maxReconnectDelay

@@ -130,24 +130,6 @@ func TestRecvFragmented(t *testing.T) {
 	}
 }
 
-// TestRecvDiscardsBufferedBytesOnReconnect: what the dead stream left in the read
-// buffer — here the first half of a frame — is not glued to the new one.
-func TestRecvDiscardsBufferedBytesOnReconnect(t *testing.T) {
-	rep := Encode(report84(), 1)
-	c := NewConn(&splitReader{data: rep[:len(rep)/2], end: errWireBroken})
-	if _, _, err := c.Recv(); !errors.Is(err, errWireBroken) {
-		t.Fatalf("first stream: %v", err)
-	}
-	fresh := append(Encode(Hello{}, 1), Encode(&SyncAck{ServerID: 3, Seq: 4}, 8)...)
-	c.SetDialer(func() (io.ReadWriter, error) { return &splitReader{data: fresh, end: io.EOF}, nil })
-	if err := c.Reconnect(); err != nil {
-		t.Fatalf("reconnect: %v", err)
-	}
-	if msg, xid, err := c.Recv(); err != nil || xid != 8 || !reflect.DeepEqual(msg, &SyncAck{ServerID: 3, Seq: 4}) {
-		t.Fatalf("first frame of the new stream: %+v xid %d, %v", msg, xid, err)
-	}
-}
-
 // TestConnSendAllocs: a warm Conn builds and writes a frame in its own
 // buffer.
 func TestConnSendAllocs(t *testing.T) {

@@ -3,7 +3,7 @@ package openflow
 import (
 	"errors"
 	"io"
-	"net"
+	"math"
 	"testing"
 	"time"
 )
@@ -57,62 +57,15 @@ func TestServeReturnsReplySendError(t *testing.T) {
 	}
 }
 
-// TestReconnectWithoutDialer pins the error path.
-func TestReconnectWithoutDialer(t *testing.T) {
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
-	if err := NewConn(c2).Reconnect(); err == nil {
-		t.Fatal("Reconnect without a dialer must fail")
-	}
-}
-
-// TestReconnect closes the stream under a Conn and verifies the dialer
-// supplies a fresh one, the Hello handshake re-runs, and traffic flows
-// again.
-func TestReconnect(t *testing.T) {
-	p1a, p1b := net.Pipe()
-	conn := NewConn(p1b)
-	p2a, p2b := net.Pipe()
-	defer p2a.Close()
-	conn.SetDialer(func() (io.ReadWriter, error) { return p2b, nil })
-
-	// The far end of the replacement stream: handshakes, then answers one
-	// echo.
-	peerDone := make(chan error, 1)
-	go func() {
-		peer := NewConn(p2a)
-		if err := peer.Handshake(); err != nil {
-			peerDone <- err
-			return
+// TestReconnectDelayIsBounded: a redial loop counts its attempts without
+// bound, so every attempt number and every backoff must give a delay that
+// is positive — no hot loop — and at most the cap.
+func TestReconnectDelayIsBounded(t *testing.T) {
+	for _, backoff := range []time.Duration{time.Millisecond, 50 * time.Millisecond, math.MaxInt64} {
+		for _, attempt := range []int{0, 1, 19, 20, 64, 1 << 20} {
+			if d := ReconnectDelay(backoff, attempt); d <= 0 || d > 30*time.Second {
+				t.Errorf("ReconnectDelay(%v, %d) = %v, want in (0, 30s]", backoff, attempt, d)
+			}
 		}
-		msg, xid, err := peer.Recv()
-		if err != nil {
-			peerDone <- err
-			return
-		}
-		if msg.Type() != TypeEchoRequest {
-			peerDone <- errors.New("expected echo request")
-			return
-		}
-		peerDone <- peer.SendXID(EchoReply{}, xid)
-	}()
-
-	p1a.Close() // kill the original stream
-	if err := conn.Reconnect(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Send(EchoRequest{}); err != nil {
-		t.Fatal(err)
-	}
-	msg, _, err := conn.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg.Type() != TypeEchoReply {
-		t.Errorf("got %s, want ECHO_REPLY", msg.Type())
-	}
-	if err := <-peerDone; err != nil {
-		t.Fatal(err)
 	}
 }

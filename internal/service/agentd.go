@@ -1,11 +1,12 @@
 package service
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
-	"io"
 	"net"
-	"net/http"
-	"sync"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -18,48 +19,37 @@ import (
 	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/smartnic"
-	"repro/internal/telemetry"
 	"repro/internal/vswitch"
 )
 
 // Agentd is the fastrak-agentd daemon: one host's local controller plus
 // its full data-plane model (vswitch, flow placers, optional SmartNIC,
 // express-lane rule mirror) as a long-lived process. It dials the
-// fastrak-tord control listener and keeps redialing through the
-// openflow.Conn reconnect path when the connection drops.
+// fastrak-tord control listener and redials, on a fresh connection each
+// time, until it is closed.
 type Agentd struct {
+	daemon
 	Cfg AgentConfig
 
-	rt      *Runtime
 	cluster *cluster.Cluster
 	svc     *core.AgentService
 
-	rec     *telemetry.Recorder
-	reg     *telemetry.Registry
-	sampler *telemetry.Sampler
-
-	conn      *openflow.Conn
-	connected atomic.Bool
-	stopping  atomic.Bool
-	stop      chan struct{} // interrupts redial backoff sleeps
-
-	// netMu guards nc, the current TCP stream, swapped on reconnect.
-	netMu sync.Mutex
-	nc    net.Conn
-
-	adminLn net.Listener
-	httpSrv *http.Server
-	httpWg  sync.WaitGroup
-	wg      sync.WaitGroup // control-connection serve loop
+	// conn is the control connection from its Hello until it ends, nil in
+	// between: the remote transport writes through it.
+	conn atomic.Pointer[openflow.Conn]
 
 	// tickers belong to the engine thread: synthetic traffic streams to
 	// stop on shutdown.
 	tickers []*sim.Ticker
 }
 
-// StartAgentd builds the daemon, dials the ToR controller (retrying with
-// the configured backoff budget) and starts the measurement cadence on
-// wall time.
+// errNotConnected is the remote transport's send error between
+// connections: the frame is lost, as on a dead stream.
+var errNotConnected = errors.New("service: agentd not connected")
+
+// StartAgentd builds the daemon, starts the measurement cadence on wall
+// time and starts dialing the ToR controller. It does not wait for the
+// ToR: Connected tells when the control connection is up.
 func StartAgentd(cfg AgentConfig, clock Clock) (*Agentd, error) {
 	cfg.normalize()
 	if clock == nil {
@@ -80,186 +70,79 @@ func StartAgentd(cfg AgentConfig, clock Clock) (*Agentd, error) {
 		SmartNIC:     nicCfg,
 	})
 
-	a := &Agentd{Cfg: cfg, cluster: c, stop: make(chan struct{})}
-
-	// Initial dial, with the same backoff budget as reconnects: at boot
-	// the ToR daemon may simply not be up yet.
-	nc, err := a.dialRetry()
-	if err != nil {
-		return nil, err
-	}
-	a.setNetConn(nc)
-	a.conn = openflow.NewConn(nc)
-	a.conn.SetDialer(a.dialOnce)
-	if err := a.conn.Handshake(); err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("service: agentd handshake: %w", err)
-	}
-	a.connected.Store(true)
+	a := &Agentd{Cfg: cfg, cluster: c}
 
 	// The server's ID is its rack-wide wire identity: demand reports and
 	// sync acks carry it, and the ToR daemon attaches/acks-gates by it.
 	// Must be set before the controller is built (the ME snapshots it).
 	c.Servers[0].ID = int(cfg.ServerID)
-	toTOR := openflow.NewRemoteTransport(a.conn.WriteFrame)
-	a.svc = core.NewAgentService(c, cfg.Controller.coreConfig(), toTOR)
-	a.attachTelemetry()
+	ccfg := cfg.Controller.coreConfig()
+	a.svc = core.NewAgentService(c, ccfg, openflow.NewRemoteTransport(a.sendFrame))
+	a.open(c, a.svc.M, ccfg, cfg.SampleInterval.D())
 
-	if cfg.ListenAdmin != "none" {
-		adminLn, lerr := net.Listen("tcp", cfg.ListenAdmin)
-		if lerr != nil {
-			nc.Close()
-			return nil, fmt.Errorf("service: agentd admin listen: %w", lerr)
-		}
-		a.adminLn = adminLn
+	if err := a.start(c.Eng, clock, cfg.ListenAdmin, a.adminHooks(), a.svc.Start); err != nil {
+		return nil, fmt.Errorf("service: agentd %w", err)
 	}
-
-	a.rt = NewRuntime(c.Eng, clock)
-	a.rt.Do(func() {
-		a.rt.registerMetrics(a.reg)
-		a.svc.Start()
-	})
-
 	a.wg.Add(1)
-	go a.serveLoop()
-	if a.adminLn != nil {
-		a.httpSrv = &http.Server{Handler: adminapi.New(a.adminHooks())}
-		a.httpWg.Add(1)
-		go func() {
-			defer a.httpWg.Done()
-			_ = a.httpSrv.Serve(a.adminLn)
-		}()
-	}
+	go a.dialLoop()
 	return a, nil
 }
 
-// AdminAddr is the bound admin listener address ("" when disabled).
-func (a *Agentd) AdminAddr() string {
-	if a.adminLn == nil {
-		return ""
-	}
-	return a.adminLn.Addr().String()
-}
-
 // Connected reports whether the control connection is currently up.
-func (a *Agentd) Connected() bool { return a.connected.Load() }
+func (a *Agentd) Connected() bool { return a.conn.Load() != nil }
 
-func (a *Agentd) setNetConn(nc net.Conn) {
-	a.netMu.Lock()
-	a.nc = nc
-	a.netMu.Unlock()
+// sendFrame is the remote transport's sender: it writes on the current
+// connection.
+func (a *Agentd) sendFrame(frame []byte) error {
+	if c := a.conn.Load(); c != nil {
+		return c.WriteFrame(frame)
+	}
+	return errNotConnected
 }
 
-// dialOnce is the openflow.Dialer: one attempt, fail-fast while the
-// daemon is stopping so a shutdown never blocks on a dead controller.
-func (a *Agentd) dialOnce() (io.ReadWriter, error) {
-	if a.stopping.Load() {
-		return nil, fmt.Errorf("service: agentd stopping")
-	}
-	nc, err := net.DialTimeout("tcp", a.Cfg.TORAddr, a.Cfg.DialTimeout.D())
-	if err != nil {
-		return nil, err
-	}
-	a.setNetConn(nc)
-	return nc, nil
-}
-
-func (a *Agentd) dialRetry() (net.Conn, error) {
-	var lastErr error
-	for i := 0; i < a.Cfg.ReconnectAttempts; i++ {
-		nc, err := net.DialTimeout("tcp", a.Cfg.TORAddr, a.Cfg.DialTimeout.D())
-		if err == nil {
-			return nc, nil
-		}
-		lastErr = err
-		time.Sleep(openflow.ReconnectDelay(a.Cfg.ReconnectBackoff.D(), i))
-	}
-	return nil, fmt.Errorf("service: agentd dial %s: %w", a.Cfg.TORAddr, lastErr)
-}
-
-func (a *Agentd) attachTelemetry() {
-	eng := a.cluster.Eng
-	a.rec = telemetry.NewRecorder(eng.Now, telemetry.Config{})
-	a.reg = telemetry.NewRegistry()
-	a.cluster.AttachTelemetry(a.rec, a.reg)
-	a.svc.M.AttachTelemetry(a.rec, a.reg)
-	if iv := a.Cfg.SampleInterval.D(); iv > 0 {
-		a.sampler = telemetry.NewSampler(a.reg, iv)
-		a.sampler.Tick(eng.Now())
-		eng.Every(iv, func() { a.sampler.Tick(eng.Now()) })
-	}
-}
-
-// serveLoop reads control messages and runs the engine on each (Post); on connection failure it redials through Conn.Reconnect with
-// the clamped exponential backoff, checking for shutdown between
-// attempts. It exits when the redial budget is exhausted or the daemon
-// stops.
-func (a *Agentd) serveLoop() {
+// dialLoop keeps the agent connected until Close: dial, serve the stream
+// on a fresh Conn through the daemon's connection path, back off, dial
+// again. Every end of a stream is a reason to redial, io.EOF included: a
+// ToR daemon restart closes streams cleanly, and the agent must outlive
+// it. The backoff grows with each attempt that reached no Hello and
+// starts over after one that did; it sleeps against the stop channel, so
+// Close never waits it out.
+func (a *Agentd) dialLoop() {
 	defer a.wg.Done()
-	for {
-		// Serve's error is discarded deliberately: io.EOF is NOT an
-		// orderly end here — a ToR daemon restart closes the stream
-		// cleanly and the agent must still redial. The only orderly exit
-		// is our own shutdown.
-		_ = openflow.Serve(a.conn, agentHandler{a})
-		a.connected.Store(false)
-		if a.stopping.Load() {
+	for attempt := 0; ; attempt++ {
+		if nc, err := net.DialTimeout("tcp", a.Cfg.TORAddr, a.Cfg.DialTimeout.D()); err == nil && a.track(nc) {
+			conn := openflow.NewConn(nc)
+			a.serve(nc, conn, agentHandler{a}, func() {
+				a.conn.Store(conn)
+				attempt = 0
+			})
+			a.conn.Store(nil)
+		}
+		select {
+		case <-a.stop:
 			return
+		case <-time.After(openflow.ReconnectDelay(a.Cfg.ReconnectBackoff.D(), attempt)):
 		}
-		recovered := false
-		for i := 0; i < a.Cfg.ReconnectAttempts; i++ {
-			select {
-			case <-a.stop:
-				return
-			case <-time.After(openflow.ReconnectDelay(a.Cfg.ReconnectBackoff.D(), i)):
-			}
-			if a.conn.Reconnect() == nil {
-				recovered = true
-				break
-			}
-		}
-		if !recovered {
-			return
-		}
-		a.connected.Store(true)
 	}
 }
 
-// agentHandler runs the engine on the reader goroutine, for its message.
+// agentHandler runs the engine on the read loop, for its message.
 type agentHandler struct{ a *Agentd }
 
-func (h agentHandler) HandleMessage(msg openflow.Message, xid uint32, _ openflow.ReplyFunc) {
-	a := h.a
-	a.rt.Post(func() {
-		a.svc.LC.HandleMessage(msg, xid, func(m openflow.Message, x uint32) {
-			_ = a.conn.SendXID(m, x) // best-effort: a lost reply is a lost frame
-		})
-	})
+func (h agentHandler) HandleMessage(msg openflow.Message, xid uint32, reply openflow.ReplyFunc) {
+	h.a.rt.Post(func() { h.a.svc.LC.HandleMessage(msg, xid, reply) })
 }
 
 func (a *Agentd) adminHooks() adminapi.Hooks {
 	return adminapi.Hooks{
 		Health: func() adminapi.Health {
-			connected := a.connected.Load()
+			connected := a.Connected()
 			return adminapi.Health{
 				Role:      "agentd",
 				NowUS:     a.rt.Now().Microseconds(),
 				ServerID:  a.Cfg.ServerID,
 				Connected: &connected,
 			}
-		},
-		WriteMetrics: func(w io.Writer) error {
-			var err error
-			a.rt.Do(func() { err = telemetry.WritePrometheus(w, a.reg) })
-			return err
-		},
-		WriteSeriesCSV: func(w io.Writer) error {
-			if a.sampler == nil {
-				return nil
-			}
-			var err error
-			a.rt.Do(func() { err = telemetry.WriteSeriesCSV(w, a.sampler) })
-			return err
 		},
 		Placements: func() []adminapi.Placement {
 			var out []adminapi.Placement
@@ -288,20 +171,10 @@ func (a *Agentd) listVMs() []adminapi.VMInfo {
 			})
 		}
 	})
-	sortVMs(out)
+	slices.SortFunc(out, func(x, y adminapi.VMInfo) int {
+		return cmp.Or(cmp.Compare(x.Tenant, y.Tenant), strings.Compare(x.IP, y.IP))
+	})
 	return out
-}
-
-func sortVMs(vms []adminapi.VMInfo) {
-	for i := 1; i < len(vms); i++ {
-		for j := i; j > 0; j-- {
-			a, b := vms[j-1], vms[j]
-			if a.Tenant < b.Tenant || (a.Tenant == b.Tenant && a.IP <= b.IP) {
-				break
-			}
-			vms[j-1], vms[j] = b, a
-		}
-	}
 }
 
 func (a *Agentd) addVM(req adminapi.VMRequest) error {
@@ -383,29 +256,13 @@ func (a *Agentd) startTraffic(req adminapi.TrafficRequest) error {
 }
 
 // Close drains the daemon: admin first, then the control connection and
-// its serve loop, then the controller cadence and traffic streams on the
-// engine thread, then the clock driver.
+// its dial loop, then the controller cadence and traffic streams on the
+// engine thread, then the clock driver. Safe to call more than once.
 func (a *Agentd) Close() error {
-	if a.stopping.Swap(true) {
-		return nil
-	}
-	close(a.stop)
-	if a.httpSrv != nil {
-		_ = a.httpSrv.Close()
-		a.httpWg.Wait()
-	}
-	a.netMu.Lock()
-	if a.nc != nil {
-		a.nc.Close() // unblocks the serve loop's Recv
-	}
-	a.netMu.Unlock()
-	a.wg.Wait()
-	a.rt.Do(func() {
+	return a.shutdown(func() {
 		for _, t := range a.tickers {
 			t.Stop()
 		}
 		a.svc.Stop()
 	})
-	a.rt.Close()
-	return nil
 }

@@ -154,9 +154,6 @@ type AgentConfig struct {
 	Seed int64 `json:"seed,omitempty"`
 	// DialTimeout bounds each connection attempt (default 2s).
 	DialTimeout Duration `json:"dial_timeout,omitempty"`
-	// ReconnectAttempts is the redial budget after a connection drop
-	// (default 8; each successful reconnect resets it).
-	ReconnectAttempts int `json:"reconnect_attempts,omitempty"`
 	// ReconnectBackoff is the initial redial backoff, doubling per
 	// attempt up to the protocol cap (default 50ms).
 	ReconnectBackoff Duration `json:"reconnect_backoff,omitempty"`
@@ -187,9 +184,6 @@ func (c *AgentConfig) normalize() {
 	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = Duration(2 * time.Second)
-	}
-	if c.ReconnectAttempts <= 0 {
-		c.ReconnectAttempts = 8
 	}
 	if c.ReconnectBackoff <= 0 {
 		c.ReconnectBackoff = Duration(50 * time.Millisecond)

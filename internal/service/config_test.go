@@ -11,10 +11,11 @@ import (
 // trailingConfigs hold a valid object followed by something else.
 var trailingConfigs = []string{`{"seed":2}{"seed":3}`, `{"seed":2} junk`}
 
-// TestLoadConfigRejects: a lease of two reconcile periods or less, and
-// data after the object, fail the load for either daemon; the error names
-// what is wrong. With a 50ms epoch and two epochs an interval the bound is
-// eight 100ms intervals.
+// TestLoadConfigRejects: a lease of two reconcile periods or less, data
+// after the object, and a field neither daemon has (a redial budget:
+// agentd redials until it is stopped) fail the load for either daemon;
+// the error names what is wrong. With a 50ms epoch and two epochs an
+// interval the bound is eight 100ms intervals.
 func TestLoadConfigRejects(t *testing.T) {
 	lease := func(ttl string) string {
 		return `{"controller": {"epoch": "50ms", "lease_ttl": "` + ttl + `"}}`
@@ -29,6 +30,7 @@ func TestLoadConfigRejects(t *testing.T) {
 		{"a second object", trailingConfigs[0], "data after the object"},
 		{"junk after the object", trailingConfigs[1], "data after the object"},
 		{"trailing whitespace", "{\"seed\":2}\n\t \n", ""},
+		{"the removed redial budget", `{"reconnect_attempts": 8}`, `unknown field "reconnect_attempts"`},
 	} {
 		path := filepath.Join(t.TempDir(), "cfg.json")
 		if err := writeFile(path, c.body); err != nil {

@@ -302,8 +302,8 @@ func TestAgentReconnect(t *testing.T) {
 
 	// Kill the server side of the control connection.
 	tord.mu.Lock()
-	for ac := range tord.conns {
-		ac.nc.Close()
+	for nc := range tord.conns {
+		nc.Close()
 	}
 	tord.mu.Unlock()
 
@@ -314,6 +314,107 @@ func TestAgentReconnect(t *testing.T) {
 		apiGet(t, tord.AdminAddr(), "/healthz", &h)
 		return len(h.Agents) == 1 && agent.Connected()
 	})
+}
+
+// TestAgentOutlivesALongToROutage: an agent whose ToR is gone for longer
+// than a budget of fast redials would last comes back once a ToR listens
+// on the same address again.
+func TestAgentOutlivesALongToROutage(t *testing.T) {
+	cfg := TordConfig{ListenControl: "127.0.0.1:0", ListenAdmin: "none", Controller: testControllerCfg()}
+	tord, err := StartTord(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { tord.Close() }()
+	agent, err := StartAgentd(AgentConfig{
+		ServerID:         1,
+		TORAddr:          tord.ControlAddr(),
+		ListenAdmin:      "none",
+		ReconnectBackoff: Duration(time.Millisecond),
+		Controller:       testControllerCfg(),
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agent.Close()
+	waitFor(t, 10*time.Second, agent.Connected)
+
+	cfg.ListenControl = tord.ControlAddr()
+	tord.Close()
+	waitFor(t, 10*time.Second, func() bool { return !agent.Connected() })
+	time.Sleep(time.Second) // the outage
+	if tord, err = StartTord(cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		var ids []uint32
+		tord.rt.Do(func() { ids = tord.svc.AgentIDs() })
+		return len(ids) == 1 && agent.Connected()
+	})
+}
+
+// TestAgentRedialsASilentToR: a ToR that accepts and never says Hello is
+// hung up on after two control intervals and dialed again.
+func TestAgentRedialsASilentToR(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var (
+		mu       sync.Mutex
+		accepted []net.Conn
+	)
+	defer func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, nc := range accepted {
+			nc.Close()
+		}
+	}()
+	accepts := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(accepted)
+	}
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			accepted = append(accepted, nc)
+			mu.Unlock()
+		}
+	}()
+
+	// On its own goroutine: a StartAgentd that waits for the ToR's Hello
+	// must fail the test, not hang it.
+	type started struct {
+		agent *Agentd
+		err   error
+	}
+	start := make(chan started, 1)
+	go func() {
+		agent, err := StartAgentd(AgentConfig{
+			ServerID:         1,
+			TORAddr:          ln.Addr().String(),
+			ListenAdmin:      "none",
+			ReconnectBackoff: Duration(time.Millisecond),
+			Controller:       ControllerConfig{Epoch: Duration(10 * time.Millisecond), EpochsPerInterval: 2},
+		}, nil)
+		start <- started{agent, err}
+	}()
+	waitFor(t, 5*time.Second, func() bool { return accepts() >= 2 })
+	s := <-start
+	if s.err != nil {
+		t.Fatal(s.err)
+	}
+	if s.agent.Connected() {
+		t.Error("connected to a ToR that never said Hello")
+	}
+	s.agent.Close()
 }
 
 // TestTordRuleCRUD exercises admin pin/unpin against the live install

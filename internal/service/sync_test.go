@@ -131,8 +131,8 @@ func TestReconnectedAgentGetsTheWholeSet(t *testing.T) {
 	// The same process on a new connection: the demotion announced while it
 	// was away is lost, and only the sync can take the placement back.
 	tord.mu.Lock()
-	for ac := range tord.conns {
-		ac.nc.Close()
+	for nc := range tord.conns {
+		nc.Close()
 	}
 	tord.mu.Unlock()
 	waitFor(t, 10*time.Second, func() bool { return !attached() })

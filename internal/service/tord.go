@@ -2,17 +2,12 @@ package service
 
 import (
 	"fmt"
-	"io"
 	"net"
-	"net/http"
-	"sync"
-	"time"
 
 	"repro/internal/adminapi"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/openflow"
-	"repro/internal/telemetry"
 )
 
 // Tord is the fastrak-tord daemon: the ToR decision engine as a
@@ -20,28 +15,10 @@ import (
 // and speak the openflow wire protocol; operators talk to the admin
 // HTTP listener.
 type Tord struct {
+	daemon
 	Cfg TordConfig
 
-	rt      *Runtime
-	cluster *cluster.Cluster
-	svc     *core.TORService
-
-	rec     *telemetry.Recorder
-	reg     *telemetry.Registry
-	sampler *telemetry.Sampler
-
-	controlLn net.Listener
-	adminLn   net.Listener
-	httpSrv   *http.Server
-
-	mu      sync.Mutex // guards conns/closing (daemon lifecycle, not engine state)
-	conns   map[*agentConn]struct{}
-	closing bool
-	wg      sync.WaitGroup // accept loop + per-connection read loops
-	httpWg  sync.WaitGroup
-
-	// helloWithin bounds the wait for a new connection's Hello.
-	helloWithin time.Duration
+	svc *core.TORService
 
 	// agents maps each ServerID to the connection registered for it, the
 	// newest to claim it; superseded counts the older ones that claim
@@ -82,15 +59,8 @@ func StartTord(cfg TordConfig, clock Clock) (*Tord, error) {
 	ccfg := cfg.Controller.coreConfig()
 	svc := core.NewTORService(c, ccfg)
 
-	t := &Tord{
-		Cfg:         cfg,
-		cluster:     c,
-		svc:         svc,
-		conns:       make(map[*agentConn]struct{}),
-		helloWithin: 2 * ccfg.Measure.Epoch * time.Duration(ccfg.Measure.EpochsPerInterval),
-		agents:      make(map[uint32]*agentConn),
-	}
-	t.attachTelemetry()
+	t := &Tord{Cfg: cfg, svc: svc, agents: make(map[uint32]*agentConn)}
+	t.open(c, svc.M, ccfg, cfg.SampleInterval.D())
 
 	controlLn, err := net.Listen("tcp", cfg.ListenControl)
 	if err != nil {
@@ -98,109 +68,45 @@ func StartTord(cfg TordConfig, clock Clock) (*Tord, error) {
 	}
 	t.controlLn = controlLn
 
-	if cfg.ListenAdmin != "none" {
-		adminLn, err := net.Listen("tcp", cfg.ListenAdmin)
-		if err != nil {
-			controlLn.Close()
-			return nil, fmt.Errorf("service: tord admin listen: %w", err)
-		}
-		t.adminLn = adminLn
-	}
-
 	// Everything scheduled so far (sampler ticks) sits at virtual time
 	// 0; the runtime takes over and replays it against the wall.
-	t.rt = NewRuntime(c.Eng, clock)
-	t.rt.Do(func() {
-		t.rt.registerMetrics(t.reg)
+	if err := t.start(c.Eng, clock, cfg.ListenAdmin, t.adminHooks(), func() {
 		t.reg.Counter("fastrak_tord_agents_superseded_total", "agent connections closed because a newer one claimed their ServerID", &t.superseded)
 		svc.Start()
-	})
+	}); err != nil {
+		controlLn.Close()
+		return nil, fmt.Errorf("service: tord %w", err)
+	}
 
 	t.wg.Add(1)
 	go t.acceptLoop()
-	if t.adminLn != nil {
-		t.httpSrv = &http.Server{Handler: adminapi.New(t.adminHooks())}
-		t.httpWg.Add(1)
-		go func() {
-			defer t.httpWg.Done()
-			_ = t.httpSrv.Serve(t.adminLn)
-		}()
-	}
 	return t, nil
 }
 
 // ControlAddr is the bound control listener address.
 func (t *Tord) ControlAddr() string { return t.controlLn.Addr().String() }
 
-// AdminAddr is the bound admin listener address ("" when disabled).
-func (t *Tord) AdminAddr() string {
-	if t.adminLn == nil {
-		return ""
-	}
-	return t.adminLn.Addr().String()
-}
-
-func (t *Tord) attachTelemetry() {
-	eng := t.cluster.Eng
-	t.rec = telemetry.NewRecorder(eng.Now, telemetry.Config{})
-	t.reg = telemetry.NewRegistry()
-	t.cluster.AttachTelemetry(t.rec, t.reg)
-	t.svc.M.AttachTelemetry(t.rec, t.reg)
-	if iv := t.Cfg.SampleInterval.D(); iv > 0 {
-		t.sampler = telemetry.NewSampler(t.reg, iv)
-		t.sampler.Tick(eng.Now())
-		eng.Every(iv, func() { t.sampler.Tick(eng.Now()) })
-	}
-}
-
 func (t *Tord) acceptLoop() {
 	defer t.wg.Done()
 	for {
 		nc, err := t.controlLn.Accept()
-		if err != nil {
-			return // listener closed: shutting down
+		if err != nil || !t.track(nc) {
+			return // shutting down
 		}
-		t.mu.Lock()
-		if t.closing {
-			t.mu.Unlock()
-			nc.Close()
-			return
-		}
-		ac := &agentConn{nc: nc, conn: openflow.NewConn(nc)}
-		t.conns[ac] = struct{}{}
 		t.wg.Add(1)
-		t.mu.Unlock()
-		go t.serveAgent(ac)
+		go t.serveAgent(&agentConn{nc: nc, conn: openflow.NewConn(nc)})
 	}
 }
 
-// serveAgent runs one agent connection's read loop. A peer that says no
-// Hello within two control intervals is closed. The agent identifies
-// itself lazily: the first message carrying a ServerID (a demand report,
-// sync ack or overload hint) attaches it to the decision engine; a read
-// error detaches it and releases its ack-gating state, unless a newer
-// connection has claimed the ID since.
+// serveAgent runs one agent connection through the daemon's connection
+// path. The agent identifies itself lazily: the first message carrying a
+// ServerID (a demand report, sync ack or overload hint) attaches it to
+// the decision engine; the end of the connection detaches it and
+// releases its ack-gating state, unless a newer connection has claimed
+// the ID since.
 func (t *Tord) serveAgent(ac *agentConn) {
 	defer t.wg.Done()
-	defer func() {
-		t.mu.Lock()
-		delete(t.conns, ac)
-		t.mu.Unlock()
-		ac.nc.Close()
-	}()
-	// A deadline fails only on a closed socket, which Handshake reports.
-	_ = ac.nc.SetReadDeadline(time.Now().Add(t.helloWithin))
-	if err := ac.conn.Handshake(); err != nil {
-		return
-	}
-	_ = ac.nc.SetReadDeadline(time.Time{})
-	for {
-		msg, xid, err := ac.conn.Recv()
-		if err != nil {
-			break
-		}
-		t.rt.Post(func() { t.handleFromAgent(ac, msg, xid) })
-	}
+	t.serve(ac.nc, ac.conn, tordHandler{t, ac}, nil)
 	t.rt.Post(func() {
 		if ac.registered && t.agents[ac.serverID] == ac {
 			delete(t.agents, ac.serverID)
@@ -209,8 +115,18 @@ func (t *Tord) serveAgent(ac *agentConn) {
 	})
 }
 
+// tordHandler runs the engine on the read loop of ac, for its message.
+type tordHandler struct {
+	t  *Tord
+	ac *agentConn
+}
+
+func (h tordHandler) HandleMessage(msg openflow.Message, xid uint32, reply openflow.ReplyFunc) {
+	h.t.rt.Post(func() { h.t.handleFromAgent(h.ac, msg, xid, reply) })
+}
+
 // handleFromAgent runs on the engine: on ac's read loop, inside Post.
-func (t *Tord) handleFromAgent(ac *agentConn, msg openflow.Message, xid uint32) {
+func (t *Tord) handleFromAgent(ac *agentConn, msg openflow.Message, xid uint32, reply openflow.ReplyFunc) {
 	if !ac.registered {
 		if id, ok := serverIDOf(msg); ok {
 			t.register(ac, id)
@@ -218,9 +134,7 @@ func (t *Tord) handleFromAgent(ac *agentConn, msg openflow.Message, xid uint32) 
 	} else if t.agents[ac.serverID] != ac {
 		return // superseded and closed: what it had buffered is stale
 	}
-	t.svc.TC.HandleMessage(msg, xid, func(m openflow.Message, x uint32) {
-		_ = ac.conn.SendXID(m, x) // best-effort: a lost reply is a lost frame
-	})
+	t.svc.TC.HandleMessage(msg, xid, reply)
 }
 
 // register binds id to ac. The newest connection wins: an agent that
@@ -264,19 +178,6 @@ func (t *Tord) adminHooks() adminapi.Hooks {
 				NowUS:  t.rt.Now().Microseconds(),
 				Agents: agents,
 			}
-		},
-		WriteMetrics: func(w io.Writer) error {
-			var err error
-			t.rt.Do(func() { err = telemetry.WritePrometheus(w, t.reg) })
-			return err
-		},
-		WriteSeriesCSV: func(w io.Writer) error {
-			if t.sampler == nil {
-				return nil
-			}
-			var err error
-			t.rt.Do(func() { err = telemetry.WriteSeriesCSV(w, t.sampler) })
-			return err
 		},
 		Placements: func() []adminapi.Placement {
 			var out []adminapi.Placement
@@ -329,29 +230,4 @@ func (t *Tord) adminHooks() adminapi.Hooks {
 // Close drains the daemon: stop accepting admin and control traffic,
 // drop agent connections, halt the decision cadence on the engine
 // thread, then stop the clock driver. Safe to call more than once.
-func (t *Tord) Close() error {
-	t.mu.Lock()
-	if t.closing {
-		t.mu.Unlock()
-		return nil
-	}
-	t.closing = true
-	conns := make([]*agentConn, 0, len(t.conns))
-	for ac := range t.conns {
-		conns = append(conns, ac)
-	}
-	t.mu.Unlock()
-
-	if t.httpSrv != nil {
-		_ = t.httpSrv.Close()
-		t.httpWg.Wait()
-	}
-	t.controlLn.Close()
-	for _, ac := range conns {
-		ac.nc.Close() // unblocks the read loops, which post their detach
-	}
-	t.wg.Wait()
-	t.rt.Do(t.svc.Stop)
-	t.rt.Close()
-	return nil
-}
+func (t *Tord) Close() error { return t.shutdown(t.svc.Stop) }

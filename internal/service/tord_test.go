@@ -5,6 +5,8 @@ import (
 	"io"
 	"net"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -141,14 +143,138 @@ func TestTordIngestAllocs(t *testing.T) {
 			PPS:     1000, BPS: 8e6, Epoch: 1, MedianPPS: 1000, MedianBPS: 8e6, ActiveEpochs: 2,
 		})
 	}
+	reply := func(m openflow.Message, x uint32) { _ = ac.conn.SendXID(m, x) }
 	round := func() {
 		rep.Interval++ // a repeated interval would append as a continuation
-		tord.rt.Post(func() { tord.handleFromAgent(ac, rep, 1) })
-		tord.rt.Post(func() { tord.handleFromAgent(ac, openflow.EchoRequest{}, 2) })
+		tord.rt.Post(func() { tord.handleFromAgent(ac, rep, 1, reply) })
+		tord.rt.Post(func() { tord.handleFromAgent(ac, openflow.EchoRequest{}, 2, reply) })
 	}
 	round() // attaches the agent
 	round()
 	if n := testing.AllocsPerRun(100, round); n != 0 {
 		t.Errorf("a warm tord allocates %v times to ingest a report and an echo, want 0", n)
+	}
+}
+
+// halfBrokenConn is an agent's socket that stays readable but takes no
+// write after the Hello: it yields frames, then blocks until closed.
+type halfBrokenConn struct {
+	net.Conn    // the methods the connection path does not call
+	frames      []byte
+	closed      chan struct{}
+	once        sync.Once
+	echoRefused atomic.Bool
+}
+
+var errWriteBroken = errors.New("write side broken")
+
+func (c *halfBrokenConn) Read(p []byte) (int, error) {
+	if len(c.frames) > 0 {
+		n := copy(p, c.frames)
+		c.frames = c.frames[n:]
+		return n, nil
+	}
+	<-c.closed
+	return 0, net.ErrClosed
+}
+
+func (c *halfBrokenConn) Write(b []byte) (int, error) {
+	switch openflow.MsgType(b[1]) {
+	case openflow.TypeHello:
+		return len(b), nil
+	case openflow.TypeEchoReply:
+		c.echoRefused.Store(true)
+	}
+	return 0, errWriteBroken
+}
+
+func (c *halfBrokenConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return nil
+}
+
+func (c *halfBrokenConn) SetReadDeadline(time.Time) error { return nil }
+
+// TestFailedReplyEndsTheConnection: a connection that is readable but not
+// writable ends at its first failed reply, instead of being served
+// forever, and the agent a report registered on it is detached.
+func TestFailedReplyEndsTheConnection(t *testing.T) {
+	tord := quietTord(t, 100)
+	var in []byte
+	in = append(in, openflow.Encode(openflow.Hello{}, 1)...)
+	in = append(in, openflow.Encode(&openflow.DemandReport{ServerID: 5, Interval: 1}, 2)...)
+	in = append(in, openflow.Encode(openflow.EchoRequest{}, 3)...)
+	nc := &halfBrokenConn{frames: in, closed: make(chan struct{})}
+	t.Cleanup(func() { nc.Close() })
+
+	done := make(chan struct{})
+	tord.wg.Add(1)
+	go func() {
+		tord.serveAgent(&agentConn{nc: nc, conn: openflow.NewConn(nc)})
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a connection whose replies fail was still served after 5s")
+	}
+	if !nc.echoRefused.Load() {
+		t.Fatal("the connection ended before the echo's reply was written")
+	}
+	var ids []uint32
+	tord.rt.Do(func() { ids = tord.svc.AgentIDs() })
+	if len(ids) != 0 {
+		t.Errorf("agents %v still attached after their connection ended", ids)
+	}
+}
+
+// TestTordReadLoopAllocs: TestTordIngestAllocs's round, sent over a socket
+// into the connection path the daemon runs — Serve, Post and the reply —
+// allocates nothing either.
+func TestTordReadLoopAllocs(t *testing.T) {
+	tord, err := StartTord(TordConfig{ListenControl: "127.0.0.1:0", ListenAdmin: "none"}, &ManualClock{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tord.Close()
+	nc, err := net.Dial("tcp", tord.ControlAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	conn := openflow.NewConn(nc)
+	if err := conn.Handshake(); err != nil {
+		t.Fatal(err)
+	}
+	rep := &openflow.DemandReport{ServerID: 1}
+	for i := 0; i < 84; i++ {
+		rep.Entries = append(rep.Entries, openflow.DemandEntry{
+			Pattern: rules.AggregatePattern(packet.AggregateKey{Tenant: 3, VMIP: packet.IP(0x0a030000 + i), Port: 80}),
+			PPS:     1000, BPS: 8e6, Epoch: 1, MedianPPS: 1000, MedianBPS: 8e6, ActiveEpochs: 2,
+		})
+	}
+	var echo openflow.Message = openflow.EchoRequest{}
+	round := func() {
+		rep.Interval++
+		if _, err := conn.Send(rep); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Send(echo); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			msg, _, err := conn.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg.Type() == openflow.TypeEchoReply {
+				return
+			}
+		}
+	}
+	round() // attaches the agent
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("a warm tord allocates %v times to serve a report and an echo off its socket, want 0", n)
 	}
 }
