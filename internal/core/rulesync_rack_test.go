@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"strings"
@@ -205,6 +206,7 @@ func (sp *splitPair) agent(serverID uint32) *AgentService {
 	const delay = 100 * time.Microsecond
 	var as *AgentService
 	up := openflow.NewRemoteTransport(func(frame []byte) error {
+		frame = bytes.Clone(frame)
 		sp.torEng.After(delay, func() {
 			if sp.agents[serverID] != as {
 				return // the connection of a process that is gone
@@ -222,6 +224,7 @@ func (sp *splitPair) agent(serverID uint32) *AgentService {
 	sp.tor.AttachLocal(serverID, openflow.NewRemoteTransport(func(frame []byte) error {
 		sp.maxFrame = max(sp.maxFrame, len(frame))
 		sp.toAgent++
+		frame = bytes.Clone(frame)
 		c.Eng.After(delay, func() {
 			msg, xid, _, err := openflow.Decode(frame)
 			if err != nil {

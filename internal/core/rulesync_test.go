@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
@@ -69,7 +70,7 @@ func newSyncWorld(t *testing.T, seed int64, locals int) *syncWorld {
 			if len(frame) > openflow.MaxFrame {
 				t.Fatalf("a %d-byte frame", len(frame))
 			}
-			w.wire[i] = append(w.wire[i], frame)
+			w.wire[i] = append(w.wire[i], bytes.Clone(frame))
 			return nil
 		}))
 		w.wireAcks(i)

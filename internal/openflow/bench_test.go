@@ -83,6 +83,7 @@ func BenchmarkConnRoundTrip(b *testing.B) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	client, server := NewConn(c1), NewConn(c2)
+	reply := NewRemoteTransport(server.WriteFrame)
 	go func() {
 		defer c2.Close()
 		for {
@@ -90,8 +91,8 @@ func BenchmarkConnRoundTrip(b *testing.B) {
 			if err != nil {
 				return
 			}
-			if msg.Type() == TypeEchoRequest && server.SendXID(EchoReply{}, xid) != nil {
-				return
+			if msg.Type() == TypeEchoRequest {
+				reply.Reply(EchoReply{}, xid)
 			}
 		}
 	}()

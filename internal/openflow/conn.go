@@ -9,11 +9,12 @@ import (
 )
 
 // Conn frames messages over a byte stream (a net.Conn in deployments, a
-// net.Pipe in tests). Send and Recv are independently safe for one writer
-// and one reader goroutine; Send is additionally mutex-guarded so multiple
-// senders interleave whole frames.
+// net.Pipe in tests). Writes and Recv are independently safe for one
+// writer and one reader goroutine; writes are additionally mutex-guarded
+// so multiple writers interleave whole frames.
 //
-// A Conn owns its two buffers: senders encode into enc under mu, and the
+// A Conn owns its two buffers: Send encodes into enc under mu (a
+// Transport encodes into its own and writes through WriteFrame), and the
 // reader goroutine reads whatever the stream has into rbuf and decodes
 // each frame where it lies (no message aliases its frame, see Decode), so
 // neither direction allocates for a frame. Demand reports, the one
@@ -45,32 +46,15 @@ func (c *Conn) Send(msg Message) (uint32, error) {
 	defer c.mu.Unlock()
 	xid := c.nextXID
 	c.nextXID++
-	return xid, c.write(msg, xid)
-}
-
-// write encodes msg into the connection's buffer and writes the frame;
-// the caller holds mu.
-func (c *Conn) write(msg Message, xid uint32) error {
-	c.enc.b = c.enc.b[:0]
-	appendFrame(&c.enc, msg, xid)
-	if _, err := c.w.Write(c.enc.b); err != nil {
-		return fmt.Errorf("openflow: send %s: %w", msg.Type(), err)
+	if _, err := c.w.Write(c.enc.frame(msg, xid)); err != nil {
+		return xid, fmt.Errorf("openflow: send %s: %w", msg.Type(), err)
 	}
-	return nil
-}
-
-// SendXID writes one message with an explicit transaction id (used for
-// replies, which echo the request's xid).
-func (c *Conn) SendXID(msg Message, xid uint32) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.write(msg, xid)
+	return xid, nil
 }
 
 // WriteFrame writes one pre-encoded frame, mutex-guarded like Send so
-// frames from multiple writers interleave whole. It is the glue between
-// a remote-mode Transport (which encodes and counts) and the byte
-// stream.
+// frames from multiple writers interleave whole. It is how a remote-mode
+// Transport (which encodes and counts) reaches the byte stream.
 func (c *Conn) WriteFrame(frame []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -162,28 +146,19 @@ type Handler interface {
 // ReplyFunc sends a reply correlated to a request.
 type ReplyFunc func(msg Message, xid uint32)
 
-// Serve reads messages from conn and dispatches to h until the first
-// error — a read failure or a failed reply send. On a half-broken pipe
-// (readable, unwritable) the reply path is the only place the failure
-// surfaces, so reply-send errors terminate the loop instead of being
-// discarded and looping forever. The returned error is io.EOF on orderly
-// close. The reply func is made once per Serve, not per message, so a
-// frame costs no allocation here.
-func Serve(conn *Conn, h Handler) error {
-	var sendErr error
-	reply := func(m Message, x uint32) {
-		if err := conn.SendXID(m, x); err != nil && sendErr == nil {
-			sendErr = err
-		}
-	}
-	for sendErr == nil {
+// Serve reads messages from conn and hands each to h with reply, until a
+// read fails; the error is io.EOF on orderly close. Serve writes nothing:
+// reply is the Reply of the connection's outbound Transport, whose sender
+// ends the connection on a failed write by closing the stream under
+// Recv.
+func Serve(conn *Conn, h Handler, reply ReplyFunc) error {
+	for {
 		msg, xid, err := conn.Recv()
 		if err != nil {
 			return err
 		}
 		h.HandleMessage(msg, xid, reply)
 	}
-	return sendErr
 }
 
 // maxReconnectDelay caps the exponential redial backoff. A redial loop

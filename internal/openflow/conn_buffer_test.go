@@ -10,6 +10,8 @@ import (
 	"testing/iotest"
 )
 
+var errWireBroken = errors.New("wire broken")
+
 // splitReader hands out a byte stream in reads of the given sizes (then
 // whole), whatever the caller's buffer could take, and ends with end.
 type splitReader struct {
@@ -140,7 +142,7 @@ func TestConnSendAllocs(t *testing.T) {
 		if _, err := c.Send(rep); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.SendXID(echo, 3); err != nil {
+		if _, err := c.Send(echo); err != nil {
 			t.Fatal(err)
 		}
 	}

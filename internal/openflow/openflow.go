@@ -1105,9 +1105,17 @@ func AppendEncode(dst []byte, msg Message, xid uint32) []byte {
 	return b.b
 }
 
-// appendFrame is AppendEncode on a buffer the caller keeps (a Conn's),
-// which is what lets a send allocate nothing: the body is marshalled in
-// place behind the header.
+// frame encodes msg's frame into b in place of what b held and returns
+// it: a buffer the sender keeps is what lets a warm send allocate
+// nothing (a Conn's, a Transport's).
+func (b *buffer) frame(msg Message, xid uint32) []byte {
+	b.b = b.b[:0]
+	appendFrame(b, msg, xid)
+	return b.b
+}
+
+// appendFrame marshals msg's frame onto b, the body in place behind the
+// header.
 func appendFrame(b *buffer, msg Message, xid uint32) {
 	start := len(b.b)
 	b.b = append(b.b, Version, uint8(msg.Type()), 0, 0, 0, 0, 0, 0)

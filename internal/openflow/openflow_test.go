@@ -115,7 +115,7 @@ func TestConnOverPipe(t *testing.T) {
 			done <- io.ErrUnexpectedEOF
 			return
 		}
-		done <- b.SendXID(&StatsReply{Flows: []FlowStat{{Packets: 1}}}, xid)
+		done <- b.WriteFrame(Encode(&StatsReply{Flows: []FlowStat{{Packets: 1}}}, xid))
 	}()
 
 	xid, err := a.Send(&StatsRequest{})
@@ -171,7 +171,7 @@ func TestServeDispatches(t *testing.T) {
 	a, b := NewConn(c1), NewConn(c2)
 	h := &recordingHandler{reply: &BarrierReply{}}
 	done := make(chan error, 1)
-	go func() { done <- Serve(b, h) }()
+	go func() { done <- Serve(b, h, NewRemoteTransport(b.WriteFrame).Reply) }()
 
 	xid, err := a.Send(&BarrierRequest{})
 	if err != nil {
@@ -215,6 +215,32 @@ func TestSimTransportPair(t *testing.T) {
 	}
 	if toDP.Sent != 1 || toDP.SentBytes == 0 {
 		t.Errorf("accounting: sent=%d bytes=%d", toDP.Sent, toDP.SentBytes)
+	}
+}
+
+// replier answers every message with reply and keeps nothing.
+type replier struct{ reply Message }
+
+func (h replier) HandleMessage(_ Message, xid uint32, reply ReplyFunc) {
+	if h.reply != nil {
+		reply(h.reply, xid)
+	}
+}
+
+// TestPairRoundTripAllocs pins an in-simulation barrier round trip: per
+// direction a fresh frame, a scheduled delivery and a decode, and no
+// reply func per delivery (Pair makes each direction's once).
+func TestPairRoundTripAllocs(t *testing.T) {
+	eng := sim.NewEngine(1)
+	toDP, _ := Pair(eng, 50*time.Microsecond, replier{}, replier{&BarrierReply{}})
+	var req Message = &BarrierRequest{}
+	round := func() {
+		toDP.Send(req)
+		eng.Run()
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n > 10 {
+		t.Errorf("an in-simulation barrier round trip allocates %v times, want at most 10", n)
 	}
 }
 

@@ -46,7 +46,7 @@ func TestConnOverTCP(t *testing.T) {
 		for i := 0; i < 1500; i++ {
 			reply.Flows = append(reply.Flows, FlowStat{Packets: uint64(i), Bytes: uint64(i) * 100})
 		}
-		if err := c.SendXID(reply, xid); err != nil {
+		if err := c.WriteFrame(Encode(reply, xid)); err != nil {
 			done <- result{err: err}
 			return
 		}

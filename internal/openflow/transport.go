@@ -9,12 +9,23 @@ import (
 	"repro/internal/sim"
 )
 
-// Transport is the deterministic in-simulation control channel: messages
-// are encoded to wire bytes, delayed by the configured control-plane RTT
-// contribution, decoded at the far side and dispatched — the same byte
-// path as Conn, without goroutines, so simulations stay reproducible.
+// Transport is one direction of a control connection, and every frame a
+// controller emits leaves through one, sent or replied. A Transport
+// encodes each message to wire bytes, counts it, applies the injected
+// faults and then either
+//   - delivers it in simulation (Pair): delayed by the configured
+//     control-plane RTT contribution, decoded at the far side and
+//     dispatched with the reverse direction's Reply — the same byte path
+//     as Conn, without goroutines, so simulations stay reproducible; or
+//   - hands it to a RemoteSender (NewRemoteTransport) that writes it onto
+//     a real byte stream, when the rule manager runs as separate
+//     processes (internal/service); the frame is encoded in one buffer
+//     the transport reuses. The receive path is then the peer process's
+//     read loop.
 //
-// A Transport is one direction; a control connection is a pair.
+// Counters and fault hooks keep their exact semantics in both modes, so
+// controller code, the wire bytes and the overhead accounting are
+// identical.
 //
 // Fault injection (internal/faults): a transport can be taken down (all
 // messages silently lost, as on a dropped OpenFlow TCP connection),
@@ -25,16 +36,14 @@ type Transport struct {
 	eng   *sim.Engine
 	delay time.Duration
 	peer  Handler
-	// remote, when non-nil, switches the transport to remote mode: frames
-	// are handed to this sender (typically Conn.WriteFrame over TCP)
-	// instead of being delivered in-simulation. Counters and fault hooks
-	// keep their exact semantics, so controller code and the overhead
-	// accounting are identical in both modes. eng and peer are unused in
-	// remote mode — the receive path is the peer process's read loop.
+	back  ReplyFunc // the reverse direction's Reply, handed to peer
+	// remote, when non-nil, switches the transport to remote mode; eng,
+	// peer and back are then unused.
 	remote RemoteSender
+	enc    buffer // a remote transport's frames, and Broadcast's when first
 	// Sent counts messages, and SentBytes wire bytes, for the
 	// controller-overhead experiment (§6.2.2). Sent counts attempts;
-	// Dropped counts the subset lost to injected faults.
+	// Dropped counts the subset lost to injected faults or failed writes.
 	Sent      uint64
 	SentBytes uint64
 	Dropped   uint64
@@ -46,9 +55,25 @@ type Transport struct {
 	extra    time.Duration
 }
 
-// NewTransport builds a channel delivering to peer after delay.
-func NewTransport(eng *sim.Engine, delay time.Duration, peer Handler) *Transport {
+// RemoteSender delivers one encoded frame to the remote peer; it is
+// called on the engine loop that owns the transport. A returned error
+// means the frame was lost (counted in Dropped). The frame is only lent:
+// the transport encodes its next frame into the same memory, and
+// Broadcast stamps the next transport's xid into it, so a sender that
+// needs the bytes after it returns copies them. For the same reason a
+// sender must not send on any transport before it returns.
+type RemoteSender func(frame []byte) error
+
+func newTransport(eng *sim.Engine, delay time.Duration, peer Handler) *Transport {
 	return &Transport{eng: eng, delay: delay, peer: peer, nextXID: 1}
+}
+
+// NewRemoteTransport builds a transport whose messages are written to
+// send instead of delivered in-simulation. SetDown/SetLoss fault hooks
+// still apply (useful for chaos-testing a live daemon); SetExtraDelay is
+// meaningless without a simulated wire and is ignored.
+func NewRemoteTransport(send RemoteSender) *Transport {
+	return &Transport{remote: send, nextXID: 1}
 }
 
 // SetPeer rewires the receiving handler (topology assembly).
@@ -80,56 +105,61 @@ func (t *Transport) SetExtraDelay(d time.Duration) {
 	t.extra = d
 }
 
-// Send encodes msg, schedules delivery, and returns its xid.
+// Send encodes msg, delivers it, and returns its xid.
 func (t *Transport) Send(msg Message) uint32 {
 	xid := t.nextXID
 	t.nextXID++
-	t.send(msg, xid)
+	t.Reply(msg, xid)
 	return xid
 }
 
 // Reply sends msg echoing an existing xid.
-func (t *Transport) Reply(msg Message, xid uint32) { t.send(msg, xid) }
-
-func (t *Transport) send(msg Message, xid uint32) { t.sendFrame(Encode(msg, xid)) }
+func (t *Transport) Reply(msg Message, xid uint32) {
+	if t.remote == nil {
+		t.sendFrame(Encode(msg, xid))
+	} else {
+		t.sendFrame(t.enc.frame(msg, xid))
+	}
+}
 
 // Broadcast sends msg on every transport exactly as a Send on each in
 // turn would — each draws its own xid, counts the frame, rolls its own
-// faults and schedules its own delivery, in slice order — but marshals the
-// body once: every transport after the first gets a copy of the first
-// frame with its own xid stamped in. No two transports share a frame
-// (in-simulation delivery holds its frame until the control delay has
-// passed).
+// faults and delivers it, in slice order — but marshals the body once,
+// into the first transport's buffer, and stamps each transport's xid
+// into that one frame before handing it on (an in-sim one gets a copy).
 func Broadcast(transports []*Transport, msg Message) {
-	var frame []byte
+	if len(transports) == 0 {
+		return
+	}
+	frame := transports[0].enc.frame(msg, 0)
 	for _, t := range transports {
-		xid := t.nextXID
+		binary.BigEndian.PutUint32(frame[4:8], t.nextXID)
 		t.nextXID++
-		if frame == nil {
-			frame = Encode(msg, xid)
+		if t.remote == nil {
+			t.sendFrame(bytes.Clone(frame))
 		} else {
-			frame = bytes.Clone(frame)
-			binary.BigEndian.PutUint32(frame[4:8], xid)
+			t.sendFrame(frame)
 		}
-		t.sendFrame(frame)
 	}
 }
 
 // sendFrame counts one encoded frame, applies the injected faults and
-// delivers it. The frame is the transport's to keep.
-func (t *Transport) sendFrame(wire []byte) {
+// hands it on: lent to a RemoteSender, or kept by an in-sim delivery
+// until the control delay has passed, which is why an in-sim transport
+// is handed a frame of its own.
+func (t *Transport) sendFrame(frame []byte) {
 	t.Sent++
-	t.SentBytes += uint64(len(wire))
+	t.SentBytes += uint64(len(frame))
 	if t.down || (t.lossRng != nil && t.lossRng.Float64() < t.lossProb) {
 		t.Dropped++
 		return
 	}
 	if t.remote != nil {
-		// Remote mode: the frame goes onto a real byte stream. A send
-		// error is a dropped message, exactly like a faulted in-sim
-		// channel — consumers already tolerate loss (retries, barriers,
-		// anti-entropy), and the connection supervisor handles redial.
-		if err := t.remote(wire); err != nil {
+		if t.remote(frame) != nil {
+			// A failed write is a dropped message, exactly like a faulted
+			// in-sim channel: consumers already tolerate loss (retries,
+			// barriers, anti-entropy), and ending the connection is the
+			// sender's business.
 			t.Dropped++
 		}
 		return
@@ -138,41 +168,21 @@ func (t *Transport) sendFrame(wire []byte) {
 		if t.peer == nil {
 			return
 		}
-		decoded, rxid, _, err := Decode(wire)
+		msg, xid, _, err := Decode(frame)
 		if err != nil {
 			// A codec that cannot decode its own output is a
 			// programming error; fail loudly in simulation.
 			panic("openflow: transport decode: " + err.Error())
 		}
-		t.peer.HandleMessage(decoded, rxid, func(m Message, x uint32) {
-			// Replies travel the reverse direction with the same
-			// delay; deliver directly to avoid requiring a
-			// back-channel object for every pair.
-			_ = m
-			_ = x
-		})
+		t.peer.HandleMessage(msg, xid, t.back)
 	})
 }
 
 // Pair wires two handlers together and returns the two directed
-// transports. Replies issued via the ReplyFunc are delivered over the
-// opposite transport.
+// transports. Each delivers with the other's Reply, so a reply travels
+// the reverse direction with the same delay.
 func Pair(eng *sim.Engine, delay time.Duration, a, b Handler) (ab, ba *Transport) {
-	ab = NewTransport(eng, delay, nil)
-	ba = NewTransport(eng, delay, nil)
-	ab.peer = handlerWithReply{h: b, back: ba}
-	ba.peer = handlerWithReply{h: a, back: ab}
+	ab, ba = newTransport(eng, delay, b), newTransport(eng, delay, a)
+	ab.back, ba.back = ba.Reply, ab.Reply
 	return ab, ba
-}
-
-// handlerWithReply routes replies over the reverse transport.
-type handlerWithReply struct {
-	h    Handler
-	back *Transport
-}
-
-func (hw handlerWithReply) HandleMessage(msg Message, xid uint32, _ ReplyFunc) {
-	hw.h.HandleMessage(msg, xid, func(m Message, x uint32) {
-		hw.back.Reply(m, x)
-	})
 }

@@ -34,9 +34,10 @@ type Agentd struct {
 	cluster *cluster.Cluster
 	svc     *core.AgentService
 
-	// conn is the control connection from its Hello until it ends, nil in
-	// between: the remote transport writes through it.
-	conn atomic.Pointer[openflow.Conn]
+	// out is the current connection's sender from its Hello until the
+	// connection ends, nil in between: the remote transport writes
+	// through it.
+	out atomic.Pointer[openflow.RemoteSender]
 
 	// tickers belong to the engine thread: synthetic traffic streams to
 	// stop on shutdown.
@@ -77,25 +78,26 @@ func StartAgentd(cfg AgentConfig, clock Clock) (*Agentd, error) {
 	// Must be set before the controller is built (the ME snapshots it).
 	c.Servers[0].ID = int(cfg.ServerID)
 	ccfg := cfg.Controller.coreConfig()
-	a.svc = core.NewAgentService(c, ccfg, openflow.NewRemoteTransport(a.sendFrame))
+	tr := openflow.NewRemoteTransport(a.sendFrame)
+	a.svc = core.NewAgentService(c, ccfg, tr)
 	a.open(c, a.svc.M, ccfg, cfg.SampleInterval.D())
 
 	if err := a.start(c.Eng, clock, cfg.ListenAdmin, a.adminHooks(), a.svc.Start); err != nil {
 		return nil, fmt.Errorf("service: agentd %w", err)
 	}
 	a.wg.Add(1)
-	go a.dialLoop()
+	go a.dialLoop(tr.Reply)
 	return a, nil
 }
 
 // Connected reports whether the control connection is currently up.
-func (a *Agentd) Connected() bool { return a.conn.Load() != nil }
+func (a *Agentd) Connected() bool { return a.out.Load() != nil }
 
 // sendFrame is the remote transport's sender: it writes on the current
 // connection.
 func (a *Agentd) sendFrame(frame []byte) error {
-	if c := a.conn.Load(); c != nil {
-		return c.WriteFrame(frame)
+	if send := a.out.Load(); send != nil {
+		return (*send)(frame)
 	}
 	return errNotConnected
 }
@@ -106,17 +108,18 @@ func (a *Agentd) sendFrame(frame []byte) error {
 // ToR daemon restart closes streams cleanly, and the agent must outlive
 // it. The backoff grows with each attempt that reached no Hello and
 // starts over after one that did; it sleeps against the stop channel, so
-// Close never waits it out.
-func (a *Agentd) dialLoop() {
+// Close never waits it out. reply is the remote transport's Reply, so a
+// reply leaves the way a send does, through the current sender.
+func (a *Agentd) dialLoop(reply openflow.ReplyFunc) {
 	defer a.wg.Done()
 	for attempt := 0; ; attempt++ {
 		if nc, err := net.DialTimeout("tcp", a.Cfg.TORAddr, a.Cfg.DialTimeout.D()); err == nil && a.track(nc) {
-			conn := openflow.NewConn(nc)
-			a.serve(nc, conn, agentHandler{a}, func() {
-				a.conn.Store(conn)
+			a.serve(nc, agentHandler{a}, func(send openflow.RemoteSender) openflow.ReplyFunc {
+				a.out.Store(&send)
 				attempt = 0
+				return reply
 			})
-			a.conn.Store(nil)
+			a.out.Store(nil)
 		}
 		select {
 		case <-a.stop:

@@ -24,8 +24,9 @@ type daemon struct {
 	reg     *telemetry.Registry
 	sampler *telemetry.Sampler
 
-	// helloWithin bounds the wait for a new connection's Hello.
-	helloWithin time.Duration
+	// within bounds the wait for a new connection's Hello and for each
+	// frame written to a peer.
+	within time.Duration
 
 	controlLn net.Listener // tord's control listener; nil in agentd
 	adminLn   net.Listener
@@ -39,12 +40,12 @@ type daemon struct {
 
 // open prepares the shell around c while the engine is still the
 // caller's: telemetry on c and m, a sampler every sampleEvery (none when
-// it is not positive), and a Hello deadline of two of cc's control
-// intervals.
+// it is not positive), and a Hello and write deadline of two of cc's
+// control intervals.
 func (d *daemon) open(c *cluster.Cluster, m *core.Manager, cc core.Config, sampleEvery time.Duration) {
 	d.conns = make(map[net.Conn]struct{})
 	d.stop = make(chan struct{})
-	d.helloWithin = 2 * cc.Measure.Epoch * time.Duration(cc.Measure.EpochsPerInterval)
+	d.within = 2 * cc.Measure.Epoch * time.Duration(cc.Measure.EpochsPerInterval)
 	eng := c.Eng
 	rec := telemetry.NewRecorder(eng.Now, telemetry.Config{})
 	d.reg = telemetry.NewRegistry()
@@ -123,27 +124,38 @@ func (d *daemon) track(nc net.Conn) bool {
 
 // serve runs one tracked control connection to its end, the same way in
 // both daemons: the peer must say Hello within two control intervals;
-// then up runs, if set, and openflow.Serve hands h every message until a
-// read fails or a reply does. nc is closed and forgotten on return.
-func (d *daemon) serve(nc net.Conn, conn *openflow.Conn, h openflow.Handler, up func()) {
+// then attach is handed the connection's one sender and returns the
+// reply func, and openflow.Serve hands h every message until the stream
+// ends. nc is closed and forgotten on return.
+func (d *daemon) serve(nc net.Conn, h openflow.Handler, attach func(openflow.RemoteSender) openflow.ReplyFunc) {
 	defer func() {
 		d.mu.Lock()
 		delete(d.conns, nc)
 		d.mu.Unlock()
 		nc.Close()
 	}()
+	conn := openflow.NewConn(nc)
 	// A deadline fails only on a closed socket, which Handshake reports.
-	_ = nc.SetReadDeadline(time.Now().Add(d.helloWithin))
+	_ = nc.SetReadDeadline(time.Now().Add(d.within))
 	if conn.Handshake() != nil {
 		return
 	}
 	_ = nc.SetReadDeadline(time.Time{})
-	if up != nil {
-		up()
-	}
+	reply := attach(func(frame []byte) error {
+		// A write that fails, or that the peer does not take within the
+		// deadline, closes nc, which ends the read loop below: tord
+		// detaches the agent, agentd redials. (The deadline fails only on
+		// a closed socket, which the write reports.)
+		_ = nc.SetWriteDeadline(time.Now().Add(d.within))
+		err := conn.WriteFrame(frame)
+		if err != nil {
+			nc.Close()
+		}
+		return err
+	})
 	// Serve's error is not the daemon's to act on: whatever ended the
 	// stream, the connection is over, and only agentd redials.
-	_ = openflow.Serve(conn, h)
+	_ = openflow.Serve(conn, h, reply)
 }
 
 // shutdown drains the daemon in one order: the admin server, the control

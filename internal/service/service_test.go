@@ -353,30 +353,27 @@ func TestAgentOutlivesALongToROutage(t *testing.T) {
 	})
 }
 
-// TestAgentRedialsASilentToR: a ToR that accepts and never says Hello is
-// hung up on after two control intervals and dialed again.
-func TestAgentRedialsASilentToR(t *testing.T) {
+// fakeToR listens for agents and keeps every connection it accepts open
+// until the test ends; with hello it says Hello on each, and nothing
+// more. accepts counts the connections.
+func fakeToR(t *testing.T, hello bool) (addr string, accepts func() int) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
 	var (
 		mu       sync.Mutex
 		accepted []net.Conn
 	)
-	defer func() {
+	t.Cleanup(func() {
+		ln.Close()
 		mu.Lock()
 		defer mu.Unlock()
 		for _, nc := range accepted {
 			nc.Close()
 		}
-	}()
-	accepts := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(accepted)
-	}
+	})
 	go func() {
 		for {
 			nc, err := ln.Accept()
@@ -386,8 +383,22 @@ func TestAgentRedialsASilentToR(t *testing.T) {
 			mu.Lock()
 			accepted = append(accepted, nc)
 			mu.Unlock()
+			if hello {
+				_, _ = nc.Write(openflow.Encode(openflow.Hello{}, 1))
+			}
 		}
 	}()
+	return ln.Addr().String(), func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(accepted)
+	}
+}
+
+// TestAgentRedialsASilentToR: a ToR that accepts and never says Hello is
+// hung up on after two control intervals and dialed again.
+func TestAgentRedialsASilentToR(t *testing.T) {
+	addr, accepts := fakeToR(t, false)
 
 	// On its own goroutine: a StartAgentd that waits for the ToR's Hello
 	// must fail the test, not hang it.
@@ -399,7 +410,7 @@ func TestAgentRedialsASilentToR(t *testing.T) {
 	go func() {
 		agent, err := StartAgentd(AgentConfig{
 			ServerID:         1,
-			TORAddr:          ln.Addr().String(),
+			TORAddr:          addr,
 			ListenAdmin:      "none",
 			ReconnectBackoff: Duration(time.Millisecond),
 			Controller:       ControllerConfig{Epoch: Duration(10 * time.Millisecond), EpochsPerInterval: 2},
@@ -415,6 +426,34 @@ func TestAgentRedialsASilentToR(t *testing.T) {
 		t.Error("connected to a ToR that never said Hello")
 	}
 	s.agent.Close()
+}
+
+// TestAgentRedialsWhenWritesFail: an agent whose connection stops taking
+// writes after the Hello — its socket's write side is shut, while the
+// ToR, which says Hello and then nothing, leaves it readable — hangs up
+// at its next failed write and dials again.
+func TestAgentRedialsWhenWritesFail(t *testing.T) {
+	addr, accepts := fakeToR(t, true)
+	agent, err := StartAgentd(AgentConfig{
+		ServerID:         1,
+		TORAddr:          addr,
+		ListenAdmin:      "none",
+		ReconnectBackoff: Duration(time.Millisecond),
+		Controller:       ControllerConfig{Epoch: Duration(10 * time.Millisecond), EpochsPerInterval: 2},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agent.Close()
+	waitFor(t, 5*time.Second, agent.Connected)
+	agent.mu.Lock()
+	for nc := range agent.conns {
+		if err := nc.(*net.TCPConn).CloseWrite(); err != nil {
+			t.Error(err)
+		}
+	}
+	agent.mu.Unlock()
+	waitFor(t, 5*time.Second, func() bool { return accepts() >= 2 })
 }
 
 // TestTordRuleCRUD exercises admin pin/unpin against the live install

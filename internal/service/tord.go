@@ -27,12 +27,12 @@ type Tord struct {
 	superseded uint64
 }
 
-// agentConn is one connected fastrak-agentd. serverID/registered belong
-// to the engine thread: they are touched only inside Runtime closures,
-// so the lazy registration below needs no extra locking.
+// agentConn is one connected fastrak-agentd: its socket and the
+// transport that writes to it. The transport, serverID and registered
+// belong to the engine thread: they are touched only inside Runtime
+// closures, so the lazy registration below needs no extra locking.
 type agentConn struct {
 	nc         net.Conn
-	conn       *openflow.Conn
 	tr         *openflow.Transport
 	serverID   uint32
 	registered bool
@@ -94,7 +94,7 @@ func (t *Tord) acceptLoop() {
 			return // shutting down
 		}
 		t.wg.Add(1)
-		go t.serveAgent(&agentConn{nc: nc, conn: openflow.NewConn(nc)})
+		go t.serveAgent(nc)
 	}
 }
 
@@ -104,9 +104,13 @@ func (t *Tord) acceptLoop() {
 // the decision engine; the end of the connection detaches it and
 // releases its ack-gating state, unless a newer connection has claimed
 // the ID since.
-func (t *Tord) serveAgent(ac *agentConn) {
+func (t *Tord) serveAgent(nc net.Conn) {
 	defer t.wg.Done()
-	t.serve(ac.nc, ac.conn, tordHandler{t, ac}, nil)
+	ac := &agentConn{nc: nc}
+	t.serve(nc, tordHandler{t, ac}, func(send openflow.RemoteSender) openflow.ReplyFunc {
+		ac.tr = openflow.NewRemoteTransport(send)
+		return ac.tr.Reply
+	})
 	t.rt.Post(func() {
 		if ac.registered && t.agents[ac.serverID] == ac {
 			delete(t.agents, ac.serverID)
@@ -148,9 +152,6 @@ func (t *Tord) register(ac *agentConn, id uint32) {
 	}
 	t.agents[id] = ac
 	ac.serverID, ac.registered = id, true
-	// Outbound transport: encode + count exactly as in-sim, then write
-	// whole frames onto this agent's stream.
-	ac.tr = openflow.NewRemoteTransport(ac.conn.WriteFrame)
 	t.svc.AttachLocal(id, ac.tr)
 }
 

@@ -1,12 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
+	"os"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -120,12 +121,6 @@ func TestSilentPeerIsClosed(t *testing.T) {
 	}
 }
 
-// discardConn stands in for an agent's socket: it takes every reply.
-type discardConn struct{}
-
-func (discardConn) Read([]byte) (int, error)    { return 0, io.EOF }
-func (discardConn) Write(b []byte) (int, error) { return len(b), nil }
-
 // TestTordIngestAllocs: on a warm tord, the engine's side of a round — the
 // agent's report and the echo behind it, posted as the read loop posts
 // them — allocates nothing.
@@ -135,7 +130,7 @@ func TestTordIngestAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tord.Close()
-	ac := &agentConn{conn: openflow.NewConn(discardConn{})}
+	ac := &agentConn{tr: openflow.NewRemoteTransport(func([]byte) error { return nil })}
 	rep := &openflow.DemandReport{ServerID: 1}
 	for i := 0; i < 84; i++ {
 		rep.Entries = append(rep.Entries, openflow.DemandEntry{
@@ -143,7 +138,7 @@ func TestTordIngestAllocs(t *testing.T) {
 			PPS:     1000, BPS: 8e6, Epoch: 1, MedianPPS: 1000, MedianBPS: 8e6, ActiveEpochs: 2,
 		})
 	}
-	reply := func(m openflow.Message, x uint32) { _ = ac.conn.SendXID(m, x) }
+	reply := ac.tr.Reply
 	round := func() {
 		rep.Interval++ // a repeated interval would append as a continuation
 		tord.rt.Post(func() { tord.handleFromAgent(ac, rep, 1, reply) })
@@ -157,13 +152,17 @@ func TestTordIngestAllocs(t *testing.T) {
 }
 
 // halfBrokenConn is an agent's socket that stays readable but takes no
-// write after the Hello: it yields frames, then blocks until closed.
+// write of one message type: it yields frames, then blocks until closed.
+// A refused write fails at once, or, with stall, blocks until the write
+// deadline has passed, as on a peer that stopped reading.
 type halfBrokenConn struct {
-	net.Conn    // the methods the connection path does not call
-	frames      []byte
-	closed      chan struct{}
-	once        sync.Once
-	echoRefused atomic.Bool
+	net.Conn // the methods the connection path does not call
+	frames   []byte
+	refuse   openflow.MsgType
+	stall    bool
+	deadline time.Time // the write deadline; set and read on the engine thread
+	closed   chan struct{}
+	once     sync.Once
 }
 
 var errWriteBroken = errors.New("write side broken")
@@ -179,13 +178,22 @@ func (c *halfBrokenConn) Read(p []byte) (int, error) {
 }
 
 func (c *halfBrokenConn) Write(b []byte) (int, error) {
-	switch openflow.MsgType(b[1]) {
-	case openflow.TypeHello:
+	if openflow.MsgType(b[1]) != c.refuse {
 		return len(b), nil
-	case openflow.TypeEchoReply:
-		c.echoRefused.Store(true)
 	}
-	return 0, errWriteBroken
+	if !c.stall {
+		return 0, errWriteBroken
+	}
+	var expired <-chan time.Time // no deadline: block until closed
+	if !c.deadline.IsZero() {
+		expired = time.After(time.Until(c.deadline))
+	}
+	select {
+	case <-expired:
+		return 0, os.ErrDeadlineExceeded
+	case <-c.closed:
+		return 0, net.ErrClosed
+	}
 }
 
 func (c *halfBrokenConn) Close() error {
@@ -195,36 +203,66 @@ func (c *halfBrokenConn) Close() error {
 
 func (c *halfBrokenConn) SetReadDeadline(time.Time) error { return nil }
 
-// TestFailedReplyEndsTheConnection: a connection that is readable but not
-// writable ends at its first failed reply, instead of being served
-// forever, and the agent a report registered on it is detached.
-func TestFailedReplyEndsTheConnection(t *testing.T) {
-	tord := quietTord(t, 100)
-	var in []byte
-	in = append(in, openflow.Encode(openflow.Hello{}, 1)...)
-	in = append(in, openflow.Encode(&openflow.DemandReport{ServerID: 5, Interval: 1}, 2)...)
-	in = append(in, openflow.Encode(openflow.EchoRequest{}, 3)...)
-	nc := &halfBrokenConn{frames: in, closed: make(chan struct{})}
-	t.Cleanup(func() { nc.Close() })
+func (c *halfBrokenConn) SetWriteDeadline(t time.Time) error {
+	c.deadline = t
+	return nil
+}
 
-	done := make(chan struct{})
-	tord.wg.Add(1)
-	go func() {
-		tord.serveAgent(&agentConn{nc: nc, conn: openflow.NewConn(nc)})
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("a connection whose replies fail was still served after 5s")
-	}
-	if !nc.echoRefused.Load() {
-		t.Fatal("the connection ended before the echo's reply was written")
-	}
-	var ids []uint32
-	tord.rt.Do(func() { ids = tord.svc.AgentIDs() })
-	if len(ids) != 0 {
-		t.Errorf("agents %v still attached after their connection ended", ids)
+// TestFailedWriteEndsTheConnection: a connection that is readable but
+// does not take a frame ends at that write, whether it is the attach's
+// RuleSync or an echo's reply, and whether the write fails or only
+// outlasts the write deadline; the agent a report registered on it is
+// detached, and the engine answers again.
+func TestFailedWriteEndsTheConnection(t *testing.T) {
+	hello := openflow.Encode(openflow.Hello{}, 1)
+	report := openflow.Encode(&openflow.DemandReport{ServerID: 5, Interval: 1}, 2)
+	echo := openflow.Encode(openflow.EchoRequest{}, 3)
+	for _, row := range []struct {
+		name   string
+		frames [][]byte
+		refuse openflow.MsgType
+		stall  bool
+	}{
+		{"refused RuleSync", [][]byte{hello, report}, openflow.TypeRuleSync, false},
+		{"refused EchoReply", [][]byte{hello, report, echo}, openflow.TypeEchoReply, false},
+		{"RuleSync past the deadline", [][]byte{hello, report}, openflow.TypeRuleSync, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			tord, err := StartTord(TordConfig{
+				ListenControl: "127.0.0.1:0",
+				ListenAdmin:   "none",
+				Controller:    ControllerConfig{Epoch: Duration(10 * time.Millisecond), EpochsPerInterval: 2},
+			}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tord.Close()
+			nc := &halfBrokenConn{frames: bytes.Join(row.frames, nil), refuse: row.refuse, stall: row.stall,
+				closed: make(chan struct{})}
+			defer nc.Close()
+
+			done := make(chan struct{})
+			tord.wg.Add(1)
+			go func() {
+				tord.serveAgent(nc)
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("a connection that takes no write was still served after 5s")
+			}
+			ids := make(chan []uint32, 1)
+			go tord.rt.Do(func() { ids <- tord.svc.AgentIDs() })
+			select {
+			case got := <-ids:
+				if len(got) != 0 {
+					t.Errorf("agents %v still attached after their connection ended", got)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the engine did not answer within 5s of the connection's end")
+			}
+		})
 	}
 }
 
