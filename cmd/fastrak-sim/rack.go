@@ -49,7 +49,7 @@ func (sh rackShape) play(w io.Writer, p params) error {
 	}
 	if sh.racks > 1 {
 		opts.Racks = sh.racks
-		opts.ServersPerRack = (rackServers + sh.racks - 1) / sh.racks
+		opts.Servers = (rackServers + sh.racks - 1) / sh.racks
 	}
 	d, err := fastrak.NewDeployment(opts)
 	if err != nil {

@@ -35,13 +35,11 @@ import (
 
 // Options configures a deployment.
 type Options struct {
-	// Servers is the number of physical machines (default 2). With
-	// Racks > 1 it is ignored and Racks×ServersPerRack machines are
-	// built instead, one FasTrak TOR controller per rack (§4.3.3).
+	// Servers is the number of physical machines per rack (default 2).
 	Servers int
-	// Racks and ServersPerRack select a multi-rack deployment.
-	Racks          int
-	ServersPerRack int
+	// Racks is the number of racks (default 1), each with its own ToR
+	// and FasTrak TOR controller (§4.3.3).
+	Racks int
 	// TCAMCapacity is the ToR's hardware rule budget (default 2000).
 	TCAMCapacity int
 	// SmartNICCapacity equips every server with a programmable SmartNIC
@@ -50,15 +48,8 @@ type Options struct {
 	// graduate vswitch → SmartNIC → TCAM by pps score and demote under
 	// capacity pressure; a SmartNIC miss always falls back to the vswitch.
 	SmartNICCapacity int
-	// SmartNIC overrides the full SmartNIC device model; when set,
-	// SmartNICCapacity is ignored.
-	SmartNIC *smartnic.Config
 	// Seed drives all randomness (default 1).
 	Seed int64
-	// Tunneling enables VXLAN on the software path (default true: the
-	// multi-tenant configuration). Disable only for single-tenant
-	// microbenchmarks.
-	DisableTunneling bool
 	// Controller tunes the rule manager; zero-value fields take the
 	// paper-prototype defaults.
 	Controller ControllerOptions
@@ -74,31 +65,18 @@ type Options struct {
 	// number of patterns worth offloading; everything below the top-k
 	// floor stays on the software path anyway.
 	SketchTopK int
-	// CostModel overrides the calibrated testbed cost model.
-	CostModel *model.CostModel
 }
 
 // ControllerOptions tunes the rule manager.
 type ControllerOptions struct {
 	// Epoch is the ME measurement period T (§5.2 uses 5 s and 0.5 s;
-	// default 0.5 s).
+	// default 0.5 s). A control interval is N=2 epochs, and the median
+	// history is M=4 intervals deep.
 	Epoch time.Duration
-	// EpochsPerInterval is N (default 2): a control interval is T×N.
-	EpochsPerInterval int
-	// HistoryIntervals is M, the median-history depth (default 4).
-	HistoryIntervals int
 	// MaxOffloads caps simultaneous hardware patterns (0 = TCAM-bound).
 	MaxOffloads int
 	// MinScore filters flows not worth a hardware entry.
 	MinScore float64
-	// PriorityOf maps tenants to the score multiplier c (§4.3.2).
-	PriorityOf func(tenant uint32) float64
-	// NICMinScore filters flows not worth a SmartNIC entry (middle tier;
-	// only meaningful with Options.SmartNICCapacity > 0).
-	NICMinScore float64
-	// NICTenantQuota caps SmartNIC rules per tenant per host (0 = the
-	// device default quota).
-	NICTenantQuota int
 	// Replicas runs that many hot-standby TOR controller instances per
 	// rack (≤1 is a group of one, fenced at term 1). Exactly one
 	// replica — the lowest-numbered live one — acts per elected term;
@@ -126,9 +104,6 @@ type Deployment struct {
 
 // TelemetryOptions tunes the observability subsystem.
 type TelemetryOptions struct {
-	// ShardCapacity is each flight-recorder ring's event capacity
-	// (default 4096; the newest events win on overflow).
-	ShardCapacity int
 	// HitSampleEvery records every Nth per-packet cache hit (default
 	// 1024; 1 records every hit — expensive at line rate).
 	HitSampleEvery int
@@ -157,10 +132,7 @@ func (d *Deployment) EnableTelemetry(opts TelemetryOptions) *Telemetry {
 		return d.Telemetry
 	}
 	eng := d.Cluster.Eng
-	rec := telemetry.NewRecorder(eng.Now, telemetry.Config{
-		ShardCapacity:  opts.ShardCapacity,
-		HitSampleEvery: opts.HitSampleEvery,
-	})
+	rec := telemetry.NewRecorder(eng.Now, telemetry.Config{HitSampleEvery: opts.HitSampleEvery})
 	reg := telemetry.NewRegistry()
 	d.Cluster.AttachTelemetry(rec, reg)
 	d.Manager.AttachTelemetry(rec, reg)
@@ -211,55 +183,31 @@ func NewDeployment(opts Options) (*Deployment, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	nicCfg := opts.SmartNIC
-	if nicCfg == nil && opts.SmartNICCapacity > 0 {
+	var nicCfg *smartnic.Config
+	if opts.SmartNICCapacity > 0 {
 		def := smartnic.DefaultConfig()
 		def.Capacity = opts.SmartNICCapacity
 		nicCfg = &def
 	}
-	var c *cluster.Cluster
-	if opts.Racks > 1 {
-		c = cluster.NewMulti(cluster.MultiConfig{
-			Racks:          opts.Racks,
-			ServersPerRack: opts.ServersPerRack,
-			TCAMCapacity:   opts.TCAMCapacity,
-			Seed:           opts.Seed,
-			CostModel:      opts.CostModel,
-			VSwitchCfg:     model.VSwitchConfig{Tunneling: !opts.DisableTunneling},
-			SmartNIC:       nicCfg,
-		})
-	} else {
-		c = cluster.New(cluster.Config{
-			Servers:      opts.Servers,
-			TCAMCapacity: opts.TCAMCapacity,
-			Seed:         opts.Seed,
-			CostModel:    opts.CostModel,
-			VSwitchCfg:   model.VSwitchConfig{Tunneling: !opts.DisableTunneling},
-			SmartNIC:     nicCfg,
-		})
-	}
+	c := cluster.New(cluster.Config{
+		Racks:        opts.Racks,
+		Servers:      opts.Servers,
+		TCAMCapacity: opts.TCAMCapacity,
+		Seed:         opts.Seed,
+		VSwitchCfg:   model.VSwitchConfig{Tunneling: true},
+		SmartNIC:     nicCfg,
+	})
 	cfg := core.DefaultConfig()
 	co := opts.Controller
 	if co.Epoch > 0 {
 		cfg.Measure.Epoch = co.Epoch
 	}
-	if co.EpochsPerInterval > 0 {
-		cfg.Measure.EpochsPerInterval = co.EpochsPerInterval
-	}
-	if co.HistoryIntervals > 0 {
-		cfg.Measure.HistoryIntervals = co.HistoryIntervals
-	}
 	cfg.MaxOffloads = co.MaxOffloads
 	cfg.MinScore = co.MinScore
-	cfg.NICMinScore = co.NICMinScore
-	cfg.NICTenantQuota = co.NICTenantQuota
-	if nicCfg != nil && cfg.NICTenantQuota == 0 {
-		// Mirror the device-side default quota so the DE does not place
-		// rules the NIC would reject.
+	if nicCfg != nil {
+		// Mirror the device-side quota so the DE does not place rules the
+		// NIC would reject.
 		cfg.NICTenantQuota = nicCfg.Normalized().TenantQuota
-	}
-	if co.PriorityOf != nil {
-		cfg.PriorityOf = func(t packet.TenantID) float64 { return co.PriorityOf(uint32(t)) }
 	}
 	cfg.HA.Replicas = co.Replicas
 	cfg.HA.LeaseTTL = co.LeaseTTL

@@ -130,7 +130,7 @@ type vmKeyT = struct {
 }
 
 func TestDeploymentMultiRack(t *testing.T) {
-	d, err := NewDeployment(Options{Racks: 2, ServersPerRack: 2, Seed: 9})
+	d, err := NewDeployment(Options{Racks: 2, Servers: 2, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

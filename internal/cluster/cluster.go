@@ -23,14 +23,16 @@ import (
 
 // Config describes a testbed to build.
 type Config struct {
-	// Servers is the number of physical machines (the paper uses six).
+	// Racks is the number of ToRs (default 1), each over Servers machines.
+	// Racks connect leaf-to-leaf, the deployment shape §4.3.3 is designed
+	// for: "a TOR controller for every TOR switch".
+	Racks int
+	// Servers is the number of physical machines per rack (default 2; the
+	// paper uses six).
 	Servers int
-	// CostModel parameterizes all timing; zero value means
-	// model.Default().
-	CostModel *model.CostModel
 	// VSwitchCfg selects the software path's functions on all servers.
 	VSwitchCfg model.VSwitchConfig
-	// TCAMCapacity is the ToR's hardware rule budget (entries).
+	// TCAMCapacity is each ToR's hardware rule budget (entries).
 	TCAMCapacity int
 	// Seed drives all randomness.
 	Seed int64
@@ -46,15 +48,14 @@ type Config struct {
 type Cluster struct {
 	Eng *sim.Engine
 	CM  *model.CostModel
-	// TOR is the (first) rack's switch; TORs lists every rack's (see
-	// NewMulti for multi-rack testbeds).
+	// TOR is rack 0's switch; TORs lists every rack's.
 	TOR     *tor.TOR
 	TORs    []*tor.TOR
 	Servers []*host.Server
 
 	vlanByTenant map[packet.TenantID]packet.VLANID
 	nextVLAN     packet.VLANID
-	// rackOf maps server index → rack index (empty = all rack 0).
+	// rackOf maps server index → rack index.
 	rackOf []int
 	// uplinks and downlinks hold each server's access-link pair
 	// (server→ToR, ToR→server) for tap insertion and fault injection.
@@ -108,55 +109,129 @@ func (c *Cluster) TapServer(idx int, wrap func(fabric.Port) fabric.Port) error {
 	return nil
 }
 
-// ServerIP returns the provider address of server i.
-func ServerIP(i int) packet.IP {
-	return packet.MakeIP(192, 168, 1, byte(10+i))
-}
-
-// TORIP is the ToR loopback address.
-var TORIP = packet.MustParseIP("192.168.100.1")
-
-// New builds the testbed.
+// New builds the testbed. Servers are indexed rack-major (rack 0's
+// first); server i of rack rk has provider address 192.168.(1+rk).(10+i)
+// and rack rk's ToR loopback 192.168.100.(1+rk).
 func New(cfg Config) *Cluster {
+	if cfg.Racks <= 0 {
+		cfg.Racks = 1
+	}
 	if cfg.Servers <= 0 {
 		cfg.Servers = 2
 	}
 	if cfg.TCAMCapacity <= 0 {
 		cfg.TCAMCapacity = 2000
 	}
-	cm := cfg.CostModel
-	if cm == nil {
-		def := model.Default()
-		cm = &def
-	}
-	eng := sim.NewEngine(cfg.Seed)
+	cm := model.Default()
 	c := &Cluster{
-		Eng: eng, CM: cm,
-		TOR:          tor.New(eng, TORIP, cfg.TCAMCapacity, cm.TORLatency),
+		Eng:          sim.NewEngine(cfg.Seed),
+		CM:           &cm,
 		vlanByTenant: make(map[packet.TenantID]packet.VLANID),
 		nextVLAN:     100,
 	}
-	c.TORs = []*tor.TOR{c.TOR}
-	for i := 0; i < cfg.Servers; i++ {
-		ip := ServerIP(i)
-		// Server → ToR uplink.
-		up := fabric.NewLink(eng, cm.LinkBps, cm.PropDelay, nil, c.TOR)
-		srv := host.NewServer(eng, cm, cfg.VSwitchCfg, i, ip, up)
-		// ToR → server downlink, optionally QoS-scheduled.
-		var q fabric.Queue
-		if cfg.QoSAccessLinks {
-			q = qos.NewScheduler(qos.DefaultConfig())
+	for rk := 0; rk < cfg.Racks; rk++ {
+		loop := packet.MakeIP(192, 168, 100, byte(1+rk))
+		c.TORs = append(c.TORs, tor.New(c.Eng, loop, cfg.TCAMCapacity, cm.TORLatency))
+	}
+	c.TOR = c.TORs[0]
+
+	// Servers and access links.
+	for rk := 0; rk < cfg.Racks; rk++ {
+		for i := 0; i < cfg.Servers; i++ {
+			ip := serverIP(rk, i)
+			// Server → ToR uplink.
+			up := fabric.NewLink(c.Eng, cm.LinkBps, cm.PropDelay, nil, c.TORs[rk])
+			srv := host.NewServer(c.Eng, c.CM, cfg.VSwitchCfg, len(c.Servers), ip, up)
+			// ToR → server downlink, optionally QoS-scheduled.
+			var q fabric.Queue
+			if cfg.QoSAccessLinks {
+				q = qos.NewScheduler(qos.DefaultConfig())
+			}
+			down := fabric.NewLink(c.Eng, cm.LinkBps, cm.PropDelay, q, srv.NIC)
+			if cfg.SmartNIC != nil && cfg.SmartNIC.Capacity > 0 {
+				srv.AttachSmartNIC(smartnic.New(c.Eng, *cfg.SmartNIC))
+			}
+			c.TORs[rk].AddRoute(ip, fabric.LinkPort{L: down})
+			c.Servers = append(c.Servers, srv)
+			c.rackOf = append(c.rackOf, rk)
+			c.uplinks = append(c.uplinks, up)
+			c.downlinks = append(c.downlinks, down)
 		}
-		down := fabric.NewLink(eng, cm.LinkBps, cm.PropDelay, q, srv.NIC)
-		if cfg.SmartNIC != nil && cfg.SmartNIC.Capacity > 0 {
-			srv.AttachSmartNIC(smartnic.New(eng, *cfg.SmartNIC))
+	}
+
+	// Leaf mesh: a bidirectional link pair between every ToR pair; each
+	// ToR routes the peer's loopback and the peer rack's server addresses
+	// over it.
+	for a := 0; a < cfg.Racks; a++ {
+		for b := a + 1; b < cfg.Racks; b++ {
+			ab := fabric.NewLink(c.Eng, cm.LinkBps, cm.PropDelay, nil, c.TORs[b])
+			ba := fabric.NewLink(c.Eng, cm.LinkBps, cm.PropDelay, nil, c.TORs[a])
+			c.TORs[a].AddRoute(c.TORs[b].Loopback, fabric.LinkPort{L: ab})
+			c.TORs[b].AddRoute(c.TORs[a].Loopback, fabric.LinkPort{L: ba})
+			for i := 0; i < cfg.Servers; i++ {
+				c.TORs[a].AddRoute(serverIP(b, i), fabric.LinkPort{L: ab})
+				c.TORs[b].AddRoute(serverIP(a, i), fabric.LinkPort{L: ba})
+			}
 		}
-		c.TOR.AddRoute(ip, fabric.LinkPort{L: down})
-		c.Servers = append(c.Servers, srv)
-		c.uplinks = append(c.uplinks, up)
-		c.downlinks = append(c.downlinks, down)
 	}
 	return c
+}
+
+// serverIP is the provider address of server i in rack rk.
+func serverIP(rk, i int) packet.IP {
+	return packet.MakeIP(192, 168, byte(1+rk), byte(10+i))
+}
+
+// RackOf returns the rack index hosting server idx (-1 if out of range).
+func (c *Cluster) RackOf(idx int) int {
+	if idx < 0 || idx >= len(c.Servers) {
+		return -1
+	}
+	return c.rackOf[idx]
+}
+
+// HomeTOR returns the ToR of the rack hosting server idx.
+func (c *Cluster) HomeTOR(idx int) *tor.TOR {
+	rk := c.RackOf(idx)
+	if rk < 0 {
+		return nil
+	}
+	return c.TORs[rk]
+}
+
+// configureTenantEverywhere binds the tenant's VLAN on every ToR.
+func (c *Cluster) configureTenantEverywhere(tenant packet.TenantID, vlan packet.VLANID) error {
+	for _, t := range c.TORs {
+		if err := t.ConfigureTenant(tenant, vlan); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// registerVMEverywhere installs the VM's VRF state: local registration at
+// its home ToR and GRE tunnel mappings (tenant, VM IP) → home ToR on every
+// ToR, so any rack can originate express-lane traffic toward it (the
+// offloaded tunnel mappings of §4.1.3).
+func (c *Cluster) registerVMEverywhere(idx int, tenant packet.TenantID, ip packet.IP) error {
+	home := c.HomeTOR(idx)
+	if err := home.RegisterLocalVM(tenant, ip, c.Servers[idx].IP); err != nil {
+		return err
+	}
+	for _, t := range c.TORs {
+		if err := t.SetVRFTunnel(tenant, ip, home.Loopback); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// unregisterVMEverywhere removes the VM's ToR state (migration away).
+func (c *Cluster) unregisterVMEverywhere(fromIdx int, tenant packet.TenantID, ip packet.IP) {
+	c.HomeTOR(fromIdx).UnregisterLocalVM(tenant, ip)
+	for _, t := range c.TORs {
+		t.RemoveVRFTunnel(tenant, ip)
+	}
 }
 
 // VLANFor returns (allocating if needed) the tenant's access VLAN.

@@ -60,29 +60,10 @@ type Config struct {
 	// tier of the software → SmartNIC → TCAM ladder (active only when
 	// servers carry SmartNICs; see cluster.Config.SmartNIC).
 	NICMinScore float64
-	// NICHysteresisRatio guards the NIC tier against thrashing; values
-	// below 1 inherit HysteresisRatio.
-	NICHysteresisRatio float64
 	// NICTenantQuota caps NIC rules per tenant per host (0 = no quota),
 	// mirroring the device-side quota in smartnic.Config so the DE does
 	// not place rules the NIC would reject.
 	NICTenantQuota int
-
-	// RetryBase seeds the exponential backoff between hardware-install
-	// retries (default 4×ControlDelay). Jitter of up to one RetryBase is
-	// drawn from the simulation RNG.
-	RetryBase time.Duration
-	// MaxInstallAttempts caps install (re)sends before the controller
-	// gives up and leaves the flow on the software path (default 5).
-	MaxInstallAttempts int
-	// InstallTimeout bounds waiting for a barrier confirmation before an
-	// install or removal is re-issued (default 8×ControlDelay; must
-	// exceed the control round trip).
-	InstallTimeout time.Duration
-	// DemoteGrace is the minimum delay between demoting a pattern and
-	// removing its hardware ACL, covering placer reprogramming and
-	// express-lane packets already in flight (default 4×ControlDelay).
-	DemoteGrace time.Duration
 
 	// Damper configures BGP-style flap damping of offload-state
 	// transitions, layered on HysteresisRatio (zero value = defaults; see
@@ -136,14 +117,6 @@ type HAConfig struct {
 	// leader always refreshes in time; the daemons' config loader refuses
 	// a shorter one.
 	LeaseTTL time.Duration
-	// HeartbeatEvery is the leader heartbeat period (default: half a
-	// control interval).
-	HeartbeatEvery time.Duration
-	// ElectionTimeout is the base silence before a standby claims
-	// leadership (default: two control intervals). Each replica adds a
-	// stagger of replicaID × HeartbeatEvery so the lowest-id alive
-	// replica claims first.
-	ElectionTimeout time.Duration
 }
 
 // DefaultConfig returns the prototype's settings (§5.2) with a fast
@@ -203,21 +176,6 @@ func newManager(c *cluster.Cluster, cfg Config) *Manager {
 	}
 	if cfg.HysteresisRatio < 1 {
 		cfg.HysteresisRatio = 1
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 4 * cfg.ControlDelay
-	}
-	if cfg.MaxInstallAttempts <= 0 {
-		cfg.MaxInstallAttempts = 5
-	}
-	if cfg.InstallTimeout <= 0 {
-		cfg.InstallTimeout = 8 * cfg.ControlDelay
-	}
-	if cfg.DemoteGrace <= 0 {
-		cfg.DemoteGrace = 4 * cfg.ControlDelay
-	}
-	if cfg.NICHysteresisRatio < 1 {
-		cfg.NICHysteresisRatio = cfg.HysteresisRatio
 	}
 	if cfg.HA.Replicas < 1 {
 		cfg.HA.Replicas = 1

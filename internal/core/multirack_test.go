@@ -14,8 +14,8 @@ import (
 // in rack 0 and a server VM in rack 1.
 func multiRig(t *testing.T) (*cluster.Cluster, *host.VM, *host.VM) {
 	t.Helper()
-	c := cluster.NewMulti(cluster.MultiConfig{
-		Racks: 2, ServersPerRack: 2,
+	c := cluster.New(cluster.Config{
+		Racks: 2, Servers: 2,
 		VSwitchCfg: model.VSwitchConfig{Tunneling: true},
 		Seed:       41,
 	})
@@ -135,8 +135,8 @@ func TestMultiRackMigrationAcrossRacks(t *testing.T) {
 func TestMultiRackBudgetsAreIndependent(t *testing.T) {
 	// Each ToR has its own TCAM; filling rack 0's budget must not
 	// consume rack 1's (§4.3.3's scalability argument).
-	c := cluster.NewMulti(cluster.MultiConfig{
-		Racks: 2, ServersPerRack: 1,
+	c := cluster.New(cluster.Config{
+		Racks: 2, Servers: 1,
 		VSwitchCfg:   model.VSwitchConfig{Tunneling: true},
 		TCAMCapacity: 4,
 		Seed:         43,

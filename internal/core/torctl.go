@@ -244,7 +244,7 @@ type TORController struct {
 	Installs uint64
 	// Retries counts install re-sends after a rejection or timeout.
 	Retries uint64
-	// GiveUps counts installs abandoned after MaxInstallAttempts — the
+	// GiveUps counts installs abandoned after maxInstallAttempts — the
 	// flow stays on the software path (graceful degradation).
 	GiveUps uint64
 	// Repairs counts desired rules reconciliation found missing from
@@ -357,22 +357,18 @@ func (tc *TORController) controlInterval() time.Duration {
 // group of one has nobody to elect, so it leads for good.
 func (tc *TORController) haReplicated() bool { return tc.mgr.Cfg.HA.Replicas > 1 }
 
+// heartbeatEvery is the leader heartbeat period: half a control
+// interval.
 func (tc *TORController) heartbeatEvery() time.Duration {
-	if d := tc.mgr.Cfg.HA.HeartbeatEvery; d > 0 {
-		return d
-	}
 	return tc.controlInterval() / 2
 }
 
-// electionTimeout staggers by replica id so the lowest-id alive replica
-// claims first (its claim's heartbeats reset everyone else's timers well
-// before their own timeouts fire).
+// electionTimeout is the silence before a standby claims leadership: two
+// control intervals, staggered by replica id so the lowest-id alive
+// replica claims first (its claim's heartbeats reset everyone else's
+// timers well before their own timeouts fire).
 func (tc *TORController) electionTimeout() time.Duration {
-	base := tc.mgr.Cfg.HA.ElectionTimeout
-	if base <= 0 {
-		base = 2 * tc.controlInterval()
-	}
-	return base + time.Duration(tc.replicaID)*tc.heartbeatEvery()
+	return 2*tc.controlInterval() + time.Duration(tc.replicaID)*tc.heartbeatEvery()
 }
 
 // nextTerm is the smallest term above the current one in this replica's
@@ -934,9 +930,8 @@ func (tc *TORController) tick() {
 			HysteresisRatio: tc.mgr.Cfg.HysteresisRatio,
 			Groups:          tc.mgr.Cfg.Groups,
 		},
-		NICMinScore:        tc.mgr.Cfg.NICMinScore,
-		NICHysteresisRatio: tc.mgr.Cfg.NICHysteresisRatio,
-		NICTenantQuota:     tc.mgr.Cfg.NICTenantQuota,
+		NICMinScore:    tc.mgr.Cfg.NICMinScore,
+		NICTenantQuota: tc.mgr.Cfg.NICTenantQuota,
 	}
 	td := decision.DecideTiered(tcfg, cands, current, nicStates, hostOf)
 	// Flap damping on top of score hysteresis: a pattern whose offload
@@ -1079,9 +1074,22 @@ func (tc *TORController) setOffloaded(p rules.Pattern, on bool) {
 
 // ---- install path ----
 
-func (tc *TORController) retryBase() time.Duration      { return tc.mgr.Cfg.RetryBase }
-func (tc *TORController) installTimeout() time.Duration { return tc.mgr.Cfg.InstallTimeout }
-func (tc *TORController) demoteGrace() time.Duration    { return tc.mgr.Cfg.DemoteGrace }
+// maxInstallAttempts caps install (re)sends before the controller gives
+// up and leaves the flow on the software path.
+const maxInstallAttempts = 5
+
+// retryBase seeds the exponential backoff between hardware-install
+// retries; jitter of up to one retryBase is drawn from the simulation RNG.
+func (tc *TORController) retryBase() time.Duration { return 4 * tc.mgr.Cfg.ControlDelay }
+
+// installTimeout bounds waiting for a barrier confirmation before an
+// install or removal is re-issued; it exceeds the control round trip.
+func (tc *TORController) installTimeout() time.Duration { return 8 * tc.mgr.Cfg.ControlDelay }
+
+// demoteGrace is the minimum delay between demoting a pattern and
+// removing its hardware ACL, covering placer reprogramming and
+// express-lane packets already in flight.
+func (tc *TORController) demoteGrace() time.Duration { return 4 * tc.mgr.Cfg.ControlDelay }
 
 // backoff returns the delay before attempt n+1: exponential in the number
 // of attempts already made, capped, with seeded jitter so many
@@ -1217,7 +1225,7 @@ func (tc *TORController) installRetry(p rules.Pattern, st *installState) {
 	if st.timer != nil {
 		st.timer.Cancel()
 	}
-	if st.attempts >= tc.mgr.Cfg.MaxInstallAttempts {
+	if st.attempts >= maxInstallAttempts {
 		delete(tc.installing, p)
 		tc.GiveUps++
 		if tc.rec != nil {

@@ -134,10 +134,9 @@ func BenchmarkDecideExact10k(b *testing.B) {
 func BenchmarkDecideTiered(b *testing.B) {
 	cands, offloaded := benchCandidates(256)
 	cfg := TieredConfig{
-		TCAM:               Config{Budget: 64, MinScore: 10, HysteresisRatio: 1.2},
-		NICMinScore:        2,
-		NICHysteresisRatio: 1.2,
-		NICTenantQuota:     8,
+		TCAM:           Config{Budget: 64, MinScore: 10, HysteresisRatio: 1.2},
+		NICMinScore:    2,
+		NICTenantQuota: 8,
 	}
 	const hosts = 8
 	nics := make(map[int]NICState, hosts)

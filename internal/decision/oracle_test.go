@@ -111,7 +111,7 @@ func oracleDecideTiered(cfg TieredConfig, cands []Candidate, offloaded map[rules
 		d := applyQuota(oracleDecide(Config{
 			Budget:          st.Budget,
 			MinScore:        cfg.NICMinScore,
-			HysteresisRatio: cfg.NICHysteresisRatio,
+			HysteresisRatio: cfg.TCAM.HysteresisRatio,
 		}, mine, st.Placed), cfg.NICTenantQuota, st.Placed)
 		sortByString(d.Demote)
 		td.NIC[s] = d
@@ -253,10 +253,9 @@ func TestDecideTieredMatchesOracle(t *testing.T) {
 		}
 		for cycle := 0; cycle < 40; cycle++ {
 			cfg := TieredConfig{
-				TCAM:               Config{Budget: 8 + rng.Intn(8), HysteresisRatio: 1.2},
-				NICMinScore:        10,
-				NICHysteresisRatio: 1.1,
-				NICTenantQuota:     3,
+				TCAM:           Config{Budget: 8 + rng.Intn(8), HysteresisRatio: 1.2},
+				NICMinScore:    10,
+				NICTenantQuota: 3,
 			}
 			want := oracleDecideTiered(cfg, cands, offOracle, nicsOracle, hostOf)
 			got := DecideTiered(cfg, cands, off, nics, hostOf)

@@ -56,14 +56,13 @@ type NICState struct {
 // TieredConfig parameterizes the N-level engine.
 type TieredConfig struct {
 	// TCAM is the top tier's config, passed verbatim to the 2-level
-	// Decide.
+	// Decide. Its HysteresisRatio guards the NIC tier too: a NIC
+	// incumbent keeps its slot unless a challenger beats it by that
+	// factor.
 	TCAM Config
 	// NICMinScore filters NIC-tier noise; a flow not worth a NIC rule
 	// stays in software. Zero admits everything active.
 	NICMinScore float64
-	// NICHysteresisRatio keeps a NIC incumbent unless a challenger beats
-	// it by this factor (1.0 disables; values <1 are treated as 1).
-	NICHysteresisRatio float64
 	// NICTenantQuota caps NIC rules per tenant per host (<=0: no quota).
 	// The quota keeps the highest-scoring rules per tenant; surplus
 	// incumbents are demoted.
@@ -119,7 +118,7 @@ func DecideTiered(cfg TieredConfig, cands []Candidate, offloaded map[rules.Patte
 		d := Decide(Config{
 			Budget:          st.Budget,
 			MinScore:        cfg.NICMinScore,
-			HysteresisRatio: cfg.NICHysteresisRatio,
+			HysteresisRatio: cfg.TCAM.HysteresisRatio,
 		}, perHost[s], st.Placed)
 		td.NIC[s] = applyQuota(d, cfg.NICTenantQuota, st.Placed)
 	}

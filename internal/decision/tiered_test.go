@@ -46,9 +46,8 @@ func TestTieredCapacityZeroDifferential(t *testing.T) {
 				HysteresisRatio: 1 + rng.Float64(),
 			},
 			// NIC knobs must be inert without NICs.
-			NICMinScore:        float64(rng.Intn(100)),
-			NICHysteresisRatio: 1.5,
-			NICTenantQuota:     1 + rng.Intn(3),
+			NICMinScore:    float64(rng.Intn(100)),
+			NICTenantQuota: 1 + rng.Intn(3),
 		}
 		want := Decide(cfg.TCAM, cands, offloaded)
 		for _, nics := range []map[int]NICState{nil, {}} {
@@ -127,8 +126,7 @@ func TestTieredNICHysteresis(t *testing.T) {
 			{Pattern: chal, ActiveEpochs: 4, MedianPPS: challengerPPS},
 		}
 		td := DecideTiered(TieredConfig{
-			TCAM:               Config{Budget: 0},
-			NICHysteresisRatio: 1.5,
+			TCAM: Config{Budget: 0, HysteresisRatio: 1.5},
 		}, cands, nil, map[int]NICState{0: {Budget: 1, Placed: map[rules.Pattern]bool{inc: true}}}, hostOf)
 		return td.NIC[0]
 	}

@@ -68,7 +68,7 @@ func AblationScoreFunction() (ppsPolicy, bpsPolicy ScoreAblationResult) {
 			if ip == "10.5.0.2" || ip == "10.5.0.4" {
 				idx = 1
 			}
-			if err := c.TOR.RouteLike(packet.MustParseIP(ip), cluster.ServerIP(idx)); err != nil {
+			if err := c.TOR.RouteLike(packet.MustParseIP(ip), c.Servers[idx].IP); err != nil {
 				panic(err)
 			}
 		}

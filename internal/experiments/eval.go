@@ -80,7 +80,7 @@ func newEvalRig(nServers int, seed int64) *evalRig {
 // flatRoute routes a VM address directly at the ToR (the untunneled
 // baseline-OVS network of §6).
 func flatRoute(c *cluster.Cluster, vmIP packet.IP, serverIdx int) {
-	if err := c.TOR.RouteLike(vmIP, cluster.ServerIP(serverIdx)); err != nil {
+	if err := c.TOR.RouteLike(vmIP, c.Servers[serverIdx].IP); err != nil {
 		panic(err)
 	}
 }

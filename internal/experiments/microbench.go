@@ -113,7 +113,7 @@ func newMicroRig(pc PathConfig, seed int64) *microRig {
 }
 
 func mustRoute(c *cluster.Cluster, vmIP packet.IP, serverIdx int) {
-	if err := c.TOR.RouteLike(vmIP, cluster.ServerIP(serverIdx)); err != nil {
+	if err := c.TOR.RouteLike(vmIP, c.Servers[serverIdx].IP); err != nil {
 		panic(err)
 	}
 }

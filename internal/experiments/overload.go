@@ -245,15 +245,11 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 	// and the machinery's response — are visible within seconds.
 	srv0 := c.Servers[0]
 	srv0.VSwitch.SetOverloadConfig(vswitch.OverloadConfig{
-		UpcallQueueDepth:  64,
-		MaxInFlight:       1,
-		DRRQuantum:        200 * time.Microsecond,
-		Window:            50 * time.Millisecond,
-		OverloadThreshold: 0.75,
-		RecoverThreshold:  0.40,
-		DominanceFraction: 0.5,
-		ClampPPS:          1000,
-		MinWindowUpcalls:  32,
+		UpcallQueueDepth: 64,
+		MaxInFlight:      1,
+		Window:           50 * time.Millisecond,
+		ClampPPS:         1000,
+		MinWindowUpcalls: 32,
 	})
 
 	mgr := core.Attach(c, scenarioControl())

@@ -13,7 +13,6 @@
 package flowplacer
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/openflow"
@@ -88,13 +87,11 @@ func (pl *Placer) classify(k packet.FlowKey) openflow.Path {
 }
 
 // HandleMessage implements openflow.Handler: FLOW_MOD programs the control
-// plane, STATS_REQUEST reads data-plane counters, BARRIER_REQUEST fences.
+// plane, BARRIER_REQUEST fences.
 func (pl *Placer) HandleMessage(msg openflow.Message, xid uint32, reply openflow.ReplyFunc) {
 	switch m := msg.(type) {
 	case *openflow.FlowMod:
 		pl.applyFlowMod(m)
-	case *openflow.StatsRequest:
-		reply(pl.statsReply(), xid)
 	case *openflow.BarrierRequest:
 		reply(&openflow.BarrierReply{}, xid)
 	case openflow.EchoRequest:
@@ -147,25 +144,6 @@ func (pl *Placer) applyFlowMod(m *openflow.FlowMod) {
 	if pl.onChange != nil {
 		pl.onChange(m.Pattern, m.Out)
 	}
-}
-
-func (pl *Placer) statsReply() *openflow.StatsReply {
-	var out []openflow.FlowStat
-	pl.exact.Entries(func(e *rules.ExactEntry[openflow.Path]) {
-		out = append(out, openflow.FlowStat{
-			Key: e.Key, Packets: e.Stats.Packets, Bytes: e.Stats.Bytes,
-		})
-	})
-	// Deterministic order for reproducible control-plane traffic.
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.FastHash() < out[j].Key.FastHash() })
-	// Keep the reply within the protocol's 64 KiB frame (real OpenFlow
-	// splits stats into multipart replies; one frame suffices here —
-	// a placer tracks one VM's active flows).
-	const maxFlows = 1500
-	if len(out) > maxFlows {
-		out = out[:maxFlows]
-	}
-	return &openflow.StatsReply{Flows: out}
 }
 
 // Misses returns how many packets consulted the control plane.

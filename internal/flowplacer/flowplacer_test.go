@@ -107,30 +107,6 @@ func TestPriorityAndSpecificity(t *testing.T) {
 	}
 }
 
-func TestStatsReply(t *testing.T) {
-	pl := New()
-	for i := 0; i < 5; i++ {
-		k := memcachedKey
-		k.SrcPort += uint16(i)
-		pl.Place(packet.FromKey(k, 1000), time.Second)
-	}
-	var reply *openflow.StatsReply
-	pl.HandleMessage(&openflow.StatsRequest{}, 7, func(m openflow.Message, xid uint32) {
-		if xid != 7 {
-			t.Errorf("reply xid = %d", xid)
-		}
-		reply = m.(*openflow.StatsReply)
-	})
-	if reply == nil || len(reply.Flows) != 5 {
-		t.Fatalf("stats reply = %+v", reply)
-	}
-	for _, f := range reply.Flows {
-		if f.Packets != 1 || f.Bytes == 0 {
-			t.Errorf("flow stat %+v", f)
-		}
-	}
-}
-
 func TestBarrierAndEcho(t *testing.T) {
 	pl := New()
 	var got []openflow.MsgType

@@ -272,7 +272,7 @@ func (n NICCounters) String() string {
 
 // SketchCounters is the observability surface of the streaming
 // flow-accounting subsystem (internal/sketch): data-path sketch updates,
-// space-saving takeovers, decay rounds, shard merges, and emitted top-k
+// space-saving takeovers, shard merges, and emitted top-k
 // reports. Counters only ever increase.
 type SketchCounters struct {
 	// Updates counts Observe calls accounted into the sketches.
@@ -280,8 +280,6 @@ type SketchCounters struct {
 	// Evictions counts space-saving takeovers: monitored patterns
 	// displaced by newcomers once the top-k structure filled.
 	Evictions uint64
-	// Decays counts per-epoch multiplicative decay rounds applied.
-	Decays uint64
 	// Merges counts shard-sketch merges performed at report time.
 	Merges uint64
 	// Reports counts top-k heavy-hitter reports produced.
@@ -294,7 +292,6 @@ func (s SketchCounters) Add(o SketchCounters) SketchCounters {
 	return SketchCounters{
 		Updates:   s.Updates + o.Updates,
 		Evictions: s.Evictions + o.Evictions,
-		Decays:    s.Decays + o.Decays,
 		Merges:    s.Merges + o.Merges,
 		Reports:   s.Reports + o.Reports,
 	}
@@ -302,8 +299,8 @@ func (s SketchCounters) Add(o SketchCounters) SketchCounters {
 
 // String renders the counters for logs and experiment tables.
 func (s SketchCounters) String() string {
-	return fmt.Sprintf("updates=%d evict=%d decays=%d merges=%d reports=%d",
-		s.Updates, s.Evictions, s.Decays, s.Merges, s.Reports)
+	return fmt.Sprintf("updates=%d evict=%d merges=%d reports=%d",
+		s.Updates, s.Evictions, s.Merges, s.Reports)
 }
 
 // Gbps converts a byte count over an interval to gigabits per second.

@@ -3,7 +3,9 @@
 // bonding driver exposes "an OpenFlow interface, allowing the FasTrak rule
 // manager to direct a subset of flows via the SR-IOV interface" (§4.1.1),
 // and the TOR controller issues "OpenFlow table and flow stats requests"
-// (§5.2).
+// (§5.2). Here table requests travel on the wire; per-flow counters are
+// read from the datapath by each measurement engine, so the protocol
+// carries no flow-stats messages.
 //
 // The protocol is a compact OpenFlow-style binary framing: an 8-byte
 // header (version, type, length, xid) followed by a typed body. It runs
@@ -38,8 +40,8 @@ const (
 	TypeEchoRequest
 	TypeEchoReply
 	TypeFlowMod
-	TypeStatsRequest
-	TypeStatsReply
+	_ // 5 and 6 carried per-flow stats, which no controller asked for;
+	_ // they stay retired so every live type keeps its number.
 	TypeBarrierRequest
 	TypeBarrierReply
 	// TypeDemandReport is the FasTrak experimenter message carrying a
@@ -93,10 +95,6 @@ func (t MsgType) String() string {
 		return "ECHO_REPLY"
 	case TypeFlowMod:
 		return "FLOW_MOD"
-	case TypeStatsRequest:
-		return "STATS_REQUEST"
-	case TypeStatsReply:
-		return "STATS_REPLY"
 	case TypeBarrierRequest:
 		return "BARRIER_REQUEST"
 	case TypeBarrierReply:
@@ -231,55 +229,6 @@ func marshalTermTail(b *buffer, term, origin uint32) {
 // unmarshalTermTail consumes the epoch-fence tail.
 func unmarshalTermTail(r *reader) (term, origin uint32) {
 	return r.u32(), r.u32()
-}
-
-// StatsRequest asks a data-plane element for its per-flow counters.
-type StatsRequest struct{}
-
-// Type implements Message.
-func (*StatsRequest) Type() MsgType               { return TypeStatsRequest }
-func (*StatsRequest) marshalBody(*buffer)         {}
-func (*StatsRequest) unmarshalBody(*reader) error { return nil }
-
-// FlowStat is one flow's counters in a StatsReply.
-type FlowStat struct {
-	Key     packet.FlowKey
-	Packets uint64
-	Bytes   uint64
-}
-
-// StatsReply carries per-flow counters.
-type StatsReply struct {
-	Flows []FlowStat
-}
-
-// Type implements Message.
-func (*StatsReply) Type() MsgType { return TypeStatsReply }
-
-func (m *StatsReply) marshalBody(b *buffer) {
-	b.u32(uint32(len(m.Flows)))
-	for _, f := range m.Flows {
-		marshalKey(b, f.Key)
-		b.u64(f.Packets)
-		b.u64(f.Bytes)
-	}
-}
-
-func (m *StatsReply) unmarshalBody(r *reader) error {
-	n := r.u32()
-	if uint64(n)*29 > uint64(r.remaining()) {
-		return fmt.Errorf("openflow: stats reply claims %d flows beyond body", n)
-	}
-	if n == 0 {
-		return r.err
-	}
-	m.Flows = make([]FlowStat, n)
-	for i := range m.Flows {
-		m.Flows[i].Key = unmarshalKey(r)
-		m.Flows[i].Packets = r.u64()
-		m.Flows[i].Bytes = r.u64()
-	}
-	return r.err
 }
 
 // BarrierRequest asks the element to finish processing all prior messages
@@ -1061,29 +1010,9 @@ func getEntry(w []byte, e *DemandEntry) bool {
 	return getPattern(w, &e.Pattern)
 }
 
-func marshalKey(b *buffer, k packet.FlowKey) {
-	b.u32(uint32(k.Src))
-	b.u32(uint32(k.Dst))
-	b.u16(k.SrcPort)
-	b.u16(k.DstPort)
-	b.u8(k.Proto)
-	b.u32(uint32(k.Tenant))
-}
-
-func unmarshalKey(r *reader) packet.FlowKey {
-	var k packet.FlowKey
-	k.Src = packet.IP(r.u32())
-	k.Dst = packet.IP(r.u32())
-	k.SrcPort = r.u16()
-	k.DstPort = r.u16()
-	k.Proto = r.u8()
-	k.Tenant = packet.TenantID(r.u32())
-	return k
-}
-
 // MaxFrame is the largest encodable message: the header's length field is
 // 16 bits, as in OpenFlow. Senders of unbounded collections (demand
-// reports, stats replies) must chunk below this — see ChunkDemandReport.
+// reports, table replies) must chunk below this — see ChunkDemandReport.
 const MaxFrame = 0xffff
 
 // Encode frames msg with the given transaction id in a slice of its own,
@@ -1205,10 +1134,6 @@ func newMessage(t MsgType, scratch *DemandReport) (Message, error) {
 		return EchoReply{}, nil
 	case TypeFlowMod:
 		return &FlowMod{}, nil
-	case TypeStatsRequest:
-		return &StatsRequest{}, nil
-	case TypeStatsReply:
-		return &StatsReply{}, nil
 	case TypeBarrierRequest:
 		return &BarrierRequest{}, nil
 	case TypeBarrierReply:

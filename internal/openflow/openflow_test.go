@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -28,11 +29,6 @@ func TestEncodeDecodeAllTypes(t *testing.T) {
 		EchoRequest{},
 		EchoReply{},
 		&FlowMod{Command: FlowAdd, Pattern: samplePattern(), Priority: 10, Out: PathVF, Cookie: 0xfeed},
-		&StatsRequest{},
-		&StatsReply{Flows: []FlowStat{{Key: packet.FlowKey{
-			Src: packet.MustParseIP("10.0.0.1"), Dst: packet.MustParseIP("10.0.0.2"),
-			SrcPort: 40000, DstPort: 11211, Proto: packet.ProtoTCP, Tenant: 7,
-		}, Packets: 5, Bytes: 500}}},
 		&BarrierRequest{},
 		&BarrierReply{},
 		&DemandReport{ServerID: 2, Interval: 9,
@@ -88,9 +84,40 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestStatsReplyLengthBombRejected(t *testing.T) {
-	// A reply claiming 2^31 flows in a tiny body must not allocate.
-	wire := Encode(&StatsReply{}, 1)
+// TestWireTypeNumbers pins every live message type's number on the wire,
+// so deleting a type from the iota cannot renumber the ones after it.
+// Numbers 5 and 6 are retired: a frame of either type is refused.
+func TestWireTypeNumbers(t *testing.T) {
+	want := map[MsgType]uint8{
+		TypeHello: 1, TypeEchoRequest: 2, TypeEchoReply: 3, TypeFlowMod: 4,
+		TypeBarrierRequest: 7, TypeBarrierReply: 8, TypeDemandReport: 9,
+		TypeOffloadDecision: 10, TypeError: 11, TypeRuleSync: 12, TypeSyncAck: 13,
+		TypeTableRequest: 14, TypeTableReply: 15, TypeOverloadHint: 16,
+		TypeLeaderHeartbeat: 17,
+	}
+	for typ, n := range want {
+		if uint8(typ) != n {
+			t.Errorf("%s is %d on the wire, want %d", typ, uint8(typ), n)
+		}
+	}
+	for n := 0; n < 256; n++ {
+		_, err := newMessage(MsgType(n), nil)
+		if live := want[MsgType(n)] != 0; (err == nil) != live {
+			t.Errorf("type %d: newMessage error %v, want live=%v", n, err, live)
+		}
+	}
+	for _, n := range []uint8{5, 6} {
+		frame := Encode(&BarrierRequest{}, 1)
+		frame[1] = n
+		if _, _, _, err := Decode(frame); err == nil || !strings.Contains(err.Error(), "unknown message type") {
+			t.Errorf("type %d: Decode error = %v, want unknown message type", n, err)
+		}
+	}
+}
+
+func TestTableReplyLengthBombRejected(t *testing.T) {
+	// A reply claiming 2^31 rules in a tiny body must not allocate.
+	wire := Encode(&TableReply{}, 1)
 	// Body currently holds count=0 at offset 8; rewrite to huge count.
 	wire[8], wire[9], wire[10], wire[11] = 0x7f, 0xff, 0xff, 0xff
 	if _, _, _, err := Decode(wire); err == nil {
@@ -111,14 +138,14 @@ func TestConnOverPipe(t *testing.T) {
 			done <- err
 			return
 		}
-		if msg.Type() != TypeStatsRequest {
+		if msg.Type() != TypeTableRequest {
 			done <- io.ErrUnexpectedEOF
 			return
 		}
-		done <- b.WriteFrame(Encode(&StatsReply{Flows: []FlowStat{{Packets: 1}}}, xid))
+		done <- b.WriteFrame(Encode(&TableReply{Rules: []TableRule{{Priority: 1}}}, xid))
 	}()
 
-	xid, err := a.Send(&StatsRequest{})
+	xid, err := a.Send(&TableRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +156,8 @@ func TestConnOverPipe(t *testing.T) {
 	if rxid != xid {
 		t.Errorf("reply xid %d != request %d", rxid, xid)
 	}
-	sr, ok := reply.(*StatsReply)
-	if !ok || len(sr.Flows) != 1 || sr.Flows[0].Packets != 1 {
+	tr, ok := reply.(*TableReply)
+	if !ok || len(tr.Rules) != 1 || tr.Rules[0].Priority != 1 {
 		t.Errorf("reply = %#v", reply)
 	}
 	if err := <-done; err != nil {
@@ -278,7 +305,7 @@ func TestEncodeOversizedPanics(t *testing.T) {
 			t.Error("oversized message encoded without panic")
 		}
 	}()
-	big := &StatsReply{Flows: make([]FlowStat, 3000)}
+	big := &DemandReport{Entries: make([]DemandEntry, 2000)}
 	Encode(big, 1)
 }
 

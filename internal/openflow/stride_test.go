@@ -289,9 +289,8 @@ func TestDecodeDoesNotAliasFrame(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ps := randomPatterns(rng, 3)
 	msgs := []Message{
-		Hello{}, EchoRequest{}, EchoReply{}, &StatsRequest{}, &BarrierRequest{}, &BarrierReply{},
+		Hello{}, EchoRequest{}, EchoReply{}, &BarrierRequest{}, &BarrierReply{},
 		&FlowMod{Command: FlowDelete, Pattern: ps[0], Priority: 3, Out: PathVF, Cookie: 7, Term: 2, Origin: 1},
-		&StatsReply{Flows: []FlowStat{{Key: packet.FlowKey{Src: 1, Dst: 2, SrcPort: 3, DstPort: 4, Proto: 6, Tenant: 5}, Packets: 6, Bytes: 7}}},
 		&DemandReport{ServerID: 1, Interval: 2, NICFree: 3, NICPatterns: ps[1:],
 			Entries: []DemandEntry{{Pattern: ps[0], PPS: 1, BPS: 2, Epoch: 3, MedianPPS: 4, MedianBPS: 5, ActiveEpochs: 6}},
 			Splits:  []RateSplit{{Tenant: 1, VMIP: 2, EgressSoftBps: 3, EgressHardBps: 4, IngressSoftBps: 5, IngressHardBps: 6}},
@@ -322,6 +321,9 @@ func TestDecodeDoesNotAliasFrame(t *testing.T) {
 		}
 	}
 	for typ := TypeHello; typ <= TypeLeaderHeartbeat; typ++ {
+		if _, err := newMessage(typ, nil); err != nil {
+			continue // a retired number
+		}
 		if !seen[typ] {
 			t.Errorf("%s is not covered", typ)
 		}

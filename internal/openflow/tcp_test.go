@@ -16,7 +16,7 @@ func TestConnOverTCP(t *testing.T) {
 	defer ln.Close()
 
 	type result struct {
-		flows int
+		rules int
 		err   error
 	}
 	done := make(chan result, 1)
@@ -32,25 +32,25 @@ func TestConnOverTCP(t *testing.T) {
 			done <- result{err: err}
 			return
 		}
-		// Collect one stats request, reply with a big table.
+		// Collect one table request, reply with a big table.
 		msg, xid, err := c.Recv()
 		if err != nil {
 			done <- result{err: err}
 			return
 		}
-		if msg.Type() != TypeStatsRequest {
+		if msg.Type() != TypeTableRequest {
 			done <- result{err: err}
 			return
 		}
-		reply := &StatsReply{}
-		for i := 0; i < 1500; i++ {
-			reply.Flows = append(reply.Flows, FlowStat{Packets: uint64(i), Bytes: uint64(i) * 100})
+		reply := &TableReply{}
+		for i := 0; i < 2000; i++ {
+			reply.Rules = append(reply.Rules, TableRule{Priority: uint16(i), Queue: uint8(i)})
 		}
 		if err := c.WriteFrame(Encode(reply, xid)); err != nil {
 			done <- result{err: err}
 			return
 		}
-		done <- result{flows: len(reply.Flows)}
+		done <- result{rules: len(reply.Rules)}
 	}()
 
 	raw, err := net.Dial("tcp", ln.Addr().String())
@@ -62,7 +62,7 @@ func TestConnOverTCP(t *testing.T) {
 	if err := c.Handshake(); err != nil {
 		t.Fatal(err)
 	}
-	xid, err := c.Send(&StatsRequest{})
+	xid, err := c.Send(&TableRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,17 +73,17 @@ func TestConnOverTCP(t *testing.T) {
 	if rxid != xid {
 		t.Errorf("xid %d != %d", rxid, xid)
 	}
-	sr, ok := msg.(*StatsReply)
+	tr, ok := msg.(*TableReply)
 	if !ok {
 		t.Fatalf("got %T", msg)
 	}
-	// A 1500-flow reply spans ~50 KB: multiple TCP segments, testing
+	// A 2000-rule reply spans ~46 KB: multiple TCP segments, testing
 	// the reader's reassembly near the frame limit.
-	if len(sr.Flows) != 1500 {
-		t.Errorf("flows = %d", len(sr.Flows))
+	if len(tr.Rules) != 2000 {
+		t.Errorf("rules = %d", len(tr.Rules))
 	}
-	if sr.Flows[1499].Packets != 1499 {
-		t.Errorf("last flow corrupted: %+v", sr.Flows[1499])
+	if last := tr.Rules[1999]; last.Priority != 1999 || last.Queue != 1999%256 {
+		t.Errorf("last rule corrupted: %+v", last)
 	}
 	r := <-done
 	if r.err != nil {

@@ -26,10 +26,6 @@ type Config struct {
 	// Aggregate mirrors measure.Config.Aggregate: key by the egress and
 	// ingress per-VM/app aggregates (the default) instead of exact flows.
 	Aggregate bool
-	// Decay is the per-epoch multiplicative decay factor in (0,1); 0 (or
-	// 1) disables decay, leaving counters cumulative — the mode that is
-	// differentially equivalent to the exact measurement engine.
-	Decay float64
 }
 
 func (c Config) normalized() Config {
@@ -183,18 +179,6 @@ func (s *ShardSketch) Clone() *ShardSketch {
 	}
 }
 
-// Advance applies the configured per-epoch decay (a no-op with decay
-// off, the differential-oracle mode).
-func (s *ShardSketch) Advance() {
-	if s.cfg.Decay <= 0 || s.cfg.Decay >= 1 {
-		return
-	}
-	s.top.Decay(s.cfg.Decay)
-	s.pkts.Decay(s.cfg.Decay)
-	s.bytes.Decay(s.cfg.Decay)
-	s.counters.Decays++
-}
-
 // Reset zeroes all accounting (counters are kept — they are lifetime
 // totals, like the vswitch's).
 func (s *ShardSketch) Reset() {
@@ -221,8 +205,8 @@ func (s *ShardSketch) MemoryBytes() int {
 	return s.top.K()*perEntry + s.pkts.MemoryBytes() + s.bytes.MemoryBytes()
 }
 
-// PatternCount is one reported heavy hitter: cumulative (or decayed)
-// packet and byte totals with the space-saving error bound.
+// PatternCount is one reported heavy hitter: cumulative packet and byte
+// totals with the space-saving error bound.
 type PatternCount struct {
 	Pattern rules.Pattern
 	Pkts    uint64
@@ -311,13 +295,6 @@ func (a *Accountant) Report() []PatternCount {
 		return a.shards[0].Report()
 	}
 	return a.Merged().Report()
-}
-
-// Advance applies the per-epoch decay to every shard.
-func (a *Accountant) Advance() {
-	for _, s := range a.shards {
-		s.Advance()
-	}
 }
 
 // Counters returns the summed shard counters (same validity contract as

@@ -34,11 +34,8 @@
 //     space-saving merge charges each side's Floor() for keys the other
 //     side never saw, keeping every merged Count an overestimate.
 //
-// Decay support (Decay, for the control-interval cadence) multiplies
-// every counter by a factor, rounding up so the overestimate invariant
-// survives the scaling. With decay off (the default, and the mode the
-// differential oracle runs in) counters are cumulative, mirroring the
-// vswitch's cumulative per-flow statistics.
+// Counters are cumulative, mirroring the vswitch's cumulative per-flow
+// statistics; that is the mode the differential oracle runs in.
 package sketch
 
 import "math"
@@ -109,15 +106,6 @@ func satAdd(a, b uint64) uint64 {
 	return math.MaxUint64
 }
 
-// ceilScale multiplies v by factor (in (0,1)), rounding up so decayed
-// counters still dominate the identically-decayed true counts.
-func ceilScale(v uint64, factor float64) uint64 {
-	if v == 0 {
-		return 0
-	}
-	return uint64(math.Ceil(float64(v) * factor))
-}
-
 // Update adds delta to key with conservative update: only the cells that
 // would otherwise fall below the key's new estimate are raised, which
 // keeps every cell the tightest overestimate the row can prove. Returns
@@ -165,18 +153,6 @@ func (c *CountMin) Merge(o *CountMin) {
 	}
 	for i, v := range o.cells {
 		c.cells[i] = satAdd(c.cells[i], v)
-	}
-}
-
-// Decay multiplies every cell by factor, rounding up so decayed cells
-// still dominate the identically-decayed true counts. Factors outside
-// (0,1) are ignored: 1 (and 0, the zero value) mean "no decay".
-func (c *CountMin) Decay(factor float64) {
-	if factor <= 0 || factor >= 1 {
-		return
-	}
-	for i, v := range c.cells {
-		c.cells[i] = ceilScale(v, factor)
 	}
 }
 

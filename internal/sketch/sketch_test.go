@@ -136,26 +136,6 @@ func TestCountMinMergeIncompatiblePanics(t *testing.T) {
 	}
 }
 
-// TestCountMinDecayPreservesDominance: decayed estimates still dominate
-// the identically-decayed true counts (ceil rounding).
-func TestCountMinDecayPreservesDominance(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	cm := NewCountMin(64, 3, 3)
-	truth := make(map[uint64]uint64)
-	for i := 0; i < 3000; i++ {
-		key := uint64(rng.Intn(200))
-		truth[key]++
-		cm.Update(key, 1)
-	}
-	cm.Decay(0.5)
-	for key, want := range truth {
-		decayedTruth := ceilScale(want, 0.5)
-		if got := cm.Estimate(key); got < decayedTruth {
-			t.Fatalf("post-decay Estimate(%d) = %d < decayed truth %d", key, got, decayedTruth)
-		}
-	}
-}
-
 // TestCountMinDeterministic: same seed + same update sequence ⇒ identical
 // state; different seed ⇒ (almost surely) different cells.
 func TestCountMinDeterministic(t *testing.T) {
@@ -319,14 +299,11 @@ func TestSpaceSavingMergeExactAssociativeBelowK(t *testing.T) {
 }
 
 // TestSpaceSavingDeterministicEviction: two instances fed the same stream
-// are in identical states, including after evictions and decay.
+// are in identical states, including after evictions.
 func TestSpaceSavingDeterministicEviction(t *testing.T) {
 	feed := func(ss *SpaceSaving[int]) {
 		for i := 0; i < 2000; i++ {
 			ss.Update(i%37, uint64(1+i%5), uint64(i%11))
-			if i%500 == 499 {
-				ss.Decay(0.5)
-			}
 		}
 	}
 	a, b := NewSpaceSaving[int](8, intLess), NewSpaceSaving[int](8, intLess)
@@ -334,31 +311,6 @@ func TestSpaceSavingDeterministicEviction(t *testing.T) {
 	feed(b)
 	if !reflect.DeepEqual(a.Entries(), b.Entries()) {
 		t.Fatal("same stream produced different space-saving states")
-	}
-}
-
-// TestSpaceSavingDecayPreservesBound: after decay, Count still dominates
-// the identically-decayed true count, and Count-Err stays a lower bound.
-func TestSpaceSavingDecayPreservesBound(t *testing.T) {
-	ss := NewSpaceSaving[int](32, intLess)
-	truth := make(map[int]uint64)
-	rng := rand.New(rand.NewSource(23))
-	for i := 0; i < 1000; i++ {
-		key := rng.Intn(32)
-		truth[key]++
-		ss.Update(key, 1, 0)
-	}
-	ss.Decay(0.25)
-	for key, want := range truth {
-		decayed := ceilScale(want, 0.25)
-		got, errb, ok := ss.Estimate(key)
-		if !ok {
-			t.Fatalf("key %d vanished during decay", key)
-		}
-		if got < decayed {
-			t.Fatalf("post-decay Estimate(%d) = %d < decayed truth %d", key, got, decayed)
-		}
-		_ = errb
 	}
 }
 

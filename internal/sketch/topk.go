@@ -225,24 +225,6 @@ func (s *SpaceSaving[K]) Merge(o *SpaceSaving[K]) {
 	s.Evictions += o.Evictions
 }
 
-// Decay multiplies every count, error and aux by factor, rounding up so
-// the overestimate invariant survives. The heap is rebuilt: scaling is
-// monotone but can create new ties, and the tie-break order must hold.
-func (s *SpaceSaving[K]) Decay(factor float64) {
-	if factor <= 0 || factor >= 1 {
-		return
-	}
-	for i := range s.heap {
-		s.heap[i].Count = ceilScale(s.heap[i].Count, factor)
-		s.heap[i].Err = ceilScale(s.heap[i].Err, factor)
-		s.heap[i].Aux = ceilScale(s.heap[i].Aux, factor)
-	}
-	sort.Slice(s.heap, func(i, j int) bool { return s.before(s.heap[i], s.heap[j]) })
-	for i, e := range s.heap {
-		s.idx[e.Key] = i
-	}
-}
-
 // Reset empties the structure.
 func (s *SpaceSaving[K]) Reset() {
 	s.heap = s.heap[:0]

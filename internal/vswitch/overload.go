@@ -37,21 +37,8 @@ type OverloadConfig struct {
 	// concurrently in service. It is also the capacity unit of the
 	// overload detector.
 	MaxInFlight int
-	// DRRQuantum is the deficit-round-robin quantum of slow-path CPU
-	// time added to a tenant's deficit per scheduling visit. It must be
-	// at least one upcall's cost for single-visit progress (it is only a
-	// fairness granularity knob, not a correctness one).
-	DRRQuantum time.Duration
 	// Window is the sliding window of the CPU overload detector.
 	Window time.Duration
-	// OverloadThreshold and RecoverThreshold are the slow-path
-	// utilization fractions (busy time / (window × MaxInFlight)) that
-	// enter and leave the overloaded state; the gap is hysteresis.
-	OverloadThreshold float64
-	RecoverThreshold  float64
-	// DominanceFraction is the share of windowed miss arrivals a tenant
-	// must exceed to be singled out as the offender and clamped.
-	DominanceFraction float64
 	// ClampPPS is the per-VIF miss admission rate imposed on the
 	// offending tenant while overloaded.
 	ClampPPS float64
@@ -64,17 +51,30 @@ type OverloadConfig struct {
 // genuine miss storm.
 func DefaultOverloadConfig() OverloadConfig {
 	return OverloadConfig{
-		UpcallQueueDepth:  512,
-		MaxInFlight:       4,
-		DRRQuantum:        200 * time.Microsecond,
-		Window:            100 * time.Millisecond,
-		OverloadThreshold: 0.75,
-		RecoverThreshold:  0.40,
-		DominanceFraction: 0.5,
-		ClampPPS:          2000,
-		MinWindowUpcalls:  64,
+		UpcallQueueDepth: 512,
+		MaxInFlight:      4,
+		Window:           100 * time.Millisecond,
+		ClampPPS:         2000,
+		MinWindowUpcalls: 64,
 	}
 }
+
+// The overload policy's fixed shape.
+const (
+	// drrQuantum is the deficit-round-robin quantum of slow-path CPU time
+	// added to a tenant's deficit per scheduling visit. It is at least
+	// one upcall's cost, for single-visit progress (a fairness
+	// granularity, not a correctness bound).
+	drrQuantum = 200 * time.Microsecond
+	// overloadThreshold and recoverThreshold are the slow-path
+	// utilization fractions (busy time / (window × MaxInFlight)) that
+	// enter and leave the overloaded state; the gap is hysteresis.
+	overloadThreshold = 0.75
+	recoverThreshold  = 0.40
+	// dominanceFraction is the share of windowed miss arrivals a tenant
+	// must reach to be singled out as the offender and clamped.
+	dominanceFraction = 0.5
+)
 
 func (c OverloadConfig) normalized() OverloadConfig {
 	d := DefaultOverloadConfig()
@@ -84,20 +84,8 @@ func (c OverloadConfig) normalized() OverloadConfig {
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = d.MaxInFlight
 	}
-	if c.DRRQuantum <= 0 {
-		c.DRRQuantum = d.DRRQuantum
-	}
 	if c.Window <= 0 {
 		c.Window = d.Window
-	}
-	if c.OverloadThreshold <= 0 || c.OverloadThreshold > 1 {
-		c.OverloadThreshold = d.OverloadThreshold
-	}
-	if c.RecoverThreshold <= 0 || c.RecoverThreshold >= c.OverloadThreshold {
-		c.RecoverThreshold = c.OverloadThreshold / 2
-	}
-	if c.DominanceFraction <= 0 || c.DominanceFraction > 1 {
-		c.DominanceFraction = d.DominanceFraction
 	}
 	if c.ClampPPS <= 0 {
 		c.ClampPPS = d.ClampPPS
@@ -453,7 +441,7 @@ func (u *upcallSched) next() *upcallJob {
 			ts.deficit -= job.cost
 			return u.take(ts)
 		}
-		ts.deficit += u.cfg.DRRQuantum
+		ts.deficit += drrQuantum
 		u.ringIdx++
 	}
 	// Degenerate configuration (quantum ≪ cost overflow-scale); force
@@ -519,21 +507,21 @@ func (u *upcallSched) evaluate(now time.Duration) (OverloadSignal, bool) {
 	changed := false
 	switch {
 	case !u.overloaded:
-		if util >= u.cfg.OverloadThreshold && total >= u.cfg.MinWindowUpcalls {
+		if util >= overloadThreshold && total >= u.cfg.MinWindowUpcalls {
 			u.overloaded = true
 			u.Entered++
-			if share >= u.cfg.DominanceFraction {
+			if share >= dominanceFraction {
 				u.setOffender(offender)
 			}
 			changed = true
 		}
 	default:
-		if util <= u.cfg.RecoverThreshold {
+		if util <= recoverThreshold {
 			u.overloaded = false
 			u.Recovered++
 			u.clearClamps()
 			changed = true
-		} else if share >= u.cfg.DominanceFraction && offender != u.offender {
+		} else if share >= dominanceFraction && offender != u.offender {
 			u.setOffender(offender)
 			changed = true
 		}

@@ -31,9 +31,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// DefaultPlaneRingDepth is the per-shard input queue depth, in vectors.
+// planeRingDepth is the per-shard input queue depth, in vectors.
 // Producers block when a shard's ring fills — backpressure, not loss.
-const DefaultPlaneRingDepth = 256
+const planeRingDepth = 256
 
 // PlaneConfig configures a sharded data plane.
 type PlaneConfig struct {
@@ -43,9 +43,6 @@ type PlaneConfig struct {
 	// VectorSize is the target batch size (default
 	// packet.DefaultVectorSize, clamped to packet.MaxVectorSize).
 	VectorSize int
-	// RingDepth is the per-shard input queue depth in vectors (default
-	// DefaultPlaneRingDepth).
-	RingDepth int
 	// ServerIP is the VXLAN tunnel source address.
 	ServerIP packet.IP
 	// Tunneling enables VXLAN encap toward remote servers (the
@@ -70,9 +67,6 @@ func (c PlaneConfig) normalized() PlaneConfig {
 	}
 	if c.VectorSize > packet.MaxVectorSize {
 		c.VectorSize = packet.MaxVectorSize
-	}
-	if c.RingDepth <= 0 {
-		c.RingDepth = DefaultPlaneRingDepth
 	}
 	return c
 }

@@ -138,7 +138,7 @@ func newPlaneShard(pl *ShardedPlane, id int) *planeShard {
 		wire:     make([]byte, 0, 2048),
 	}
 	if !pl.inline {
-		sh.in = make(chan shardMsg, pl.cfg.RingDepth)
+		sh.in = make(chan shardMsg, planeRingDepth)
 	}
 	return sh
 }

@@ -235,11 +235,12 @@ func (s *Switch) VIFRates(key VMKey) (egressBps, ingressBps float64, ok bool) {
 	return vp.egress.meter.Sample(now), vp.ingress.meter.Sample(now), true
 }
 
-// invalidate flushes fast-path entries matching a pattern — exact-match
+// Invalidate flushes fast-path entries matching a pattern — exact-match
 // entries the pattern covers and megaflow entries whose wildcard region
 // overlaps it (the OVS revalidation rule that keeps the cache
-// semantically transparent); the FasTrak local controller calls this when
-// rules for offloaded flows change.
+// semantically transparent) — and returns how many exact-match entries
+// it flushed. The FasTrak local controller calls it when rules for
+// offloaded flows change.
 func (s *Switch) Invalidate(p rules.Pattern) int {
 	// Megaflow removals are accounted in CacheCounters.Invalidations; the
 	// return value counts exact-match flushes only (the seed contract).
