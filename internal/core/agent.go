@@ -55,10 +55,8 @@ func newSwitchAgent(t *tor.TOR) *switchAgent {
 func (a *switchAgent) admitTerm(term, origin uint32, acts bool, cause string, reply openflow.ReplyFunc, xid uint32) bool {
 	if term < a.highestTerm {
 		a.FencedInstalls++
-		if a.rec != nil {
-			a.rec.Record(telemetry.Event{Kind: telemetry.KindFenceReject, Cause: cause,
-				V1: float64(term), V2: float64(a.highestTerm)})
-		}
+		a.rec.Record(telemetry.Event{Kind: telemetry.KindFenceReject, Cause: cause,
+			V1: float64(term), V2: float64(a.highestTerm)})
 		reply(&openflow.ErrorMsg{Code: openflow.ErrCodeStaleTerm}, xid)
 		return false
 	}

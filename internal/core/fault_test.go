@@ -187,14 +187,14 @@ func TestRemovalWaitsForAcks(t *testing.T) {
 		lc.fromTOR.SetDown(true)
 	}
 	tc.demoteVM(3, serverIP)
-	if len(tc.removing) == 0 {
+	if len(tc.inst.patterns(true)) == 0 {
 		t.Fatal("demoteVM queued no removals")
 	}
 
 	eng.RunUntil(3 * time.Second)
 	// Acks cannot arrive: the ACLs must still be installed.
 	hw := tb.hwPatterns()
-	for p := range tc.removing {
+	for _, p := range tc.inst.patterns(true) {
 		if !hw[p] {
 			t.Errorf("ACL %v removed while locals were unreachable (unacked)", p)
 		}
@@ -208,7 +208,7 @@ func TestRemovalWaitsForAcks(t *testing.T) {
 	}
 	eng.RunUntil(7 * time.Second)
 	tb.mgr.Stop()
-	if n := len(tc.removing); n != 0 {
+	if n := len(tc.inst.patterns(true)); n != 0 {
 		t.Errorf("%d removals still pending after channels healed", n)
 	}
 	for p := range before {

@@ -192,10 +192,8 @@ func (lc *LocalController) checkLease() {
 		lc.removePlacement(p)
 	}
 	lc.PlacerExpiries += uint64(len(ps))
-	if lc.rec != nil {
-		lc.rec.Record(telemetry.Event{Kind: telemetry.KindLeaseExpire, Cause: "placer",
-			V1: float64(len(ps)), V2: float64(lc.termSeen)})
-	}
+	lc.rec.Record(telemetry.Event{Kind: telemetry.KindLeaseExpire, Cause: "placer",
+		V1: float64(len(ps)), V2: float64(lc.termSeen)})
 }
 
 // admitTerm fences a TOR-controller message carrying leadership term
@@ -205,10 +203,8 @@ func (lc *LocalController) checkLease() {
 func (lc *LocalController) admitTerm(term uint32, cause string) bool {
 	if term < lc.termSeen {
 		lc.FencedMsgs++
-		if lc.rec != nil {
-			lc.rec.Record(telemetry.Event{Kind: telemetry.KindFenceReject, Cause: cause,
-				V1: float64(term), V2: float64(lc.termSeen)})
-		}
+		lc.rec.Record(telemetry.Event{Kind: telemetry.KindFenceReject, Cause: cause,
+			V1: float64(term), V2: float64(lc.termSeen)})
 		return false
 	}
 	if term > lc.termSeen {
@@ -289,18 +285,14 @@ func (lc *LocalController) sendReport(rep openflow.DemandReport) {
 			Width: uint32(cfg.Width), Depth: uint32(cfg.Depth),
 			Floor: lc.acct.Floor(), Evictions: ctr.Evictions,
 		}
-		if lc.rec != nil {
-			lc.rec.Record(telemetry.Event{Kind: telemetry.KindSketchReport,
-				V1: float64(len(rep.Entries)), V2: float64(rep.Sketch.Floor)})
-		}
+		lc.rec.Record(telemetry.Event{Kind: telemetry.KindSketchReport,
+			V1: float64(len(rep.Entries)), V2: float64(rep.Sketch.Floor)})
 	}
 	if lc.AugmentReport != nil {
 		lc.AugmentReport(&rep)
 	}
-	if lc.rec != nil {
-		lc.rec.Record(telemetry.Event{Kind: telemetry.KindReportSent,
-			V1: float64(len(rep.Entries)), V2: float64(rep.Interval)})
-	}
+	lc.rec.Record(telemetry.Event{Kind: telemetry.KindReportSent,
+		V1: float64(len(rep.Entries)), V2: float64(rep.Interval)})
 	for _, chunk := range openflow.ChunkDemandReport(rep) {
 		chunk := chunk
 		// Broadcast to the whole replica group: hot standbys rebuild the

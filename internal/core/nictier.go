@@ -112,7 +112,7 @@ func (tc *TORController) applyNICTier(td decision.TieredDecision, scores map[rul
 			if owner, ok := tc.nicDesired[p]; !ok || owner != id {
 				continue
 			}
-			if tc.installing[p] != nil {
+			if tc.inst.installing(p) {
 				// NIC→TCAM promotion in flight: keep forwarding from the
 				// NIC until the TCAM ACL is confirmed.
 				continue
@@ -132,18 +132,16 @@ func (tc *TORController) applyNICTier(td decision.TieredDecision, scores map[rul
 			// The same compliance gate as the TCAM tier: a SmartNIC hit
 			// bypasses the vswitch ACLs, so only Allow traffic may be
 			// placed (§4.3's policy-compliance requirement).
-			if action, _ := tc.policyFor(p); action != rules.Allow {
+			if _, allow := tc.policy(p); !allow {
 				continue
 			}
 			cause := "software->nic"
-			if tc.removing[p] != nil {
+			if f := tc.inst.flights[p]; f != nil && !f.installing() {
 				cause = "tcam->nic" // demoted out of the TCAM this tick
 			}
 			tc.nicDesired[p] = id
 			tc.NICPlacements++
-			if tc.rec != nil {
-				tc.rec.EmitPattern(telemetry.KindPlacementChange, p.Tenant, p, cause, scores[p], float64(s))
-			}
+			tc.rec.EmitPattern(telemetry.KindPlacementChange, p.Tenant, p, cause, scores[p], float64(s))
 			acts = append(acts, openflow.OffloadAction{Pattern: p, Offload: true, Tier: openflow.TierNIC})
 		}
 		tc.sendNICActions(id, acts)
@@ -156,9 +154,7 @@ func (tc *TORController) applyNICTier(td decision.TieredDecision, scores map[rul
 func (tc *TORController) nicRemove(p rules.Pattern, s uint32, cause string, score float64) {
 	delete(tc.nicDesired, p)
 	tc.NICDemotes++
-	if tc.rec != nil {
-		tc.rec.EmitPattern(telemetry.KindPlacementChange, p.Tenant, p, cause, score, float64(s))
-	}
+	tc.rec.EmitPattern(telemetry.KindPlacementChange, p.Tenant, p, cause, score, float64(s))
 }
 
 // sendNICActions delivers NIC-tier actions to one server's local
@@ -192,9 +188,7 @@ func (tc *TORController) nicReconcile() {
 			continue // no report yet, or confirmed present
 		}
 		tc.NICReasserts++
-		if tc.rec != nil {
-			tc.rec.EmitPattern(telemetry.KindRepair, p.Tenant, p, "missing-from-nic", 0, float64(s))
-		}
+		tc.rec.EmitPattern(telemetry.KindRepair, p.Tenant, p, "missing-from-nic", 0, float64(s))
 		perServer[s] = append(perServer[s], openflow.OffloadAction{Pattern: p, Offload: true, Tier: openflow.TierNIC})
 	}
 
@@ -213,9 +207,7 @@ func (tc *TORController) nicReconcile() {
 		slices.SortFunc(orphans, rules.Pattern.Compare)
 		for _, p := range orphans {
 			tc.NICOrphans++
-			if tc.rec != nil {
-				tc.rec.EmitPattern(telemetry.KindOrphanSweep, p.Tenant, p, "nic", 0, float64(id))
-			}
+			tc.rec.EmitPattern(telemetry.KindOrphanSweep, p.Tenant, p, "nic", 0, float64(id))
 			perServer[id] = append(perServer[id], openflow.OffloadAction{Pattern: p, Offload: false, Tier: openflow.TierNIC})
 		}
 	}

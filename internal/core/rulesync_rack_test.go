@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/packet"
 	"repro/internal/rules"
 	"repro/internal/sim"
+	"repro/internal/tor"
 )
 
 // forceFull sits between a local controller and the ToR controller and
@@ -346,5 +348,59 @@ func TestDetachLetsTheLogTrim(t *testing.T) {
 	}
 	if _, ok := r.peers[2]; ok || !sp.converged(a) || len(b.LC.Placements()) != 10 {
 		t.Fatalf("detached local still known: %v; the attached one holds %d of %d", ok, len(a.LC.Placements()), len(sp.tor.TC.offloaded))
+	}
+}
+
+// TestPlacementsViewStates walks one pattern through every state the admin
+// placement view reports: a first install the TCAM rejects leaves it
+// "installing" with a second attempt on the wire, the confirmed retry
+// makes it "offloaded", and an unpin makes it "removing" until the local's
+// ack and the in-flight grace let the ACL go.
+func TestPlacementsViewStates(t *testing.T) {
+	sp := newSplitPair(t, 10)
+	sp.agent(1)
+	sp.run(time.Millisecond)
+	rejected := false
+	sp.tor.TC.tor.SetInstallFault(func() error {
+		if rejected {
+			return nil
+		}
+		rejected = true
+		return errors.New("injected reject")
+	})
+	p := syncPattern(0)
+	view := func() []PlacementView { return sp.tor.Placements() }
+	hasACL := func() bool {
+		return slices.ContainsFunc(sp.tor.TC.tor.Rules(), func(ri tor.RuleInfo) bool { return ri.Pattern == p })
+	}
+	sp.tor.Pin(p)
+	if got := view(); len(got) != 1 || got[0].State != "installing" || got[0].Attempts != 1 {
+		t.Fatalf("after the pin: %+v", got)
+	}
+	// Step until the retry is on the wire: the rejection came back with
+	// the barrier and the backoff has passed.
+	for i := 0; i < 100; i++ {
+		if got := view(); len(got) == 1 && got[0].Attempts == 2 {
+			break
+		}
+		sp.run(50 * time.Microsecond)
+	}
+	if got := view(); !rejected || len(got) != 1 || got[0].State != "installing" || got[0].Attempts != 2 {
+		t.Fatalf("after the rejected first install: %+v (rejected %v)", got, rejected)
+	}
+	sp.run(2 * time.Millisecond)
+	if got := view(); len(got) != 1 || got[0] != (PlacementView{Pattern: p, State: "offloaded"}) {
+		t.Fatalf("after the confirmed retry: %+v", got)
+	}
+	sp.tor.Unpin(p)
+	if got := view(); len(got) != 1 || got[0] != (PlacementView{Pattern: p, State: "removing"}) {
+		t.Fatalf("after the unpin: %+v", got)
+	}
+	if !hasACL() {
+		t.Fatal("the ACL went before the local acked and the grace passed")
+	}
+	sp.run(5 * time.Millisecond)
+	if got := view(); len(got) != 0 || hasACL() {
+		t.Fatalf("after the acked removal: %+v, ACL still installed %v", got, hasACL())
 	}
 }

@@ -98,7 +98,7 @@ func (s *TORService) DetachLocal(serverID uint32) {
 	delete(tc.nicReported, serverID)
 	delete(tc.nicFree, serverID)
 	delete(tc.nicSeen, serverID)
-	tc.tryRemovals()
+	tc.inst.tryRemovals(tc.mgr.Cluster.Eng.Now())
 }
 
 // AgentIDs returns the currently attached servers, sorted.
@@ -128,15 +128,16 @@ type PlacementView struct {
 // or on its way in/out, sorted by state then pattern.
 func (s *TORService) Placements() []PlacementView {
 	tc := s.TC
-	out := make([]PlacementView, 0, len(tc.offloaded)+len(tc.installing)+len(tc.removing))
+	out := make([]PlacementView, 0, len(tc.offloaded)+len(tc.inst.flights))
 	for p := range tc.offloaded {
 		out = append(out, PlacementView{Pattern: p, State: "offloaded"})
 	}
-	for p, st := range tc.installing {
-		out = append(out, PlacementView{Pattern: p, State: "installing", Attempts: st.attempts})
-	}
-	for p := range tc.removing {
-		out = append(out, PlacementView{Pattern: p, State: "removing"})
+	for p, f := range tc.inst.flights {
+		if f.installing() {
+			out = append(out, PlacementView{Pattern: p, State: "installing", Attempts: f.attempts})
+		} else {
+			out = append(out, PlacementView{Pattern: p, State: "removing"})
+		}
 	}
 	slices.SortFunc(out, func(a, b PlacementView) int {
 		if c := strings.Compare(a.State, b.State); c != 0 {
@@ -191,10 +192,10 @@ func (s *TORService) TCAMUsage() (used, capacity int) {
 // later DE tick may demote it again if it carries no demand.
 func (s *TORService) Pin(p rules.Pattern) {
 	tc := s.TC
-	if tc.offloaded[p] || tc.installing[p] != nil {
+	if tc.offloaded[p] || tc.inst.installing(p) {
 		return
 	}
-	tc.startInstall(p)
+	tc.inst.install(p)
 }
 
 // Unpin demotes a pattern through the gated removal path (admin rule
@@ -205,12 +206,12 @@ func (s *TORService) Unpin(p rules.Pattern) {
 	now := tc.mgr.Cluster.Eng.Now()
 	switch {
 	case tc.offloaded[p]:
-		tc.beginRemove(p)
+		tc.inst.demote(now, p)
 		tc.announce(openflow.OffloadAction{Pattern: p, Offload: false})
 		tc.damper.ForceState(p, false, now)
 		tc.publish()
-	case tc.installing[p] != nil:
-		tc.abortInstall(p)
+	case tc.inst.installing(p):
+		tc.inst.abort(p)
 		tc.damper.ForceState(p, false, now)
 	}
 }

@@ -71,8 +71,8 @@ func (tc *TORController) registerMetrics(reg *telemetry.Registry, labels ...stri
 	reg.Counter("fastrak_torctl_nic_orphans_total", "unowned NIC rules swept", &tc.NICOrphans, lbl()...)
 	reg.Gauge("fastrak_torctl_nic_desired", "NIC-tier desired placements", func() float64 { return float64(len(tc.nicDesired)) }, lbl()...)
 	reg.Gauge("fastrak_torctl_offloaded", "barrier-confirmed hardware patterns", func() float64 { return float64(len(tc.offloaded)) }, lbl()...)
-	reg.Gauge("fastrak_torctl_installing", "installs awaiting barrier confirmation", func() float64 { return float64(len(tc.installing)) }, lbl()...)
-	reg.Gauge("fastrak_torctl_removing", "demoted patterns awaiting gated ACL removal", func() float64 { return float64(len(tc.removing)) }, lbl()...)
+	reg.Gauge("fastrak_torctl_installing", "installs awaiting barrier confirmation", func() float64 { return float64(len(tc.inst.patterns(false))) }, lbl()...)
+	reg.Gauge("fastrak_torctl_removing", "demoted patterns awaiting gated ACL removal", func() float64 { return float64(len(tc.inst.patterns(true))) }, lbl()...)
 	// The damper is replaced on Crash, so read through tc rather than
 	// capturing the current instance's field addresses.
 	reg.Register(telemetry.Metric{Name: "fastrak_torctl_flap_transitions_total",

@@ -57,57 +57,18 @@ const (
 // reporter fades out within a few intervals.
 const staleIntervals = 2
 
-// installState tracks one in-flight hardware install: the FlowMod has
-// been sent to the switch agent but the barrier confirming it has not
-// come back. Placers are NOT redirected until confirmation — an express
-// lane is announced only once the hardware acknowledged the ACL, so a
-// rejected or lost install can never blackhole packets.
-type installState struct {
-	attempts int
-	queue    int
-	failed   bool
-	flowXID  uint32
-	barXID   uint32
-	timer    *sim.Event
-}
-
-// removeState tracks one demoted pattern whose ACL is still installed.
-// The ACL is removed only after (a) every local controller has acked a
-// RuleSync that excludes the pattern — so all placers have redirected the
-// flow back to the software path — and (b) a grace period has passed for
-// express-lane packets already in flight.
-type removeState struct {
-	// needSeq is the first RuleSync sequence excluding the pattern;
-	// every local must ack ≥ needSeq before the ACL may go.
-	needSeq uint32
-	// readyAt is the in-flight grace deadline.
-	readyAt sim.Time
-	// orphan marks rules found in hardware but owned by nobody
-	// (remnants of a crash or a lost delete); they skip announcement.
-	orphan     bool
-	deleteSent bool
-	timer      *sim.Event
-}
-
 // TORController manages one ToR switch (§4.3): its ME polls offloaded-
 // flow counters in hardware, its DE merges them with the local
 // controllers' demand reports, picks the offload set within the TCAM
 // budget, installs/removes the hardware rules, and distributes decisions.
 //
 // Hardware state is managed asynchronously through the switch agent's
-// control connection (internal/faults can drop, delay or sever it, and
-// the hardware can reject installs):
-//
-//   - installs are barrier-confirmed and retried with exponential backoff
-//     before the controller degrades the flow to the software path;
-//   - removals are gated on every local controller acknowledging a
-//     RuleSync that excludes the pattern, plus an in-flight grace;
-//   - a per-interval TableRequest reconciles desired against reported
-//     hardware state, repairing divergence in both directions;
-//   - Crash/Restart model controller failure: all volatile state is lost
-//     and the restarted controller adopts the hardware's installed rules
-//     as its desired set (removing them blind would blackhole flows whose
-//     placers still steer to the express lane).
+// control connection, which internal/faults can drop, delay or sever: the
+// installer (installer.go) confirms, retries, gates and reconciles the
+// rules. Crash/Restart model controller failure: all volatile state is
+// lost and the restarted controller adopts the hardware's installed rules
+// as its desired set (removing them blind would blackhole flows whose
+// placers still steer to the express lane).
 type TORController struct {
 	mgr      *Manager
 	tor      *tor.TOR
@@ -142,12 +103,10 @@ type TORController struct {
 
 	// offloaded holds barrier-confirmed hardware patterns — the set
 	// announced to placers. Every change of membership goes through
-	// setOffloaded, which records it in sync for publishing.
+	// confirmed or withdraw, which record it in sync for publishing.
 	offloaded map[rules.Pattern]bool
-	// installing holds patterns sent to hardware but not yet confirmed.
-	installing map[rules.Pattern]*installState
-	// removing holds demoted patterns whose ACL removal is still gated.
-	removing map[rules.Pattern]*removeState
+	// inst holds the installs and removals on their way to hardware.
+	inst *installer
 
 	// nicDesired maps each NIC-tier pattern to the server whose SmartNIC
 	// should carry it (NIC rules are per-host; the middle rung of the
@@ -166,12 +125,6 @@ type TORController struct {
 	nicDamper   *decision.FlapDamper
 	// toLocalByID routes per-server NIC actions (TCAM actions broadcast).
 	toLocalByID map[uint32]*openflow.Transport
-
-	// pendingBarrier maps a BarrierRequest xid to its continuation.
-	pendingBarrier map[uint32]func()
-	// pendingInstall maps a FlowMod xid to its pattern so an ErrorMsg
-	// (echoing that xid) marks the attempt failed.
-	pendingInstall map[uint32]rules.Pattern
 
 	// sync numbers and publishes RuleSyncs and keeps each server's acks
 	// (rulesync.go).
@@ -238,25 +191,12 @@ type TORController struct {
 	rec *telemetry.Scoped
 
 	// Decisions counts DE runs (controller-cost experiment). The
-	// remaining counters instrument the recovery machinery.
+	// remaining counters instrument the recovery machinery, the
+	// installer's among them.
 	Decisions uint64
-	// Installs counts barrier-confirmed hardware installs.
-	Installs uint64
-	// Retries counts install re-sends after a rejection or timeout.
-	Retries uint64
-	// GiveUps counts installs abandoned after maxInstallAttempts — the
-	// flow stays on the software path (graceful degradation).
-	GiveUps uint64
-	// Repairs counts desired rules reconciliation found missing from
-	// hardware and re-asserted.
-	Repairs uint64
-	// Orphans counts hardware rules reconciliation found unowned and
-	// removed.
-	Orphans uint64
+	installCounts
 	// Crashes counts Crash() invocations.
 	Crashes uint64
-	// Demotes counts confirmed patterns entering the removal path.
-	Demotes uint64
 	// StatsGaps counts skipped demand-report interval sequence numbers —
 	// reports the stats fault surface (or a congested control path) ate.
 	StatsGaps uint64
@@ -295,6 +235,7 @@ func newTORController(m *Manager, t *tor.TOR) *TORController {
 		isLeader:             true,
 		followingHigherSince: -1,
 	}
+	tc.inst = newInstaller(tc, &tc.installCounts, m.Cfg.ControlDelay)
 	tc.forgetVolatile()
 	return tc
 }
@@ -325,23 +266,10 @@ func (tc *TORController) forgetVolatile() {
 // owner are swept as orphans and re-placed by the DE — a transient software
 // spell, never a blackhole (NIC misses fall back to the vswitch).
 func (tc *TORController) dropHardwareView() {
-	for _, st := range tc.installing {
-		if st.timer != nil {
-			st.timer.Cancel()
-		}
-	}
-	for _, st := range tc.removing {
-		if st.timer != nil {
-			st.timer.Cancel()
-		}
-	}
-	tc.installing = make(map[rules.Pattern]*installState)
-	tc.removing = make(map[rules.Pattern]*removeState)
+	tc.inst.reset()
 	tc.offloaded = make(map[rules.Pattern]bool)
 	tc.sync.reset()
 	tc.prevHW = make(map[rules.Pattern]uint64)
-	tc.pendingBarrier = make(map[uint32]func())
-	tc.pendingInstall = make(map[uint32]rules.Pattern)
 	tc.pendingAnnounce = nil
 	tc.nicDesired = make(map[rules.Pattern]uint32)
 }
@@ -425,10 +353,8 @@ func (tc *TORController) Crash() {
 	}
 	tc.crashed = true
 	tc.Crashes++
-	if tc.rec != nil {
-		tc.rec.Record(telemetry.Event{Kind: telemetry.KindCrash,
-			V1: float64(len(tc.offloaded)), V2: float64(len(tc.installing))})
-	}
+	tc.rec.Record(telemetry.Event{Kind: telemetry.KindCrash,
+		V1: float64(len(tc.offloaded)), V2: float64(len(tc.inst.patterns(false)))})
 	if tc.ticker != nil {
 		tc.ticker.Stop()
 		tc.ticker = nil
@@ -466,11 +392,8 @@ func (tc *TORController) Restart() {
 	if !tc.haReplicated() {
 		tc.adoptHardware()
 	}
-	if tc.rec != nil {
-		// V1 is the number of hardware rules adopted as the desired set.
-		tc.rec.Record(telemetry.Event{Kind: telemetry.KindRestart,
-			V1: float64(len(tc.offloaded))})
-	}
+	// V1 is the number of hardware rules adopted as the desired set.
+	tc.rec.Record(telemetry.Event{Kind: telemetry.KindRestart, V1: float64(len(tc.offloaded))})
 	if tc.mgr.started && !tc.stopped {
 		tc.start()
 	}
@@ -594,10 +517,8 @@ func (tc *TORController) becomeLeader(cause string) {
 	tc.lastTableReplyAt = tc.mgr.Cluster.Eng.Now()
 	tc.degraded = false
 	tc.justElected = true
-	if tc.rec != nil {
-		tc.rec.Record(telemetry.Event{Kind: telemetry.KindElection, Cause: cause,
-			V1: float64(tc.term), V2: float64(tc.replicaID)})
-	}
+	tc.rec.Record(telemetry.Event{Kind: telemetry.KindElection, Cause: cause,
+		V1: float64(tc.term), V2: float64(tc.replicaID)})
 	// Immediate heartbeats: standbys with later timeouts stand down now.
 	tc.sendHeartbeats()
 }
@@ -657,10 +578,8 @@ func (tc *TORController) Resume() {
 		tc.isLeader = true
 		tc.adoptHardware()
 	}
-	if tc.rec != nil {
-		tc.rec.Record(telemetry.Event{Kind: telemetry.KindElection, Cause: "resume",
-			V1: float64(tc.term), V2: float64(tc.replicaID)})
-	}
+	tc.rec.Record(telemetry.Event{Kind: telemetry.KindElection, Cause: "resume",
+		V1: float64(tc.term), V2: float64(tc.replicaID)})
 }
 
 // ---- lease refresh and degraded mode ----
@@ -678,14 +597,11 @@ func (tc *TORController) refreshLeases() {
 		return
 	}
 	for _, p := range tc.offloadedList() {
-		action, queue := tc.policyFor(p)
-		if action != rules.Allow {
+		queue, allow := tc.policy(p)
+		if !allow {
 			continue // policy changed; let the lease lapse
 		}
-		tc.toSwitch.Send(&openflow.FlowMod{
-			Command: openflow.FlowAdd, Pattern: p, Priority: hwPriority,
-			Cookie: uint64(queue), Term: tc.term, Origin: uint32(tc.replicaID),
-		})
+		tc.flowAdd(p, queue)
 		tc.LeaseRefreshes++
 	}
 }
@@ -700,21 +616,19 @@ func (tc *TORController) refreshLeases() {
 // until the hardware answers again.
 func (tc *TORController) enterDegraded() {
 	tc.degraded = true
-	for _, p := range rules.SortedPatterns(tc.installing) {
-		tc.abortInstall(p)
+	for _, p := range tc.inst.patterns(false) {
+		tc.inst.abort(p)
 	}
 	ps := tc.offloadedList()
 	now := tc.mgr.Cluster.Eng.Now()
 	for _, p := range ps {
-		tc.beginRemove(p)
+		tc.inst.demote(now, p)
 		tc.announce(openflow.OffloadAction{Pattern: p, Offload: false})
 		tc.damper.ForceState(p, false, now)
 		tc.DegradedDemotes++
 	}
-	if tc.rec != nil {
-		tc.rec.Record(telemetry.Event{Kind: telemetry.KindLeaseExpire, Cause: "hw-stale",
-			V1: float64(len(ps)), V2: float64(tc.term)})
-	}
+	tc.rec.Record(telemetry.Event{Kind: telemetry.KindLeaseExpire, Cause: "hw-stale",
+		V1: float64(len(ps)), V2: float64(tc.term)})
 	if len(ps) > 0 {
 		tc.publish()
 	}
@@ -799,14 +713,11 @@ func (tc *TORController) HandleMessage(msg openflow.Message, xid uint32, reply o
 			return
 		}
 		tc.sync.ack(m.ServerID, m.Seq)
-		tc.tryRemovals()
+		tc.inst.tryRemovals(tc.mgr.Cluster.Eng.Now())
 	case *openflow.LeaderHeartbeat:
 		tc.handleHeartbeat(m)
 	case *openflow.BarrierReply:
-		if fn, ok := tc.pendingBarrier[xid]; ok {
-			delete(tc.pendingBarrier, xid)
-			fn()
-		}
+		tc.inst.barrierReply(xid)
 	case *openflow.ErrorMsg:
 		if m.Code == openflow.ErrCodeStaleTerm {
 			// The switch fenced us: a higher term exists, so another
@@ -815,17 +726,12 @@ func (tc *TORController) HandleMessage(msg openflow.Message, xid uint32, reply o
 			tc.stepDown("fenced")
 			return
 		}
-		if p, ok := tc.pendingInstall[xid]; ok {
-			delete(tc.pendingInstall, xid)
-			if st := tc.installing[p]; st != nil && st.flowXID == xid {
-				st.failed = true
-			}
-		}
+		tc.inst.rejected(xid)
 	case *openflow.TableReply:
 		tc.lastTableReplyAt = tc.mgr.Cluster.Eng.Now()
 		tc.degraded = false
 		if tc.isLeader {
-			tc.reconcile(m)
+			tc.inst.reconcile(tc.mgr.Cluster.Eng.Now(), m.Rules, tc.offloaded)
 		}
 	case openflow.EchoRequest:
 		reply(openflow.EchoReply{}, xid)
@@ -907,12 +813,14 @@ func (tc *TORController) tick() {
 	// Decisions are made against the union of confirmed and in-flight
 	// installs so an install awaiting its barrier is neither re-proposed
 	// nor silently double-counted.
-	current := make(map[rules.Pattern]bool, len(tc.offloaded)+len(tc.installing))
+	current := make(map[rules.Pattern]bool, len(tc.offloaded)+len(tc.inst.flights))
 	for p := range tc.offloaded {
 		current[p] = true
 	}
-	for p := range tc.installing {
-		current[p] = true
+	for p, f := range tc.inst.flights {
+		if f.installing() {
+			current[p] = true
+		}
 	}
 
 	cands := decision.CandidatesFromReports(reports, hwPPS, tc.priorityOf)
@@ -952,35 +860,29 @@ func (tc *TORController) tick() {
 	var actions []openflow.OffloadAction
 	for _, p := range d.Demote {
 		if tc.offloaded[p] {
-			if tc.rec != nil {
-				tc.rec.EmitPattern(telemetry.KindDemoteDecision, p.Tenant, p, "score", scores[p], float64(budget))
-			}
-			tc.beginRemove(p)
+			tc.rec.EmitPattern(telemetry.KindDemoteDecision, p.Tenant, p, "score", scores[p], float64(budget))
+			tc.inst.demote(eng.Now(), p)
 			actions = append(actions, openflow.OffloadAction{Pattern: p, Offload: false})
-		} else if tc.installing[p] != nil {
-			if tc.rec != nil {
-				tc.rec.EmitPattern(telemetry.KindDemoteDecision, p.Tenant, p, "abort-install", scores[p], float64(budget))
-			}
-			tc.abortInstall(p)
+		} else if tc.inst.installing(p) {
+			tc.rec.EmitPattern(telemetry.KindDemoteDecision, p.Tenant, p, "abort-install", scores[p], float64(budget))
+			tc.inst.abort(p)
 		}
 	}
 	for _, p := range d.Offload {
 		if tc.degraded {
 			break // hardware unreachable; no new express lanes
 		}
-		if tc.offloaded[p] || tc.installing[p] != nil {
+		if tc.offloaded[p] || tc.inst.installing(p) {
 			continue // already in hardware or on its way
 		}
-		if tc.rec != nil {
-			tc.rec.EmitPattern(telemetry.KindOffloadDecision, p.Tenant, p, "score", scores[p], float64(budget))
-		}
+		tc.rec.EmitPattern(telemetry.KindOffloadDecision, p.Tenant, p, "score", scores[p], float64(budget))
 		// No action is announced here: placers redirect to the express
 		// lane only after the hardware confirms the install.
-		tc.startInstall(p)
+		tc.inst.install(p)
 	}
 
-	// The middle tier: runs after beginRemove so a TCAM→NIC demotion is
-	// recognizable (the pattern is in `removing` now), and before the
+	// The middle tier: runs after the demotions so a TCAM→NIC demotion is
+	// recognizable (its removal is in flight now), and before the
 	// broadcast so NIC actions ride their own per-server decisions.
 	tc.applyNICTier(td, scores)
 
@@ -1046,11 +948,7 @@ func (tc *TORController) FlapStats() (transitions, suppressions uint64) {
 // syncs and acks.
 func (tc *TORController) maybePublish() {
 	tc.sync.sincePublish++
-	needSeq := false
-	for _, st := range tc.removing {
-		needSeq = needSeq || st.needSeq > tc.sync.seq
-	}
-	if tc.sync.dirty || needSeq || tc.sync.sincePublish >= syncRefreshTicks {
+	if tc.sync.dirty || tc.inst.needsSync(tc.sync.seq) || tc.sync.sincePublish >= syncRefreshTicks {
 		tc.publish()
 	}
 }
@@ -1060,136 +958,6 @@ func (tc *TORController) maybePublish() {
 // with the sequence number; removals gate on those acks.
 func (tc *TORController) publish() {
 	tc.sync.publish(tc.offloaded, tc.term, uint32(tc.replicaID), tc.localIDs, tc.toLocals)
-}
-
-// setOffloaded moves p into or out of the confirmed set.
-func (tc *TORController) setOffloaded(p rules.Pattern, on bool) {
-	if on {
-		tc.offloaded[p] = true
-	} else {
-		delete(tc.offloaded, p)
-	}
-	tc.sync.record(p)
-}
-
-// ---- install path ----
-
-// maxInstallAttempts caps install (re)sends before the controller gives
-// up and leaves the flow on the software path.
-const maxInstallAttempts = 5
-
-// retryBase seeds the exponential backoff between hardware-install
-// retries; jitter of up to one retryBase is drawn from the simulation RNG.
-func (tc *TORController) retryBase() time.Duration { return 4 * tc.mgr.Cfg.ControlDelay }
-
-// installTimeout bounds waiting for a barrier confirmation before an
-// install or removal is re-issued; it exceeds the control round trip.
-func (tc *TORController) installTimeout() time.Duration { return 8 * tc.mgr.Cfg.ControlDelay }
-
-// demoteGrace is the minimum delay between demoting a pattern and
-// removing its hardware ACL, covering placer reprogramming and
-// express-lane packets already in flight.
-func (tc *TORController) demoteGrace() time.Duration { return 4 * tc.mgr.Cfg.ControlDelay }
-
-// backoff returns the delay before attempt n+1: exponential in the number
-// of attempts already made, capped, with seeded jitter so many
-// controllers retrying after one fault don't synchronise.
-func (tc *TORController) backoff(attempts int) time.Duration {
-	base := tc.retryBase()
-	d := base << uint(attempts-1)
-	if max := 32 * base; d > max {
-		d = max
-	}
-	jitter := time.Duration(tc.mgr.Cluster.Eng.Rand().Int63n(int64(base)))
-	return d + jitter
-}
-
-// startInstall begins the confirm-then-announce install sequence for a
-// pattern the DE selected.
-func (tc *TORController) startInstall(p rules.Pattern) {
-	action, queue := tc.policyFor(p)
-	if action != rules.Allow {
-		// Denied traffic gains nothing from hardware offload; the
-		// vswitch (or ToR default rule) already drops it.
-		return
-	}
-	if st, ok := tc.removing[p]; ok {
-		// Re-offloaded while a demotion was still draining: supersede
-		// the removal. If its FlowDelete is already on the wire the
-		// FIFO channel guarantees the fresh FlowAdd lands after it.
-		if st.timer != nil {
-			st.timer.Cancel()
-		}
-		delete(tc.removing, p)
-	}
-	st := &installState{queue: queue}
-	tc.installing[p] = st
-	tc.sendInstall(p, st)
-}
-
-// sendInstall (re)issues the FlowMod + barrier for one attempt.
-func (tc *TORController) sendInstall(p rules.Pattern, st *installState) {
-	st.attempts++
-	st.failed = false
-	delete(tc.pendingInstall, st.flowXID)
-	delete(tc.pendingBarrier, st.barXID)
-	if st.timer != nil {
-		st.timer.Cancel()
-	}
-	// The QoS queue rides in the cookie (controller bookkeeping field).
-	mod := &openflow.FlowMod{Command: openflow.FlowAdd, Pattern: p, Priority: hwPriority,
-		Cookie: uint64(st.queue), Term: tc.term, Origin: uint32(tc.replicaID)}
-	st.flowXID = tc.toSwitch.Send(mod)
-	tc.pendingInstall[st.flowXID] = p
-	if tc.rec != nil {
-		tc.rec.EmitPattern(telemetry.KindFlowModSend, p.Tenant, p, "flow-add",
-			float64(st.flowXID), float64(st.attempts))
-	}
-	st.barXID = tc.toSwitch.Send(&openflow.BarrierRequest{})
-	tc.pendingBarrier[st.barXID] = func() { tc.installConfirmed(p, st) }
-	st.timer = tc.mgr.Cluster.Eng.After(tc.installTimeout(), func() {
-		// Barrier reply lost or very late: retry (the agent's upsert is
-		// idempotent, so a duplicate FlowAdd is harmless).
-		if tc.installing[p] == st && !tc.crashed {
-			tc.installRetry(p, st)
-		}
-	})
-}
-
-// installConfirmed runs when the install's barrier comes back: either the
-// hardware accepted the rule (announce the express lane) or an ErrorMsg
-// preceded the barrier (retry or degrade).
-func (tc *TORController) installConfirmed(p rules.Pattern, st *installState) {
-	if tc.installing[p] != st {
-		return // superseded
-	}
-	if st.failed {
-		tc.installRetry(p, st)
-		return
-	}
-	if st.timer != nil {
-		st.timer.Cancel()
-	}
-	delete(tc.pendingInstall, st.flowXID)
-	delete(tc.installing, p)
-	tc.setOffloaded(p, true)
-	tc.Installs++
-	if tc.rec != nil {
-		tc.rec.EmitPattern(telemetry.KindBarrierConfirm, p.Tenant, p, "",
-			float64(st.barXID), float64(st.attempts))
-	}
-	// Hardware state acknowledged — now, and only now, redirect placers.
-	tc.announce(openflow.OffloadAction{Pattern: p, Offload: true})
-	// NIC→TCAM promotion completes here: the SmartNIC rule is held until
-	// the TCAM install is barrier-confirmed so the flow graduates without
-	// a software spell in between (and can never blackhole — a NIC miss
-	// after the removal lands on the vswitch, a hit before it reaches the
-	// now-installed TCAM ACL either way).
-	if s, ok := tc.nicDesired[p]; ok {
-		tc.nicRemove(p, s, "nic->tcam", 0)
-		tc.sendNICActions(s, []openflow.OffloadAction{{Pattern: p, Offload: false, Tier: openflow.TierNIC}})
-		tc.nicDamper.ForceState(p, false, tc.mgr.Cluster.Eng.Now())
-	}
 }
 
 // announce queues one action and flushes the batch at the end of the
@@ -1215,213 +983,64 @@ func (tc *TORController) announce(a openflow.OffloadAction) {
 	})
 }
 
-// installRetry backs off and re-sends, or gives up after the attempt
-// budget: the flow simply stays on the software path (no blackhole, rate
-// caps still enforced by the VIF limiter) and the DE may try again in a
-// later interval.
-func (tc *TORController) installRetry(p rules.Pattern, st *installState) {
-	delete(tc.pendingInstall, st.flowXID)
-	delete(tc.pendingBarrier, st.barXID)
-	if st.timer != nil {
-		st.timer.Cancel()
-	}
-	if st.attempts >= maxInstallAttempts {
-		delete(tc.installing, p)
-		tc.GiveUps++
-		if tc.rec != nil {
-			tc.rec.EmitPattern(telemetry.KindInstallGiveUp, p.Tenant, p, "attempt-budget",
-				float64(st.attempts), 0)
-		}
-		return
-	}
-	tc.Retries++
-	if tc.rec != nil {
-		cause := "timeout"
-		if st.failed {
-			cause = "rejected"
-		}
-		tc.rec.EmitPattern(telemetry.KindInstallRetry, p.Tenant, p, cause,
-			float64(st.attempts), 0)
-	}
-	st.timer = tc.mgr.Cluster.Eng.After(tc.backoff(st.attempts), func() {
-		if tc.installing[p] == st && !tc.crashed {
-			tc.sendInstall(p, st)
-		}
-	})
+// ---- installHost: the installer's effects ----
+
+func (tc *TORController) flowAdd(p rules.Pattern, queue int) uint32 {
+	return tc.toSwitch.Send(&openflow.FlowMod{Command: openflow.FlowAdd, Pattern: p, Priority: hwPriority,
+		Cookie: uint64(queue), Term: tc.term, Origin: uint32(tc.replicaID)})
 }
 
-// abortInstall cancels an unconfirmed install (decision changed before
-// the barrier returned). Nothing was announced, so no placer redirects
-// exist; the best-effort delete below cleans hardware, and reconciliation
-// sweeps the rule as an orphan if the delete is lost.
-func (tc *TORController) abortInstall(p rules.Pattern) {
-	st := tc.installing[p]
-	if st == nil {
-		return
-	}
-	if st.timer != nil {
-		st.timer.Cancel()
-	}
-	delete(tc.pendingInstall, st.flowXID)
-	delete(tc.pendingBarrier, st.barXID)
-	delete(tc.installing, p)
+func (tc *TORController) flowDelete(p rules.Pattern) {
 	tc.toSwitch.Send(&openflow.FlowMod{Command: openflow.FlowDelete, Pattern: p,
 		Term: tc.term, Origin: uint32(tc.replicaID)})
 }
 
-// ---- remove path ----
+func (tc *TORController) barrier() uint32 { return tc.toSwitch.Send(&openflow.BarrierRequest{}) }
 
-// beginRemove demotes a confirmed pattern: it leaves the unified set's
-// hardware side immediately (budgets and decisions see the slot as free,
-// placers are told to fall back to software) but the ACL itself is
-// removed only once every local acks a RuleSync excluding the pattern and
-// the in-flight grace passes — §4.1.2 orders pull-backs the same way:
-// software first, then hardware.
-func (tc *TORController) beginRemove(p rules.Pattern) {
-	tc.setOffloaded(p, false)
+func (tc *TORController) arm(d time.Duration, p rules.Pattern, gen uint64) *sim.Event {
+	eng := tc.mgr.Cluster.Eng
+	return eng.After(d, func() {
+		if !tc.crashed {
+			tc.inst.fire(eng.Now(), p, gen)
+		}
+	})
+}
+
+func (tc *TORController) jitter(n int64) int64 { return tc.mgr.Cluster.Eng.Rand().Int63n(n) }
+
+func (tc *TORController) syncState() (seq, floor uint32) {
+	return tc.sync.seq, tc.sync.minAcked(tc.localIDs)
+}
+
+func (tc *TORController) confirmed(p rules.Pattern) {
+	tc.offloaded[p] = true
+	tc.sync.record(p)
+	tc.announce(openflow.OffloadAction{Pattern: p, Offload: true})
+	// NIC→TCAM promotion completes here: the SmartNIC rule is held until
+	// the TCAM install is barrier-confirmed so the flow graduates without
+	// a software spell in between (and can never blackhole — a NIC miss
+	// after the removal lands on the vswitch, a hit before it reaches the
+	// now-installed TCAM ACL either way).
+	if s, ok := tc.nicDesired[p]; ok {
+		tc.nicRemove(p, s, "nic->tcam", 0)
+		tc.sendNICActions(s, []openflow.OffloadAction{{Pattern: p, Offload: false, Tier: openflow.TierNIC}})
+		tc.nicDamper.ForceState(p, false, tc.mgr.Cluster.Eng.Now())
+	}
+}
+
+func (tc *TORController) withdraw(p rules.Pattern) {
+	delete(tc.offloaded, p)
+	tc.sync.record(p)
 	delete(tc.prevHW, p)
-	if _, ok := tc.removing[p]; ok {
-		return
-	}
-	tc.Demotes++
-	eng := tc.mgr.Cluster.Eng
-	st := &removeState{
-		// The caller publishes a RuleSync (excluding p) in this same
-		// event; it will carry the next sequence.
-		needSeq: tc.sync.seq + 1,
-		readyAt: eng.Now() + tc.demoteGrace(),
-	}
-	tc.removing[p] = st
-	eng.After(tc.demoteGrace(), tc.tryRemovals)
 }
 
-// beginOrphanRemove schedules removal of a hardware rule nobody owns.
-// Orphans are excluded from every RuleSync by construction, so gating on
-// the current sequence plus grace guarantees placers (which only steer
-// per announced state) are off the rule before it goes.
-func (tc *TORController) beginOrphanRemove(p rules.Pattern) {
-	if _, ok := tc.removing[p]; ok {
-		return
-	}
-	eng := tc.mgr.Cluster.Eng
-	st := &removeState{
-		needSeq: tc.sync.seq,
-		readyAt: eng.Now() + tc.demoteGrace(),
-		orphan:  true,
-	}
-	tc.removing[p] = st
-	tc.Orphans++
-	if tc.rec != nil {
-		tc.rec.EmitPattern(telemetry.KindOrphanSweep, p.Tenant, p, "", 0, 0)
-	}
-	eng.After(tc.demoteGrace(), tc.tryRemovals)
-}
-
-// tryRemovals issues FlowDeletes for every gated removal whose conditions
-// are now met. Called on ack receipt and on grace expiry.
-func (tc *TORController) tryRemovals() {
-	if tc.crashed || len(tc.removing) == 0 {
-		return
-	}
-	min := tc.sync.minAcked(tc.localIDs)
-	now := tc.mgr.Cluster.Eng.Now()
-	for _, p := range rules.SortedPatterns(tc.removing) {
-		st := tc.removing[p]
-		if st.deleteSent || now < st.readyAt || min < st.needSeq {
-			continue
-		}
-		tc.sendDelete(p, st)
-	}
-}
-
-// sendDelete issues the barrier-confirmed ACL removal; a lost
-// confirmation re-arms the removal after a timeout.
-func (tc *TORController) sendDelete(p rules.Pattern, st *removeState) {
-	st.deleteSent = true
-	tc.toSwitch.Send(&openflow.FlowMod{Command: openflow.FlowDelete, Pattern: p,
-		Term: tc.term, Origin: uint32(tc.replicaID)})
-	bx := tc.toSwitch.Send(&openflow.BarrierRequest{})
-	tc.pendingBarrier[bx] = func() {
-		if tc.removing[p] == st {
-			if st.timer != nil {
-				st.timer.Cancel()
-			}
-			delete(tc.removing, p)
-		}
-	}
-	st.timer = tc.mgr.Cluster.Eng.After(tc.installTimeout(), func() {
-		if tc.removing[p] == st && st.deleteSent && !tc.crashed {
-			st.deleteSent = false
-			delete(tc.pendingBarrier, bx)
-			tc.tryRemovals()
-		}
-	})
-}
-
-// ---- reconciliation ----
-
-// reconcile compares the agent's reported hardware table against the
-// controller's desired state and repairs divergence in both directions:
-//
-//   - a desired pattern missing from hardware is immediately degraded to
-//     the software path (placers redirected — express-lane packets would
-//     otherwise hit the default-deny TCAM) and re-installed through the
-//     normal confirm-then-announce sequence;
-//   - a reported rule nobody owns (crash remnant, lost delete) is swept
-//     through the gated removal path.
-//
-// The snapshot is one control delay old; a pattern confirmed after the
-// snapshot was taken is in `installing` or was just announced, and both
-// sets are excluded from the orphan sweep, so a healthy FIFO channel
-// never yields a false repair. Under injected delay faults reordering can
-// produce a false positive — the cost is a spell on the software path,
-// never a blackhole.
-func (tc *TORController) reconcile(rep *openflow.TableReply) {
-	reported := make(map[rules.Pattern]bool, len(rep.Rules))
-	for _, r := range rep.Rules {
-		if int(r.Priority) == hwPriority {
-			reported[r.Pattern] = true
-		}
-	}
-
-	var lost []rules.Pattern
-	for p := range tc.offloaded {
-		if !reported[p] {
-			lost = append(lost, p)
-		}
-	}
-	slices.SortFunc(lost, rules.Pattern.Compare)
-	for _, p := range lost {
-		tc.setOffloaded(p, false)
-		delete(tc.prevHW, p)
-		tc.Repairs++
-		if tc.rec != nil {
-			tc.rec.EmitPattern(telemetry.KindRepair, p.Tenant, p, "missing-from-hw", 0, 0)
-		}
-		tc.announce(openflow.OffloadAction{Pattern: p, Offload: false})
-		tc.startInstall(p)
-	}
-	if len(lost) > 0 {
-		tc.publish()
-	}
-
-	var orphans []rules.Pattern
-	for p := range reported {
-		if !tc.offloaded[p] && tc.installing[p] == nil {
-			if _, rem := tc.removing[p]; !rem {
-				orphans = append(orphans, p)
-			}
-		}
-	}
-	slices.SortFunc(orphans, rules.Pattern.Compare)
-	for _, p := range orphans {
-		tc.beginOrphanRemove(p)
-	}
+func (tc *TORController) emit(k telemetry.Kind, p rules.Pattern, cause string, v1, v2 float64) {
+	tc.rec.EmitPattern(k, p.Tenant, p, cause, v1, v2)
 }
 
 // ---- policy ----
 
-// policyFor evaluates the tenant policy covering the pattern against
+// policy evaluates the tenant policy covering the pattern against
 // every rule-bearing VM the pattern's flows could touch: the pinned
 // endpoints, plus — when an endpoint is wildcarded — every tenant VM with
 // security rules, since any of them could be the far end. The offloaded
@@ -1429,10 +1048,10 @@ func (tc *TORController) reconcile(rep *openflow.TableReply) {
 // keeps the hardware rule compliant with configured policy (§4.3: "The
 // offloaded flow rules must comply with configured policy") and closes
 // the bypass a blanket hardware Allow would open for VF traffic, which
-// never revisits the destination vswitch's ACLs.
-func (tc *TORController) policyFor(p rules.Pattern) (rules.Action, int) {
+// never revisits the destination vswitch's ACLs. It returns the rule's
+// QoS queue, or false when any of them denies.
+func (tc *TORController) policy(p rules.Pattern) (queue int, allow bool) {
 	k := representativeKey(p)
-	queue := 0
 	srcPinned, dstPinned := p.SrcPrefix == 32, p.DstPrefix == 32
 
 	check := func(vm *host.VM) rules.Action {
@@ -1448,14 +1067,14 @@ func (tc *TORController) policyFor(p rules.Pattern) (rules.Action, int) {
 	if srcPinned {
 		if vm, ok := tc.mgr.Cluster.FindVM(p.Tenant, p.Src); ok {
 			if check(vm) != rules.Allow {
-				return rules.Deny, 0
+				return 0, false
 			}
 		}
 	}
 	if dstPinned {
 		if vm, ok := tc.mgr.Cluster.FindVM(p.Tenant, p.Dst); ok {
 			if check(vm) != rules.Allow {
-				return rules.Deny, 0
+				return 0, false
 			}
 		}
 	}
@@ -1468,12 +1087,12 @@ func (tc *TORController) policyFor(p rules.Pattern) (rules.Action, int) {
 					continue
 				}
 				if check(vm) != rules.Allow {
-					return rules.Deny, 0
+					return 0, false
 				}
 			}
 		}
 	}
-	return rules.Allow, queue
+	return queue, true
 }
 
 func representativeKey(p rules.Pattern) packet.FlowKey {
@@ -1531,7 +1150,7 @@ func (tc *TORController) demoteVM(tenant packet.TenantID, vmIP packet.IP) {
 		}
 	}
 	var aborts []rules.Pattern
-	for p := range tc.installing {
+	for _, p := range tc.inst.patterns(false) {
 		if touches(p) {
 			aborts = append(aborts, p)
 		}
@@ -1548,10 +1167,9 @@ func (tc *TORController) demoteVM(tenant packet.TenantID, vmIP packet.IP) {
 		return
 	}
 	slices.SortFunc(actions, compareActions)
-	slices.SortFunc(aborts, rules.Pattern.Compare)
 	now := tc.mgr.Cluster.Eng.Now()
 	for _, a := range actions {
-		tc.beginRemove(a.Pattern)
+		tc.inst.demote(now, a.Pattern)
 		// Migration pull-back is a correctness path: the damper must not
 		// veto it (ForceState bypasses the penalty machinery) but its view
 		// of the pattern's state has to follow, so the re-offload at the
@@ -1559,7 +1177,7 @@ func (tc *TORController) demoteVM(tenant packet.TenantID, vmIP packet.IP) {
 		tc.damper.ForceState(a.Pattern, false, now)
 	}
 	for _, p := range aborts {
-		tc.abortInstall(p)
+		tc.inst.abort(p)
 		tc.damper.ForceState(p, false, now)
 	}
 	slices.SortFunc(nicPulls, rules.Pattern.Compare)

@@ -331,28 +331,12 @@ func (in *Injector) NICTargets() []string {
 	return out
 }
 
-// ExtraTargets lists the overload-era target categories, sorted: miss-
-// storm sources and stats taps. Kept separate from Targets so existing
-// callers (and existing seeded random plans) are unchanged.
-func (in *Injector) ExtraTargets() (stormers, stats []string) {
-	for n := range in.stormers {
-		stormers = append(stormers, n)
-	}
-	for n := range in.stats {
-		stats = append(stats, n)
-	}
-	sort.Strings(stormers)
-	sort.Strings(stats)
-	return
-}
-
 // Targets lists registered target names for the four original
 // categories, sorted — handy for CLI help and for random plan
 // generation. It deliberately covers only links, channels, tables and
 // controllers; the categories added since live in their own accessors so
 // existing callers (and seeded random plans) are unchanged: SmartNIC
-// tables in NICTargets, miss-storm sources and stats taps in
-// ExtraTargets, and partitionable nodes / pausable controllers in
+// tables in NICTargets, and partitionable nodes / pausable controllers in
 // PartitionTargets and PausableTargets.
 func (in *Injector) Targets() (links, channels, tables, controllers []string) {
 	for n := range in.links {

@@ -32,11 +32,12 @@ type Event struct {
 func (e *Event) Time() Time { return e.at }
 
 // Cancel prevents a pending event from firing. Canceling an event that has
-// already fired or been canceled is a no-op.
-func (e *Event) Cancel() { e.dead = true }
-
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.dead }
+// already fired or been canceled, or a nil event, is a no-op.
+func (e *Event) Cancel() {
+	if e != nil {
+		e.dead = true
+	}
+}
 
 type eventHeap []*Event
 
@@ -159,9 +160,7 @@ func (t *Ticker) arm() {
 // Stop cancels future firings.
 func (t *Ticker) Stop() {
 	t.stopped = true
-	if t.ev != nil {
-		t.ev.Cancel()
-	}
+	t.ev.Cancel()
 }
 
 // Stop halts Run/RunUntil after the current event completes.
