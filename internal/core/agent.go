@@ -28,13 +28,13 @@ import (
 type switchAgent struct {
 	tor *tor.TOR
 
-	// highestTerm is the newest leadership term witnessed.
-	highestTerm uint32
-	// actedInTerm records which replica issued FlowMods under each term.
-	// Terms are partitioned across replicas ((term-1) mod N == replica
-	// id), so a second origin inside one term means the fencing invariant
-	// broke; TermConflicts counts such cases and must stay zero.
-	actedInTerm map[uint32]uint32
+	// highestTerm is the newest leadership term witnessed. actedBy is the
+	// replica that issued FlowMods under actedTerm, the highest term any
+	// did: every lower term is fenced before it binds, so only that binding
+	// is ever read. Terms are partitioned across replicas ((term-1) mod N
+	// == replica id), so a second origin inside one term means the fencing
+	// invariant broke; TermConflicts counts such cases and must stay zero.
+	highestTerm, actedTerm, actedBy uint32
 	// FencedInstalls counts stale-term messages rejected.
 	FencedInstalls uint64
 	// TermConflicts counts terms in which two distinct origins acted.
@@ -46,7 +46,7 @@ type switchAgent struct {
 }
 
 func newSwitchAgent(t *tor.TOR) *switchAgent {
-	return &switchAgent{tor: t, actedInTerm: make(map[uint32]uint32)}
+	return &switchAgent{tor: t}
 }
 
 // admitTerm applies epoch fencing to one controller message. acts marks
@@ -64,9 +64,9 @@ func (a *switchAgent) admitTerm(term, origin uint32, acts bool, cause string, re
 		a.highestTerm = term
 	}
 	if acts {
-		if prev, ok := a.actedInTerm[term]; !ok {
-			a.actedInTerm[term] = origin
-		} else if prev != origin {
+		if term > a.actedTerm {
+			a.actedTerm, a.actedBy = term, origin
+		} else if origin != a.actedBy {
 			a.TermConflicts++
 		}
 	}

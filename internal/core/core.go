@@ -230,12 +230,9 @@ func (m *Manager) addRack(t *tor.TOR) {
 	agent := newSwitchAgent(t)
 	var rack []*TORController
 	for i := 0; i < cfg.HA.Replicas; i++ {
-		tc := newTORController(m, t)
-		tc.replicaID = i
 		// Every replica starts in term 1, replica 0's residue class:
 		// replica 0 leads it and the standbys follow.
-		tc.term = 1
-		tc.isLeader = i == 0
+		tc := newTORController(m, t, i)
 		tc.agent = agent
 		// Control connection TOR controller ↔ the switch's management
 		// agent: rule installs round-trip real wire encoding and are
@@ -249,8 +246,8 @@ func (m *Manager) addRack(t *tor.TOR) {
 	for i := 0; i < len(rack); i++ {
 		for j := i + 1; j < len(rack); j++ {
 			toJ, toI := openflow.Pair(m.Cluster.Eng, cfg.ControlDelay, rack[i], rack[j])
-			rack[i].toPeers[j] = toJ
-			rack[j].toPeers[i] = toI
+			rack[i].el.peers[j] = toJ
+			rack[j].el.peers[i] = toI
 		}
 	}
 	m.RackCtls = append(m.RackCtls, rack)
@@ -266,7 +263,7 @@ func (m *Manager) Replicas(r int) []*TORController { return m.RackCtls[r] }
 // election gap (or while every replica is crashed/paused).
 func (m *Manager) LeaderOf(r int) *TORController {
 	for _, tc := range m.RackCtls[r] {
-		if tc.isLeader && !tc.crashed && !tc.paused {
+		if tc.IsLeader() {
 			return tc
 		}
 	}
@@ -338,15 +335,15 @@ func (m *Manager) RegisterFaults(inj *faults.Injector) {
 				if j == i {
 					continue
 				}
-				in = append(in, other.toPeers[i])
-				out = append(out, tc.toPeers[j])
+				in = append(in, other.el.peers[i])
+				out = append(out, tc.el.peers[j])
 			}
 			inj.RegisterPartition(base, in, out)
 		}
 		for i := 0; i < len(rack); i++ {
 			for j := i + 1; j < len(rack); j++ {
 				inj.RegisterChannel(fmt.Sprintf("elect%d.%d-%d", r, i, j),
-					rack[i].toPeers[j], rack[j].toPeers[i])
+					rack[i].el.peers[j], rack[j].el.peers[i])
 			}
 		}
 	}
@@ -488,7 +485,7 @@ func (m *Manager) Transports() []*openflow.Transport {
 		}
 		for i := 0; i < len(rack); i++ {
 			for j := i + 1; j < len(rack); j++ {
-				out = append(out, rack[i].toPeers[j], rack[j].toPeers[i])
+				out = append(out, rack[i].el.peers[j], rack[j].el.peers[i])
 			}
 		}
 	}
@@ -513,9 +510,11 @@ func (m *Manager) ControlStats() (messages, bytes, samples uint64) {
 			}
 			// Election heartbeats and term gossip are control-plane
 			// coordination too (none in a group of one).
-			for _, tr := range tc.toPeers {
-				messages += tr.Sent
-				bytes += tr.SentBytes
+			for j, tr := range tc.el.peers {
+				if j != tc.el.id {
+					messages += tr.Sent
+					bytes += tr.SentBytes
+				}
 			}
 		}
 	}

@@ -1,0 +1,99 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/openflow"
+	"repro/internal/telemetry"
+)
+
+// TestCrashEndsAPause: a crash ends a freeze. A replica paused, crashed
+// and restarted inside the pause window handles messages and ticks at
+// once, and the window's Resume then records nothing and adopts nothing.
+func TestCrashEndsAPause(t *testing.T) {
+	for _, replicas := range []int{1, 3} {
+		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
+			cfg := fastCfg()
+			cfg.HA.Replicas = replicas
+			tb := newTestbed(t, cfg)
+			tb.echo(11211, 600)
+			tb.drive(40000, 11211, 3000, 100)
+			eng := tb.c.Eng
+			rec := telemetry.NewRecorder(eng.Now, telemetry.Config{})
+			tb.mgr.AttachTelemetry(rec, nil)
+			tb.mgr.Start()
+			eng.RunUntil(2 * time.Second)
+
+			tc := tb.mgr.Replicas(0)[0]
+			tc.Pause()
+			eng.RunUntil(2500 * time.Millisecond)
+			tc.Crash()
+			eng.RunUntil(3 * time.Second)
+			tc.Restart()
+			decisions := tc.Decisions
+			eng.RunUntil(6 * time.Second)
+			// A group of one leads again at once; replica 0 of three
+			// follows the successor its peers elected, then preempts it.
+			if len(tc.reports) == 0 || tc.Term() == 1 && replicas > 1 {
+				t.Errorf("the restarted replica handled no message: %d reports, term %d", len(tc.reports), tc.Term())
+			}
+			if !tc.IsLeader() || tc.Decisions == decisions {
+				t.Errorf("the restarted replica did not tick: leader %v, %d decisions since the restart",
+					tc.IsLeader(), tc.Decisions-decisions)
+			}
+
+			events, adoptedAt, term := len(rec.Snapshot()), tc.prevHWAt, tc.Term()
+			tc.Resume()
+			if n := len(rec.Snapshot()); n != events {
+				t.Errorf("the Resume after a crash recorded %d events", n-events)
+			}
+			if tc.prevHWAt != adoptedAt || tc.Term() != term || !tc.IsLeader() {
+				t.Errorf("the Resume after a crash acted: adopted at %v (was %v), term %d (was %d), leader %v",
+					tc.prevHWAt, adoptedAt, tc.Term(), term, tc.IsLeader())
+			}
+		})
+	}
+}
+
+// TestAgentTermBinding: the agent binds the highest term it admitted
+// FlowMods in to one origin. A second origin in that term counts a
+// conflict, a higher term starts a fresh binding, and a stale term is
+// fenced without touching the binding.
+func TestAgentTermBinding(t *testing.T) {
+	a := newSwitchAgent(nil)
+	var fenced int
+	reply := func(m openflow.Message, _ uint32) {
+		if e, ok := m.(*openflow.ErrorMsg); ok && e.Code == openflow.ErrCodeStaleTerm {
+			fenced++
+		}
+	}
+	for i, s := range []struct {
+		term, origin   uint32
+		acts, admitted bool
+		fenced         int
+		conflicts      uint64
+	}{
+		{1, 0, true, true, 0, 0},   // binds term 1 to replica 0
+		{1, 0, true, true, 0, 0},   // the same origin again
+		{1, 1, true, true, 0, 1},   // a second origin in term 1
+		{2, 1, true, true, 0, 1},   // a higher term binds afresh to replica 1
+		{2, 1, true, true, 0, 1},   // ...which then acts freely
+		{1, 0, true, false, 1, 1},  // stale: fenced
+		{2, 0, true, true, 1, 2},   // the binding is still replica 1's
+		{5, 2, false, true, 1, 2},  // a table read raises the term, binding nothing
+		{3, 1, true, false, 2, 2},  // below it: fenced
+		{5, 2, true, true, 2, 2},   // term 5's first FlowMod binds it
+		{5, 1, true, true, 2, 3},   // and a second origin conflicts
+		{4, 1, false, false, 3, 3}, // a stale table read is fenced too
+	} {
+		if got := a.admitTerm(s.term, s.origin, s.acts, "test", reply, 0); got != s.admitted {
+			t.Errorf("step %d (term %d from %d): admitted %v, want %v", i, s.term, s.origin, got, s.admitted)
+		}
+		if fenced != s.fenced || a.TermConflicts != s.conflicts {
+			t.Errorf("step %d (term %d from %d): %d fenced, %d conflicts; want %d, %d",
+				i, s.term, s.origin, fenced, a.TermConflicts, s.fenced, s.conflicts)
+		}
+	}
+}

@@ -600,74 +600,48 @@ func (r *rack) drain(settled map[string]bool) []string {
 	return nil
 }
 
-// checkResult is what one exhaustive exploration found.
-type checkResult struct {
-	states, depth int
-	// violation and its path are the first invariant broken, if any;
-	// reject is the shortest path to a FlowAdd the TCAM refused.
-	violation, reject []string
+// next yields each move r allows and the state it leads to.
+func (r *rack) next(yield func(step, *rack) bool) {
+	for _, s := range r.moves() {
+		c := r.clone()
+		c.apply(s, len(checkScript))
+		if !yield(s, c) {
+			return
+		}
+	}
 }
 
-// explore visits every state reachable from a fresh rack with up to
-// faults faults per run, breadth first.
-func explore(faults int) checkResult {
-	type node struct {
-		r      *rack
-		parent int
-		via    step
-		depth  int
-	}
-	var nodes []node
-	path := func(i int) []string {
-		var out []string
-		for ; i > 0; i = nodes[i].parent {
-			out = append(out, nodes[i].via.String())
-		}
-		slices.Reverse(out)
-		return out
-	}
-	var res checkResult
+// explore visits every state reachable from a fresh rack with up to faults
+// faults per run. Besides the search's result it returns the shortest path
+// to a FlowAdd the TCAM refused, if any.
+func explore(faults int) (res searchResult, reject []string) {
 	root := newRack()
 	root.budget = faults
-	buf := root.key(nil)
-	nodes = append(nodes, node{r: root, parent: -1})
-	seen := map[string]bool{string(buf): true}
 	settled := make(map[string]bool)
-	for i := 0; i < len(nodes) && res.violation == nil; i++ {
-		cur := nodes[i]
-		nodes[i].r = nil // only the path back is kept
-		res.depth = max(res.depth, cur.depth)
-		if drained := cur.r.clone().drain(settled); drained != nil {
-			res.violation = append(append(path(i), "-- no faults from here --"), drained...)
-			break
-		}
-		for _, s := range cur.r.moves() {
-			next := cur.r.clone()
-			next.apply(s, len(checkScript))
-			if next.violation != "" {
-				res.violation = append(path(i), s.String(), next.violation)
-				break
+	res = search(root,
+		func(r *rack) []string {
+			if drained := r.clone().drain(settled); drained != nil {
+				return append([]string{"-- no faults from here --"}, drained...)
 			}
-			if next.rejected > 0 && res.reject == nil {
-				res.reject = append(path(i), s.String())
+			return nil
+		},
+		func(r *rack, path func() []string) []string {
+			if r.violation != "" {
+				return []string{r.violation}
 			}
-			buf = next.key(buf[:0])
-			if seen[string(buf)] {
-				continue
+			if r.rejected > 0 && reject == nil {
+				reject = path()
 			}
-			seen[string(buf)] = true
-			nodes = append(nodes, node{r: next, parent: i, via: s, depth: cur.depth + 1})
-		}
-	}
-	res.states = len(nodes)
-	return res
+			return nil
+		})
+	return res, reject
 }
 
 // TestInstallerInterleavings is the exhaustive check of the installer's
 // three invariants over the model rack (see the top of this file).
 func TestInstallerInterleavings(t *testing.T) {
 	start := time.Now()
-	res := explore(checkFaults)
+	res, _ := explore(checkFaults)
 	t.Logf("%d states, deepest %d moves, %d faults per run: %v", res.states, res.depth, checkFaults, time.Since(start).Round(time.Millisecond))
 	if res.violation != nil {
 		t.Fatalf("invariant broken:\n  %s", strings.Join(res.violation, "\n  "))
@@ -681,9 +655,9 @@ func TestInstallerInterleavings(t *testing.T) {
 // and retried — with no fault at all. The test fails once that is fixed:
 // invert it then.
 func TestInstallerCheckerFindsTheRetryDefect(t *testing.T) {
-	res := explore(0)
-	if res.reject == nil {
+	_, reject := explore(0)
+	if reject == nil {
 		t.Fatal("no interleaving sends a FlowAdd the TCAM rejects: the retry defect is gone, so invert this test")
 	}
-	t.Logf("shortest path to a rejected FlowAdd (%d moves): %s", len(res.reject), strings.Join(res.reject, " "))
+	t.Logf("shortest path to a rejected FlowAdd (%d moves): %s", len(reject), strings.Join(reject, " "))
 }

@@ -166,7 +166,7 @@ func (tc *TORController) sendNICActions(server uint32, acts []openflow.OffloadAc
 	}
 	if tr, ok := tc.toLocalByID[server]; ok {
 		tr.Send(&openflow.OffloadDecision{Actions: acts,
-			Term: tc.term, Origin: uint32(tc.replicaID)})
+			Term: tc.el.term, Origin: uint32(tc.el.id)})
 	}
 }
 

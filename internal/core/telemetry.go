@@ -87,9 +87,9 @@ func (tc *TORController) registerMetrics(reg *telemetry.Registry, labels ...stri
 	reg.Counter("fastrak_torctl_pauses_total", "process freezes injected", &tc.Pauses, lbl()...)
 	reg.Counter("fastrak_torctl_lease_refreshes_total", "lease-extending rule re-asserts sent", &tc.LeaseRefreshes, lbl()...)
 	reg.Counter("fastrak_torctl_degraded_demotes_total", "offloads pulled back by the hw-staleness guard", &tc.DegradedDemotes, lbl()...)
-	reg.Gauge("fastrak_torctl_term", "current leadership term", func() float64 { return float64(tc.term) }, lbl()...)
+	reg.Gauge("fastrak_torctl_term", "current leadership term", func() float64 { return float64(tc.el.term) }, lbl()...)
 	reg.Gauge("fastrak_torctl_is_leader", "1 while acting as leader", func() float64 {
-		if tc.isLeader && !tc.crashed && !tc.paused {
+		if tc.IsLeader() {
 			return 1
 		}
 		return 0

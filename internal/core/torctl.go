@@ -148,30 +148,14 @@ type TORController struct {
 
 	ticker  *sim.Ticker
 	stopped bool
-	crashed bool
 
 	// ---- control-plane HA state ----
 
-	// replicaID identifies this replica within its rack's controller
-	// group (0 is the bootstrap leader); toPeers carries election
-	// heartbeats and term gossip to the other replicas; agent is the
+	// el is the process and leadership state (elector.go); agent is the
 	// rack's shared switch agent (fencing counters live there).
-	replicaID int
-	toPeers   map[int]*openflow.Transport
-	agent     *switchAgent
-	// term is the current leadership epoch, 1 at start. Terms are
-	// partitioned across replicas — replica i only claims terms with
-	// (term-1) mod Replicas == i — so two replicas can never lead under
-	// the same term; the switch agent fences stale terms, leaving
-	// election a pure liveness mechanism.
-	term     uint32
-	isLeader bool
-	// leaderID is the replica this follower believes leads; with
-	// followingHigherSince (-1 when not following a higher id) it drives
-	// the lowest-id-alive preemption after partitions heal.
-	leaderID             int
-	followingHigherSince sim.Time
-	lastHeartbeatAt      sim.Time
+	el          *elector
+	agent       *switchAgent
+	electTicker *sim.Ticker
 	// justElected forces a full refresh+publish+reconcile on the first
 	// DE tick after a takeover.
 	justElected bool
@@ -182,10 +166,6 @@ type TORController struct {
 	// still-steering placers.
 	lastTableReplyAt sim.Time
 	degraded         bool
-	// paused models a frozen (SIGSTOP) process: state survives, but the
-	// process misses heartbeats and drops arriving messages.
-	paused      bool
-	electTicker *sim.Ticker
 
 	// rec is the flight-recorder scope; nil when telemetry is disabled.
 	rec *telemetry.Scoped
@@ -195,8 +175,7 @@ type TORController struct {
 	// installer's among them.
 	Decisions uint64
 	installCounts
-	// Crashes counts Crash() invocations.
-	Crashes uint64
+	electCounts
 	// StatsGaps counts skipped demand-report interval sequence numbers —
 	// reports the stats fault surface (or a congested control path) ate.
 	StatsGaps uint64
@@ -210,15 +189,9 @@ type TORController struct {
 	NICDemotes    uint64
 	NICReasserts  uint64
 	NICOrphans    uint64
-	// Elections counts leadership takeovers by this replica; StepDowns
-	// counts leaderships abandoned (superseded, fenced, paused).
-	Elections uint64
-	StepDowns uint64
 	// FencedOut counts ErrCodeStaleTerm rejections received from the
 	// switch agent — each one is a deposed leader caught acting.
 	FencedOut uint64
-	// Pauses counts Pause() invocations (faults.ControllerPause).
-	Pauses uint64
 	// LeaseRefreshes counts re-asserted FlowAdds sent to extend rule
 	// leases; DegradedDemotes counts offloads pulled back by the
 	// hardware-staleness guard.
@@ -226,24 +199,26 @@ type TORController struct {
 	DegradedDemotes uint64
 }
 
-func newTORController(m *Manager, t *tor.TOR) *TORController {
+// newTORController returns replica id of its rack's group, at term 1.
+func newTORController(m *Manager, t *tor.TOR, id int) *TORController {
 	tc := &TORController{
-		mgr:                  m,
-		tor:                  t,
-		toLocalByID:          make(map[uint32]*openflow.Transport),
-		toPeers:              make(map[int]*openflow.Transport),
-		isLeader:             true,
-		followingHigherSince: -1,
+		mgr:         m,
+		tor:         t,
+		toLocalByID: make(map[uint32]*openflow.Transport),
 	}
 	tc.inst = newInstaller(tc, &tc.installCounts, m.Cfg.ControlDelay)
-	tc.forgetVolatile()
+	// The heartbeat period is half a control interval.
+	tc.el = newElector(tc, &tc.electCounts, id, m.Cfg.HA.Replicas, tc.controlInterval()/2)
+	tc.forget()
 	return tc
 }
 
-// forgetVolatile (re)initialises everything a controller process holds in
-// memory only — what Crash loses and a new controller starts without.
-func (tc *TORController) forgetVolatile() {
-	tc.dropHardwareView()
+// forget (re)initialises everything a controller process holds in memory
+// only — what a crash loses and a new controller starts without.
+func (tc *TORController) forget() {
+	tc.ticker.Stop()
+	tc.electTicker.Stop()
+	tc.abandon()
 	tc.reports = make(map[uint32]openflow.DemandReport)
 	tc.lastInterval = make(map[uint32]uint32)
 	tc.lastReportAt = make(map[uint32]sim.Time)
@@ -258,20 +233,23 @@ func (tc *TORController) forgetVolatile() {
 	tc.installedHW = make(map[vswitch.VMKey]openflow.RateSplit)
 }
 
-// dropHardwareView cancels the in-flight install/remove machinery and
-// forgets the desired sets of both tiers (crash, step-down). The sync
-// history goes with the TCAM set: no local holds a set a delta could build
-// on. NIC-tier desired state is not adopted back the way TCAM rules are:
-// the locals' reports re-surface the installed NIC rules, which with no
-// owner are swept as orphans and re-placed by the DE — a transient software
-// spell, never a blackhole (NIC misses fall back to the vswitch).
-func (tc *TORController) dropHardwareView() {
+// abandon drops the hardware view (crash, step-down): the in-flight
+// install/remove machinery, the desired sets of both tiers and the
+// leader's modes. The next leader adopts hardware state directly; demand
+// reports, the smoother and the dampers stay warm, which makes a standby
+// "hot". The sync history goes with the TCAM set: no local holds a set a
+// delta could build on. NIC-tier desired state is not adopted back: the
+// locals' reports re-surface the installed NIC rules, which with no owner
+// are swept as orphans and re-placed — a transient software spell, never a
+// blackhole (NIC misses fall back to the vswitch).
+func (tc *TORController) abandon() {
 	tc.inst.reset()
 	tc.offloaded = make(map[rules.Pattern]bool)
 	tc.sync.reset()
 	tc.prevHW = make(map[rules.Pattern]uint64)
 	tc.pendingAnnounce = nil
 	tc.nicDesired = make(map[rules.Pattern]uint32)
+	tc.degraded, tc.justElected = false, false
 }
 
 // controlInterval is C = T × N (§4.3.1).
@@ -279,133 +257,59 @@ func (tc *TORController) controlInterval() time.Duration {
 	return tc.mgr.Cfg.Measure.Epoch * time.Duration(tc.mgr.Cfg.Measure.EpochsPerInterval)
 }
 
-// ---- HA parameters ----
-
-// haReplicated reports whether this controller has standby peers: a
-// group of one has nobody to elect, so it leads for good.
-func (tc *TORController) haReplicated() bool { return tc.mgr.Cfg.HA.Replicas > 1 }
-
-// heartbeatEvery is the leader heartbeat period: half a control
-// interval.
-func (tc *TORController) heartbeatEvery() time.Duration {
-	return tc.controlInterval() / 2
-}
-
-// electionTimeout is the silence before a standby claims leadership: two
-// control intervals, staggered by replica id so the lowest-id alive
-// replica claims first (its claim's heartbeats reset everyone else's
-// timers well before their own timeouts fire).
-func (tc *TORController) electionTimeout() time.Duration {
-	return 2*tc.controlInterval() + time.Duration(tc.replicaID)*tc.heartbeatEvery()
-}
-
-// nextTerm is the smallest term above the current one in this replica's
-// residue class — the structural guarantee that no two replicas ever
-// share a term.
-func (tc *TORController) nextTerm() uint32 {
-	n := uint32(tc.mgr.Cfg.HA.Replicas)
-	t := tc.term + 1
-	for (t-1)%n != uint32(tc.replicaID) {
-		t++
-	}
-	return t
-}
-
 func (tc *TORController) start() {
 	tc.stopped = false
 	eng := tc.mgr.Cluster.Eng
-	tc.lastHeartbeatAt = eng.Now()
+	tc.el.lastHeartbeatAt = eng.Now()
 	tc.lastTableReplyAt = eng.Now()
 	// Offset the DE ticks so each interval's demand reports (epoch
 	// boundary + sample gap + control delay) have arrived.
 	offset := tc.mgr.Cfg.Measure.SampleGap + 4*tc.mgr.Cfg.ControlDelay + time.Millisecond
 	eng.After(offset, func() {
-		if tc.stopped || tc.crashed {
+		if tc.stopped || tc.el.state == down {
 			return
 		}
 		tc.ticker = eng.Every(tc.controlInterval(), tc.tick)
 	})
-	if tc.haReplicated() {
-		tc.electTicker = eng.Every(tc.heartbeatEvery(), tc.electionTick)
+	if tc.el.haReplicated() {
+		tc.electTicker = eng.Every(tc.el.period, func() { tc.el.tick(eng.Now()) })
 	}
 }
 
 func (tc *TORController) stop() {
 	tc.stopped = true
-	if tc.ticker != nil {
-		tc.ticker.Stop()
-	}
-	if tc.electTicker != nil {
-		tc.electTicker.Stop()
-		tc.electTicker = nil
-	}
+	tc.ticker.Stop()
+	tc.electTicker.Stop()
 }
 
-// Crash models the controller process dying (faults.ControllerCrash):
-// the decision ticker stops, every piece of volatile state — demand
-// reports, in-flight installs and removals, pending confirmations, the
-// desired offload set itself — is lost, and control messages arriving
-// while down are dropped. Hardware keeps forwarding with the rules it
-// has; placers keep their last programming. Implements faults.Controller.
-func (tc *TORController) Crash() {
-	if tc.crashed {
-		return
-	}
-	tc.crashed = true
-	tc.Crashes++
-	tc.rec.Record(telemetry.Event{Kind: telemetry.KindCrash,
-		V1: float64(len(tc.offloaded)), V2: float64(len(tc.inst.patterns(false)))})
-	if tc.ticker != nil {
-		tc.ticker.Stop()
-		tc.ticker = nil
-	}
-	if tc.electTicker != nil {
-		tc.electTicker.Stop()
-		tc.electTicker = nil
-	}
-	// A crashed replica is no leader; its term dies with it and the
-	// standbys elect a successor. A group of one has no successor to
-	// elect: the restarted process resumes leading its term directly.
-	if tc.haReplicated() {
-		tc.isLeader = false
-	}
-	tc.degraded = false
-	tc.justElected = false
-	tc.forgetVolatile()
-}
+// Crash models the controller process dying (faults.ControllerCrash),
+// frozen or not: the tickers stop, every piece of volatile state — demand
+// reports, in-flight installs and removals, the desired offload set itself
+// — is lost, and messages arriving while down are dropped. Hardware keeps
+// forwarding with the rules it has; placers keep their last programming.
+// Restart, Pause and Resume hand their fault to the elector likewise.
+func (tc *TORController) Crash() { tc.el.crash() }
 
-// Restart brings a crashed controller back. It adopts the hardware's
-// installed offload rules (the boot-time table dump) as its desired set:
-// placers may still be steering those flows through the express lane, so
-// starting from an empty desired set — and reconciling the "extra"
-// hardware rules away — would blackhole them. Adopted rules re-enter the
-// normal decision process and are demoted cleanly if no longer worth a
-// TCAM slot. Implements faults.Controller.
 func (tc *TORController) Restart() {
-	if !tc.crashed {
-		return
-	}
-	tc.crashed = false
-	// A replicated controller restarts as a follower and adopts nothing:
-	// the acting leader owns the hardware state, and this replica would
-	// only claim (and adopt at that point) if the whole group went quiet.
-	if !tc.haReplicated() {
-		tc.adoptHardware()
-	}
-	// V1 is the number of hardware rules adopted as the desired set.
-	tc.rec.Record(telemetry.Event{Kind: telemetry.KindRestart, V1: float64(len(tc.offloaded))})
-	if tc.mgr.started && !tc.stopped {
+	if tc.el.restart(tc.mgr.Cluster.Eng.Now()) && tc.mgr.started && !tc.stopped {
 		tc.start()
 	}
 }
 
-// adoptHardware imports the switch's installed offload rules as the
-// desired set and re-seeds counter baselines so the first interval after
-// a restart/takeover does not see the whole uptime's packets as one
-// delta. Placers may still steer through those rules, so starting from an
-// empty desired set — and reconciling the "extra" hardware rules away —
-// would blackhole them.
-func (tc *TORController) adoptHardware() {
+func (tc *TORController) Pause()  { tc.el.pause(tc.mgr.Cluster.Eng.Now()) }
+func (tc *TORController) Resume() { tc.el.resume(tc.mgr.Cluster.Eng.Now()) }
+
+// ---- electHost: the elector's effects ----
+
+func (tc *TORController) heartbeat(to int, term uint32, leader int) {
+	tc.el.peers[to].Send(&openflow.LeaderHeartbeat{Term: term, LeaderID: uint32(leader)})
+}
+
+// lead adopts the switch's installed offload rules as the desired set —
+// placers may still steer through them, so reconciling them away would
+// blackhole flows — and re-seeds the counter baselines, so the first
+// interval does not see the whole uptime's packets as one delta.
+func (tc *TORController) lead(elected bool) {
 	for _, ri := range tc.tor.Rules() {
 		if ri.Priority == hwPriority {
 			tc.offloaded[ri.Pattern] = true
@@ -419,167 +323,26 @@ func (tc *TORController) adoptHardware() {
 		tc.prevHW[st.Pattern] = st.Packets
 	}
 	tc.prevHWAt = tc.mgr.Cluster.Eng.Now()
-}
-
-// ---- leader election (hot-standby HA) ----
-
-// electionTick runs every heartbeat period on every live replica: leaders
-// heartbeat their peers; followers claim the rack when the leader goes
-// silent past the (id-staggered) election timeout, or preempt a
-// higher-id leader once they have been healthy followers long enough —
-// restoring lowest-id-alive leadership after partitions heal.
-func (tc *TORController) electionTick() {
-	if tc.stopped || tc.crashed || tc.paused {
-		return
+	if elected {
+		// Fresh term, fresh ack space: each leadership numbers RuleSyncs
+		// independently and trusts only same-term acks.
+		clear(tc.sync.peers)
+		tc.justElected = true
 	}
-	now := tc.mgr.Cluster.Eng.Now()
-	if tc.isLeader {
-		tc.sendHeartbeats()
-		return
-	}
-	if now-tc.lastHeartbeatAt > tc.electionTimeout() {
-		tc.becomeLeader("timeout")
-		return
-	}
-	if tc.leaderID > tc.replicaID && tc.followingHigherSince >= 0 &&
-		now-tc.followingHigherSince > tc.electionTimeout() {
-		tc.becomeLeader("preempt")
-	}
-}
-
-func (tc *TORController) sendHeartbeats() {
-	hb := &openflow.LeaderHeartbeat{Term: tc.term, LeaderID: uint32(tc.replicaID)}
-	ids := make([]int, 0, len(tc.toPeers))
-	for id := range tc.toPeers {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		tc.toPeers[id].Send(hb)
-	}
-}
-
-// handleHeartbeat processes a peer's view of leadership. Heartbeats only
-// carry liveness and term ordering — safety never depends on them (the
-// switch agent fences stale terms regardless of what replicas believe).
-func (tc *TORController) handleHeartbeat(m *openflow.LeaderHeartbeat) {
-	now := tc.mgr.Cluster.Eng.Now()
-	switch {
-	case m.Term < tc.term:
-		// A stale leader still announcing itself (asymmetric partition,
-		// or one healing): gossip the newer term back so it steps down
-		// even before the switch agent fences its next install.
-		if tr, ok := tc.toPeers[int(m.LeaderID)]; ok {
-			tr.Send(&openflow.LeaderHeartbeat{Term: tc.term, LeaderID: uint32(tc.leaderID)})
-		}
-	case m.Term == tc.term:
-		if !tc.isLeader && int(m.LeaderID) == tc.leaderID {
-			tc.lastHeartbeatAt = now
-		}
-	default: // m.Term > tc.term
-		if tc.isLeader {
-			tc.stepDown("superseded")
-		}
-		tc.term = m.Term
-		tc.setFollowing(int(m.LeaderID), now)
-		tc.lastHeartbeatAt = now
-	}
-}
-
-func (tc *TORController) setFollowing(id int, now sim.Time) {
-	tc.leaderID = id
-	if id > tc.replicaID {
-		if tc.followingHigherSince < 0 {
-			tc.followingHigherSince = now
-		}
-	} else {
-		tc.followingHigherSince = -1
-	}
-}
-
-// becomeLeader claims the rack under a fresh term from this replica's
-// residue class. The claim does not need to be "right": if a healthier
-// leader exists under a higher term, this replica's first hardware
-// mutation is fenced and it steps straight back down — election provides
-// liveness, fencing provides safety.
-func (tc *TORController) becomeLeader(cause string) {
-	tc.term = tc.nextTerm()
-	tc.isLeader = true
-	tc.leaderID = tc.replicaID
-	tc.followingHigherSince = -1
-	tc.Elections++
-	// Adopt the hardware's installed rules as the desired set: placers
-	// may still steer through them (same reasoning as Restart).
-	tc.adoptHardware()
-	// Fresh term, fresh ack space: each leadership numbers RuleSyncs
-	// independently and trusts only same-term acks.
-	clear(tc.sync.peers)
 	tc.lastTableReplyAt = tc.mgr.Cluster.Eng.Now()
 	tc.degraded = false
-	tc.justElected = true
-	tc.rec.Record(telemetry.Event{Kind: telemetry.KindElection, Cause: cause,
-		V1: float64(tc.term), V2: float64(tc.replicaID)})
-	// Immediate heartbeats: standbys with later timeouts stand down now.
-	tc.sendHeartbeats()
 }
 
-// stepDown abandons leadership: all in-flight install/remove machinery is
-// cancelled and the desired set dropped — the next leader adopts hardware
-// state directly, so carrying a view here would only invite split-brain
-// writes. Demand reports, the smoother and the dampers stay warm; that is
-// what makes the standby "hot".
-func (tc *TORController) stepDown(cause string) {
-	if !tc.isLeader {
-		return
+func (tc *TORController) record(k telemetry.Kind, cause string) {
+	ev := telemetry.Event{Kind: k, Cause: cause, V1: float64(tc.el.term), V2: float64(tc.el.id)}
+	switch k {
+	case telemetry.KindCrash:
+		ev.V1, ev.V2 = float64(len(tc.offloaded)), float64(len(tc.inst.patterns(false)))
+	case telemetry.KindRestart:
+		// V1 is the number of hardware rules adopted as the desired set.
+		ev.V1, ev.V2 = float64(len(tc.offloaded)), 0
 	}
-	tc.isLeader = false
-	tc.StepDowns++
-	tc.followingHigherSince = -1
-	tc.lastHeartbeatAt = tc.mgr.Cluster.Eng.Now()
-	tc.dropHardwareView()
-	tc.degraded = false
-	tc.justElected = false
-	if tc.rec != nil {
-		tc.rec.Record(telemetry.Event{Kind: telemetry.KindElection, Cause: "step-down-" + cause,
-			V1: float64(tc.term), V2: float64(tc.replicaID)})
-	}
-}
-
-// Pause freezes the controller process (faults.ControllerPause). Unlike a
-// crash, in-memory state survives — which is exactly why it is a distinct
-// fault surface: the process resumes believing its pre-pause term, and
-// only fencing stops it from acting on that stale belief. A paused leader
-// steps down internally (its in-flight machinery is dead on arrival by
-// resume time); messages arriving while frozen are dropped. Implements
-// faults.Pausable.
-func (tc *TORController) Pause() {
-	if tc.paused || tc.crashed {
-		return
-	}
-	tc.paused = true
-	tc.Pauses++
-	tc.stepDown("pause")
-}
-
-// Resume unfreezes the process. A group of one resumes leadership
-// directly, re-adopting hardware state like a restart; a replica with
-// peers resumes as a follower — if no successor emerged while it
-// was frozen, its election timeout re-elects it. Implements
-// faults.Pausable.
-func (tc *TORController) Resume() {
-	if !tc.paused {
-		return
-	}
-	tc.paused = false
-	now := tc.mgr.Cluster.Eng.Now()
-	tc.lastHeartbeatAt = now
-	tc.lastTableReplyAt = now
-	if !tc.haReplicated() {
-		tc.isLeader = true
-		tc.adoptHardware()
-	}
-	tc.rec.Record(telemetry.Event{Kind: telemetry.KindElection, Cause: "resume",
-		V1: float64(tc.term), V2: float64(tc.replicaID)})
+	tc.rec.Record(ev)
 }
 
 // ---- lease refresh and degraded mode ----
@@ -628,7 +391,7 @@ func (tc *TORController) enterDegraded() {
 		tc.DegradedDemotes++
 	}
 	tc.rec.Record(telemetry.Event{Kind: telemetry.KindLeaseExpire, Cause: "hw-stale",
-		V1: float64(len(ps)), V2: float64(tc.term)})
+		V1: float64(len(ps)), V2: float64(tc.el.term)})
 	if len(ps) > 0 {
 		tc.publish()
 	}
@@ -638,7 +401,7 @@ func (tc *TORController) enterDegraded() {
 // controllers (DemandReport, SyncAck) and from the switch agent
 // (BarrierReply, ErrorMsg, TableReply).
 func (tc *TORController) HandleMessage(msg openflow.Message, xid uint32, reply openflow.ReplyFunc) {
-	if tc.crashed || tc.paused {
+	if !tc.el.up() {
 		// Process down or frozen; messages are lost (a paused process's
 		// socket overflows — anti-entropy re-delivers state on resume).
 		return
@@ -685,7 +448,7 @@ func (tc *TORController) HandleMessage(msg openflow.Message, xid uint32, reply o
 		tc.lastReportAt[m.ServerID] = tc.mgr.Cluster.Eng.Now()
 		// Standbys keep their demand view warm but must not touch the
 		// (shared) hardware limiters — only the acting leader applies.
-		if tc.isLeader {
+		if tc.el.leading() {
 			tc.applySplits(m.Splits)
 		}
 	case *openflow.OverloadHint:
@@ -707,7 +470,7 @@ func (tc *TORController) HandleMessage(msg openflow.Message, xid uint32, reply o
 			delete(tc.urgent, m.Tenant)
 		}
 	case *openflow.SyncAck:
-		if m.Term != tc.term {
+		if m.Term != tc.el.term {
 			// Each leadership term numbers its RuleSyncs independently;
 			// an ack scoped to another epoch must not un-gate removals.
 			return
@@ -715,7 +478,7 @@ func (tc *TORController) HandleMessage(msg openflow.Message, xid uint32, reply o
 		tc.sync.ack(m.ServerID, m.Seq)
 		tc.inst.tryRemovals(tc.mgr.Cluster.Eng.Now())
 	case *openflow.LeaderHeartbeat:
-		tc.handleHeartbeat(m)
+		tc.el.heartbeat(tc.mgr.Cluster.Eng.Now(), m.Term, int(m.LeaderID))
 	case *openflow.BarrierReply:
 		tc.inst.barrierReply(xid)
 	case *openflow.ErrorMsg:
@@ -723,14 +486,14 @@ func (tc *TORController) HandleMessage(msg openflow.Message, xid uint32, reply o
 			// The switch fenced us: a higher term exists, so another
 			// replica took over while we still thought we led.
 			tc.FencedOut++
-			tc.stepDown("fenced")
+			tc.el.fenced(tc.mgr.Cluster.Eng.Now())
 			return
 		}
 		tc.inst.rejected(xid)
 	case *openflow.TableReply:
 		tc.lastTableReplyAt = tc.mgr.Cluster.Eng.Now()
 		tc.degraded = false
-		if tc.isLeader {
+		if tc.el.leading() {
 			tc.inst.reconcile(tc.mgr.Cluster.Eng.Now(), m.Rules, tc.offloaded)
 		}
 	case openflow.EchoRequest:
@@ -751,10 +514,7 @@ func (tc *TORController) applySplits(splits []openflow.RateSplit) {
 // tick is one DE run: measure hardware flows, decide, apply, distribute,
 // reconcile.
 func (tc *TORController) tick() {
-	if tc.stopped || tc.crashed || tc.paused {
-		return
-	}
-	if !tc.isLeader {
+	if !tc.el.leading() {
 		return // hot standby: demand view stays warm, DE stays quiet
 	}
 	tc.Decisions++
@@ -792,23 +552,15 @@ func (tc *TORController) tick() {
 		budget = tc.mgr.Cfg.MaxOffloads
 	}
 
-	reports := make([]openflow.DemandReport, 0, len(tc.reports))
-	ids := make([]uint32, 0, len(tc.reports))
-	for id := range tc.reports {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
+	// A server silent past the staleness bound has a dead or partitioned
+	// stats path; acting on its frozen report would make decisions from
+	// arbitrarily old data. Excluding it here hands its candidates to the
+	// smoother, which decays them gracefully.
 	staleAfter := sim.Time(staleIntervals) * tc.controlInterval()
-	for _, id := range ids {
-		// A server silent past the staleness bound has a dead or
-		// partitioned stats path; acting on its frozen report would make
-		// decisions from arbitrarily old data. Excluding it here hands
-		// its candidates to the smoother, which decays them gracefully.
-		if at, ok := tc.lastReportAt[id]; ok && eng.Now()-at > staleAfter {
-			continue
-		}
-		reports = append(reports, tc.reports[id])
-	}
+	reports := slices.DeleteFunc(tc.LatestReports(), func(r openflow.DemandReport) bool {
+		at, ok := tc.lastReportAt[r.ServerID]
+		return ok && eng.Now()-at > staleAfter
+	})
 
 	// Decisions are made against the union of confirmed and in-flight
 	// installs so an install awaiting its barrier is neither re-proposed
@@ -890,8 +642,8 @@ func (tc *TORController) tick() {
 		Interval: uint32(tc.Decisions),
 		Actions:  actions,
 		HWRates:  tc.hwRates(),
-		Term:     tc.term,
-		Origin:   uint32(tc.replicaID),
+		Term:     tc.el.term,
+		Origin:   uint32(tc.el.id),
 	}
 	tc.broadcast(dec)
 	if tc.justElected {
@@ -911,7 +663,7 @@ func (tc *TORController) tick() {
 	if tc.Decisions%reconcileTicks == 0 || tc.justElected {
 		tc.justElected = false
 		tc.refreshLeases()
-		tc.toSwitch.Send(&openflow.TableRequest{Term: tc.term, Origin: uint32(tc.replicaID)})
+		tc.toSwitch.Send(&openflow.TableRequest{Term: tc.el.term, Origin: uint32(tc.el.id)})
 		tc.nicReconcile()
 	}
 }
@@ -957,7 +709,7 @@ func (tc *TORController) maybePublish() {
 // local controller, as the changes since what each has acked. Locals ack
 // with the sequence number; removals gate on those acks.
 func (tc *TORController) publish() {
-	tc.sync.publish(tc.offloaded, tc.term, uint32(tc.replicaID), tc.localIDs, tc.toLocals)
+	tc.sync.publish(tc.offloaded, tc.el.term, uint32(tc.el.id), tc.localIDs, tc.toLocals)
 }
 
 // announce queues one action and flushes the batch at the end of the
@@ -973,12 +725,12 @@ func (tc *TORController) announce(a openflow.OffloadAction) {
 		tc.announceQueued = false
 		acts := tc.pendingAnnounce
 		tc.pendingAnnounce = nil
-		if tc.crashed || tc.paused || !tc.isLeader || len(acts) == 0 {
+		if !tc.el.leading() || len(acts) == 0 {
 			return
 		}
 		slices.SortFunc(acts, compareActions)
 		dec := &openflow.OffloadDecision{Actions: acts,
-			Term: tc.term, Origin: uint32(tc.replicaID)}
+			Term: tc.el.term, Origin: uint32(tc.el.id)}
 		tc.broadcast(dec)
 	})
 }
@@ -987,23 +739,21 @@ func (tc *TORController) announce(a openflow.OffloadAction) {
 
 func (tc *TORController) flowAdd(p rules.Pattern, queue int) uint32 {
 	return tc.toSwitch.Send(&openflow.FlowMod{Command: openflow.FlowAdd, Pattern: p, Priority: hwPriority,
-		Cookie: uint64(queue), Term: tc.term, Origin: uint32(tc.replicaID)})
+		Cookie: uint64(queue), Term: tc.el.term, Origin: uint32(tc.el.id)})
 }
 
 func (tc *TORController) flowDelete(p rules.Pattern) {
 	tc.toSwitch.Send(&openflow.FlowMod{Command: openflow.FlowDelete, Pattern: p,
-		Term: tc.term, Origin: uint32(tc.replicaID)})
+		Term: tc.el.term, Origin: uint32(tc.el.id)})
 }
 
 func (tc *TORController) barrier() uint32 { return tc.toSwitch.Send(&openflow.BarrierRequest{}) }
 
 func (tc *TORController) arm(d time.Duration, p rules.Pattern, gen uint64) *sim.Event {
+	// A crash resets the installer, so a timer firing after it finds no
+	// flight and no removal to try.
 	eng := tc.mgr.Cluster.Eng
-	return eng.After(d, func() {
-		if !tc.crashed {
-			tc.inst.fire(eng.Now(), p, gen)
-		}
-	})
+	return eng.After(d, func() { tc.inst.fire(eng.Now(), p, gen) })
 }
 
 func (tc *TORController) jitter(n int64) int64 { return tc.mgr.Cluster.Eng.Rand().Int63n(n) }
@@ -1134,7 +884,7 @@ func (tc *TORController) hwRates() []openflow.VMRate {
 // migration step of §4.1.2 ("any offloaded flows must be returned back to
 // the VM's hypervisor before the migration can occur").
 func (tc *TORController) demoteVM(tenant packet.TenantID, vmIP packet.IP) {
-	if tc.crashed || tc.paused || !tc.isLeader {
+	if !tc.el.leading() {
 		return
 	}
 	touches := func(p rules.Pattern) bool {
@@ -1189,7 +939,7 @@ func (tc *TORController) demoteVM(tenant packet.TenantID, vmIP packet.IP) {
 	}
 	if len(actions) > 0 {
 		dec := &openflow.OffloadDecision{Actions: actions,
-			Term: tc.term, Origin: uint32(tc.replicaID)}
+			Term: tc.el.term, Origin: uint32(tc.el.id)}
 		tc.broadcast(dec)
 	}
 	tc.publish()
@@ -1213,14 +963,13 @@ func (tc *TORController) LatestReports() []openflow.DemandReport {
 }
 
 // Term returns the replica's current leadership epoch.
-func (tc *TORController) Term() uint32 { return tc.term }
+func (tc *TORController) Term() uint32 { return tc.el.term }
 
-// IsLeader reports whether this replica is currently acting as leader
-// (believes it holds the leadership and is neither crashed nor paused).
-func (tc *TORController) IsLeader() bool { return tc.isLeader && !tc.crashed && !tc.paused }
+// IsLeader reports whether this replica is currently acting as leader.
+func (tc *TORController) IsLeader() bool { return tc.el.leading() }
 
 // ReplicaID returns this replica's index within its rack's group.
-func (tc *TORController) ReplicaID() int { return tc.replicaID }
+func (tc *TORController) ReplicaID() int { return tc.el.id }
 
 // broadcast sends msg to every attached local controller.
 func (tc *TORController) broadcast(msg openflow.Message) { openflow.Broadcast(tc.toLocals, msg) }

@@ -163,9 +163,7 @@ func (m *Engine) Start() {
 // Stop halts measurement.
 func (m *Engine) Stop() {
 	m.stopped = true
-	if m.ticker != nil {
-		m.ticker.Stop()
-	}
+	m.ticker.Stop()
 }
 
 // runEpoch takes the first sample now and the second SampleGap later.

@@ -157,10 +157,12 @@ func (t *Ticker) arm() {
 	})
 }
 
-// Stop cancels future firings.
+// Stop cancels future firings. Stopping a nil Ticker is a no-op.
 func (t *Ticker) Stop() {
-	t.stopped = true
-	t.ev.Cancel()
+	if t != nil {
+		t.stopped = true
+		t.ev.Cancel()
+	}
 }
 
 // Stop halts Run/RunUntil after the current event completes.
