@@ -190,12 +190,14 @@ func (sh rackShape) play(w io.Writer, p params) error {
 	if inj != nil {
 		printList(w, "\nfault log:", inj.Log())
 		var retries, giveups, repairs, orphans, crashes uint64
-		for _, tc := range d.Manager.TORCtls {
-			retries += tc.Retries
-			giveups += tc.GiveUps
-			repairs += tc.Repairs
-			orphans += tc.Orphans
-			crashes += tc.Crashes
+		for _, rack := range d.Manager.RackCtls {
+			for _, tc := range rack {
+				retries += tc.Retries
+				giveups += tc.GiveUps
+				repairs += tc.Repairs
+				orphans += tc.Orphans
+				crashes += tc.Crashes
+			}
 		}
 		var dropped uint64
 		for _, tr := range d.Manager.Transports() {

@@ -134,7 +134,7 @@ func TestDeploymentMultiRack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(d.Manager.TORCtls); got != 2 {
+	if got := len(d.Manager.RackCtls); got != 2 {
 		t.Fatalf("TOR controllers = %d, want 2", got)
 	}
 	client, err := d.AddVM(0, 3, "10.0.0.1", VMOptions{}) // rack 0

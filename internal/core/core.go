@@ -139,12 +139,10 @@ type Manager struct {
 	Cluster *cluster.Cluster
 	Cfg     Config
 
-	// TORCtl is rack 0's primary controller (the only one on single-rack
-	// clusters); TORCtls lists every rack's primary (replica 0), and
-	// RackCtls every rack's full replica group — RackCtls[r][0] ==
-	// TORCtls[r], the only member of a group of one.
+	// TORCtl is rack 0's primary controller, replica 0 (the only one on
+	// single-rack clusters); RackCtls lists every rack's full replica
+	// group, primary first.
 	TORCtl   *TORController
-	TORCtls  []*TORController
 	RackCtls [][]*TORController
 	Locals   []*LocalController
 
@@ -194,7 +192,7 @@ func Attach(c *cluster.Cluster, cfg Config) *Manager {
 	for _, t := range c.TORs {
 		m.addRack(t)
 	}
-	m.TORCtl = m.TORCtls[0]
+	m.TORCtl = m.RackCtls[0][0]
 	for idx, srv := range c.Servers {
 		lc := newLocalController(m, srv)
 		lc.rack = c.RackOf(idx)
@@ -206,12 +204,9 @@ func Attach(c *cluster.Cluster, cfg Config) *Manager {
 			toTOR, toLocal := openflow.Pair(c.Eng, cfg.ControlDelay, lc, tc)
 			lc.toTORs = append(lc.toTORs, toTOR)
 			lc.fromTORs = append(lc.fromTORs, toLocal)
-			tc.toLocals = append(tc.toLocals, toLocal)
-			tc.localIDs = append(tc.localIDs, uint32(srv.ID))
-			tc.toLocalByID[uint32(srv.ID)] = toLocal
+			// Servers come in ID order, so agents stay sorted.
+			tc.agents = append(tc.agents, agent{id: uint32(srv.ID), tr: toLocal})
 		}
-		lc.toTOR = lc.toTORs[0]
-		lc.fromTOR = lc.fromTORs[0]
 	}
 	return m
 }
@@ -233,7 +228,6 @@ func (m *Manager) addRack(t *tor.TOR) {
 		// Every replica starts in term 1, replica 0's residue class:
 		// replica 0 leads it and the standbys follow.
 		tc := newTORController(m, t, i)
-		tc.agent = agent
 		// Control connection TOR controller ↔ the switch's management
 		// agent: rule installs round-trip real wire encoding and are
 		// only trusted once barrier-confirmed.
@@ -251,7 +245,6 @@ func (m *Manager) addRack(t *tor.TOR) {
 		}
 	}
 	m.RackCtls = append(m.RackCtls, rack)
-	m.TORCtls = append(m.TORCtls, rack[0])
 	m.agents = append(m.agents, agent)
 }
 
@@ -328,8 +321,8 @@ func (m *Manager) RegisterFaults(inj *faults.Injector) {
 					in = append(in, lc.toTORs[i])
 				}
 			}
-			for _, tr := range tc.toLocals {
-				out = append(out, tr)
+			for _, a := range tc.agents {
+				out = append(out, a.tr)
 			}
 			for j, other := range rack {
 				if j == i {
@@ -450,22 +443,27 @@ func (m *Manager) MigrateVM(fromIdx, toIdx int, tenant packet.TenantID, vmIP pac
 // OffloadedPatterns returns the union of patterns currently placed in
 // hardware across all ToRs, sorted and de-duplicated.
 func (m *Manager) OffloadedPatterns() []rules.Pattern {
-	seen := make(map[rules.Pattern]bool)
+	return m.union((*TORController).offloadedList)
+}
+
+// NICPlacedPatterns returns the union of NIC-tier desired patterns across
+// all ToRs, sorted and de-duplicated.
+func (m *Manager) NICPlacedPatterns() []rules.Pattern {
+	return m.union(func(tc *TORController) []rules.Pattern { return rules.SortedPatterns(tc.nicDesired) })
+}
+
+// union returns the union of list over every replica of every rack, sorted
+// and de-duplicated. Only an acting leader holds a desired set (step-down
+// clears it), so the union over replicas is the union over leaders.
+func (m *Manager) union(list func(*TORController) []rules.Pattern) []rules.Pattern {
 	var out []rules.Pattern
 	for _, rack := range m.RackCtls {
-		// Only the acting leader holds a desired set (step-down clears
-		// it), so the union over replicas is the union over leaders.
 		for _, tc := range rack {
-			for _, p := range tc.offloadedList() {
-				if !seen[p] {
-					seen[p] = true
-					out = append(out, p)
-				}
-			}
+			out = append(out, list(tc)...)
 		}
 	}
 	slices.SortFunc(out, rules.Pattern.Compare)
-	return out
+	return slices.Compact(out)
 }
 
 // Transports returns every control-plane transport in the deployment:
@@ -504,9 +502,9 @@ func (m *Manager) ControlStats() (messages, bytes, samples uint64) {
 	}
 	for _, rack := range m.RackCtls {
 		for _, tc := range rack {
-			for _, tr := range tc.toLocals {
-				messages += tr.Sent
-				bytes += tr.SentBytes
+			for _, a := range tc.agents {
+				messages += a.tr.Sent
+				bytes += a.tr.SentBytes
 			}
 			// Election heartbeats and term gossip are control-plane
 			// coordination too (none in a group of one).

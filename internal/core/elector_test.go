@@ -2,10 +2,15 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/model"
 	"repro/internal/openflow"
+	"repro/internal/rules"
+	"repro/internal/smartnic"
 	"repro/internal/telemetry"
 )
 
@@ -36,8 +41,8 @@ func TestCrashEndsAPause(t *testing.T) {
 			eng.RunUntil(6 * time.Second)
 			// A group of one leads again at once; replica 0 of three
 			// follows the successor its peers elected, then preempts it.
-			if len(tc.reports) == 0 || tc.Term() == 1 && replicas > 1 {
-				t.Errorf("the restarted replica handled no message: %d reports, term %d", len(tc.reports), tc.Term())
+			if len(tc.LatestReports()) == 0 || tc.Term() == 1 && replicas > 1 {
+				t.Errorf("the restarted replica handled no message: %d reports, term %d", len(tc.LatestReports()), tc.Term())
 			}
 			if !tc.IsLeader() || tc.Decisions == decisions {
 				t.Errorf("the restarted replica did not tick: leader %v, %d decisions since the restart",
@@ -95,5 +100,73 @@ func TestAgentTermBinding(t *testing.T) {
 			t.Errorf("step %d (term %d from %d): %d fenced, %d conflicts; want %d, %d",
 				i, s.term, s.origin, fenced, a.TermConflicts, s.fenced, s.conflicts)
 		}
+	}
+}
+
+// TestOneDETicker: a crash and restart inside the DE's start offset leave
+// one decision ticker, not two, and Stop stops it.
+func TestOneDETicker(t *testing.T) {
+	run := func(crash bool) (decisions, afterStop uint64) {
+		tb := newTestbed(t, fastCfg())
+		tc, eng := tb.mgr.TORCtl, tb.c.Eng
+		tb.mgr.Start()
+		if crash {
+			eng.RunUntil(10 * time.Millisecond)
+			tc.Crash()
+			eng.RunUntil(20 * time.Millisecond)
+			tc.Restart()
+		}
+		eng.RunUntil(5 * time.Second)
+		tb.mgr.Stop()
+		decisions = tc.Decisions
+		eng.RunUntil(8 * time.Second)
+		return decisions, tc.Decisions - decisions
+	}
+	want, _ := run(false)
+	got, late := run(true)
+	if want == 0 || got != want {
+		t.Errorf("a crash and restart inside the start offset: %d DE ticks in 5s, want %d", got, want)
+	}
+	if late != 0 {
+		t.Errorf("%d DE ticks after Stop", late)
+	}
+}
+
+// TestNICPlacementsFollowTheLeader: after the leader crashes, the NIC tier
+// placements its successor makes are the manager's NIC placements.
+func TestNICPlacementsFollowTheLeader(t *testing.T) {
+	nic := smartnic.DefaultConfig()
+	nic.Capacity = 4
+	c := cluster.New(cluster.Config{Servers: 2, VSwitchCfg: model.VSwitchConfig{Tunneling: true}, Seed: 7, SmartNIC: &nic})
+	cl, err := c.AddVM(0, 3, clientIP, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddVM(1, 3, serverIP, 4, nil); err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastCfg()
+	cfg.HA.Replicas = 3
+	cfg.MaxOffloads = 1 // the TCAM takes one aggregate, the NIC tier the rest
+	mgr := Attach(c, cfg)
+	tb := &testbed{c: c, mgr: mgr, client: cl}
+	for i := uint16(0); i < 3; i++ {
+		tb.drive(40000+i, 9000+i, 2000, 100)
+	}
+	mgr.Start()
+	c.Eng.RunUntil(3 * time.Second)
+	if len(mgr.NICPlacedPatterns()) == 0 {
+		t.Fatal("nothing placed on a SmartNIC before the failover")
+	}
+	mgr.Replicas(0)[0].Crash()
+	c.Eng.RunUntil(8 * time.Second)
+	mgr.Stop()
+	leader := mgr.LeaderOf(0)
+	if leader == nil || leader.ReplicaID() == 0 {
+		t.Fatalf("no successor leads: %v", leader)
+	}
+	want := rules.SortedPatterns(leader.nicDesired)
+	if got := mgr.NICPlacedPatterns(); len(want) == 0 || !slices.Equal(got, want) {
+		t.Errorf("NIC placements %v, the leader (replica %d) placed %v", got, leader.ReplicaID(), want)
 	}
 }

@@ -183,8 +183,8 @@ func TestRemovalWaitsForAcks(t *testing.T) {
 	// then demote everything touching the server VM.
 	tb.mgr.Cfg.MinScore = 1e18
 	for _, lc := range tb.mgr.Locals {
-		lc.toTOR.SetDown(true)
-		lc.fromTOR.SetDown(true)
+		lc.toTORs[0].SetDown(true)
+		lc.fromTORs[0].SetDown(true)
 	}
 	tc.demoteVM(3, serverIP)
 	if len(tc.inst.patterns(true)) == 0 {
@@ -203,8 +203,8 @@ func TestRemovalWaitsForAcks(t *testing.T) {
 	// Heal the channels; the periodic RuleSync refresh collects acks and
 	// the gated removals complete.
 	for _, lc := range tb.mgr.Locals {
-		lc.toTOR.SetDown(false)
-		lc.fromTOR.SetDown(false)
+		lc.toTORs[0].SetDown(false)
+		lc.fromTORs[0].SetDown(false)
 	}
 	eng.RunUntil(7 * time.Second)
 	tb.mgr.Stop()

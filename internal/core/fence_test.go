@@ -93,9 +93,9 @@ func TestGroupOfOneIsFenced(t *testing.T) {
 		tb.drive(40000, 11211, 3000, 100)
 		tc := tb.mgr.TORCtl
 		var seen []openflow.Message
-		tc.toSwitch.SetPeer(sendTap{h: tc.agent, back: tc.fromSwitch, seen: &seen})
+		tc.toSwitch.SetPeer(sendTap{h: tb.mgr.agents[0], back: tc.fromSwitch, seen: &seen})
 		for i, lc := range tb.mgr.Locals {
-			tc.toLocals[i].SetPeer(sendTap{h: lc, back: lc.toTOR, seen: &seen})
+			tc.agents[i].tr.SetPeer(sendTap{h: lc, back: lc.toTORs[0], seen: &seen})
 		}
 		tb.mgr.Start()
 		tb.c.Eng.RunUntil(3 * time.Second)
@@ -108,7 +108,7 @@ func TestGroupOfOneIsFenced(t *testing.T) {
 		s := NewTORService(c, fastCfg())
 		tc := s.TC
 		var seen []openflow.Message
-		tc.toSwitch.SetPeer(sendTap{h: tc.agent, back: tc.fromSwitch, seen: &seen})
+		tc.toSwitch.SetPeer(sendTap{h: s.M.agents[0], back: tc.fromSwitch, seen: &seen})
 		s.AttachLocal(1, openflow.NewRemoteTransport(func(frame []byte) error {
 			msg, _, _, err := openflow.Decode(frame)
 			if err != nil {

@@ -26,13 +26,10 @@ type LocalController struct {
 	mgr    *Manager
 	server *host.Server
 	me     *measure.Engine
-	// toTOR/fromTOR is the control connection to the rack's primary TOR
-	// controller (replica 0); toTORs/fromTORs cover the whole replica
-	// group — reports and acks are broadcast so hot standbys stay warm,
-	// and the fenced term decides whose decisions are obeyed. For a
-	// group of one the slices hold exactly the primary pair.
-	toTOR    *openflow.Transport
-	fromTOR  *openflow.Transport
+	// toTORs/fromTORs are the control connections to the rack's TOR
+	// controller replicas, primary (replica 0) first — reports and acks
+	// are broadcast so hot standbys stay warm, and the fenced term decides
+	// whose decisions are obeyed.
 	toTORs   []*openflow.Transport
 	fromTORs []*openflow.Transport
 	// rack is this server's rack index (for fault registration).

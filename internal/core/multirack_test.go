@@ -48,8 +48,8 @@ func TestMultiRackExpressLane(t *testing.T) {
 	cfg := fastCfg()
 	c, cl, sv := multiRig(t)
 	mgr := Attach(c, cfg)
-	if len(mgr.TORCtls) != 2 {
-		t.Fatalf("TOR controllers = %d, want one per rack", len(mgr.TORCtls))
+	if len(mgr.RackCtls) != 2 {
+		t.Fatalf("TOR controllers = %d, want one per rack", len(mgr.RackCtls))
 	}
 	sv.BindApp(11211, host.AppFunc(func(vm *host.VM, p *packet.Packet) {
 		vm.Send(p.IP.Src, 11211, p.TCP.SrcPort, 600, host.SendOptions{Seq: p.Meta.Seq}, nil)
@@ -62,10 +62,10 @@ func TestMultiRackExpressLane(t *testing.T) {
 	mgr.Stop()
 
 	// Both ToRs hold hardware rules for the conversation.
-	if got := len(mgr.TORCtls[0].offloadedList()); got == 0 {
+	if got := len(mgr.RackCtls[0][0].offloadedList()); got == 0 {
 		t.Error("rack 0 offloaded nothing")
 	}
-	if got := len(mgr.TORCtls[1].offloadedList()); got == 0 {
+	if got := len(mgr.RackCtls[1][0].offloadedList()); got == 0 {
 		t.Error("rack 1 offloaded nothing")
 	}
 	// Express-lane traffic crossed the fabric: both ToRs saw GRE.
@@ -127,7 +127,7 @@ func TestMultiRackMigrationAcrossRacks(t *testing.T) {
 	if len(mgr.OffloadedPatterns()) == 0 {
 		t.Error("service not re-offloaded at the destination rack")
 	}
-	if got := len(mgr.TORCtls[1].offloadedList()); got != 0 {
+	if got := len(mgr.RackCtls[1][0].offloadedList()); got != 0 {
 		t.Errorf("rack 1 still holds %d offloaded patterns for a migrated VM", got)
 	}
 }
@@ -174,12 +174,12 @@ func TestMultiRackBudgetsAreIndependent(t *testing.T) {
 		t.Error("rack 1 TCAM unused")
 	}
 	// Intra-rack traffic never installs state on the other rack's ToR.
-	for _, p := range mgr.TORCtls[0].offloadedList() {
+	for _, p := range mgr.RackCtls[0][0].offloadedList() {
 		if p.Tenant == 6 {
 			t.Errorf("rack 0 holds rack 1's pattern %v", p)
 		}
 	}
-	for _, p := range mgr.TORCtls[1].offloadedList() {
+	for _, p := range mgr.RackCtls[1][0].offloadedList() {
 		if p.Tenant == 5 {
 			t.Errorf("rack 1 holds rack 0's pattern %v", p)
 		}

@@ -20,14 +20,14 @@ import (
 )
 
 // nicInputs assembles the per-host placement inputs for DecideTiered from
-// the controller's cached NIC report sections: each NIC-bearing server's
-// budget (reported free entries plus entries its desired incumbents hold,
-// the same convention as the TCAM budget) and its desired pattern set,
-// plus the hostOf resolver mapping a pattern to the server that sources
-// its traffic. Returns (nil, nil) when no server has reported a SmartNIC
-// — the tiered engine then degenerates to the 2-level one.
+// the agents' NIC report sections: each NIC-bearing server's budget
+// (reported free entries plus entries its desired incumbents hold, the
+// same convention as the TCAM budget) and its desired pattern set, plus
+// the hostOf resolver mapping a pattern to the server that sources its
+// traffic. Returns (nil, nil) when no agent has reported a SmartNIC — the
+// tiered engine then degenerates to the 2-level one.
 func (tc *TORController) nicInputs() (map[int]decision.NICState, func(rules.Pattern) (int, bool)) {
-	if len(tc.nicSeen) == 0 {
+	if !slices.ContainsFunc(tc.agents, func(a agent) bool { return a.nicSeen }) {
 		return nil, nil
 	}
 	desiredBy := make(map[uint32]map[rules.Pattern]bool)
@@ -39,16 +39,20 @@ func (tc *TORController) nicInputs() (map[int]decision.NICState, func(rules.Patt
 		}
 		m[p] = true
 	}
-	states := make(map[int]decision.NICState, len(tc.nicSeen))
-	for id := range tc.nicSeen {
-		placed := desiredBy[id]
-		budget := int(tc.nicFree[id])
+	states := make(map[int]decision.NICState)
+	for i := range tc.agents {
+		a := &tc.agents[i]
+		if !a.nicSeen {
+			continue
+		}
+		placed := desiredBy[a.id]
+		budget := int(a.nicFree)
 		for p := range placed {
-			if tc.nicReported[id][p] {
+			if a.nicSet[p] {
 				budget++ // the incumbent's entry frees if it is demoted
 			}
 		}
-		states[int(id)] = decision.NICState{Budget: budget, Placed: placed}
+		states[int(a.id)] = decision.NICState{Budget: budget, Placed: placed}
 	}
 
 	// A SmartNIC rule only ever matches traffic its own host transmits, so
@@ -68,11 +72,11 @@ func (tc *TORController) nicInputs() (map[int]decision.NICState, func(rules.Patt
 		if !ok {
 			return 0, false
 		}
-		id := uint32(vm.Server().ID)
-		if !tc.nicSeen[id] {
+		id := vm.Server().ID
+		if a := tc.find(uint32(id)); a == nil || !a.nicSeen {
 			return 0, false
 		}
-		return int(id), true
+		return id, true
 	}
 	return states, hostOf
 }
@@ -164,8 +168,8 @@ func (tc *TORController) sendNICActions(server uint32, acts []openflow.OffloadAc
 	if len(acts) == 0 {
 		return
 	}
-	if tr, ok := tc.toLocalByID[server]; ok {
-		tr.Send(&openflow.OffloadDecision{Actions: acts,
+	if a := tc.find(server); a != nil {
+		a.tr.Send(&openflow.OffloadDecision{Actions: acts,
 			Term: tc.el.term, Origin: uint32(tc.el.id)})
 	}
 }
@@ -179,68 +183,36 @@ func (tc *TORController) sendNICActions(server uint32, acts []openflow.OffloadAc
 // rules nobody owns — crash remnants, moved patterns, lost removals —
 // are swept.
 func (tc *TORController) nicReconcile() {
-	perServer := make(map[uint32][]openflow.OffloadAction)
+	acts := make([][]openflow.OffloadAction, len(tc.agents))
 
 	for _, p := range rules.SortedPatterns(tc.nicDesired) {
 		s := tc.nicDesired[p]
-		rep, ok := tc.nicReported[s]
-		if !ok || rep[p] {
-			continue // no report yet, or confirmed present
+		i, ok := tc.index(s)
+		if !ok || !tc.agents[i].reported || tc.agents[i].nicSet[p] {
+			continue // detached, no report yet, or confirmed present
 		}
 		tc.NICReasserts++
 		tc.rec.EmitPattern(telemetry.KindRepair, p.Tenant, p, "missing-from-nic", 0, float64(s))
-		perServer[s] = append(perServer[s], openflow.OffloadAction{Pattern: p, Offload: true, Tier: openflow.TierNIC})
+		acts[i] = append(acts[i], openflow.OffloadAction{Pattern: p, Offload: true, Tier: openflow.TierNIC})
 	}
 
-	ids := make([]uint32, 0, len(tc.nicReported))
-	for id := range tc.nicReported {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for i := range tc.agents {
+		a := &tc.agents[i]
 		var orphans []rules.Pattern
-		for p := range tc.nicReported[id] {
-			if owner, ok := tc.nicDesired[p]; !ok || owner != id {
+		for p := range a.nicSet {
+			if owner, ok := tc.nicDesired[p]; !ok || owner != a.id {
 				orphans = append(orphans, p)
 			}
 		}
 		slices.SortFunc(orphans, rules.Pattern.Compare)
 		for _, p := range orphans {
 			tc.NICOrphans++
-			tc.rec.EmitPattern(telemetry.KindOrphanSweep, p.Tenant, p, "nic", 0, float64(id))
-			perServer[id] = append(perServer[id], openflow.OffloadAction{Pattern: p, Offload: false, Tier: openflow.TierNIC})
+			tc.rec.EmitPattern(telemetry.KindOrphanSweep, p.Tenant, p, "nic", 0, float64(a.id))
+			acts[i] = append(acts[i], openflow.OffloadAction{Pattern: p, Offload: false, Tier: openflow.TierNIC})
 		}
 	}
 
-	sids := make([]uint32, 0, len(perServer))
-	for id := range perServer {
-		sids = append(sids, id)
+	for i := range tc.agents {
+		tc.sendNICActions(tc.agents[i].id, acts[i])
 	}
-	sort.Slice(sids, func(i, j int) bool { return sids[i] < sids[j] })
-	for _, id := range sids {
-		tc.sendNICActions(id, perServer[id])
-	}
-}
-
-// nicDesiredList returns the NIC tier's desired placements, sorted —
-// exposed for experiments and tests.
-func (tc *TORController) nicDesiredList() []rules.Pattern {
-	return rules.SortedPatterns(tc.nicDesired)
-}
-
-// NICPlacedPatterns returns the union of NIC-tier desired patterns across
-// all ToRs of the manager, sorted and de-duplicated.
-func (m *Manager) NICPlacedPatterns() []rules.Pattern {
-	seen := make(map[rules.Pattern]bool)
-	var out []rules.Pattern
-	for _, tc := range m.TORCtls {
-		for _, p := range tc.nicDesiredList() {
-			if !seen[p] {
-				seen[p] = true
-				out = append(out, p)
-			}
-		}
-	}
-	slices.SortFunc(out, rules.Pattern.Compare)
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/openflow"
 	"repro/internal/packet"
@@ -95,6 +96,42 @@ func TestHandlersKeepNoMessage(t *testing.T) {
 		if state() != want {
 			t.Errorf("overwriting a %s after HandleMessage returned changed %T's state: it kept part of the message",
 				step.msg.Type(), step.h)
+		}
+	}
+}
+
+// TestUnattachedServerChangesNothing: a demand report, sync ack or
+// overload hint naming a ServerID no agent is attached under leaves the
+// controller as it was; the same message from an attached agent does not.
+func TestUnattachedServerChangesNothing(t *testing.T) {
+	tb := newTestbed(t, fastCfg())
+	tb.echo(11211, 600)
+	tb.drive(40000, 11211, 3000, 100)
+	tb.mgr.Start()
+	tb.c.Eng.RunUntil(2 * time.Second)
+	tc := tb.mgr.TORCtl
+	pat := rules.AggregatePattern(packet.AggregateKey{Tenant: 3, VMIP: clientIP, Port: 9})
+	msgs := func(id uint32) []openflow.Message {
+		return []openflow.Message{
+			&openflow.DemandReport{ServerID: id, Interval: 1 << 20,
+				Entries: []openflow.DemandEntry{{Pattern: pat, PPS: 1e6, BPS: 8e9, Epoch: 1,
+					MedianPPS: 1e6, MedianBPS: 8e9, ActiveEpochs: 2}},
+				Splits:  []openflow.RateSplit{{Tenant: 3, VMIP: serverIP, EgressHardBps: 1e3, IngressHardBps: 1e3}},
+				NICFree: 4, NICPatterns: []rules.Pattern{pat}},
+			&openflow.SyncAck{ServerID: id, Seq: tc.sync.seq + 1, Term: tc.Term()},
+			&openflow.OverloadHint{ServerID: id, Tenant: 3, Overloaded: true, MissPPS: 1e5},
+		}
+	}
+	attached := msgs(0)
+	for i, msg := range msgs(99) {
+		before := fmt.Sprintf("%+v", tc)
+		tc.HandleMessage(msg, 1, func(openflow.Message, uint32) {})
+		if fmt.Sprintf("%+v", tc) != before {
+			t.Errorf("a %s from unattached server 99 changed the controller", msg.Type())
+		}
+		tc.HandleMessage(attached[i], 1, func(openflow.Message, uint32) {})
+		if fmt.Sprintf("%+v", tc) == before {
+			t.Fatalf("a %s from attached server 0 left the controller as it was: the step tests nothing", msg.Type())
 		}
 	}
 }

@@ -99,11 +99,11 @@ func (r *ruleSyncer) ack(id, seq uint32) {
 // re-established connection may have restarted empty.
 func (r *ruleSyncer) dropBase(id uint32) { r.peers[id] = syncPeer{acked: r.peers[id].acked} }
 
-// minAcked is the lowest sequence every one of ids has confirmed.
-func (r *ruleSyncer) minAcked(ids []uint32) uint32 {
+// minAcked is the lowest sequence every agent of to has confirmed.
+func (r *ruleSyncer) minAcked(to []agent) uint32 {
 	lowest := ^uint32(0)
-	for _, id := range ids {
-		lowest = min(lowest, r.peers[id].acked)
+	for i := range to {
+		lowest = min(lowest, r.peers[to[i].id].acked)
 	}
 	return lowest
 }
@@ -117,17 +117,17 @@ func (r *ruleSyncer) base(id uint32) uint32 {
 	return 0
 }
 
-// publish sends the next RuleSync for the desired set on trs, where trs[i]
-// reaches local ids[i]: one frame each (a set beyond a frame: its parts),
-// in slice order. With every local on one base, the steady state, it is
-// marshalled once; when bases differ, for each local in its turn.
-func (r *ruleSyncer) publish(desired map[rules.Pattern]bool, term, origin uint32, ids []uint32, trs []*openflow.Transport) {
+// publish sends the next RuleSync for the desired set to every agent of
+// to: one frame each (a set beyond a frame: its parts), in slice order.
+// With every local on one base, the steady state, it is marshalled once;
+// when bases differ, for each local in its turn.
+func (r *ruleSyncer) publish(desired map[rules.Pattern]bool, term, origin uint32, to []agent) {
 	r.seq++
 	r.dirty, r.sincePublish = false, 0
 	// Changes that every local with a base has acked are done with.
 	oldest := r.seq - 1
-	for _, id := range ids {
-		if b := r.base(id); b != 0 {
+	for i := range to {
+		if b := r.base(to[i].id); b != 0 {
 			oldest = min(oldest, b)
 		}
 	}
@@ -135,8 +135,8 @@ func (r *ruleSyncer) publish(desired map[rules.Pattern]bool, term, origin uint32
 
 	var full []*openflow.RuleSync
 	r.groupOf, r.groups = r.groupOf[:0], r.groups[:0]
-	for _, id := range ids {
-		b := r.base(id)
+	for i := range to {
+		b := r.base(to[i].id)
 		at := slices.IndexFunc(r.groups, func(g syncGroup) bool { return g.base == b })
 		if at < 0 {
 			var msgs []*openflow.RuleSync
@@ -157,13 +157,13 @@ func (r *ruleSyncer) publish(desired map[rules.Pattern]bool, term, origin uint32
 	}
 	if len(r.groups) == 1 {
 		for _, m := range r.groups[0].msgs {
-			openflow.Broadcast(trs, m)
+			broadcast(to, m)
 		}
 		return
 	}
-	for i, tr := range trs {
+	for i := range to {
 		for _, m := range r.groups[r.groupOf[i]].msgs {
-			tr.Send(m)
+			to[i].tr.Send(m)
 		}
 	}
 }

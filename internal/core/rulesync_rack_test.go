@@ -138,8 +138,8 @@ func runSyncRack(t *testing.T, seed int64, full bool) (log []string, wireBytes u
 	if got := mgr.OffloadedPatterns(); len(got) == 0 || !slices.Equal(got, sortedRules(c)) {
 		t.Fatalf("the rack ends with %d offloaded patterns and TCAM %v", len(got), sortedRules(c))
 	}
-	for _, tr := range tc.toLocals {
-		wireBytes += tr.SentBytes
+	for _, a := range tc.agents {
+		wireBytes += a.tr.SentBytes
 	}
 	return log, wireBytes
 }
@@ -313,8 +313,8 @@ func TestReattachDropsTheBase(t *testing.T) {
 		t.Fatalf("bases %d and %d after sync %d", r.peers[1].base, r.peers[2].base, r.seq)
 	}
 	a2 := sp.agent(1) // same ServerID, new process: AttachLocal takes its reattach branch
-	if len(sp.tor.TC.localIDs) != 2 || r.peers[1].base != 0 {
-		t.Fatalf("after the reattach the ToR has %d locals and base %d for the reattached one", len(sp.tor.TC.localIDs), r.peers[1].base)
+	if len(sp.tor.TC.agents) != 2 || r.peers[1].base != 0 {
+		t.Fatalf("after the reattach the ToR has %d locals and base %d for the reattached one", len(sp.tor.TC.agents), r.peers[1].base)
 	}
 	sp.run(5 * time.Millisecond)
 	if !sp.converged(a2) || !sp.converged(b) || len(a2.LC.Placements()) != 20 {

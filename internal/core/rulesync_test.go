@@ -36,10 +36,9 @@ type syncWorld struct {
 	// sequence: what an ack of it claims the local holds.
 	sets map[[2]uint32][]rules.Pattern
 
-	ids  []uint32
-	trs  []*openflow.Transport
-	wire [][][]byte // wire[i]: frames sent to local i, undelivered
-	acks []syncAckInFlight
+	agents []agent
+	wire   [][][]byte // wire[i]: frames sent to local i, undelivered
+	acks   []syncAckInFlight
 
 	deltas, fulls, refused, stale, acked int
 }
@@ -65,14 +64,13 @@ func newSyncWorld(t *testing.T, seed int64, locals int) *syncWorld {
 	}
 	for i := range w.mgr.Locals {
 		i := i
-		w.ids = append(w.ids, uint32(c.Servers[i].ID))
-		w.trs = append(w.trs, openflow.NewRemoteTransport(func(frame []byte) error {
+		w.agents = append(w.agents, agent{id: uint32(c.Servers[i].ID), tr: openflow.NewRemoteTransport(func(frame []byte) error {
 			if len(frame) > openflow.MaxFrame {
 				t.Fatalf("a %d-byte frame", len(frame))
 			}
 			w.wire[i] = append(w.wire[i], bytes.Clone(frame))
 			return nil
-		}))
+		})})
 		w.wireAcks(i)
 	}
 	return w
@@ -102,7 +100,7 @@ func (w *syncWorld) wireAcks(i int) {
 }
 
 func (w *syncWorld) publish() {
-	w.r.publish(w.desired, w.term, 0, w.ids, w.trs)
+	w.r.publish(w.desired, w.term, 0, w.agents)
 	w.sets[[2]uint32{w.term, w.r.seq}] = rules.SortedPatterns(w.desired)
 	if len(w.r.log) > syncLogMax {
 		w.t.Fatalf("the log holds %d changes, bound %d", len(w.r.log), syncLogMax)
@@ -157,7 +155,7 @@ func (w *syncWorld) restart(i int, seen bool) {
 	if seen {
 		w.wire[i] = nil
 		w.acks = slices.DeleteFunc(w.acks, func(a syncAckInFlight) bool { return a.local == i })
-		w.r.dropBase(w.ids[i])
+		w.r.dropBase(w.agents[i].id)
 	}
 }
 
@@ -272,10 +270,10 @@ func TestAckMeansTheLocalHoldsThatSet(t *testing.T) {
 			if got := lc.Placements(); !slices.Equal(got, want) {
 				t.Fatalf("seed %d: local %d ends with %d placements, desired has %d", seed, i, len(got), len(want))
 			}
-			if p := w.r.peers[w.ids[i]]; p.base != w.r.seq || p.acked != w.r.seq {
+			if p := w.r.peers[w.agents[i].id]; p.base != w.r.seq || p.acked != w.r.seq {
 				t.Fatalf("seed %d: local %d ends at base %d acked %d, published %d", seed, i, p.base, p.acked, w.r.seq)
 			}
-			if last := w.trs[i].SentBytes; last == 0 {
+			if last := w.agents[i].tr.SentBytes; last == 0 {
 				t.Fatalf("seed %d: nothing was sent to local %d", seed, i)
 			}
 		}
@@ -304,12 +302,11 @@ func TestSilentLocalBoundsTheLog(t *testing.T) {
 	parts := (n + openflow.MaxSyncPatterns - 1) / openflow.MaxSyncPatterns
 	r := &ruleSyncer{peers: make(map[uint32]syncPeer)}
 	desired := make(map[rules.Pattern]bool)
-	ids := []uint32{1, 2, 3} // 1 acks everything, 2 acks the first sync only, 3 never acks
-	got := make([][]*openflow.RuleSync, len(ids))
-	trs := make([]*openflow.Transport, len(ids))
-	for i := range trs {
+	to := []agent{{id: 1}, {id: 2}, {id: 3}} // 1 acks everything, 2 acks the first sync only, 3 never acks
+	got := make([][]*openflow.RuleSync, len(to))
+	for i := range to {
 		i := i
-		trs[i] = openflow.NewRemoteTransport(func(frame []byte) error {
+		to[i].tr = openflow.NewRemoteTransport(func(frame []byte) error {
 			msg, _, _, err := openflow.Decode(frame)
 			if err != nil || len(frame) > openflow.MaxFrame {
 				t.Fatalf("frame of %d bytes: %v", len(frame), err)
@@ -322,7 +319,7 @@ func TestSilentLocalBoundsTheLog(t *testing.T) {
 		for i := range got {
 			got[i] = nil
 		}
-		r.publish(desired, 0, 0, ids, trs)
+		r.publish(desired, 0, 0, to)
 		r.ack(1, r.seq)
 		if r.seq == 1 {
 			r.ack(2, 1)
@@ -336,9 +333,9 @@ func TestSilentLocalBoundsTheLog(t *testing.T) {
 		r.record(syncPattern(i))
 	}
 	publish()
-	for i := range ids {
+	for i := range to {
 		if last := got[i][len(got[i])-1]; len(got[i]) != parts || int(last.Part) != parts-1 || int(last.Parts) != parts {
-			t.Fatalf("local %d was sent the first set in %d frames", ids[i], len(got[i]))
+			t.Fatalf("local %d was sent the first set in %d frames", to[i].id, len(got[i]))
 		}
 	}
 	// Churn: 40 changes a publish. Local 2's base (1) stays inside the log
@@ -389,12 +386,10 @@ func TestPublishGate(t *testing.T) {
 	const locals, held, churn = 16, 640, 8
 	r := &ruleSyncer{peers: make(map[uint32]syncPeer)}
 	desired := make(map[rules.Pattern]bool)
-	var ids []uint32
-	var trs []*openflow.Transport
+	var to []agent
 	sent := 0
 	for i := 0; i < locals; i++ {
-		ids = append(ids, uint32(i+1))
-		trs = append(trs, openflow.NewRemoteTransport(func(frame []byte) error { sent += len(frame); return nil }))
+		to = append(to, agent{id: uint32(i + 1), tr: openflow.NewRemoteTransport(func(frame []byte) error { sent += len(frame); return nil })})
 	}
 	for i := 0; i < held; i++ {
 		desired[syncPattern(i)] = true
@@ -402,8 +397,8 @@ func TestPublishGate(t *testing.T) {
 	}
 	next := held
 	cycle := func() {
-		for _, id := range ids {
-			r.ack(id, r.seq)
+		for _, a := range to {
+			r.ack(a.id, r.seq)
 		}
 		for k := 0; k < churn/2; k++ {
 			gone, came := syncPattern(next-held), syncPattern(next)
@@ -414,7 +409,7 @@ func TestPublishGate(t *testing.T) {
 			next++
 		}
 		sent = 0
-		r.publish(desired, 0, 0, ids, trs)
+		r.publish(desired, 0, 0, to)
 	}
 	cycle() // the full set
 	if want := locals * (24 + 20*held); sent != want {
@@ -463,11 +458,11 @@ func TestRefusedDeltaFallsBackToFull(t *testing.T) {
 	w.restart(1, false)
 	w.toggle(syncPattern(11))
 	round()
-	if w.refused != 1 || len(w.mgr.Locals[1].Placements()) != 0 || w.r.peers[w.ids[1]].base != 0 {
+	if w.refused != 1 || len(w.mgr.Locals[1].Placements()) != 0 || w.r.peers[w.agents[1].id].base != 0 {
 		t.Fatalf("the restarted local refused %d deltas, holds %d placements, its base at the ToR is %d",
-			w.refused, len(w.mgr.Locals[1].Placements()), w.r.peers[w.ids[1]].base)
+			w.refused, len(w.mgr.Locals[1].Placements()), w.r.peers[w.agents[1].id].base)
 	}
-	if got := w.r.minAcked(w.ids); got != 2 {
+	if got := w.r.minAcked(w.agents); got != 2 {
 		t.Fatalf("the removal gate regressed to %d on the refusal; what was acked stays acked", got)
 	}
 	round() // a refresh: full to the restarted local, an empty delta to the other

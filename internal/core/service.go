@@ -22,7 +22,6 @@ package core
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/cluster"
@@ -53,7 +52,7 @@ func NewTORService(c *cluster.Cluster, cfg Config) *TORService {
 	// real rack they share the switch's management plane): installs keep
 	// round-tripping real wire encoding and stay barrier-confirmed.
 	m.addRack(c.TORs[0])
-	m.TORCtl = m.TORCtls[0]
+	m.TORCtl = m.RackCtls[0][0]
 	return &TORService{M: m, TC: m.TORCtl}
 }
 
@@ -66,45 +65,37 @@ func NewTORService(c *cluster.Cluster, cfg Config) *TORService {
 // anti-entropy cadence.
 func (s *TORService) AttachLocal(serverID uint32, tr *openflow.Transport) {
 	tc := s.TC
-	if i := slices.Index(tc.localIDs, serverID); i >= 0 {
-		tc.toLocals[i] = tr
+	if i, ok := tc.index(serverID); ok {
+		tc.agents[i].tr = tr
 		tc.sync.dropBase(serverID)
 	} else {
-		tc.localIDs = append(tc.localIDs, serverID)
-		tc.toLocals = append(tc.toLocals, tr)
+		tc.agents = slices.Insert(tc.agents, i, agent{id: serverID, tr: tr})
 	}
-	tc.toLocalByID[serverID] = tr
 	tc.publish()
 }
 
-// DetachLocal removes a departed local controller. Its cached demand
-// report and ack state go too: a dead server must neither feed stale
-// demand into decisions, nor gate ACL removals forever, nor hold the sync
-// log back (both run over exactly the attached set). Removals waiting on
-// its ack are re-evaluated right away.
+// DetachLocal removes a departed local controller's record and its ack
+// ledger entry: a dead server must neither feed stale demand into
+// decisions, nor gate ACL removals forever, nor hold the sync log back
+// (both run over exactly the attached set). Removals waiting on its ack
+// are re-evaluated right away.
 func (s *TORService) DetachLocal(serverID uint32) {
 	tc := s.TC
-	i := slices.Index(tc.localIDs, serverID)
-	if i < 0 {
+	i, ok := tc.index(serverID)
+	if !ok {
 		return
 	}
-	tc.localIDs = slices.Delete(tc.localIDs, i, i+1)
-	tc.toLocals = slices.Delete(tc.toLocals, i, i+1)
-	delete(tc.toLocalByID, serverID)
+	tc.agents = slices.Delete(tc.agents, i, i+1)
 	delete(tc.sync.peers, serverID)
-	delete(tc.reports, serverID)
-	delete(tc.lastInterval, serverID)
-	delete(tc.lastReportAt, serverID)
-	delete(tc.nicReported, serverID)
-	delete(tc.nicFree, serverID)
-	delete(tc.nicSeen, serverID)
 	tc.inst.tryRemovals(tc.mgr.Cluster.Eng.Now())
 }
 
 // AgentIDs returns the currently attached servers, sorted.
 func (s *TORService) AgentIDs() []uint32 {
-	out := append([]uint32(nil), s.TC.localIDs...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	var out []uint32
+	for _, a := range s.TC.agents {
+		out = append(out, a.id)
+	}
 	return out
 }
 
@@ -253,7 +244,6 @@ func NewAgentService(c *cluster.Cluster, cfg Config, toTOR *openflow.Transport) 
 	lc := newLocalController(m, srv)
 	lc.rack = 0
 	lc.toTORs = []*openflow.Transport{toTOR}
-	lc.toTOR = toTOR
 	m.Locals = []*LocalController{lc}
 	s := &AgentService{
 		M: m, LC: lc,

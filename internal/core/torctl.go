@@ -70,25 +70,14 @@ const staleIntervals = 2
 // as its desired set (removing them blind would blackhole flows whose
 // placers still steer to the express lane).
 type TORController struct {
-	mgr      *Manager
-	tor      *tor.TOR
-	toLocals []*openflow.Transport
-	// localIDs are the rack's server IDs, for counting RuleSync acks.
-	localIDs []uint32
+	mgr *Manager
+	tor *tor.TOR
+	// agents holds one record per attached local controller, in ServerID
+	// order.
+	agents []agent
 	// toSwitch/fromSwitch is the control connection to the switch agent.
 	toSwitch   *openflow.Transport
 	fromSwitch *openflow.Transport
-
-	// reports holds each server's latest report as the tick reads it —
-	// ServerID, Interval and the entries, copied into a slice the
-	// controller owns and reuses from one interval to the next.
-	reports map[uint32]openflow.DemandReport
-	// lastInterval and lastReportAt track each server's report stream
-	// for gap and staleness detection: skipped interval sequence numbers
-	// are counted in StatsGaps, and a server silent for staleIntervals
-	// control intervals has its cached report excluded from decisions.
-	lastInterval map[uint32]uint32
-	lastReportAt map[uint32]sim.Time
 
 	// smoother carries per-candidate EWMA estimates across intervals and
 	// synthesizes decaying candidates for patterns whose stats went
@@ -110,21 +99,14 @@ type TORController struct {
 
 	// nicDesired maps each NIC-tier pattern to the server whose SmartNIC
 	// should carry it (NIC rules are per-host; the middle rung of the
-	// software → SmartNIC → TCAM ladder). nicReported and nicFree cache
-	// each server's latest NIC report section; nicSeen marks servers that
-	// ever reported a SmartNIC. nicDamper is the NIC tier's own flap
-	// damper — transitions on one tier must not penalize the other. All
-	// volatile (reset on Crash): a restarted controller does not adopt NIC
-	// rules the way it adopts TCAM rules, because a swept NIC rule costs
+	// software → SmartNIC → TCAM ladder). nicDamper is the NIC tier's own
+	// flap damper — transitions on one tier must not penalize the other.
+	// Both volatile (reset on Crash): a restarted controller does not adopt
+	// NIC rules the way it adopts TCAM rules, because a swept NIC rule costs
 	// only a software spell (the NIC tier structurally falls back to the
 	// vswitch), never a blackhole.
-	nicDesired  map[rules.Pattern]uint32
-	nicReported map[uint32]map[rules.Pattern]bool
-	nicFree     map[uint32]uint32
-	nicSeen     map[uint32]bool
-	nicDamper   *decision.FlapDamper
-	// toLocalByID routes per-server NIC actions (TCAM actions broadcast).
-	toLocalByID map[uint32]*openflow.Transport
+	nicDesired map[rules.Pattern]uint32
+	nicDamper  *decision.FlapDamper
 
 	// sync numbers and publishes RuleSyncs and keeps each server's acks
 	// (rulesync.go).
@@ -146,15 +128,14 @@ type TORController struct {
 	pendingAnnounce []openflow.OffloadAction
 	announceQueued  bool
 
+	// ticker runs the DE; start schedules its first run at startAt.
 	ticker  *sim.Ticker
-	stopped bool
+	startAt *sim.Event
 
 	// ---- control-plane HA state ----
 
-	// el is the process and leadership state (elector.go); agent is the
-	// rack's shared switch agent (fencing counters live there).
+	// el is the process and leadership state (elector.go).
 	el          *elector
-	agent       *switchAgent
 	electTicker *sim.Ticker
 	// justElected forces a full refresh+publish+reconcile on the first
 	// DE tick after a takeover.
@@ -201,14 +182,11 @@ type TORController struct {
 
 // newTORController returns replica id of its rack's group, at term 1.
 func newTORController(m *Manager, t *tor.TOR, id int) *TORController {
-	tc := &TORController{
-		mgr:         m,
-		tor:         t,
-		toLocalByID: make(map[uint32]*openflow.Transport),
-	}
+	tc := &TORController{mgr: m, tor: t}
 	tc.inst = newInstaller(tc, &tc.installCounts, m.Cfg.ControlDelay)
 	// The heartbeat period is half a control interval.
 	tc.el = newElector(tc, &tc.electCounts, id, m.Cfg.HA.Replicas, tc.controlInterval()/2)
+	tc.sync.peers = make(map[uint32]syncPeer)
 	tc.forget()
 	return tc
 }
@@ -216,20 +194,18 @@ func newTORController(m *Manager, t *tor.TOR, id int) *TORController {
 // forget (re)initialises everything a controller process holds in memory
 // only — what a crash loses and a new controller starts without.
 func (tc *TORController) forget() {
+	tc.startAt.Cancel()
 	tc.ticker.Stop()
 	tc.electTicker.Stop()
 	tc.abandon()
-	tc.reports = make(map[uint32]openflow.DemandReport)
-	tc.lastInterval = make(map[uint32]uint32)
-	tc.lastReportAt = make(map[uint32]sim.Time)
+	for i, a := range tc.agents {
+		tc.agents[i] = agent{id: a.id, tr: a.tr}
+	}
+	clear(tc.sync.peers)
 	tc.smoother = decision.NewSmoother(tc.mgr.Cfg.Smoother)
 	tc.damper = decision.NewFlapDamper(tc.mgr.Cfg.Damper)
 	tc.urgent = make(map[packet.TenantID]sim.Time)
-	tc.nicReported = make(map[uint32]map[rules.Pattern]bool)
-	tc.nicFree = make(map[uint32]uint32)
-	tc.nicSeen = make(map[uint32]bool)
 	tc.nicDamper = decision.NewFlapDamper(tc.mgr.Cfg.Damper)
-	tc.sync.peers = make(map[uint32]syncPeer)
 	tc.installedHW = make(map[vswitch.VMKey]openflow.RateSplit)
 }
 
@@ -258,26 +234,20 @@ func (tc *TORController) controlInterval() time.Duration {
 }
 
 func (tc *TORController) start() {
-	tc.stopped = false
 	eng := tc.mgr.Cluster.Eng
 	tc.el.lastHeartbeatAt = eng.Now()
 	tc.lastTableReplyAt = eng.Now()
 	// Offset the DE ticks so each interval's demand reports (epoch
 	// boundary + sample gap + control delay) have arrived.
 	offset := tc.mgr.Cfg.Measure.SampleGap + 4*tc.mgr.Cfg.ControlDelay + time.Millisecond
-	eng.After(offset, func() {
-		if tc.stopped || tc.el.state == down {
-			return
-		}
-		tc.ticker = eng.Every(tc.controlInterval(), tc.tick)
-	})
+	tc.startAt = eng.After(offset, func() { tc.ticker = eng.Every(tc.controlInterval(), tc.tick) })
 	if tc.el.haReplicated() {
 		tc.electTicker = eng.Every(tc.el.period, func() { tc.el.tick(eng.Now()) })
 	}
 }
 
 func (tc *TORController) stop() {
-	tc.stopped = true
+	tc.startAt.Cancel()
 	tc.ticker.Stop()
 	tc.electTicker.Stop()
 }
@@ -291,7 +261,7 @@ func (tc *TORController) stop() {
 func (tc *TORController) Crash() { tc.el.crash() }
 
 func (tc *TORController) Restart() {
-	if tc.el.restart(tc.mgr.Cluster.Eng.Now()) && tc.mgr.started && !tc.stopped {
+	if tc.el.restart(tc.mgr.Cluster.Eng.Now()) && tc.mgr.started {
 		tc.start()
 	}
 }
@@ -406,46 +376,15 @@ func (tc *TORController) HandleMessage(msg openflow.Message, xid uint32, reply o
 		// socket overflows — anti-entropy re-delivers state on resume).
 		return
 	}
+	var from *agent
+	if id, ok := openflow.ServerIDOf(msg); ok {
+		if from = tc.find(id); from == nil {
+			return // no agent is attached under that ID: nothing changes
+		}
+	}
 	switch m := msg.(type) {
 	case *openflow.DemandReport:
-		// Nothing of m is kept (openflow.Handler): its entries are copied
-		// into the server's own slice, the rest is applied here.
-		cur, ok := tc.reports[m.ServerID]
-		if ok && cur.Interval == m.Interval {
-			// A continuation chunk of this interval's report.
-			cur.Entries = append(cur.Entries, m.Entries...)
-		} else {
-			// Gap detection: interval sequence numbers that never arrived
-			// mean lost (or badly delayed) reports on this server's stats
-			// path. The count is diagnostic; the smoother handles the
-			// estimation side.
-			if last, ok := tc.lastInterval[m.ServerID]; ok && m.Interval > last+1 {
-				tc.StatsGaps += uint64(m.Interval - last - 1)
-			}
-			cur = openflow.DemandReport{ServerID: m.ServerID, Interval: m.Interval,
-				Entries: append(cur.Entries[:0], m.Entries...)}
-			// The NIC table section rides the first chunk only; a server
-			// without a SmartNIC reports zero free entries and no patterns
-			// and never trips nicSeen.
-			nicSet := tc.nicReported[m.ServerID]
-			if nicSet == nil {
-				nicSet = make(map[rules.Pattern]bool, len(m.NICPatterns))
-				tc.nicReported[m.ServerID] = nicSet
-			}
-			clear(nicSet)
-			for _, p := range m.NICPatterns {
-				nicSet[p] = true
-			}
-			tc.nicFree[m.ServerID] = m.NICFree
-			if m.NICFree > 0 || len(m.NICPatterns) > 0 {
-				tc.nicSeen[m.ServerID] = true
-			}
-		}
-		tc.reports[m.ServerID] = cur
-		if m.Interval > tc.lastInterval[m.ServerID] {
-			tc.lastInterval[m.ServerID] = m.Interval
-		}
-		tc.lastReportAt[m.ServerID] = tc.mgr.Cluster.Eng.Now()
+		tc.StatsGaps += uint64(from.hear(m, tc.mgr.Cluster.Eng.Now()))
 		// Standbys keep their demand view warm but must not touch the
 		// (shared) hardware limiters — only the acting leader applies.
 		if tc.el.leading() {
@@ -557,10 +496,7 @@ func (tc *TORController) tick() {
 	// arbitrarily old data. Excluding it here hands its candidates to the
 	// smoother, which decays them gracefully.
 	staleAfter := sim.Time(staleIntervals) * tc.controlInterval()
-	reports := slices.DeleteFunc(tc.LatestReports(), func(r openflow.DemandReport) bool {
-		at, ok := tc.lastReportAt[r.ServerID]
-		return ok && eng.Now()-at > staleAfter
-	})
+	reports := tc.reportsSince(eng.Now() - staleAfter)
 
 	// Decisions are made against the union of confirmed and in-flight
 	// installs so an install awaiting its barrier is neither re-proposed
@@ -645,7 +581,7 @@ func (tc *TORController) tick() {
 		Term:     tc.el.term,
 		Origin:   uint32(tc.el.id),
 	}
-	tc.broadcast(dec)
+	broadcast(tc.agents, dec)
 	if tc.justElected {
 		// Full sync under the new term right away: locals adopt the term
 		// (resetting their ack space) and reconcile placements against
@@ -709,7 +645,7 @@ func (tc *TORController) maybePublish() {
 // local controller, as the changes since what each has acked. Locals ack
 // with the sequence number; removals gate on those acks.
 func (tc *TORController) publish() {
-	tc.sync.publish(tc.offloaded, tc.el.term, uint32(tc.el.id), tc.localIDs, tc.toLocals)
+	tc.sync.publish(tc.offloaded, tc.el.term, uint32(tc.el.id), tc.agents)
 }
 
 // announce queues one action and flushes the batch at the end of the
@@ -731,7 +667,7 @@ func (tc *TORController) announce(a openflow.OffloadAction) {
 		slices.SortFunc(acts, compareActions)
 		dec := &openflow.OffloadDecision{Actions: acts,
 			Term: tc.el.term, Origin: uint32(tc.el.id)}
-		tc.broadcast(dec)
+		broadcast(tc.agents, dec)
 	})
 }
 
@@ -759,7 +695,7 @@ func (tc *TORController) arm(d time.Duration, p rules.Pattern, gen uint64) *sim.
 func (tc *TORController) jitter(n int64) int64 { return tc.mgr.Cluster.Eng.Rand().Int63n(n) }
 
 func (tc *TORController) syncState() (seq, floor uint32) {
-	return tc.sync.seq, tc.sync.minAcked(tc.localIDs)
+	return tc.sync.seq, tc.sync.minAcked(tc.agents)
 }
 
 func (tc *TORController) confirmed(p rules.Pattern) {
@@ -940,26 +876,9 @@ func (tc *TORController) demoteVM(tenant packet.TenantID, vmIP packet.IP) {
 	if len(actions) > 0 {
 		dec := &openflow.OffloadDecision{Actions: actions,
 			Term: tc.el.term, Origin: uint32(tc.el.id)}
-		tc.broadcast(dec)
+		broadcast(tc.agents, dec)
 	}
 	tc.publish()
-}
-
-// LatestReports returns the most recent demand report from each server —
-// its ServerID, Interval and entries — exposed for experiment
-// instrumentation. A report is valid until the next report from its
-// server, whose entries overwrite it.
-func (tc *TORController) LatestReports() []openflow.DemandReport {
-	ids := make([]uint32, 0, len(tc.reports))
-	for id := range tc.reports {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	out := make([]openflow.DemandReport, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, tc.reports[id])
-	}
-	return out
 }
 
 // Term returns the replica's current leadership epoch.
@@ -970,9 +889,6 @@ func (tc *TORController) IsLeader() bool { return tc.el.leading() }
 
 // ReplicaID returns this replica's index within its rack's group.
 func (tc *TORController) ReplicaID() int { return tc.el.id }
-
-// broadcast sends msg to every attached local controller.
-func (tc *TORController) broadcast(msg openflow.Message) { openflow.Broadcast(tc.toLocals, msg) }
 
 // compareActions orders offload actions by canonical pattern order.
 func compareActions(a, b openflow.OffloadAction) int { return a.Pattern.Compare(b.Pattern) }

@@ -34,7 +34,7 @@ func BenchmarkBroadcastRuleSync(b *testing.B) {
 		b.Run(row.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				Broadcast(trs, row.msg)
+				broadcastAll(trs, row.msg)
 			}
 		})
 	}

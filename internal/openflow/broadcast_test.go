@@ -90,6 +90,11 @@ func (w *fanoutWorld) scribble() {
 	w.lent = w.lent[:0]
 }
 
+// broadcastAll broadcasts msg on every transport of trs.
+func broadcastAll(trs []*Transport, msg Message) {
+	Broadcast(len(trs), func(i int) *Transport { return trs[i] }, msg)
+}
+
 // TestBroadcastIsALoopOfSend: Broadcast is observably the loop it replaces.
 func TestBroadcastIsALoopOfSend(t *testing.T) {
 	loop, bcast := newFanoutWorld(), newFanoutWorld()
@@ -102,7 +107,7 @@ func TestBroadcastIsALoopOfSend(t *testing.T) {
 				tr.Send(msg)
 			}
 		})
-		bcast.eng.At(at, func() { Broadcast(bcast.trs, msg) })
+		bcast.eng.At(at, func() { broadcastAll(bcast.trs, msg) })
 	}
 	loop.eng.Run()
 	bcast.eng.Run()
@@ -147,7 +152,7 @@ func TestSendersKeepNoFrame(t *testing.T) {
 		for _, x := range []*fanoutWorld{ref, w} {
 			x := x
 			x.eng.At(time.Duration(r)*time.Millisecond, func() {
-				Broadcast(x.trs, msg)
+				broadcastAll(x.trs, msg)
 				if x == w {
 					x.scribble()
 				}
@@ -195,12 +200,12 @@ func TestBroadcastAllocs(t *testing.T) {
 	}
 	marshals, sync := 0, syncOf(1, patterns)
 	var msg Message = countingSync{sync, &marshals}
-	Broadcast(trs, msg)
+	broadcastAll(trs, msg)
 	if want := agents * len(Encode(sync, 1)); marshals != 1 || got != want {
 		t.Fatalf("one Broadcast marshalled the body %d times and delivered %d bytes, want once and %d",
 			marshals, got, want)
 	}
-	if n := testing.AllocsPerRun(20, func() { Broadcast(trs, msg) }); n != 0 {
+	if n := testing.AllocsPerRun(20, func() { broadcastAll(trs, msg) }); n != 0 {
 		t.Fatalf("Broadcast of a %d-pattern RuleSync to %d transports allocates %v times, want 0",
 			patterns, agents, n)
 	}

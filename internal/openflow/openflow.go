@@ -265,6 +265,20 @@ type DemandEntry struct {
 	ActiveEpochs uint32
 }
 
+// ServerIDOf returns the ServerID a message names, for the kinds local
+// controllers originate: a DemandReport, SyncAck or OverloadHint.
+func ServerIDOf(msg Message) (uint32, bool) {
+	switch m := msg.(type) {
+	case *DemandReport:
+		return m.ServerID, true
+	case *SyncAck:
+		return m.ServerID, true
+	case *OverloadHint:
+		return m.ServerID, true
+	}
+	return 0, false
+}
+
 // DemandReport is a local controller ME's periodic report to its TOR
 // controller. Besides flow measurements it carries the hardware-side rate
 // limits the local DE computed with FPS, for the TOR controller to

@@ -122,17 +122,18 @@ func (t *Transport) Reply(msg Message, xid uint32) {
 	}
 }
 
-// Broadcast sends msg on every transport exactly as a Send on each in
-// turn would — each draws its own xid, counts the frame, rolls its own
-// faults and delivers it, in slice order — but marshals the body once,
-// into the first transport's buffer, and stamps each transport's xid
-// into that one frame before handing it on (an in-sim one gets a copy).
-func Broadcast(transports []*Transport, msg Message) {
-	if len(transports) == 0 {
+// Broadcast sends msg on transports at(0) to at(n-1) exactly as a Send on
+// each in turn would — each draws its own xid, counts the frame, rolls its
+// own faults and delivers it, in that order — but marshals the body once,
+// into the first transport's buffer, and stamps each transport's xid into
+// that one frame before handing it on (an in-sim one gets a copy).
+func Broadcast(n int, at func(i int) *Transport, msg Message) {
+	if n == 0 {
 		return
 	}
-	frame := transports[0].enc.frame(msg, 0)
-	for _, t := range transports {
+	frame := at(0).enc.frame(msg, 0)
+	for i := 0; i < n; i++ {
+		t := at(i)
 		binary.BigEndian.PutUint32(frame[4:8], t.nextXID)
 		t.nextXID++
 		if t.remote == nil {

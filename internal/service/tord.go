@@ -111,12 +111,15 @@ func (t *Tord) serveAgent(nc net.Conn) {
 		ac.tr = openflow.NewRemoteTransport(send)
 		return ac.tr.Reply
 	})
-	t.rt.Post(func() {
-		if ac.registered && t.agents[ac.serverID] == ac {
-			delete(t.agents, ac.serverID)
-			t.svc.DetachLocal(ac.serverID)
-		}
-	})
+	t.rt.Post(func() { t.release(ac) })
+}
+
+// release detaches ac's ServerID, unless a newer connection claimed it.
+func (t *Tord) release(ac *agentConn) {
+	if ac.registered && t.agents[ac.serverID] == ac {
+		delete(t.agents, ac.serverID)
+		t.svc.DetachLocal(ac.serverID)
+	}
 }
 
 // tordHandler runs the engine on the read loop of ac, for its message.
@@ -129,14 +132,23 @@ func (h tordHandler) HandleMessage(msg openflow.Message, xid uint32, reply openf
 	h.t.rt.Post(func() { h.t.handleFromAgent(h.ac, msg, xid, reply) })
 }
 
-// handleFromAgent runs on the engine: on ac's read loop, inside Post.
+// handleFromAgent runs on the engine: on ac's read loop, inside Post. A
+// registered connection speaks for its own ServerID only: one that names
+// another is closed and detached, so one agent's frames never move what
+// the controller holds for another server.
 func (t *Tord) handleFromAgent(ac *agentConn, msg openflow.Message, xid uint32, reply openflow.ReplyFunc) {
-	if !ac.registered {
-		if id, ok := serverIDOf(msg); ok {
+	id, named := openflow.ServerIDOf(msg)
+	switch {
+	case !ac.registered:
+		if named {
 			t.register(ac, id)
 		}
-	} else if t.agents[ac.serverID] != ac {
-		return // superseded and closed: what it had buffered is stale
+	case t.agents[ac.serverID] != ac:
+		return // superseded or released and closed: what it had buffered is stale
+	case named && id != ac.serverID:
+		ac.nc.Close()
+		t.release(ac)
+		return
 	}
 	t.svc.TC.HandleMessage(msg, xid, reply)
 }
@@ -153,20 +165,6 @@ func (t *Tord) register(ac *agentConn, id uint32) {
 	t.agents[id] = ac
 	ac.serverID, ac.registered = id, true
 	t.svc.AttachLocal(id, ac.tr)
-}
-
-// serverIDOf extracts the sender identity from the message kinds local
-// controllers originate.
-func serverIDOf(msg openflow.Message) (uint32, bool) {
-	switch m := msg.(type) {
-	case *openflow.DemandReport:
-		return m.ServerID, true
-	case *openflow.SyncAck:
-		return m.ServerID, true
-	case *openflow.OverloadHint:
-		return m.ServerID, true
-	}
-	return 0, false
 }
 
 func (t *Tord) adminHooks() adminapi.Hooks {

@@ -92,6 +92,33 @@ func TestNewestConnectionKeepsItsServerID(t *testing.T) {
 	awaitSync(t, secondNC, second, func(m *openflow.RuleSync) bool { return slices.Contains(m.Patterns, p) })
 }
 
+// TestForeignServerIDIsClosed: a registered connection that sends a
+// message in another server's name is closed and its own server detached;
+// the server it named stays attached.
+func TestForeignServerIDIsClosed(t *testing.T) {
+	tord := quietTord(t, 100)
+	anySync := func(*openflow.RuleSync) bool { return true }
+	nc7, c7 := rawAgent(t, tord, 7)
+	awaitSync(t, nc7, c7, anySync)
+	nc8, c8 := rawAgent(t, tord, 8)
+	awaitSync(t, nc8, c8, anySync)
+
+	if _, err := c7.Send(&openflow.SyncAck{ServerID: 8, Seq: 1, Term: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := nc7.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, nc7); err != nil {
+		t.Fatalf("the connection that spoke for server 8 was not closed: %v", err)
+	}
+	var ids []uint32
+	tord.rt.Do(func() { ids = tord.svc.AgentIDs() })
+	if !slices.Equal(ids, []uint32{8}) {
+		t.Errorf("attached agents are %v, want [8]", ids)
+	}
+}
+
 // TestSilentPeerIsClosed: a peer that connects and never says Hello is
 // closed once two control intervals have passed.
 func TestSilentPeerIsClosed(t *testing.T) {
