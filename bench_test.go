@@ -12,6 +12,7 @@
 package fastrak
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -163,7 +164,7 @@ func BenchmarkTable4FasTrakMigration(b *testing.B) {
 func BenchmarkFig12MigrationTrace(b *testing.B) {
 	var res experiments.Fig12Result
 	for i := 0; i < b.N; i++ {
-		res = experiments.Fig12(20 * time.Millisecond)
+		res, _ = experiments.Fig12Traced(20*time.Millisecond, nil)
 	}
 	b.ReportMetric(float64(res.Stats.FastRetransmits), "fast-retx")
 	b.ReportMetric(float64(res.Stats.Timeouts), "timeouts")
@@ -299,7 +300,7 @@ func BenchmarkPacketMarshal(b *testing.B) {
 	p.Payload = make([]byte, 600)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Marshal(); err != nil {
+		if _, err := p.AppendMarshal(make([]byte, 0, p.WireLen())); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -308,7 +309,7 @@ func BenchmarkPacketMarshal(b *testing.B) {
 func BenchmarkPacketUnmarshal(b *testing.B) {
 	p := packet.NewTCP(7, 1, 2, 40000, 11211, 0)
 	p.Payload = make([]byte, 600)
-	wire, err := p.Marshal()
+	wire, err := p.AppendMarshal(nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -325,7 +326,7 @@ func BenchmarkTokenBucketReserve(b *testing.B) {
 	tb := ratelimit.NewTokenBucket(10e9, 120000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = tb.Reserve(time.Duration(i)*time.Microsecond, 1500)
+		_, _ = tb.ReserveLimit(time.Duration(i)*time.Microsecond, 1500, math.MaxInt64)
 	}
 }
 

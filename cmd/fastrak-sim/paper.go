@@ -142,8 +142,8 @@ func playFig12Pcap(w io.Writer, p params) error {
 	if err != nil {
 		return err
 	}
-	// Fig12Traced is the entry point that takes a capture; the recorder
-	// it attaches changes no result and goes unread.
+	// The recorder Fig12Traced attaches changes no result and goes
+	// unread here.
 	res, _ := experiments.Fig12Traced(fig12Shift, capture)
 	fmt.Fprintf(w, "# captured %d frames to %s\n", capture.Packets(), path)
 	printFig12(w, res)

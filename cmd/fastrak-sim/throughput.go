@@ -128,11 +128,10 @@ func playThroughput(w io.Writer, p params, shards int) error {
 	fmt.Fprintf(w, "\nprocessed %d packets in %d vectors over %v (%d passes)\n", c.Packets, c.Vectors, elapsed.Round(time.Millisecond), passes)
 	fmt.Fprintf(w, "throughput: %.2f Mpps total, %.2f Mpps per shard, %.2f Mpps per core (GOMAXPROCS)\n",
 		pps/1e6, pps/1e6/float64(shards), pps/1e6/float64(runtime.GOMAXPROCS(0)))
-	fmt.Fprintf(w, "outcomes: tx=%d (local=%d nic=%d) denied=%d unrouted=%d drops=%d epoch-flushes=%d\n",
-		c.Tx, c.LocalTx, c.NICTx, c.Denied, c.Unrouted, c.Drops.Total(), c.EpochFlushes)
+	fmt.Fprintf(w, "outcomes: tx=%d (local=%d) denied=%d unrouted=%d drops=%d epoch-flushes=%d\n",
+		c.Tx, c.LocalTx, c.Denied, c.Unrouted, c.Drops.Total(), c.EpochFlushes)
 	fmt.Fprintf(w, "megaflow: hits=%d misses=%d installs=%d (hit rate %.4f)\n",
-		c.Megaflow.Hits, c.Megaflow.Misses, c.Megaflow.Installs,
-		float64(c.Megaflow.Hits)/float64(c.Megaflow.Hits+c.Megaflow.Misses))
+		c.Megaflow.Hits, c.Megaflow.Misses, c.Megaflow.Installs, c.Megaflow.HitRate())
 	accounted := c.Tx + c.Denied + c.Unrouted + c.Drops.Total()
 	fmt.Fprintf(w, "conservation: packets=%d accounted=%d (%v)\n", c.Packets, accounted, c.Packets == accounted)
 	return nil

@@ -61,17 +61,17 @@ func TestRulesPinRoundTripsThroughSpecOf(t *testing.T) {
 	}
 	for p := range pinned {
 		want := PatternSpec{Tenant: 3, Src: "10.0.0.1", SrcPrefix: 32, Dst: "10.1.0.0", DstPrefix: 16, DstPort: 11211, Proto: 6}
-		if got := SpecOf(p); got != want {
-			t.Fatalf("SpecOf(%v) = %+v, want %+v", p, got, want)
+		if got := specOf(p); got != want {
+			t.Fatalf("specOf(%v) = %+v, want %+v", p, got, want)
 		}
-		if back, err := SpecOf(p).Pattern(); err != nil || back != p {
-			t.Fatalf("SpecOf(%v).Pattern() = %v, %v", p, back, err)
+		if back, err := specOf(p).Pattern(); err != nil || back != p {
+			t.Fatalf("specOf(%v).Pattern() = %v, %v", p, back, err)
 		}
 	}
 }
 
 // FuzzPatternSpec: any JSON body either fails to convert or gives a
-// pattern whose prefix lengths are at most 32 and which SpecOf renders
+// pattern whose prefix lengths are at most 32 and which specOf renders
 // back into a spec that converts to the same pattern.
 func FuzzPatternSpec(f *testing.F) {
 	f.Add([]byte(`{"tenant":3,"src":"10.0.0.1","src_prefix":-8}`))
@@ -90,8 +90,28 @@ func FuzzPatternSpec(f *testing.F) {
 		if p.SrcPrefix > 32 || p.DstPrefix > 32 {
 			t.Fatalf("%+v converts to %v, a prefix beyond 32", ps, p)
 		}
-		if back, err := SpecOf(p).Pattern(); err != nil || back != p {
-			t.Fatalf("%+v converts to %v, SpecOf of which converts to %v (%v)", ps, p, back, err)
+		if back, err := specOf(p).Pattern(); err != nil || back != p {
+			t.Fatalf("%+v converts to %v, specOf of which converts to %v (%v)", ps, p, back, err)
 		}
 	})
+}
+
+// specOf renders a pattern back into its JSON form.
+func specOf(p rules.Pattern) PatternSpec {
+	ps := PatternSpec{
+		Tenant:    uint32(p.Tenant),
+		AnyTenant: p.AnyTenant,
+		SrcPrefix: int(p.SrcPrefix),
+		DstPrefix: int(p.DstPrefix),
+		SrcPort:   p.SrcPort,
+		DstPort:   p.DstPort,
+		Proto:     p.Proto,
+	}
+	if p.SrcPrefix > 0 {
+		ps.Src = p.Src.String()
+	}
+	if p.DstPrefix > 0 {
+		ps.Dst = p.Dst.String()
+	}
+	return ps
 }

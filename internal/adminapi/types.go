@@ -62,26 +62,6 @@ func (ps PatternSpec) Pattern() (rules.Pattern, error) {
 	return p, nil
 }
 
-// SpecOf renders a pattern back into its JSON form.
-func SpecOf(p rules.Pattern) PatternSpec {
-	ps := PatternSpec{
-		Tenant:    uint32(p.Tenant),
-		AnyTenant: p.AnyTenant,
-		SrcPrefix: int(p.SrcPrefix),
-		DstPrefix: int(p.DstPrefix),
-		SrcPort:   p.SrcPort,
-		DstPort:   p.DstPort,
-		Proto:     p.Proto,
-	}
-	if p.SrcPrefix > 0 {
-		ps.Src = p.Src.String()
-	}
-	if p.DstPrefix > 0 {
-		ps.Dst = p.Dst.String()
-	}
-	return ps
-}
-
 // Health is the /healthz payload.
 type Health struct {
 	Role string `json:"role"` // "tord" or "agentd"

@@ -374,12 +374,6 @@ func (m *Manager) Stop() {
 	}
 }
 
-// SetAtomicGroup registers an all-or-nothing offload group (§4.3.2): the
-// DE offloads all the given patterns together or none of them.
-func (m *Manager) SetAtomicGroup(patterns []rules.Pattern) {
-	m.Cfg.Groups = append(m.Cfg.Groups, patterns)
-}
-
 // SetVMLimit registers a VM's purchased aggregate transmit/receive rates
 // (requirement I3). FasTrak splits them across VIF and VF with FPS every
 // control interval.
@@ -514,20 +508,6 @@ func (m *Manager) ControlStats() (messages, bytes, samples uint64) {
 					bytes += tr.SentBytes
 				}
 			}
-		}
-	}
-	return
-}
-
-// SwitchStats reports the hardware-programming channel's work (FlowMods,
-// barriers, table reads and their replies between each TOR controller and
-// its switch agent) — kept separate from ControlStats, whose coordination
-// messages the §6.2.2 overhead accounting covers.
-func (m *Manager) SwitchStats() (messages, bytes uint64) {
-	for _, rack := range m.RackCtls {
-		for _, tc := range rack {
-			messages += tc.toSwitch.Sent + tc.fromSwitch.Sent
-			bytes += tc.toSwitch.SentBytes + tc.fromSwitch.SentBytes
 		}
 	}
 	return

@@ -170,3 +170,45 @@ func TestNICPlacementsFollowTheLeader(t *testing.T) {
 		t.Errorf("NIC placements %v, the leader (replica %d) placed %v", got, leader.ReplicaID(), want)
 	}
 }
+
+// TestNICLeasesExpireWithoutTheController: with a lease TTL, a local's
+// SmartNIC rules are leases too. Cut every channel between the local and
+// its ToR controller, and the rules expire within one TTL of the last
+// leader message, plus the sweeper's TTL/4 granularity.
+func TestNICLeasesExpireWithoutTheController(t *testing.T) {
+	nic := smartnic.DefaultConfig()
+	nic.Capacity = 4
+	c := cluster.New(cluster.Config{Servers: 2, VSwitchCfg: model.VSwitchConfig{Tunneling: true}, Seed: 7, SmartNIC: &nic})
+	cl, err := c.AddVM(0, 3, clientIP, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddVM(1, 3, serverIP, 4, nil); err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastCfg()
+	cfg.HA.LeaseTTL = 5 * time.Second
+	cfg.MaxOffloads = 1 // the TCAM takes one aggregate, the NIC tier the rest
+	mgr := Attach(c, cfg)
+	tb := &testbed{c: c, mgr: mgr, client: cl}
+	for i := uint16(0); i < 3; i++ {
+		tb.drive(40000+i, 9000+i, 2000, 100)
+	}
+	mgr.Start()
+	defer mgr.Stop()
+	c.Eng.RunUntil(3 * time.Second)
+	dev := c.Servers[0].SmartNIC
+	if dev.Len() == 0 {
+		t.Fatal("nothing placed on server 0's SmartNIC before the cut")
+	}
+	lc := mgr.Locals[0]
+	for j := range lc.toTORs {
+		lc.toTORs[j].SetDown(true)
+		lc.fromTORs[j].SetDown(true)
+	}
+	cut := c.Eng.Now()
+	c.Eng.RunUntil(cut + cfg.HA.LeaseTTL + cfg.HA.LeaseTTL/4)
+	if dev.Len() != 0 || dev.LeaseExpiries() == 0 {
+		t.Errorf("%d rules left on the SmartNIC one TTL after the cut (%d expired)", dev.Len(), dev.LeaseExpiries())
+	}
+}

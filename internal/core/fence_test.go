@@ -11,16 +11,16 @@ import (
 )
 
 // sendTap records every message a transport delivers, then hands it to
-// the receiver with replies routed over back, as Pair wires it.
+// the receiver. A test puts one in front of a receiver by wiring the
+// connection again with openflow.Pair.
 type sendTap struct {
 	h    openflow.Handler
-	back *openflow.Transport
 	seen *[]openflow.Message
 }
 
-func (s sendTap) HandleMessage(msg openflow.Message, xid uint32, _ openflow.ReplyFunc) {
+func (s sendTap) HandleMessage(msg openflow.Message, xid uint32, reply openflow.ReplyFunc) {
 	*s.seen = append(*s.seen, msg)
-	s.h.HandleMessage(msg, xid, func(m openflow.Message, x uint32) { s.back.Reply(m, x) })
+	s.h.HandleMessage(msg, xid, reply)
 }
 
 // checkTermOne fails unless every fenced message a controller sent
@@ -93,9 +93,11 @@ func TestGroupOfOneIsFenced(t *testing.T) {
 		tb.drive(40000, 11211, 3000, 100)
 		tc := tb.mgr.TORCtl
 		var seen []openflow.Message
-		tc.toSwitch.SetPeer(sendTap{h: tb.mgr.agents[0], back: tc.fromSwitch, seen: &seen})
+		delay := tb.mgr.Cfg.ControlDelay
+		tc.toSwitch, tc.fromSwitch = openflow.Pair(tb.c.Eng, delay, tc, sendTap{h: tb.mgr.agents[0], seen: &seen})
 		for i, lc := range tb.mgr.Locals {
-			tc.agents[i].tr.SetPeer(sendTap{h: lc, back: lc.toTORs[0], seen: &seen})
+			lc.toTORs[0], tc.agents[i].tr = openflow.Pair(tb.c.Eng, delay, sendTap{h: lc, seen: &seen}, tc)
+			lc.fromTORs[0] = tc.agents[i].tr
 		}
 		tb.mgr.Start()
 		tb.c.Eng.RunUntil(3 * time.Second)
@@ -108,7 +110,7 @@ func TestGroupOfOneIsFenced(t *testing.T) {
 		s := NewTORService(c, fastCfg())
 		tc := s.TC
 		var seen []openflow.Message
-		tc.toSwitch.SetPeer(sendTap{h: s.M.agents[0], back: tc.fromSwitch, seen: &seen})
+		tc.toSwitch, tc.fromSwitch = openflow.Pair(c.Eng, s.M.Cfg.ControlDelay, tc, sendTap{h: s.M.agents[0], seen: &seen})
 		s.AttachLocal(1, openflow.NewRemoteTransport(func(frame []byte) error {
 			msg, _, _, err := openflow.Decode(frame)
 			if err != nil {

@@ -114,6 +114,12 @@ func newLocalController(m *Manager, srv *host.Server) *LocalController {
 	lc.me = measure.New(m.Cluster.Eng, m.Cfg.Measure, lc.readDatapath)
 	lc.me.ServerID = uint32(srv.ID)
 	lc.me.OnReport = lc.sendReport
+	// The SmartNIC's rules are leases too: admitTerm refreshes them on
+	// every current-term leader message, and a silent leader lets them
+	// expire back to the software path.
+	if ttl := m.Cfg.HA.LeaseTTL; ttl > 0 && srv.SmartNIC != nil {
+		srv.SmartNIC.SetLeaseTTL(ttl)
+	}
 	if m.Cfg.SketchAccounting {
 		scfg := m.Cfg.Sketch
 		scfg.Aggregate = m.Cfg.Measure.Aggregate

@@ -9,6 +9,7 @@ import (
 	"repro/internal/openflow"
 	"repro/internal/packet"
 	"repro/internal/rules"
+	"repro/internal/vswitch"
 )
 
 // scribble overwrites every value reachable from v — struct fields, slice
@@ -133,5 +134,48 @@ func TestUnattachedServerChangesNothing(t *testing.T) {
 		if fmt.Sprintf("%+v", tc) == before {
 			t.Fatalf("a %s from attached server 0 left the controller as it was: the step tests nothing", msg.Type())
 		}
+	}
+}
+
+// TestSplitsAndHintsStayOnTheirServer: an agent's rate split for a VM the
+// cluster places on another server, and its overload hint for a tenant the
+// cluster places only on other servers, change nothing; the same messages
+// from the server that hosts them do.
+func TestSplitsAndHintsStayOnTheirServer(t *testing.T) {
+	tb := newTestbed(t, fastCfg())
+	const other = packet.TenantID(5) // lives on server 1 only
+	if _, err := tb.c.AddVM(1, other, packet.MustParseIP("10.5.0.1"), 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	tb.mgr.Start()
+	tb.c.Eng.RunUntil(2 * time.Second)
+	tc := tb.mgr.TORCtl
+	server := vswitch.VMKey{Tenant: 3, IP: serverIP}
+	split := func(id uint32) *openflow.DemandReport {
+		return &openflow.DemandReport{ServerID: id, Interval: 1 << 20,
+			Splits: []openflow.RateSplit{{Tenant: 3, VMIP: serverIP, EgressHardBps: 1e3, IngressHardBps: 1e3}}}
+	}
+	hint := func(id uint32) *openflow.OverloadHint {
+		return &openflow.OverloadHint{ServerID: id, Tenant: other, Overloaded: true, MissPPS: 1e5}
+	}
+	noReply := func(openflow.Message, uint32) {}
+
+	tc.HandleMessage(split(0), 1, noReply)
+	if got := tc.installedHW[server]; got.EgressHardBps == 1e3 {
+		t.Errorf("server 0 set the hard limits of server 1's VM: %+v", got)
+	}
+	tc.HandleMessage(split(1), 1, noReply)
+	if got := tc.installedHW[server]; got.EgressHardBps != 1e3 || got.IngressHardBps != 1e3 {
+		t.Fatalf("server 1's split for its own VM not applied: %+v", got)
+	}
+
+	hints := tc.Hints
+	tc.HandleMessage(hint(0), 1, noReply)
+	if _, boosted := tc.urgent[other]; boosted || tc.Hints != hints {
+		t.Errorf("server 0's hint boosted tenant %d, whose VMs all live on server 1", other)
+	}
+	tc.HandleMessage(hint(1), 1, noReply)
+	if _, boosted := tc.urgent[other]; !boosted {
+		t.Fatalf("server 1's hint did not boost its own tenant %d", other)
 	}
 }

@@ -25,13 +25,10 @@ import (
 // call a reattach makes — so every sync the ToR publishes is a full one.
 // The controller runs the one code path it has; only what it knows of the
 // locals differs.
-type forceFull struct {
-	tc   *TORController
-	back *openflow.Transport
-}
+type forceFull struct{ tc *TORController }
 
-func (f forceFull) HandleMessage(msg openflow.Message, xid uint32, _ openflow.ReplyFunc) {
-	f.tc.HandleMessage(msg, xid, func(m openflow.Message, x uint32) { f.back.Reply(m, x) })
+func (f forceFull) HandleMessage(msg openflow.Message, xid uint32, reply openflow.ReplyFunc) {
+	f.tc.HandleMessage(msg, xid, reply)
 	if ack, ok := msg.(*openflow.SyncAck); ok {
 		f.tc.sync.dropBase(ack.ServerID)
 	}
@@ -64,9 +61,12 @@ func runSyncRack(t *testing.T, seed int64, full bool) (log []string, wireBytes u
 	cfg.MinScore = 100
 	mgr := Attach(c, cfg)
 	if full {
-		for _, lc := range mgr.Locals {
-			for j, tr := range lc.toTORs {
-				tr.SetPeer(forceFull{mgr.RackCtls[lc.rack][j], lc.fromTORs[j]})
+		// One rack: a local's index is its place among each controller's
+		// agents.
+		for i, lc := range mgr.Locals {
+			for j, tc := range mgr.RackCtls[lc.rack] {
+				lc.toTORs[j], lc.fromTORs[j] = openflow.Pair(eng, cfg.ControlDelay, lc, forceFull{tc})
+				tc.agents[i].tr = lc.fromTORs[j]
 			}
 		}
 	}
@@ -120,7 +120,12 @@ func runSyncRack(t *testing.T, seed int64, full bool) (log []string, wireBytes u
 		fmt.Fprintf(&sb, "%v inst=%d dem=%d retry=%d giveup=%d repair=%d orphan=%d seq=%d",
 			eng.Now(), tc.Installs, tc.Demotes, tc.Retries, tc.GiveUps, tc.Repairs, tc.Orphans, tc.sync.seq)
 		msgs, _, _ := mgr.ControlStats()
-		sw, _ := mgr.SwitchStats()
+		var sw uint64
+		for _, rack := range mgr.RackCtls {
+			for _, tc := range rack {
+				sw += tc.toSwitch.Sent + tc.fromSwitch.Sent
+			}
+		}
 		fmt.Fprintf(&sb, " msgs=%d switch=%d tcam=%v", msgs, sw, sortedRules(c))
 		for i, lc := range mgr.Locals {
 			fmt.Fprintf(&sb, " local%d=%v mods=%d", i, lc.Placements(), lc.FlowMods)

@@ -388,9 +388,12 @@ func (tc *TORController) HandleMessage(msg openflow.Message, xid uint32, reply o
 		// Standbys keep their demand view warm but must not touch the
 		// (shared) hardware limiters — only the acting leader applies.
 		if tc.el.leading() {
-			tc.applySplits(m.Splits)
+			tc.applySplits(m.ServerID, m.Splits)
 		}
 	case *openflow.OverloadHint:
+		if m.Tenant != 0 && !tc.hosts(m.ServerID, m.Tenant, 0) {
+			return // another server's tenant: not this agent's to boost
+		}
 		tc.Hints++
 		if tc.rec != nil {
 			cause := "recovered"
@@ -440,14 +443,38 @@ func (tc *TORController) HandleMessage(msg openflow.Message, xid uint32, reply o
 	}
 }
 
-// applySplits installs the hardware-side limits local DEs computed
-// ("rate limits on the SR-IOV VF are applied at the TOR", §4.1.4).
-func (tc *TORController) applySplits(splits []openflow.RateSplit) {
+// applySplits installs the hardware-side limits the local DE of server id
+// computed ("rate limits on the SR-IOV VF are applied at the TOR",
+// §4.1.4), skipping any for a VM placed on another server.
+func (tc *TORController) applySplits(id uint32, splits []openflow.RateSplit) {
 	for _, s := range splits {
+		if !tc.hosts(id, s.Tenant, s.VMIP) {
+			continue
+		}
 		tc.tor.SetVFLimit(s.Tenant, s.VMIP, tor.Egress, s.EgressHardBps)
 		tc.tor.SetVFLimit(s.Tenant, s.VMIP, tor.Ingress, s.IngressHardBps)
 		tc.installedHW[vswitch.VMKey{Tenant: s.Tenant, IP: s.VMIP}] = s
 	}
+}
+
+// hosts reports whether server id may set state for tenant's VM at ip,
+// or for any of tenant's VMs when ip is zero: yes, unless the cluster
+// places such VMs and places them all on other servers. A cluster that
+// places none (fastrak-tord's is a placeholder) leaves nothing to check.
+func (tc *TORController) hosts(id uint32, tenant packet.TenantID, ip packet.IP) bool {
+	placed := false
+	for _, srv := range tc.mgr.Cluster.Servers {
+		for k := range srv.VMs {
+			if k.Tenant == tenant && (ip == 0 || k.IP == ip) {
+				if uint32(srv.ID) == id {
+					return true
+				}
+				placed = true
+				break
+			}
+		}
+	}
+	return !placed
 }
 
 // tick is one DE run: measure hardware flows, decide, apply, distribute,

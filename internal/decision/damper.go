@@ -173,26 +173,6 @@ func (f *FlapDamper) ForceState(p rules.Pattern, offloaded bool, now time.Durati
 	st.offloaded = offloaded
 }
 
-// Suppressed reports whether p is currently suppressed at now.
-func (f *FlapDamper) Suppressed(p rules.Pattern, now time.Duration) bool {
-	st, ok := f.flaps[p]
-	if !ok {
-		return false
-	}
-	f.decayTo(st, now)
-	return st.suppressed
-}
-
-// Penalty returns p's decayed penalty at now (diagnostics).
-func (f *FlapDamper) Penalty(p rules.Pattern, now time.Duration) float64 {
-	st, ok := f.flaps[p]
-	if !ok {
-		return 0
-	}
-	f.decayTo(st, now)
-	return st.penalty
-}
-
 // Apply filters a Decision through the damper: suppressed transitions are
 // removed (the pattern keeps its current state), allowed ones are charged.
 // current is the pre-decision offloaded set.

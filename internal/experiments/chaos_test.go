@@ -5,8 +5,41 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 )
+
+// DefaultChaosPlan is the single controller's seeded scenario: an
+// access-link flap, a TCAM install-rejection window, control-channel
+// loss/severing/delay, and a TOR-controller crash/restart mid-offload.
+// All faults clear by 3h/4.
+func DefaultChaosPlan(h time.Duration) faults.Plan {
+	return faults.Plan{Events: []faults.Event{
+		// Window opens before the first decision tick so the very first
+		// install attempts are rejected and must retry/give up/re-propose.
+		{At: h / 32, Kind: faults.TCAMReject, Target: "tor0", Duration: h / 4, Prob: 1.0},
+		{At: h / 4, Kind: faults.LinkFlap, Target: "uplink1", Duration: h / 8, Period: h / 64},
+		{At: 3 * h / 8, Kind: faults.PacketLoss, Target: "downlink1", Duration: h / 8, Prob: 0.03},
+		// A full severing of server 0's control connection: every demand
+		// report and RuleSync in the window is dropped and must be
+		// absorbed by the periodic refresh after it lifts.
+		{At: h / 2, Kind: faults.ChannelDown, Target: "local0-tor", Duration: h / 8},
+		{At: 9 * h / 16, Kind: faults.ChannelDown, Target: "torctl0-switch", Duration: h / 32},
+		{At: 5 * h / 8, Kind: faults.ControllerCrash, Target: "torctl0", Duration: h / 16},
+		{At: 11 * h / 16, Kind: faults.ChannelDelay, Target: "torctl0-switch", Duration: h / 32, Delay: 2 * time.Millisecond},
+	}}
+}
+
+// RunChaos runs the fault rig with a single controller (a group of
+// one) without leases, under DefaultChaosPlan unless cfg.Plan overrides
+// it.
+func RunChaos(cfg FaultConfig) (FaultResult, error) {
+	if cfg.Plan == nil {
+		plan := DefaultChaosPlan(horizonOf(cfg))
+		cfg.Plan = &plan
+	}
+	return runFaults(cfg, core.HAConfig{})
+}
 
 // TestChaosInvariants is the acceptance property test: under the seeded
 // default plan (link flap + packet loss + TCAM rejection + control-channel
@@ -159,9 +192,27 @@ func TestChaosRandomPlansSurvive(t *testing.T) {
 			t.Errorf("seed %d: %d rate-cap violations (peak %.2f Mbps)",
 				seed, res.CapViolations, res.PeakCappedBps/1e6)
 		}
-		if faults.LastFaultClear(plan) <= horizon-20*time.Millisecond && !res.HardwareMatchesDesired {
+		if lastFaultClear(plan) <= horizon-20*time.Millisecond && !res.HardwareMatchesDesired {
 			t.Errorf("seed %d: hardware diverges from desired set:\n desired:  %v\n hardware: %v",
 				seed, res.Desired, res.Hardware)
 		}
 	}
+}
+
+// lastFaultClear returns the latest time at which any windowed fault in
+// the plan clears (flaps end, windows close, controllers restart).
+// Permanent faults (Duration 0, other than flap) are ignored. Recovery
+// assertions should only look at the interval after this.
+func lastFaultClear(p faults.Plan) time.Duration {
+	var last time.Duration
+	for _, ev := range p.Events {
+		end := ev.At + ev.Duration
+		if ev.Duration == 0 {
+			end = ev.At
+		}
+		if end > last {
+			last = end
+		}
+	}
+	return last
 }

@@ -283,7 +283,7 @@ func TestFig12MigrationTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite")
 	}
-	res := Fig12(20 * time.Millisecond)
+	res, _ := Fig12Traced(20*time.Millisecond, nil)
 	// §6.2.2: "TCP recovered ... there were 30 fast retransmits ...
 	// the connection progresses normally despite flow migration with
 	// no timeouts."

@@ -164,27 +164,6 @@ func (r *FaultResult) countGroup(mgr *core.Manager) {
 	}
 }
 
-// DefaultChaosPlan is the single controller's seeded scenario: an
-// access-link flap, a TCAM install-rejection window, control-channel
-// loss/severing/delay, and a TOR-controller crash/restart mid-offload.
-// All faults clear by 3h/4.
-func DefaultChaosPlan(h time.Duration) faults.Plan {
-	return faults.Plan{Events: []faults.Event{
-		// Window opens before the first decision tick so the very first
-		// install attempts are rejected and must retry/give up/re-propose.
-		{At: h / 32, Kind: faults.TCAMReject, Target: "tor0", Duration: h / 4, Prob: 1.0},
-		{At: h / 4, Kind: faults.LinkFlap, Target: "uplink1", Duration: h / 8, Period: h / 64},
-		{At: 3 * h / 8, Kind: faults.PacketLoss, Target: "downlink1", Duration: h / 8, Prob: 0.03},
-		// A full severing of server 0's control connection: every demand
-		// report and RuleSync in the window is dropped and must be
-		// absorbed by the periodic refresh after it lifts.
-		{At: h / 2, Kind: faults.ChannelDown, Target: "local0-tor", Duration: h / 8},
-		{At: 9 * h / 16, Kind: faults.ChannelDown, Target: "torctl0-switch", Duration: h / 32},
-		{At: 5 * h / 8, Kind: faults.ControllerCrash, Target: "torctl0", Duration: h / 16},
-		{At: 11 * h / 16, Kind: faults.ChannelDelay, Target: "torctl0-switch", Duration: h / 32, Delay: 2 * time.Millisecond},
-	}}
-}
-
 // DefaultFailoverPlan is the replica group's seeded scenario. With the
 // rig's 500ms control interval and three replicas it walks the failover
 // machinery through its distinct regimes, every window clearing by
@@ -210,17 +189,6 @@ func DefaultFailoverPlan(h time.Duration) faults.Plan {
 		{At: 5 * h / 8, Kind: faults.ControllerPause, Target: "torctl0.2", Duration: h / 16},
 		{At: 11 * h / 16, Kind: faults.ControllerCrash, Target: "torctl0", Duration: h / 8},
 	}}
-}
-
-// RunChaos runs the fault rig with a single controller (a group of
-// one) without leases, under DefaultChaosPlan unless cfg.Plan overrides
-// it.
-func RunChaos(cfg FaultConfig) (FaultResult, error) {
-	if cfg.Plan == nil {
-		plan := DefaultChaosPlan(horizonOf(cfg))
-		cfg.Plan = &plan
-	}
-	return runFaults(cfg, core.HAConfig{})
 }
 
 // failoverGroup is RunFailover's replica group: three replicas and a 5s

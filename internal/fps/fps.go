@@ -10,8 +10,6 @@
 // is the signal its share is too small, and the next adjustment grows it.
 package fps
 
-import "time"
-
 // Demand is one interface's measured traffic over the last control
 // interval.
 type Demand struct {
@@ -139,28 +137,4 @@ func effectiveDemand(d Demand) float64 {
 		return d.RateBps * 1.5
 	}
 	return d.RateBps
-}
-
-// ConvergeSteps is a helper for tests and the ablation bench: it runs
-// Adjust for n intervals against fixed true demands and reports the final
-// limits. demandFn models the clipping an installed limit imposes on
-// observable demand.
-func (s *Splitter) ConvergeSteps(n int, trueSwBps, trueHwBps float64, interval time.Duration) Limits {
-	lim := s.Adjust(Demand{RateBps: trueSwBps}, Demand{RateBps: trueHwBps})
-	for i := 0; i < n; i++ {
-		obsS := clip(trueSwBps, lim.SoftwareWithOverflow)
-		obsH := clip(trueHwBps, lim.HardwareWithOverflow)
-		lim = s.Adjust(
-			Demand{RateBps: obsS, MaxedOut: obsS >= lim.SoftwareWithOverflow*0.95},
-			Demand{RateBps: obsH, MaxedOut: obsH >= lim.HardwareWithOverflow*0.95},
-		)
-	}
-	return lim
-}
-
-func clip(v, limit float64) float64 {
-	if v > limit {
-		return limit
-	}
-	return v
 }

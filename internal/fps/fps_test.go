@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestSplitterProportional(t *testing.T) {
@@ -79,7 +78,7 @@ func TestConvergence(t *testing.T) {
 	// aggregate. After convergence the hardware limit should approach
 	// its proportional share (~500 Mbps+) and software near its demand.
 	s := NewSplitter(600e6)
-	lim := s.ConvergeSteps(50, 100e6, 800e6, 100*time.Millisecond)
+	lim := convergeSteps(s, 50, 100e6, 800e6)
 	if lim.HardwareBps < 350e6 {
 		t.Errorf("hardware share %v did not converge upward", lim.HardwareBps)
 	}
@@ -125,4 +124,27 @@ func TestOverflowBoundProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// convergeSteps runs s.Adjust for n intervals against fixed true demands
+// and reports the final limits. clip models what an installed limit lets
+// through of the true demand.
+func convergeSteps(s *Splitter, n int, trueSwBps, trueHwBps float64) Limits {
+	lim := s.Adjust(Demand{RateBps: trueSwBps}, Demand{RateBps: trueHwBps})
+	for i := 0; i < n; i++ {
+		obsS := clip(trueSwBps, lim.SoftwareWithOverflow)
+		obsH := clip(trueHwBps, lim.HardwareWithOverflow)
+		lim = s.Adjust(
+			Demand{RateBps: obsS, MaxedOut: obsS >= lim.SoftwareWithOverflow*0.95},
+			Demand{RateBps: obsH, MaxedOut: obsH >= lim.HardwareWithOverflow*0.95},
+		)
+	}
+	return lim
+}
+
+func clip(v, limit float64) float64 {
+	if v > limit {
+		return limit
+	}
+	return v
 }

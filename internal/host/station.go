@@ -24,8 +24,6 @@ type CPUStation struct {
 
 	// Account accumulates CPU busy time.
 	Account metrics.CPUAccount
-	// peakQueue records the deepest backlog seen (diagnostics).
-	peakQueue int
 }
 
 type work struct {
@@ -49,9 +47,6 @@ func (s *CPUStation) Submit(cost time.Duration, done func()) {
 		cost = 0
 	}
 	s.queue = append(s.queue, work{cost: cost, done: done})
-	if len(s.queue) > s.peakQueue {
-		s.peakQueue = len(s.queue)
-	}
 	s.pump()
 }
 
@@ -71,19 +66,5 @@ func (s *CPUStation) pump() {
 	}
 }
 
-// Exec adapts the station to the Exec hooks of vswitch/nic.
-func (s *CPUStation) Exec() func(cost time.Duration, fn func()) {
-	return s.Submit
-}
-
-// QueueLen returns the current backlog (excluding in-service items).
-func (s *CPUStation) QueueLen() int { return len(s.queue) }
-
-// PeakQueue returns the deepest backlog observed.
-func (s *CPUStation) PeakQueue() int { return s.peakQueue }
-
 // Slots returns the number of logical CPUs.
 func (s *CPUStation) Slots() int { return s.slots }
-
-// Busy returns the number of in-service items.
-func (s *CPUStation) Busy() int { return s.busy }

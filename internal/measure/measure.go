@@ -398,6 +398,3 @@ func (m *Engine) ImportProfile(p Profile) {
 		}
 	}
 }
-
-// Interval returns the number of completed control intervals.
-func (m *Engine) Interval() uint32 { return m.interval }

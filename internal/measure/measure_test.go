@@ -122,7 +122,7 @@ func TestExactModeKeysPerFlow(t *testing.T) {
 	if len(last.Entries) != 1 {
 		t.Fatalf("entries = %d, want 1 exact flow", len(last.Entries))
 	}
-	if !last.Entries[0].Pattern.IsExact() {
+	if last.Entries[0].Pattern != rules.ExactPattern(flowAB) {
 		t.Error("pattern not exact in non-aggregating mode")
 	}
 }

@@ -120,24 +120,6 @@ func TestSketchCountersAddCoversEveryField(t *testing.T) {
 	}
 }
 
-// TestNICCountersHitRateUsesHitsMissesThrottled pins the NIC hit-rate
-// denominator: every lookup outcome (hit, miss, throttle) counts as an
-// attempt, so the rate reflects how much traffic the tier actually
-// carried.
-func TestNICCountersHitRateUsesHitsMissesThrottled(t *testing.T) {
-	c := NICCounters{Hits: 3, Misses: 1}
-	if got := c.HitRate(); got != 0.75 {
-		t.Fatalf("HitRate() = %v, want 0.75", got)
-	}
-	c.Throttled = 4
-	if got := c.HitRate(); got != 0.375 {
-		t.Fatalf("HitRate() with throttling = %v, want 0.375", got)
-	}
-	if got := (NICCounters{}).HitRate(); got != 0 {
-		t.Fatalf("idle HitRate() = %v, want 0", got)
-	}
-}
-
 // TestCacheCountersHitRateUsesHitsAndMisses pins HitRate's inputs so a
 // refactor renaming the traffic counters cannot silently change its
 // meaning.

@@ -70,49 +70,9 @@ func (h *Histogram) Percentile(p float64) time.Duration {
 // P99 is shorthand for Percentile(99), the tail statistic the paper reports.
 func (h *Histogram) P99() time.Duration { return h.Percentile(99) }
 
-// Max returns the largest sample, or 0 if empty.
-func (h *Histogram) Max() time.Duration { return h.Percentile(100) }
-
-// Min returns the smallest sample, or 0 if empty.
-func (h *Histogram) Min() time.Duration {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	return h.Percentile(0)
-}
-
-// Reset discards all samples.
-func (h *Histogram) Reset() {
-	h.samples = h.samples[:0]
-	h.sum = 0
-	h.sorted = false
-}
-
 // String summarizes the histogram for logs and experiment tables.
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%v p99=%v", h.Count(), h.Mean(), h.P99())
-}
-
-// Counter is a monotonically increasing count of packets or bytes, with a
-// helper to convert a delta over an interval into a per-second rate — the
-// Δ(p)/t and Δ(b)/t computations of the measurement engine (§4.3.1).
-type Counter struct {
-	total uint64
-}
-
-// Add increments the counter.
-func (c *Counter) Add(n uint64) { c.total += n }
-
-// Total returns the accumulated count.
-func (c *Counter) Total() uint64 { return c.total }
-
-// Rate converts the delta between two counter readings over interval into
-// a per-second rate. A non-positive interval yields 0.
-func Rate(prev, cur uint64, interval time.Duration) float64 {
-	if interval <= 0 || cur < prev {
-		return 0
-	}
-	return float64(cur-prev) / interval.Seconds()
 }
 
 // CPUAccount accumulates busy time attributed to an activity (hypervisor
@@ -243,15 +203,6 @@ type NICCounters struct {
 	Rejects uint64
 }
 
-// HitRate returns Hits/(Hits+Misses+Throttled), or 0 when idle.
-func (n NICCounters) HitRate() float64 {
-	total := n.Hits + n.Misses + n.Throttled
-	if total == 0 {
-		return 0
-	}
-	return float64(n.Hits) / float64(total)
-}
-
 // Add returns the element-wise sum.
 func (n NICCounters) Add(o NICCounters) NICCounters {
 	return NICCounters{
@@ -301,12 +252,4 @@ func (s SketchCounters) Add(o SketchCounters) SketchCounters {
 func (s SketchCounters) String() string {
 	return fmt.Sprintf("updates=%d evict=%d merges=%d reports=%d",
 		s.Updates, s.Evictions, s.Merges, s.Reports)
-}
-
-// Gbps converts a byte count over an interval to gigabits per second.
-func Gbps(bytes uint64, elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(bytes) * 8 / 1e9 / elapsed.Seconds()
 }

@@ -8,7 +8,7 @@ import (
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
-	if h.Mean() != 0 || h.P99() != 0 || h.Count() != 0 || h.Min() != 0 || h.Max() != 0 {
+	if h.Mean() != 0 || h.P99() != 0 || h.Count() != 0 || h.Percentile(0) != 0 || h.Percentile(100) != 0 {
 		t.Error("empty histogram should report zeros")
 	}
 }
@@ -50,32 +50,8 @@ func TestHistogramObserveAfterPercentile(t *testing.T) {
 	h.Observe(5 * time.Millisecond)
 	_ = h.P99()
 	h.Observe(50 * time.Millisecond)
-	if got := h.Max(); got != 50*time.Millisecond {
+	if got := h.Percentile(100); got != 50*time.Millisecond {
 		t.Errorf("Max = %v after post-sort Observe, want 50ms", got)
-	}
-}
-
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram()
-	h.Observe(time.Second)
-	h.Reset()
-	if h.Count() != 0 || h.Mean() != 0 {
-		t.Error("Reset did not clear histogram")
-	}
-}
-
-func TestRate(t *testing.T) {
-	if got := Rate(100, 600, time.Second); got != 500 {
-		t.Errorf("Rate = %v, want 500", got)
-	}
-	if got := Rate(0, 1000, 100*time.Millisecond); got != 10000 {
-		t.Errorf("Rate = %v, want 10000", got)
-	}
-	if Rate(5, 3, time.Second) != 0 {
-		t.Error("regressing counter should yield 0")
-	}
-	if Rate(0, 10, 0) != 0 {
-		t.Error("zero interval should yield 0")
 	}
 }
 
@@ -96,16 +72,6 @@ func TestCPUAccount(t *testing.T) {
 	}
 }
 
-func TestGbps(t *testing.T) {
-	// 1.25e9 bytes in 1s = 10 Gbps.
-	if got := Gbps(1_250_000_000, time.Second); got != 10 {
-		t.Errorf("Gbps = %v, want 10", got)
-	}
-	if Gbps(1, 0) != 0 {
-		t.Error("zero elapsed should yield 0")
-	}
-}
-
 // Property: mean is bounded by min and max, and percentiles are monotone.
 func TestHistogramProperties(t *testing.T) {
 	f := func(vals []uint16) bool {
@@ -116,7 +82,7 @@ func TestHistogramProperties(t *testing.T) {
 		for _, v := range vals {
 			h.Observe(time.Duration(v) * time.Microsecond)
 		}
-		if h.Mean() < h.Min() || h.Mean() > h.Max() {
+		if h.Mean() < h.Percentile(0) || h.Mean() > h.Percentile(100) {
 			return false
 		}
 		prev := time.Duration(0)

@@ -225,11 +225,6 @@ func (m *CostModel) PathLatency(cfg VSwitchConfig) time.Duration {
 	return d
 }
 
-// SerializationDelay returns the wire time of n bytes at the link rate.
-func (m *CostModel) SerializationDelay(wireBytes int) time.Duration {
-	return time.Duration(float64(wireBytes) * 8 / m.LinkBps * float64(time.Second))
-}
-
 // perBytes scales a per-kibibyte cost to n bytes.
 func perBytes(n int, perKB time.Duration) time.Duration {
 	return time.Duration(int64(n) * int64(perKB) / 1024)

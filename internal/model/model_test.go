@@ -87,14 +87,6 @@ func TestCPURatioAnchor(t *testing.T) {
 	}
 }
 
-func TestSerializationDelay(t *testing.T) {
-	m := Default()
-	// 1250 bytes at 10 Gbps = 1 µs.
-	if got := m.SerializationDelay(1250); got != time.Microsecond {
-		t.Errorf("SerializationDelay = %v, want 1µs", got)
-	}
-}
-
 func TestSlowPathCostScalesWithRules(t *testing.T) {
 	m := Default()
 	if m.SlowPathCost(10000) <= m.SlowPathCost(0) {

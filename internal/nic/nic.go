@@ -88,9 +88,6 @@ func New(eng *sim.Engine, cm *model.CostModel, hostExec Exec, wire *fabric.Link,
 // SetVSwitch wires the physical function's ingress consumer.
 func (n *NIC) SetVSwitch(p fabric.Port) { n.vswitchIn = p }
 
-// SetWire rewires the uplink (topology assembly).
-func (n *NIC) SetWire(l *fabric.Link) { n.wire = l }
-
 // AttachVF allocates a virtual function for a VM: its traffic will carry
 // the given VLAN ID on the wire, and tagged ingress traffic for vmIP on
 // that VLAN is delivered to deliver. Fails when the port's VF budget is
@@ -110,9 +107,6 @@ func (n *NIC) AttachVF(vlan packet.VLANID, vmIP packet.IP, deliver fabric.Port) 
 func (n *NIC) DetachVF(vlan packet.VLANID, vmIP packet.IP) {
 	delete(n.vfs, vfKey{vlan, vmIP})
 }
-
-// VFCount returns the number of allocated VFs.
-func (n *NIC) VFCount() int { return len(n.vfs) }
 
 // SendFromVF transmits a VM packet through its virtual function: VLAN tag
 // for ToR VRF selection, interrupt-isolation charge, VF path latency, then

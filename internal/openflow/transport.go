@@ -76,9 +76,6 @@ func NewRemoteTransport(send RemoteSender) *Transport {
 	return &Transport{remote: send, nextXID: 1}
 }
 
-// SetPeer rewires the receiving handler (topology assembly).
-func (t *Transport) SetPeer(peer Handler) { t.peer = peer }
-
 // SetDown severs (down=true) or restores (down=false) the channel.
 // While down every message is dropped — the deterministic analogue of a
 // broken control connection. Messages already in flight still arrive

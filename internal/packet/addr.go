@@ -24,11 +24,6 @@ func (m MAC) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
 }
 
-// IsBroadcast reports whether the address is ff:ff:ff:ff:ff:ff.
-func (m MAC) IsBroadcast() bool {
-	return m == MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
-}
-
 // IP is an IPv4 address stored as a big-endian uint32, cheap to hash and
 // compare. Tenant address spaces overlap (requirement C1), so an IP alone
 // never identifies a VM — it must be paired with a tenant ID.

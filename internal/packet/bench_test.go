@@ -12,7 +12,7 @@ func BenchmarkMarshal(b *testing.B) {
 	b.Run("alloc", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := p.Marshal(); err != nil {
+			if _, err := p.AppendMarshal(make([]byte, 0, p.WireLen())); err != nil {
 				b.Fatal(err)
 			}
 		}

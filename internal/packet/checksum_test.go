@@ -90,7 +90,7 @@ func verifyChecksums(t testing.TB, frame []byte) {
 func TestChecksumVerifierRejectsCorruption(t *testing.T) {
 	inner := NewTCP(3, MakeIP(10, 0, 0, 1), MakeIP(10, 0, 9, 1), 40000, 80, 0)
 	inner.Payload = []byte("payload")
-	frame, err := vxlanOuter(t, inner, 50000).Marshal()
+	frame, err := vxlanOuter(t, inner, 50000).AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func (c checksumCase) check(t testing.TB) {
 	if p.IPLen() > 0xffff {
 		return // Marshal refuses; TestOversizedPacketRejected covers it
 	}
-	full, err := p.Marshal()
+	full, err := p.AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestUDPZeroChecksumTransmittedAsOnes(t *testing.T) {
 				p.UDP.SrcPort = 5000
 				p = vxlanOuter(t, p, sport)
 			}
-			b, err := p.Marshal()
+			b, err := p.AppendMarshal(nil)
 			if err != nil {
 				t.Fatal(err)
 			}

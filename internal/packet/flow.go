@@ -16,16 +16,6 @@ type FlowKey struct {
 	Tenant           TenantID
 }
 
-// Reverse returns the key of the opposite direction of the same
-// conversation.
-func (k FlowKey) Reverse() FlowKey {
-	return FlowKey{
-		Src: k.Dst, Dst: k.Src,
-		SrcPort: k.DstPort, DstPort: k.SrcPort,
-		Proto: k.Proto, Tenant: k.Tenant,
-	}
-}
-
 // FastHash returns a 64-bit FNV-1a hash of the key. It is not symmetric:
 // the two directions of a conversation hash differently, matching the flow
 // placer's per-direction exact-match entries.

@@ -49,7 +49,7 @@ type Packet struct {
 	// Payload-checksum memo: the one's-complement partial sum of Payload,
 	// valid while csumFor is identical (same backing array, same length)
 	// to Payload. Payload bytes are treated as immutable once attached —
-	// the testbed never rewrites them in place (Clone copies) — so an
+	// the testbed never rewrites them in place — so an
 	// unmodified frame re-marshaled on an encap hop skips re-summing its
 	// payload, the dominant checksum cost.
 	csumFor []byte
@@ -97,60 +97,11 @@ func (p *Packet) Key() FlowKey {
 	return k
 }
 
-// Clone returns a deep copy sharing no mutable state with p. The fabric
-// never aliases packets between queues, mirroring real store-and-forward
-// behaviour.
-func (p *Packet) Clone() *Packet {
-	q := *p
-	if p.VLAN != nil {
-		v := *p.VLAN
-		q.VLAN = &v
-	}
-	if p.TCP != nil {
-		t := *p.TCP
-		q.TCP = &t
-	}
-	if p.UDP != nil {
-		u := *p.UDP
-		q.UDP = &u
-	}
-	if p.Payload != nil {
-		q.Payload = append([]byte(nil), p.Payload...)
-	}
-	q.csumFor, q.csumSum = nil, 0 // memo is keyed on slice identity
-	return &q
-}
-
-// Marshal serializes the frame starting at the Ethernet header. Virtual
-// payload bytes are written as zeros.
-func (p *Packet) Marshal() ([]byte, error) {
-	return p.AppendMarshal(make([]byte, 0, p.WireLen()))
-}
-
 // AppendMarshal appends the serialized frame (virtual payload
 // materialized as zeros) to dst and returns the extended slice. With a
 // pooled or reused dst this path is allocation-free.
 func (p *Packet) AppendMarshal(dst []byte) ([]byte, error) {
 	return p.appendFrame(dst, false)
-}
-
-// MarshalIPv4 serializes from the IPv4 header onward — the form GRE
-// carries across the fabric (GRE protocol type 0x0800).
-func (p *Packet) MarshalIPv4() ([]byte, error) {
-	return p.AppendMarshalIPv4(make([]byte, 0, p.IPLen()))
-}
-
-// AppendMarshalIPv4 appends the IPv4-onward serialization to dst.
-func (p *Packet) AppendMarshalIPv4(dst []byte) ([]byte, error) {
-	n := p.IPLen()
-	all, b := grow(dst, n)
-	if p.VirtualPayload > 0 {
-		clear(b[n-p.VirtualPayload:]) // reused buffers are dirty
-	}
-	if err := p.marshalIPv4(b); err != nil {
-		return nil, err
-	}
-	return all, nil
 }
 
 // MarshalTruncated serializes the frame with virtual payload bytes elided:
@@ -170,14 +121,9 @@ func (p *Packet) AppendMarshalTruncated(dst []byte) ([]byte, error) {
 	return p.appendFrame(dst, true)
 }
 
-// MarshalIPv4Truncated is MarshalIPv4 with virtual payload bytes elided
-// (see MarshalTruncated).
-func (p *Packet) MarshalIPv4Truncated() ([]byte, error) {
-	return p.AppendMarshalIPv4Truncated(make([]byte, 0, p.IPLen()-p.VirtualPayload))
-}
-
-// AppendMarshalIPv4Truncated appends the truncated IPv4-onward
-// serialization to dst.
+// AppendMarshalIPv4Truncated appends the IPv4-onward serialization — the
+// form GRE carries across the fabric (GRE protocol type 0x0800) — to dst,
+// with virtual payload bytes elided (see MarshalTruncated).
 func (p *Packet) AppendMarshalIPv4Truncated(dst []byte) ([]byte, error) {
 	all, b := grow(dst, p.IPLen()-p.VirtualPayload)
 	if err := p.marshalIPv4(b); err != nil {

@@ -47,21 +47,6 @@ func TestMACString(t *testing.T) {
 	if got := m.String(); got != "de:ad:be:ef:00:01" {
 		t.Errorf("MAC.String = %q", got)
 	}
-	if !(MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}).IsBroadcast() {
-		t.Error("broadcast MAC not detected")
-	}
-}
-
-func TestFlowKeyReverse(t *testing.T) {
-	k := FlowKey{Src: MustParseIP("10.0.0.1"), Dst: MustParseIP("10.0.0.2"),
-		SrcPort: 1000, DstPort: 80, Proto: ProtoTCP, Tenant: 7}
-	r := k.Reverse()
-	if r.Src != k.Dst || r.Dst != k.Src || r.SrcPort != k.DstPort || r.DstPort != k.SrcPort {
-		t.Errorf("Reverse = %v", r)
-	}
-	if r.Reverse() != k {
-		t.Error("double Reverse is not identity")
-	}
 }
 
 func TestFlowKeyHashDistinguishesTenants(t *testing.T) {
@@ -100,7 +85,7 @@ func TestAggregateKeys(t *testing.T) {
 
 func roundTrip(t *testing.T, p *Packet) *Packet {
 	t.Helper()
-	b, err := p.Marshal()
+	b, err := p.AppendMarshal(nil)
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
 	}
@@ -152,7 +137,7 @@ func TestVirtualPayloadRoundTrip(t *testing.T) {
 	// zeros, unmarshal of a truncated capture reconstructs the length
 	// from the IP total-length field.
 	p := NewTCP(1, MustParseIP("10.0.0.1"), MustParseIP("10.0.0.2"), 1, 2, 32000)
-	b, err := p.Marshal()
+	b, err := p.AppendMarshal(nil)
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
 	}
@@ -193,7 +178,7 @@ func TestVLANRoundTrip(t *testing.T) {
 
 func TestIPv4ChecksumValidated(t *testing.T) {
 	p := NewUDP(1, MustParseIP("1.1.1.1"), MustParseIP("2.2.2.2"), 1, 2, 8)
-	b, _ := p.Marshal()
+	b, _ := p.AppendMarshal(nil)
 	b[EthernetHeaderLen+12] ^= 0xff // corrupt src IP
 	if _, err := Unmarshal(b); err == nil {
 		t.Error("corrupted IPv4 header accepted")
@@ -202,7 +187,7 @@ func TestIPv4ChecksumValidated(t *testing.T) {
 
 func TestUnmarshalTruncated(t *testing.T) {
 	p := NewTCP(1, MustParseIP("1.1.1.1"), MustParseIP("2.2.2.2"), 1, 2, 100)
-	b, _ := p.Marshal()
+	b, _ := p.AppendMarshal(nil)
 	for _, n := range []int{0, 5, EthernetHeaderLen - 1, EthernetHeaderLen + 3, EthernetHeaderLen + IPv4HeaderLen - 1} {
 		if _, err := Unmarshal(b[:n]); err == nil {
 			t.Errorf("truncated frame of %d bytes accepted", n)
@@ -250,19 +235,6 @@ func TestVXLANHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	p := NewTCP(1, MustParseIP("1.1.1.1"), MustParseIP("2.2.2.2"), 1, 2, 0)
-	p.Payload = []byte{1, 2, 3}
-	p.VLAN = &VLAN{ID: 10}
-	q := p.Clone()
-	q.Payload[0] = 99
-	q.TCP.Seq = 42
-	q.VLAN.ID = 20
-	if p.Payload[0] == 99 || p.TCP.Seq == 42 || p.VLAN.ID == 20 {
-		t.Error("Clone shares mutable state")
-	}
-}
-
 func TestPacketKeyFromBuilders(t *testing.T) {
 	k := FlowKey{Src: MustParseIP("10.0.0.1"), Dst: MustParseIP("10.0.0.2"),
 		SrcPort: 31337, DstPort: 80, Proto: ProtoTCP, Tenant: 5}
@@ -289,7 +261,7 @@ func TestMarshalRoundTripProperty(t *testing.T) {
 		if p.IPLen() > 0xffff {
 			return true // oversized; Marshal correctly refuses elsewhere
 		}
-		b, err := p.Marshal()
+		b, err := p.AppendMarshal(nil)
 		if err != nil {
 			return false
 		}
@@ -307,7 +279,7 @@ func TestMarshalRoundTripProperty(t *testing.T) {
 
 func TestOversizedPacketRejected(t *testing.T) {
 	p := NewTCP(1, 1, 2, 1, 2, 70000)
-	if _, err := p.Marshal(); err == nil {
+	if _, err := p.AppendMarshal(nil); err == nil {
 		t.Error("packet exceeding IPv4 total length accepted")
 	}
 }

@@ -47,7 +47,6 @@ type Scheduler struct {
 	visiting [NumQueues]bool // quantum already granted for current visit
 	next     int             // DRR pointer
 	length   int
-	drops    uint64
 }
 
 func minQuantum(cfg Config) int {
@@ -83,7 +82,6 @@ func (s *Scheduler) Enqueue(q int, p *packet.Packet) bool {
 		q = 0
 	}
 	if len(s.queues[q]) >= s.cfg.Depth {
-		s.drops++
 		return false
 	}
 	s.queues[q] = append(s.queues[q], p)
@@ -145,14 +143,3 @@ func (s *Scheduler) advance() { s.next = (s.next + 1) % NumQueues }
 
 // Len returns the number of queued packets across all queues.
 func (s *Scheduler) Len() int { return s.length }
-
-// QueueLen returns the occupancy of one queue.
-func (s *Scheduler) QueueLen(q int) int {
-	if q < 0 || q >= NumQueues {
-		return 0
-	}
-	return len(s.queues[q])
-}
-
-// Drops returns the number of tail-dropped packets.
-func (s *Scheduler) Drops() uint64 { return s.drops }

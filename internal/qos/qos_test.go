@@ -62,7 +62,7 @@ func TestDRRFairShare(t *testing.T) {
 		_ = p
 		served[0]++
 	}
-	d1, d2 := n-s.QueueLen(1), n-s.QueueLen(2)
+	d1, d2 := n-len(s.queues[1]), n-len(s.queues[2])
 	if diff := d1 - d2; diff < -2 || diff > 2 {
 		t.Errorf("unfair DRR service: q1=%d q2=%d", d1, d2)
 	}
@@ -85,7 +85,7 @@ func TestDRRWeightedShare(t *testing.T) {
 			t.Fatal("ran dry")
 		}
 	}
-	d1, d2 := n-s.QueueLen(1), n-s.QueueLen(2)
+	d1, d2 := n-len(s.queues[1]), n-len(s.queues[2])
 	ratio := float64(d1) / float64(d2)
 	if ratio < 2.5 || ratio > 3.5 {
 		t.Errorf("weighted share ratio = %.2f (q1=%d q2=%d), want ~3", ratio, d1, d2)
@@ -96,14 +96,17 @@ func TestTailDrop(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Depth = 3
 	s := NewScheduler(cfg)
+	drops := 0
 	for i := 0; i < 5; i++ {
-		s.Enqueue(0, pkt(100))
+		if !s.Enqueue(0, pkt(100)) {
+			drops++
+		}
 	}
-	if s.QueueLen(0) != 3 {
-		t.Errorf("queue length = %d, want 3", s.QueueLen(0))
+	if len(s.queues[0]) != 3 {
+		t.Errorf("queue length = %d, want 3", len(s.queues[0]))
 	}
-	if s.Drops() != 2 {
-		t.Errorf("drops = %d, want 2", s.Drops())
+	if drops != 2 {
+		t.Errorf("drops = %d, want 2", drops)
 	}
 }
 
@@ -111,8 +114,8 @@ func TestInvalidQueueCoercedToBestEffort(t *testing.T) {
 	s := NewScheduler(DefaultConfig())
 	s.Enqueue(-1, pkt(10))
 	s.Enqueue(99, pkt(10))
-	if s.QueueLen(0) != 2 {
-		t.Errorf("invalid queues not coerced: len(0)=%d", s.QueueLen(0))
+	if len(s.queues[0]) != 2 {
+		t.Errorf("invalid queues not coerced: len(0)=%d", len(s.queues[0]))
 	}
 }
 

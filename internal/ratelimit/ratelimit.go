@@ -5,13 +5,10 @@
 // time is virtual (driven by internal/sim).
 package ratelimit
 
-import (
-	"math"
-	"time"
-)
+import "time"
 
 // TokenBucket is a classic token bucket over virtual time. Tokens are
-// bits; they accrue at Rate and cap at Burst. Reserve-style consumption
+// bits; they accrue at Rate and cap at Burst. ReserveLimit-style consumption
 // lets tokens go negative, which yields the serialization behaviour of a
 // shaper; Allow-style consumption polices (drops) instead.
 type TokenBucket struct {
@@ -56,20 +53,10 @@ func (b *TokenBucket) refill(now time.Duration) {
 	}
 }
 
-// Reserve consumes bytes worth of tokens and returns how long the caller
-// must delay the packet to conform (0 when tokens were available). Tokens
-// may go negative: subsequent reservations queue behind this one, exactly
-// like htb's shaping.
-func (b *TokenBucket) Reserve(now time.Duration, bytes int) time.Duration {
-	b.refill(now)
-	b.tokens -= float64(bytes) * 8
-	if b.tokens >= 0 {
-		return 0
-	}
-	return time.Duration(-b.tokens / b.rate * float64(time.Second))
-}
-
-// ReserveLimit is Reserve with a bounded backlog: when conforming
+// ReserveLimit consumes bytes worth of tokens and returns how long the
+// caller must delay the packet to conform (0 when tokens were available).
+// Tokens may go negative: subsequent reservations queue behind this one,
+// exactly like htb's shaping. The backlog is bounded: when conforming
 // delivery would have to wait longer than maxDelay, the tokens are
 // refunded and ok is false — the caller drops the packet, as a real qdisc
 // does when its queue is full. This bounds how long a stale shaping rate
@@ -102,18 +89,6 @@ func (b *TokenBucket) Allow(now time.Duration, bytes int) bool {
 	return true
 }
 
-// Tokens returns the current token level in bits (after refill at now).
-func (b *TokenBucket) Tokens(now time.Duration) float64 {
-	b.refill(now)
-	return b.tokens
-}
-
-// Unlimited returns a bucket so large it never delays or drops; used for
-// interfaces with no configured limit.
-func Unlimited() *TokenBucket {
-	return &TokenBucket{rate: math.MaxFloat64 / 1e6, burst: math.MaxFloat64 / 1e6, tokens: math.MaxFloat64 / 1e6}
-}
-
 // UsageMeter tracks recent throughput against a limit so the decision
 // engine can detect when an interface limit is "maxed out" — the signal
 // FPS uses to re-adjust splits (§4.3.2: "When the capacity required on the
@@ -138,16 +113,4 @@ func (m *UsageMeter) Sample(now time.Duration) float64 {
 	m.lastBytes = m.bytes
 	m.lastAt = now
 	return m.rateBps
-}
-
-// RateBps returns the most recently sampled rate.
-func (m *UsageMeter) RateBps() float64 { return m.rateBps }
-
-// MaxedOut reports whether the sampled rate is within headroomFraction of
-// limitBps (e.g. 0.05 → within 5%).
-func (m *UsageMeter) MaxedOut(limitBps, headroomFraction float64) bool {
-	if limitBps <= 0 {
-		return false
-	}
-	return m.rateBps >= limitBps*(1-headroomFraction)
 }

@@ -51,25 +51,6 @@ func (p *EpochPublisher[T]) Publish(tables T) *Epoch[T] {
 	return e
 }
 
-// Update rebuilds the snapshot from the current one under the publisher's
-// lock and publishes the result — the copy-on-write idiom for mutations
-// that derive the next epoch from the last (rule add/remove, tunnel
-// churn). build receives the current snapshot (the zero T before the
-// first publication) and must return a fresh value sharing no mutable
-// state with it.
-func (p *EpochPublisher[T]) Update(build func(cur T) T) *Epoch[T] {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var cur T
-	if e := p.cur.Load(); e != nil {
-		cur = e.Tables
-	}
-	p.seq++
-	e := &Epoch[T]{Seq: p.seq, Tables: build(cur)}
-	p.cur.Store(e)
-	return e
-}
-
 // CompiledVM is the immutable compiled form of a VM's rule state: the one
 // index Evaluate/QueueFor, the vswitch slow path and the sharded plane's
 // epochs all classify through. Lookups are pure reads over private
@@ -143,7 +124,8 @@ func (c *CompiledVM) Evaluate(k packet.FlowKey) Action {
 	return Deny
 }
 
-// EvaluateMask is VMRules.EvaluateMask on the compiled index.
+// EvaluateMask is Evaluate plus the union of field masks consulted — the
+// megaflow wildcard for caching this verdict.
 func (c *CompiledVM) EvaluateMask(k packet.FlowKey) (Action, FieldMask) {
 	a, ok, m := c.sec.LookupMask(k)
 	if !ok {
@@ -158,7 +140,7 @@ func (c *CompiledVM) QueueFor(k packet.FlowKey) int {
 	return q
 }
 
-// QueueForMask is VMRules.QueueForMask on the compiled index.
+// QueueForMask is QueueFor plus the fields the decision depends on.
 func (c *CompiledVM) QueueForMask(k packet.FlowKey) (int, FieldMask) {
 	return c.QueueFor(k), c.qosMask
 }
@@ -183,6 +165,3 @@ func (v *TunnelView) Lookup(tenant packet.TenantID, vmIP packet.IP) (TunnelMappi
 	m, ok := v.m[tunnelKey{tenant, vmIP}]
 	return m, ok
 }
-
-// Len returns the number of mappings in the view.
-func (v *TunnelView) Len() int { return len(v.m) }

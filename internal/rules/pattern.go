@@ -105,12 +105,6 @@ func (p Pattern) Specificity() int {
 	return s
 }
 
-// IsExact reports whether the pattern matches exactly one flow key.
-func (p Pattern) IsExact() bool {
-	return !p.AnyTenant && p.SrcPrefix == 32 && p.DstPrefix == 32 &&
-		p.SrcPort != 0 && p.DstPort != 0 && p.Proto != 0
-}
-
 // String renders the pattern compactly, e.g.
 // "t3 10.0.0.1/32:* > */0:11211 tcp".
 func (p Pattern) String() string { return string(p.appendKey(nil)) }

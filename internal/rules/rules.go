@@ -114,12 +114,6 @@ type VMRules struct {
 // (§4.1.3: "By default, all other traffic is denied").
 func (v *VMRules) Evaluate(k packet.FlowKey) Action { return v.Compile().Evaluate(k) }
 
-// EvaluateMask is Evaluate plus the union of field masks consulted — the
-// megaflow wildcard for caching this verdict.
-func (v *VMRules) EvaluateMask(k packet.FlowKey) (Action, FieldMask) {
-	return v.Compile().EvaluateMask(k)
-}
-
 // EvaluateLinear is the seed linear-scan implementation, kept as the
 // reference for differential testing.
 func (v *VMRules) EvaluateLinear(k packet.FlowKey) Action {
@@ -143,11 +137,6 @@ func (v *VMRules) EvaluateLinear(k packet.FlowKey) Action {
 // QoS rule matches.
 func (v *VMRules) QueueFor(k packet.FlowKey) int { return v.Compile().QueueFor(k) }
 
-// QueueForMask is QueueFor plus the fields the decision depends on.
-func (v *VMRules) QueueForMask(k packet.FlowKey) (int, FieldMask) {
-	return v.Compile().QueueForMask(k)
-}
-
 // QueueForLinear is the seed linear-scan implementation, kept as the
 // reference for differential testing.
 func (v *VMRules) QueueForLinear(k packet.FlowKey) int {
@@ -160,28 +149,4 @@ func (v *VMRules) QueueForLinear(k packet.FlowKey) int {
 		}
 	}
 	return q
-}
-
-// SpecializeSecurity constructs the most specific rule defining the policy
-// for one flow, to be placed in the ToR when the flow is offloaded (§4.3:
-// "a rule that most specifically defines the policy for the flow being
-// offloaded is constructed by FasTrak controllers"). The returned rule is
-// exact-match and carries the evaluated verdict, so conflicting broader
-// rules need not be copied to hardware.
-func (v *VMRules) SpecializeSecurity(k packet.FlowKey) SecurityRule {
-	return SecurityRule{
-		Pattern:  ExactPattern(k),
-		Action:   v.Evaluate(k),
-		Priority: maxPriority(v.Security) + 1,
-	}
-}
-
-func maxPriority(rs []SecurityRule) int {
-	m := 0
-	for i := range rs {
-		if rs[i].Priority > m {
-			m = rs[i].Priority
-		}
-	}
-	return m
 }

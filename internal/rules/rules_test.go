@@ -22,8 +22,8 @@ func TestExactPatternMatchesOnlyItsFlow(t *testing.T) {
 	if !p.Match(testKey) {
 		t.Fatal("exact pattern does not match its own key")
 	}
-	if !p.IsExact() {
-		t.Error("ExactPattern not IsExact")
+	if p.AnyTenant || p.SrcPrefix != 32 || p.DstPrefix != 32 || p.SrcPort == 0 || p.DstPort == 0 || p.Proto == 0 {
+		t.Errorf("ExactPattern %v wildcards a field", p)
 	}
 	variants := []func(*packet.FlowKey){
 		func(k *packet.FlowKey) { k.Src++ },
@@ -133,29 +133,6 @@ func TestVMRulesPriorityAndTieBreak(t *testing.T) {
 	}
 }
 
-func TestSpecializeSecurity(t *testing.T) {
-	v := &VMRules{Tenant: 3}
-	v.Security = append(v.Security,
-		SecurityRule{Pattern: TenantPattern(3), Action: Allow, Priority: 2},
-		SecurityRule{Pattern: Pattern{Tenant: 3, DstPort: 22}, Action: Deny, Priority: 7},
-	)
-	r := v.SpecializeSecurity(testKey)
-	if r.Action != Allow || !r.Pattern.IsExact() {
-		t.Errorf("specialized rule = %v", r)
-	}
-	// The specialized rule carries the *evaluated* verdict, including
-	// the effect of higher-priority deny rules.
-	sshKey := testKey
-	sshKey.DstPort = 22
-	r2 := v.SpecializeSecurity(sshKey)
-	if r2.Action != Deny {
-		t.Error("specialized rule should inherit the deny verdict")
-	}
-	if r2.Priority <= 7 {
-		t.Error("specialized rule priority should exceed existing rules")
-	}
-}
-
 func TestQueueFor(t *testing.T) {
 	v := &VMRules{Tenant: 3}
 	v.QoS = append(v.QoS,
@@ -255,26 +232,6 @@ func TestTCAMPriorityLookup(t *testing.T) {
 	}
 }
 
-func TestPriorityTable(t *testing.T) {
-	var pt PriorityTable
-	if pt.Evaluate(testKey) != Deny {
-		t.Error("empty priority table should default-deny")
-	}
-	pt.Add(SecurityRule{Pattern: TenantPattern(3), Action: Allow, Priority: 1})
-	pt.Add(SecurityRule{Pattern: Pattern{Tenant: 3, DstPort: 11211}, Action: Deny, Priority: 3})
-	if pt.Evaluate(testKey) != Deny {
-		t.Error("priority 3 deny should win")
-	}
-	web := testKey
-	web.DstPort = 80
-	if pt.Evaluate(web) != Allow {
-		t.Error("web flow should be allowed")
-	}
-	if pt.Len() != 2 {
-		t.Errorf("Len = %d", pt.Len())
-	}
-}
-
 func TestTunnelTable(t *testing.T) {
 	tt := NewTunnelTable()
 	m := TunnelMapping{Tenant: 3, VMIP: testKey.Dst, Remote: packet.MustParseIP("192.168.1.20")}
@@ -290,13 +247,13 @@ func TestTunnelTable(t *testing.T) {
 	if !tt.Remove(3, testKey.Dst) || tt.Remove(3, testKey.Dst) {
 		t.Error("Remove semantics wrong")
 	}
-	if tt.Len() != 0 {
-		t.Errorf("Len = %d", tt.Len())
+	if len(tt.m) != 0 {
+		t.Errorf("Len = %d", len(tt.m))
 	}
 }
 
 // Property: a pattern built from any key matches that key, and
-// VMRules.Evaluate equals PriorityTable.Evaluate over the same rules.
+// VMRules.Evaluate equals the linear reference over the same rules.
 func TestEvaluateConsistencyProperty(t *testing.T) {
 	f := func(src, dst uint32, sp, dp uint16, tenant uint8, prios []uint8) bool {
 		k := packet.FlowKey{Src: packet.IP(src), Dst: packet.IP(dst),
@@ -305,7 +262,6 @@ func TestEvaluateConsistencyProperty(t *testing.T) {
 			return false
 		}
 		v := &VMRules{Tenant: k.Tenant}
-		var pt PriorityTable
 		for i, p := range prios {
 			r := SecurityRule{Pattern: TenantPattern(k.Tenant), Priority: int(p)}
 			if i%2 == 0 {
@@ -313,9 +269,8 @@ func TestEvaluateConsistencyProperty(t *testing.T) {
 				r.Pattern = ExactPattern(k)
 			}
 			v.Security = append(v.Security, r)
-			pt.Add(r)
 		}
-		return v.Evaluate(k) == pt.Evaluate(k)
+		return v.Evaluate(k) == v.EvaluateLinear(k)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

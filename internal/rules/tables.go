@@ -126,9 +126,6 @@ func NewTCAM(capacity int) *TCAM {
 	return &TCAM{capacity: capacity, idx: NewTupleSpace[*TCAMEntry]()}
 }
 
-// Capacity returns the total entry budget.
-func (t *TCAM) Capacity() int { return t.capacity }
-
 // Free returns the number of entries still available; the TOR ME reports
 // this to the decision engine (§4.3.1: "keeps track of the amount of fast
 // path memory available in the TOR").
@@ -209,77 +206,6 @@ func (t *TCAM) Entries(fn func(*TCAMEntry)) {
 	}
 }
 
-// PriorityTable is the vswitch user-space (slow path) rule table. The
-// seed implementation was an ordered linear scan; it now fronts the same
-// semantics with a tuple-space index, so Evaluate costs O(distinct masks)
-// hash probes instead of O(rules) pattern matches. EvaluateLinear remains
-// as the semantic reference.
-type PriorityTable struct {
-	rules []SecurityRule
-	idx   *TupleSpace[Action]
-}
-
-// Add appends a rule.
-func (t *PriorityTable) Add(r SecurityRule) {
-	t.rules = append(t.rules, r)
-	if t.idx == nil {
-		t.idx = NewTupleSpace[Action]()
-	}
-	if r.Priority >= -1 {
-		// Rules below priority -1 can never win: the linear scan's best
-		// starts at (-1, spec -1), which only priority ≥ 0 beats outright
-		// and priority exactly -1 beats on the specificity tie. They are
-		// not indexed.
-		t.idx.Insert(r.Pattern, r.Priority, r.Action)
-	}
-}
-
-// Len returns the number of rules.
-func (t *PriorityTable) Len() int { return len(t.rules) }
-
-// Evaluate returns the verdict for the key: the highest-priority match
-// (specificity breaks ties), or Deny when nothing matches.
-func (t *PriorityTable) Evaluate(k packet.FlowKey) Action {
-	if t.idx == nil {
-		return Deny
-	}
-	if a, ok := t.idx.Lookup(k); ok {
-		return a
-	}
-	return Deny
-}
-
-// EvaluateMask is Evaluate plus the union of field masks the search
-// consulted — the wildcard under which the verdict may be cached.
-func (t *PriorityTable) EvaluateMask(k packet.FlowKey) (Action, FieldMask) {
-	if t.idx == nil {
-		return Deny, FieldMask{}
-	}
-	a, ok, m := t.idx.LookupMask(k)
-	if !ok {
-		return Deny, m
-	}
-	return a, m
-}
-
-// EvaluateLinear is the seed linear-scan implementation, kept as the
-// reference for differential testing.
-func (t *PriorityTable) EvaluateLinear(k packet.FlowKey) Action {
-	best, bestSpec := -1, -1
-	action := Deny
-	for i := range t.rules {
-		r := &t.rules[i]
-		if !r.Pattern.Match(k) {
-			continue
-		}
-		spec := r.Pattern.Specificity()
-		if r.Priority > best || (r.Priority == best && spec > bestSpec) {
-			best, bestSpec, action = r.Priority, spec, r.Action
-		}
-	}
-	return action
-}
-
 // TunnelTable maps (tenant, destination VM IP) to a tunnel endpoint —
 // maintained by the vswitch for VXLAN and offloaded into ToR VRFs for GRE.
 type TunnelTable struct {
@@ -318,9 +244,6 @@ func (t *TunnelTable) Remove(tenant packet.TenantID, vmIP packet.IP) bool {
 	delete(t.m, k)
 	return true
 }
-
-// Len returns the number of mappings.
-func (t *TunnelTable) Len() int { return len(t.m) }
 
 // String summarizes table occupancy for logs.
 func (t *TCAM) String() string {

@@ -166,12 +166,11 @@ type TupleSpace[V any] struct {
 	groups  []*tupleGroup[V] // sorted by maxPrio descending
 	byMask  map[FieldMask]*tupleGroup[V]
 	seq     uint64
-	size    int
 	specTie bool
 }
 
 // NewTupleSpace returns an empty classifier with (priority, specificity,
-// insertion-order) tie-breaking — the semantics of PriorityTable, VMRules
+// insertion-order) tie-breaking — the semantics of VMRules.Evaluate
 // and the TCAM.
 func NewTupleSpace[V any]() *TupleSpace[V] {
 	return &TupleSpace[V]{byMask: make(map[FieldMask]*tupleGroup[V]), specTie: true}
@@ -183,13 +182,6 @@ func NewTupleSpace[V any]() *TupleSpace[V] {
 func NewTupleSpacePriorityOnly[V any]() *TupleSpace[V] {
 	return &TupleSpace[V]{byMask: make(map[FieldMask]*tupleGroup[V])}
 }
-
-// Len returns the number of installed rules.
-func (t *TupleSpace[V]) Len() int { return t.size }
-
-// Tuples returns the number of distinct field masks — the lookup cost
-// upper bound.
-func (t *TupleSpace[V]) Tuples() int { return len(t.groups) }
 
 // Insert adds a rule.
 func (t *TupleSpace[V]) Insert(p Pattern, prio int, v V) {
@@ -209,7 +201,6 @@ func (t *TupleSpace[V]) Insert(p Pattern, prio int, v V) {
 	g.buckets[key] = append(g.buckets[key], tsEntry[V]{prio: prio, seq: t.seq, val: v})
 	t.seq++
 	g.count++
-	t.size++
 	switch {
 	case prio > g.maxPrio:
 		g.maxPrio, g.atMax = prio, 1
@@ -253,7 +244,6 @@ func (t *TupleSpace[V]) Remove(p Pattern, match func(V) bool) int {
 		g.buckets[key] = out
 	}
 	g.count -= n
-	t.size -= n
 	if g.count == 0 {
 		delete(t.byMask, mask)
 		for i, gg := range t.groups {

@@ -28,9 +28,6 @@ type Event struct {
 	dead bool
 }
 
-// Time returns the virtual time at which the event fires (or fired).
-func (e *Event) Time() Time { return e.at }
-
 // Cancel prevents a pending event from firing. Canceling an event that has
 // already fired or been canceled, or a nil event, is a no-op.
 func (e *Event) Cancel() {
@@ -210,9 +207,6 @@ func (e *Engine) RunUntil(deadline Time) {
 		e.now = deadline
 	}
 }
-
-// Pending returns the number of queued (possibly canceled) events.
-func (e *Engine) Pending() int { return len(e.queue) }
 
 // NextAt returns the virtual time of the earliest live pending event and
 // whether one exists. Canceled events at the head of the queue are

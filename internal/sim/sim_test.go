@@ -80,8 +80,8 @@ func TestEngineRunUntil(t *testing.T) {
 	if e.Now() != 2*time.Second {
 		t.Errorf("Now() = %v, want 2s", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending() = %d, want 1", e.Pending())
+	if len(e.queue) != 1 {
+		t.Errorf("%d events pending, want 1", len(e.queue))
 	}
 	// RunUntil past the last event advances the clock to the deadline.
 	e.RunUntil(10 * time.Second)

@@ -105,8 +105,7 @@ func hashPattern(p rules.Pattern) uint64 {
 // ShardSketch is one data-plane shard's accounting state: a top-k over
 // patterns plus count-min sketches for packets and bytes of everything
 // (including the long tail the top-k evicted). Single-writer: the shard
-// that forwards the packets owns it; readers merge quiesced copies (the
-// same validity contract as ShardedPlane.FlowSnapshot).
+// that forwards the packets owns it; readers merge quiesced copies.
 type ShardSketch struct {
 	cfg   Config
 	top   *SpaceSaving[rules.Pattern]
@@ -148,17 +147,6 @@ func (s *ShardSketch) observePattern(p rules.Pattern, pkts, bytes uint64) {
 	s.counters.Updates++
 }
 
-// EstimatePkts returns the pattern's packet-count upper bound from the
-// count-min sketch — available even for patterns the top-k evicted.
-func (s *ShardSketch) EstimatePkts(p rules.Pattern) uint64 {
-	return s.pkts.Estimate(hashPattern(p))
-}
-
-// EstimateBytes is EstimatePkts for bytes.
-func (s *ShardSketch) EstimateBytes(p rules.Pattern) uint64 {
-	return s.bytes.Estimate(hashPattern(p))
-}
-
 // Merge folds another shard's sketch into this one.
 func (s *ShardSketch) Merge(o *ShardSketch) {
 	s.top.Merge(o.top)
@@ -177,14 +165,6 @@ func (s *ShardSketch) Clone() *ShardSketch {
 		bytes:    s.bytes.Clone(),
 		counters: s.counters,
 	}
-}
-
-// Reset zeroes all accounting (counters are kept — they are lifetime
-// totals, like the vswitch's).
-func (s *ShardSketch) Reset() {
-	s.top.Reset()
-	s.pkts.Reset()
-	s.bytes.Reset()
 }
 
 // Floor is the merged space-saving floor: the maximum true packet count
@@ -251,9 +231,6 @@ func New(cfg Config, shards int) *Accountant {
 // Config returns the normalized configuration.
 func (a *Accountant) Config() Config { return a.cfg }
 
-// Shards returns the shard count.
-func (a *Accountant) Shards() int { return len(a.shards) }
-
 // Shard returns shard i's sketch (the single-writer handle the data
 // plane feeds).
 func (a *Accountant) Shard(i int) *ShardSketch { return a.shards[i] }
@@ -271,15 +248,8 @@ func (a *Accountant) Floor() uint64 {
 	return f
 }
 
-// Observe feeds shard 0 — the convenience entry point for the inline
-// (unsharded) data path.
-func (a *Accountant) Observe(k packet.FlowKey, pkts, bytes uint64) {
-	a.shards[0].Observe(k, pkts, bytes)
-}
-
 // Merged returns a merged copy of every shard's sketch. Only valid when
-// the shards are quiesced (after ShardedPlane.Barrier, or in the inline/
-// sim configuration) — it reads shard-private state.
+// no writer is feeding the shards — it reads shard-private state.
 func (a *Accountant) Merged() *ShardSketch {
 	m := a.shards[0].Clone()
 	for _, s := range a.shards[1:] {

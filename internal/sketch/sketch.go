@@ -52,8 +52,7 @@ func mix(x uint64) uint64 {
 
 // CountMin is a conservative-update count-min sketch over uint64 keys.
 // Not safe for concurrent use: each data-plane shard owns one and merges
-// happen on quiesced copies (the same contract as the plane's
-// FlowSnapshot).
+// happen on quiesced copies.
 type CountMin struct {
 	width, depth int
 	seed         uint64
@@ -85,15 +84,6 @@ func NewCountMin(width, depth int, seed uint64) *CountMin {
 	}
 	return c
 }
-
-// Width returns the sketch width (cells per row).
-func (c *CountMin) Width() int { return c.width }
-
-// Depth returns the sketch depth (hash rows).
-func (c *CountMin) Depth() int { return c.depth }
-
-// Seed returns the hash seed.
-func (c *CountMin) Seed() uint64 { return c.seed }
 
 // MemoryBytes returns the sketch's fixed footprint (cells only) — the
 // O(width·depth) term of the accounting bound.
@@ -153,13 +143,6 @@ func (c *CountMin) Merge(o *CountMin) {
 	}
 	for i, v := range o.cells {
 		c.cells[i] = satAdd(c.cells[i], v)
-	}
-}
-
-// Reset zeroes the sketch.
-func (c *CountMin) Reset() {
-	for i := range c.cells {
-		c.cells[i] = 0
 	}
 }
 

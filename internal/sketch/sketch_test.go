@@ -173,11 +173,11 @@ func TestSpaceSavingExactBelowK(t *testing.T) {
 		truth[key] += delta
 		ss.Update(key, delta, 0)
 	}
-	if ss.Floor() != 0 && ss.Len() < ss.K() {
+	if ss.Floor() != 0 && len(ss.heap) < ss.K() {
 		t.Fatalf("Floor() = %d before the structure filled", ss.Floor())
 	}
 	for key, want := range truth {
-		got, errb, ok := ss.Estimate(key)
+		got, errb, ok := estimate(ss, key)
 		if !ok || got != want || errb != 0 {
 			t.Fatalf("Estimate(%d) = (%d, %d, %v), want exact (%d, 0, true)", key, got, errb, ok, want)
 		}
@@ -205,7 +205,7 @@ func TestSpaceSavingGuarantees(t *testing.T) {
 		}
 		floor := ss.Floor()
 		for key, want := range truth {
-			got, errb, ok := ss.Estimate(key)
+			got, errb, ok := estimate(ss, key)
 			if !ok {
 				if want > floor {
 					t.Fatalf("seed %d: key %d (true %d > floor %d) missing — containment violated", seed, key, want, floor)
@@ -246,7 +246,7 @@ func TestSpaceSavingMergeGuarantees(t *testing.T) {
 		a.Merge(b)
 		floor := a.Floor()
 		for key, want := range truth {
-			got, errb, ok := a.Estimate(key)
+			got, errb, ok := estimate(a, key)
 			if !ok {
 				if want > floor {
 					t.Fatalf("seed %d: merged containment violated: key %d true %d > floor %d", seed, key, want, floor)
@@ -338,7 +338,7 @@ func TestAccountantMergedReportMatchesSingleShard(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		k := flowKey(rng.Intn(64))
 		bytes := uint64(64 + rng.Intn(1400))
-		one.Observe(k, 1, bytes)
+		one.Shard(0).Observe(k, 1, bytes)
 		four.Shard(rng.Intn(4)).Observe(k, 1, bytes)
 	}
 	if !reflect.DeepEqual(one.Report(), four.Merged().Report()) {
@@ -352,7 +352,7 @@ func TestAccountantMergedReportMatchesSingleShard(t *testing.T) {
 func TestAccountantAggregateKeying(t *testing.T) {
 	a := New(Config{TopK: 64, Aggregate: true}, 1)
 	k := flowKey(3)
-	a.Observe(k, 2, 300)
+	a.Shard(0).Observe(k, 2, 300)
 	rep := a.Report()
 	if len(rep) != 2 {
 		t.Fatalf("aggregate observe produced %d patterns, want 2 (egress+ingress)", len(rep))
@@ -376,8 +376,8 @@ func TestAccountantAggregateKeying(t *testing.T) {
 func TestAccountantExactKeying(t *testing.T) {
 	a := New(Config{TopK: 64}, 1)
 	k := flowKey(5)
-	a.Observe(k, 1, 100)
-	a.Observe(k, 1, 100)
+	a.Shard(0).Observe(k, 1, 100)
+	a.Shard(0).Observe(k, 1, 100)
 	rep := a.Report()
 	if len(rep) != 1 || rep[0].Pattern != rules.ExactPattern(k) || rep[0].Pkts != 2 {
 		t.Fatalf("exact-mode report = %+v, want one ExactPattern entry with 2 pkts", rep)
@@ -428,4 +428,13 @@ func TestPatternLessTotalOrder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// estimate returns key's count bound and error if s monitors it.
+func estimate[K comparable](s *SpaceSaving[K], key K) (count, err uint64, ok bool) {
+	i, ok := s.idx[key]
+	if !ok {
+		return 0, 0, false
+	}
+	return s.heap[i].Count, s.heap[i].Err, true
 }

@@ -55,9 +55,6 @@ func NewSpaceSaving[K comparable](k int, less func(a, b K) bool) *SpaceSaving[K]
 // K returns the capacity.
 func (s *SpaceSaving[K]) K() int { return s.k }
 
-// Len returns the number of monitored keys.
-func (s *SpaceSaving[K]) Len() int { return len(s.heap) }
-
 // before reports whether a belongs nearer the heap root than b: lower
 // count first, ties put the larger key first so it is evicted first.
 func (s *SpaceSaving[K]) before(a, b Entry[K]) bool {
@@ -130,15 +127,6 @@ func (s *SpaceSaving[K]) Update(key K, count, aux uint64) {
 	}
 	s.idx[key] = 0
 	s.siftDown(0)
-}
-
-// Estimate returns the key's count bound and error if monitored.
-func (s *SpaceSaving[K]) Estimate(key K) (count, err uint64, ok bool) {
-	i, ok := s.idx[key]
-	if !ok {
-		return 0, 0, false
-	}
-	return s.heap[i].Count, s.heap[i].Err, true
 }
 
 // Floor is the minimum monitored count — the maximum true count any
@@ -223,12 +211,6 @@ func (s *SpaceSaving[K]) Merge(o *SpaceSaving[K]) {
 		s.idx[e.Key] = i
 	}
 	s.Evictions += o.Evictions
-}
-
-// Reset empties the structure.
-func (s *SpaceSaving[K]) Reset() {
-	s.heap = s.heap[:0]
-	s.idx = make(map[K]int, s.k)
 }
 
 // Clone returns a deep copy.

@@ -147,22 +147,19 @@ type NIC struct {
 	counters     metrics.NICCounters
 	rec          *telemetry.Scoped
 
-	// leaseTTL, when non-zero, makes every installed rule a lease the
-	// local controller must refresh (any current-term leader contact
-	// refreshes them all) or the sweeper expires the rule back to the
-	// vswitch software path — the NIC-tier half of the control-plane HA
-	// fail-safe.
-	leaseTTL      time.Duration
-	leases        map[rules.Pattern]time.Duration
-	leaseSweep    *sim.Ticker
-	leaseExpiries uint64
+	// Leases, once enabled, makes every installed rule a lease the local
+	// controller refreshes on any current-term leader contact: the
+	// NIC-tier half of the control-plane HA fail-safe. Covered flows of
+	// an expired rule fall back to the vswitch (TryEgress misses).
+	// LeaseExpiries counts rules expired.
+	rules.Leases
 }
 
 // New builds a NIC from cfg. A zero-capacity config still returns a valid
 // NIC whose installs all fail with ErrTCAMFull.
 func New(eng *sim.Engine, cfg Config) *NIC {
 	cfg = cfg.normalized()
-	return &NIC{
+	n := &NIC{
 		eng:       eng,
 		cfg:       cfg,
 		table:     rules.NewTCAM(cfg.Capacity),
@@ -171,6 +168,8 @@ func New(eng *sim.Engine, cfg Config) *NIC {
 		flows:     rules.NewExactTable[struct{}](),
 		adm:       newAdmitState(cfg),
 	}
+	n.Leases = rules.NewLeases(eng, n.expireLease)
+	return n
 }
 
 // SetForward wires the post-admission delivery hook.
@@ -192,9 +191,6 @@ func (n *NIC) RegisterMetrics(reg *telemetry.Registry, labels ...string) {
 	reg.Counter("fastrak_nic_rejects_total", "installs rejected (fault, quota or full table)", &n.counters.Rejects, labels...)
 	reg.Gauge("fastrak_nic_rules", "rules currently installed", func() float64 { return float64(n.Len()) }, labels...)
 }
-
-// Config returns the normalized configuration.
-func (n *NIC) Config() Config { return n.cfg }
 
 // Install upserts a match-action rule. Installs are idempotent (the
 // controller reasserts desired state every interval); a fresh install is
@@ -229,9 +225,7 @@ func (n *NIC) Install(p rules.Pattern, queue int) error {
 		return err
 	}
 	n.byPattern[p] = e
-	if n.leases != nil {
-		n.leases[p] = time.Duration(n.eng.Now()) + n.leaseTTL
-	}
+	n.StampLease(p)
 	if !p.AnyTenant {
 		n.perTenant[p.Tenant]++
 	}
@@ -261,9 +255,7 @@ func (n *NIC) Remove(p rules.Pattern) int {
 func (n *NIC) dropRule(p rules.Pattern) int {
 	removed := n.table.Remove(p)
 	delete(n.byPattern, p)
-	if n.leases != nil {
-		delete(n.leases, p)
-	}
+	n.DropLease(p)
 	if !p.AnyTenant {
 		if n.perTenant[p.Tenant]--; n.perTenant[p.Tenant] <= 0 {
 			delete(n.perTenant, p.Tenant)
@@ -357,15 +349,6 @@ func (n *NIC) Patterns() []rules.Pattern {
 	return rules.SortedPatterns(n.byPattern)
 }
 
-// Has reports whether the pattern is installed.
-func (n *NIC) Has(p rules.Pattern) bool {
-	if n == nil {
-		return false
-	}
-	_, ok := n.byPattern[p]
-	return ok
-}
-
 // Free returns remaining table capacity (0 on a nil NIC).
 func (n *NIC) Free() int {
 	if n == nil {
@@ -382,17 +365,6 @@ func (n *NIC) Len() int {
 	return n.table.Len()
 }
 
-// Capacity returns the table size.
-func (n *NIC) Capacity() int {
-	if n == nil {
-		return 0
-	}
-	return n.cfg.Capacity
-}
-
-// TenantRules returns the rule count charged to a tenant.
-func (n *NIC) TenantRules(t packet.TenantID) int { return n.perTenant[t] }
-
 // Counters returns the NIC's observability counters.
 func (n *NIC) Counters() metrics.NICCounters {
 	if n == nil {
@@ -405,60 +377,13 @@ func (n *NIC) Counters() metrics.NICCounters {
 // consult f (nil clears).
 func (n *NIC) SetInstallFault(f func() error) { n.installFault = f }
 
-// SetLeaseTTL enables (ttl > 0) or disables (ttl = 0) lease-based
-// fail-safe expiry for NIC rules, mirroring tor.TOR.SetLeaseTTL: installs
-// stamp now+ttl, RefreshAllLeases extends everything, and a ttl/4 sweeper
-// expires unrefreshed rules (covered flows fall back to the vswitch —
-// TryEgress simply misses).
-func (n *NIC) SetLeaseTTL(ttl time.Duration) {
-	n.leaseTTL = ttl
-	if n.leaseSweep != nil {
-		n.leaseSweep.Stop()
-		n.leaseSweep = nil
+// expireLease removes a rule whose lease lapsed.
+func (n *NIC) expireLease(p rules.Pattern) uint64 {
+	n.dropRule(p)
+	if n.rec != nil {
+		n.rec.EmitPattern(telemetry.KindLeaseExpire, p.Tenant, p, "nic", 1, float64(n.table.Len()))
 	}
-	if ttl <= 0 {
-		n.leases = nil
-		return
-	}
-	n.leases = make(map[rules.Pattern]time.Duration)
-	n.leaseSweep = n.eng.Every(ttl/4, n.sweepLeases)
-}
-
-// RefreshAllLeases extends every rule's lease; the local controller calls
-// it on each message from the current-term leader.
-func (n *NIC) RefreshAllLeases() {
-	deadline := time.Duration(n.eng.Now()) + n.leaseTTL
-	for p := range n.leases {
-		n.leases[p] = deadline
-	}
-}
-
-// LeaseExpiries returns how many rules the sweeper expired.
-func (n *NIC) LeaseExpiries() uint64 { return n.leaseExpiries }
-
-// LeaseCount returns the number of live leases (equals Len() whenever
-// leases are enabled).
-func (n *NIC) LeaseCount() int { return len(n.leases) }
-
-func (n *NIC) sweepLeases() {
-	now := time.Duration(n.eng.Now())
-	var dead []rules.Pattern
-	for p, deadline := range n.leases {
-		if now >= deadline {
-			dead = append(dead, p)
-		}
-	}
-	if len(dead) == 0 {
-		return
-	}
-	slices.SortFunc(dead, rules.Pattern.Compare)
-	for _, p := range dead {
-		n.dropRule(p)
-		n.leaseExpiries++
-		if n.rec != nil {
-			n.rec.EmitPattern(telemetry.KindLeaseExpire, p.Tenant, p, "nic", 1, float64(n.table.Len()))
-		}
-	}
+	return 1
 }
 
 // ResetTable models a firmware reset: the whole rule table is lost. The
@@ -470,9 +395,7 @@ func (n *NIC) ResetTable() int {
 	n.byPattern = make(map[rules.Pattern]*rules.TCAMEntry)
 	n.perTenant = make(map[packet.TenantID]int)
 	n.flows = rules.NewExactTable[struct{}]()
-	if n.leases != nil {
-		n.leases = make(map[rules.Pattern]time.Duration)
-	}
+	n.ClearLeases()
 	if n.rec != nil {
 		n.rec.Record(telemetry.Event{Kind: telemetry.KindNICReset, Cause: "reset", V1: float64(lost)})
 	}

@@ -72,8 +72,8 @@ func TestInstallQuotaCapacityIdempotence(t *testing.T) {
 	if n.Len() != 3 || n.Free() != 0 {
 		t.Errorf("len=%d free=%d, want 3/0", n.Len(), n.Free())
 	}
-	if n.TenantRules(3) != 2 || n.TenantRules(4) != 1 {
-		t.Errorf("tenant rules: t3=%d t4=%d", n.TenantRules(3), n.TenantRules(4))
+	if n.perTenant[3] != 2 || n.perTenant[4] != 1 {
+		t.Errorf("tenant rules: t3=%d t4=%d", n.perTenant[3], n.perTenant[4])
 	}
 	if got := n.Counters().Rejects; got != 2 {
 		t.Errorf("rejects=%d, want 2", got)
@@ -99,8 +99,8 @@ func TestInstallFaultGate(t *testing.T) {
 	if err := n.Install(p, 0); !errors.Is(err, boom) {
 		t.Fatalf("faulted install: got %v", err)
 	}
-	if n.Has(p) || n.Counters().Rejects != 1 {
-		t.Errorf("faulted install left state: has=%v rejects=%d", n.Has(p), n.Counters().Rejects)
+	if n.byPattern[p] != nil || n.Counters().Rejects != 1 {
+		t.Errorf("faulted install left state: has=%v rejects=%d", n.byPattern[p] != nil, n.Counters().Rejects)
 	}
 	n.SetInstallFault(nil)
 	if err := n.Install(p, 0); err != nil {
@@ -254,8 +254,8 @@ func TestResetAndCorruptFaults(t *testing.T) {
 	if lost := n.ResetTable(); lost != 4 {
 		t.Fatalf("reset lost %d rules, want 4", lost)
 	}
-	if n.Len() != 0 || n.Free() != 8 || n.TenantRules(3) != 0 {
-		t.Errorf("reset left state: len=%d free=%d t3=%d", n.Len(), n.Free(), n.TenantRules(3))
+	if n.Len() != 0 || n.Free() != 8 || n.perTenant[3] != 0 {
+		t.Errorf("reset left state: len=%d free=%d t3=%d", n.Len(), n.Free(), n.perTenant[3])
 	}
 	// Reinstall (the controller's reassert) and corrupt everything.
 	for _, p := range pats {
@@ -284,7 +284,7 @@ func TestNilNIC(t *testing.T) {
 	if n.TryEgress(k, testPacket(k, 100)) {
 		t.Error("nil NIC forwarded")
 	}
-	if n.Len() != 0 || n.Free() != 0 || n.Capacity() != 0 || n.Has(rules.Pattern{}) {
+	if n.Len() != 0 || n.Free() != 0 {
 		t.Error("nil NIC reports state")
 	}
 	if n.Snapshot() != nil || n.Patterns() != nil {

@@ -340,12 +340,6 @@ func (c *Conn) finish() {
 	}
 }
 
-// Finished reports whether all bytes were acked.
-func (c *Conn) Finished() bool { return c.done }
-
-// Progress returns acked bytes so far.
-func (c *Conn) Progress() uint32 { return c.sndUna }
-
 func maxf(a, b float64) float64 {
 	if a > b {
 		return a

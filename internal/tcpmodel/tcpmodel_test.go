@@ -32,8 +32,8 @@ func TestBulkTransferCompletes(t *testing.T) {
 	conn := New(c.Eng, a, b, 45000, 5201, total)
 	conn.Start()
 	c.Eng.RunUntil(30 * time.Second)
-	if !conn.Finished() {
-		t.Fatalf("transfer incomplete: %d/%d", conn.Progress(), total)
+	if !conn.done {
+		t.Fatalf("transfer incomplete: %d/%d", conn.sndUna, total)
 	}
 	if conn.Stats.Timeouts != 0 {
 		t.Errorf("clean path incurred %d timeouts", conn.Stats.Timeouts)
@@ -48,7 +48,7 @@ func TestCwndGrowth(t *testing.T) {
 	conn := New(c.Eng, a, b, 45000, 5201, 500_000)
 	conn.Start()
 	c.Eng.RunUntil(30 * time.Second)
-	if !conn.Finished() {
+	if !conn.done {
 		t.Fatal("incomplete")
 	}
 	if conn.cwnd <= 2 {
@@ -85,8 +85,8 @@ func TestMigrationRecoversWithFastRetransmit(t *testing.T) {
 		migrate(c, conn, a, 2*time.Millisecond)
 	})
 	c.Eng.RunUntil(60 * time.Second)
-	if !conn.Finished() {
-		t.Fatalf("transfer incomplete after migration: %d/%d", conn.Progress(), total)
+	if !conn.done {
+		t.Fatalf("transfer incomplete after migration: %d/%d", conn.sndUna, total)
 	}
 	if conn.Stats.FastRetransmits == 0 {
 		t.Error("migration loss did not trigger fast retransmit")
@@ -113,7 +113,7 @@ func TestTraceMonotoneProgress(t *testing.T) {
 	conn.Start()
 	c.Eng.At(500*time.Millisecond, func() { migrate(c, conn, a, 2*time.Millisecond) })
 	c.Eng.RunUntil(60 * time.Second)
-	if !conn.Finished() {
+	if !conn.done {
 		t.Fatal("incomplete")
 	}
 	// Receiver-side in-order data trace must be non-decreasing in seq.
@@ -141,8 +141,8 @@ func TestTimeoutPathRecovers(t *testing.T) {
 		conn.DropOldPathUntil = c.Eng.Now() + 300*time.Millisecond
 	})
 	c.Eng.RunUntil(120 * time.Second)
-	if !conn.Finished() {
-		t.Fatalf("connection hung: %d acked", conn.Progress())
+	if !conn.done {
+		t.Fatalf("connection hung: %d acked", conn.sndUna)
 	}
 	if conn.Stats.Timeouts == 0 {
 		t.Error("expected RTO recovery under total loss")

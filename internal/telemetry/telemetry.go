@@ -189,16 +189,6 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// KindFromString inverts String; ok is false for unknown names.
-func KindFromString(s string) (Kind, bool) {
-	for k, n := range kindNames {
-		if n == s {
-			return Kind(k), true
-		}
-	}
-	return 0, false
-}
-
 // Event is one flight-recorder record. It is a fixed-size value type:
 // recording copies it into a preallocated ring slot, so the enabled hot
 // path performs no heap allocation. Comp and Cause must be constant (or
@@ -396,14 +386,6 @@ type Scoped struct {
 
 	hitEvery uint64
 	hits     uint64
-}
-
-// Name returns the scope name ("" on nil).
-func (s *Scoped) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
 }
 
 // Record writes one event, filling Seq, At, and Comp. The Event's other

@@ -29,9 +29,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	s.EmitPattern(KindOffloadDecision, 1, rules.Pattern{}, "", 1, 2)
 	s.Hit(KindExactHit, 1, testFlow())
 	s.Drop(1, testFlow(), "clamp")
-	if got := s.Name(); got != "" {
-		t.Fatalf("nil scope Name = %q", got)
-	}
 	rec.Events(func(Event) { t.Fatal("nil recorder must have no events") })
 	if w, r := rec.Recorded(); w != 0 || r != 0 {
 		t.Fatalf("nil recorder Recorded = %d,%d", w, r)
@@ -129,18 +126,16 @@ func TestHitSampling(t *testing.T) {
 }
 
 func TestKindNamesRoundTrip(t *testing.T) {
+	seen := make(map[string]Kind)
 	for k := Kind(0); k < numKinds; k++ {
 		name := k.String()
 		if name == "" || name == "unknown" {
 			t.Fatalf("kind %d has no name", k)
 		}
-		back, ok := KindFromString(name)
-		if !ok || back != k {
-			t.Fatalf("KindFromString(%q) = %v,%v, want %v", name, back, ok, k)
+		if other, dup := seen[name]; dup {
+			t.Fatalf("kinds %d and %d share the name %q", other, k, name)
 		}
-	}
-	if _, ok := KindFromString("no-such-kind"); ok {
-		t.Fatal("unknown name must not resolve")
+		seen[name] = k
 	}
 }
 

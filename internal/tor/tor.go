@@ -10,7 +10,6 @@ package tor
 import (
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"repro/internal/fabric"
@@ -87,15 +86,10 @@ type TOR struct {
 	installFault   func() error
 	installRejects uint64
 
-	// leaseTTL, when non-zero, makes every installed ACL a lease: the
-	// controller must refresh it (idempotent re-install or a
-	// current-term table walk) within TTL or the sweeper expires the
-	// rule back to the software path — a dead control plane degrades to
-	// pre-FasTrak behavior instead of freezing stale express lanes.
-	leaseTTL      time.Duration
-	leases        map[rules.Pattern]time.Duration
-	leaseSweep    *sim.Ticker
-	leaseExpiries uint64
+	// Leases, once enabled, makes every installed ACL a lease the
+	// controller refreshes by an idempotent re-install or a current-term
+	// table walk. LeaseExpiries counts TCAM entries expired.
+	rules.Leases
 
 	// rec is the flight-recorder scope; nil when telemetry is disabled.
 	rec *telemetry.Scoped
@@ -104,7 +98,7 @@ type TOR struct {
 // New builds a ToR with the given loopback address, TCAM capacity, and
 // forwarding latency.
 func New(eng *sim.Engine, loopback packet.IP, tcamCapacity int, latency time.Duration) *TOR {
-	return &TOR{
+	t := &TOR{
 		eng:          eng,
 		Loopback:     loopback,
 		latency:      latency,
@@ -116,6 +110,8 @@ func New(eng *sim.Engine, loopback packet.IP, tcamCapacity int, latency time.Dur
 		limiters:     make(map[limKey]*ratelimit.TokenBucket),
 		meters:       make(map[limKey]*ratelimit.UsageMeter),
 	}
+	t.Leases = rules.NewLeases(eng, t.expireLease)
+	return t
 }
 
 // AddRoute attaches a port for an outer destination (a server's provider
@@ -151,12 +147,6 @@ func (t *TOR) ConfigureTenant(tenant packet.TenantID, vlan packet.VLANID) error 
 		}
 	}
 	return nil
-}
-
-// VLANFor returns the tenant's access VLAN.
-func (t *TOR) VLANFor(tenant packet.TenantID) (packet.VLANID, bool) {
-	v, ok := t.tenantToVLAN[tenant]
-	return v, ok
 }
 
 // RegisterLocalVM records that a tenant VM lives on the server with the
@@ -202,75 +192,13 @@ func (t *TOR) RemoveVRFTunnel(tenant packet.TenantID, vmIP packet.IP) {
 // transient and permanent hardware rule-install rejections.
 func (t *TOR) SetInstallFault(f func() error) { t.installFault = f }
 
-// SetLeaseTTL enables (ttl > 0) or disables (ttl = 0) lease-based
-// fail-safe expiry for ACL rules. With leases on, every install stamps a
-// deadline now+ttl and a sweeper running at ttl/4 granularity expires
-// unrefreshed rules; expired traffic falls back to the always-correct
-// vswitch software path.
-func (t *TOR) SetLeaseTTL(ttl time.Duration) {
-	t.leaseTTL = ttl
-	if t.leaseSweep != nil {
-		t.leaseSweep.Stop()
-		t.leaseSweep = nil
+// expireLease removes a rule whose lease lapsed.
+func (t *TOR) expireLease(p rules.Pattern) uint64 {
+	n := t.tcam.Remove(p)
+	if t.rec != nil {
+		t.rec.EmitPattern(telemetry.KindLeaseExpire, p.Tenant, p, "tcam", float64(n), float64(t.tcam.Len()))
 	}
-	if ttl <= 0 {
-		t.leases = nil
-		return
-	}
-	t.leases = make(map[rules.Pattern]time.Duration)
-	t.leaseSweep = t.eng.Every(ttl/4, t.sweepLeases)
-}
-
-// RefreshLease extends one rule's lease; a no-op for unknown patterns or
-// when leases are disabled.
-func (t *TOR) RefreshLease(p rules.Pattern) {
-	if t.leases != nil {
-		if _, ok := t.leases[p]; ok {
-			t.leases[p] = time.Duration(t.eng.Now()) + t.leaseTTL
-		}
-	}
-}
-
-// RefreshAllLeases extends every rule's lease — the switch agent calls
-// it on a current-term table walk, treating the reconcile round-trip as
-// proof the control plane is alive.
-func (t *TOR) RefreshAllLeases() {
-	deadline := time.Duration(t.eng.Now()) + t.leaseTTL
-	for p := range t.leases {
-		t.leases[p] = deadline
-	}
-}
-
-// LeaseExpiries returns how many rules the sweeper expired.
-func (t *TOR) LeaseExpiries() uint64 { return t.leaseExpiries }
-
-// LeaseCount returns the number of live leases (equals the installed
-// rule count whenever leases are enabled — the lease-conservation
-// invariant the failover experiment checks).
-func (t *TOR) LeaseCount() int { return len(t.leases) }
-
-// sweepLeases expires every rule whose lease deadline has passed, in
-// deterministic pattern order.
-func (t *TOR) sweepLeases() {
-	now := time.Duration(t.eng.Now())
-	var dead []rules.Pattern
-	for p, deadline := range t.leases {
-		if now >= deadline {
-			dead = append(dead, p)
-		}
-	}
-	if len(dead) == 0 {
-		return
-	}
-	slices.SortFunc(dead, rules.Pattern.Compare)
-	for _, p := range dead {
-		delete(t.leases, p)
-		n := t.tcam.Remove(p)
-		t.leaseExpiries += uint64(n)
-		if t.rec != nil {
-			t.rec.EmitPattern(telemetry.KindLeaseExpire, p.Tenant, p, "tcam", float64(n), float64(t.tcam.Len()))
-		}
-	}
+	return uint64(n)
 }
 
 // InstallRejects returns how many installs the fault hook rejected.
@@ -291,8 +219,8 @@ func (t *TOR) InstallACL(e *rules.TCAMEntry) error {
 		}
 	}
 	err := t.tcam.Insert(e)
-	if err == nil && t.leases != nil {
-		t.leases[e.Pattern] = time.Duration(t.eng.Now()) + t.leaseTTL
+	if err == nil {
+		t.StampLease(e.Pattern)
 	}
 	if t.rec != nil {
 		if err != nil {
@@ -307,9 +235,7 @@ func (t *TOR) InstallACL(e *rules.TCAMEntry) error {
 // RemoveACL deletes rules with the exact pattern, freeing TCAM space.
 func (t *TOR) RemoveACL(p rules.Pattern) int {
 	n := t.tcam.Remove(p)
-	if t.leases != nil {
-		delete(t.leases, p)
-	}
+	t.DropLease(p)
 	if t.rec != nil && n > 0 {
 		t.rec.EmitPattern(telemetry.KindTCAMRemove, p.Tenant, p, "", float64(t.tcam.Len()), float64(n))
 	}

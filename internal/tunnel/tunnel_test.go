@@ -32,7 +32,7 @@ func TestGRERoundTrip(t *testing.T) {
 		t.Errorf("outer header: %+v", outer.IP)
 	}
 	// The outer packet must itself survive the wire.
-	wire, err := outer.Marshal()
+	wire, err := outer.AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestVXLANRoundTrip(t *testing.T) {
 	if outer.UDP == nil || outer.UDP.DstPort != packet.VXLANPort {
 		t.Fatalf("outer not VXLAN UDP: %+v", outer.UDP)
 	}
-	wire, err := outer.Marshal()
+	wire, err := outer.AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestGRERoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		wire, err := outer.Marshal()
+		wire, err := outer.AppendMarshal(nil)
 		if err != nil {
 			return false
 		}

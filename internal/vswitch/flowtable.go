@@ -15,7 +15,6 @@ type egressKind uint8
 
 const (
 	egressDeny     egressKind = iota // security rules reject the flow
-	egressNIC                        // a SmartNIC placement claims it: no software shaping or encap
 	egressLocal                      // destination vport on this host
 	egressPlain                      // allowed, nothing more resolved: leaves unencapsulated (plane, tunneling off)
 	egressTunnel                     // VXLAN toward flowAction.remote

@@ -357,7 +357,7 @@ func TestPlaneExactCacheBounded(t *testing.T) {
 	send(0, 4096) // evicted long ago: classified afresh, same verdicts
 	after := heap()
 
-	if n := pl.ActiveFlows(); n > ExactTableSlots || n < ExactTableSlots/2 {
+	if n := activeFlows(pl); n > ExactTableSlots || n < ExactTableSlots/2 {
 		t.Fatalf("ActiveFlows = %d, want a full table of at most %d", n, ExactTableSlots)
 	}
 	if growth := int64(after) - int64(before); growth > 256<<10 {
@@ -375,8 +375,8 @@ func TestPlaneExactCacheBounded(t *testing.T) {
 	}
 	// Every exact miss installed an entry, which is still there or was
 	// overwritten inside a full window.
-	if inserts := c.Megaflow.Hits + c.Megaflow.Misses; inserts != uint64(pl.ActiveFlows())+c.ExactEvictions || c.ExactEvictions == 0 {
-		t.Fatalf("%d installs, %d live, %d evictions counted", inserts, pl.ActiveFlows(), c.ExactEvictions)
+	if inserts := c.Megaflow.Hits + c.Megaflow.Misses; inserts != uint64(activeFlows(pl))+c.ExactEvictions || c.ExactEvictions == 0 {
+		t.Fatalf("%d installs, %d live, %d evictions counted", inserts, activeFlows(pl), c.ExactEvictions)
 	}
 	if c.EpochFlushes != 0 {
 		t.Fatalf("the run was meant to stay in one epoch: %d flushes", c.EpochFlushes)
@@ -446,7 +446,7 @@ func TestPlaneMissMidVectorKeepsEarlierActions(t *testing.T) {
 		t.Fatalf("outcomes across the growth: denied %d tx %d, want 2 and 9", c.Denied-before.Denied, c.Tx-before.Tx)
 	}
 	// Growth kept the counters of the flows it moved.
-	for _, f := range pl.FlowSnapshot() {
+	for _, f := range flowSnapshot(pl) {
 		if f.Key == denied.Key() && (f.Packets != 3 || f.Allow) {
 			t.Fatalf("denied flow after growth: %+v, want 3 packets", f)
 		}

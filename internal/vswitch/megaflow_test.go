@@ -46,8 +46,8 @@ func TestMegaflowAbsorbsPortScan(t *testing.T) {
 	if sw.ActiveFlows() != 200 {
 		t.Errorf("active exact flows = %d, want 200", sw.ActiveFlows())
 	}
-	if sw.ActiveMegaflows() != 1 {
-		t.Errorf("active megaflows = %d, want 1", sw.ActiveMegaflows())
+	if sw.core.mega.Len() != 1 {
+		t.Errorf("active megaflows = %d, want 1", sw.core.mega.Len())
 	}
 }
 
@@ -206,8 +206,8 @@ func TestMegaflowOverflowFlushes(t *testing.T) {
 	if len(up.pkts) != 10 {
 		t.Errorf("delivered %d packets, want 10", len(up.pkts))
 	}
-	if sw.ActiveMegaflows() > 4 {
-		t.Errorf("megaflow cache exceeded its limit: %d", sw.ActiveMegaflows())
+	if sw.core.mega.Len() > 4 {
+		t.Errorf("megaflow cache exceeded its limit: %d", sw.core.mega.Len())
 	}
 }
 
@@ -352,12 +352,11 @@ func TestMegaflowAgainstMapOracle(t *testing.T) {
 // flowAction, hash and bucket included, of one installed by its own table
 // walk plus resolve (plane b) — for every egress outcome, from a shaped and
 // an unshaped source, and again after an epoch whose keepBuckets re-packs
-// the bucket indices. While NIC placements exist the claim depends on the
-// whole key, and the promoted flow must get its own.
+// the bucket indices.
 func TestPromotedActionEqualsResolve(t *testing.T) {
 	remote, unmapped := packet.MakeIP(10, 0, 9, 1), packet.MakeIP(10, 0, 9, 2)
 	vmC := VMKey{Tenant: 3, IP: packet.MakeIP(10, 0, 0, 3)} // attached, never shaped
-	build := func(tunneling bool, nic []rules.Pattern) (*ShardedPlane, *PlaneInjector) {
+	build := func(tunneling bool) (*ShardedPlane, *PlaneInjector) {
 		pl := NewShardedPlane(PlaneConfig{Shards: 1, Tunneling: tunneling, ServerIP: srvA, Now: func() time.Duration { return 0 }})
 		t.Cleanup(pl.Close)
 		for _, vm := range []VMKey{vmA, vmB, vmC} {
@@ -369,7 +368,6 @@ func TestPromotedActionEqualsResolve(t *testing.T) {
 		pl.SetVIFLimit(vmA, 40e9)
 		pl.SetVIFLimit(vmB, 10e9)
 		pl.SetTunnel(rules.TunnelMapping{Tenant: 3, VMIP: remote, Remote: srvB})
-		pl.SetNICPlacements(nic)
 		// vmA's bucket is made first and vmB's second, at indices 0 and 1.
 		inj := pl.NewInjector()
 		inj.Egress(vmA, packet.NewTCP(3, vmA.IP, remote, 1, 8443, 100))
@@ -378,17 +376,15 @@ func TestPromotedActionEqualsResolve(t *testing.T) {
 		return pl, inj
 	}
 	for _, tc := range []struct {
-		name      string
-		src       VMKey
-		dst       packet.IP
-		dport     uint16
-		plain     bool // tunnelling off
-		nicClaims bool // a placement claims the promoted flow and not its sibling
-		want      egressKind
-		shaped    bool // the action names vmB's bucket
+		name   string
+		src    VMKey
+		dst    packet.IP
+		dport  uint16
+		plain  bool // tunnelling off
+		want   egressKind
+		shaped bool // the action names vmB's bucket
 	}{
 		{name: "deny", src: vmB, dst: remote, dport: 22, want: egressDeny},
-		{name: "nic-claimed", src: vmB, dst: remote, dport: 80, nicClaims: true, want: egressNIC},
 		{name: "local-shaped", src: vmB, dst: vmC.IP, dport: 80, want: egressLocal, shaped: true},
 		{name: "plain-shaped", src: vmB, dst: remote, dport: 443, plain: true, want: egressPlain, shaped: true},
 		{name: "plain-unshaped", src: vmC, dst: remote, dport: 443, plain: true, want: egressPlain},
@@ -399,12 +395,8 @@ func TestPromotedActionEqualsResolve(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sibling := packet.NewTCP(3, tc.src.IP, tc.dst, 40001, tc.dport, 100)
 			flow := packet.NewTCP(3, tc.src.IP, tc.dst, 40002, tc.dport, 100)
-			var nic []rules.Pattern
-			if tc.nicClaims {
-				nic = []rules.Pattern{{Tenant: 3, SrcPort: 40002}}
-			}
-			a, injA := build(!tc.plain, nic)
-			b, injB := build(!tc.plain, nic)
+			a, injA := build(!tc.plain)
+			b, injB := build(!tc.plain)
 			k, h := flow.Key(), flowSlotHash(flow.Key())
 			check := func(stage string, bucket int32) {
 				t.Helper()

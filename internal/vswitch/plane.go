@@ -7,7 +7,7 @@
 // vectors (~32) so per-packet overheads amortize per batch.
 //
 // Control-plane mutations (rule installs, invalidations, VM
-// attach/detach, tunnel updates, VIF limits, NIC placements) never touch
+// attachments, tunnel updates, VIF limits) never touch
 // shard state directly: they rebuild an immutable snapshot and publish it
 // through an RCU-style atomic pointer swap (rules.EpochPublisher). Shards
 // pick the new epoch up at vector boundaries and flush their private
@@ -27,7 +27,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/rules"
-	"repro/internal/sketch"
 	"repro/internal/telemetry"
 )
 
@@ -76,10 +75,6 @@ func (c PlaneConfig) normalized() PlaneConfig {
 type planeTables struct {
 	vms     map[VMKey]*rules.CompiledVM
 	tunnels *rules.TunnelView
-	// nic indexes NIC-placed patterns for the NIC-first egress check;
-	// nil when the host has no SmartNIC placements.
-	nic  *rules.TupleSpace[int]
-	nicN int
 	// limits holds per-VIF egress rates in bps (htb split across shards).
 	limits map[VMKey]float64
 }
@@ -91,10 +86,9 @@ type planeTables struct {
 type PlaneCounters struct {
 	// Vectors and Packets count processed batches and packets.
 	Vectors, Packets uint64
-	// Tx counts packets transmitted: encapsulated toward the fabric,
-	// delivered locally, or claimed by NIC-first egress. LocalTx and
-	// NICTx are its sub-counters.
-	Tx, LocalTx, NICTx uint64
+	// Tx counts packets transmitted: encapsulated toward the fabric or
+	// delivered locally. LocalTx is its sub-counter.
+	Tx, LocalTx uint64
 	// Denied counts packets rejected by security rules; Unrouted packets
 	// with no source vport or tunnel mapping.
 	Denied, Unrouted uint64
@@ -115,7 +109,6 @@ func (c PlaneCounters) Add(o PlaneCounters) PlaneCounters {
 	c.Packets += o.Packets
 	c.Tx += o.Tx
 	c.LocalTx += o.LocalTx
-	c.NICTx += o.NICTx
 	c.Denied += o.Denied
 	c.Unrouted += o.Unrouted
 	c.EpochFlushes += o.EpochFlushes
@@ -141,7 +134,6 @@ type ShardedPlane struct {
 	vms     map[VMKey]*rules.VMRules
 	limits  map[VMKey]float64
 	tunnels *rules.TunnelTable
-	nicPats []rules.Pattern
 }
 
 // NewShardedPlane builds a plane and publishes its first (empty) epoch.
@@ -172,32 +164,6 @@ func NewShardedPlane(cfg PlaneConfig) *ShardedPlane {
 	return pl
 }
 
-// Shards returns the worker count (1 in inline mode).
-func (pl *ShardedPlane) Shards() int { return len(pl.shards) }
-
-// Inline reports whether the plane runs deterministically on the caller's
-// goroutine.
-func (pl *ShardedPlane) Inline() bool { return pl.inline }
-
-// EpochSeq returns the current published epoch sequence.
-func (pl *ShardedPlane) EpochSeq() uint64 { return pl.pub.Load().Seq }
-
-// EnableSketch attaches one accountant shard to each plane shard: every
-// classified packet is then Observe()d on the owning shard's sketch with
-// no cross-shard synchronization. The accountant must have been built
-// with New(cfg, pl.Shards()); reading merged estimates follows the same
-// quiescence contract as FlowSnapshot (after Barrier or Close, or in
-// inline mode). Call before submitting traffic — shards read sk without
-// locks.
-func (pl *ShardedPlane) EnableSketch(acct *sketch.Accountant) {
-	if acct.Shards() != len(pl.shards) {
-		panic("vswitch: accountant shard count must match plane shards")
-	}
-	for i, sh := range pl.shards {
-		sh.core.sk = acct.Shard(i)
-	}
-}
-
 // buildTables compiles the control-plane state into an immutable
 // snapshot; a VM whose rules have not changed since the last one keeps its
 // compiled index (VMRules.Compile). Caller holds mu (or has exclusive
@@ -213,13 +179,6 @@ func (pl *ShardedPlane) buildTables() *planeTables {
 	}
 	for k, bps := range pl.limits {
 		t.limits[k] = bps
-	}
-	if len(pl.nicPats) > 0 {
-		t.nic = rules.NewTupleSpace[int]()
-		for _, p := range pl.nicPats {
-			t.nic.Insert(p, 0, 0)
-		}
-		t.nicN = len(pl.nicPats)
 	}
 	return t
 }
@@ -242,28 +201,11 @@ func (pl *ShardedPlane) AttachVM(key VMKey, r *rules.VMRules) {
 	pl.publishLocked()
 }
 
-// DetachVM publishes a VM removal.
-func (pl *ShardedPlane) DetachVM(key VMKey) {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	delete(pl.vms, key)
-	delete(pl.limits, key)
-	pl.publishLocked()
-}
-
 // SetTunnel publishes a tunnel mapping install/update.
 func (pl *ShardedPlane) SetTunnel(m rules.TunnelMapping) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	pl.tunnels.Set(m)
-	pl.publishLocked()
-}
-
-// RemoveTunnel publishes a tunnel mapping removal.
-func (pl *ShardedPlane) RemoveTunnel(tenant packet.TenantID, vmIP packet.IP) {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	pl.tunnels.Remove(tenant, vmIP)
 	pl.publishLocked()
 }
 
@@ -277,16 +219,6 @@ func (pl *ShardedPlane) SetVIFLimit(key VMKey, egressBps float64) {
 	} else {
 		delete(pl.limits, key)
 	}
-	pl.publishLocked()
-}
-
-// SetNICPlacements publishes the SmartNIC-placed pattern set for the
-// NIC-first egress check; flows covered by a placement bypass software
-// shaping and encap.
-func (pl *ShardedPlane) SetNICPlacements(pats []rules.Pattern) {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	pl.nicPats = append(pl.nicPats[:0], pats...)
 	pl.publishLocked()
 }
 
@@ -354,41 +286,6 @@ func (pl *ShardedPlane) Counters() PlaneCounters {
 	return out
 }
 
-// PlaneFlowStat is one flow's merged fast-path accounting.
-type PlaneFlowStat struct {
-	Key     packet.FlowKey
-	Allow   bool
-	Queue   int
-	Packets uint64
-	Bytes   uint64
-}
-
-// FlowSnapshot merges every shard's exact-cache entries. Only valid when
-// no vectors are in flight (after Barrier or Close, or in inline mode) —
-// it walks shard-private tables. A shard's table is a bounded cache
-// (ExactTableSlots): flows past its capacity displace older ones, whose
-// counts leave the snapshot with them.
-func (pl *ShardedPlane) FlowSnapshot() []PlaneFlowStat {
-	var out []PlaneFlowStat
-	for _, sh := range pl.shards {
-		sh.core.exact.each(func(e *flowEntry) {
-			v := e.verdict()
-			out = append(out, PlaneFlowStat{Key: e.key, Allow: v.allow, Queue: v.queue, Packets: e.pkts, Bytes: e.bytes})
-		})
-	}
-	return out
-}
-
-// ActiveFlows returns the summed exact-cache population (same validity
-// contract as FlowSnapshot).
-func (pl *ShardedPlane) ActiveFlows() int {
-	n := 0
-	for _, sh := range pl.shards {
-		n += sh.core.exact.live
-	}
-	return n
-}
-
 // SetRecorder attaches a flight-recorder scope to the inline shard.
 // Worker-mode planes ignore it: the recorder's event sequencing is not
 // concurrency-safe, so multi-shard telemetry is counters merged at
@@ -398,32 +295,6 @@ func (pl *ShardedPlane) SetRecorder(rec *telemetry.Scoped) {
 		return
 	}
 	pl.shards[0].rec = rec
-}
-
-// RegisterMetrics registers the plane's merged counters with the central
-// registry under fastrak_plane_* names. Gauges read the per-shard atomic
-// mirrors, so sampling a running plane is race-free.
-func (pl *ShardedPlane) RegisterMetrics(reg *telemetry.Registry, labels ...string) {
-	if reg == nil {
-		return
-	}
-	lbl := func(extra ...string) []string {
-		return append(append([]string(nil), labels...), extra...)
-	}
-	g := func(name, help string, f func(PlaneCounters) uint64, extra ...string) {
-		reg.Gauge(name, help, func() float64 { return float64(f(pl.Counters())) }, lbl(extra...)...)
-	}
-	reg.Gauge("fastrak_plane_shards", "sharded data plane worker count", func() float64 { return float64(len(pl.shards)) }, lbl()...)
-	g("fastrak_plane_vectors_total", "packet vectors processed", func(c PlaneCounters) uint64 { return c.Vectors })
-	g("fastrak_plane_packets_total", "packets processed", func(c PlaneCounters) uint64 { return c.Packets })
-	g("fastrak_plane_tx_total", "packets transmitted (wire + local + NIC)", func(c PlaneCounters) uint64 { return c.Tx })
-	g("fastrak_plane_nic_tx_total", "packets claimed by NIC-first egress", func(c PlaneCounters) uint64 { return c.NICTx })
-	g("fastrak_plane_denied_total", "packets rejected by security rules", func(c PlaneCounters) uint64 { return c.Denied })
-	g("fastrak_plane_unrouted_total", "packets with no vport or tunnel", func(c PlaneCounters) uint64 { return c.Unrouted })
-	g("fastrak_plane_drops_total", "intentional drops by cause", func(c PlaneCounters) uint64 { return c.Drops.Shape }, "cause=shape")
-	g("fastrak_plane_epoch_flushes_total", "per-shard cache flushes on epoch change", func(c PlaneCounters) uint64 { return c.EpochFlushes })
-	g("fastrak_plane_megaflow_hits_total", "merged megaflow cache hits", func(c PlaneCounters) uint64 { return c.Megaflow.Hits })
-	g("fastrak_plane_megaflow_misses_total", "merged megaflow cache misses", func(c PlaneCounters) uint64 { return c.Megaflow.Misses })
 }
 
 // PlaneInjector batches a single producer's packets into per-shard

@@ -76,7 +76,7 @@ func buildDiffWorkload(seed int64) *diffWorkload {
 			if tunnelUp {
 				pl.SetTunnel(rules.TunnelMapping{Tenant: 3, VMIP: remote(ti), Remote: srvB})
 			} else {
-				pl.RemoveTunnel(3, remote(ti))
+				removeTunnel(pl, 3, remote(ti))
 			}
 			pl.Invalidate(rules.Pattern{Tenant: 3})
 		})
@@ -144,11 +144,11 @@ func TestPlaneDifferential1v4Shards(t *testing.T) {
 	// Outcome counters must agree per cause; vector/flush bookkeeping may
 	// differ (4 shards flush caches independently).
 	type outcomes struct {
-		packets, tx, localTx, nicTx, denied, unrouted uint64
-		drops                                         uint64
+		packets, tx, localTx, denied, unrouted uint64
+		drops                                  uint64
 	}
 	o := func(c PlaneCounters) outcomes {
-		return outcomes{c.Packets, c.Tx, c.LocalTx, c.NICTx, c.Denied, c.Unrouted, c.Drops.Total()}
+		return outcomes{c.Packets, c.Tx, c.LocalTx, c.Denied, c.Unrouted, c.Drops.Total()}
 	}
 	if o(c1) != o(c4) {
 		t.Fatalf("outcome counters diverged:\n1-shard %+v\n4-shard %+v", o(c1), o(c4))

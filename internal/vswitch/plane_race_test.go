@@ -61,17 +61,15 @@ func TestPlaneRuleChurnRace(t *testing.T) {
 		rng := rand.New(rand.NewSource(99))
 		for i := 0; !prodDone.Load() && i < 1_000_000; i++ {
 			vi := rng.Intn(numVMs)
-			switch rng.Intn(6) {
+			switch rng.Intn(5) {
 			case 0:
 				pl.AttachVM(vmKeys[vi], planeRuleSet(rng, 3, vmKeys[vi].IP))
 			case 1:
 				pl.SetTunnel(rules.TunnelMapping{Tenant: 3, VMIP: remote(rng.Intn(4)), Remote: srvB})
 			case 2:
-				pl.RemoveTunnel(3, remote(rng.Intn(4)))
+				removeTunnel(pl, 3, remote(rng.Intn(4)))
 			case 3:
 				pl.SetVIFLimit(vmKeys[vi], float64(1+rng.Intn(100))*1e9) // high: shape rarely
-			case 4:
-				pl.SetNICPlacements([]rules.Pattern{{Tenant: 3, Src: vmKeys[vi].IP, SrcPrefix: 32}})
 			default:
 				pl.Invalidate(rules.Pattern{Tenant: 3})
 			}

@@ -173,13 +173,13 @@ func TestPlaneEpochFlush(t *testing.T) {
 	}
 
 	send() // epoch 1: allowed
-	seq := pl.EpochSeq()
+	seq := pl.pub.Load().Seq
 
 	deny := &rules.VMRules{Tenant: 3, VMIP: vmA.IP, Security: []rules.SecurityRule{
 		{Pattern: rules.Pattern{Tenant: 3}, Action: rules.Deny, Priority: 1},
 	}}
 	pl.AttachVM(vmA, deny)
-	if pl.EpochSeq() == seq {
+	if pl.pub.Load().Seq == seq {
 		t.Fatal("AttachVM did not publish a new epoch")
 	}
 	send() // epoch 2: denied — stale cached verdict must not survive
@@ -219,31 +219,6 @@ func TestPlaneTunnelAndLocalOutcomes(t *testing.T) {
 	}
 }
 
-// TestPlaneNICFirstEgress checks that flows covered by a published
-// SmartNIC placement leave through the NIC-first arm, and that removing
-// the placement returns them to the software path.
-func TestPlaneNICFirstEgress(t *testing.T) {
-	pl := NewShardedPlane(PlaneConfig{Shards: 1, Tunneling: true, ServerIP: srvA})
-	pl.AttachVM(vmA, nil)
-	dst := packet.MustParseIP("10.0.9.9")
-	pl.SetTunnel(rules.TunnelMapping{Tenant: 3, VMIP: dst, Remote: srvB})
-	pl.SetNICPlacements([]rules.Pattern{{Tenant: 3, Src: vmA.IP, SrcPrefix: 32, Dst: dst, DstPrefix: 32}})
-	inj := pl.NewInjector()
-	send := func() {
-		inj.Egress(vmA, sendPkt(3, vmA.IP, dst, 80, 100))
-		inj.Flush()
-	}
-	send()
-	if c := pl.Counters(); c.NICTx != 1 || c.Tx != 1 {
-		t.Fatalf("counters %+v, want the packet claimed by NIC-first egress", c)
-	}
-	pl.SetNICPlacements(nil)
-	send()
-	if c := pl.Counters(); c.NICTx != 1 || c.Tx != 2 {
-		t.Fatalf("counters %+v, want the second packet on the software path", c)
-	}
-}
-
 // TestPlaneShapingDrops checks per-shard htb enforcement on the virtual
 // clock: a tight VIF limit drops the overflow as Shape, and conservation
 // still closes.
@@ -274,7 +249,7 @@ func TestPlaneShapingDrops(t *testing.T) {
 // flow snapshots — the determinism contract the single-shard default mode
 // must keep for the sim/experiment/chaos harness.
 func TestPlaneInlineDeterminism(t *testing.T) {
-	run := func() (PlaneCounters, map[packet.FlowKey]PlaneFlowStat) {
+	run := func() (PlaneCounters, map[packet.FlowKey]planeFlow) {
 		rng := rand.New(rand.NewSource(99))
 		pl := NewShardedPlane(PlaneConfig{Shards: 1, Tunneling: true, ServerIP: srvA})
 		var keys []VMKey
@@ -297,8 +272,8 @@ func TestPlaneInlineDeterminism(t *testing.T) {
 			}
 		}
 		inj.Flush()
-		flows := map[packet.FlowKey]PlaneFlowStat{}
-		for _, f := range pl.FlowSnapshot() {
+		flows := map[packet.FlowKey]planeFlow{}
+		for _, f := range flowSnapshot(pl) {
 			flows[f.Key] = f
 		}
 		return pl.Counters(), flows
@@ -357,8 +332,8 @@ func TestPlaneWorkerModeBasics(t *testing.T) {
 	if len(perFlowShard) != 16 {
 		t.Fatalf("expected 16 distinct flows across shards, got %d", len(perFlowShard))
 	}
-	if pl.ActiveFlows() != 16 {
-		t.Fatalf("ActiveFlows = %d, want 16", pl.ActiveFlows())
+	if activeFlows(pl) != 16 {
+		t.Fatalf("ActiveFlows = %d, want 16", activeFlows(pl))
 	}
 }
 
@@ -381,4 +356,44 @@ func TestPlaneVectorBatching(t *testing.T) {
 	if c.Vectors != 3 || c.Packets != 20 {
 		t.Fatalf("counters %+v, want 3 vectors / 20 packets", c)
 	}
+}
+
+// planeFlow is one flow's merged exact-cache accounting.
+type planeFlow struct {
+	Key     packet.FlowKey
+	Allow   bool
+	Queue   int
+	Packets uint64
+	Bytes   uint64
+}
+
+// flowSnapshot merges every shard's exact-cache entries. Call it only
+// with no vectors in flight: it walks shard-private tables.
+func flowSnapshot(pl *ShardedPlane) []planeFlow {
+	var out []planeFlow
+	for _, sh := range pl.shards {
+		sh.core.exact.each(func(e *flowEntry) {
+			v := e.verdict()
+			out = append(out, planeFlow{Key: e.key, Allow: v.allow, Queue: v.queue, Packets: e.pkts, Bytes: e.bytes})
+		})
+	}
+	return out
+}
+
+// activeFlows returns the summed exact-cache population, under the same
+// condition as flowSnapshot.
+func activeFlows(pl *ShardedPlane) int {
+	n := 0
+	for _, sh := range pl.shards {
+		n += sh.core.exact.live
+	}
+	return n
+}
+
+// removeTunnel publishes a tunnel mapping removal.
+func removeTunnel(pl *ShardedPlane, tenant packet.TenantID, vmIP packet.IP) {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	pl.tunnels.Remove(tenant, vmIP)
+	pl.publishLocked()
 }

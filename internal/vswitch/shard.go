@@ -26,7 +26,7 @@ type shardMsg struct {
 // once per vector; readers only load.
 type planeCountersAtomic struct {
 	vectors, packets                   atomic.Uint64
-	tx, localTx, nicTx                 atomic.Uint64
+	tx, localTx                        atomic.Uint64
 	denied, unrouted, epochFlushes     atomic.Uint64
 	dropShape                          atomic.Uint64
 	megaHits, megaMisses, megaInstalls atomic.Uint64
@@ -48,7 +48,6 @@ func (a *planeCountersAtomic) publish(c *PlaneCounters, core *flowCore) {
 	storeChanged(&a.packets, c.Packets)
 	storeChanged(&a.tx, c.Tx)
 	storeChanged(&a.localTx, c.LocalTx)
-	storeChanged(&a.nicTx, c.NICTx)
 	storeChanged(&a.denied, c.Denied)
 	storeChanged(&a.unrouted, c.Unrouted)
 	storeChanged(&a.epochFlushes, c.EpochFlushes)
@@ -67,7 +66,6 @@ func (a *planeCountersAtomic) snapshot() PlaneCounters {
 		Packets:      a.packets.Load(),
 		Tx:           a.tx.Load(),
 		LocalTx:      a.localTx.Load(),
-		NICTx:        a.nicTx.Load(),
 		Denied:       a.denied.Load(),
 		Unrouted:     a.unrouted.Load(),
 		EpochFlushes: a.epochFlushes.Load(),
@@ -104,11 +102,7 @@ type planeShard struct {
 	seq    uint64
 	tables *planeTables
 
-	// core holds the private caches, flushed wholesale on epoch change. Its
-	// sketch hook, when set (ShardedPlane.EnableSketch), gets each classified
-	// packet's (1 pkt, wire bytes) accrual; it is owned exclusively by this
-	// shard's goroutine, and merged reads follow the FlowSnapshot quiescence
-	// contract.
+	// core holds the private caches, flushed wholesale on epoch change.
 	core flowCore
 
 	// Shaping buckets, kept across epochs (keepBuckets). Flow entries name
@@ -208,20 +202,12 @@ func (sh *planeShard) bucketFor(key VMKey, bps float64) int32 {
 
 // resolve refines the action the core installed for a flow (its verdict)
 // from the epoch's tables, in the order egress tests the outcomes; the hash
-// is left to process. But for the NIC claim, what it adds depends on the
-// key's tenant, source and destination alone, which every megaflow's mask
-// pins (evaluate): with no NIC placements, process resolves per megaflow.
+// is left to process. What it adds depends on the key's tenant, source and
+// destination alone, which every megaflow's mask pins (evaluate), so
+// process resolves per megaflow.
 func (sh *planeShard) resolve(t *planeTables, k packet.FlowKey, a flowAction) flowAction {
 	if a.kind == egressDeny {
 		return a
-	}
-	// NIC-first egress: flows the SmartNIC has placed leave through
-	// hardware; software shaping and encap are skipped.
-	if t.nicN > 0 {
-		if _, ok := t.nic.Lookup(k); ok {
-			a.kind = egressNIC
-			return a
-		}
 	}
 	src := VMKey{Tenant: k.Tenant, IP: k.Src}
 	if bps, ok := t.limits[src]; ok {
@@ -241,7 +227,7 @@ func (sh *planeShard) resolve(t *planeTables, k packet.FlowKey, a flowAction) fl
 
 // process runs one vector through the pipeline: epoch pickup → flow-key
 // extraction → classification (exact → megaflow → full table walk) →
-// egress (NIC-first → shape → local/encap). A warm packet costs one table
+// egress (shape → local/encap). A warm packet costs one table
 // probe, one bucket reservation and one frame write: everything else was
 // resolved when its flow was installed. Per-packet work touches only
 // shard-private state; shared state is the epoch snapshot (immutable) and
@@ -284,10 +270,7 @@ func (sh *planeShard) process(v *packet.Vector) {
 			} else {
 				e, m, _ = sh.core.miss(k, h, src, t.vms[VMKey{Tenant: k.Tenant, IP: k.Dst}])
 			}
-			switch {
-			case t.nicN > 0: // the NIC claim depends on the whole key
-				e.act = sh.resolve(t, k, e.act)
-			case m != nil: // promote copies it from the megaflow
+			if m != nil { // promote copies it from the megaflow
 				m.act = sh.resolve(t, k, m.act)
 				e.act = m.act
 			}
@@ -319,11 +302,6 @@ func (sh *planeShard) process(v *packet.Vector) {
 		if a.kind == egressDeny {
 			sh.c.Denied++
 			sh.rec.Drop(k.Tenant, k, "denied")
-			continue
-		}
-		if a.kind == egressNIC {
-			sh.c.NICTx++
-			sh.c.Tx++
 			continue
 		}
 		if a.bucket != noBucket {

@@ -140,9 +140,6 @@ func (s *Switch) OverloadEvents() (entered, recovered uint64) {
 // tenant ID.
 func (s *Switch) UpcallStats() []UpcallStats { return s.sched.snapshotStats() }
 
-// SetUplink rewires the physical port (topology assembly).
-func (s *Switch) SetUplink(p fabric.Port) { s.uplink = p }
-
 // AttachVM connects a VM's VIF. vmRules holds the tenant's security/QoS
 // rules for the VM; deliver receives packets destined to the VM; htbExec
 // is the VIF's serialized qdisc station.
@@ -660,6 +657,3 @@ func (s *Switch) Counters() Telemetry {
 
 // ActiveFlows returns the number of fast-path entries.
 func (s *Switch) ActiveFlows() int { return s.core.exact.live }
-
-// ActiveMegaflows returns the number of wildcard cache entries.
-func (s *Switch) ActiveMegaflows() int { return s.core.mega.Len() }

@@ -64,50 +64,11 @@ func (f *FileTransfer) Start(eng *sim.Engine) {
 	})
 }
 
-// Stop halts the transfer.
-func (f *FileTransfer) Stop() { f.stopped = true }
-
 // Rate returns the paced packets-per-second of the transfer — the ~135
 // pps signal the FasTrak ME sees for scp in §6.2.1.
 func (f *FileTransfer) Rate() float64 {
 	return f.DiskBps / 8 / float64(f.ChunkSize)
 }
-
-// CPUStress occupies a VM's vCPUs with busy work, the `stress` tool of
-// §6.1.1 ("we also introduced background noise into the VM using the
-// stress tool").
-type CPUStress struct {
-	VM *host.VM
-	// Workers is the number of spinning workers.
-	Workers int
-	// Slice is the busy-work quantum per scheduling round.
-	Slice time.Duration
-
-	stopped bool
-}
-
-// Start begins the load.
-func (s *CPUStress) Start(eng *sim.Engine) {
-	if s.Workers <= 0 {
-		s.Workers = 1
-	}
-	if s.Slice <= 0 {
-		s.Slice = 100 * time.Microsecond
-	}
-	for i := 0; i < s.Workers; i++ {
-		var spin func()
-		spin = func() {
-			if s.stopped {
-				return
-			}
-			s.VM.CPU.Submit(s.Slice, spin)
-		}
-		spin()
-	}
-}
-
-// Stop ends the load.
-func (s *CPUStress) Stop() { s.stopped = true }
 
 // IOZone models the IOzone filesystem benchmark (§6.1.1): sustained
 // disk-bound activity that burns VM CPU in bursts (buffer cache churn)
@@ -117,8 +78,6 @@ type IOZone struct {
 	// Utilization is the fraction of one vCPU consumed (IOzone is
 	// I/O-bound: default 0.4).
 	Utilization float64
-
-	stopped bool
 }
 
 // Start begins the load.
@@ -128,19 +87,5 @@ func (z *IOZone) Start(eng *sim.Engine) {
 	}
 	const round = time.Millisecond
 	busy := time.Duration(float64(round) * z.Utilization)
-	eng.Every(round, func() {
-		if z.stopped {
-			return
-		}
-		z.VM.CPU.Submit(busy, nil)
-	})
-}
-
-// Stop ends the load.
-func (z *IOZone) Stop() { z.stopped = true }
-
-// Iperf is a single long-lived bulk TCP flow (the §6.2.2 migration-trace
-// workload) built on Stream with one thread.
-func Iperf(client, server *host.VM, port uint16) *Stream {
-	return &Stream{Client: client, Server: server, Port: port, Size: 1448, Threads: 1, WindowBytes: 128 << 10}
+	eng.Every(round, func() { z.VM.CPU.Submit(busy, nil) })
 }

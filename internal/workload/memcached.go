@@ -223,11 +223,3 @@ func (ms *Memslap) armRetry(conn *slapConn) {
 
 // Stop halts an unbounded run.
 func (ms *Memslap) Stop() { ms.stopped = true }
-
-// TPS returns achieved transactions per second over elapsed.
-func (ms *Memslap) TPS(elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(ms.Completed) / elapsed.Seconds()
-}

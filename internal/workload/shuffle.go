@@ -108,6 +108,3 @@ func (s *Shuffle) Start(eng *sim.Engine) {
 		})
 	}
 }
-
-// Stop abandons the job.
-func (s *Shuffle) Stop() { s.stopped = true }

@@ -163,39 +163,14 @@ func TestFileTransferPacedByDisk(t *testing.T) {
 	}
 }
 
-func TestCPUStressConsumesGuestCPU(t *testing.T) {
-	c, a, _ := rig(t)
-	st := &CPUStress{VM: a, Workers: 2}
-	st.Start(c.Eng)
-	c.Eng.RunUntil(100 * time.Millisecond)
-	st.Stop()
-	used := a.CPU.Account.LogicalCPUs(100 * time.Millisecond)
-	if used < 1.8 || used > 2.2 {
-		t.Errorf("stress used %.2f CPUs, want ~2", used)
-	}
-	c.Eng.RunUntil(200 * time.Millisecond) // drain
-}
-
 func TestIOZoneFractionalLoad(t *testing.T) {
 	c, a, _ := rig(t)
 	z := &IOZone{VM: a, Utilization: 0.4}
 	z.Start(c.Eng)
 	c.Eng.RunUntil(100 * time.Millisecond)
-	z.Stop()
 	used := a.CPU.Account.LogicalCPUs(100 * time.Millisecond)
 	if used < 0.3 || used > 0.5 {
 		t.Errorf("iozone used %.2f CPUs, want ~0.4", used)
-	}
-}
-
-func TestIperfSingleFlow(t *testing.T) {
-	c, a, b := rig(t)
-	s := Iperf(a, b, 5201)
-	s.Start(c.Eng)
-	c.Eng.RunUntil(100 * time.Millisecond)
-	s.Stop()
-	if s.Messages == 0 {
-		t.Error("iperf idle")
 	}
 }
 
