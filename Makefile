@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet loc bench bench-update trace experiments clean
+.PHONY: all build test race vet loc trace experiments clean
 
 all: build test
 
@@ -23,14 +23,6 @@ vet:
 # Print the ROADMAP's size number (non-test Go lines outside bench/).
 loc:
 	@scripts/loc.sh
-
-# Run the fast-path microbenchmarks (rules, vswitch, packet, tunnel).
-bench:
-	scripts/bench.sh
-
-# Re-record the checked-in performance floor after an intentional change.
-bench-update:
-	scripts/bench.sh -update
 
 # Record flight-recorder traces for the two canonical scenarios and run
 # the offline analyzer over them. Open the .json files in

@@ -67,17 +67,14 @@ func (sh rackShape) play(w io.Writer, p params) error {
 	var inj *faults.Injector
 	if p.faults != "" {
 		inj = faults.NewInjector(d.Cluster.Eng, p.faultSeed)
-		d.Cluster.RegisterFaults(inj)
 		d.Manager.RegisterFaults(inj)
 		var plan faults.Plan
 		if p.faults == "random" {
-			links, channels, tables, controllers := inj.Targets()
-			plan = faults.RandomPlan(p.faultSeed, p.horizon*3/4, faults.TargetSet{
-				Links: links, Channels: channels, Tables: tables, Controllers: controllers,
-				NICs:       inj.NICTargets(),
-				Partitions: inj.PartitionTargets(),
-				Pausables:  inj.PausableTargets(),
-			})
+			// Every surface but the stats taps, which the rack rows'
+			// seeded random plans have never drawn from.
+			ts := inj.TargetSet()
+			ts.StatsTaps = nil
+			plan = faults.RandomPlan(p.faultSeed, p.horizon*3/4, ts)
 		} else if plan, err = faults.ParsePlan(p.faults); err != nil {
 			return err
 		}

@@ -83,9 +83,9 @@ func (c *Cluster) Downlink(idx int) *fabric.Link {
 
 // RegisterFaults names every access link on the injector: "uplink<i>" is
 // server i's server→ToR link, "downlink<i>" the reverse; servers with a
-// SmartNIC register it as "nic<i>" for reset/corruption faults.
-// Control-plane targets are registered separately by the rule manager
-// (core.Manager.RegisterFaults).
+// SmartNIC register it as "nic<i>" for reset/corruption faults. The rule
+// manager's core.Manager.RegisterFaults calls it beside registering the
+// control-plane targets, so a rig makes that one call.
 func (c *Cluster) RegisterFaults(inj *faults.Injector) {
 	for i := range c.uplinks {
 		inj.RegisterLink(fmt.Sprintf("uplink%d", i), c.uplinks[i])

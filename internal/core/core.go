@@ -275,9 +275,11 @@ func (m *Manager) FenceStats() (fenced, termConflicts uint64) {
 	return
 }
 
-// RegisterFaults names the rule manager's fault surfaces on the injector:
-// channel "local<i>-tor" is server i's control connection to its rack's
-// primary TOR controller, "torctl<r>-switch" is rack r's primary
+// RegisterFaults names every fault surface of the deployment on the
+// injector: the cluster's links and SmartNICs (cluster.RegisterFaults),
+// and the rule manager's own. Channel "local<i>-tor" is server i's
+// control connection to its rack's primary TOR controller,
+// "torctl<r>-switch" is rack r's primary
 // controller↔switch-agent connection, table "tor<r>" is rack r's TCAM
 // install path, and controller "torctl<r>" is rack r's crashable TOR
 // controller process. Each server's measurement engine is additionally
@@ -290,6 +292,7 @@ func (m *Manager) FenceStats() (fenced, termConflicts uint64) {
 // is additionally registered as a partitionable node (symmetric and
 // asymmetric network partitions) and as a pausable process.
 func (m *Manager) RegisterFaults(inj *faults.Injector) {
+	m.Cluster.RegisterFaults(inj)
 	for i, lc := range m.Locals {
 		for j, tr := range lc.toTORs {
 			name := fmt.Sprintf("local%d-tor", i)

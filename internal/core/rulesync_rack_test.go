@@ -73,7 +73,6 @@ func runSyncRack(t *testing.T, seed int64, full bool) (log []string, wireBytes u
 
 	const horizon = 8 * time.Second
 	inj := faults.NewInjector(eng, seed+100)
-	c.RegisterFaults(inj)
 	mgr.RegisterFaults(inj)
 	h := horizon
 	if err := inj.Apply(faults.Plan{Events: []faults.Event{

@@ -277,7 +277,7 @@ func runFaults(cfg FaultConfig, ha core.HAConfig) (FaultResult, error) {
 
 	var inj *faults.Injector
 	if cfg.Plan != nil {
-		inj = newInjector(c, mgr, cfg.FaultSeed)
+		inj = newInjector(mgr, cfg.FaultSeed)
 		if err := inj.Apply(*cfg.Plan); err != nil {
 			return FaultResult{}, err
 		}

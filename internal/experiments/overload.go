@@ -257,7 +257,7 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 	// Fault surfaces: the storm driver registers alongside the built-in
 	// channel/table/controller/stats surfaces.
 	storm := &stormDriver{eng: eng, vm: stormSrc, dst: stormDstIP}
-	inj := newInjector(c, mgr, cfg.FaultSeed)
+	inj := newInjector(mgr, cfg.FaultSeed)
 	inj.RegisterStormer("storm0", storm)
 	if err := inj.Apply(DefaultOverloadPlan(cfg.Horizon, cfg.StormPPS)); err != nil {
 		return OverloadResult{}, err

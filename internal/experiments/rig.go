@@ -137,9 +137,8 @@ func drive(eng *sim.Engine, vm *host.VM, dst packet.IP, sport, dport uint16, rat
 
 // newInjector returns an injector with every cluster and rule-manager
 // fault surface registered.
-func newInjector(c *cluster.Cluster, mgr *core.Manager, seed int64) *faults.Injector {
-	inj := faults.NewInjector(c.Eng, seed)
-	c.RegisterFaults(inj)
+func newInjector(mgr *core.Manager, seed int64) *faults.Injector {
+	inj := faults.NewInjector(mgr.Cluster.Eng, seed)
 	mgr.RegisterFaults(inj)
 	return inj
 }

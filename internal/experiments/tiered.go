@@ -180,12 +180,12 @@ func RunTiered(cfg TieredConfig) (TieredResult, error) {
 
 	var inj *faults.Injector
 	if cfg.Chaos {
-		inj = newInjector(c, mgr, cfg.FaultSeed)
-		links, channels, tables, controllers := inj.Targets()
-		plan := faults.RandomPlan(cfg.FaultSeed, 3*cfg.Horizon/4, faults.TargetSet{
-			Links: links, Channels: channels, Tables: tables,
-			Controllers: controllers, NICs: inj.NICTargets(),
-		})
+		inj = newInjector(mgr, cfg.FaultSeed)
+		// Links, channels, tables, controllers and NICs: the data-plane
+		// and single-controller surfaces the ladder is checked against.
+		ts := inj.TargetSet()
+		ts.StatsTaps, ts.Partitions, ts.Pausables = nil, nil, nil
+		plan := faults.RandomPlan(cfg.FaultSeed, 3*cfg.Horizon/4, ts)
 		if err := inj.Apply(plan); err != nil {
 			return TieredResult{}, err
 		}

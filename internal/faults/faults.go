@@ -6,12 +6,16 @@
 //
 // A Plan is a declarative list of timed Events — link failures and flaps,
 // probabilistic packet loss, control-channel severance and delay,
-// hardware rule-install rejection, and controller crash/restart. An
-// Injector binds the plan to named targets registered by the testbed
-// (fabric links, openflow transports, ToR TCAMs, TOR controllers) and
-// schedules everything on the sim engine, so a chaos run is exactly as
-// reproducible as a fault-free one: same seed, same byte-identical event
-// log.
+// hardware rule-install rejection, controller crash/restart and pause,
+// node partitions, miss storms, stats loss and delay, SmartNIC resets and
+// corruption. An Injector binds the plan to named targets registered by
+// the testbed and schedules everything on the sim engine, so a chaos run
+// is exactly as reproducible as a fault-free one: same seed, same
+// byte-identical event log.
+//
+// One table (kinds) gives every Kind its plan-DSL name and the target
+// surface it acts on; one registry keyed by surface and name holds every
+// target. A new kind is a constant, a table row and a case in schedule.
 //
 // The package deliberately knows nothing about fabric/openflow/tor/core —
 // targets plug in through the small interfaces below, which those
@@ -21,6 +25,7 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -95,43 +100,66 @@ const (
 	ControllerPause
 )
 
+// surface is a kind of fault target: what a registered name stands for.
+type surface uint8
+
+const (
+	linkSurface surface = iota
+	channelSurface
+	tableSurface
+	controllerSurface
+	stormerSurface
+	statsSurface
+	nicSurface
+	partitionSurface
+	pausableSurface
+)
+
+// surfaces names each surface as validation errors call it (category)
+// and as the injector log calls it (noun).
+var surfaces = [...]struct{ category, noun string }{
+	linkSurface:       {"link", "link"},
+	channelSurface:    {"channel", "channel"},
+	tableSurface:      {"table", "table"},
+	controllerSurface: {"controller", "controller"},
+	stormerSurface:    {"stormer", "stormer"},
+	statsSurface:      {"stats tap", "stats"},
+	nicSurface:        {"nic", "nic"},
+	partitionSurface:  {"partition node", "partition"},
+	pausableSurface:   {"pausable controller", "controller"},
+}
+
+// kinds gives each Kind its plan-DSL name and the surface its target is
+// registered on.
+var kinds = [...]struct {
+	name    string
+	surface surface
+}{
+	LinkDown:        {"linkdown", linkSurface},
+	LinkFlap:        {"linkflap", linkSurface},
+	PacketLoss:      {"loss", linkSurface},
+	ChannelDown:     {"ctldown", channelSurface},
+	ChannelLoss:     {"ctlloss", channelSurface},
+	ChannelDelay:    {"ctldelay", channelSurface},
+	TCAMReject:      {"tcamreject", tableSurface},
+	ControllerCrash: {"crash", controllerSurface},
+	MissStorm:       {"storm", stormerSurface},
+	StatsLoss:       {"statsloss", statsSurface},
+	StatsDelay:      {"statsdelay", statsSurface},
+	NICReset:        {"nicreset", nicSurface},
+	NICCorrupt:      {"niccorrupt", nicSurface},
+	PartitionNode:   {"partition", partitionSurface},
+	PartitionAsym:   {"apartition", partitionSurface},
+	ControllerPause: {"pause", pausableSurface},
+}
+
+func (k Kind) known() bool { return k > 0 && int(k) < len(kinds) }
+
 func (k Kind) String() string {
-	switch k {
-	case LinkDown:
-		return "linkdown"
-	case LinkFlap:
-		return "linkflap"
-	case PacketLoss:
-		return "loss"
-	case ChannelDown:
-		return "ctldown"
-	case ChannelLoss:
-		return "ctlloss"
-	case ChannelDelay:
-		return "ctldelay"
-	case TCAMReject:
-		return "tcamreject"
-	case ControllerCrash:
-		return "crash"
-	case MissStorm:
-		return "storm"
-	case StatsLoss:
-		return "statsloss"
-	case StatsDelay:
-		return "statsdelay"
-	case NICReset:
-		return "nicreset"
-	case NICCorrupt:
-		return "niccorrupt"
-	case PartitionNode:
-		return "partition"
-	case PartitionAsym:
-		return "apartition"
-	case ControllerPause:
-		return "pause"
-	default:
+	if !k.known() {
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
+	return kinds[k].name
 }
 
 // Event is one scheduled fault.
@@ -145,9 +173,11 @@ type Event struct {
 	// where it bounds the flapping).
 	Duration time.Duration
 	// Prob parameterizes probabilistic kinds (PacketLoss, ChannelLoss,
-	// TCAMReject; the latter defaults to 1 when 0).
+	// TCAMReject and StatsLoss, the last two defaulting to 1 when 0;
+	// NICCorrupt, defaulting to 0.5).
 	Prob float64
-	// Period is the LinkFlap toggle interval (default Duration/8).
+	// Period is the LinkFlap toggle interval (default Duration/8) or the
+	// NICReset repeat interval (0 = one reset).
 	Period time.Duration
 	// Delay is the ChannelDelay (or StatsDelay) extra latency.
 	Delay time.Duration
@@ -204,12 +234,33 @@ type Pausable interface {
 	Resume()
 }
 
-// partition is one node's registered channel directions, split by
-// orientation so asymmetric partitions can sever only what the node says
-// (outbound) while it still hears (inbound).
+// conn is a registered control connection: every direction of it. A
+// channel fault acts on all of them, so conn is itself a Channel.
+type conn []Channel
+
+func (c conn) SetDown(down bool) {
+	for _, d := range c {
+		d.SetDown(down)
+	}
+}
+
+func (c conn) SetLoss(prob float64, rng *rand.Rand) {
+	for _, d := range c {
+		d.SetLoss(prob, rng)
+	}
+}
+
+func (c conn) SetExtraDelay(x time.Duration) {
+	for _, d := range c {
+		d.SetExtraDelay(x)
+	}
+}
+
+// partition is one node's registered channel directions: all of them,
+// which a symmetric partition severs, and the outbound ones (what the
+// node says), which an asymmetric partition severs while it still hears.
 type partition struct {
-	inbound  []Channel
-	outbound []Channel
+	all, outbound conn
 }
 
 // Stormer is the fault surface of a miss-storm source: something that can
@@ -238,20 +289,21 @@ type NICTable interface {
 	CorruptRules(prob float64, rng *rand.Rand) int
 }
 
+// target names one registered victim.
+type target struct {
+	surface surface
+	name    string
+}
+
 // Injector binds fault plans to registered targets on a sim engine.
 type Injector struct {
 	eng  *sim.Engine
 	seed int64
 
-	links      map[string]Link
-	chans      map[string][]Channel
-	tables     map[string]HardwareTable
-	ctrls      map[string]Controller
-	stormers   map[string]Stormer
-	stats      map[string]StatsTap
-	nics       map[string]NICTable
-	partitions map[string]partition
-	pausables  map[string]Pausable
+	// targets holds every registered victim as the type its surface's
+	// Register method takes (a conn for channels, a partition for
+	// partition nodes).
+	targets map[target]any
 
 	log []string
 	// Applied counts fault transitions executed.
@@ -262,46 +314,40 @@ type Injector struct {
 // per-event RNGs of probabilistic faults (not the engine's own RNG, so
 // fault randomness is isolated from model randomness).
 func NewInjector(eng *sim.Engine, seed int64) *Injector {
-	return &Injector{
-		eng:        eng,
-		seed:       seed,
-		links:      make(map[string]Link),
-		chans:      make(map[string][]Channel),
-		tables:     make(map[string]HardwareTable),
-		ctrls:      make(map[string]Controller),
-		stormers:   make(map[string]Stormer),
-		stats:      make(map[string]StatsTap),
-		nics:       make(map[string]NICTable),
-		partitions: make(map[string]partition),
-		pausables:  make(map[string]Pausable),
-	}
+	return &Injector{eng: eng, seed: seed, targets: make(map[target]any)}
 }
 
+func (in *Injector) register(s surface, name string, v any) { in.targets[target{s, name}] = v }
+
 // RegisterLink names a wire target.
-func (in *Injector) RegisterLink(name string, l Link) { in.links[name] = l }
+func (in *Injector) RegisterLink(name string, l Link) { in.register(linkSurface, name, l) }
 
 // RegisterChannel names a control connection; pass every direction of the
 // connection so a ChannelDown severs it completely.
-func (in *Injector) RegisterChannel(name string, dirs ...Channel) { in.chans[name] = dirs }
+func (in *Injector) RegisterChannel(name string, dirs ...Channel) {
+	in.register(channelSurface, name, conn(dirs))
+}
 
 // RegisterTable names a hardware rule table target.
-func (in *Injector) RegisterTable(name string, t HardwareTable) { in.tables[name] = t }
+func (in *Injector) RegisterTable(name string, t HardwareTable) { in.register(tableSurface, name, t) }
 
 // RegisterController names a crashable controller target.
-func (in *Injector) RegisterController(name string, c Controller) { in.ctrls[name] = c }
+func (in *Injector) RegisterController(name string, c Controller) {
+	in.register(controllerSurface, name, c)
+}
 
 // RegisterStormer names a miss-storm source target.
-func (in *Injector) RegisterStormer(name string, s Stormer) { in.stormers[name] = s }
+func (in *Injector) RegisterStormer(name string, s Stormer) { in.register(stormerSurface, name, s) }
 
 // RegisterStatsTap names a statistics reporting path target.
-func (in *Injector) RegisterStatsTap(name string, s StatsTap) { in.stats[name] = s }
+func (in *Injector) RegisterStatsTap(name string, s StatsTap) { in.register(statsSurface, name, s) }
 
 // RegisterNIC names a SmartNIC table target. The NIC is also registered
 // as a hardware table under the same name, so TCAMReject (install-fault)
 // events apply to it too.
 func (in *Injector) RegisterNIC(name string, n NICTable) {
-	in.nics[name] = n
-	in.tables[name] = n
+	in.register(nicSurface, name, n)
+	in.register(tableSurface, name, n)
 }
 
 // RegisterPartition names a partitionable node by the full set of its
@@ -309,53 +355,40 @@ func (in *Injector) RegisterNIC(name string, n NICTable) {
 // outbound what it says. PartitionNode severs both, PartitionAsym only
 // outbound.
 func (in *Injector) RegisterPartition(name string, inbound, outbound []Channel) {
-	in.partitions[name] = partition{inbound: inbound, outbound: outbound}
+	all := append(append(conn(nil), inbound...), outbound...)
+	in.register(partitionSurface, name, partition{all: all, outbound: outbound})
 }
 
 // RegisterPausable names a freezable controller target.
-func (in *Injector) RegisterPausable(name string, p Pausable) { in.pausables[name] = p }
+func (in *Injector) RegisterPausable(name string, p Pausable) { in.register(pausableSurface, name, p) }
 
-// PartitionTargets lists registered partitionable nodes, sorted.
-func (in *Injector) PartitionTargets() []string { return sortedNames(in.partitions) }
-
-// PausableTargets lists registered pausable controllers, sorted.
-func (in *Injector) PausableTargets() []string { return sortedNames(in.pausables) }
-
-// NICTargets lists registered SmartNIC targets, sorted.
-func (in *Injector) NICTargets() []string {
+// names lists the targets registered on a surface, sorted.
+func (in *Injector) names(s surface) []string {
 	var out []string
-	for n := range in.nics {
-		out = append(out, n)
+	for t := range in.targets {
+		if t.surface == s {
+			out = append(out, t.name)
+		}
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Targets lists registered target names for the four original
-// categories, sorted — handy for CLI help and for random plan
-// generation. It deliberately covers only links, channels, tables and
-// controllers; the categories added since live in their own accessors so
-// existing callers (and seeded random plans) are unchanged: SmartNIC
-// tables in NICTargets, and partitionable nodes / pausable controllers in
-// PartitionTargets and PausableTargets.
-func (in *Injector) Targets() (links, channels, tables, controllers []string) {
-	for n := range in.links {
-		links = append(links, n)
+// TargetSet lists every registered target by surface, sorted. A caller
+// that wants a random plan over fewer surfaces clears their fields before
+// handing the set to RandomPlan.
+func (in *Injector) TargetSet() TargetSet {
+	return TargetSet{
+		Links:       in.names(linkSurface),
+		Channels:    in.names(channelSurface),
+		Tables:      in.names(tableSurface),
+		Controllers: in.names(controllerSurface),
+		Stormers:    in.names(stormerSurface),
+		StatsTaps:   in.names(statsSurface),
+		NICs:        in.names(nicSurface),
+		Partitions:  in.names(partitionSurface),
+		Pausables:   in.names(pausableSurface),
 	}
-	for n := range in.chans {
-		channels = append(channels, n)
-	}
-	for n := range in.tables {
-		tables = append(tables, n)
-	}
-	for n := range in.ctrls {
-		controllers = append(controllers, n)
-	}
-	sort.Strings(links)
-	sort.Strings(channels)
-	sort.Strings(tables)
-	sort.Strings(controllers)
-	return
 }
 
 // Log returns the chronological record of applied fault transitions. Two
@@ -368,9 +401,9 @@ func (in *Injector) logf(format string, args ...any) {
 	in.log = append(in.log, fmt.Sprintf("%12v %s", in.eng.Now(), fmt.Sprintf(format, args...)))
 }
 
-// Apply validates every event's target and schedules the whole plan.
-// Events are scheduled in plan order; equal-time events fire in plan
-// order too (the engine's FIFO tie-break).
+// Apply validates every event and schedules the whole plan. Events are
+// scheduled in plan order; equal-time events fire in plan order too (the
+// engine's FIFO tie-break).
 func (in *Injector) Apply(p Plan) error {
 	for i, ev := range p.Events {
 		if err := in.validate(ev); err != nil {
@@ -383,75 +416,56 @@ func (in *Injector) Apply(p Plan) error {
 	return nil
 }
 
-// sortedNames returns a map's keys in sorted order — the "valid targets"
-// list validation errors carry.
-func sortedNames[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for n := range m {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+const (
+	// maxTime bounds every time an event names (about 73 years), so no
+	// sum of At, Duration and Period overflows.
+	maxTime = time.Duration(1) << 61
+	// maxSteps bounds how many times a LinkFlap toggles or a NICReset
+	// repeats: a period far below its window would otherwise schedule
+	// more events than the engine can hold.
+	maxSteps = 10000
+)
 
-// unknownTarget builds the validation error for a bad target name,
-// listing the targets actually registered for the kind so a typo in a
-// plan spec is diagnosable without reading the rig's wiring code.
-func unknownTarget[V any](category, target string, m map[string]V) error {
-	valid := sortedNames(m)
-	if len(valid) == 0 {
-		return fmt.Errorf("unknown %s %q (no %ss registered)", category, target, category)
-	}
-	return fmt.Errorf("unknown %s %q (registered %ss: %s)",
-		category, target, category, strings.Join(valid, ", "))
-}
-
+// validate refuses an event the engine cannot run: an unknown kind or
+// target, a time before now, a negative or overlong time, a period that
+// splits the window into more than maxSteps steps, or a probability or
+// rate that is not a finite number in range.
 func (in *Injector) validate(ev Event) error {
-	switch ev.Kind {
-	case LinkDown, LinkFlap, PacketLoss:
-		if _, ok := in.links[ev.Target]; !ok {
-			return unknownTarget("link", ev.Target, in.links)
-		}
-	case ChannelDown, ChannelLoss, ChannelDelay:
-		if _, ok := in.chans[ev.Target]; !ok {
-			return unknownTarget("channel", ev.Target, in.chans)
-		}
-	case TCAMReject:
-		if _, ok := in.tables[ev.Target]; !ok {
-			return unknownTarget("table", ev.Target, in.tables)
-		}
-	case ControllerCrash:
-		if _, ok := in.ctrls[ev.Target]; !ok {
-			return unknownTarget("controller", ev.Target, in.ctrls)
-		}
-	case MissStorm:
-		if _, ok := in.stormers[ev.Target]; !ok {
-			return unknownTarget("stormer", ev.Target, in.stormers)
-		}
-		if ev.Rate < 0 {
-			return fmt.Errorf("negative storm rate %v", ev.Rate)
-		}
-	case StatsLoss, StatsDelay:
-		if _, ok := in.stats[ev.Target]; !ok {
-			return unknownTarget("stats tap", ev.Target, in.stats)
-		}
-	case NICReset, NICCorrupt:
-		if _, ok := in.nics[ev.Target]; !ok {
-			return unknownTarget("nic", ev.Target, in.nics)
-		}
-	case PartitionNode, PartitionAsym:
-		if _, ok := in.partitions[ev.Target]; !ok {
-			return unknownTarget("partition node", ev.Target, in.partitions)
-		}
-	case ControllerPause:
-		if _, ok := in.pausables[ev.Target]; !ok {
-			return unknownTarget("pausable controller", ev.Target, in.pausables)
-		}
-	default:
+	if !ev.Kind.known() {
 		return fmt.Errorf("unknown kind %d", ev.Kind)
 	}
-	if ev.Prob < 0 || ev.Prob > 1 {
+	s := kinds[ev.Kind].surface
+	if _, ok := in.targets[target{s, ev.Target}]; !ok {
+		category, valid := surfaces[s].category, in.names(s)
+		if len(valid) == 0 {
+			return fmt.Errorf("unknown %s %q (no %ss registered)", category, ev.Target, category)
+		}
+		return fmt.Errorf("unknown %s %q (registered %ss: %s)",
+			category, ev.Target, category, strings.Join(valid, ", "))
+	}
+	switch {
+	case math.IsNaN(ev.Rate) || math.IsInf(ev.Rate, 0):
+		return fmt.Errorf("storm rate %v not finite", ev.Rate)
+	case ev.Rate < 0:
+		return fmt.Errorf("negative storm rate %v", ev.Rate)
+	case !(ev.Prob >= 0 && ev.Prob <= 1):
 		return fmt.Errorf("probability %v out of [0,1]", ev.Prob)
+	case ev.At < in.eng.Now():
+		return fmt.Errorf("at %v before now %v", ev.At, in.eng.Now())
+	}
+	for _, d := range []struct {
+		name string
+		v    time.Duration
+	}{{"at", ev.At}, {"duration", ev.Duration}, {"period", ev.Period}, {"delay", ev.Delay}} {
+		if d.v < 0 {
+			return fmt.Errorf("negative %s %v", d.name, d.v)
+		}
+		if d.v > maxTime {
+			return fmt.Errorf("%s %v beyond %v", d.name, d.v, maxTime)
+		}
+	}
+	if (ev.Kind == LinkFlap || ev.Kind == NICReset) && ev.Period > 0 && ev.Duration/ev.Period > maxSteps {
+		return fmt.Errorf("period %v splits duration %v into more than %d steps", ev.Period, ev.Duration, maxSteps)
 	}
 	return nil
 }
@@ -465,257 +479,132 @@ func (in *Injector) rng(idx int, ev Event) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
+// orDefault returns v, or def when v is zero: the default of an unset
+// probability or rate.
+func orDefault(v, def float64) float64 {
+	if v == 0 {
+		return def
+	}
+	return v
+}
+
+// schedule makes the engine calls that play ev. LinkFlap, NICReset and
+// NICCorrupt keep timing of their own; every other kind is a window.
 func (in *Injector) schedule(idx int, ev Event) {
+	t := in.targets[target{kinds[ev.Kind].surface, ev.Target}]
 	switch ev.Kind {
-	case LinkDown:
-		l := in.links[ev.Target]
-		in.eng.At(ev.At, func() {
-			l.SetDown(true)
-			in.logf("link %s down", ev.Target)
-		})
-		if ev.Duration > 0 {
-			in.eng.At(ev.At+ev.Duration, func() {
-				l.SetDown(false)
-				in.logf("link %s up", ev.Target)
-			})
+	case LinkDown, ChannelDown:
+		l := t.(Link)
+		in.window(ev, func() { l.SetDown(true) }, func() { l.SetDown(false) }, "down", "up")
+	case PartitionNode, PartitionAsym:
+		dirs, applied := t.(partition).all, "isolated"
+		if ev.Kind == PartitionAsym {
+			dirs, applied = t.(partition).outbound, "outbound severed"
 		}
-	case LinkFlap:
-		l := in.links[ev.Target]
-		period := ev.Period
-		if period <= 0 {
-			period = ev.Duration / 8
-		}
-		if period <= 0 {
-			period = time.Millisecond
-		}
-		end := ev.At + ev.Duration
-		var toggle func(down bool)
-		toggle = func(down bool) {
-			now := in.eng.Now()
-			if now >= end || ev.Duration == 0 {
-				l.SetDown(false)
-				in.logf("link %s flap end (up)", ev.Target)
-				return
-			}
-			l.SetDown(down)
-			if down {
-				in.logf("link %s flap down", ev.Target)
-			} else {
-				in.logf("link %s flap up", ev.Target)
-			}
-			in.eng.After(period, func() { toggle(!down) })
-		}
-		in.eng.At(ev.At, func() { toggle(true) })
-	case PacketLoss:
-		l := in.links[ev.Target]
-		rng := in.rng(idx, ev)
-		in.eng.At(ev.At, func() {
-			l.SetLoss(ev.Prob, rng)
-			in.logf("link %s loss p=%.3f", ev.Target, ev.Prob)
-		})
-		if ev.Duration > 0 {
-			in.eng.At(ev.At+ev.Duration, func() {
-				l.SetLoss(0, nil)
-				in.logf("link %s loss cleared", ev.Target)
-			})
-		}
-	case ChannelDown:
-		dirs := in.chans[ev.Target]
-		in.eng.At(ev.At, func() {
-			for _, d := range dirs {
-				d.SetDown(true)
-			}
-			in.logf("channel %s down", ev.Target)
-		})
-		if ev.Duration > 0 {
-			in.eng.At(ev.At+ev.Duration, func() {
-				for _, d := range dirs {
-					d.SetDown(false)
-				}
-				in.logf("channel %s up", ev.Target)
-			})
-		}
-	case ChannelLoss:
-		dirs := in.chans[ev.Target]
-		rng := in.rng(idx, ev)
-		in.eng.At(ev.At, func() {
-			for _, d := range dirs {
-				d.SetLoss(ev.Prob, rng)
-			}
-			in.logf("channel %s loss p=%.3f", ev.Target, ev.Prob)
-		})
-		if ev.Duration > 0 {
-			in.eng.At(ev.At+ev.Duration, func() {
-				for _, d := range dirs {
-					d.SetLoss(0, nil)
-				}
-				in.logf("channel %s loss cleared", ev.Target)
-			})
-		}
+		in.window(ev, func() { dirs.SetDown(true) }, func() { dirs.SetDown(false) }, applied, "healed")
+	case PacketLoss, ChannelLoss:
+		l, rng := t.(Link), in.rng(idx, ev)
+		in.window(ev, func() { l.SetLoss(ev.Prob, rng) }, func() { l.SetLoss(0, nil) },
+			fmt.Sprintf("loss p=%.3f", ev.Prob), "loss cleared")
 	case ChannelDelay:
-		dirs := in.chans[ev.Target]
-		in.eng.At(ev.At, func() {
-			for _, d := range dirs {
-				d.SetExtraDelay(ev.Delay)
-			}
-			in.logf("channel %s +%v delay", ev.Target, ev.Delay)
-		})
-		if ev.Duration > 0 {
-			in.eng.At(ev.At+ev.Duration, func() {
-				for _, d := range dirs {
-					d.SetExtraDelay(0)
-				}
-				in.logf("channel %s delay cleared", ev.Target)
-			})
-		}
+		c := t.(Channel)
+		in.window(ev, func() { c.SetExtraDelay(ev.Delay) }, func() { c.SetExtraDelay(0) },
+			fmt.Sprintf("+%v delay", ev.Delay), "delay cleared")
 	case TCAMReject:
-		tbl := in.tables[ev.Target]
-		prob := ev.Prob
-		if prob == 0 {
-			prob = 1
+		tbl, prob, rng := t.(HardwareTable), orDefault(ev.Prob, 1), in.rng(idx, ev)
+		reject := func() error {
+			if prob >= 1 || rng.Float64() < prob {
+				return ErrInjected
+			}
+			return nil
 		}
-		rng := in.rng(idx, ev)
-		in.eng.At(ev.At, func() {
-			tbl.SetInstallFault(func() error {
-				if prob >= 1 || rng.Float64() < prob {
-					return ErrInjected
-				}
-				return nil
-			})
-			in.logf("table %s rejecting installs p=%.3f", ev.Target, prob)
-		})
-		if ev.Duration > 0 {
-			in.eng.At(ev.At+ev.Duration, func() {
-				tbl.SetInstallFault(nil)
-				in.logf("table %s install fault cleared", ev.Target)
-			})
-		}
+		in.window(ev, func() { tbl.SetInstallFault(reject) }, func() { tbl.SetInstallFault(nil) },
+			fmt.Sprintf("rejecting installs p=%.3f", prob), "install fault cleared")
 	case ControllerCrash:
-		c := in.ctrls[ev.Target]
-		in.eng.At(ev.At, func() {
-			c.Crash()
-			in.logf("controller %s crashed", ev.Target)
-		})
-		if ev.Duration > 0 {
-			in.eng.At(ev.At+ev.Duration, func() {
-				c.Restart()
-				in.logf("controller %s restarted", ev.Target)
-			})
-		}
+		c := t.(Controller)
+		in.window(ev, c.Crash, c.Restart, "crashed", "restarted")
+	case ControllerPause:
+		p := t.(Pausable)
+		in.window(ev, p.Pause, p.Resume, "paused", "resumed")
 	case MissStorm:
-		s := in.stormers[ev.Target]
-		rate := ev.Rate
-		if rate == 0 {
-			rate = 10000
-		}
-		in.eng.At(ev.At, func() {
-			s.SetStorm(rate)
-			in.logf("stormer %s storming at %.0f pps", ev.Target, rate)
-		})
-		if ev.Duration > 0 {
-			in.eng.At(ev.At+ev.Duration, func() {
-				s.SetStorm(0)
-				in.logf("stormer %s storm cleared", ev.Target)
-			})
-		}
+		s, rate := t.(Stormer), orDefault(ev.Rate, 10000)
+		in.window(ev, func() { s.SetStorm(rate) }, func() { s.SetStorm(0) },
+			fmt.Sprintf("storming at %.0f pps", rate), "storm cleared")
 	case StatsLoss:
-		s := in.stats[ev.Target]
-		prob := ev.Prob
-		if prob == 0 {
-			prob = 1
-		}
-		rng := in.rng(idx, ev)
-		in.eng.At(ev.At, func() {
-			s.SetStatsLoss(prob, rng)
-			in.logf("stats %s loss p=%.3f", ev.Target, prob)
-		})
-		if ev.Duration > 0 {
-			in.eng.At(ev.At+ev.Duration, func() {
-				s.SetStatsLoss(0, nil)
-				in.logf("stats %s loss cleared", ev.Target)
-			})
-		}
+		s, prob, rng := t.(StatsTap), orDefault(ev.Prob, 1), in.rng(idx, ev)
+		in.window(ev, func() { s.SetStatsLoss(prob, rng) }, func() { s.SetStatsLoss(0, nil) },
+			fmt.Sprintf("loss p=%.3f", prob), "loss cleared")
 	case StatsDelay:
-		s := in.stats[ev.Target]
-		in.eng.At(ev.At, func() {
-			s.SetStatsDelay(ev.Delay)
-			in.logf("stats %s +%v delay", ev.Target, ev.Delay)
-		})
-		if ev.Duration > 0 {
-			in.eng.At(ev.At+ev.Duration, func() {
-				s.SetStatsDelay(0)
-				in.logf("stats %s delay cleared", ev.Target)
-			})
-		}
+		s := t.(StatsTap)
+		in.window(ev, func() { s.SetStatsDelay(ev.Delay) }, func() { s.SetStatsDelay(0) },
+			fmt.Sprintf("+%v delay", ev.Delay), "delay cleared")
+	case LinkFlap:
+		in.flap(ev, t.(Link))
 	case NICReset:
-		n := in.nics[ev.Target]
+		n := t.(NICTable)
 		fire := func() {
 			lost := n.ResetTable()
 			in.logf("nic %s reset (%d rules lost)", ev.Target, lost)
 		}
 		in.eng.At(ev.At, fire)
 		if ev.Period > 0 && ev.Duration > 0 {
-			for t := ev.At + ev.Period; t < ev.At+ev.Duration; t += ev.Period {
-				in.eng.At(t, fire)
+			for at := ev.At + ev.Period; at < ev.At+ev.Duration; at += ev.Period {
+				in.eng.At(at, fire)
 			}
 		}
 	case NICCorrupt:
-		n := in.nics[ev.Target]
-		prob := ev.Prob
-		if prob == 0 {
-			prob = 0.5
-		}
-		rng := in.rng(idx, ev)
+		n, prob, rng := t.(NICTable), orDefault(ev.Prob, 0.5), in.rng(idx, ev)
 		in.eng.At(ev.At, func() {
 			lost := n.CorruptRules(prob, rng)
 			in.logf("nic %s corrupted (%d rules lost, p=%.3f)", ev.Target, lost, prob)
 		})
-	case PartitionNode:
-		pt := in.partitions[ev.Target]
-		all := append(append([]Channel(nil), pt.inbound...), pt.outbound...)
-		in.eng.At(ev.At, func() {
-			for _, d := range all {
-				d.SetDown(true)
-			}
-			in.logf("partition %s isolated", ev.Target)
-		})
-		if ev.Duration > 0 {
-			in.eng.At(ev.At+ev.Duration, func() {
-				for _, d := range all {
-					d.SetDown(false)
-				}
-				in.logf("partition %s healed", ev.Target)
-			})
-		}
-	case PartitionAsym:
-		pt := in.partitions[ev.Target]
-		in.eng.At(ev.At, func() {
-			for _, d := range pt.outbound {
-				d.SetDown(true)
-			}
-			in.logf("partition %s outbound severed", ev.Target)
-		})
-		if ev.Duration > 0 {
-			in.eng.At(ev.At+ev.Duration, func() {
-				for _, d := range pt.outbound {
-					d.SetDown(false)
-				}
-				in.logf("partition %s healed", ev.Target)
-			})
-		}
-	case ControllerPause:
-		p := in.pausables[ev.Target]
-		in.eng.At(ev.At, func() {
-			p.Pause()
-			in.logf("controller %s paused", ev.Target)
-		})
-		if ev.Duration > 0 {
-			in.eng.At(ev.At+ev.Duration, func() {
-				p.Resume()
-				in.logf("controller %s resumed", ev.Target)
-			})
-		}
 	}
+}
+
+// window applies a fault at ev.At and, when ev.Duration > 0, clears it at
+// ev.At+ev.Duration, logging each transition as "<noun> <target> <text>".
+func (in *Injector) window(ev Event, apply, clear func(), applied, cleared string) {
+	noun := surfaces[kinds[ev.Kind].surface].noun
+	in.eng.At(ev.At, func() {
+		apply()
+		in.logf("%s %s %s", noun, ev.Target, applied)
+	})
+	if ev.Duration > 0 {
+		in.eng.At(ev.At+ev.Duration, func() {
+			clear()
+			in.logf("%s %s %s", noun, ev.Target, cleared)
+		})
+	}
+}
+
+// flap toggles l down and up every Period (default Duration/8, or 1ms
+// when that is 0) from ev.At, ending in the up state at the first toggle
+// at or after ev.At+ev.Duration.
+func (in *Injector) flap(ev Event, l Link) {
+	period := ev.Period
+	if period <= 0 {
+		period = ev.Duration / 8
+	}
+	if period <= 0 {
+		period = time.Millisecond
+	}
+	end := ev.At + ev.Duration
+	var toggle func(down bool)
+	toggle = func(down bool) {
+		if in.eng.Now() >= end || ev.Duration == 0 {
+			l.SetDown(false)
+			in.logf("link %s flap end (up)", ev.Target)
+			return
+		}
+		l.SetDown(down)
+		if down {
+			in.logf("link %s flap down", ev.Target)
+		} else {
+			in.logf("link %s flap up", ev.Target)
+		}
+		in.eng.After(period, func() { toggle(!down) })
+	}
+	in.eng.At(ev.At, func() { toggle(true) })
 }
 
 // ---- plan parsing (CLI) ----
@@ -723,7 +612,7 @@ func (in *Injector) schedule(idx int, ev Event) {
 // ParsePlan parses a compact plan DSL, one event per semicolon-separated
 // clause:
 //
-//	kind:target@at+dur[,p=0.3][,period=5ms][,delay=1ms][,seed=7]
+//	kind:target@at+dur[,p=0.3][,period=5ms][,delay=1ms][,rate=5000][,seed=7]
 //
 // e.g. "linkflap:downlink0@100ms+200ms,period=20ms;
 // tcamreject:tor0@50ms+300ms;crash:torctl0@400ms+150ms;
@@ -756,40 +645,12 @@ func parseEvent(clause string) (Event, error) {
 	if !ok {
 		return ev, errors.New("missing kind: separator")
 	}
-	switch strings.TrimSpace(kindStr) {
-	case "linkdown":
-		ev.Kind = LinkDown
-	case "linkflap":
-		ev.Kind = LinkFlap
-	case "loss":
-		ev.Kind = PacketLoss
-	case "ctldown":
-		ev.Kind = ChannelDown
-	case "ctlloss":
-		ev.Kind = ChannelLoss
-	case "ctldelay":
-		ev.Kind = ChannelDelay
-	case "tcamreject":
-		ev.Kind = TCAMReject
-	case "crash":
-		ev.Kind = ControllerCrash
-	case "storm":
-		ev.Kind = MissStorm
-	case "statsloss":
-		ev.Kind = StatsLoss
-	case "statsdelay":
-		ev.Kind = StatsDelay
-	case "nicreset":
-		ev.Kind = NICReset
-	case "niccorrupt":
-		ev.Kind = NICCorrupt
-	case "partition":
-		ev.Kind = PartitionNode
-	case "apartition":
-		ev.Kind = PartitionAsym
-	case "pause":
-		ev.Kind = ControllerPause
-	default:
+	for k, row := range kinds {
+		if row.name != "" && row.name == strings.TrimSpace(kindStr) {
+			ev.Kind = Kind(k)
+		}
+	}
+	if ev.Kind == 0 {
 		return ev, fmt.Errorf("unknown kind %q", kindStr)
 	}
 	target, timing, ok := strings.Cut(rest, "@")
@@ -858,9 +719,10 @@ func parseEvent(clause string) (Event, error) {
 // ---- random plan generation ----
 
 // TargetSet names the registered targets a random plan may pick from.
-// Stormers and StatsTaps only widen the kind lottery when non-empty, so
-// plans drawn from the four original categories are bit-identical to what
-// earlier versions produced for the same seed.
+// Links, Channels, Tables and Controllers always hold lottery slots;
+// every later field opens its slot only when non-empty, so a plan drawn
+// without it is bit-identical to what earlier versions drew for the same
+// seed.
 type TargetSet struct {
 	Links       []string
 	Channels    []string
@@ -868,15 +730,9 @@ type TargetSet struct {
 	Controllers []string
 	Stormers    []string
 	StatsTaps   []string
-	// NICs widens the kind lottery with SmartNIC reset/corruption only
-	// when non-empty, like Stormers and StatsTaps: plans drawn without
-	// NICs stay bit-identical to earlier versions for the same seed.
-	NICs []string
-	// Partitions (node-level symmetric/asymmetric partitions) and
-	// Pausables (controller freeze/resume) widen the lottery only when
-	// non-empty, preserving the same seed-stability contract.
-	Partitions []string
-	Pausables  []string
+	NICs        []string
+	Partitions  []string
+	Pausables   []string
 }
 
 // RandomPlan draws a randomized but deterministic plan from seed: a
@@ -886,12 +742,6 @@ type TargetSet struct {
 func RandomPlan(seed int64, horizon time.Duration, ts TargetSet) Plan {
 	rng := rand.New(rand.NewSource(seed))
 	var plan Plan
-	pick := func(names []string) (string, bool) {
-		if len(names) == 0 {
-			return "", false
-		}
-		return names[rng.Intn(len(names))], true
-	}
 	window := func() (at, dur time.Duration) {
 		span := horizon * 3 / 4
 		at = horizon/10 + time.Duration(rng.Int63n(int64(span)))
@@ -902,136 +752,83 @@ func RandomPlan(seed int64, horizon time.Duration, ts TargetSet) Plan {
 		dur = time.Duration(rng.Int63n(int64(maxDur))) + time.Millisecond
 		return
 	}
-	kinds := 5
+	// A slot draws a target from names (nothing when names is empty) and
+	// appends the event fill makes of it.
+	type slot func(at, dur time.Duration)
+	draw := func(names []string, fill func(ev *Event)) slot {
+		return func(at, dur time.Duration) {
+			if len(names) == 0 {
+				return
+			}
+			ev := Event{At: at, Target: names[rng.Intn(len(names))], Duration: dur}
+			fill(&ev)
+			plan.Events = append(plan.Events, ev)
+		}
+	}
+	slots := []slot{
+		draw(ts.Links, func(ev *Event) {
+			ev.Kind, ev.Period = LinkFlap, ev.Duration/time.Duration(2+rng.Intn(6))
+		}),
+		draw(ts.Links, func(ev *Event) {
+			ev.Kind, ev.Prob, ev.Seed = PacketLoss, 0.02+rng.Float64()*0.2, rng.Int63()
+		}),
+		draw(ts.Channels, func(ev *Event) {
+			ev.Kind = ChannelDown
+			if rng.Intn(2) == 0 {
+				ev.Kind, ev.Delay = ChannelDelay, time.Duration(rng.Intn(2000))*time.Microsecond
+			}
+		}),
+		draw(ts.Tables, func(ev *Event) {
+			ev.Kind, ev.Prob, ev.Seed = TCAMReject, 0.5+rng.Float64()*0.5, rng.Int63()
+		}),
+		draw(ts.Controllers, func(ev *Event) { ev.Kind = ControllerCrash }),
+	}
+	// Later slots take the top lottery indices in the order they were
+	// introduced, so existing seeded plans are untouched while they are
+	// empty.
 	if len(ts.Stormers) > 0 {
-		kinds++
+		slots = append(slots, draw(ts.Stormers, func(ev *Event) {
+			ev.Kind, ev.Rate = MissStorm, 5000+float64(rng.Intn(20000))
+		}))
 	}
 	if len(ts.StatsTaps) > 0 {
-		kinds++
+		// The stats slot draws delays only beside a storm slot, as it
+		// always has.
+		withDelay := len(ts.Stormers) > 0
+		slots = append(slots, draw(ts.StatsTaps, func(ev *Event) {
+			ev.Kind, ev.Prob, ev.Seed = StatsLoss, 0.3+rng.Float64()*0.7, rng.Int63()
+			if withDelay && rng.Intn(2) == 0 {
+				ev.Kind, ev.Prob, ev.Delay = StatsDelay, 0, time.Duration(1+rng.Intn(50))*time.Millisecond
+			}
+		}))
 	}
-	// Later-era slots always take the top lottery indices, in the order
-	// they were introduced (NIC, then partitions, then pausables), so
-	// the existing case numbering (and thus existing seeded plans) is
-	// untouched when the new target lists are empty.
-	nicCase, partitionCase, pauseCase := -1, -1, -1
 	if len(ts.NICs) > 0 {
-		nicCase = kinds
-		kinds++
+		slots = append(slots, draw(ts.NICs, func(ev *Event) {
+			ev.Kind, ev.Duration = NICReset, 0
+			if rng.Intn(2) == 0 {
+				ev.Kind, ev.Prob, ev.Seed = NICCorrupt, 0.3+rng.Float64()*0.6, rng.Int63()
+			}
+		}))
 	}
 	if len(ts.Partitions) > 0 {
-		partitionCase = kinds
-		kinds++
+		slots = append(slots, draw(ts.Partitions, func(ev *Event) {
+			ev.Kind = PartitionNode
+			if rng.Intn(2) == 0 {
+				ev.Kind = PartitionAsym
+			}
+		}))
 	}
 	if len(ts.Pausables) > 0 {
-		pauseCase = kinds
-		kinds++
+		slots = append(slots, draw(ts.Pausables, func(ev *Event) { ev.Kind = ControllerPause }))
 	}
 	n := 3 + rng.Intn(4)
 	for i := 0; i < n; i++ {
 		at, dur := window()
-		k := rng.Intn(kinds)
-		if k == nicCase {
-			if t, ok := pick(ts.NICs); ok {
-				ev := Event{At: at, Kind: NICReset, Target: t}
-				if rng.Intn(2) == 0 {
-					ev.Kind = NICCorrupt
-					ev.Prob = 0.3 + rng.Float64()*0.6
-					ev.Seed = rng.Int63()
-				}
-				plan.Events = append(plan.Events, ev)
-			}
-			continue
-		}
-		if k == partitionCase {
-			if t, ok := pick(ts.Partitions); ok {
-				ev := Event{At: at, Kind: PartitionNode, Target: t, Duration: dur}
-				if rng.Intn(2) == 0 {
-					ev.Kind = PartitionAsym
-				}
-				plan.Events = append(plan.Events, ev)
-			}
-			continue
-		}
-		if k == pauseCase {
-			if t, ok := pick(ts.Pausables); ok {
-				plan.Events = append(plan.Events, Event{
-					At: at, Kind: ControllerPause, Target: t, Duration: dur,
-				})
-			}
-			continue
-		}
-		switch k {
-		case 0:
-			if t, ok := pick(ts.Links); ok {
-				plan.Events = append(plan.Events, Event{
-					At: at, Kind: LinkFlap, Target: t, Duration: dur,
-					Period: dur / time.Duration(2+rng.Intn(6)),
-				})
-			}
-		case 1:
-			if t, ok := pick(ts.Links); ok {
-				plan.Events = append(plan.Events, Event{
-					At: at, Kind: PacketLoss, Target: t, Duration: dur,
-					Prob: 0.02 + rng.Float64()*0.2, Seed: rng.Int63(),
-				})
-			}
-		case 2:
-			if t, ok := pick(ts.Channels); ok {
-				kind := ChannelDown
-				ev := Event{At: at, Kind: kind, Target: t, Duration: dur}
-				if rng.Intn(2) == 0 {
-					ev.Kind = ChannelDelay
-					ev.Delay = time.Duration(rng.Intn(2000)) * time.Microsecond
-				}
-				plan.Events = append(plan.Events, ev)
-			}
-		case 3:
-			if t, ok := pick(ts.Tables); ok {
-				plan.Events = append(plan.Events, Event{
-					At: at, Kind: TCAMReject, Target: t, Duration: dur,
-					Prob: 0.5 + rng.Float64()*0.5, Seed: rng.Int63(),
-				})
-			}
-		case 4:
-			if t, ok := pick(ts.Controllers); ok {
-				plan.Events = append(plan.Events, Event{
-					At: at, Kind: ControllerCrash, Target: t, Duration: dur,
-				})
-			}
-		case 5:
-			// Fifth slot is stormers when present, stats taps otherwise
-			// (kinds only reaches 6 when at least one of them is).
-			if len(ts.Stormers) > 0 {
-				if t, ok := pick(ts.Stormers); ok {
-					plan.Events = append(plan.Events, Event{
-						At: at, Kind: MissStorm, Target: t, Duration: dur,
-						Rate: 5000 + float64(rng.Intn(20000)),
-					})
-				}
-			} else if t, ok := pick(ts.StatsTaps); ok {
-				plan.Events = append(plan.Events, Event{
-					At: at, Kind: StatsLoss, Target: t, Duration: dur,
-					Prob: 0.3 + rng.Float64()*0.7, Seed: rng.Int63(),
-				})
-			}
-		case 6:
-			if t, ok := pick(ts.StatsTaps); ok {
-				ev := Event{At: at, Kind: StatsLoss, Target: t, Duration: dur,
-					Prob: 0.3 + rng.Float64()*0.7, Seed: rng.Int63()}
-				if rng.Intn(2) == 0 {
-					ev.Kind = StatsDelay
-					ev.Prob = 0
-					ev.Delay = time.Duration(1+rng.Intn(50)) * time.Millisecond
-				}
-				plan.Events = append(plan.Events, ev)
-			}
-		}
+		slots[rng.Intn(len(slots))](at, dur)
 	}
 	if len(plan.Events) == 0 {
 		// Degenerate target set; at least perturb something registered.
-		if t, ok := pick(ts.Links); ok {
-			plan.Events = append(plan.Events, Event{At: horizon / 4, Kind: LinkDown, Target: t, Duration: horizon / 8})
-		}
+		draw(ts.Links, func(ev *Event) { ev.Kind = LinkDown })(horizon/4, horizon/8)
 	}
 	return plan
 }

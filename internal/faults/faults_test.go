@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -197,20 +198,41 @@ func TestControllerCrashRestart(t *testing.T) {
 
 // ---- validation ----
 
-func TestApplyRejectsUnknownTargets(t *testing.T) {
-	_, inj, _, _, _, _ := rig(t)
+func TestApplyRejectsInvalidEvents(t *testing.T) {
+	eng, inj, _, _, _, _ := rig(t)
+	eng.RunUntil(time.Second)
 	cases := []Event{
 		{Kind: LinkDown, Target: "nope"},
 		{Kind: ChannelDown, Target: "nope"},
 		{Kind: TCAMReject, Target: "nope"},
 		{Kind: ControllerCrash, Target: "nope"},
 		{Kind: Kind(99), Target: "up0"},
-		{Kind: PacketLoss, Target: "up0", Prob: 1.5},
+		{At: time.Second, Kind: PacketLoss, Target: "up0", Prob: 1.5},
+		{At: time.Second, Kind: PacketLoss, Target: "up0", Prob: math.NaN()},
+		{At: time.Second - 1, Kind: LinkDown, Target: "up0"},
+		{At: time.Second, Kind: ControllerCrash, Target: "proc0", Duration: -5 * time.Millisecond},
+		{At: time.Second, Kind: LinkFlap, Target: "up0", Duration: time.Second, Period: -time.Millisecond},
+		{At: time.Second, Kind: ChannelDelay, Target: "ctl0", Delay: -time.Millisecond},
+		{At: time.Second, Kind: LinkDown, Target: "up0", Rate: math.NaN()},
+		{At: time.Second, Kind: LinkDown, Target: "up0", Rate: math.Inf(1)},
+		{At: time.Second, Kind: LinkDown, Target: "up0", Rate: -1},
+		{At: time.Second, Kind: ControllerCrash, Target: "proc0", Duration: math.MaxInt64},
+		{At: time.Second, Kind: LinkFlap, Target: "up0", Duration: time.Second, Period: 10 * time.Microsecond},
 	}
 	for _, ev := range cases {
 		if err := inj.Apply(Plan{Events: []Event{ev}}); err == nil {
 			t.Errorf("Apply accepted invalid event %+v", ev)
+		} else if !strings.Contains(err.Error(), fmt.Sprintf("(%s %s)", ev.Kind, ev.Target)) {
+			t.Errorf("error %q does not name the event", err)
 		}
+	}
+	// A plan spec with a negative time parses, but no engine can run it.
+	plan, err := ParsePlan("crash:proc0@-1s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inj.Apply(plan); err == nil {
+		t.Error("Apply accepted crash:proc0@-1s")
 	}
 	if inj.Applied != 0 {
 		t.Errorf("invalid plans must not schedule anything, Applied = %d", inj.Applied)
@@ -219,10 +241,10 @@ func TestApplyRejectsUnknownTargets(t *testing.T) {
 
 func TestTargets(t *testing.T) {
 	_, inj, _, _, _, _ := rig(t)
-	links, chans, tables, ctrls := inj.Targets()
-	if !reflect.DeepEqual(links, []string{"up0"}) || !reflect.DeepEqual(chans, []string{"ctl0"}) ||
-		!reflect.DeepEqual(tables, []string{"tcam0"}) || !reflect.DeepEqual(ctrls, []string{"proc0"}) {
-		t.Errorf("Targets() = %v %v %v %v", links, chans, tables, ctrls)
+	want := TargetSet{Links: []string{"up0"}, Channels: []string{"ctl0"},
+		Tables: []string{"tcam0"}, Controllers: []string{"proc0"}}
+	if got := inj.TargetSet(); !reflect.DeepEqual(got, want) {
+		t.Errorf("TargetSet() = %+v, want %+v", got, want)
 	}
 }
 
@@ -372,17 +394,19 @@ type fakePausable struct {
 func (f *fakePausable) Pause()  { f.events = append(f.events, fmt.Sprintf("%v pause", f.eng.Now())) }
 func (f *fakePausable) Resume() { f.events = append(f.events, fmt.Sprintf("%v resume", f.eng.Now())) }
 
+// allKindsSpec holds one clause of every kind.
+const allKindsSpec = "linkdown:up0@1ms+2ms; linkflap:up0@3ms+4ms,period=1ms; loss:up0@5ms+6ms,p=0.1,seed=3;" +
+	"ctldown:ctl0@7ms+8ms; ctlloss:ctl0@9ms+10ms,p=0.2; ctldelay:ctl0@11ms,delay=1ms;" +
+	"tcamreject:tcam0@13ms+14ms,p=0.3; crash:proc0@15ms+16ms; storm:vm0@17ms+18ms,rate=5000;" +
+	"statsloss:me0@19ms+20ms,p=0.4; statsdelay:me0@21ms+22ms,delay=2ms;" +
+	"nicreset:nic0@23ms; niccorrupt:nic0@25ms,p=0.5,seed=9;" +
+	"partition:tor1@27ms+28ms; apartition:tor2@29ms+30ms; pause:tor0@31ms+32ms"
+
 func TestParsePlanAllKinds(t *testing.T) {
 	// Every kind keyword must round-trip through the DSL into the exact
 	// Event it denotes — including the HA-era partition/apartition/pause
 	// clauses.
-	spec := "linkdown:up0@1ms+2ms; linkflap:up0@3ms+4ms,period=1ms; loss:up0@5ms+6ms,p=0.1,seed=3;" +
-		"ctldown:ctl0@7ms+8ms; ctlloss:ctl0@9ms+10ms,p=0.2; ctldelay:ctl0@11ms,delay=1ms;" +
-		"tcamreject:tcam0@13ms+14ms,p=0.3; crash:proc0@15ms+16ms; storm:vm0@17ms+18ms,rate=5000;" +
-		"statsloss:me0@19ms+20ms,p=0.4; statsdelay:me0@21ms+22ms,delay=2ms;" +
-		"nicreset:nic0@23ms; niccorrupt:nic0@25ms,p=0.5,seed=9;" +
-		"partition:tor1@27ms+28ms; apartition:tor2@29ms+30ms; pause:tor0@31ms+32ms"
-	plan, err := ParsePlan(spec)
+	plan, err := ParsePlan(allKindsSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,11 @@ package packet
 
 import "testing"
 
-// TestMarshalAllocsStayZero is the regular-test form of the
-// BENCH_BASELINE marshal floor: serializing a warm packet into a reused
-// buffer, as the sharded plane does into its shard's wire buffer, must not
-// allocate. Benchmarks are advisory in CI; this gate is not.
+// TestMarshalAllocsStayZero is the regular-test form of BenchmarkMarshal's
+// pooled 0 allocs/op: serializing a warm packet into a reused buffer, as
+// the sharded plane does into its shard's wire buffer, must not allocate.
+// CI runs each benchmark once for breakage, not for numbers; this gate
+// holds the count.
 func TestMarshalAllocsStayZero(t *testing.T) {
 	p := NewTCP(3, MustParseIP("10.0.0.1"), MustParseIP("10.0.0.2"), 40000, 11211, 600)
 	tso := NewTCP(3, MustParseIP("10.0.0.1"), MustParseIP("10.0.0.2"), 40000, 11211, 64000)

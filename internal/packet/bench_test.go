@@ -4,8 +4,8 @@ import "testing"
 
 // BenchmarkMarshal compares the seed allocate-per-packet serialization
 // against AppendMarshal into a reused buffer — the ≥80% allocation-
-// reduction acceptance benchmark for the wire codec. ("pooled" is the
-// sub-benchmark's name in BENCH_BASELINE; the buffer is the caller's.)
+// reduction acceptance benchmark for the wire codec. (In "pooled" the
+// buffer is the caller's.)
 func BenchmarkMarshal(b *testing.B) {
 	p := NewTCP(3, MustParseIP("10.0.0.1"), MustParseIP("10.0.0.2"), 40000, 11211, 600)
 

@@ -9,8 +9,7 @@ import (
 
 // The fast-path acceptance benchmarks: tuple-space classification against
 // the seed linear scans, at the 1k-rule scale of a loaded multi-tenant
-// hypervisor. Run via `make bench` (or scripts/bench.sh), which records
-// BENCH_BASELINE.json.
+// hypervisor. Run with `go test -run '^$' -bench . ./internal/rules`.
 
 // benchRuleSet builds n security rules drawn from a handful of templates
 // (the realistic shape: tenant ACLs are generated from few policy forms),

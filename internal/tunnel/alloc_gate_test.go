@@ -6,9 +6,10 @@ import (
 	"repro/internal/packet"
 )
 
-// TestEncapAllocsStayZero is the regular-test form of the BENCH_BASELINE
-// encap floor: a warm encap/release cycle for both tunnel types must not
-// allocate. Benchmarks are advisory in CI; this gate is not.
+// TestEncapAllocsStayZero is the regular-test form of the 0 allocs/op
+// that BenchmarkVXLANEncap and BenchmarkGREEncapDecap report: a warm encap/release cycle for both tunnel types must not
+// allocate. CI runs each benchmark once for breakage, not for numbers;
+// this gate holds the count.
 func TestEncapAllocsStayZero(t *testing.T) {
 	inner := packet.NewTCP(7, packet.MustParseIP("10.0.0.1"), packet.MustParseIP("10.0.0.2"), 40000, 11211, 600)
 	hash := inner.Key().FastHash()

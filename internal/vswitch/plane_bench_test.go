@@ -223,9 +223,9 @@ func benchNewflows(b *testing.B) {
 
 // BenchmarkPipeline measures whole-pipeline forwarding rate. pps-per-core
 // is the headline single-core number (inline mode, one goroutine);
-// shards={1,2,4,8} is the curve recorded in BENCH_BASELINE — on a
-// single-core runner, where it cannot rise; multi-core scaling is
-// unmeasured: no ≥4-core recording exists. newflows is the miss path's
+// shards={1,2,4,8} is the scaling curve; on a single-core runner it
+// cannot rise, and multi-core scaling is unmeasured: no ≥4-core
+// recording exists. newflows is the miss path's
 // row: every flow new, the caches flushed every 65,536 packets. (key=value
 // sub-names, matching BenchmarkTupleSpaceScaling: a trailing -N is the
 // GOMAXPROCS suffix in the benchmark text format and would be stripped.)

@@ -2,7 +2,7 @@
 // holds a nil-able *telemetry.Scoped; every hot-path instrumentation
 // point guards with a single pointer test so the disabled path stays
 // zero-alloc (enforced by TestFastPathAllocsWithTelemetryDisabled and the
-// BENCH_BASELINE gates).
+// alloc-gate tests).
 package vswitch
 
 import (

@@ -398,7 +398,6 @@ func runTracedHAScenario(t *testing.T, seed int64) (trace, prom, csv []byte) {
 	}
 
 	inj := faults.NewInjector(d.Cluster.Eng, seed)
-	d.Cluster.RegisterFaults(inj)
 	d.Manager.RegisterFaults(inj)
 	plan := faults.Plan{Events: []faults.Event{
 		// Isolate the leader's election plane while it still reaches the
