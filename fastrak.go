@@ -343,7 +343,7 @@ func (d *Deployment) NICPlaced() []string {
 func (d *Deployment) HardwareRules() (used, capacity int) {
 	for _, t := range d.Cluster.TORs {
 		used += t.TCAMUsed()
-		capacity += t.TCAMUsed() + t.TCAMFree()
+		capacity += t.TCAMCapacity()
 	}
 	return used, capacity
 }

@@ -10,18 +10,20 @@ import (
 	"repro/internal/telemetry"
 )
 
-// maxInstallAttempts caps install (re)sends before the installer gives up
-// and leaves the flow on the software path.
+// maxInstallAttempts caps the sends of one flight, install or removal,
+// before the installer gives up on it.
 const maxInstallAttempts = 5
 
 // phase is where one pattern's hardware change stands.
 type phase uint8
 
 const (
-	installSent    phase = iota // FlowAdd and barrier on the wire
+	installWaiting phase = iota // no TCAM slot free yet; nothing sent
+	installSent                 // FlowAdd and barrier on the wire
 	installBackoff              // rejected or timed out; next attempt waits
 	removeGated                 // demoted or orphaned: waits for acks and grace
 	removeSent                  // FlowDelete and barrier on the wire
+	removeBackoff               // timed out; next attempt waits
 )
 
 // flight is one pattern's in-flight hardware change, install or removal.
@@ -69,6 +71,9 @@ type installHost interface {
 	// syncState returns the last RuleSync's sequence and the lowest one
 	// every local acked.
 	syncState() (seq, floor uint32)
+	// slots returns the TCAM's capacity and how many confirmed patterns
+	// hold a slot in it.
+	slots() (capacity, confirmed int)
 	// confirmed adds p to the desired set and announces its express lane;
 	// withdraw takes it out and leaves telling placers to the caller.
 	confirmed(p rules.Pattern)
@@ -81,12 +86,14 @@ type installHost interface {
 // installer is the rule manager's hardware side (§4.3). It installs the
 // ACLs the DE selects and announces an express lane only once a barrier
 // confirmed its ACL, so a rejected or lost install never blackholes; it
-// retries with backoff; it removes a demoted pattern's ACL only after
-// every local acked a RuleSync excluding it and a grace for packets in
-// flight — software first, then hardware, as §4.1.2 orders pull-backs;
-// and it reconciles the switch's table against the desired set. It knows
-// no cluster: inputs are the tick's changes, the switch agent's replies,
-// RuleSync acks and timer fires, and every effect goes through fx.
+// sends an install only into a free TCAM slot, so one displacing a demoted
+// pattern waits for that removal; it retries with backoff; it removes a
+// demoted pattern's ACL only after every local acked a RuleSync excluding
+// it and a grace for packets in flight — software first, then hardware,
+// as §4.1.2 orders pull-backs; and it reconciles the switch's table
+// against the desired set. It knows no cluster: inputs are the tick's
+// changes, the switch agent's replies, RuleSync acks and timer fires, and
+// every effect goes through fx.
 type installer struct {
 	fx installHost
 	n  *installCounts
@@ -99,6 +106,9 @@ type installer struct {
 	// by the largest burst of installs, a TCAM's worth at a cold start.
 	byXID map[uint32]*flight
 	gen   uint64
+	// waiting queues, oldest first, the installs that found no slot free.
+	// Every other flight holds a slot or was sent to take one.
+	waiting []*flight
 }
 
 func newInstaller(fx installHost, n *installCounts, delay time.Duration) *installer {
@@ -132,6 +142,19 @@ func (in *installer) reset() {
 	}
 	in.flights = make(map[rules.Pattern]*flight)
 	in.byXID = make(map[uint32]*flight)
+	in.waiting = nil
+}
+
+// budget is how many patterns may be offloaded or installing at once: the
+// TCAM's capacity less the slots removals still hold.
+func (in *installer) budget() int {
+	n, _ := in.fx.slots()
+	for _, f := range in.flights {
+		if !f.installing() {
+			n--
+		}
+	}
+	return n
 }
 
 // installing reports whether p's install is in flight.
@@ -168,6 +191,9 @@ func (in *installer) drop(f *flight) {
 	delete(in.byXID, f.flowXID)
 	delete(in.byXID, f.barXID)
 	delete(in.flights, f.p)
+	if f.phase == installWaiting {
+		in.waiting = slices.DeleteFunc(in.waiting, func(w *flight) bool { return w == f })
+	}
 }
 
 // arm (re)sets f's timer.
@@ -180,20 +206,38 @@ func (in *installer) arm(f *flight, d time.Duration) {
 
 // ---- install path ----
 
-// install begins the confirm-then-announce sequence for p.
+// install begins the confirm-then-announce sequence for p once a TCAM slot
+// is free.
 func (in *installer) install(p rules.Pattern) {
 	queue, allow := in.fx.policy(p)
 	if !allow {
 		return // denied traffic gains nothing from offload; software drops it
 	}
-	if f := in.flights[p]; f != nil {
-		// Re-offloaded while its removal drains: supersede it. A FlowDelete
-		// already on the wire lands first: the channel is FIFO.
-		in.drop(f)
-	}
 	f := &flight{p: p, queue: queue}
+	if old := in.flights[p]; old != nil {
+		// Re-offloaded while its removal drains: supersede it and take its
+		// slot. A FlowDelete already on the wire lands first: the channel
+		// is FIFO.
+		in.drop(old)
+		in.flights[p] = f
+		in.send(f)
+		return
+	}
 	in.flights[p] = f
-	in.send(f)
+	in.waiting = append(in.waiting, f)
+	in.admit()
+}
+
+// admit sends waiting installs, oldest first, while a TCAM slot is free:
+// held by no confirmed pattern and no flight but a waiting one. A slot
+// whose FlowDelete is still on the wire is free: the FlowAdd lands after it.
+func (in *installer) admit() {
+	capacity, confirmed := in.fx.slots()
+	for len(in.waiting) > 0 && capacity-confirmed > len(in.flights)-len(in.waiting) {
+		f := in.waiting[0]
+		in.waiting = slices.Delete(in.waiting, 0, 1)
+		in.send(f)
+	}
 }
 
 // send (re)issues the FlowAdd + barrier for one attempt.
@@ -218,22 +262,31 @@ func (in *installer) await(f *flight, ph phase) {
 	in.arm(f, in.timeout())
 }
 
-// retry backs off and re-sends, or gives up after the attempt budget: the
-// flow stays on the software path and the DE may try again later.
+// retry backs off and re-sends f, or gives up after the attempt budget and
+// frees its slot. An install given up leaves the flow on the software
+// path, and the DE may try again later; a removal given up leaves an
+// orphan ACL, which reconciliation sweeps.
 func (in *installer) retry(f *flight) {
-	if f.attempts >= maxInstallAttempts {
+	switch {
+	case f.attempts >= maxInstallAttempts:
 		in.drop(f)
-		in.n.GiveUps++
-		in.fx.emit(telemetry.KindInstallGiveUp, f.p, "attempt-budget", float64(f.attempts), 0)
+		if f.installing() {
+			in.n.GiveUps++
+			in.fx.emit(telemetry.KindInstallGiveUp, f.p, "attempt-budget", float64(f.attempts), 0)
+		}
+		in.admit()
 		return
+	case f.installing():
+		in.n.Retries++
+		cause := "timeout"
+		if f.failed {
+			cause = "rejected"
+		}
+		in.fx.emit(telemetry.KindInstallRetry, f.p, cause, float64(f.attempts), 0)
+		f.phase = installBackoff
+	default:
+		f.phase = removeBackoff
 	}
-	in.n.Retries++
-	cause := "timeout"
-	if f.failed {
-		cause = "rejected"
-	}
-	in.fx.emit(telemetry.KindInstallRetry, f.p, cause, float64(f.attempts), 0)
-	f.phase = installBackoff
 	in.arm(f, in.backoff(f.attempts))
 }
 
@@ -245,7 +298,10 @@ func (in *installer) abort(p rules.Pattern) {
 		return
 	}
 	in.drop(f)
-	in.fx.flowDelete(p)
+	if f.phase != installWaiting {
+		in.fx.flowDelete(p)
+		in.admit()
+	}
 }
 
 // rejected takes an ErrorMsg: the FlowAdd it echoes failed, and the
@@ -275,6 +331,7 @@ func (in *installer) barrierReply(xid uint32) {
 		in.fx.confirmed(f.p)
 	case f.phase == removeSent:
 		in.drop(f)
+		in.admit()
 	}
 }
 
@@ -289,13 +346,12 @@ func (in *installer) fire(now sim.Time, p rules.Pattern, gen uint64) {
 		return
 	}
 	switch f.phase {
-	case installSent:
+	case installSent, removeSent:
 		in.retry(f)
 	case installBackoff:
 		in.send(f)
-	case removeSent:
-		// The confirmation was lost: re-arm the removal.
-		f.phase = removeGated
+	case removeBackoff:
+		f.phase = removeGated // its gate opened before: send it again
 		in.tryRemovals(now)
 	}
 }
@@ -343,6 +399,7 @@ func (in *installer) tryRemovals(now sim.Time) {
 	}
 	slices.SortFunc(ready, func(a, b *flight) int { return a.p.Compare(b.p) })
 	for _, f := range ready {
+		f.attempts++
 		in.fx.flowDelete(f.p)
 		in.await(f, removeSent)
 	}
@@ -399,4 +456,5 @@ func (in *installer) reconcile(now sim.Time, table []openflow.TableRule, desired
 	for _, p := range orphans {
 		in.remove(now, p, true)
 	}
+	in.admit() // a repair the policy now denies freed its slot
 }

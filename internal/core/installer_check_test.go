@@ -46,13 +46,13 @@ import (
 //   - an ACL's removal is sent only once every local has acked a RuleSync
 //     published after the last one that carried the pattern, and after
 //     its express lane was announced (no placer still steers to it);
+//   - in a state reached with no fault, no FlowAdd was rejected: an install
+//     is sent only into a slot nothing else holds, so a displacing install
+//     waits for the removal it displaces;
 //   - once messages stop being lost — messages delivered oldest first,
 //     timers in order, the controller publishing and reconciling each
 //     interval — every flight lands: each pattern ends installed (and in
 //     the TCAM), given up or demoted.
-//
-// It also looks for a FlowAdd the TCAM must reject, which at this commit it
-// finds: the retry defect (see TestInstallerCheckerFindsTheRetryDefect).
 
 const (
 	checkSlots    = 2
@@ -163,6 +163,9 @@ func (r *rack) clone() *rack {
 	for x, f := range r.inst.byXID {
 		c.inst.byXID[x] = c.inst.flights[f.p]
 	}
+	for _, f := range r.inst.waiting {
+		c.inst.waiting = append(c.inst.waiting, c.inst.flights[f.p])
+	}
 	c.offloaded = maps.Clone(r.offloaded)
 	c.toSwitch = slices.Clone(r.toSwitch)
 	c.fromSwitch = slices.Clone(r.fromSwitch)
@@ -214,6 +217,8 @@ func (r *rack) syncState() (seq, floor uint32) {
 	}
 	return r.seq, floor
 }
+
+func (r *rack) slots() (capacity, confirmed int) { return checkSlots, len(r.offloaded) }
 
 func (r *rack) confirmed(p rules.Pattern) {
 	r.steeredTo[checkIndex(p)] = r.seq
@@ -528,6 +533,10 @@ func (r *rack) key(b []byte) []byte {
 		}
 	}
 	b = append(b, '|')
+	for _, f := range r.inst.waiting {
+		b = append(b, byte(checkIndex(f.p)))
+	}
+	b = append(b, '|')
 	for _, tm := range r.timers {
 		b = append(b, t(tm.at), byte(tm.p))
 		if tm.gen == 0 {
@@ -557,6 +566,29 @@ func (r *rack) key(b []byte) []byte {
 	return b
 }
 
+// settle makes one fault-free move: the oldest message first, a timer
+// when none is left, unless lose says to drop the switch's reply at the
+// head of its channel. It returns the move, or false when nothing is left.
+func (r *rack) settle(maxTicks int, lose func(swReply) bool) (step, bool) {
+	next := step{ch: -1, what: deliver}
+	for ch := 0; ch < checkChans; ch++ {
+		if r.chanLen(ch) > 0 {
+			next.ch = ch
+			break
+		}
+	}
+	if next.ch == 1 && lose(r.fromSwitch[0]) {
+		next.what = drop
+	}
+	if i, tick, _ := r.nextTimer(maxTicks); next.ch < 0 && i < 0 && !tick {
+		return next, false
+	}
+	r.apply(next, maxTicks)
+	return next, true
+}
+
+func loseNothing(swReply) bool { return false }
+
 // drain runs r with no more faults: the oldest message first, timers when
 // no message is left, the controller's interval running on. It returns
 // nil once every flight has landed, or the moves it made and why r did
@@ -584,14 +616,7 @@ func (r *rack) drain(settled map[string]bool) []string {
 		if r.ticks >= len(checkScript)+checkDrainTicks {
 			return append(moves, fmt.Sprintf("flights still open %d intervals after the last decision", checkDrainTicks))
 		}
-		next := step{ch: -1, what: deliver}
-		for ch := 0; ch < checkChans; ch++ {
-			if r.chanLen(ch) > 0 {
-				next.ch = ch
-				break
-			}
-		}
-		r.apply(next, len(checkScript)+checkDrainTicks)
+		next, _ := r.settle(len(checkScript)+checkDrainTicks, loseNothing)
 		moves = append(moves, next.String())
 	}
 	for _, k := range seen {
@@ -612,52 +637,102 @@ func (r *rack) next(yield func(step, *rack) bool) {
 }
 
 // explore visits every state reachable from a fresh rack with up to faults
-// faults per run. Besides the search's result it returns the shortest path
-// to a FlowAdd the TCAM refused, if any.
-func explore(faults int) (res searchResult, reject []string) {
+// faults per run.
+func explore(faults int) searchResult {
 	root := newRack()
 	root.budget = faults
 	settled := make(map[string]bool)
-	res = search(root,
+	return search(root,
 		func(r *rack) []string {
 			if drained := r.clone().drain(settled); drained != nil {
 				return append([]string{"-- no faults from here --"}, drained...)
 			}
 			return nil
 		},
-		func(r *rack, path func() []string) []string {
+		func(r *rack, _ func() []string) []string {
 			if r.violation != "" {
 				return []string{r.violation}
 			}
-			if r.rejected > 0 && reject == nil {
-				reject = path()
+			if r.rejected > 0 && r.faults == 0 {
+				return []string{fmt.Sprintf("%d FlowAdds rejected with no fault", r.rejected)}
 			}
 			return nil
 		})
-	return res, reject
 }
 
 // TestInstallerInterleavings is the exhaustive check of the installer's
-// three invariants over the model rack (see the top of this file).
+// four invariants over the model rack (see the top of this file).
 func TestInstallerInterleavings(t *testing.T) {
 	start := time.Now()
-	res, _ := explore(checkFaults)
+	res := explore(checkFaults)
 	t.Logf("%d states, deepest %d moves, %d faults per run: %v", res.states, res.depth, checkFaults, time.Since(start).Round(time.Millisecond))
 	if res.violation != nil {
 		t.Fatalf("invariant broken:\n  %s", strings.Join(res.violation, "\n  "))
 	}
 }
 
-// TestInstallerCheckerFindsTheRetryDefect pins the property the installer
-// does not yet have: no FlowAdd is sent that the TCAM must reject. The
-// decision engine counts a demoted pattern's slot as free while its
-// ack-gated removal still holds it, so the displacing install is refused
-// and retried — with no fault at all. The test fails once that is fixed:
-// invert it then.
-func TestInstallerCheckerFindsTheRetryDefect(t *testing.T) {
-	_, reject := explore(0)
-	if reject == nil {
-		t.Fatal("no interleaving sends a FlowAdd the TCAM rejects: the retry defect is gone, so invert this test")
+// TestDisplacingInstallWaitsForItsRemoval replays the shortest path by
+// which the installer once sent a FlowAdd the TCAM rejected with no fault —
+// tick 1 installs A and B and both confirm, tick 2 demotes A and installs
+// C — and runs on without faults: C's FlowAdd leaves only after A's
+// removal is confirmed, and no FlowAdd is rejected.
+func TestDisplacingInstallWaitsForItsRemoval(t *testing.T) {
+	r := newRack()
+	for _, s := range []step{{-1, deliver}, {0, deliver}, {0, deliver}, {1, deliver}, {1, deliver}, {-1, deliver}} {
+		r.apply(s, len(checkScript))
 	}
-	t.Logf("shortest path to a rejected FlowAdd (%d moves): %s", len(reject), strings.Join(reject, " "))
+	a, c := r.inst.flights[checkPats[0]], r.inst.flights[checkPats[2]]
+	if a == nil || a.installing() || c == nil || c.phase != installWaiting {
+		t.Fatalf("after tick 2: A's flight %+v, C's %+v; want A removing and C waiting", a, c)
+	}
+	for !r.offloaded[checkPats[2]] {
+		if _, ok := r.settle(len(checkScript), loseNothing); !ok {
+			break
+		}
+		removed := r.inst.flights[checkPats[0]] != a
+		for _, o := range r.toSwitch {
+			if o.kind == opAdd && o.p == 2 && !removed {
+				t.Fatalf("C's FlowAdd sent at %v before A's removal was confirmed", r.now)
+			}
+		}
+	}
+	if !r.offloaded[checkPats[2]] || r.rejected != 0 || r.counts.Retries != 0 {
+		t.Fatalf("C offloaded %v, %d FlowAdds rejected, %d retries; want C offloaded with none", r.offloaded[checkPats[2]], r.rejected, r.counts.Retries)
+	}
+}
+
+// TestLostRemovalConfirmsBackOff loses every reply to A's removal barrier:
+// the FlowDelete is re-sent on the install path's backoff, each gap longer
+// than the last, until the attempt budget runs out. The removal then gives
+// up without counting as a failed install, and frees its slot for the
+// install that waits on it.
+func TestLostRemovalConfirmsBackOff(t *testing.T) {
+	r := newRack()
+	const ticks = 2 // A and B; then C displaces A
+	removal := func(m swReply) bool { return !m.table && m.p == 0 && !m.had && m.err == 0 }
+	sent := map[uint32]bool{}
+	var at []sim.Time
+	for r.now < sim.Time(time.Second) {
+		if _, ok := r.settle(ticks, removal); !ok {
+			break
+		}
+		for _, o := range r.toSwitch {
+			if o.kind == opDelete && o.p == 0 && o.bar != 0 && !sent[o.bar] {
+				sent[o.bar] = true
+				at = append(at, r.now)
+			}
+		}
+	}
+	if len(at) != maxInstallAttempts {
+		t.Fatalf("A's FlowDelete sent %d times by %v; want %d", len(at), r.now, maxInstallAttempts)
+	}
+	for i := 2; i < len(at); i++ {
+		if at[i]-at[i-1] <= at[i-1]-at[i-2] {
+			t.Fatalf("re-sends at %v: gaps do not grow", at)
+		}
+	}
+	if r.inst.flights[checkPats[0]] != nil || r.counts.GiveUps != 0 || !r.offloaded[checkPats[2]] {
+		t.Fatalf("A's flight %+v, %d give-ups, C offloaded %v; want A's removal dropped, no give-up, C offloaded",
+			r.inst.flights[checkPats[0]], r.counts.GiveUps, r.offloaded[checkPats[2]])
+	}
 }

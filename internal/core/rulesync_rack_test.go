@@ -36,10 +36,10 @@ func (f forceFull) HandleMessage(msg openflow.Message, xid uint32, reply openflo
 
 // runSyncRack runs a seeded three-server rack — a service VM, two clients
 // whose flows come and go against a sixteen-entry TCAM — through a chaos plan
-// on the control plane, and returns a log of everything the sync protocol
-// can influence, taken every 50 ms and at the end, and the ToR→local wire
-// bytes.
-func runSyncRack(t *testing.T, seed int64, full bool) (log []string, wireBytes uint64) {
+// on the control plane, or with chaos false through none, and returns its
+// ToR controller, a log of everything the sync protocol can influence,
+// taken every 50 ms and at the end, and the ToR→local wire bytes.
+func runSyncRack(t *testing.T, seed int64, full, chaos bool) (tc *TORController, log []string, wireBytes uint64) {
 	c := cluster.New(cluster.Config{
 		Servers: 3, VSwitchCfg: model.VSwitchConfig{Tunneling: true}, TCAMCapacity: 16, Seed: seed,
 	})
@@ -75,7 +75,7 @@ func runSyncRack(t *testing.T, seed int64, full bool) (log []string, wireBytes u
 	inj := faults.NewInjector(eng, seed+100)
 	mgr.RegisterFaults(inj)
 	h := horizon
-	if err := inj.Apply(faults.Plan{Events: []faults.Event{
+	plan := faults.Plan{Events: []faults.Event{
 		{At: h / 32, Kind: faults.TCAMReject, Target: "tor0", Duration: h / 8, Prob: 0.5},
 		{At: h / 8, Kind: faults.ChannelLoss, Target: "local1-tor", Duration: h / 2, Prob: 0.3},
 		{At: h / 4, Kind: faults.ChannelDelay, Target: "local2-tor", Duration: h / 8, Delay: 3 * time.Millisecond},
@@ -83,7 +83,11 @@ func runSyncRack(t *testing.T, seed int64, full bool) (log []string, wireBytes u
 		{At: h / 2, Kind: faults.ControllerCrash, Target: "torctl0", Duration: h / 16},
 		{At: 5 * h / 8, Kind: faults.ChannelDown, Target: "torctl0-switch", Duration: h / 32},
 		{At: 11 * h / 16, Kind: faults.ChannelLoss, Target: "local2-tor", Duration: h / 16, Prob: 0.5},
-	}}); err != nil {
+	}}
+	if !chaos {
+		plan.Events = nil
+	}
+	if err := inj.Apply(plan); err != nil {
 		t.Fatal(err)
 	}
 
@@ -113,7 +117,7 @@ func runSyncRack(t *testing.T, seed int64, full bool) (log []string, wireBytes u
 	}
 	mgr.Start()
 
-	tc := mgr.TORCtl
+	tc = mgr.TORCtl
 	snap := func() {
 		var sb strings.Builder
 		fmt.Fprintf(&sb, "%v inst=%d dem=%d retry=%d giveup=%d repair=%d orphan=%d seq=%d",
@@ -135,7 +139,7 @@ func runSyncRack(t *testing.T, seed int64, full bool) (log []string, wireBytes u
 	eng.RunUntil(horizon + 2*time.Second)
 	mgr.Stop()
 	snap()
-	if tc.Installs < 10 || tc.Demotes < 5 || tc.Crashes != 1 || tc.Retries == 0 {
+	if tc.Installs < 10 || tc.Demotes < 5 || chaos && (tc.Crashes != 1 || tc.Retries == 0) {
 		t.Fatalf("the rack saw %d installs, %d demotes, %d retries, %d crashes: not the churn this test is for",
 			tc.Installs, tc.Demotes, tc.Retries, tc.Crashes)
 	}
@@ -145,7 +149,7 @@ func runSyncRack(t *testing.T, seed int64, full bool) (log []string, wireBytes u
 	for _, a := range tc.agents {
 		wireBytes += a.tr.SentBytes
 	}
-	return log, wireBytes
+	return tc, log, wireBytes
 }
 
 func sortedRules(c *cluster.Cluster) []rules.Pattern {
@@ -170,8 +174,8 @@ func TestDeltaSyncMatchesFullSync(t *testing.T) {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
-		delta, deltaBytes := runSyncRack(t, seed, false)
-		full, fullBytes := runSyncRack(t, seed, true)
+		_, delta, deltaBytes := runSyncRack(t, seed, false, true)
+		_, full, fullBytes := runSyncRack(t, seed, true, true)
 		for i := range delta {
 			if i >= len(full) || delta[i] != full[i] {
 				t.Fatalf("seed %d: the runs part at snapshot %d\ndelta: %s\nfull:  %s", seed, i, delta[i], full[min(i, len(full)-1)])
@@ -181,6 +185,25 @@ func TestDeltaSyncMatchesFullSync(t *testing.T) {
 			t.Fatalf("seed %d: deltas wrote %d bytes, full syncs %d", seed, deltaBytes, fullBytes)
 		}
 		t.Logf("seed %d: %d snapshots identical; ToR→local bytes %d with deltas, %d all full", seed, len(delta), deltaBytes, fullBytes)
+	}
+}
+
+// TestChurnWithoutFaultsNeverRetries runs the churn rack with no fault
+// plan: thirty-two ports against sixteen TCAM slots turn the offload set
+// over, and every displacing install waits for the removal it displaces,
+// so no FlowAdd is rejected. A rejected one is always retried or given up.
+func TestChurnWithoutFaultsNeverRetries(t *testing.T) {
+	tc, _, _ := runSyncRack(t, 1, false, false)
+	t.Logf("%d installs, %d demotes, %d retries, %d give-ups, %d fault rejects",
+		tc.Installs, tc.Demotes, tc.Retries, tc.GiveUps, tc.tor.InstallRejects())
+	if tc.Retries != 0 || tc.GiveUps != 0 || tc.tor.InstallRejects() != 0 {
+		t.Fatalf("%d retries, %d give-ups, %d fault rejects with no fault", tc.Retries, tc.GiveUps, tc.tor.InstallRejects())
+	}
+	// When every displacing install was rejected first, this rack read 146
+	// installs and 130 demotes beside 362 retries and 58 give-ups: waiting
+	// for the slot loses no offload.
+	if tc.Installs < 146 || tc.Demotes < 130 {
+		t.Fatalf("%d installs and %d demotes; want at least 146 and 130", tc.Installs, tc.Demotes)
 	}
 }
 

@@ -108,8 +108,9 @@ func (s *TORService) Stop()  { s.M.Stop() }
 type PlacementView struct {
 	Pattern rules.Pattern
 	// State is "offloaded" (barrier-confirmed, announced to placers),
-	// "installing" (FlowMod sent, barrier pending) or "removing" (demoted,
-	// ACL removal gated on acks and grace).
+	// "installing" (waiting for a TCAM slot, or FlowMod sent and barrier
+	// pending) or "removing" (demoted, ACL removal gated on acks and
+	// grace).
 	State string
 	// Attempts counts install sends so far (installing only).
 	Attempts int
@@ -175,7 +176,7 @@ func (s *TORService) HardwareRules() []HardwareRuleView {
 
 // TCAMUsage reports used and total TCAM capacity.
 func (s *TORService) TCAMUsage() (used, capacity int) {
-	return s.TC.tor.TCAMUsed(), s.TC.tor.TCAMUsed() + s.TC.tor.TCAMFree()
+	return s.TC.tor.TCAMUsed(), s.TC.tor.TCAMCapacity()
 }
 
 // Pin force-starts the confirm-then-announce install sequence for a

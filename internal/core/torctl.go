@@ -511,9 +511,9 @@ func (tc *TORController) tick() {
 	}
 	tc.prevHWAt = eng.Now()
 
-	// Budget: free TCAM space plus what confirmed offloads would free.
-	// In-flight installs hold their slot conservatively.
-	budget := tc.tor.TCAMFree() + len(tc.offloaded)
+	// Budget: the TCAM less what removals still hold. An install that
+	// finds no slot free waits in the installer for one.
+	budget := tc.inst.budget()
 	if tc.mgr.Cfg.MaxOffloads > 0 && budget > tc.mgr.Cfg.MaxOffloads {
 		budget = tc.mgr.Cfg.MaxOffloads
 	}
@@ -723,6 +723,10 @@ func (tc *TORController) jitter(n int64) int64 { return tc.mgr.Cluster.Eng.Rand(
 
 func (tc *TORController) syncState() (seq, floor uint32) {
 	return tc.sync.seq, tc.sync.minAcked(tc.agents)
+}
+
+func (tc *TORController) slots() (capacity, confirmed int) {
+	return tc.tor.TCAMCapacity(), len(tc.offloaded)
 }
 
 func (tc *TORController) confirmed(p rules.Pattern) {

@@ -13,8 +13,8 @@
 // is exactly as reproducible as a fault-free one: same seed, same
 // byte-identical event log.
 //
-// One table (kinds) gives every Kind its plan-DSL name and the target
-// surface it acts on; one registry keyed by surface and name holds every
+// One table (kinds) gives every Kind its plan-DSL name, the options it
+// reads and the target surface it acts on; one registry keyed by surface and name holds every
 // target. A new kind is a constant, a table row and a case in schedule.
 //
 // The package deliberately knows nothing about fabric/openflow/tor/core —
@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -129,28 +130,39 @@ var surfaces = [...]struct{ category, noun string }{
 	pausableSurface:   {"pausable controller", "controller"},
 }
 
-// kinds gives each Kind its plan-DSL name and the surface its target is
-// registered on.
+// options parses each plan-DSL option into the Event field it names.
+var options = map[string]func(ev *Event, v string) error{
+	"p":      func(ev *Event, v string) (err error) { ev.Prob, err = strconv.ParseFloat(v, 64); return err },
+	"period": func(ev *Event, v string) (err error) { ev.Period, err = time.ParseDuration(v); return err },
+	"delay":  func(ev *Event, v string) (err error) { ev.Delay, err = time.ParseDuration(v); return err },
+	"seed":   func(ev *Event, v string) (err error) { ev.Seed, err = strconv.ParseInt(v, 10, 64); return err },
+	"rate":   func(ev *Event, v string) (err error) { ev.Rate, err = strconv.ParseFloat(v, 64); return err },
+}
+
+// kinds gives each Kind its plan-DSL name, the surface its target is
+// registered on and the options it reads; a plan naming any other option
+// for it is refused.
 var kinds = [...]struct {
 	name    string
 	surface surface
+	opts    []string
 }{
-	LinkDown:        {"linkdown", linkSurface},
-	LinkFlap:        {"linkflap", linkSurface},
-	PacketLoss:      {"loss", linkSurface},
-	ChannelDown:     {"ctldown", channelSurface},
-	ChannelLoss:     {"ctlloss", channelSurface},
-	ChannelDelay:    {"ctldelay", channelSurface},
-	TCAMReject:      {"tcamreject", tableSurface},
-	ControllerCrash: {"crash", controllerSurface},
-	MissStorm:       {"storm", stormerSurface},
-	StatsLoss:       {"statsloss", statsSurface},
-	StatsDelay:      {"statsdelay", statsSurface},
-	NICReset:        {"nicreset", nicSurface},
-	NICCorrupt:      {"niccorrupt", nicSurface},
-	PartitionNode:   {"partition", partitionSurface},
-	PartitionAsym:   {"apartition", partitionSurface},
-	ControllerPause: {"pause", pausableSurface},
+	LinkDown:        {"linkdown", linkSurface, nil},
+	LinkFlap:        {"linkflap", linkSurface, []string{"period"}},
+	PacketLoss:      {"loss", linkSurface, []string{"p", "seed"}},
+	ChannelDown:     {"ctldown", channelSurface, nil},
+	ChannelLoss:     {"ctlloss", channelSurface, []string{"p", "seed"}},
+	ChannelDelay:    {"ctldelay", channelSurface, []string{"delay"}},
+	TCAMReject:      {"tcamreject", tableSurface, []string{"p", "seed"}},
+	ControllerCrash: {"crash", controllerSurface, nil},
+	MissStorm:       {"storm", stormerSurface, []string{"rate"}},
+	StatsLoss:       {"statsloss", statsSurface, []string{"p", "seed"}},
+	StatsDelay:      {"statsdelay", statsSurface, []string{"delay"}},
+	NICReset:        {"nicreset", nicSurface, []string{"period"}},
+	NICCorrupt:      {"niccorrupt", nicSurface, []string{"p", "seed"}},
+	PartitionNode:   {"partition", partitionSurface, nil},
+	PartitionAsym:   {"apartition", partitionSurface, nil},
+	ControllerPause: {"pause", pausableSurface, nil},
 }
 
 func (k Kind) known() bool { return k > 0 && int(k) < len(kinds) }
@@ -677,39 +689,15 @@ func parseEvent(clause string) (Event, error) {
 			if !ok {
 				return ev, fmt.Errorf("bad option %q", opt)
 			}
-			switch k {
-			case "p":
-				p, err := strconv.ParseFloat(v, 64)
-				if err != nil {
-					return ev, fmt.Errorf("bad p: %w", err)
-				}
-				ev.Prob = p
-			case "period":
-				d, err := time.ParseDuration(v)
-				if err != nil {
-					return ev, fmt.Errorf("bad period: %w", err)
-				}
-				ev.Period = d
-			case "delay":
-				d, err := time.ParseDuration(v)
-				if err != nil {
-					return ev, fmt.Errorf("bad delay: %w", err)
-				}
-				ev.Delay = d
-			case "seed":
-				s, err := strconv.ParseInt(v, 10, 64)
-				if err != nil {
-					return ev, fmt.Errorf("bad seed: %w", err)
-				}
-				ev.Seed = s
-			case "rate":
-				r, err := strconv.ParseFloat(v, 64)
-				if err != nil {
-					return ev, fmt.Errorf("bad rate: %w", err)
-				}
-				ev.Rate = r
-			default:
+			parse, known := options[k]
+			switch {
+			case !known:
 				return ev, fmt.Errorf("unknown option %q", k)
+			case !slices.Contains(kinds[ev.Kind].opts, k):
+				return ev, fmt.Errorf("%s reads no option %q", ev.Kind, k)
+			}
+			if err := parse(&ev, v); err != nil {
+				return ev, fmt.Errorf("bad %s: %w", k, err)
 			}
 		}
 	}
@@ -792,12 +780,9 @@ func RandomPlan(seed int64, horizon time.Duration, ts TargetSet) Plan {
 		}))
 	}
 	if len(ts.StatsTaps) > 0 {
-		// The stats slot draws delays only beside a storm slot, as it
-		// always has.
-		withDelay := len(ts.Stormers) > 0
 		slots = append(slots, draw(ts.StatsTaps, func(ev *Event) {
 			ev.Kind, ev.Prob, ev.Seed = StatsLoss, 0.3+rng.Float64()*0.7, rng.Int63()
-			if withDelay && rng.Intn(2) == 0 {
+			if rng.Intn(2) == 0 {
 				ev.Kind, ev.Prob, ev.Delay = StatsDelay, 0, time.Duration(1+rng.Intn(50))*time.Millisecond
 			}
 		}))

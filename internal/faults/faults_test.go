@@ -234,9 +234,30 @@ func TestApplyRejectsInvalidEvents(t *testing.T) {
 	if err := inj.Apply(plan); err == nil {
 		t.Error("Apply accepted crash:proc0@-1s")
 	}
+	// A spec naming an option its kind does not read is refused, not
+	// dropped.
+	for _, spec := range misplacedOptionSpecs {
+		if _, err := ParsePlan(spec); err == nil || !strings.Contains(err.Error(), "reads no option") {
+			t.Errorf("ParsePlan(%q) = %v; want the option refused", spec, err)
+		}
+	}
 	if inj.Applied != 0 {
 		t.Errorf("invalid plans must not schedule anything, Applied = %d", inj.Applied)
 	}
+}
+
+// misplacedOptionSpecs each name an option their kind does not read.
+var misplacedOptionSpecs = []string{
+	"linkdown:up0@1s+1s,p=0.5,rate=9,delay=3ms",
+	"crash:proc0@1s+1s,period=5ms",
+	"ctldelay:ctl0@1s+1s,p=0.3",
+	"ctlloss:ctl0@1s+1s,p=0.3,delay=1ms",
+	"storm:vm0@1s+1s,seed=4",
+	"loss:up0@1s+1s,rate=5",
+	"statsdelay:me0@1s+1s,seed=3",
+	"linkflap:up0@1s+1s,delay=1ms",
+	"nicreset:nic0@1s,p=0.5",
+	"pause:tor0@1s+1s,period=1ms",
 }
 
 func TestTargets(t *testing.T) {

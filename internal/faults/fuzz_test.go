@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,7 +13,8 @@ import (
 // FuzzParsePlan drives the plan language through the whole injector:
 // ParsePlan, then Apply on an injector with a recorder on every surface
 // under every name the seed corpus uses, then 10ms of virtual time.
-// Nothing may panic, and every event Apply accepts must lie within
+// Nothing may panic, no event ParsePlan returns may set an option its
+// kind does not read, and every event Apply accepts must lie within
 // validate's bounds.
 func FuzzParsePlan(f *testing.F) {
 	for _, clause := range strings.Split(allKindsSpec, ";") {
@@ -21,6 +23,9 @@ func FuzzParsePlan(f *testing.F) {
 	f.Add("crash:torctl0@-1s")
 	f.Add("crash:torctl0@1s+-5ms")
 	f.Add("loss:uplink0@1s+1s,p=NaN")
+	for _, spec := range misplacedOptionSpecs {
+		f.Add(spec)
+	}
 	names := []string{"up0", "ctl0", "tcam0", "proc0", "vm0", "me0", "nic0",
 		"tor0", "tor1", "tor2", "torctl0", "uplink0"}
 	f.Fuzz(func(t *testing.T, spec string) {
@@ -32,6 +37,15 @@ func FuzzParsePlan(f *testing.F) {
 		plan, err := ParsePlan(spec)
 		if err != nil {
 			return
+		}
+		for _, ev := range plan.Events {
+			set := map[string]bool{"p": ev.Prob != 0, "period": ev.Period != 0,
+				"delay": ev.Delay != 0, "seed": ev.Seed != 0, "rate": ev.Rate != 0}
+			for o, on := range set {
+				if on && !slices.Contains(kinds[ev.Kind].opts, o) {
+					t.Fatalf("ParsePlan set an option %s does not read: %+v", ev.Kind, ev)
+				}
+			}
 		}
 		eng := sim.NewEngine(1)
 		inj := NewInjector(eng, 1)

@@ -242,8 +242,8 @@ func (t *TOR) RemoveACL(p rules.Pattern) int {
 	return n
 }
 
-// TCAMFree returns remaining hardware rule capacity.
-func (t *TOR) TCAMFree() int { return t.tcam.Free() }
+// TCAMCapacity returns the hardware rule budget.
+func (t *TOR) TCAMCapacity() int { return t.tcam.Len() + t.tcam.Free() }
 
 // TCAMUsed returns installed hardware rule count.
 func (t *TOR) TCAMUsed() int { return t.tcam.Len() }

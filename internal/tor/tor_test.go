@@ -144,12 +144,12 @@ func TestTCAMCapacityLimitsOffload(t *testing.T) {
 	if err := tr.InstallACL(allowEntry(keyOf(3))); err == nil {
 		t.Error("TCAM overflow accepted")
 	}
-	if tr.TCAMFree() != 0 || tr.TCAMUsed() != 2 {
-		t.Errorf("free=%d used=%d", tr.TCAMFree(), tr.TCAMUsed())
+	if tr.TCAMCapacity() != 2 || tr.TCAMUsed() != 2 {
+		t.Errorf("capacity=%d used=%d", tr.TCAMCapacity(), tr.TCAMUsed())
 	}
 	tr.RemoveACL(rules.ExactPattern(keyOf(1)))
-	if tr.TCAMFree() != 1 {
-		t.Errorf("free after remove = %d", tr.TCAMFree())
+	if tr.TCAMCapacity() != 2 || tr.TCAMUsed() != 1 {
+		t.Errorf("after remove capacity=%d used=%d", tr.TCAMCapacity(), tr.TCAMUsed())
 	}
 }
 
